@@ -12,6 +12,7 @@ plus processing).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -31,7 +32,9 @@ def pearson(xs: List[float], ys: List[float]) -> float:
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var_x = sum((x - mean_x) ** 2 for x in xs)
     var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0 or var_y == 0:
+    # A variance that underflowed to a subnormal has no precision left: the
+    # sample is as good as constant.
+    if var_x < sys.float_info.min or var_y < sys.float_info.min:
         raise AnalysisError("pearson undefined for a constant sample")
     return cov / math.sqrt(var_x * var_y)
 

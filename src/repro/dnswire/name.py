@@ -3,7 +3,9 @@
 A :class:`Name` is an immutable tuple of labels (``bytes``), always stored
 fully qualified (the empty root label is implicit, not stored).  Parsing
 enforces the RFC limits — 63 bytes per label, 255 bytes total — and the
-decompressor rejects pointer loops and forward pointers.
+decompressor rejects pointer loops and forward pointers.  The case-folded
+labels that comparison, hashing and compression work on are computed once
+per name.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class Name:
     """An immutable, case-preserving (but case-insensitively comparing)
     fully-qualified domain name."""
 
-    __slots__ = ("_labels", "_hash")
+    __slots__ = ("_labels", "_key", "_hash")
 
     def __init__(self, labels: Iterable[bytes]) -> None:
         labels = tuple(labels)
@@ -39,6 +41,9 @@ class Name:
         if total + 1 > MAX_NAME_LENGTH:
             raise DnsNameError(f"name exceeds {MAX_NAME_LENGTH} bytes on the wire")
         self._labels = labels
+        #: Case-folded labels: the identity of the name (RFC 1035 §2.3.3).
+        key = tuple(map(bytes.lower, labels))
+        self._key = labels if key == labels else key
         self._hash: Optional[int] = None
 
     # -- constructors --------------------------------------------------------
@@ -86,17 +91,14 @@ class Name:
 
     # -- comparisons (case-insensitive per RFC 1035 §2.3.3) -------------------
 
-    def _key(self) -> Tuple[bytes, ...]:
-        return tuple(label.lower() for label in self._labels)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Name):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash(self._key)
         return self._hash
 
     # -- structure -------------------------------------------------------------
@@ -113,7 +115,7 @@ class Name:
             return False
         if not other._labels:
             return True
-        return self._key()[-len(other._labels):] == other._key()
+        return self._key[-len(other._labels):] == other._key
 
     def relativize(self, origin: "Name") -> Tuple[bytes, ...]:
         """Labels of ``self`` below ``origin`` (requires subdomain)."""
@@ -140,10 +142,10 @@ class Name:
         message offsets; suffixes already present are replaced by a pointer
         and new suffixes at pointer-encodable offsets are registered.
         """
-        labels = self._labels
-        for index in range(len(labels)):
-            suffix = tuple(label.lower() for label in labels[index:])
+        key = self._key
+        for index, label in enumerate(self._labels):
             if compress is not None:
+                suffix = key[index:]
                 offset = compress.get(suffix)
                 if offset is not None:
                     buffer += bytes(((_POINTER_MASK | (offset >> 8)) & 0xFF, offset & 0xFF))
@@ -151,7 +153,6 @@ class Name:
                 here = len(buffer)
                 if here < 0x4000:
                     compress[suffix] = here
-            label = labels[index]
             buffer.append(len(label))
             buffer += label
         buffer.append(0)
@@ -173,7 +174,7 @@ class Name:
         labels = []
         cursor = offset
         end_of_name: Optional[int] = None
-        seen_offsets = set()
+        seen_offsets: Optional[set] = None  # allocated at the first pointer
         total = 0
         while True:
             if cursor >= len(wire):
@@ -189,6 +190,8 @@ class Name:
                     raise CompressionError(
                         f"forward compression pointer {pointer} at offset {cursor}"
                     )
+                if seen_offsets is None:
+                    seen_offsets = set()
                 if pointer in seen_offsets:
                     raise CompressionError(f"compression pointer loop via {pointer}")
                 seen_offsets.add(pointer)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.dnswire.name import Name
 from repro.dnswire.types import (
@@ -23,10 +23,19 @@ from repro.dnswire.types import (
     TYPE_PTR,
     TYPE_SOA,
     TYPE_TXT,
+    type_name,
 )
 from repro.errors import MessageMalformed, MessageTruncated
 
 CompressMap = Dict[Tuple[bytes, ...], int]
+
+
+def _check_rdlength(rdtype: int, consumed: int, rdlength: int) -> None:
+    """Names are self-delimiting, so RDLENGTH must agree with what they used."""
+    if consumed != rdlength:
+        raise MessageMalformed(
+            f"{type_name(rdtype)} rdata is {consumed} bytes but RDLENGTH says {rdlength}"
+        )
 
 
 class Rdata:
@@ -46,49 +55,56 @@ class Rdata:
 
 
 @dataclass(frozen=True)
-class ARdata(Rdata):
-    """IPv4 address record."""
+class _AddressRdata(Rdata):
+    """Common base of A/AAAA: one address, parsed once.
+
+    ``address`` is kept in the canonical text form (``2001:db8::0`` is
+    stored as ``2001:db8::``), so two spellings of one address compare,
+    hash and canonicalise alike; ``packed`` is the wire form.
+    """
 
     address: str
-    rdtype = TYPE_A
+    packed: bytes = field(init=False, repr=False, compare=False)
+
+    _parse: ClassVar[Callable]  # ipaddress.IPv4Address or IPv6Address
+    _size: ClassVar[int]
 
     def __post_init__(self) -> None:
-        ipaddress.IPv4Address(self.address)  # validates
+        parsed = self._parse(self.address)  # validates
+        object.__setattr__(self, "address", str(parsed))
+        object.__setattr__(self, "packed", parsed.packed)
 
     def encode(self, buffer: bytearray, compress: Optional[CompressMap]) -> None:
-        buffer += ipaddress.IPv4Address(self.address).packed
+        buffer += self.packed
 
     @classmethod
-    def decode(cls, wire: bytes, offset: int, rdlength: int) -> "ARdata":
-        if rdlength != 4:
-            raise MessageMalformed(f"A rdata must be 4 bytes, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(wire[offset : offset + 4])))
+    def decode(cls, wire: bytes, offset: int, rdlength: int):
+        if rdlength != cls._size:
+            raise MessageMalformed(
+                f"{type_name(cls.rdtype)} rdata must be {cls._size} bytes, got {rdlength}"
+            )
+        return cls(wire[offset : offset + rdlength])
 
     def to_text(self) -> str:
         return self.address
 
 
 @dataclass(frozen=True)
-class AaaaRdata(Rdata):
+class ARdata(_AddressRdata):
+    """IPv4 address record."""
+
+    rdtype = TYPE_A
+    _parse = ipaddress.IPv4Address
+    _size = 4
+
+
+@dataclass(frozen=True)
+class AaaaRdata(_AddressRdata):
     """IPv6 address record."""
 
-    address: str
     rdtype = TYPE_AAAA
-
-    def __post_init__(self) -> None:
-        ipaddress.IPv6Address(self.address)
-
-    def encode(self, buffer: bytearray, compress: Optional[CompressMap]) -> None:
-        buffer += ipaddress.IPv6Address(self.address).packed
-
-    @classmethod
-    def decode(cls, wire: bytes, offset: int, rdlength: int) -> "AaaaRdata":
-        if rdlength != 16:
-            raise MessageMalformed(f"AAAA rdata must be 16 bytes, got {rdlength}")
-        return cls(str(ipaddress.IPv6Address(wire[offset : offset + 16])))
-
-    def to_text(self) -> str:
-        return self.address
+    _parse = ipaddress.IPv6Address
+    _size = 16
 
 
 class _SingleNameRdata(Rdata):
@@ -104,7 +120,8 @@ class _SingleNameRdata(Rdata):
 
     @classmethod
     def decode(cls, wire: bytes, offset: int, rdlength: int):
-        name, _end = Name.decode(wire, offset)
+        name, end = Name.decode(wire, offset)
+        _check_rdlength(cls.rdtype, end - offset, rdlength)
         return cls(name)
 
     def to_text(self) -> str:
@@ -154,11 +171,12 @@ class SoaRdata(Rdata):
 
     @classmethod
     def decode(cls, wire: bytes, offset: int, rdlength: int) -> "SoaRdata":
-        mname, offset = Name.decode(wire, offset)
-        rname, offset = Name.decode(wire, offset)
-        if offset + 20 > len(wire):
+        mname, cursor = Name.decode(wire, offset)
+        rname, cursor = Name.decode(wire, cursor)
+        if cursor + 20 > len(wire):
             raise MessageTruncated("truncated SOA rdata")
-        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", wire, offset)
+        _check_rdlength(cls.rdtype, cursor + 20 - offset, rdlength)
+        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", wire, cursor)
         return cls(mname, rname, serial, refresh, retry, expire, minimum)
 
     def to_text(self) -> str:
@@ -185,7 +203,8 @@ class MxRdata(Rdata):
         if offset + 2 > len(wire):
             raise MessageTruncated("truncated MX rdata")
         (preference,) = struct.unpack_from("!H", wire, offset)
-        exchange, _end = Name.decode(wire, offset + 2)
+        exchange, end = Name.decode(wire, offset + 2)
+        _check_rdlength(cls.rdtype, end - offset, rdlength)
         return cls(preference, exchange)
 
     def to_text(self) -> str:

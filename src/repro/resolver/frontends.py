@@ -2,15 +2,20 @@
 
 All frontends share one query path: parse the wire query, consult the
 site's recursive engine (cache hit or full recursive walk), apply the
-deployment's service-time distribution, and send the response back over
-the transport it arrived on.  DoT and DoH run over the simulated TLS
-layer; DoH speaks HTTP/2 or HTTP/1.1 according to the negotiated ALPN.
+deployment's service-time distribution, and hand the parsed query and the
+response :class:`Message` back to the transport it arrived on.  The
+transport encodes the response once and reads whatever else it needs
+(minimum TTL, EDNS payload limit, truncation) off those two messages, so
+a query is parsed exactly once on the server.  DoT and DoH run over the
+simulated TLS layer; DoH speaks HTTP/2 or HTTP/1.1 according to the
+negotiated ALPN.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.dnswire.builder import make_response
@@ -23,7 +28,7 @@ from repro.dnswire.edns import (
     get_edns,
 )
 from repro.dnswire.message import Message
-from repro.dnswire.types import RCODE_SERVFAIL
+from repro.dnswire.types import RCODE_SERVFAIL, TYPE_OPT
 from repro.errors import DnsWireError, FramingError
 from repro.httpsim.doh import (
     DohCodecError,
@@ -52,7 +57,10 @@ DOH_PORT = 443
 DOQ_PORT = 853  # DoQ runs over UDP; DoT's 853 is TCP — no clash
 DOH3_PORT = 443  # DoH3 runs over QUIC/UDP; DoH's 443 is TCP — no clash
 
-RespondFn = Callable[[bytes], None]
+#: Called with the parsed query and the response to send for it.
+RespondFn = Callable[[Message, Message], None]
+
+_RECORD_TTL = attrgetter("ttl")
 
 
 class _LengthPrefixedStream:
@@ -141,7 +149,7 @@ class _FrontendBase:
             delay += 2.0 * self.deployment.odoh_relay_extra_ms
             # Transient overload/degradation injected by a fault window.
             delay += self.site.host.impairments.extra_processing_ms
-            self._loop.call_later(delay, respond, response.to_wire())
+            self._loop.call_later(delay, respond, query, response)
 
         if question is None:
             send_response(make_response(query, rcode=RCODE_SERVFAIL))
@@ -185,31 +193,25 @@ class Do53Frontend(_FrontendBase):
         host.listen_tcp(DO53_PORT, self._accept_tcp)
 
     @staticmethod
-    def _udp_payload_limit(query_wire: bytes) -> int:
-        try:
-            query = Message.from_wire(query_wire)
-        except DnsWireError:
-            return 512
+    def _udp_payload_limit(query: Message) -> int:
         edns = get_edns(query)
         if edns is None:
             return 512
         return max(512, edns.payload_size)
 
     @staticmethod
-    def _truncate(response_wire: bytes) -> bytes:
-        message = Message.from_wire(response_wire)
-        message.answers = []
-        message.authorities = []
-        message.additionals = [r for r in message.additionals if r.rdtype == 41]
-        message.header.tc = True
-        return message.to_wire()
+    def _truncate(response: Message) -> bytes:
+        response.answers = []
+        response.authorities = []
+        response.additionals = [r for r in response.additionals if r.rdtype == TYPE_OPT]
+        response.header.tc = True
+        return response.to_wire()
 
     def _handle_udp(self, dgram: Datagram, host) -> None:
-        limit = self._udp_payload_limit(dgram.payload)
-
-        def respond(wire: bytes) -> None:
-            if len(wire) > limit:
-                wire = self._truncate(wire)
+        def respond(query: Message, response: Message) -> None:
+            wire = response.to_wire()
+            if len(wire) > self._udp_payload_limit(query):
+                wire = self._truncate(response)
             reply = Datagram(
                 src_ip=dgram.dst_ip,  # reply from the queried (anycast) address
                 src_port=dgram.dst_port,
@@ -228,7 +230,10 @@ class Do53Frontend(_FrontendBase):
         def on_data(data: bytes) -> None:
             for wire in stream.feed(data):
                 self.handle_query_wire(
-                    wire, lambda response: conn.send(_LengthPrefixedStream.frame(response))
+                    wire,
+                    lambda _query, response: conn.send(
+                        _LengthPrefixedStream.frame(response.to_wire())
+                    ),
                 )
 
         conn.on_data = on_data
@@ -256,8 +261,8 @@ class DoTFrontend(_FrontendBase):
             for wire in stream.feed(data):
                 self.handle_query_wire(
                     wire,
-                    lambda response: tls.send_application(
-                        _LengthPrefixedStream.frame(response)
+                    lambda _query, response: tls.send_application(
+                        _LengthPrefixedStream.frame(response.to_wire())
                     ),
                 )
 
@@ -322,9 +327,9 @@ class DoHFrontend(_FrontendBase):
             send_http(encode_doh_error(status, str(exc)))
             return
 
-        def respond(response_wire: bytes) -> None:
-            min_ttl = _min_answer_ttl(response_wire)
-            send_http(encode_doh_response(response_wire, min_ttl=min_ttl))
+        def respond(_query: Message, response: Message) -> None:
+            min_ttl = _min_answer_ttl(response)
+            send_http(encode_doh_response(response.to_wire(), min_ttl=min_ttl))
 
         if not self.handle_query_wire(wire, respond):
             send_http(encode_doh_error(400, "malformed DNS message"))
@@ -340,8 +345,8 @@ class DoHFrontend(_FrontendBase):
             send_http(encode_doh_error(400, str(exc)))
             return
 
-        def respond(response_wire: bytes) -> None:
-            sealed = seal_response(response_wire, key_id)
+        def respond(_query: Message, response: Message) -> None:
+            sealed = seal_response(response.to_wire(), key_id)
             send_http(
                 HttpResponse(
                     status=200,
@@ -376,8 +381,8 @@ class DoQFrontend(_FrontendBase):
             return
         self.handle_query_wire(
             messages[0],
-            lambda response: conn.respond_stream(
-                stream_id, _LengthPrefixedStream.frame(response)
+            lambda _query, response: conn.respond_stream(
+                stream_id, _LengthPrefixedStream.frame(response.to_wire())
             ),
         )
 
@@ -420,18 +425,13 @@ class Doh3Frontend(_FrontendBase):
             send_http(encode_doh_error(status, str(exc)))
             return
 
-        def respond(response_wire: bytes) -> None:
-            min_ttl = _min_answer_ttl(response_wire)
-            send_http(encode_doh_response(response_wire, min_ttl=min_ttl))
+        def respond(_query: Message, response: Message) -> None:
+            min_ttl = _min_answer_ttl(response)
+            send_http(encode_doh_response(response.to_wire(), min_ttl=min_ttl))
 
         if not self.handle_query_wire(wire, respond):
             send_http(encode_doh_error(400, "malformed DNS message"))
 
 
-def _min_answer_ttl(response_wire: bytes) -> Optional[int]:
-    try:
-        message = Message.from_wire(response_wire)
-    except DnsWireError:
-        return None
-    ttls = [record.ttl for record in message.answers]
-    return min(ttls) if ttls else None
+def _min_answer_ttl(response: Message) -> Optional[int]:
+    return min(map(_RECORD_TTL, response.answers), default=None)

@@ -1,7 +1,7 @@
 """TLS handshake state machines (client and server) over simulated TCP.
 
 Handshake messages use the real framing — ``msg_type(1) | length(3) | body``
-inside handshake records — with JSON bodies padded to realistic sizes, so
+inside handshake records — with bodies zero-padded to realistic sizes, so
 flight sizes and segmentation match the protocols being modelled:
 
 ========================  =========================  =====================
@@ -14,16 +14,35 @@ TLS 1.2 full              CH | CKE+CCS+Fin           2
 TLS 1.2 resumed           CH | CCS+Fin               1
 ========================  =========================  =====================
 
+Four messages carry fields: a fixed ``struct`` head (network order) whose
+last member is the byte length of the NUL-joined utf-8 strings after it.
+
+==================  ====================================================
+ClientHello         flags(1) ticket_id(8) n_versions(1) n_alpn(1) len(2)
+                    | sni, ticket_version, versions..., alpn...
+                    (flags: 1 ticket, 2 early_data, 4 early_replay)
+ServerHello         flags(1) len(2) | version, alpn
+                    (flags: 1 resumed, 2 early_data_accepted, 4 alpn)
+NewSessionTicket    flags(1) ticket_id(8) lifetime_ms(8, double) len(2)
+                    | version   (flags: 1 early_data)
+Finished            flags(1)    (flags: 1 final)
+==================  ====================================================
+
+The rest (EncryptedExtensions, Certificate, KeyExchange, CCS,
+ServerHelloDone) are padding only.  The message *sizes* are the contract
+with the rest of the simulator — they set record lengths, segmentation and
+therefore timing; the body bytes are not.
+
 Cryptographic verification is out of scope; timing, flight sizes, version
 and ALPN negotiation, resumption, and failure alerts are in scope.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TlsHandshakeError
 from repro.netsim.sockets import SimTcpConnection
@@ -56,19 +75,52 @@ SIZE_FINISHED = 52
 SIZE_KEY_EXCHANGE = 140
 SIZE_TICKET = 208
 SIZE_CCS = 6
+SIZE_SERVER_HELLO_DONE = 8
 
 _HS_HEADER = struct.Struct("!B3s")
+_CLIENT_HELLO_HEAD = struct.Struct("!BQBBH")
+_SERVER_HELLO_HEAD = struct.Struct("!BH")
+_TICKET_HEAD = struct.Struct("!BQdH")
 
 
-def _encode_handshake(msg_type: int, fields: Dict, min_size: int) -> bytes:
-    body = json.dumps(fields, separators=(",", ":")).encode("ascii")
-    if len(body) < min_size:
-        body += b" " * (min_size - len(body))
+class ClientHello(NamedTuple):
+    versions: Tuple[str, ...]
+    sni: str
+    alpn: Tuple[str, ...]
+    #: Resumption ticket offered, with the version it was issued under.
+    ticket_id: Optional[int] = None
+    ticket_version: Optional[str] = None
+    early_data: bool = False
+    early_replay: bool = False
+
+
+class ServerHello(NamedTuple):
+    version: str
+    alpn: Optional[str]
+    resumed: bool
+    early_data_accepted: bool
+
+
+class NewSessionTicket(NamedTuple):
+    ticket_id: int
+    version: str
+    early_data: bool
+    lifetime_ms: float
+
+
+@lru_cache(maxsize=16)
+def _encode_handshake(msg_type: int, body: bytes, min_size: int) -> bytes:
+    """Frame ``body``, zero-padded to ``min_size``, as one handshake message.
+
+    Memoised: the padding-only messages are a handful of distinct byte
+    strings (the Certificate is one per configured chain size).
+    """
+    body = body.ljust(min_size, b"\0")
     return _HS_HEADER.pack(msg_type, len(body).to_bytes(3, "big")) + body
 
 
-def _decode_handshakes(body: bytes) -> List[Tuple[int, Dict]]:
-    """Parse concatenated handshake messages from one record body."""
+def _decode_handshakes(body: bytes) -> List[Tuple[int, bytes]]:
+    """Split one record body into its ``(msg_type, padded body)`` messages."""
     messages = []
     cursor = 0
     while cursor < len(body):
@@ -79,10 +131,119 @@ def _decode_handshakes(body: bytes) -> List[Tuple[int, Dict]]:
         cursor += 4
         if cursor + length > len(body):
             raise TlsHandshakeError("truncated handshake body")
-        payload = body[cursor : cursor + length].rstrip(b" ")
+        messages.append((msg_type, body[cursor : cursor + length]))
         cursor += length
-        messages.append((msg_type, json.loads(payload) if payload else {}))
     return messages
+
+
+# The encoders frame and pad inline and the decoders share no helper: each
+# is one Python call on the per-connection path.  Encoders raise
+# ``struct.error`` for values the layout cannot hold (local configuration);
+# decoders raise only ``TlsHandshakeError`` (bytes from the peer).
+
+
+def _encode_client_hello(hello: ClientHello) -> bytes:
+    has_ticket = hello.ticket_id is not None
+    text = "\0".join(
+        (hello.sni, hello.ticket_version if has_ticket else "", *hello.versions, *hello.alpn)
+    ).encode("utf-8")
+    head = _CLIENT_HELLO_HEAD.pack(
+        has_ticket | hello.early_data << 1 | hello.early_replay << 2,
+        hello.ticket_id if has_ticket else 0,
+        len(hello.versions),
+        len(hello.alpn),
+        len(text),
+    )
+    body = (head + text).ljust(SIZE_CLIENT_HELLO, b"\0")
+    return _HS_HEADER.pack(CLIENT_HELLO, len(body).to_bytes(3, "big")) + body
+
+
+def _decode_client_hello(body: bytes) -> ClientHello:
+    try:
+        flags, ticket_id, n_versions, n_alpn, size = _CLIENT_HELLO_HEAD.unpack_from(body)
+        text = body[_CLIENT_HELLO_HEAD.size : _CLIENT_HELLO_HEAD.size + size]
+        fields = text.decode("utf-8").split("\0")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TlsHandshakeError(f"malformed ClientHello: {exc}") from None
+    if len(text) != size or len(fields) != 2 + n_versions + n_alpn:
+        raise TlsHandshakeError("malformed ClientHello: truncated fields")
+    has_ticket = bool(flags & 1)
+    return ClientHello(
+        versions=tuple(fields[2 : 2 + n_versions]),
+        sni=fields[0],
+        alpn=tuple(fields[2 + n_versions :]),
+        ticket_id=ticket_id if has_ticket else None,
+        ticket_version=fields[1] if has_ticket else None,
+        early_data=bool(flags & 2),
+        early_replay=bool(flags & 4),
+    )
+
+
+def _encode_server_hello(hello: ServerHello) -> bytes:
+    has_alpn = hello.alpn is not None
+    text = f"{hello.version}\0{hello.alpn if has_alpn else ''}".encode("utf-8")
+    head = _SERVER_HELLO_HEAD.pack(
+        hello.resumed | hello.early_data_accepted << 1 | has_alpn << 2, len(text)
+    )
+    body = (head + text).ljust(SIZE_SERVER_HELLO, b"\0")
+    return _HS_HEADER.pack(SERVER_HELLO, len(body).to_bytes(3, "big")) + body
+
+
+def _decode_server_hello(body: bytes) -> ServerHello:
+    try:
+        flags, size = _SERVER_HELLO_HEAD.unpack_from(body)
+        text = body[_SERVER_HELLO_HEAD.size : _SERVER_HELLO_HEAD.size + size]
+        fields = text.decode("utf-8").split("\0")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TlsHandshakeError(f"malformed ServerHello: {exc}") from None
+    if len(text) != size or len(fields) != 2:
+        raise TlsHandshakeError("malformed ServerHello: truncated fields")
+    return ServerHello(
+        version=fields[0],
+        alpn=fields[1] if flags & 4 else None,
+        resumed=bool(flags & 1),
+        early_data_accepted=bool(flags & 2),
+    )
+
+
+def _encode_new_session_ticket(ticket: NewSessionTicket) -> bytes:
+    text = ticket.version.encode("utf-8")
+    head = _TICKET_HEAD.pack(
+        ticket.early_data, ticket.ticket_id, ticket.lifetime_ms, len(text)
+    )
+    body = (head + text).ljust(SIZE_TICKET, b"\0")
+    return _HS_HEADER.pack(NEW_SESSION_TICKET, len(body).to_bytes(3, "big")) + body
+
+
+def _decode_new_session_ticket(body: bytes) -> NewSessionTicket:
+    try:
+        flags, ticket_id, lifetime_ms, size = _TICKET_HEAD.unpack_from(body)
+        text = body[_TICKET_HEAD.size : _TICKET_HEAD.size + size]
+        version = text.decode("utf-8")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TlsHandshakeError(f"malformed NewSessionTicket: {exc}") from None
+    if len(text) != size:
+        raise TlsHandshakeError("malformed NewSessionTicket: truncated fields")
+    return NewSessionTicket(ticket_id, version, bool(flags & 1), lifetime_ms)
+
+
+def _decode_finished(body: bytes) -> bool:
+    """The ``final`` flag of a Finished message."""
+    if not body:
+        raise TlsHandshakeError("malformed Finished: empty body")
+    return bool(body[0] & 1)
+
+
+# Flights whose bytes never vary.
+_ENCRYPTED_EXTENSIONS = _encode_handshake(ENCRYPTED_EXTENSIONS, b"", SIZE_ENCRYPTED_EXT)
+_SERVER_HELLO_DONE = _encode_handshake(SERVER_HELLO_DONE, b"", SIZE_SERVER_HELLO_DONE)
+_CCS = _encode_handshake(CHANGE_CIPHER_SPEC, b"", SIZE_CCS)
+_FINISHED = _encode_handshake(FINISHED, b"\0", SIZE_FINISHED)
+_CCS_FINISHED = _CCS + _FINISHED
+_CCS_FINISHED_FINAL = _CCS + _encode_handshake(FINISHED, b"\1", SIZE_FINISHED)
+_KEY_EXCHANGE_CCS_FINISHED = (
+    _encode_handshake(CLIENT_KEY_EXCHANGE, b"", SIZE_KEY_EXCHANGE) + _CCS_FINISHED
+)
 
 
 @dataclass
@@ -174,10 +335,10 @@ class _TlsEndpoint:
             if content_type == CONTENT_APPLICATION_DATA:
                 self._handle_application(body)
             elif content_type == CONTENT_HANDSHAKE:
+                self.handshake_bytes += len(body)
                 try:
-                    for msg_type, fields in _decode_handshakes(body):
-                        self.handshake_bytes += len(body)
-                        self._handle_handshake(msg_type, fields)
+                    for msg_type, payload in _decode_handshakes(body):
+                        self._handle_handshake(msg_type, payload)
                 except TlsHandshakeError as exc:
                     self._fail(exc)
                     return
@@ -186,7 +347,7 @@ class _TlsEndpoint:
         if self.on_application_data is not None:
             self.on_application_data(body)
 
-    def _handle_handshake(self, msg_type: int, fields: Dict) -> None:
+    def _handle_handshake(self, msg_type: int, payload: bytes) -> None:
         raise NotImplementedError
 
     def _send_alert(self, reason: str) -> None:
@@ -253,35 +414,36 @@ class TlsClientConnection(_TlsEndpoint):
         cache = self.config.session_cache
         if cache is not None:
             ticket = cache.lookup(self.server_name, self.loop.now)
-        hello = {
-            "versions": list(self.config.versions),
-            "sni": self.server_name,
-            "alpn": list(self.config.alpn),
-        }
+        early_replay = False
         if ticket is not None:
-            hello["ticket"] = ticket.ticket_id
-            hello["ticket_version"] = ticket.version
             if (
                 self.config.enable_early_data
                 and ticket.version == "1.3"
                 and ticket.allows_early_data
             ):
-                hello["early_data"] = True
                 self.used_early_data = True
-                if (
+                # Anti-replay filter verdict, drawn client-side from the
+                # measurement RNG (see TlsClientConfig docstring).
+                early_replay = (
                     self.config.early_data_reject_p > 0.0
                     and self.config.early_data_rng is not None
                     and self.config.early_data_rng.random()
                     < self.config.early_data_reject_p
-                ):
-                    # Anti-replay filter verdict, drawn client-side from the
-                    # measurement RNG (see TlsClientConfig docstring).
-                    hello["early_replay"] = True
+                )
+        hello = _encode_client_hello(
+            ClientHello(
+                versions=tuple(self.config.versions),
+                sni=self.server_name,
+                alpn=tuple(self.config.alpn),
+                ticket_id=ticket.ticket_id if ticket is not None else None,
+                ticket_version=ticket.version if ticket is not None else None,
+                early_data=self.used_early_data,
+                early_replay=early_replay,
+            )
+        )
 
         def send_hello() -> None:
-            self._send_record(
-                CONTENT_HANDSHAKE, _encode_handshake(CLIENT_HELLO, hello, SIZE_CLIENT_HELLO)
-            )
+            self._send_record(CONTENT_HANDSHAKE, hello)
             if self.used_early_data:
                 # 0-RTT: application data may ride immediately behind the CH.
                 self._can_send_app = True
@@ -328,12 +490,13 @@ class TlsClientConnection(_TlsEndpoint):
         if callback is not None:
             callback(self)
 
-    def _handle_handshake(self, msg_type: int, fields: Dict) -> None:
+    def _handle_handshake(self, msg_type: int, payload: bytes) -> None:
         if msg_type == SERVER_HELLO:
-            self.negotiated_version = fields.get("version")
-            self.negotiated_alpn = fields.get("alpn")
-            self.resumed = bool(fields.get("resumed"))
-            if self.used_early_data and not fields.get("early_data_accepted", False):
+            hello = _decode_server_hello(payload)
+            self.negotiated_version = hello.version
+            self.negotiated_alpn = hello.alpn
+            self.resumed = hello.resumed
+            if self.used_early_data and not hello.early_data_accepted:
                 # Server rejected 0-RTT: everything sent early was discarded
                 # by the server, so replay it once the handshake completes.
                 self.used_early_data = False
@@ -341,17 +504,9 @@ class TlsClientConnection(_TlsEndpoint):
                 self.established = False
                 self._app_queue = self._early_sent + self._app_queue
             self._early_sent = []
-            if self.negotiated_version == "1.3":
-                # Server flight continues with EE/Cert/Finished in this record
-                # sequence; client may talk after sending its Finished.
-                pass
         elif msg_type == FINISHED:
-            def complete(send_finished: bool, send_ccs: bool) -> None:
-                if send_finished:
-                    flight = b""
-                    if send_ccs:
-                        flight += _encode_handshake(CHANGE_CIPHER_SPEC, {}, SIZE_CCS)
-                    flight += _encode_handshake(FINISHED, {}, SIZE_FINISHED)
+            def complete(flight: Optional[bytes]) -> None:
+                if flight is not None:
                     self._send_record(CONTENT_HANDSHAKE, flight)
                 self._can_send_app = True
                 self._flush_app_queue()
@@ -363,42 +518,37 @@ class TlsClientConnection(_TlsEndpoint):
                 delay = self.config.crypto_delay_ms
                 if not self.resumed:
                     delay += self.config.cert_verify_ms
-                self.loop.call_later(delay, complete, True, False)
+                self.loop.call_later(delay, complete, _FINISHED)
             elif self.resumed:
                 # TLS 1.2 abbreviated handshake: answer CCS + Finished.
-                self.loop.call_later(self.config.crypto_delay_ms, complete, True, True)
-            elif fields.get("final"):
+                self.loop.call_later(self.config.crypto_delay_ms, complete, _CCS_FINISHED)
+            elif _decode_finished(payload):
                 # TLS 1.2 full handshake: our Finished already went out in the
                 # second flight; the server's final Finished unlocks app data.
-                complete(False, False)
+                complete(None)
         elif msg_type == SERVER_HELLO_DONE:
             # TLS 1.2 full handshake: send CKE + CCS + Finished, wait for
             # the server's Finished (which carries final=True).
-            def second_flight() -> None:
-                flight = (
-                    _encode_handshake(CLIENT_KEY_EXCHANGE, {}, SIZE_KEY_EXCHANGE)
-                    + _encode_handshake(CHANGE_CIPHER_SPEC, {}, SIZE_CCS)
-                    + _encode_handshake(FINISHED, {}, SIZE_FINISHED)
-                )
-                self._send_record(CONTENT_HANDSHAKE, flight)
-
             self.loop.call_later(
                 self.config.crypto_delay_ms + self.config.cert_verify_ms,
-                second_flight,
+                self._send_record,
+                CONTENT_HANDSHAKE,
+                _KEY_EXCHANGE_CCS_FINISHED,
             )
         elif msg_type == CHANGE_CIPHER_SPEC:
             pass  # timing carried by the Finished that follows
         elif msg_type == NEW_SESSION_TICKET:
             cache = self.config.session_cache
             if cache is not None:
+                ticket = _decode_new_session_ticket(payload)
                 cache.store(
                     SessionTicket(
-                        ticket_id=fields["ticket"],
+                        ticket_id=ticket.ticket_id,
                         server_name=self.server_name,
-                        version=fields.get("version", "1.3"),
-                        allows_early_data=bool(fields.get("early_data")),
+                        version=ticket.version,
+                        allows_early_data=ticket.early_data,
                         issued_at_ms=self.loop.now,
-                        lifetime_ms=float(fields.get("lifetime_ms", 7 * 24 * 3600 * 1000.0)),
+                        lifetime_ms=ticket.lifetime_ms,
                     )
                 )
         elif msg_type == CERTIFICATE:
@@ -445,42 +595,39 @@ class TlsServerConnection(_TlsEndpoint):
             return
         super()._handle_application(body)
 
-    def _handle_handshake(self, msg_type: int, fields: Dict) -> None:
+    def _handle_handshake(self, msg_type: int, payload: bytes) -> None:
         if msg_type == CLIENT_HELLO:
-            self._handle_client_hello(fields)
+            self._handle_client_hello(_decode_client_hello(payload))
         elif msg_type == FINISHED:
             self._client_finished()
         elif msg_type in (CLIENT_KEY_EXCHANGE, CHANGE_CIPHER_SPEC):
             pass
 
-    def _handle_client_hello(self, hello: Dict) -> None:
+    def _handle_client_hello(self, hello: ClientHello) -> None:
         if self.tcp.host.impairments.tls_failure:
             # Fault window: the server cannot complete handshakes (expired
             # certificate, broken key material); abort with a fatal alert.
             self._send_alert("internal_error")
             self.tcp.close()
             return
-        self.client_sni = hello.get("sni")
-        client_versions = hello.get("versions", [])
-        version = next((v for v in self.config.versions if v in client_versions), None)
+        self.client_sni = hello.sni
+        version = next((v for v in self.config.versions if v in hello.versions), None)
         if version is None:
             self._send_alert("protocol_version")
             self.tcp.close()
             return
-        client_alpn = hello.get("alpn", [])
-        alpn = next((a for a in self.config.alpn_preference if a in client_alpn), None)
-        if client_alpn and alpn is None:
+        alpn = next((a for a in self.config.alpn_preference if a in hello.alpn), None)
+        if hello.alpn and alpn is None:
             self._send_alert("no_application_protocol")
             self.tcp.close()
             return
         self.negotiated_version = version
         self.negotiated_alpn = alpn
-        ticket_id = hello.get("ticket")
-        ticket_known = ticket_id is not None and ticket_id in self._ticket_registry()
-        self.resumed = ticket_known and hello.get("ticket_version") == version
-        wants_early = bool(hello.get("early_data")) and not bool(
-            hello.get("early_replay")
+        ticket_known = (
+            hello.ticket_id is not None and hello.ticket_id in self._ticket_registry()
         )
+        self.resumed = ticket_known and hello.ticket_version == version
+        wants_early = hello.early_data and not hello.early_replay
         self.early_data_accepted = (
             wants_early and self.resumed and version == "1.3" and self.config.allow_early_data
         )
@@ -491,20 +638,16 @@ class TlsServerConnection(_TlsEndpoint):
         # else: buffered 0-RTT data is discarded; the client replays it.
 
         def send_flight() -> None:
-            server_hello = {
-                "version": version,
-                "alpn": alpn,
-                "resumed": self.resumed,
-                "early_data_accepted": self.early_data_accepted,
-            }
-            flight = _encode_handshake(SERVER_HELLO, server_hello, SIZE_SERVER_HELLO)
+            flight = _encode_server_hello(
+                ServerHello(version, alpn, self.resumed, self.early_data_accepted)
+            )
             if version == "1.3":
-                flight += _encode_handshake(ENCRYPTED_EXTENSIONS, {}, SIZE_ENCRYPTED_EXT)
+                flight += _ENCRYPTED_EXTENSIONS
                 if not self.resumed:
                     flight += _encode_handshake(
-                        CERTIFICATE, {}, self.config.cert_chain_bytes
+                        CERTIFICATE, b"", self.config.cert_chain_bytes
                     )
-                flight += _encode_handshake(FINISHED, {}, SIZE_FINISHED)
+                flight += _FINISHED
                 self._send_record(CONTENT_HANDSHAKE, flight)
                 if self.early_data_accepted:
                     # Early data is usable now; the server may answer without
@@ -512,15 +655,12 @@ class TlsServerConnection(_TlsEndpoint):
                     self._mark_established()
             else:  # TLS 1.2
                 if self.resumed:
-                    flight += _encode_handshake(CHANGE_CIPHER_SPEC, {}, SIZE_CCS)
-                    flight += _encode_handshake(
-                        FINISHED, {"final": True}, SIZE_FINISHED
-                    )
+                    flight += _CCS_FINISHED_FINAL
                 else:
                     flight += _encode_handshake(
-                        CERTIFICATE, {}, self.config.cert_chain_bytes
+                        CERTIFICATE, b"", self.config.cert_chain_bytes
                     )
-                    flight += _encode_handshake(SERVER_HELLO_DONE, {}, 8)
+                    flight += _SERVER_HELLO_DONE
                 self._send_record(CONTENT_HANDSHAKE, flight)
 
         self.loop.call_later(self.config.crypto_delay_ms, send_flight)
@@ -529,9 +669,7 @@ class TlsServerConnection(_TlsEndpoint):
         if self.negotiated_version == "1.2" and not self.resumed:
             # Answer with CCS + Finished(final), completing the 2-RTT handshake.
             def final_flight() -> None:
-                flight = _encode_handshake(CHANGE_CIPHER_SPEC, {}, SIZE_CCS)
-                flight += _encode_handshake(FINISHED, {"final": True}, SIZE_FINISHED)
-                self._send_record(CONTENT_HANDSHAKE, flight)
+                self._send_record(CONTENT_HANDSHAKE, _CCS_FINISHED_FINAL)
                 self._mark_established()
                 self._maybe_issue_ticket()
 
@@ -563,15 +701,13 @@ class TlsServerConnection(_TlsEndpoint):
         self._ticket_registry()[ticket.ticket_id] = True
         self._send_record(
             CONTENT_HANDSHAKE,
-            _encode_handshake(
-                NEW_SESSION_TICKET,
-                {
-                    "ticket": ticket.ticket_id,
-                    "version": ticket.version,
-                    "early_data": ticket.allows_early_data,
-                    "lifetime_ms": ticket.lifetime_ms,
-                },
-                SIZE_TICKET,
+            _encode_new_session_ticket(
+                NewSessionTicket(
+                    ticket.ticket_id,
+                    ticket.version,
+                    ticket.allows_early_data,
+                    ticket.lifetime_ms,
+                )
             ),
         )
 

@@ -2,7 +2,7 @@
 
 import numpy
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.correlation import (
     LatencyCorrelation,
@@ -37,6 +37,7 @@ class TestPearson:
     @given(
         xs=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=50),
     )
+    @example(xs=[1.1282255439373301e-160, 0.0, 0.0])  # variance underflows
     def test_property_matches_numpy(self, xs):
         ys = [x * 2.0 + 1.0 + (i % 3) for i, x in enumerate(xs)]
         try:

@@ -13,6 +13,7 @@ from repro.dnswire.rdata import (
     GenericRdata,
     MxRdata,
     NsRdata,
+    PtrRdata,
     SoaRdata,
     TxtRdata,
     decode_rdata,
@@ -126,6 +127,38 @@ class TestRdataCodecs:
     def test_rdata_past_end_rejected(self):
         with pytest.raises(MessageTruncated):
             decode_rdata(TYPE_A, b"\x01\x02", 0, 4)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "rdata",
+        [
+            CnameRdata(Name.from_text("target.example.")),
+            NsRdata(Name.from_text("ns1.example.")),
+            PtrRdata(Name.from_text("host.example.")),
+            MxRdata(10, Name.from_text("mx.example.")),
+            SoaRdata(
+                Name.from_text("ns1.example."), Name.from_text("admin.example."),
+                1, 2, 3, 4, 5,
+            ),
+        ],
+        ids=lambda rdata: type(rdata).__name__,
+    )
+    def test_name_rdata_rdlength_must_match_bytes_consumed(self, rdata, delta):
+        """Names delimit themselves; an RDLENGTH that disagrees is malformed,
+        not a licence to skip or re-read bytes."""
+        buffer = bytearray()
+        rdata.encode(buffer, None)
+        wire = bytes(buffer) + b"\x00"  # room for the long case
+        assert decode_rdata(rdata.rdtype, wire, 0, len(buffer)) == rdata
+        with pytest.raises(MessageMalformed):
+            decode_rdata(rdata.rdtype, wire, 0, len(buffer) + delta)
+
+    def test_address_rdata_keeps_canonical_text_and_packed_form(self):
+        assert AaaaRdata("2001:db8::0") == AaaaRdata("2001:db8::")
+        assert AaaaRdata("2001:DB8:0::1").address == "2001:db8::1"
+        assert AaaaRdata("2001:db8::1").packed == bytes.fromhex("20010db8" + "00" * 11 + "01")
+        assert ARdata("192.0.2.1").packed == b"\xc0\x00\x02\x01"
+        assert decode_rdata(TYPE_A, b"\xc0\x00\x02\x01", 0, 4) == ARdata("192.0.2.1")
 
 
 class TestMessageCodec:

@@ -10,7 +10,7 @@ answer-order independence, empty self-diff) over arbitrary wire messages.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.dnswire.canonical import (
     TAXONOMY,
@@ -252,6 +252,20 @@ def test_property_canonical_form_ignores_name_case(message):
 
 
 @given(message=response_messages())
+@example(
+    # "2001:db8::0" reads back off the wire as "2001:db8::": two spellings
+    # of one address must not show up as an `answers` mismatch.
+    message=Message(
+        header=Header(qr=True, ra=True),
+        questions=[Question(Name.from_text("v6.example"), TYPE_AAAA, CLASS_IN)],
+        answers=[
+            ResourceRecord(
+                Name.from_text("v6.example"), TYPE_AAAA, CLASS_IN, 300,
+                AaaaRdata("2001:db8::0"),
+            )
+        ],
+    )
+)
 def test_property_self_diff_is_empty_through_the_wire(message):
     """diff(normalize(m), normalize(m)) == [] even after a wire round trip."""
     form = canonical_form(message)

@@ -1,8 +1,9 @@
 """Tests for the simulated TLS layer: records, sessions, handshakes."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.catalog.resolvers import CATALOG
 from repro.errors import TlsError, TlsHandshakeError
 from repro.netsim.sockets import SimTcpConnection
 from repro.tlssim.record import (
@@ -14,10 +15,27 @@ from repro.tlssim.record import (
 )
 from repro.tlssim.session import SessionCache, SessionTicket
 from repro.tlssim.handshake import (
+    CLIENT_HELLO,
+    NEW_SESSION_TICKET,
+    SERVER_HELLO,
+    SIZE_CLIENT_HELLO,
+    SIZE_SERVER_HELLO,
+    SIZE_TICKET,
+    ClientHello,
+    NewSessionTicket,
+    ServerHello,
     TlsClientConfig,
     TlsClientConnection,
     TlsServerConfig,
     TlsServerConnection,
+    _decode_client_hello,
+    _decode_finished,
+    _decode_handshakes,
+    _decode_new_session_ticket,
+    _decode_server_hello,
+    _encode_client_hello,
+    _encode_new_session_ticket,
+    _encode_server_hello,
 )
 from tests.conftest import add_host, make_quiet_network
 
@@ -103,8 +121,14 @@ def run_handshake(
     cache=None,
     early_data=True,
     rounds=1,
+    server_name="dns.example",
 ):
-    """Drive `rounds` sequential connections; return per-round details."""
+    """Drive `rounds` sequential connections; return per-round details.
+
+    Each detail carries both endpoints (``tls``, ``server``) and
+    ``flights``: ``(side, on-wire record length)`` of every handshake
+    record in the order it was sent.
+    """
     net = make_quiet_network()
     # A long path (Chicago <-> Frankfurt, ~99 ms RTT) so the fixed crypto
     # processing delays are negligible against round-trip counts.
@@ -112,21 +136,37 @@ def run_handshake(
     b = add_host(net, "server", "10.0.0.2", lat=50.11, lon=8.68, continent="EU")
     rtt = net.path_between(a, b).base_rtt_ms
     server_config = TlsServerConfig(versions=server_versions, alpn_preference=server_alpn)
+    results = []
+
+    def tap(tcp_conn, side, detail):
+        send = tcp_conn.send
+
+        def logged_send(data):
+            # One send carries one flight as one record.
+            ((content_type, _body),) = RecordStream().feed(data)
+            if content_type == CONTENT_HANDSHAKE:
+                detail["flights"].append((side, len(data)))
+            send(data)
+
+        tcp_conn.send = logged_send
 
     def acceptor(tcp_conn):
+        tap(tcp_conn, "server", results[-1])
         server = TlsServerConnection(tcp_conn, server_config)
         server.on_application_data = lambda data: server.send_application(b"echo:" + data)
+        results[-1]["server"] = server
 
     b.listen_tcp(443, acceptor)
-    results = []
     for _round in range(rounds):
-        detail = {}
+        detail = {"flights": []}
+        results.append(detail)
         started = net.now
 
         def on_tcp(conn, detail=detail, started=started):
+            tap(conn, "client", detail)
             tls = TlsClientConnection(
                 conn,
-                "dns.example",
+                server_name,
                 TlsClientConfig(
                     versions=client_versions,
                     alpn=client_alpn,
@@ -148,7 +188,6 @@ def run_handshake(
         net.run()
         detail["started"] = started
         detail["rtt"] = rtt
-        results.append(detail)
         tls = detail.get("tls")
         if tls is not None:
             tls.close()
@@ -260,3 +299,190 @@ class TestEarlyDataRejection:
         assert one_round() == [b"echo:ping"]  # replayed after rejection
         # Exactly one application delivery per round: no duplicates.
         assert received == [b"ping", b"ping"]
+
+
+#: Every handshake flavour: (client+server versions, second round resumes).
+HANDSHAKE_MODES = {
+    "1.3-full": (("1.3",), False),
+    "1.3-resumed": (("1.3",), True),
+    "1.2-full": (("1.2",), False),
+    "1.2-resumed": (("1.2",), True),
+}
+
+
+def run_mode(mode, **kwargs):
+    """The detail of one handshake of ``mode`` (the second round if resumed)."""
+    versions, resumed = HANDSHAKE_MODES[mode]
+    details = run_handshake(
+        client_versions=versions,
+        server_versions=versions,
+        cache=SessionCache() if resumed else None,
+        early_data=False,
+        rounds=2 if resumed else 1,
+        **kwargs,
+    )
+    assert details[-1]["tls"].resumed == resumed
+    return details[-1]
+
+
+class TestFlightSizes:
+    """Record lengths are the codec's contract with the simulator: they set
+    segmentation and therefore timing.  The bodies are free to change."""
+
+    # On-wire record = 5 (record header) + per message 4 (handshake header)
+    # + its padded size: CH 280, SH 120, EE 40, Cert 2800, Fin 52, SHD 8,
+    # CKE 140, CCS 6, NST 208.
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("1.3-full", [("client", 289), ("server", 3033), ("client", 61), ("server", 217)]),
+            ("1.3-resumed", [("client", 289), ("server", 229), ("client", 61), ("server", 217)]),
+            (
+                "1.2-full",
+                [("client", 289), ("server", 2945), ("client", 215), ("server", 71), ("server", 217)],
+            ),
+            ("1.2-resumed", [("client", 289), ("server", 195), ("client", 71), ("server", 217)]),
+        ],
+    )
+    def test_every_flight_has_its_pinned_length(self, mode, expected):
+        longest = max((entry.hostname for entry in CATALOG), key=len)
+        assert run_mode(mode, server_name=longest)["flights"] == expected
+
+    @pytest.mark.parametrize("mode", sorted(HANDSHAKE_MODES))
+    def test_handshake_bytes_received_equal_bytes_the_peer_sent(self, mode):
+        detail = run_mode(mode)
+        # 5-byte record headers are not handshake bytes.
+        sent = {
+            side: sum(size - 5 for who, size in detail["flights"] if who == side)
+            for side in ("client", "server")
+        }
+        client, server = detail["tls"], detail["server"]
+        assert client.handshake_bytes - sent["client"] == sent["server"]
+        assert server.handshake_bytes - sent["server"] == sent["client"]
+
+
+def field_text(max_size=24):
+    """Strings a handshake field can carry: any text without NUL."""
+    return st.text(
+        st.characters(blacklist_characters="\0", blacklist_categories=("Cs",)),
+        max_size=max_size,
+    )
+
+
+_field_lists = st.lists(field_text(), max_size=4).map(tuple)
+
+
+@st.composite
+def client_hellos(draw):
+    ticket = draw(st.none() | st.tuples(st.integers(0, 2**64 - 1), field_text()))
+    return ClientHello(
+        versions=draw(_field_lists),
+        sni=draw(field_text(max_size=300)),  # long names outgrow the padding
+        alpn=draw(_field_lists),
+        ticket_id=ticket[0] if ticket else None,
+        ticket_version=ticket[1] if ticket else None,
+        early_data=draw(st.booleans()),
+        early_replay=draw(st.booleans()),
+    )
+
+
+class TestHandshakeCodec:
+    """Field round trips and hostile input for the packed handshake bodies."""
+
+    @staticmethod
+    def only_message(wire, msg_type, min_size):
+        ((decoded_type, body),) = _decode_handshakes(wire)
+        assert decoded_type == msg_type
+        assert len(body) >= min_size
+        return body
+
+    @given(hello=client_hellos())
+    def test_property_client_hello_round_trips(self, hello):
+        body = self.only_message(_encode_client_hello(hello), CLIENT_HELLO, SIZE_CLIENT_HELLO)
+        assert _decode_client_hello(body) == hello
+
+    @given(
+        hello=st.builds(
+            ServerHello,
+            version=field_text(),
+            alpn=st.none() | field_text(),
+            resumed=st.booleans(),
+            early_data_accepted=st.booleans(),
+        )
+    )
+    def test_property_server_hello_round_trips(self, hello):
+        body = self.only_message(_encode_server_hello(hello), SERVER_HELLO, SIZE_SERVER_HELLO)
+        assert len(body) == SIZE_SERVER_HELLO
+        assert _decode_server_hello(body) == hello
+
+    @given(
+        ticket=st.builds(
+            NewSessionTicket,
+            ticket_id=st.integers(0, 2**64 - 1),
+            version=field_text(),
+            early_data=st.booleans(),
+            lifetime_ms=st.floats(allow_nan=False),
+        )
+    )
+    def test_property_new_session_ticket_round_trips(self, ticket):
+        body = self.only_message(
+            _encode_new_session_ticket(ticket), NEW_SESSION_TICKET, SIZE_TICKET
+        )
+        assert len(body) == SIZE_TICKET
+        assert _decode_new_session_ticket(body) == ticket
+
+    def test_finished_carries_the_final_flag(self):
+        assert _decode_finished(b"\x01" + bytes(51)) is True
+        assert _decode_finished(bytes(52)) is False
+
+    @given(body=st.binary(max_size=400))
+    def test_property_decoders_raise_only_handshake_errors(self, body):
+        for decode in (
+            _decode_handshakes,
+            _decode_client_hello,
+            _decode_server_hello,
+            _decode_new_session_ticket,
+            _decode_finished,
+        ):
+            try:
+                decode(body)
+            except TlsHandshakeError:
+                pass
+
+
+_MESSAGE_TYPES = st.sampled_from([0, 1, 2, 4, 8, 11, 14, 16, 20, 99, 254])
+_record_bodies = st.binary(max_size=300) | st.builds(
+    # Well-framed messages, so the fuzz reaches the field decoders.
+    lambda msg_type, payload: bytes([msg_type]) + len(payload).to_bytes(3, "big") + payload,
+    _MESSAGE_TYPES,
+    st.binary(max_size=320),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies=st.lists(_record_bodies, min_size=1, max_size=4))
+@example(bodies=[b"not json"])
+@example(bodies=[b"\x01\x00\x00\x02[]"])
+@example(
+    bodies=[
+        _encode_client_hello(ClientHello(("1.3",), "dns.example", ("h2",))),
+        b"\x14\x00\x00\x00",
+    ]
+)
+def test_property_server_survives_arbitrary_handshake_records(bodies):
+    """Whatever a peer puts in handshake records, the server terminates and
+    reports nothing but TlsHandshakeError — the event loop never sees an
+    exception."""
+    net = make_quiet_network()
+    a = add_host(net, "client", "10.0.0.1")
+    b = add_host(net, "server", "10.0.0.2", lat=39.96, lon=-83.00)
+    errors = []
+    b.listen_tcp(443, lambda conn: TlsServerConnection(conn, on_error=errors.append))
+
+    def on_tcp(conn):
+        for body in bodies:
+            conn.send(wrap_record(CONTENT_HANDSHAKE, body))
+
+    SimTcpConnection.connect(a, b.ip, 443, on_tcp)
+    net.run()
+    assert all(isinstance(exc, TlsHandshakeError) for exc in errors)
