@@ -34,9 +34,10 @@ from repro.analysis.render import render_table
 from repro.analysis.stats import median, quantile
 from repro.core.results import MeasurementRecord
 from repro.session import SESSION_STATES, WARM_STATES
+from repro.transports import SESSION_TRANSPORTS
 
 #: Transports the gate/delta tables report, in display order.
-SESSION_TABLE_TRANSPORTS: Tuple[str, ...] = ("doh", "dot", "doq", "doh3")
+SESSION_TABLE_TRANSPORTS: Tuple[str, ...] = SESSION_TRANSPORTS
 
 
 def iter_run_records(source: Any) -> Iterable[MeasurementRecord]:

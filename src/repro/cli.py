@@ -41,10 +41,11 @@ from typing import Iterator, List, Optional
 from repro.analysis.render import render_boxplot_rows, render_table
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import CATALOG
-from repro.core.probes import DohProbe, DohProbeConfig
+from repro.core.probes import ProbeConfig, make_probe
 from repro.core.results import ResultStore
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
+from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
 
 def _record_stream(path: str) -> Iterator:
@@ -140,7 +141,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     config = CampaignConfig(
         name=args.name,
         schedule=schedule,
-        probe_config=DohProbeConfig(method=args.method),
+        probe_config=ProbeConfig(method=args.method),
         retry=RetryPolicy(attempts=args.attempts),
         seed=args.seed,
     )
@@ -261,7 +262,7 @@ def _measure_parallel(args: argparse.Namespace) -> int:
     config = CampaignConfig(
         name=args.name,
         schedule=schedule,
-        probe_config=DohProbeConfig(method=args.method),
+        probe_config=ProbeConfig(method=args.method),
         retry=RetryPolicy(attempts=args.attempts),
         seed=args.seed,
     )
@@ -963,7 +964,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         name=args.name,
         schedule=schedule,
         transport=args.transport,
-        probe_config=DohProbeConfig(),
         seed=args.seed,
     )
     recorder = SpanCollector()
@@ -1000,11 +1000,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     world = build_world(seed=args.seed)
     vantage = world.vantage(args.vantage)
     deployment = world.deployment(args.resolver)
-    probe = DohProbe(
+    probe = make_probe(
+        "doh",
         vantage.host,
         deployment.service_ip,
         deployment.hostname,
-        DohProbeConfig(method=args.method),
+        ProbeConfig(method=args.method),
         rng=random.Random(args.seed),
     )
     outcomes = []
@@ -1186,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query domains (default: the campaign's study domains)",
     )
     p_diff.add_argument(
-        "--transport", choices=["doh", "dot", "doq", "do53"], default="doh",
+        "--transport", choices=TRANSPORT_NAMES, default="doh",
     )
     p_diff.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -1235,8 +1236,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy presets to sweep (default: all four)",
     )
     p_sessions.add_argument(
-        "--transport", nargs="+", default=["doh", "dot", "doq", "doh3"],
-        choices=["doh", "dot", "doq", "doh3"],
+        "--transport", nargs="+", default=list(SESSION_TRANSPORTS),
+        choices=SESSION_TRANSPORTS,
         help="transports in the matrix (default: all session transports)",
     )
     p_sessions.add_argument("--rounds", type=int, default=3)
@@ -1284,7 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sessions.add_argument(
         "--gate-transport", nargs="+", default=["doh", "doq"],
-        choices=["doh", "dot", "doq", "doh3"],
+        choices=SESSION_TRANSPORTS,
         help="transports the --gate check covers (default: doh doq)",
     )
     p_sessions.set_defaults(func=_cmd_sessions)
@@ -1450,7 +1451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--rounds", type=int, default=1)
     p_trace.add_argument("--interval-hours", type=float, default=1.0)
     p_trace.add_argument(
-        "--transport", choices=["doh", "dot", "do53", "doq"], default="doh"
+        "--transport", choices=TRANSPORT_NAMES, default="doh"
     )
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--output", default="spans.jsonl", help="span JSONL path")

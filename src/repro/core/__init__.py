@@ -7,7 +7,8 @@ points, recording per-query response times, per-resolver ICMP latency,
 and a classified error for every failure, then writing results as JSON.
 
 * :mod:`repro.core.vantage` — vantage-point profiles (EC2 / home network);
-* :mod:`repro.core.probes` — DoH, DoT, Do53 and ping probes;
+* :mod:`repro.core.probes` — the one DNS probe (a row of
+  :mod:`repro.transports` per transport) and the ping probe;
 * :mod:`repro.core.results` — measurement records and the JSONL store;
 * :mod:`repro.core.errors_taxonomy` — error classification;
 * :mod:`repro.core.scheduler` — periodic rounds on the virtual clock;
@@ -24,7 +25,10 @@ from repro.core.probes import (
     DohProbeConfig,
     DotProbe,
     PingProbe,
+    Probe,
+    ProbeConfig,
     ProbeOutcome,
+    make_probe,
 )
 from repro.core.scheduler import PeriodicSchedule
 from repro.core.runner import Campaign, CampaignConfig, ResolverTarget
@@ -40,11 +44,14 @@ __all__ = [
     "MeasurementRecord",
     "PeriodicSchedule",
     "PingProbe",
+    "Probe",
+    "ProbeConfig",
     "ProbeOutcome",
     "ResolverTarget",
     "ResultStore",
     "VantagePoint",
     "classify_error",
     "make_ec2_vantage",
+    "make_probe",
     "make_home_vantage",
 ]

@@ -5,45 +5,43 @@ POST it to the oblivious proxy with ``?targethost=&targetpath=``, and open
 the sealed response.  Compared with a plain DoH probe against the same
 target, the difference isolates the relay's cost — one extra hop each way
 plus proxy processing.
+
+The stack is the DoH one (TCP, TLS, HTTP/2, HTTP status, DNS parse, all
+in :class:`~repro.core.probes.Probe`) aimed at the proxy; ODoH adds only
+the seal/open step around the HTTP body and the proxy's request path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 from urllib.parse import quote
 
-from repro.core.errors_taxonomy import ErrorClass
-from repro.core.probes import DEFAULT_TIMEOUT_MS, OutcomeCallback, ProbeOutcome, _OneShot
-from repro.dnswire.builder import make_query
-from repro.dnswire.message import Message
-from repro.dnswire.types import RCODE_NOERROR, TYPE_A
-from repro.errors import DnsWireError, HttpStatusError
-from repro.httpsim.h1 import HttpRequest
-from repro.httpsim.h2 import H2ClientSession
-from repro.httpsim.odoh_codec import (
-    CONTENT_TYPE_ODOH,
-    OdohCodecError,
-    open_response,
-    seal_query,
-)
+from repro.core.probes import Probe, ProbeConfig
+from repro.httpsim.h1 import HttpRequest, HttpResponse
+from repro.httpsim.odoh_codec import CONTENT_TYPE_ODOH, open_response, seal_query
 from repro.netsim.host import Host
-from repro.netsim.sockets import SimTcpConnection
 from repro.resolver.odoh_proxy import PROXY_PATH
-from repro.tlssim.handshake import TlsClientConfig, TlsClientConnection
+from repro.transports import TRANSPORTS
+
+#: DoH's row under ODoH's name (spans and labels say what was measured).
+#: Not in the table: a campaign cannot sweep it, it needs a proxy.
+_ODOH = dataclasses.replace(TRANSPORTS["doh"], name="odoh")
 
 
 @dataclass
-class OdohProbeConfig:
-    """Knobs of the ODoH probe."""
+class OdohProbeConfig(ProbeConfig):
+    """Knobs of the ODoH probe: the shared ones plus the two ODoH has."""
 
-    timeout_ms: float = DEFAULT_TIMEOUT_MS
+    #: Oblivious proxies speak HTTP/2 only.
+    http_versions: Sequence[str] = ("h2",)
     target_path: str = "/dns-query"
     key_id: int = 7  # the target key generation the client believes in
 
 
-class OdohProbe:
+class OdohProbe(Probe):
     """Measures one target through one oblivious proxy."""
 
     def __init__(
@@ -55,80 +53,22 @@ class OdohProbe:
         config: Optional[OdohProbeConfig] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        self.host = host
-        self.proxy_ip = proxy_ip
-        self.proxy_name = proxy_name
+        super().__init__(
+            _ODOH, host, proxy_ip, proxy_name, config or OdohProbeConfig(), rng
+        )
         self.target_hostname = target_hostname
-        self.config = config or OdohProbeConfig()
-        self.rng = rng if rng is not None else random.Random(0)
 
-    @property
-    def _loop(self):
-        assert self.host.network is not None
-        return self.host.network.loop
-
-    def query(self, domain: str, on_complete: OutcomeCallback, qtype: int = TYPE_A) -> None:
-        shot = _OneShot(self._loop, self.config.timeout_ms, on_complete)
-        dns_wire = make_query(domain, qtype, msg_id=0, rng=self.rng).to_wire()
-        sealed = seal_query(dns_wire, self.config.key_id)
+    def _http_request(self, dns_wire: bytes) -> HttpRequest:
         path = (
             f"{PROXY_PATH}?targethost={quote(self.target_hostname)}"
             f"&targetpath={quote(self.config.target_path, safe='')}"
         )
-        request = HttpRequest(
+        return HttpRequest(
             method="POST",
             path=path,
             headers={"Content-Type": CONTENT_TYPE_ODOH},
-            body=sealed,
+            body=seal_query(dns_wire, self.config.key_id),
         )
 
-        def on_http_response(response) -> None:
-            if shot.done:
-                return
-            if response.status != 200:
-                outcome = ProbeOutcome.failure(shot.elapsed_ms, HttpStatusError(response.status))
-                outcome.http_status = response.status
-                shot.finish(outcome)
-                return
-            try:
-                response_wire = open_response(response.body, self.config.key_id)
-                message = Message.from_wire(response_wire)
-            except (OdohCodecError, DnsWireError) as exc:
-                shot.fail(exc)
-                return
-            success = message.rcode == RCODE_NOERROR
-            shot.finish(
-                ProbeOutcome(
-                    duration_ms=shot.elapsed_ms,
-                    success=success,
-                    error_class=None if success else ErrorClass.DNS_RCODE,
-                    rcode=message.rcode,
-                    http_status=response.status,
-                    http_version="h2",
-                    response_size=len(response.body),
-                    answers=message.answer_addresses(),
-                )
-            )
-
-        def on_tls(tls: TlsClientConnection) -> None:
-            session = H2ClientSession(send=tls.send_application, authority=self.proxy_name)
-            tls.on_application_data = session.feed
-            shot.add_cleanup(tls.close)
-            session.request(request, on_http_response)
-
-        def on_tcp(conn: SimTcpConnection) -> None:
-            if shot.done:
-                conn.close()
-                return
-            TlsClientConnection(
-                conn, self.proxy_name,
-                TlsClientConfig(alpn=("h2",)),
-                on_established=on_tls,
-                on_error=shot.fail,
-            )
-
-        SimTcpConnection.connect(
-            self.host, self.proxy_ip, 443, on_tcp,
-            on_error=shot.fail,
-            timeout_ms=max(1.0, self.config.timeout_ms - 1.0),
-        )
+    def _dns_from_http(self, response: HttpResponse) -> bytes:
+        return open_response(response.body, self.config.key_id)

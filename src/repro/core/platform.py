@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.core.probes import DohProbeConfig
+from repro.core.probes import ProbeConfig
 from repro.core.results import ResultStore
 from repro.core.runner import Campaign, CampaignConfig, ResolverTarget
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
@@ -131,7 +131,7 @@ def build_campaign(world, spec: Mapping[str, Any], store: Optional[ResultStore] 
         domains=normalized["domains"],
         schedule=schedule,
         transport=normalized["transport"],
-        probe_config=DohProbeConfig(
+        probe_config=ProbeConfig(
             method=normalized["method"],
             timeout_ms=normalized["timeout_ms"],
             reuse_connections=normalized["reuse_connections"],

@@ -1,11 +1,17 @@
-"""Measurement probes: DoH, DoT, Do53 and ICMP ping clients.
+"""Measurement probes: one DNS probe for every transport, and ICMP ping.
 
-Each probe issues one query (or echo) toward a resolver and reports a
-:class:`ProbeOutcome` through a callback.  DoH and DoT probes can operate
-in two modes:
+A :class:`Probe` issues one query toward a resolver and reports a
+:class:`ProbeOutcome` through a callback.  Which stack it drives — UDP,
+TLS over TCP or QUIC underneath; raw, length-prefixed, DoH or DoH/3
+framing on top — is a row of :data:`repro.transports.TRANSPORTS`; the
+query prelude, connection establishment, reuse, framing, outcome and
+teardown each exist once and are shared by every row, so a difference
+between two transports' numbers is a difference between their stacks.
+
+Connection-oriented transports operate in two modes:
 
 * **fresh** (default, matching the paper's methodology): every query pays
-  TCP + TLS establishment, like a ``dig``-style one-shot client;
+  full establishment, like a ``dig``-style one-shot client;
 * **reuse**: the probe keeps the connection (and HTTP/2 session) open
   across queries, which is the connection-reuse regime studied by the
   related work the paper builds on.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.errors_taxonomy import ErrorClass, classify_error
@@ -29,24 +36,22 @@ from repro.errors import (
     ConnectionReset,
     DnsWireError,
     FramingError,
+    HttpError,
     HttpStatusError,
     ProbeTimeout,
 )
-from repro.httpsim.doh import (
-    DohCodecError,
-    decode_doh_response,
-    encode_doh_request,
-)
-from repro.httpsim.h1 import H1ResponseParser, encode_request
+from repro.httpsim.doh import decode_doh_response, encode_doh_request
+from repro.httpsim.h1 import H1ResponseParser, HttpRequest, HttpResponse, encode_request
 from repro.httpsim.h2 import H2ClientSession
+from repro.httpsim.h3 import decode_h3_response, encode_h3_request
 from repro.netsim.host import Host
 from repro.netsim.icmp import PingResult, ping
-from repro.netsim.packet import Datagram
 from repro.netsim.sockets import SimTcpConnection, SimUdpSocket
 from repro.obs import PhaseClock, SpanRecorder, get_recorder
-from repro.resolver.frontends import _LengthPrefixedStream
+from repro.quicsim.connection import QuicClientConnection, QuicConfig
 from repro.tlssim.handshake import TlsClientConfig, TlsClientConnection
 from repro.tlssim.session import SessionCache
+from repro.transports import TRANSPORTS, LengthPrefixedStream, Transport
 
 DEFAULT_TIMEOUT_MS = 5000.0
 
@@ -90,7 +95,8 @@ class ProbeOutcome:
     #: establishment), ``warm`` (kept-alive connection), ``resumed``
     #: (abbreviated 1-RTT handshake from a session ticket) or
     #: ``zero_rtt`` (accepted early data).  ``None`` for transports
-    #: without session semantics (Do53, ping) and for failed probes.
+    #: without session semantics (Do53, ping) and for probes that failed
+    #: before an HTTP status or a DNS message came back.
     session_state: Optional[str] = None
 
     @classmethod
@@ -105,48 +111,30 @@ class ProbeOutcome:
 
 OutcomeCallback = Callable[[ProbeOutcome], None]
 
-
-def _session_state(reused: bool, used_early_data: bool, resumed: bool) -> str:
-    """Collapse connection/handshake flags into the record's session state."""
-    if reused:
-        return "warm"
-    if used_early_data:
-        return "zero_rtt"
-    if resumed:
-        return "resumed"
-    return "cold"
-
 #: Phases whose durations roll up into ``ProbeOutcome.query_ms``.
 _QUERY_PHASES = ("http_exchange", "dns_exchange", "dns_parse")
 
 
-def _finalize_phases(clock: PhaseClock, on_complete: OutcomeCallback) -> OutcomeCallback:
-    """Wrap ``on_complete`` so phase timings land on the outcome first."""
-
-    def wrapped(outcome: ProbeOutcome) -> None:
-        phases = clock.finish(
-            outcome.success,
-            error=outcome.error_class.value if outcome.error_class else None,
-        )
-        outcome.connect_ms = phases.get("tcp_connect")
-        tls_ms = phases.get("tls_handshake")
-        outcome.tls_ms = tls_ms if tls_ms is not None else phases.get("quic_handshake")
-        if any(phase in phases for phase in _QUERY_PHASES):
-            outcome.query_ms = sum(phases.get(phase, 0.0) for phase in _QUERY_PHASES)
-        outcome.failed_phase = clock.failed_phase
-        on_complete(outcome)
-
-    return wrapped
-
-
 class _OneShot:
-    """Ensures a probe completes exactly once, with deadline handling."""
+    """One query in flight: completes exactly once, by answer or deadline.
 
-    def __init__(self, loop, timeout_ms: float, on_complete: OutcomeCallback) -> None:
+    Carries what every later step needs (the phase clock, the query wire
+    and id, whether the connection was reused) and, on completion, runs
+    the cleanups and lands the phase timings on the outcome before the
+    caller sees it.
+    """
+
+    def __init__(
+        self, loop, timeout_ms: float, clock: PhaseClock, on_complete: OutcomeCallback
+    ) -> None:
         _validate_timeout_ms(timeout_ms)
         self.loop = loop
+        self.clock = clock
         self.started_at = loop.now
         self.done = False
+        self.wire = b""
+        self.msg_id = 0
+        self.reused = False
         self._on_complete = on_complete
         self._timer = loop.call_later(timeout_ms, self._timeout)
         self._cleanup: List[Callable[[], None]] = []
@@ -171,20 +159,32 @@ class _OneShot:
                 fn()
             except Exception:
                 pass
+        clock = self.clock
+        phases = clock.finish(
+            outcome.success,
+            error=outcome.error_class.value if outcome.error_class else None,
+        )
+        outcome.connect_ms = phases.get("tcp_connect")
+        tls_ms = phases.get("tls_handshake")
+        outcome.tls_ms = tls_ms if tls_ms is not None else phases.get("quic_handshake")
+        if any(phase in phases for phase in _QUERY_PHASES):
+            outcome.query_ms = sum(phases.get(phase, 0.0) for phase in _QUERY_PHASES)
+        outcome.failed_phase = clock.failed_phase
         self._on_complete(outcome)
 
     def fail(self, exc: BaseException) -> None:
         self.finish(ProbeOutcome.failure(self.elapsed_ms, exc))
 
 
-# ---------------------------------------------------------------------------
-# DoH
-# ---------------------------------------------------------------------------
-
-
 @dataclass
-class DohProbeConfig:
-    """Knobs of the DoH probe."""
+class ProbeConfig:
+    """Knobs of a probe, one set for every transport.
+
+    A transport reads the fields its stack has: ``method``, ``doh_path``
+    and ``http_versions`` matter where there is HTTP, ``tls_versions``
+    where there is TLS, the session fields where there is a connection to
+    keep or resume, and the retry fields on UDP.
+    """
 
     method: str = "POST"
     http_versions: Sequence[str] = ("h2", "http/1.1")
@@ -192,42 +192,102 @@ class DohProbeConfig:
     timeout_ms: float = DEFAULT_TIMEOUT_MS
     reuse_connections: bool = False
     session_cache: Optional[SessionCache] = None
-    enable_early_data: bool = False
+    #: Attempt 0-RTT when a cached ticket allows it.  ``None`` takes the
+    #: transport's habit (:attr:`Transport.early_data`): QUIC clients do,
+    #: TLS-over-TCP clients do not.
+    enable_early_data: Optional[bool] = None
     #: Probability a 0-RTT attempt is rejected by the server's anti-replay
     #: filter (drawn from the probe's own RNG; see TlsClientConfig).
     early_data_reject_p: float = 0.0
     #: Certificate-validation cost charged to full (non-resumed) handshakes.
     cert_verify_ms: float = 0.0
     doh_path: str = "/dns-query"
+    #: UDP retransmissions, ``retry_interval_ms`` apart.
+    retries: int = 1
+    retry_interval_ms: float = 2000.0
+    #: Retry over TCP when a UDP response arrives with the TC bit set.
+    tcp_fallback: bool = True
 
     def __post_init__(self) -> None:
         _validate_timeout_ms(self.timeout_ms)
         if self.method not in ("POST", "GET"):
             raise CampaignConfigError(f"DoH method must be POST or GET, got {self.method!r}")
+        if not isinstance(self.retries, int) or self.retries < 0:
+            raise CampaignConfigError(
+                f"retries must be a non-negative integer, got {self.retries!r}"
+            )
+        if self.retry_interval_ms <= 0:
+            raise CampaignConfigError(
+                f"retry_interval_ms must be positive, got {self.retry_interval_ms!r}"
+            )
 
 
-class DohProbe:
-    """DoH measurement client bound to one vantage host and one resolver."""
+class _Live:
+    """One connection as the framings see it.
+
+    ``conn`` is the TLS or QUIC connection — or, for Do53, the UDP socket
+    or the plain TCP connection of the truncation fallback — and ``kind``
+    says which.  ``http`` is the HTTP/2 session or HTTP/1.1 parser of a
+    DoH connection: framing state lives on the probe's record of the
+    connection, so a kept-alive probe finds it again on the next query.
+    """
+
+    __slots__ = ("conn", "kind", "http")
+
+    def __init__(self, conn, kind: str) -> None:
+        self.conn = conn
+        self.kind = kind
+        self.http = None
+
+    def send(
+        self,
+        payload: bytes,
+        on_data: Callable[[bytes], None],
+        on_end: Callable[[], None],
+    ) -> None:
+        """Send one framed request; response bytes reach ``on_data`` and
+        ``on_end`` fires if the peer ends the stream."""
+        conn = self.conn
+        if self.kind == "quic":
+            # One stream per exchange, delivered whole: its bytes, then
+            # its end (a no-op once the answer completed the query).
+            def on_stream(data: bytes) -> None:
+                on_data(data)
+                on_end()
+
+            conn.open_stream(payload, on_stream)
+        elif self.kind == "tls":
+            conn.on_application_data = on_data
+            conn.on_close = on_end
+            conn.send_application(payload)
+        else:
+            conn.on_data = on_data
+            conn.on_close = on_end
+            conn.send(payload)
+
+
+class Probe:
+    """DNS measurement client bound to one vantage host, one resolver and
+    one row of the transport table."""
 
     def __init__(
         self,
+        transport: Transport,
         host: Host,
         service_ip: str,
         server_name: str,
-        config: Optional[DohProbeConfig] = None,
+        config: Optional[ProbeConfig] = None,
         rng: Optional[random.Random] = None,
         recorder: Optional[SpanRecorder] = None,
     ) -> None:
+        self.transport = transport
         self.host = host
         self.service_ip = service_ip
         self.server_name = server_name
-        self.config = config or DohProbeConfig()
+        self.config = config or ProbeConfig()
         self.rng = rng if rng is not None else random.Random(0)
         self.recorder = recorder
-        self._live_tls: Optional[TlsClientConnection] = None
-        self._live_h2: Optional[H2ClientSession] = None
-        self._live_h1_parser: Optional[H1ResponseParser] = None
-        self._h1_waiters: List[Callable] = []
+        self._live: Optional[_Live] = None
 
     @property
     def _loop(self):
@@ -243,841 +303,406 @@ class DohProbe:
         qtype: int = TYPE_A,
         span_parent: Optional[int] = None,
     ) -> None:
-        """Measure one DoH query's end-to-end response time."""
+        """Measure one query's end-to-end response time."""
+        transport = self.transport
+        loop = self._loop
         clock = PhaseClock(
-            self._loop,
+            loop,
             self.recorder if self.recorder is not None else get_recorder(),
             parent_id=span_parent,
-            transport="doh",
+            transport=transport.name,
             server=self.server_name,
             domain=domain,
         )
-        shot = _OneShot(
-            self._loop, self.config.timeout_ms, _finalize_phases(clock, on_complete)
+        shot = _OneShot(loop, self.config.timeout_ms, clock, on_complete)
+        query = make_query(
+            domain, qtype, msg_id=None if transport.random_msg_id else 0, rng=self.rng
         )
-        query = make_query(domain, qtype, msg_id=0, rng=self.rng)
-        dns_wire = query.to_wire()
-        reused = self.config.reuse_connections and self._live_tls is not None
-        if reused:
-            try:
-                self._send_on_live(shot, dns_wire, reused=True, clock=clock)
-            except Exception:
-                # The kept-alive connection died underneath us (server FIN /
-                # idle teardown): fall back to a fresh establishment.
-                self.close()
-                self._establish_then_send(shot, dns_wire, clock)
+        shot.wire = query.to_wire()
+        shot.msg_id = query.header.msg_id
+
+        live = self._live if self.config.reuse_connections else None
+        if live is not None and live.conn.closed:
+            # The kept-alive connection died underneath us (server FIN,
+            # idle teardown, failed handshake): writes to it would be
+            # dropped silently, so establish afresh.  One rule for every
+            # connection kind.
+            self.close()
+            live = None
+        # Decide reuse up front: by response time a fresh connection has
+        # already been stored in _live, so testing it then would misreport
+        # a first query on a kept-alive probe as "warm".
+        shot.reused = live is not None
+        if live is not None:
+            clock.enter(transport.exchange_phase)
+            self._send(shot, live)
         else:
-            self._establish_then_send(shot, dns_wire, clock)
+            self._establish(shot)
 
     def close(self) -> None:
         """Drop any kept-alive connection."""
-        if self._live_tls is not None:
-            self._live_tls.close()
-        self._live_tls = None
-        self._live_h2 = None
-        self._live_h1_parser = None
+        live, self._live = self._live, None
+        if live is not None:
+            live.conn.close()
 
-    # -- connection management ---------------------------------------------------
+    # -- connection establishment, per connection kind -------------------------
 
-    def _establish_then_send(
-        self, shot: _OneShot, dns_wire: bytes, clock: PhaseClock
-    ) -> None:
-        tls_config = TlsClientConfig(
-            versions=tuple(self.config.tls_versions),
-            alpn=tuple(self.config.http_versions),
-            session_cache=self.config.session_cache,
-            enable_early_data=self.config.enable_early_data,
-            early_data_reject_p=self.config.early_data_reject_p,
-            early_data_rng=self.rng,
-            cert_verify_ms=self.config.cert_verify_ms,
+    def _establish(self, shot: _OneShot) -> None:
+        """Open a fresh connection and hand the query to :meth:`_send`."""
+        transport = self.transport
+        config = self.config
+        clock = shot.clock
+        early_data = (
+            transport.early_data
+            if config.enable_early_data is None
+            else config.enable_early_data
         )
 
-        def on_tls_established(tls: TlsClientConnection) -> None:
-            if self.config.reuse_connections:
-                self._live_tls = tls
-            self._setup_http(tls)
-            self._send_on_tls(shot, tls, dns_wire, reused=False, clock=clock)
+        if transport.connection == "udp":
+            live = _Live(SimUdpSocket(self.host), "udp")
+            shot.add_cleanup(live.conn.close)
+            clock.enter(transport.exchange_phase)
+            self._send(shot, live)
 
-        def on_tcp_established(conn: SimTcpConnection) -> None:
+        elif transport.connection == "quic":
+            # QUIC queues the stream until the handshake permits (and
+            # remembers it for replay if 0-RTT is rejected), so the query
+            # is handed over at once and only the phase changes later.
+            clock.enter("quic_handshake")
+            live = _Live(
+                QuicClientConnection(
+                    self.host, self.service_ip, transport.port, self.server_name,
+                    config=QuicConfig(
+                        session_cache=config.session_cache,
+                        enable_early_data=early_data,
+                        early_data_reject_p=config.early_data_reject_p,
+                        early_data_rng=self.rng,
+                        cert_verify_ms=config.cert_verify_ms,
+                        connect_timeout_ms=self._connect_budget_ms(shot),
+                    ),
+                    on_error=shot.fail,
+                    on_established=lambda _conn: clock.enter(transport.exchange_phase),
+                ),
+                "quic",
+            )
+            if config.reuse_connections:
+                self._live = live
+            shot.add_cleanup(partial(self._release, live))
+            self._send(shot, live)
+
+        else:
+            tls_config = TlsClientConfig(
+                versions=tuple(config.tls_versions),
+                alpn=transport.alpn or tuple(config.http_versions),
+                session_cache=config.session_cache,
+                enable_early_data=early_data,
+                early_data_reject_p=config.early_data_reject_p,
+                early_data_rng=self.rng,
+                cert_verify_ms=config.cert_verify_ms,
+            )
+
+            def on_tcp(conn: SimTcpConnection) -> None:
+                def on_tls(tls: TlsClientConnection) -> None:
+                    if config.reuse_connections:
+                        self._live = live
+                    if transport.framing == "http":
+                        if tls.negotiated_alpn == "h2" or (
+                            tls.negotiated_alpn is None and "h2" in config.http_versions
+                        ):
+                            live.http = H2ClientSession(
+                                send=tls.send_application, authority=self.server_name
+                            )
+                            tls.on_application_data = live.http.feed
+                        else:
+                            live.http = H1ResponseParser()
+                    clock.enter(transport.exchange_phase)
+                    self._send(shot, live)
+
+                clock.enter("tls_handshake")
+                live = _Live(
+                    TlsClientConnection(
+                        conn, self.server_name, tls_config,
+                        on_established=on_tls, on_error=shot.fail,
+                    ),
+                    "tls",
+                )
+                # Registered before the handshake so a deadline that hits
+                # mid-handshake closes the TCP connection too.
+                shot.add_cleanup(partial(self._release, live))
+
+            self._connect_tcp(shot, on_tcp)
+
+    def _connect_budget_ms(self, shot: _OneShot) -> float:
+        """Connect deadline, just inside what is left of the probe's own.
+
+        A never-answered SYN (or QUIC Initial) then classifies as a
+        connection-establishment failure rather than a generic timeout.
+        """
+        return max(1.0, self.config.timeout_ms - shot.elapsed_ms - 1.0)
+
+    def _connect_tcp(
+        self, shot: _OneShot, on_established: Callable[[SimTcpConnection], None]
+    ) -> None:
+        def established(conn: SimTcpConnection) -> None:
             if shot.done:
                 conn.close()
-                return
-            clock.enter("tls_handshake")
-            tls = TlsClientConnection(
-                conn,
-                self.server_name,
-                tls_config,
-                on_established=on_tls_established,
-                on_error=shot.fail,
-            )
-            if not self.config.reuse_connections:
-                shot.add_cleanup(tls.close)
+            else:
+                on_established(conn)
 
-        # The TCP connect deadline sits just inside the probe deadline so a
-        # never-answered SYN classifies as a connection-establishment
-        # failure rather than a generic probe timeout.
-        clock.enter("tcp_connect")
+        shot.clock.enter("tcp_connect")
         SimTcpConnection.connect(
             self.host,
             self.service_ip,
-            443,
-            on_tcp_established,
+            self.transport.port,
+            established,
             on_error=shot.fail,
-            timeout_ms=max(1.0, self.config.timeout_ms - 1.0),
+            timeout_ms=self._connect_budget_ms(shot),
         )
 
-    def _setup_http(self, tls: TlsClientConnection) -> None:
-        if tls.negotiated_alpn == "h2" or (
-            tls.negotiated_alpn is None and "h2" in self.config.http_versions
-        ):
-            session = H2ClientSession(send=tls.send_application, authority=self.server_name)
-            tls.on_application_data = session.feed
-            if self.config.reuse_connections:
-                self._live_h2 = session
-            tls._h2_session = session  # type: ignore[attr-defined]
+    def _release(self, live: _Live) -> None:
+        """Shot cleanup: close the connection unless the probe kept it."""
+        if self._live is not live:
+            live.conn.close()
+
+    # -- request framing / response de-framing, per framing ---------------------
+
+    def _send(self, shot: _OneShot, live: _Live) -> None:
+        """Frame the query onto ``live``; de-framed answers reach :meth:`_answer`."""
+        # Do53's truncation fallback speaks length framing over plain TCP.
+        framing = "length" if live.kind == "tcp" else self.transport.framing
+        if framing == "raw":
+            self._send_datagrams(shot, live)
+            return
+        stream = LengthPrefixedStream() if framing == "length" else None
+
+        def on_end() -> None:
+            # The peer ended the stream while we still await the answer:
+            # a half-delivered frame is a mid-stream truncation (named
+            # FramingError), a clean boundary is an ordinary reset.
+            if shot.done:
+                return
+            try:
+                if stream is not None:
+                    stream.finish()
+            except FramingError as exc:
+                shot.fail(exc)
+            else:
+                shot.fail(ConnectionReset("server closed the stream before responding"))
+
+        if framing == "length":
+
+            def on_bytes(data: bytes) -> None:
+                for dns_wire in stream.feed(data):
+                    if self._answer(shot, live, dns_wire):
+                        return
+
+            live.send(LengthPrefixedStream.frame(shot.wire), on_bytes, on_end)
+
         else:
-            parser = H1ResponseParser()
-            if self.config.reuse_connections:
-                self._live_h1_parser = parser
-            tls._h1_parser = parser  # type: ignore[attr-defined]
+            request = self._http_request(shot.wire)
 
-    def _send_on_live(
-        self, shot: _OneShot, dns_wire: bytes, reused: bool, clock: PhaseClock
-    ) -> None:
-        tls = self._live_tls
-        assert tls is not None
-        self._send_on_tls(shot, tls, dns_wire, reused=reused, clock=clock)
+            def on_http(response: HttpResponse) -> None:
+                self._answer(shot, live, None, response)
 
-    def _send_on_tls(
-        self,
-        shot: _OneShot,
-        tls: TlsClientConnection,
-        dns_wire: bytes,
-        reused: bool,
-        clock: PhaseClock,
-    ) -> None:
-        clock.enter("http_exchange")
-        request = encode_doh_request(
+            if isinstance(live.http, H2ClientSession):
+                # HTTP/2 multiplexes: the session owns the inbound bytes
+                # and routes each response to its own request.
+                live.conn.on_close = on_end
+                try:
+                    live.http.request(request, on_http)
+                except HttpError as exc:
+                    shot.fail(exc)
+                return
+            # HTTP/1.1 and HTTP/3: one exchange at a time on this stream.
+            if framing == "h3":
+                payload = encode_h3_request(request, host=self.server_name)
+
+                def deframe(data: bytes) -> Sequence[HttpResponse]:
+                    return (decode_h3_response(data),)
+
+            else:
+                payload = encode_request(request, host=self.server_name)
+                deframe = live.http.feed
+
+            def on_http_bytes(data: bytes) -> None:
+                try:
+                    responses = deframe(data)
+                except (HttpError, ValueError) as exc:
+                    # ValueError: non-ASCII bytes in an HTTP/1.1 head.
+                    shot.fail(exc)
+                    return
+                for response in responses:
+                    on_http(response)
+                    break
+
+            live.send(payload, on_http_bytes, on_end)
+
+    def _send_datagrams(self, shot: _OneShot, live: _Live) -> None:
+        socket = live.conn
+        config = self.config
+        socket.on_datagram = lambda dgram: self._answer(shot, live, dgram.payload)
+
+        def attempt(remaining: int) -> None:
+            if shot.done or socket.closed:
+                return
+            socket.sendto(shot.wire, self.service_ip, self.transport.port)
+            if remaining > 0:
+                self._loop.call_later(config.retry_interval_ms, attempt, remaining - 1)
+
+        attempt(config.retries)
+
+    def _retry_over_tcp(self, shot: _OneShot) -> None:
+        """Ask again over TCP with length framing (RFC 1035 §4.2.1)."""
+
+        def on_tcp(conn: SimTcpConnection) -> None:
+            shot.add_cleanup(conn.close)
+            shot.clock.enter(self.transport.exchange_phase)
+            self._send(shot, _Live(conn, "tcp"))
+
+        self._connect_tcp(shot, on_tcp)
+
+    def _http_request(self, dns_wire: bytes) -> HttpRequest:
+        return encode_doh_request(
             dns_wire, method=self.config.method, path=self.config.doh_path
         )
 
-        def on_http_response(response) -> None:
-            self._finish_from_http(shot, tls, response, reused, clock)
+    def _dns_from_http(self, response: HttpResponse) -> bytes:
+        return decode_doh_response(response)
 
-        h2_session = getattr(tls, "_h2_session", None)
-        if h2_session is not None:
-            try:
-                h2_session.request(request, on_http_response)
-            except Exception as exc:
-                shot.fail(exc)
-            return
-        # HTTP/1.1 path.
-        parser = getattr(tls, "_h1_parser", None)
-        if parser is None:
-            parser = H1ResponseParser()
-            tls._h1_parser = parser  # type: ignore[attr-defined]
+    # -- response -> outcome ---------------------------------------------------------
 
-        def on_app_data(data: bytes) -> None:
-            try:
-                responses = parser.feed(data)
-            except Exception as exc:
-                shot.fail(exc)
-                return
-            for response in responses:
-                on_http_response(response)
-                break
-
-        tls.on_application_data = on_app_data
-        tls.send_application(encode_request(request, host=self.server_name))
-
-    def _finish_from_http(
+    def _answer(
         self,
         shot: _OneShot,
-        tls: TlsClientConnection,
-        response,
-        reused: bool,
-        clock: PhaseClock,
-    ) -> None:
+        live: _Live,
+        dns_wire: Optional[bytes],
+        http: Optional[HttpResponse] = None,
+    ) -> bool:
+        """Turn one de-framed response into the outcome.
+
+        ``dns_wire`` is the DNS message, or None when it is still inside
+        the HTTP response ``http``.  Returns False when the message is not
+        the answer to this query (the caller keeps waiting), True once
+        the query is settled.
+        """
         if shot.done:
-            return
-        if response.status != 200:
-            outcome = ProbeOutcome.failure(
-                shot.elapsed_ms, HttpStatusError(response.status)
-            )
-            outcome.http_status = response.status
-            outcome.http_version = "h2" if tls.negotiated_alpn == "h2" else "http/1.1"
-            outcome.tls_version = tls.negotiated_version
-            outcome.session_state = _session_state(
-                reused, tls.used_early_data, tls.resumed
-            )
+            return True
+        if http is not None and http.status != 200:
+            outcome = ProbeOutcome.failure(shot.elapsed_ms, HttpStatusError(http.status))
+            self._label(outcome, shot, live, http)
             shot.finish(outcome)
-            return
+            return True
+        clock = shot.clock
         clock.enter("dns_parse")
         try:
-            dns_wire = decode_doh_response(response)
+            if dns_wire is None:
+                dns_wire = self._dns_from_http(http)
             message = Message.from_wire(dns_wire)
-        except (DohCodecError, DnsWireError) as exc:
+        except (HttpError, DnsWireError) as exc:
             shot.fail(exc)
-            return
+            return True
+        if self.transport.random_msg_id and message.header.msg_id != shot.msg_id:
+            clock.enter(self.transport.exchange_phase)
+            return False
+        truncated = message.header.tc
+        if truncated and live.kind == "udp" and self.config.tcp_fallback:
+            # The answer didn't fit the UDP payload budget.
+            live.conn.close()
+            self._retry_over_tcp(shot)
+            return True
         success = message.rcode == RCODE_NOERROR
+        if live.kind == "tcp":
+            detail: Optional[str] = "via-tcp"
+        elif truncated:
+            detail = "truncated"  # partial answer, taken as it came
+        else:
+            detail = None if success else f"rcode={message.rcode}"
         outcome = ProbeOutcome(
             duration_ms=shot.elapsed_ms,
             success=success,
             error_class=None if success else ErrorClass.DNS_RCODE,
-            error_detail=None if success else f"rcode={message.rcode}",
+            error_detail=detail,
             rcode=message.rcode,
-            http_status=response.status,
-            http_version="h2" if tls.negotiated_alpn == "h2" else "http/1.1",
-            tls_version=tls.negotiated_version,
-            response_size=len(response.body),
-            connection_reused=reused,
+            response_size=len(dns_wire) if http is None else len(http.body),
             answers=message.answer_addresses(),
             response_wire=dns_wire,
-            session_state=_session_state(reused, tls.used_early_data, tls.resumed),
         )
+        self._label(outcome, shot, live, http)
         shot.finish(outcome)
+        return True
 
-
-# ---------------------------------------------------------------------------
-# DoT
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DotProbeConfig:
-    """Knobs of the DoT probe."""
-
-    tls_versions: Sequence[str] = ("1.3", "1.2")
-    timeout_ms: float = DEFAULT_TIMEOUT_MS
-    reuse_connections: bool = False
-    session_cache: Optional[SessionCache] = None
-    enable_early_data: bool = False
-    early_data_reject_p: float = 0.0
-    cert_verify_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        _validate_timeout_ms(self.timeout_ms)
-
-
-class DotProbe:
-    """DNS-over-TLS probe (RFC 7858 length-prefixed framing on port 853)."""
-
-    def __init__(
+    def _label(
         self,
-        host: Host,
-        service_ip: str,
-        server_name: str,
-        config: Optional[DotProbeConfig] = None,
-        rng: Optional[random.Random] = None,
-        recorder: Optional[SpanRecorder] = None,
-    ) -> None:
-        self.host = host
-        self.service_ip = service_ip
-        self.server_name = server_name
-        self.config = config or DotProbeConfig()
-        self.rng = rng if rng is not None else random.Random(0)
-        self.recorder = recorder
-        self._live_tls: Optional[TlsClientConnection] = None
-
-    @property
-    def _loop(self):
-        assert self.host.network is not None
-        return self.host.network.loop
-
-    def query(
-        self,
-        domain: str,
-        on_complete: OutcomeCallback,
-        qtype: int = TYPE_A,
-        span_parent: Optional[int] = None,
-    ) -> None:
-        clock = PhaseClock(
-            self._loop,
-            self.recorder if self.recorder is not None else get_recorder(),
-            parent_id=span_parent,
-            transport="dot",
-            server=self.server_name,
-            domain=domain,
-        )
-        shot = _OneShot(
-            self._loop, self.config.timeout_ms, _finalize_phases(clock, on_complete)
-        )
-        query = make_query(domain, qtype, rng=self.rng)
-        framed = _LengthPrefixedStream.frame(query.to_wire())
-        if self.config.reuse_connections and self._live_tls is not None:
-            self._exchange(shot, self._live_tls, framed, query, reused=True, clock=clock)
-            return
-
-        tls_config = TlsClientConfig(
-            versions=tuple(self.config.tls_versions),
-            alpn=("dot",),
-            session_cache=self.config.session_cache,
-            enable_early_data=self.config.enable_early_data,
-            early_data_reject_p=self.config.early_data_reject_p,
-            early_data_rng=self.rng,
-            cert_verify_ms=self.config.cert_verify_ms,
-        )
-
-        def on_tls(tls: TlsClientConnection) -> None:
-            if self.config.reuse_connections:
-                self._live_tls = tls
-            else:
-                shot.add_cleanup(tls.close)
-            self._exchange(shot, tls, framed, query, reused=False, clock=clock)
-
-        def on_tcp(conn: SimTcpConnection) -> None:
-            if shot.done:
-                conn.close()
-                return
-            clock.enter("tls_handshake")
-            TlsClientConnection(
-                conn, self.server_name, tls_config, on_established=on_tls, on_error=shot.fail
-            )
-
-        clock.enter("tcp_connect")
-        SimTcpConnection.connect(
-            self.host, self.service_ip, 853, on_tcp, on_error=shot.fail,
-            timeout_ms=max(1.0, self.config.timeout_ms - 1.0),
-        )
-
-    def _exchange(
-        self,
+        outcome: ProbeOutcome,
         shot: _OneShot,
-        tls: TlsClientConnection,
-        framed: bytes,
-        query: Message,
-        reused: bool,
-        clock: PhaseClock,
+        live: _Live,
+        http: Optional[HttpResponse],
     ) -> None:
-        clock.enter("dns_exchange")
-        stream = _LengthPrefixedStream()
-
-        def on_app_data(data: bytes) -> None:
-            for wire in stream.feed(data):
-                clock.enter("dns_parse")
-                try:
-                    message = Message.from_wire(wire)
-                except DnsWireError as exc:
-                    shot.fail(exc)
-                    return
-                if message.header.msg_id != query.header.msg_id:
-                    clock.enter("dns_exchange")
-                    continue
-                success = message.rcode == RCODE_NOERROR
-                shot.finish(
-                    ProbeOutcome(
-                        duration_ms=shot.elapsed_ms,
-                        success=success,
-                        error_class=None if success else ErrorClass.DNS_RCODE,
-                        rcode=message.rcode,
-                        tls_version=tls.negotiated_version,
-                        response_size=len(wire),
-                        connection_reused=reused,
-                        answers=message.answer_addresses(),
-                        response_wire=wire,
-                        session_state=_session_state(
-                            reused, tls.used_early_data, tls.resumed
-                        ),
-                    )
-                )
-                return
-
-        def on_close() -> None:
-            # Peer FIN while we still await the response: a half-delivered
-            # frame is a mid-stream truncation (named FramingError), a
-            # clean boundary is an ordinary reset.
-            if shot.done:
-                return
-            try:
-                stream.finish()
-            except FramingError as exc:
-                shot.fail(exc)
-            else:
-                shot.fail(
-                    ConnectionReset("server closed the DoT stream before responding")
-                )
-
-        tls.on_application_data = on_app_data
-        tls.on_close = on_close
-        tls.send_application(framed)
-
-    def close(self) -> None:
-        if self._live_tls is not None:
-            self._live_tls.close()
-            self._live_tls = None
-
-
-# ---------------------------------------------------------------------------
-# Do53
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Do53ProbeConfig:
-    timeout_ms: float = DEFAULT_TIMEOUT_MS
-    retries: int = 1
-    retry_interval_ms: float = 2000.0
-    #: Retry over TCP when a response arrives with the TC bit set.
-    tcp_fallback: bool = True
-
-    def __post_init__(self) -> None:
-        _validate_timeout_ms(self.timeout_ms)
-        if not isinstance(self.retries, int) or self.retries < 0:
-            raise CampaignConfigError(
-                f"retries must be a non-negative integer, got {self.retries!r}"
-            )
-        if self.retry_interval_ms <= 0:
-            raise CampaignConfigError(
-                f"retry_interval_ms must be positive, got {self.retry_interval_ms!r}"
-            )
-
-
-class Do53Probe:
-    """Classic unencrypted DNS over UDP (the baseline transport)."""
-
-    def __init__(
-        self,
-        host: Host,
-        service_ip: str,
-        config: Optional[Do53ProbeConfig] = None,
-        rng: Optional[random.Random] = None,
-        recorder: Optional[SpanRecorder] = None,
-    ) -> None:
-        self.host = host
-        self.service_ip = service_ip
-        self.config = config or Do53ProbeConfig()
-        self.rng = rng if rng is not None else random.Random(0)
-        self.recorder = recorder
-
-    @property
-    def _loop(self):
-        assert self.host.network is not None
-        return self.host.network.loop
-
-    def query(
-        self,
-        domain: str,
-        on_complete: OutcomeCallback,
-        qtype: int = TYPE_A,
-        span_parent: Optional[int] = None,
-    ) -> None:
-        clock = PhaseClock(
-            self._loop,
-            self.recorder if self.recorder is not None else get_recorder(),
-            parent_id=span_parent,
-            transport="do53",
-            server=self.service_ip,
-            domain=domain,
-        )
-        shot = _OneShot(
-            self._loop, self.config.timeout_ms, _finalize_phases(clock, on_complete)
-        )
-        query = make_query(domain, qtype, rng=self.rng)
-        wire = query.to_wire()
-        socket = SimUdpSocket(self.host)
-        shot.add_cleanup(socket.close)
-
-        def finish_with(message: Message, response_wire: bytes, via_tcp: bool) -> None:
-            success = message.rcode == RCODE_NOERROR
-            detail = None
-            if via_tcp:
-                detail = "via-tcp"
-            elif message.header.tc:
-                detail = "truncated"  # fallback disabled: partial answer
-            shot.finish(
-                ProbeOutcome(
-                    duration_ms=shot.elapsed_ms,
-                    success=success,
-                    error_class=None if success else ErrorClass.DNS_RCODE,
-                    rcode=message.rcode,
-                    response_size=len(response_wire),
-                    connection_reused=False,
-                    answers=message.answer_addresses(),
-                    error_detail=detail,
-                    response_wire=response_wire,
-                )
-            )
-
-        def fallback_to_tcp() -> None:
-            framed = _LengthPrefixedStream.frame(wire)
-            stream = _LengthPrefixedStream()
-
-            def on_established(conn: SimTcpConnection) -> None:
-                shot.add_cleanup(conn.close)
-                clock.enter("dns_exchange")
-
-                def on_data(data: bytes) -> None:
-                    for response_wire in stream.feed(data):
-                        clock.enter("dns_parse")
-                        try:
-                            message = Message.from_wire(response_wire)
-                        except DnsWireError as exc:
-                            shot.fail(exc)
-                            return
-                        if message.header.msg_id != query.header.msg_id:
-                            clock.enter("dns_exchange")
-                            continue
-                        finish_with(message, response_wire, via_tcp=True)
-                        return
-
-                conn.on_data = on_data
-                conn.send(framed)
-
-            clock.enter("tcp_connect")
-            SimTcpConnection.connect(
-                self.host, self.service_ip, 53, on_established,
-                on_error=shot.fail,
-                timeout_ms=max(1.0, self.config.timeout_ms - shot.elapsed_ms - 1.0),
-            )
-
-        def on_datagram(dgram: Datagram) -> None:
-            clock.enter("dns_parse")
-            try:
-                message = Message.from_wire(dgram.payload)
-            except DnsWireError as exc:
-                shot.fail(exc)
-                return
-            if message.header.msg_id != query.header.msg_id:
-                clock.enter("dns_exchange")
-                return
-            if message.header.tc and self.config.tcp_fallback:
-                # Truncated: the answer didn't fit the UDP payload budget;
-                # retry the same question over TCP (RFC 1035 §4.2.1).
-                socket.close()
-                fallback_to_tcp()
-                return
-            finish_with(message, dgram.payload, via_tcp=False)
-
-        socket.on_datagram = on_datagram
-        clock.enter("dns_exchange")
-
-        def attempt(remaining: int) -> None:
-            if shot.done:
-                return
-            socket.sendto(wire, self.service_ip, 53)
-            if remaining > 0:
-                self._loop.call_later(self.config.retry_interval_ms, attempt, remaining - 1)
-
-        attempt(self.config.retries)
-
-    def close(self) -> None:
-        """No kept state for UDP probes; present for probe-API symmetry."""
-
-
-# ---------------------------------------------------------------------------
-# DoQ
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DoqProbeConfig:
-    """Knobs of the DNS-over-QUIC probe."""
-
-    timeout_ms: float = DEFAULT_TIMEOUT_MS
-    reuse_connections: bool = False
-    session_cache: Optional[SessionCache] = None
-    enable_early_data: bool = True
-    early_data_reject_p: float = 0.0
-    cert_verify_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        _validate_timeout_ms(self.timeout_ms)
-
-
-class DoqProbe:
-    """DNS over QUIC (RFC 9250): one query per bidirectional stream.
-
-    A fresh DoQ query costs ~2 x RTT (QUIC's combined handshake is one
-    round trip); a 0-RTT resumed query ~1 x RTT; a reused connection
-    ~1 x RTT per query.
-    """
-
-    def __init__(
-        self,
-        host: Host,
-        service_ip: str,
-        server_name: str,
-        config: Optional[DoqProbeConfig] = None,
-        rng: Optional[random.Random] = None,
-        recorder: Optional[SpanRecorder] = None,
-    ) -> None:
-        self.host = host
-        self.service_ip = service_ip
-        self.server_name = server_name
-        self.config = config or DoqProbeConfig()
-        self.rng = rng if rng is not None else random.Random(0)
-        self.recorder = recorder
-        self._live_conn = None
-
-    @property
-    def _loop(self):
-        assert self.host.network is not None
-        return self.host.network.loop
-
-    def query(
-        self,
-        domain: str,
-        on_complete: OutcomeCallback,
-        qtype: int = TYPE_A,
-        span_parent: Optional[int] = None,
-    ) -> None:
-        from repro.quicsim.connection import QuicClientConnection, QuicConfig
-
-        clock = PhaseClock(
-            self._loop,
-            self.recorder if self.recorder is not None else get_recorder(),
-            parent_id=span_parent,
-            transport="doq",
-            server=self.server_name,
-            domain=domain,
-        )
-        shot = _OneShot(
-            self._loop, self.config.timeout_ms, _finalize_phases(clock, on_complete)
-        )
-        # RFC 9250 recommends msg_id = 0 on DoQ, like DoH.
-        query = make_query(domain, qtype, msg_id=0, rng=self.rng)
-        framed = _LengthPrefixedStream.frame(query.to_wire())
-
-        live = self._live_conn if self.config.reuse_connections else None
-        # Decide reuse up front: by response time the fresh connection has
-        # already been stored in _live_conn, so testing it then would
-        # misreport a first query on a kept-alive probe as "warm".
-        reused = live is not None and not live.closed
-
-        def on_response_bytes(conn, data: bytes) -> None:
-            if shot.done:
-                return
-            clock.enter("dns_parse")
-            messages = _LengthPrefixedStream().feed(data)
-            if not messages:
-                shot.fail(ProbeTimeout("empty DoQ response stream"))
-                return
-            try:
-                message = Message.from_wire(messages[0])
-            except DnsWireError as exc:
-                shot.fail(exc)
-                return
-            success = message.rcode == RCODE_NOERROR
-            shot.finish(
-                ProbeOutcome(
-                    duration_ms=shot.elapsed_ms,
-                    success=success,
-                    error_class=None if success else ErrorClass.DNS_RCODE,
-                    rcode=message.rcode,
-                    tls_version="quic",
-                    response_size=len(messages[0]),
-                    connection_reused=reused,
-                    answers=message.answer_addresses(),
-                    response_wire=messages[0],
-                    session_state=_session_state(
-                        reused, conn.used_early_data, conn.resumed
-                    ),
-                )
-            )
-
-        if reused:
-            clock.enter("dns_exchange")
-            live.open_stream(framed, lambda data: on_response_bytes(live, data))
-            return
-
-        quic_config = QuicConfig(
-            session_cache=self.config.session_cache,
-            enable_early_data=self.config.enable_early_data,
-            early_data_reject_p=self.config.early_data_reject_p,
-            early_data_rng=self.rng,
-            cert_verify_ms=self.config.cert_verify_ms,
-            connect_timeout_ms=max(1.0, self.config.timeout_ms - 1.0),
-        )
-
-        def on_quic_established(_conn) -> None:
-            clock.enter("dns_exchange")
-
-        clock.enter("quic_handshake")
-        conn = QuicClientConnection(
-            self.host, self.service_ip, 853, self.server_name,
-            config=quic_config, on_error=shot.fail,
-            on_established=on_quic_established,
-        )
-        if self.config.reuse_connections:
-            self._live_conn = conn
+        """Stamp what the connection negotiated and how it was (re)used."""
+        conn = live.conn
+        outcome.connection_reused = shot.reused
+        if live.kind == "quic":
+            outcome.tls_version = "quic"
+        elif live.kind == "tls":
+            outcome.tls_version = conn.negotiated_version
         else:
-            shot.add_cleanup(conn.close)
-        conn.open_stream(framed, lambda data: on_response_bytes(conn, data))
-
-    def close(self) -> None:
-        if self._live_conn is not None:
-            self._live_conn.close()
-            self._live_conn = None
-
-
-# ---------------------------------------------------------------------------
-# DoH3
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Doh3ProbeConfig:
-    """Knobs of the DNS-over-HTTP/3 probe."""
-
-    method: str = "POST"
-    timeout_ms: float = DEFAULT_TIMEOUT_MS
-    reuse_connections: bool = False
-    session_cache: Optional[SessionCache] = None
-    enable_early_data: bool = True
-    early_data_reject_p: float = 0.0
-    cert_verify_ms: float = 0.0
-    doh_path: str = "/dns-query"
-
-    def __post_init__(self) -> None:
-        _validate_timeout_ms(self.timeout_ms)
-        if self.method not in ("POST", "GET"):
-            raise CampaignConfigError(
-                f"DoH3 method must be POST or GET, got {self.method!r}"
-            )
-
-
-class Doh3Probe:
-    """DoH over HTTP/3: DoH semantics on a QUIC transport (UDP 443).
-
-    Each query is one HTTP/3 exchange on its own QUIC stream, so the
-    latency profile matches DoQ (combined 1-RTT handshake, 0-RTT when
-    resumed) with DoH's HTTP framing and status codes on top.
-    """
-
-    def __init__(
-        self,
-        host: Host,
-        service_ip: str,
-        server_name: str,
-        config: Optional[Doh3ProbeConfig] = None,
-        rng: Optional[random.Random] = None,
-        recorder: Optional[SpanRecorder] = None,
-    ) -> None:
-        self.host = host
-        self.service_ip = service_ip
-        self.server_name = server_name
-        self.config = config or Doh3ProbeConfig()
-        self.rng = rng if rng is not None else random.Random(0)
-        self.recorder = recorder
-        self._live_conn = None
-
-    @property
-    def _loop(self):
-        assert self.host.network is not None
-        return self.host.network.loop
-
-    def query(
-        self,
-        domain: str,
-        on_complete: OutcomeCallback,
-        qtype: int = TYPE_A,
-        span_parent: Optional[int] = None,
-    ) -> None:
-        from repro.httpsim.h3 import (
-            H3CodecError,
-            decode_h3_response,
-            encode_h3_request,
-        )
-        from repro.quicsim.connection import QuicClientConnection, QuicConfig
-
-        clock = PhaseClock(
-            self._loop,
-            self.recorder if self.recorder is not None else get_recorder(),
-            parent_id=span_parent,
-            transport="doh3",
-            server=self.server_name,
-            domain=domain,
-        )
-        shot = _OneShot(
-            self._loop, self.config.timeout_ms, _finalize_phases(clock, on_complete)
-        )
-        query = make_query(domain, qtype, msg_id=0, rng=self.rng)
-        request = encode_doh_request(
-            query.to_wire(), method=self.config.method, path=self.config.doh_path
-        )
-        stream_wire = encode_h3_request(request, host=self.server_name)
-
-        live = self._live_conn if self.config.reuse_connections else None
-        reused = live is not None and not live.closed
-
-        def on_response_bytes(conn, data: bytes) -> None:
-            if shot.done:
-                return
-            clock.enter("dns_parse")
-            state = _session_state(reused, conn.used_early_data, conn.resumed)
-            try:
-                response = decode_h3_response(data)
-            except H3CodecError as exc:
-                shot.fail(exc)
-                return
-            if response.status != 200:
-                outcome = ProbeOutcome.failure(
-                    shot.elapsed_ms, HttpStatusError(response.status)
-                )
-                outcome.http_status = response.status
+            return  # UDP / plain TCP: no TLS, no HTTP, no session
+        if http is not None:
+            outcome.http_status = http.status
+            if live.kind == "quic":
                 outcome.http_version = "h3"
-                outcome.tls_version = "quic"
-                outcome.session_state = state
-                shot.finish(outcome)
-                return
-            try:
-                dns_wire = decode_doh_response(response)
-                message = Message.from_wire(dns_wire)
-            except (DohCodecError, DnsWireError) as exc:
-                shot.fail(exc)
-                return
-            success = message.rcode == RCODE_NOERROR
-            shot.finish(
-                ProbeOutcome(
-                    duration_ms=shot.elapsed_ms,
-                    success=success,
-                    error_class=None if success else ErrorClass.DNS_RCODE,
-                    error_detail=None if success else f"rcode={message.rcode}",
-                    rcode=message.rcode,
-                    http_status=response.status,
-                    http_version="h3",
-                    tls_version="quic",
-                    response_size=len(response.body),
-                    connection_reused=reused,
-                    answers=message.answer_addresses(),
-                    response_wire=dns_wire,
-                    session_state=state,
+            else:
+                outcome.http_version = (
+                    "h2" if conn.negotiated_alpn == "h2" else "http/1.1"
                 )
-            )
-
-        if reused:
-            clock.enter("http_exchange")
-            live.open_stream(stream_wire, lambda data: on_response_bytes(live, data))
-            return
-
-        quic_config = QuicConfig(
-            session_cache=self.config.session_cache,
-            enable_early_data=self.config.enable_early_data,
-            early_data_reject_p=self.config.early_data_reject_p,
-            early_data_rng=self.rng,
-            cert_verify_ms=self.config.cert_verify_ms,
-            connect_timeout_ms=max(1.0, self.config.timeout_ms - 1.0),
-        )
-
-        def on_quic_established(_conn) -> None:
-            clock.enter("http_exchange")
-
-        clock.enter("quic_handshake")
-        conn = QuicClientConnection(
-            self.host, self.service_ip, 443, self.server_name,
-            config=quic_config, on_error=shot.fail,
-            on_established=on_quic_established,
-        )
-        if self.config.reuse_connections:
-            self._live_conn = conn
+        if shot.reused:
+            outcome.session_state = "warm"
+        elif conn.used_early_data:
+            outcome.session_state = "zero_rtt"
+        elif conn.resumed:
+            outcome.session_state = "resumed"
         else:
-            shot.add_cleanup(conn.close)
-        conn.open_stream(stream_wire, lambda data: on_response_bytes(conn, data))
+            outcome.session_state = "cold"
 
-    def close(self) -> None:
-        if self._live_conn is not None:
-            self._live_conn.close()
-            self._live_conn = None
+
+def make_probe(
+    transport: str,
+    host: Host,
+    service_ip: str,
+    server_name: str,
+    config: Optional[ProbeConfig] = None,
+    rng: Optional[random.Random] = None,
+    recorder: Optional[SpanRecorder] = None,
+) -> Probe:
+    """The probe for ``transport`` (a name in the transport table)."""
+    row = TRANSPORTS.get(transport)
+    if row is None:
+        raise CampaignConfigError(f"unknown transport {transport!r}")
+    return Probe(row, host, service_ip, server_name, config, rng, recorder)
+
+
+# The per-transport names older call sites construct positionally.  They
+# hold no logic: each is make_probe with the transport filled in, and
+# every config name is the one ProbeConfig.
+DohProbe = partial(make_probe, "doh")
+DotProbe = partial(make_probe, "dot")
+DoqProbe = partial(make_probe, "doq")
+Doh3Probe = partial(make_probe, "doh3")
+
+
+def Do53Probe(
+    host: Host,
+    service_ip: str,
+    config: Optional[ProbeConfig] = None,
+    rng: Optional[random.Random] = None,
+    recorder: Optional[SpanRecorder] = None,
+) -> Probe:
+    """Do53 has no server name to authenticate; spans carry the address."""
+    return make_probe("do53", host, service_ip, service_ip, config, rng, recorder)
+
+
+DohProbeConfig = DotProbeConfig = Do53ProbeConfig = ProbeConfig
+DoqProbeConfig = Doh3ProbeConfig = ProbeConfig
 
 
 # ---------------------------------------------------------------------------

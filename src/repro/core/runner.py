@@ -15,12 +15,13 @@ backoff; the final record's ``attempts`` field counts the tries.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.errors_taxonomy import CONNECTION_ESTABLISHMENT_CLASSES, ErrorClass
-from repro.core.probes import DohProbe, DohProbeConfig, PingProbe, ProbeOutcome
+from repro.core.probes import PingProbe, Probe, ProbeConfig, ProbeOutcome, make_probe
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.scheduler import PeriodicSchedule
 from repro.core.seeding import derive_rng
@@ -34,10 +35,11 @@ from repro.obs import (
     get_monitor,
     get_recorder,
 )
-from repro.session import SESSION_TRANSPORTS, SessionBroker, SessionPolicy
+from repro.session import SessionBroker, SessionPolicy
+from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
 #: Transports a campaign can measure (ping rides alongside, not listed).
-VALID_TRANSPORTS = ("doh", "dot", "do53", "doq", "doh3")
+VALID_TRANSPORTS = TRANSPORT_NAMES
 
 #: Error classes a retry can plausibly help with: transient network and
 #: connection-establishment conditions.  Protocol-level failures (bad
@@ -158,7 +160,7 @@ class CampaignConfig:
     #: transports each gets its own derived stream so adding one never
     #: perturbs another's records.
     transports: Optional[Sequence[str]] = None
-    probe_config: DohProbeConfig = field(default_factory=DohProbeConfig)
+    probe_config: ProbeConfig = field(default_factory=ProbeConfig)
     #: Session management between queries; ``None`` and the ``cold``
     #: policy are both the legacy per-query-teardown behaviour.
     session_policy: Optional[SessionPolicy] = None
@@ -346,135 +348,29 @@ class Campaign:
         vantage: VantagePoint,
         target: ResolverTarget,
         rng: random.Random,
-    ):
+    ) -> Probe:
         """Instantiate the probe for one transport of the campaign matrix.
 
-        When a session policy is active the broker's wiring overrides the
-        base probe config's reuse/cache/early-data knobs; otherwise the
-        base config passes through unchanged (legacy behaviour).
+        The campaign's probe config applies to every transport.  When a
+        session policy is active the broker's wiring overrides its five
+        session fields (reuse, ticket cache, early data, reject
+        probability, certificate cost); otherwise they pass through
+        unchanged.
         """
-        recorder = self._active_recorder
-        base = self.config.probe_config
-        wiring = None
+        wiring = {}
         if self._sessions is not None:
-            wiring = self._sessions.wiring((vantage.name, target.hostname, transport))
-        if transport == "doh":
-            return DohProbe(
-                host=vantage.host,
-                service_ip=target.service_ip,
-                server_name=target.hostname,
-                config=DohProbeConfig(
-                    method=base.method,
-                    http_versions=base.http_versions,
-                    tls_versions=base.tls_versions,
-                    timeout_ms=base.timeout_ms,
-                    reuse_connections=(
-                        wiring.reuse_connections if wiring else base.reuse_connections
-                    ),
-                    session_cache=(
-                        wiring.session_cache if wiring else base.session_cache
-                    ),
-                    enable_early_data=(
-                        wiring.enable_early_data if wiring else base.enable_early_data
-                    ),
-                    early_data_reject_p=(
-                        wiring.early_data_reject_p if wiring else 0.0
-                    ),
-                    cert_verify_ms=(wiring.cert_verify_ms if wiring else 0.0),
-                    doh_path=target.doh_path,
-                ),
-                rng=rng,
-                recorder=recorder,
-            )
-        if transport == "dot":
-            from repro.core.probes import DotProbe, DotProbeConfig
-
-            return DotProbe(
-                host=vantage.host,
-                service_ip=target.service_ip,
-                server_name=target.hostname,
-                config=DotProbeConfig(
-                    tls_versions=base.tls_versions,
-                    timeout_ms=base.timeout_ms,
-                    reuse_connections=(
-                        wiring.reuse_connections if wiring else base.reuse_connections
-                    ),
-                    session_cache=(
-                        wiring.session_cache if wiring else base.session_cache
-                    ),
-                    enable_early_data=(
-                        wiring.enable_early_data if wiring else False
-                    ),
-                    early_data_reject_p=(
-                        wiring.early_data_reject_p if wiring else 0.0
-                    ),
-                    cert_verify_ms=(wiring.cert_verify_ms if wiring else 0.0),
-                ),
-                rng=rng,
-                recorder=recorder,
-            )
-        if transport == "doq":
-            from repro.core.probes import DoqProbe, DoqProbeConfig
-
-            if wiring is not None:
-                config = DoqProbeConfig(
-                    timeout_ms=base.timeout_ms,
-                    reuse_connections=wiring.reuse_connections,
-                    session_cache=wiring.session_cache,
-                    enable_early_data=wiring.enable_early_data,
-                    early_data_reject_p=wiring.early_data_reject_p,
-                    cert_verify_ms=wiring.cert_verify_ms,
-                )
-            else:
-                config = DoqProbeConfig(
-                    timeout_ms=base.timeout_ms,
-                    reuse_connections=base.reuse_connections,
-                    session_cache=base.session_cache,
-                )
-            return DoqProbe(
-                host=vantage.host,
-                service_ip=target.service_ip,
-                server_name=target.hostname,
-                config=config,
-                rng=rng,
-                recorder=recorder,
-            )
-        if transport == "doh3":
-            from repro.core.probes import Doh3Probe, Doh3ProbeConfig
-
-            return Doh3Probe(
-                host=vantage.host,
-                service_ip=target.service_ip,
-                server_name=target.hostname,
-                config=Doh3ProbeConfig(
-                    method=base.method,
-                    timeout_ms=base.timeout_ms,
-                    reuse_connections=(
-                        wiring.reuse_connections if wiring else False
-                    ),
-                    session_cache=(
-                        wiring.session_cache if wiring else None
-                    ),
-                    enable_early_data=(
-                        wiring.enable_early_data if wiring else True
-                    ),
-                    early_data_reject_p=(
-                        wiring.early_data_reject_p if wiring else 0.0
-                    ),
-                    cert_verify_ms=(wiring.cert_verify_ms if wiring else 0.0),
-                    doh_path=target.doh_path,
-                ),
-                rng=rng,
-                recorder=recorder,
-            )
-        from repro.core.probes import Do53Probe, Do53ProbeConfig
-
-        return Do53Probe(
-            host=vantage.host,
-            service_ip=target.service_ip,
-            config=Do53ProbeConfig(timeout_ms=base.timeout_ms),
-            rng=rng,
-            recorder=recorder,
+            key = (vantage.name, target.hostname, transport)
+            wiring = vars(self._sessions.wiring(key))
+        return make_probe(
+            transport,
+            vantage.host,
+            target.service_ip,
+            target.hostname,
+            dataclasses.replace(
+                self.config.probe_config, doh_path=target.doh_path, **wiring
+            ),
+            rng,
+            self._active_recorder,
         )
 
     def _measure_target(

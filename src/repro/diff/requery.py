@@ -18,17 +18,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.core.probes import (
-    Do53Probe,
-    Do53ProbeConfig,
-    DohProbe,
-    DohProbeConfig,
-    DoqProbe,
-    DoqProbeConfig,
-    DotProbe,
-    DotProbeConfig,
-    ProbeOutcome,
-)
+from repro.core.probes import ProbeConfig, ProbeOutcome, make_probe
 from repro.core.runner import ResolverTarget
 from repro.core.seeding import derive_rng
 from repro.core.vantage import VantagePoint
@@ -44,38 +34,14 @@ def _make_probe(
     transport: str,
     rng: random.Random,
 ):
-    if transport == "doh":
-        return DohProbe(
-            host=vantage.host,
-            service_ip=target.service_ip,
-            server_name=target.hostname,
-            config=DohProbeConfig(doh_path=target.doh_path),
-            rng=rng,
-        )
-    if transport == "dot":
-        return DotProbe(
-            host=vantage.host,
-            service_ip=target.service_ip,
-            server_name=target.hostname,
-            config=DotProbeConfig(),
-            rng=rng,
-        )
-    if transport == "doq":
-        return DoqProbe(
-            host=vantage.host,
-            service_ip=target.service_ip,
-            server_name=target.hostname,
-            config=DoqProbeConfig(),
-            rng=rng,
-        )
-    if transport == "do53":
-        return Do53Probe(
-            host=vantage.host,
-            service_ip=target.service_ip,
-            config=Do53ProbeConfig(),
-            rng=rng,
-        )
-    raise CampaignConfigError(f"cannot re-query over transport {transport!r}")
+    return make_probe(
+        transport,
+        vantage.host,
+        target.service_ip,
+        target.hostname,
+        ProbeConfig(doh_path=target.doh_path),
+        rng,
+    )
 
 
 def verify_reproducibility(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.stats import BoxplotStats, summarize
-from repro.core.probes import DohProbe, DohProbeConfig
+from repro.core.probes import ProbeConfig, make_probe
 from repro.distribution.strategies import Strategy
 from repro.errors import CampaignConfigError
 
@@ -110,7 +110,7 @@ def evaluate_strategy(
     domains: Sequence[str],
     queries: int = 60,
     seed: int = 0,
-    probe_config: Optional[DohProbeConfig] = None,
+    probe_config: Optional[ProbeConfig] = None,
 ) -> DistributionOutcome:
     """Run ``queries`` simulated lookups under ``strategy``.
 
@@ -124,7 +124,7 @@ def evaluate_strategy(
         raise CampaignConfigError("need at least one domain")
     rng = random.Random(seed)
     vantage = world.vantage(vantage_name)
-    config = probe_config or DohProbeConfig()
+    config = probe_config or ProbeConfig()
 
     durations: List[float] = []
     failures = 0
@@ -148,7 +148,8 @@ def evaluate_strategy(
 
         for hostname in picks:
             deployment = world.deployment(hostname)
-            probe = DohProbe(
+            probe = make_probe(
+                "doh",
                 vantage.host,
                 deployment.service_ip,
                 hostname,

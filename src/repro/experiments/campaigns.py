@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 
     from repro.session import SessionPolicy
 
-from repro.core.probes import DohProbeConfig
 from repro.core.results import ResultStore
 from repro.core.runner import Campaign, CampaignConfig, RetryPolicy
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
@@ -34,6 +33,7 @@ from repro.errors import CampaignConfigError
 from repro.experiments.world import World
 from repro.faults import FaultPlan, FaultPlanConfig, inject_faults
 from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
+from repro.transports import SESSION_TRANSPORTS
 
 
 def home_campaign_config(rounds: int = 30, seed: int = 101) -> CampaignConfig:
@@ -43,7 +43,6 @@ def home_campaign_config(rounds: int = 30, seed: int = 101) -> CampaignConfig:
         schedule=PeriodicSchedule(
             rounds=rounds, interval_ms=6 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
-        probe_config=DohProbeConfig(),
         seed=seed,
     )
 
@@ -55,7 +54,6 @@ def ec2_campaign_config(rounds: int = 30, seed: int = 202) -> CampaignConfig:
         schedule=PeriodicSchedule(
             rounds=rounds, interval_ms=8 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
-        probe_config=DohProbeConfig(),
         seed=seed,
     )
 
@@ -72,7 +70,6 @@ def monthly_recheck_config(
             start_ms=start_ms,
             stagger_ms=10 * 60 * 1000.0,
         ),
-        probe_config=DohProbeConfig(),
         seed=seed,
     )
 
@@ -98,7 +95,6 @@ def fault_campaign_config(
             start_ms=start_ms,
             stagger_ms=10 * 60 * 1000.0,
         ),
-        probe_config=DohProbeConfig(),
         retry=retry if retry is not None else RetryPolicy(attempts=2),
         seed=seed,
     )
@@ -176,7 +172,6 @@ def diff_campaign_config(
             rounds=rounds, interval_ms=6 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
         transport=transport,
-        probe_config=DohProbeConfig(),
         ping=False,
         seed=seed,
         capture_responses=True,
@@ -249,7 +244,7 @@ def sessions_campaign_config(
     policy: "SessionPolicy",
     rounds: int = 3,
     seed: int = 606,
-    transports: Sequence[str] = ("doh", "dot", "doq", "doh3"),
+    transports: Sequence[str] = SESSION_TRANSPORTS,
     domains: Optional[Sequence[str]] = None,
 ) -> CampaignConfig:
     """One cell of the session scenario matrix: a transport sweep under
@@ -279,7 +274,7 @@ def run_sessions_study(
     world_seed: int = 0,
     rounds: int = 3,
     seed: int = 606,
-    transports: Sequence[str] = ("doh", "dot", "doq", "doh3"),
+    transports: Sequence[str] = SESSION_TRANSPORTS,
     domains: Optional[Sequence[str]] = None,
     vantage_names: Optional[Sequence[str]] = None,
     target_hostnames: Optional[Iterable[str]] = None,

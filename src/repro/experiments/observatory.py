@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.catalog.resolvers import CATALOG
-from repro.core.probes import DohProbeConfig
 from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_DAY, MS_PER_HOUR, PeriodicSchedule
 from repro.core.seeding import derive_seed
@@ -88,7 +87,6 @@ def observer_campaign_configs(
                         stagger_ms=10 * 60 * 1000.0,
                     ),
                     transport=transport,
-                    probe_config=DohProbeConfig(),
                     ping=False,
                     seed=derive_seed(seed, "observe", month, transport),
                     capture_responses=True,

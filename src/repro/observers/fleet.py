@@ -34,12 +34,14 @@ from repro.observers.significance import (
     debounce_day,
 )
 from repro.observers.spec import ObserverRegistry, ObserverSpec, default_registry
+from repro.transports import QUIC_TRANSPORTS, SESSION_TRANSPORTS
 
-#: Encrypted transports, for the adoption-share denominator.
-_ENCRYPTED_TRANSPORTS = frozenset({"doh", "dot", "doq", "doh3"})
+#: Encrypted transports, for the adoption-share denominator: the ones
+#: carried over TLS or QUIC, which is also what gives them sessions.
+_ENCRYPTED_TRANSPORTS = frozenset(SESSION_TRANSPORTS)
 #: QUIC-carried DNS counts as "modern": DoQ and DoH/3 by transport, plus
 #: any DoH record that negotiated HTTP/3 (http_version "h3").
-_QUIC_TRANSPORTS = frozenset({"doq", "doh3"})
+_QUIC_TRANSPORTS = frozenset(QUIC_TRANSPORTS)
 _MODERN_HTTP_VERSIONS = frozenset({"h3"})
 
 _ESTABLISHMENT_CLASSES = frozenset(ESTABLISHMENT_CLASS_VALUES)

@@ -21,15 +21,10 @@ from repro.netsim.icmp import IcmpPolicy
 from repro.netsim.network import Network
 from repro.netsim.packet import Segment
 from repro.resolver.cache import DnsCache
-from repro.resolver.frontends import (
-    Do53Frontend,
-    Doh3Frontend,
-    DoHFrontend,
-    DoQFrontend,
-    DoTFrontend,
-)
+from repro.resolver.frontends import Frontend
 from repro.resolver.recursive import RecursiveResolver, RootHints
 from repro.tlssim.handshake import TlsServerConfig
+from repro.transports import TRANSPORTS
 
 
 @dataclass
@@ -156,33 +151,16 @@ class ResolverDeployment:
                 versions=tuple(self.tls_versions),
                 alpn_preference=tuple(self.http_versions),
             )
-            frontends: List[object] = []
-            if "do53" in self.transports:
-                frontends.append(
-                    Do53Frontend(deployment=self, site=site, rng=random.Random(rng.getrandbits(32)))
+            # One draw from the site stream per frontend, in this order:
+            # it is part of every existing world's identity.
+            frontends: List[object] = [
+                Frontend(
+                    TRANSPORTS[name], self, site,
+                    random.Random(rng.getrandbits(32)), tls_config,
                 )
-            if "dot" in self.transports:
-                frontends.append(
-                    DoTFrontend(
-                        deployment=self,
-                        site=site,
-                        tls_config=tls_config,
-                        rng=random.Random(rng.getrandbits(32)),
-                    )
-                )
-            if "doh" in self.transports:
-                frontends.append(
-                    DoHFrontend(
-                        deployment=self,
-                        site=site,
-                        tls_config=tls_config,
-                        rng=random.Random(rng.getrandbits(32)),
-                    )
-                )
-            if "doq" in self.transports:
-                frontends.append(
-                    DoQFrontend(deployment=self, site=site, rng=random.Random(rng.getrandbits(32)))
-                )
+                for name in ("do53", "dot", "doh", "doq")
+                if name in self.transports
+            ]
             if "doh3" in self.transports:
                 # Deliberately NOT another draw from the sequential site
                 # rng: the syn policy above closes over that stream and
@@ -191,10 +169,9 @@ class ResolverDeployment:
                 # existing worlds byte-for-byte.  A separately derived
                 # stream keeps legacy behaviour untouched.
                 frontends.append(
-                    Doh3Frontend(
-                        deployment=self,
-                        site=site,
-                        rng=derive_rng(self.seed, "deployment", self.hostname, index, "doh3"),
+                    Frontend(
+                        TRANSPORTS["doh3"], self, site,
+                        derive_rng(self.seed, "deployment", self.hostname, index, "doh3"),
                     )
                 )
             site.frontends = frontends

@@ -26,12 +26,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.session.policy import SessionPolicy
 from repro.tlssim.session import SessionCache, SessionTicket
+from repro.transports import SESSION_TRANSPORTS
 
 #: Broker key: (vantage name, resolver hostname, transport).
 SessionKey = Tuple[str, str, str]
-
-#: Transports that carry session state (Do53 has none).
-SESSION_TRANSPORTS: Tuple[str, ...] = ("doh", "dot", "doq", "doh3")
 
 
 class ClampedSessionCache(SessionCache):

@@ -308,6 +308,11 @@ class _TlsEndpoint:
         assert self.tcp.host.network is not None
         return self.tcp.host.network.loop
 
+    @property
+    def closed(self) -> bool:
+        """The TCP connection underneath is gone: writes would be dropped."""
+        return self.tcp.state != self.tcp.ESTABLISHED
+
     def send_application(self, data: bytes) -> None:
         raise NotImplementedError
 

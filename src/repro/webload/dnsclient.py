@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.probes import Do53Probe, Do53ProbeConfig, DohProbe, DohProbeConfig
+from repro.core.probes import ProbeConfig, make_probe
 from repro.errors import CampaignConfigError, ResolutionFailed
 from repro.netsim.host import Host
 
@@ -53,21 +53,17 @@ class StubResolver:
         self.cache_hits = 0
         self.upstream_queries = 0
         self.total_lookup_ms = 0.0
-        if self.config.transport == "doh":
-            self._probe = DohProbe(
-                host, resolver_ip, resolver_name,
-                DohProbeConfig(
-                    reuse_connections=self.config.reuse_connections,
-                    timeout_ms=self.config.timeout_ms,
-                ),
-                rng=self.rng,
-            )
-        else:
-            self._probe = Do53Probe(
-                host, resolver_ip,
-                Do53ProbeConfig(timeout_ms=self.config.timeout_ms),
-                rng=self.rng,
-            )
+        self._probe = make_probe(
+            self.config.transport,
+            host,
+            resolver_ip,
+            resolver_name,
+            ProbeConfig(
+                reuse_connections=self.config.reuse_connections,
+                timeout_ms=self.config.timeout_ms,
+            ),
+            rng=self.rng,
+        )
 
     @property
     def _loop(self):
