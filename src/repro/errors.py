@@ -9,6 +9,8 @@ classes here carry the raw failure.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -160,6 +162,26 @@ class ProbeTimeout(MeasurementError):
 
 class CampaignConfigError(MeasurementError):
     """A measurement campaign was configured inconsistently."""
+
+
+class ShardWorkerError(MeasurementError):
+    """A shard's child process ended without handing back a result.
+
+    Raised by the parallel runner when a child is killed, runs out of
+    memory or calls ``os._exit``: ``shard_key`` names the shard it was
+    running and ``exitcode`` is the child's (negative for a signal).
+    An exception raised *inside* a shard is not this error: it re-raises
+    in the parent as its own type, with one of these as its cause to
+    carry the shard key and the child's traceback (``exitcode`` is
+    ``None`` there, the child was still running).
+    """
+
+    def __init__(
+        self, message: str, shard_key: str = "", exitcode: Optional[int] = None
+    ) -> None:
+        super().__init__(message)
+        self.shard_key = shard_key
+        self.exitcode = exitcode
 
 
 class ResultsFormatError(MeasurementError):

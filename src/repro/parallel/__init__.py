@@ -8,19 +8,20 @@ to a worker pool:
   (vantage × resolver × round) space into disjoint, covering shards and
   derives a stable per-shard seed from the campaign seed;
 * :mod:`repro.parallel.executor` runs one shard standalone — a fresh
-  world built from the campaign's world seed, the campaign restricted to
-  the shard's slice — and returns records, spans and metrics state;
+  world for the campaign's world seed (inherited from the parent by a
+  forked child, built on the spot otherwise), the campaign restricted
+  to the shard's slice — and returns records, spans and metrics state;
 * :mod:`repro.parallel.merge` folds shard results back into a single
   :class:`~repro.core.results.ResultStore`, span collector and metrics
   registry, deterministically: the merged artifacts are byte-identical
   no matter how many workers ran or which shard finished first;
-* :mod:`repro.parallel.runner` orchestrates the whole thing across a
-  :class:`concurrent.futures.ProcessPoolExecutor` (with an in-process
-  sequential fallback for ``workers=1`` and platforms without usable
-  multiprocessing).
+* :mod:`repro.parallel.runner` orchestrates the whole thing: it warms
+  one world, then runs each shard in a child process forked from it, at
+  most ``workers`` at a time (with an in-process sequential path for
+  ``workers=1`` and for platforms that cannot start a child).
 
-The execution model is *shard-decomposed*: each shard runs on its own
-freshly built world, so shard results depend only on the shard spec —
+The execution model is *shard-decomposed*: each shard runs on a world no
+other shard has touched, so shard results depend only on the shard spec —
 never on co-scheduled traffic from other shards or on which process ran
 them.  ``run_parallel(plan, workers=1)`` is the serial reference run;
 any ``workers=N`` of the same plan reproduces it byte for byte.

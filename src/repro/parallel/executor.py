@@ -1,19 +1,23 @@
 """Standalone execution of one campaign shard.
 
-:func:`execute_shard` is the unit of work the pool distributes.  It is a
-module-level function taking one picklable :class:`ShardTask` and
+:func:`execute_shard` is the unit of work the runner distributes.  It is
+a module-level function taking one picklable :class:`ShardTask` and
 returning one picklable :class:`ShardResult`, so it runs identically
 
 * in-process (the ``workers=1`` sequential fallback),
-* in a forked worker, and
-* in a spawned worker on platforms without ``fork``.
+* in a forked child, and
+* in a spawned child on platforms without ``fork``.
 
 A shard runs on a **fresh world** built from the campaign's world seed —
 the exact world the serial campaign uses — restricted to the shard's
-vantages, targets and round range.  Because every RNG stream in the
-measurement path is derived from stable structural keys (see
-:mod:`repro.core.seeding`), the result depends only on the task, never on
-the process that ran it or on what other shards are doing.
+vantages, targets and round range.  Fresh means *never run on before*,
+not *built here*: a forked child is handed the pristine world its parent
+built and warmed once (see :func:`pristine_worlds`) and takes it instead
+of building its own; every other caller builds one.  Both are the same
+world, event for event, so the result depends only on the task, never on
+the process that ran it or on what other shards are doing: every RNG
+stream in the measurement path is derived from stable structural keys
+(see :mod:`repro.core.seeding`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import Campaign, CampaignConfig
@@ -35,6 +39,12 @@ from repro.obs import (
     tracing,
 )
 from repro.parallel.shard import Shard
+
+if TYPE_CHECKING:
+    from repro.experiments.world import World
+
+#: What tells two shard worlds apart before a shard has touched them.
+WorldKey = Tuple[int, bool]
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,9 @@ class ShardResult:
     #: is empty in that mode.
     warehouse_path: Optional[str] = None
     record_count: int = -1
+    #: The part of ``wall_seconds`` spent before ``Campaign.run``: getting
+    #: the world (built here, or inherited) and arming faults on it.
+    setup_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.record_count < 0:
@@ -136,16 +149,50 @@ class ShardResult:
         return (
             f"shard[{self.shard_index}] {self.shard_key}: "
             f"{self.record_count} records, {len(self.spans)} spans, "
-            f"{self.wall_seconds:.2f}s"
+            f"{self.wall_seconds:.2f}s ({self.setup_seconds:.2f}s setup)"
         )
 
 
-def execute_shard(task: ShardTask) -> ShardResult:
-    """Run one shard on a fresh world and collect its artifacts."""
+def world_key(task: ShardTask) -> WorldKey:
+    return (task.world_seed, task.warm_caches)
+
+
+def pristine_worlds(tasks: Iterable[ShardTask]) -> Dict[WorldKey, "World"]:
+    """One built (and warmed) world per distinct :func:`world_key` in ``tasks``.
+
+    The runner calls this once, before it forks, so that every child
+    starts from the same untouched world by copy-on-write instead of
+    re-simulating the cache warm-up.  The build runs with tracing and
+    metrics off, whatever the caller has installed: a child that built
+    its own world reported the warm-up to nobody either.
+    """
     from repro.experiments.world import build_world
 
+    worlds: Dict[WorldKey, "World"] = {}
+    with tracing(recorder=NULL_RECORDER, metrics=MetricsRegistry(enabled=False)):
+        for task in tasks:
+            key = world_key(task)
+            if key not in worlds:
+                worlds[key] = build_world(seed=key[0], warm_caches=key[1])
+    return worlds
+
+
+def execute_shard(
+    task: ShardTask, inherited: Optional[Dict[WorldKey, "World"]] = None
+) -> ShardResult:
+    """Run one shard on a fresh world and collect its artifacts.
+
+    ``inherited`` is this process's own copy of :func:`pristine_worlds`.
+    A campaign changes the world it runs on, so the shard *pops* its
+    world from the mapping: a second task in the same process finds none
+    there and builds its own.
+    """
     started = time.perf_counter()
-    world = build_world(seed=task.world_seed, warm_caches=task.warm_caches)
+    world = inherited.pop(world_key(task), None) if inherited else None
+    if world is None:
+        from repro.experiments.world import build_world
+
+        world = build_world(seed=task.world_seed, warm_caches=task.warm_caches)
     if task.network_seed is not None:
         # De-correlate this shard's packet noise from its siblings.  The
         # reseed happens after cache warming, so all shards diverge from
@@ -216,6 +263,7 @@ def execute_shard(task: ShardTask) -> ShardResult:
         warehouse_path = str(staging_root)
     else:
         store = ResultStore()
+    setup_seconds = time.perf_counter() - started
     # Install both ambiently so the protocol layers (netsim, tlssim,
     # httpsim, quicsim) report into the shard's own registry; the
     # sequential fallback restores the previous ambient pair on exit.
@@ -242,4 +290,5 @@ def execute_shard(task: ShardTask) -> ShardResult:
         wall_seconds=time.perf_counter() - started,
         warehouse_path=warehouse_path,
         record_count=record_count,
+        setup_seconds=setup_seconds,
     )

@@ -2,30 +2,46 @@
 
 :func:`plan_campaign` turns a campaign description into a list of
 :class:`~repro.parallel.executor.ShardTask`; :func:`run_parallel`
-executes the tasks — sequentially in-process for ``workers=1``, across a
-:class:`concurrent.futures.ProcessPoolExecutor` otherwise — and merges
+executes the tasks — sequentially in-process for ``workers=1``, one child
+process per shard with at most ``workers`` alive otherwise — and merges
 the results deterministically.  Both paths run the *same* tasks through
 the *same* :func:`~repro.parallel.executor.execute_shard`, which is why
 ``workers=4`` reproduces ``workers=1`` byte for byte.
 
-If the platform cannot start worker processes at all (no ``fork`` and a
-broken ``spawn``, restricted environments), the pool path degrades to the
-sequential fallback instead of failing, with a note on the result.
+Where the platform has ``fork``, the parent builds and warms one world
+per run (:func:`~repro.parallel.executor.pristine_worlds`) before the
+first child exists, and each child starts from it by copy-on-write: the
+cache warm-up is simulated once, not once per shard, and the operating
+system is the snapshot.  Elsewhere children are spawned and build their
+own world, as the sequential path does.
+
+If the platform cannot start a child process at all (restricted
+environments), the run degrades to the sequential fallback instead of
+failing, with a note on the result.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import shutil
-from dataclasses import dataclass, field
+import time
+import traceback
+from collections import deque
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import ResultStore
 from repro.core.runner import CampaignConfig
-from repro.errors import CampaignConfigError
+from repro.errors import CampaignConfigError, ShardWorkerError, StoreError
 from repro.obs import MetricsRegistry, SpanCollector
-from repro.parallel.executor import ShardResult, ShardTask, execute_shard
+from repro.parallel.executor import (
+    ShardResult,
+    ShardTask,
+    execute_shard,
+    pristine_worlds,
+)
 from repro.parallel.merge import merge_shard_results, merge_shard_warehouses
 from repro.parallel.shard import Shard, partition
 
@@ -43,6 +59,9 @@ class ParallelRun:
     fallback_reason: Optional[str] = None
     wall_seconds: float = 0.0
     shard_wall_seconds: Dict[str, float] = field(default_factory=dict)
+    #: What the parent spent, once, building and warming the world its
+    #: children started from (0 when every shard built its own).
+    warm_seconds: float = 0.0
     #: The canonical warehouse when the run streamed to disk (``store_dir``
     #: was set); ``store`` is empty in that mode.
     warehouse: Optional[object] = None
@@ -66,10 +85,12 @@ class ParallelRun:
         sink = (
             f" -> warehouse {self.warehouse.root}" if self.warehouse is not None else ""
         )
+        setup = sum(result.setup_seconds for result in self.shard_results)
         return (
             f"parallel run: {len(self.shard_results)} shards via {mode}, "
             f"{self.record_count} records, {len(self.spans)} spans, "
-            f"{self.wall_seconds:.2f}s wall{sink}"
+            f"{self.wall_seconds:.2f}s wall ({self.warm_seconds:.2f}s warming "
+            f"the shared world, {setup:.2f}s shard setup){sink}"
         )
 
 
@@ -128,30 +149,131 @@ def chain_tasks(*plans: Sequence[ShardTask]) -> List[ShardTask]:
     through one worker pool while keeping the merge order well-defined:
     plan order first, shard order within each plan second.
     """
-    from dataclasses import replace as dc_replace
-
     chained: List[ShardTask] = []
     for plan in plans:
         for task in plan:
-            chained.append(dc_replace(task, shard_index=len(chained)))
+            chained.append(replace(task, shard_index=len(chained)))
     return chained
 
 
-def _run_sequential(tasks: Sequence[ShardTask]) -> List[ShardResult]:
-    return [execute_shard(task) for task in tasks]
+class _NoChildren(Exception):
+    """This platform cannot start a child process; nothing has run yet."""
 
 
-def _run_pooled(tasks: Sequence[ShardTask], workers: int) -> List[ShardResult]:
-    from concurrent.futures import ProcessPoolExecutor
+def _shard_child(sender, task: ShardTask, worlds) -> None:
+    """Child entry point: run one shard, send ``(result, error, traceback)``."""
+    try:
+        outcome = (execute_shard(task, worlds), None, "")
+    except Exception as exc:
+        remote_traceback = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            # It would not survive the pipe (a constructor that takes
+            # other arguments than it stores): the traceback names it.
+            exc = None
+        outcome = (None, exc, remote_traceback)
+    sender.send(outcome)
+    sender.close()
 
+
+def _run_children(
+    tasks: Sequence[ShardTask], workers: int
+) -> Tuple[List[ShardResult], float]:
+    """Run each task in its own child, at most ``workers`` alive at a time.
+
+    Returns the results in completion order (the merge sorts them) and
+    the seconds the parent spent on the world the children inherited.  A
+    failed shard ends the run: the other children are terminated and
+    joined, and the failure raises here — the shard's own exception, or
+    :class:`~repro.errors.ShardWorkerError` for a child that died.
+    """
+    try:
+        import multiprocessing
+        from multiprocessing.connection import wait
+    except ImportError as exc:
+        raise _NoChildren(str(exc)) from exc
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    started = time.perf_counter()
+    # Forked children share these pages until they write to them; a
+    # spawned child could not be sent a world (closures do not pickle).
+    worlds = pristine_worlds(tasks) if fork else None
+    warm_seconds = time.perf_counter() - started
+
+    pending = deque(tasks)
+    live = []  # (process, receiver, task)
     results: List[ShardResult] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = [pool.submit(execute_shard, task) for task in tasks]
-        # Collect in completion-independent submission order; the merge
-        # re-sorts by shard index anyway, so ordering here is cosmetic.
-        for future in futures:
-            results.append(future.result())
-    return results
+    try:
+        while pending or live:
+            while pending and len(live) < workers:
+                task = pending.popleft()
+                receiver, sender = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_shard_child, args=(sender, task, worlds)
+                )
+                try:
+                    process.start()
+                except OSError as exc:
+                    receiver.close()
+                    if live or results:
+                        raise
+                    raise _NoChildren(str(exc)) from exc
+                finally:
+                    sender.close()
+                live.append((process, receiver, task))
+            # A result is read before its child is joined (a child blocks
+            # in ``send`` until the pipe is drained), and the sentinels are
+            # watched beside the pipes so a killed child wakes the parent.
+            wait(
+                [
+                    waitable
+                    for process, receiver, _task in live
+                    for waitable in (receiver, process.sentinel)
+                ]
+            )
+            for child in list(live):
+                process, receiver, task = child
+                # Asked before the poll: a child seen exited here has sent
+                # all it ever will, so an empty pipe means no result.
+                exited = not process.is_alive()
+                if receiver.poll():
+                    try:
+                        outcome = receiver.recv()
+                    except EOFError:
+                        outcome = None
+                elif exited:
+                    outcome = None
+                else:
+                    continue
+                process.join()
+                receiver.close()
+                live.remove(child)
+                if outcome is None:
+                    raise ShardWorkerError(
+                        f"shard {task.shard_key!r} lost its child process "
+                        f"(exit code {process.exitcode}) before a result",
+                        task.shard_key,
+                        process.exitcode,
+                    )
+                result, error, remote_traceback = outcome
+                if result is None:
+                    cause = ShardWorkerError(
+                        f"shard {task.shard_key!r} raised in its child "
+                        f"process:\n{remote_traceback}",
+                        task.shard_key,
+                    )
+                    if error is None:
+                        raise cause
+                    raise error from cause
+                results.append(result)
+    finally:
+        for process, receiver, _task in live:
+            process.terminate()
+            process.join()
+            receiver.close()
+    return results, warm_seconds
 
 
 def run_parallel(
@@ -164,8 +286,9 @@ def run_parallel(
     """Execute shard tasks and merge their results.
 
     ``workers=1`` (or a single task) runs everything in-process; higher
-    counts use a process pool, falling back to sequential execution — with
-    the reason recorded on the result — when worker processes cannot be
+    counts run each shard in a child process of its own (at most
+    ``workers`` at a time), falling back to sequential execution — with
+    the reason recorded on the result — when no child process can be
     started on this platform.
 
     With ``store_dir`` set, every shard streams its records into a
@@ -184,18 +307,23 @@ def run_parallel(
     monitor lands on
     ``ParallelRun.monitor`` and its detector gauges in the merged metrics.
     """
-    import time
-    from dataclasses import replace as dc_replace
-
     if not tasks:
         raise CampaignConfigError("no shard tasks to run")
     if workers < 1:
         raise CampaignConfigError(f"worker count {workers!r} must be >= 1")
+    staging: Optional[Path] = None
     if store_dir is not None:
-        staging = str(Path(store_dir) / ".staging")
+        staging = Path(store_dir) / ".staging"
+        if staging.exists():
+            raise StoreError(
+                f"shard staging left behind at {staging} (a run into "
+                f"{store_dir} was killed, or is still going): remove it first"
+            )
         tasks = [
-            dc_replace(
-                task, store_staging_dir=staging, segment_records=segment_records
+            replace(
+                task,
+                store_staging_dir=str(staging),
+                segment_records=segment_records,
             )
             for task in tasks
         ]
@@ -203,29 +331,29 @@ def run_parallel(
     started = time.perf_counter()
     pool_used = False
     fallback_reason: Optional[str] = None
-    if workers == 1 or len(tasks) == 1:
-        results = _run_sequential(tasks)
-    else:
-        try:
-            results = _run_pooled(tasks, workers)
-            pool_used = True
-        except (ImportError, OSError, PermissionError) as exc:
-            # Platforms without usable multiprocessing (no fork, sandboxed
-            # spawn, missing semaphores) still complete the run.
-            fallback_reason = f"process pool unavailable: {exc}"
-            results = _run_sequential(tasks)
-
+    warm_seconds = 0.0
     warehouse = None
-    if store_dir is not None:
-        warehouse = merge_shard_warehouses(
-            results, store_dir, segment_records=segment_records
-        )
-        shutil.rmtree(Path(store_dir) / ".staging", ignore_errors=True)
-        store, spans, metrics = merge_shard_results(
-            [dc_replace(result, records=[]) for result in results]
-        )
-    else:
-        store, spans, metrics = merge_shard_results(results)
+    try:
+        if workers > 1 and len(tasks) > 1:
+            try:
+                results, warm_seconds = _run_children(tasks, workers)
+                pool_used = True
+            except _NoChildren as exc:
+                # Sandboxes that forbid new processes still complete the run.
+                fallback_reason = f"process pool unavailable: {exc}"
+        if not pool_used:
+            results = [execute_shard(task) for task in tasks]
+        if store_dir is not None:
+            warehouse = merge_shard_warehouses(
+                results, store_dir, segment_records=segment_records
+            )
+    finally:
+        # Also after a failed shard or merge: what is left would make the
+        # next run into this directory refuse to start.
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+    # A store run's results carry no records: its merged store is empty.
+    store, spans, metrics = merge_shard_results(results)
 
     monitor = None
     if slo_policy is not None:
@@ -253,6 +381,7 @@ def run_parallel(
         shard_wall_seconds={
             result.shard_key: result.wall_seconds for result in results
         },
+        warm_seconds=warm_seconds,
         warehouse=warehouse,
         monitor=monitor,
     )

@@ -71,14 +71,38 @@ SEGMENTS_DIRNAME = "segments"
 DEFAULT_SEGMENT_RECORDS = 4096
 
 
+class _LineTieBreak:
+    """A record's serialized line, computed only if it is compared.
+
+    Second element of :func:`merge_key`: tuple comparison reaches it only
+    when two canonical keys are equal, which a campaign never produces, so
+    sorting and merging serialize nothing.
+    """
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: MeasurementRecord) -> None:
+        self.record = record
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _LineTieBreak):
+            return NotImplemented
+        return self.record.to_json() == other.record.to_json()
+
+    def __lt__(self, other: "_LineTieBreak") -> bool:
+        return self.record.to_json() < other.record.to_json()
+
+
 def merge_key(record: MeasurementRecord) -> tuple:
     """Total order used inside segments and across the k-way merge.
 
     The canonical key plus the serialized line as tie-breaker, so the
     merge is a total order even for duplicate records and never depends
-    on which source produced a record first.
+    on which source produced a record first.  The line is lazy (see
+    :class:`_LineTieBreak`): a record is serialized when it is written
+    and at no other time.
     """
-    return (ResultStore.canonical_key(record), record.to_json())
+    return (ResultStore.canonical_key(record), _LineTieBreak(record))
 
 
 class Warehouse:

@@ -10,6 +10,7 @@ serialization against every combination of optional fields.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -56,6 +57,11 @@ _records = st.builds(
     tls_ms=_opt_ms,
     query_ms=_opt_ms,
     failed_phase=st.one_of(st.none(), st.sampled_from(["connect", "tls", "query"])),
+    response_wire=st.one_of(st.none(), st.binary(max_size=16).map(bytes.hex)),
+    session_state=st.one_of(
+        st.none(), st.sampled_from(["cold", "warm", "resumed", "zero_rtt"])
+    ),
+    session_policy=st.one_of(st.none(), st.sampled_from(["cold", "keep-alive"])),
 )
 
 _prop = settings(
@@ -70,6 +76,35 @@ def test_record_round_trips_through_jsonl(record: MeasurementRecord):
     assert MeasurementRecord.from_json(line) == record
     # And the serialization itself is stable (canonical key order).
     assert MeasurementRecord.from_json(line).to_json() == line
+
+
+def _asdict_form(record: MeasurementRecord) -> str:
+    """``to_json`` as it was written before it named its fields."""
+    data = dataclasses.asdict(record)
+    for late_field in ("session_state", "session_policy"):
+        if data[late_field] is None:
+            del data[late_field]
+    return json.dumps(data, separators=(",", ":"), sort_keys=True)
+
+
+@_prop
+@given(record=_records)
+def test_to_json_is_the_asdict_form(record: MeasurementRecord):
+    assert record.to_json() == _asdict_form(record)
+
+
+def test_to_json_names_every_field():
+    # ``to_json`` lists the fields by hand; one added to the dataclass and
+    # forgotten there would vanish from every results file.
+    record = MeasurementRecord(
+        campaign="c", vantage="v", resolver="r", kind="dns_query",
+        transport="doh", domain="example.com", round_index=0,
+        started_at_ms=0.0, duration_ms=1.0, success=True,
+        session_state="cold", session_policy="cold",
+    )
+    assert set(json.loads(record.to_json())) == {
+        f.name for f in dataclasses.fields(MeasurementRecord)
+    }
 
 
 @_prop

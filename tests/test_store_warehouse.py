@@ -9,6 +9,7 @@ compaction.  Campaign-scale golden-master equivalence lives in
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -93,6 +94,49 @@ def test_sink_rotates_segments_and_bounds_buffer(tmp_path):
         )
         keys = [merge_key(r) for r in segment_records]
         assert keys == sorted(keys)
+
+
+def test_merge_key_is_a_total_order_on_equal_canonical_keys():
+    base = make_record(3)
+    twin = make_record(3)
+    # Same canonical key, another line: a non-key field differs.
+    slower = dataclasses.replace(base, duration_ms=base.duration_ms + 1.0)
+    assert ResultStore.canonical_key(slower) == ResultStore.canonical_key(base)
+    assert merge_key(base) == merge_key(twin)
+    assert not merge_key(base) < merge_key(twin) and not merge_key(twin) < merge_key(base)
+    assert merge_key(base) != merge_key(slower)
+    assert (merge_key(base) < merge_key(slower)) == (base.to_json() < slower.to_json())
+    assert (merge_key(slower) < merge_key(base)) == (slower.to_json() < base.to_json())
+    # ... so the order never depends on which source a record came from.
+    for arrival in ([base, slower, twin], [slower, twin, base], [twin, base, slower]):
+        assert [r.to_json() for r in sorted(arrival, key=merge_key)] == sorted(
+            r.to_json() for r in arrival
+        )
+
+
+def test_sorting_and_merging_serialize_nothing(tmp_path, monkeypatch):
+    records = make_fleet(40)
+    assert len({ResultStore.canonical_key(r) for r in records}) == len(records)
+    calls = []
+    real = MeasurementRecord.to_json
+    monkeypatch.setattr(
+        MeasurementRecord, "to_json", lambda self: calls.append(1) or real(self)
+    )
+    shuffled = records[1::2] + records[::2]
+    assert sorted(shuffled, key=merge_key) == sorted(
+        records, key=ResultStore.canonical_key
+    )
+    assert calls == []
+    # Through the store, a record is serialized when it is written and at
+    # no other time: once into staging, once into the canonical warehouse.
+    sink = StoreSink(Warehouse(tmp_path / "staging"), segment_records=8)
+    sink.extend(shuffled)
+    staging = sink.close()
+    assert len(calls) == len(records)
+    assert len(list(staging.iter_sorted())) == len(records)
+    assert len(calls) == len(records)
+    Warehouse.build_canonical([staging], tmp_path / "canonical", segment_records=8)
+    assert len(calls) == 2 * len(records)
 
 
 def test_sink_refuses_existing_warehouse(tmp_path):
