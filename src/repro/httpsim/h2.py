@@ -68,23 +68,40 @@ class _FrameBuffer:
         self.preface_pending = False
 
     def feed(self, data: bytes) -> List[Tuple[int, int, int, bytes]]:
-        self._buffer += data
+        # With nothing buffered (nearly every feed) frames are cut straight
+        # out of ``data``; only an incomplete tail is copied into the buffer.
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            source = buffer
+        else:
+            source = data
         frames = []
-        if self.preface_pending:
-            if len(self._buffer) < len(PREFACE):
-                return frames
-            if bytes(self._buffer[: len(PREFACE)]) != PREFACE:
-                raise HttpProtocolError("bad HTTP/2 connection preface")
-            del self._buffer[: len(PREFACE)]
-            self.preface_pending = False
-        while len(self._buffer) >= _FRAME_HEADER.size:
-            length_bytes, frame_type, flags, stream_id = _FRAME_HEADER.unpack_from(self._buffer, 0)
-            length = int.from_bytes(length_bytes, "big")
-            if len(self._buffer) < _FRAME_HEADER.size + length:
-                break
-            payload = bytes(self._buffer[_FRAME_HEADER.size : _FRAME_HEADER.size + length])
-            del self._buffer[: _FRAME_HEADER.size + length]
-            frames.append((frame_type, flags, stream_id & 0x7FFFFFFF, payload))
+        offset = 0
+        available = len(source)
+        header_size = _FRAME_HEADER.size
+        try:
+            if self.preface_pending:
+                if available < len(PREFACE):
+                    return frames
+                if bytes(source[: len(PREFACE)]) != PREFACE:
+                    raise HttpProtocolError("bad HTTP/2 connection preface")
+                offset = len(PREFACE)
+                self.preface_pending = False
+            while available - offset >= header_size:
+                length_bytes, frame_type, flags, stream_id = _FRAME_HEADER.unpack_from(source, offset)
+                end = offset + header_size + int.from_bytes(length_bytes, "big")
+                if end > available:
+                    break
+                payload = bytes(source[offset + header_size : end])
+                frames.append((frame_type, flags, stream_id & 0x7FFFFFFF, payload))
+                offset = end
+        finally:
+            # Also on error: what was consumed stays consumed.
+            if source is buffer:
+                del buffer[:offset]
+            elif offset < available:
+                buffer += source[offset:]
         return frames
 
 

@@ -64,6 +64,24 @@ class HostImpairments:
     extra_delay_ms: float = 0.0
     extra_processing_ms: float = 0.0
 
+    #: True while any field is off its neutral value.  Not a field: every
+    #: assignment to one brings it up to date, because the fault injector
+    #: writes a few times per window and ``Network.transmit`` reads it
+    #: twice per packet.
+    any_active = False
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        object.__setattr__(
+            self,
+            "any_active",
+            self.syn_override is not None
+            or self.tls_failure
+            or self.extra_loss_rate > 0.0
+            or self.extra_delay_ms > 0.0
+            or self.extra_processing_ms > 0.0,
+        )
+
     def clear(self) -> None:
         """Reset every impairment to its neutral value."""
         self.syn_override = None
@@ -71,16 +89,6 @@ class HostImpairments:
         self.extra_loss_rate = 0.0
         self.extra_delay_ms = 0.0
         self.extra_processing_ms = 0.0
-
-    @property
-    def any_active(self) -> bool:
-        return (
-            self.syn_override is not None
-            or self.tls_failure
-            or self.extra_loss_rate > 0.0
-            or self.extra_delay_ms > 0.0
-            or self.extra_processing_ms > 0.0
-        )
 
 
 class Host:
@@ -195,8 +203,6 @@ class Host:
         """Dispatch an arriving TCP segment."""
         if self.blackholed:
             return
-        from repro.netsim.sockets import SimTcpConnection  # local import: cycle
-
         conn = self._tcp_connections.get(segment.conn_id)
         if conn is not None:
             conn.handle_segment(segment)
@@ -222,6 +228,8 @@ class Host:
                     return
                 if verdict == "drop":
                     return
+            from repro.netsim.sockets import SimTcpConnection  # local import: cycle
+
             SimTcpConnection.accept_from_syn(self, segment, acceptor)
             return
         # Segment for a connection we no longer know: real stacks answer RST

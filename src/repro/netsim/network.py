@@ -8,7 +8,9 @@ schedules delivery on the event loop.
 
 Anycast is modelled the way it behaves in practice for measurement studies:
 BGP routes a client to a stable nearby site, so site selection here is the
-minimum fixed one-way delay from the source, cached per (source, anycast IP).
+minimum fixed one-way delay from the source.  The outcome of routing, the
+concrete destination host and the path to it, is cached per (source IP,
+destination IP) until the topology changes, so a packet costs one lookup.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Network:
         self._hosts_by_ip: Dict[str, Host] = {}
         self._hosts_by_name: Dict[str, Host] = {}
         self._anycast: Dict[str, List[Host]] = {}
-        self._anycast_choice: Dict[Tuple[str, str], Host] = {}
+        self._routes: Dict[Tuple[str, str], Tuple[Host, PathCharacteristics]] = {}
         self._path_cache: Dict[Tuple[str, str], PathCharacteristics] = {}
 
     # -- topology ------------------------------------------------------------
@@ -61,6 +63,7 @@ class Network:
             raise AddressError(f"duplicate host name {host.name}")
         self._hosts_by_ip[host.ip] = host
         self._hosts_by_name[host.name] = host
+        self._routes.clear()
         host.network = self
         return host
 
@@ -78,6 +81,7 @@ class Network:
             if site.ip not in self._hosts_by_ip:
                 raise AddressError(f"anycast site {site.name} is not attached")
         self._anycast[anycast_ip] = list(sites)
+        self._routes.clear()
 
     def host_by_ip(self, ip: str) -> Optional[Host]:
         return self._hosts_by_ip.get(ip)
@@ -97,20 +101,28 @@ class Network:
 
     # -- routing ---------------------------------------------------------------
 
+    def _route(self, src: Host, dst_ip: str) -> Tuple[Host, PathCharacteristics]:
+        """The host ``dst_ip`` leads to from ``src`` and the path there (cached).
+
+        An anycast address leads to its site with the lowest fixed one-way
+        delay from ``src``.  :meth:`attach` and :meth:`add_anycast` empty the
+        cache; an unroutable destination raises and is not cached.
+        """
+        key = (src.ip, dst_ip)
+        route = self._routes.get(key)
+        if route is None:
+            dst = self._hosts_by_ip.get(dst_ip)
+            if dst is None:
+                sites = self._anycast.get(dst_ip)
+                if sites is None:
+                    raise RoutingError(f"no route to {dst_ip} from {src.name}")
+                dst = min(sites, key=lambda s: self.path_between(src, s).fixed_one_way_ms)
+            route = self._routes[key] = (dst, self.path_between(src, dst))
+        return route
+
     def resolve_destination(self, src: Host, dst_ip: str) -> Host:
         """Resolve ``dst_ip`` to a concrete host, following anycast groups."""
-        direct = self._hosts_by_ip.get(dst_ip)
-        if direct is not None:
-            return direct
-        sites = self._anycast.get(dst_ip)
-        if sites is None:
-            raise RoutingError(f"no route to {dst_ip} from {src.name}")
-        cache_key = (src.ip, dst_ip)
-        chosen = self._anycast_choice.get(cache_key)
-        if chosen is None or chosen.ip not in self._hosts_by_ip:
-            chosen = min(sites, key=lambda s: self.path_between(src, s).fixed_one_way_ms)
-            self._anycast_choice[cache_key] = chosen
-        return chosen
+        return self._route(src, dst_ip)[0]
 
     def path_between(self, src: Host, dst: Host) -> PathCharacteristics:
         """Deterministic path characteristics between two hosts (cached)."""
@@ -130,8 +142,7 @@ class Network:
 
     def rtt_between(self, src: Host, dst_ip: str) -> float:
         """Base RTT (ms, no jitter) between ``src`` and ``dst_ip``."""
-        dst = self.resolve_destination(src, dst_ip)
-        return self.path_between(src, dst).base_rtt_ms
+        return self._route(src, dst_ip)[1].base_rtt_ms
 
     # -- transmission ------------------------------------------------------------
 
@@ -153,17 +164,21 @@ class Network:
         blackholed path are indistinguishable (both end in a timeout).
         """
         metrics = get_metrics()
-        try:
-            dst = self.resolve_destination(src, packet.dst_ip)
-        except RoutingError:
-            if self.trace is not None:
-                self.trace.record(self.loop.now, "unroutable", packet)
-            if metrics.enabled:
-                metrics.inc("net.packets_unroutable", protocol=_packet_protocol(packet))
-            if on_lost is not None:
-                on_lost(packet)
-            return False
-        path = self.path_between(src, dst)
+        trace = self.trace
+        # The cache hit of _route, inlined: one lookup per packet.
+        route = self._routes.get((src.ip, packet.dst_ip))
+        if route is None:
+            try:
+                route = self._route(src, packet.dst_ip)
+            except RoutingError:
+                if trace is not None:
+                    trace.record(self.loop.now, "unroutable", packet)
+                if metrics.enabled:
+                    metrics.inc("net.packets_unroutable", protocol=_packet_protocol(packet))
+                if on_lost is not None:
+                    on_lost(packet)
+                return False
+        dst, path = route
         # Transient impairments (fault windows) stack on top of the path's
         # steady-state characteristics at both endpoints.
         extra_delay = 0.0
@@ -181,8 +196,8 @@ class Network:
         else:
             lost = LatencyModel.sample_loss(path, self.rng)
         if lost:
-            if self.trace is not None:
-                self.trace.record(self.loop.now, "lost", packet)
+            if trace is not None:
+                trace.record(self.loop.now, "lost", packet)
             if metrics.enabled:
                 metrics.inc(
                     "net.packets_lost",
@@ -193,11 +208,12 @@ class Network:
                 on_lost(packet)
             return False
         delay = LatencyModel.sample_one_way_ms(path, self.rng) + extra_delay
-        if self.trace is not None:
-            self.trace.record(self.loop.now, "sent", packet, delay_ms=delay)
+        if trace is not None:
+            trace.record(self.loop.now, "sent", packet, delay_ms=delay)
         if metrics.enabled:
-            metrics.inc("net.packets_sent", protocol=_packet_protocol(packet))
-            metrics.inc("net.bytes_sent", packet.size, protocol=_packet_protocol(packet))
+            protocol = _packet_protocol(packet)
+            metrics.inc("net.packets_sent", protocol=protocol)
+            metrics.inc("net.bytes_sent", packet.size, protocol=protocol)
         self.loop.call_later(delay, self._deliver, dst, packet)
         return True
 

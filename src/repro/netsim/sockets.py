@@ -70,15 +70,9 @@ class SimUdpSocket:
         """Send one datagram; silently subject to path loss."""
         if self._closed:
             raise SocketError("sendto on closed UDP socket")
-        dgram = Datagram(
-            src_ip=self.host.ip,
-            src_port=self.port,
-            dst_ip=dst_ip,
-            dst_port=dst_port,
-            payload=payload,
-        )
-        assert self.host.network is not None
-        self.host.network.transmit(self.host, dgram)
+        host = self.host
+        assert host.network is not None
+        host.network.transmit(host, Datagram(host.ip, self.port, dst_ip, dst_port, payload))
 
     def close(self) -> None:
         if not self._closed:
@@ -142,7 +136,10 @@ class SimTcpConnection:
         self._send_seq = 0
         self._recv_next = 0
         self._reassembly: dict = {}
+        # Timers only a handshake in progress needs; both are cancelled the
+        # moment the connection is established or torn down.
         self._connect_timer: Optional[Timer] = None
+        self._handshake_timer: Optional[Timer] = None
         self._on_established: Optional[Callable[["SimTcpConnection"], None]] = None
         self._handshake_sent_at: Optional[float] = None
         host.register_connection(self)
@@ -218,17 +215,27 @@ class SimTcpConnection:
             raise SocketError(f"send on {self.state} connection")
         if not data:
             return
+        rto_ms = self._data_rto_ms()
         for offset in range(0, len(data), MSS):
             chunk = data[offset : offset + MSS]
-            segment = self._make_segment("DATA", payload=chunk, seq=self._send_seq)
+            segment = Segment(
+                self.local_ip,
+                self.local_port,
+                self.remote_ip,
+                self.remote_port,
+                "DATA",
+                self.conn_id,
+                chunk,
+                self._send_seq,
+            )
             self._send_seq += len(chunk)
-            self._transmit_with_retry(segment, attempts_left=DATA_MAX_ATTEMPTS, rto_ms=self._data_rto_ms())
+            self._transmit_with_retry(segment, DATA_MAX_ATTEMPTS, rto_ms)
         self.bytes_sent += len(data)
 
     def close(self) -> None:
         """Send FIN (if established) and release local state."""
         if self.state == self.ESTABLISHED:
-            fin = self._make_segment("FIN", seq=self._send_seq)
+            fin = self._control_segment("FIN", seq=self._send_seq)
             assert self.host.network is not None
             self.host.network.transmit(self.host, fin)
         self._teardown()
@@ -236,7 +243,7 @@ class SimTcpConnection:
     def abort(self) -> None:
         """Send RST and release local state."""
         if self.state != self.CLOSED:
-            rst = self._make_segment("RST")
+            rst = self._control_segment("RST")
             assert self.host.network is not None
             self.host.network.transmit(self.host, rst)
         self._teardown()
@@ -246,7 +253,9 @@ class SimTcpConnection:
     def handle_segment(self, segment: Segment) -> None:
         """Dispatch one arriving segment (called by the host demux)."""
         flag = segment.flag
-        if flag == "RST":
+        if flag == "DATA":
+            self._handle_data(segment)
+        elif flag == "RST":
             self._handle_rst()
         elif flag == "SYN":
             # Duplicate SYN (retransmitted by the client): re-answer.
@@ -256,8 +265,6 @@ class SimTcpConnection:
             self._handle_syn_ack()
         elif flag == "ACK":
             self._handle_ack()
-        elif flag == "DATA":
-            self._handle_data(segment)
         elif flag == "FIN":
             self._handle_fin()
 
@@ -285,15 +292,25 @@ class SimTcpConnection:
             self._become_established()
         if self.state != self.ESTABLISHED:
             return
-        self._reassembly[segment.seq] = segment.payload
-        while self._recv_next in self._reassembly:
-            payload = self._reassembly.pop(self._recv_next)
-            self._recv_next += len(payload)
-            self.bytes_received += len(payload)
-            if self.on_data is not None:
-                self.on_data(payload)
-            if self.state != self.ESTABLISHED:
-                break
+        payload = segment.payload
+        if self._reassembly or segment.seq != self._recv_next:
+            # Jitter reordered the flight: park the segment, then hand over
+            # whatever has become contiguous.
+            self._reassembly[segment.seq] = payload
+            while self._recv_next in self._reassembly:
+                payload = self._reassembly.pop(self._recv_next)
+                self._recv_next += len(payload)
+                self.bytes_received += len(payload)
+                if self.on_data is not None:
+                    self.on_data(payload)
+                if self.state != self.ESTABLISHED:
+                    break
+            return
+        # In order with nothing parked: straight to the application.
+        self._recv_next += len(payload)
+        self.bytes_received += len(payload)
+        if self.on_data is not None:
+            self.on_data(payload)
 
     def _handle_fin(self) -> None:
         if self.state == self.CLOSED:
@@ -319,9 +336,7 @@ class SimTcpConnection:
             return
         self.state = self.ESTABLISHED
         self.established_at = self.host.network.loop.now  # type: ignore[union-attr]
-        if self._connect_timer is not None:
-            self._connect_timer.cancel()
-            self._connect_timer = None
+        self._disarm()
         callback = self._on_established
         self._on_established = None
         if callback is not None:
@@ -340,25 +355,26 @@ class SimTcpConnection:
             return MIN_DATA_RTO_MS
         return max(MIN_DATA_RTO_MS, 2.0 * self.srtt_ms)
 
-    def _make_segment(self, flag: str, payload: bytes = b"", seq: int = 0) -> Segment:
+    def _control_segment(self, flag: str, seq: int = 0) -> Segment:
+        """A control segment (no payload); ``send`` builds its own DATA segments."""
         return Segment(
-            src_ip=self.local_ip,
-            src_port=self.local_port,
-            dst_ip=self.remote_ip,
-            dst_port=self.remote_port,
-            flag=flag,
-            conn_id=self.conn_id,
-            payload=payload,
-            seq=seq,
+            self.local_ip,
+            self.local_port,
+            self.remote_ip,
+            self.remote_port,
+            flag,
+            self.conn_id,
+            b"",
+            seq,
         )
 
     def _send_control(self, flag: str, attempts_left: int, rto_ms: float) -> None:
         """Send a handshake segment with exponential-backoff retransmission."""
-        segment = self._make_segment(flag)
+        segment = self._control_segment(flag)
         self._transmit_handshake(segment, attempts_left, rto_ms)
 
     def _send_control_once(self, flag: str) -> None:
-        segment = self._make_segment(flag)
+        segment = self._control_segment(flag)
         assert self.host.network is not None
         self.host.network.transmit(self.host, segment)
 
@@ -366,53 +382,50 @@ class SimTcpConnection:
         if self.state not in (self.SYN_SENT, self.SYN_RECEIVED):
             return
         assert self.host.network is not None
-        loop = self.host.network.loop
-
-        def retransmit() -> None:
-            if self.state not in (self.SYN_SENT, self.SYN_RECEIVED):
-                return
-            if attempts_left <= 1:
-                self._fail(
-                    ConnectTimeout(
-                        f"handshake with {self.remote_ip}:{self.remote_port} "
-                        f"failed after {SYN_MAX_ATTEMPTS} attempts"
-                    )
-                )
-                return
-            self._handshake_sent_at = loop.now
-            self._transmit_handshake(segment, attempts_left - 1, rto_ms * 2.0)
-
-        delivered = self.host.network.transmit(self.host, segment)
+        network = self.host.network
+        network.transmit(self.host, segment)
         # Whether or not this copy survived, arm the retransmission timer;
-        # it is disarmed implicitly by the state change on establishment.
-        if not delivered or attempts_left > 0:
-            loop.call_later(rto_ms, retransmit)
+        # establishment or teardown disarms it.
+        self._handshake_timer = network.loop.call_later(
+            rto_ms, self._retransmit_handshake, segment, attempts_left, rto_ms
+        )
+
+    def _retransmit_handshake(self, segment: Segment, attempts_left: int, rto_ms: float) -> None:
+        if self.state not in (self.SYN_SENT, self.SYN_RECEIVED):
+            return
+        if attempts_left <= 1:
+            self._fail(
+                ConnectTimeout(
+                    f"handshake with {self.remote_ip}:{self.remote_port} "
+                    f"failed after {SYN_MAX_ATTEMPTS} attempts"
+                )
+            )
+            return
+        self._handshake_sent_at = self.host.network.loop.now  # type: ignore[union-attr]
+        self._transmit_handshake(segment, attempts_left - 1, rto_ms * 2.0)
 
     def _transmit_with_retry(self, segment: Segment, attempts_left: int, rto_ms: float) -> None:
         """Transmit a data segment, retransmitting after RTO on loss."""
-        assert self.host.network is not None
         network = self.host.network
-
-        def on_lost(_packet: object) -> None:
-            if self.state != self.ESTABLISHED:
-                return
-            if attempts_left <= 1:
-                self._fail(
-                    ConnectionReset(
-                        f"data to {self.remote_ip}:{self.remote_port} lost "
-                        f"{DATA_MAX_ATTEMPTS} times"
-                    )
+        if network.transmit(self.host, segment):  # type: ignore[union-attr]
+            return
+        if self.state != self.ESTABLISHED:
+            return
+        if attempts_left <= 1:
+            self._fail(
+                ConnectionReset(
+                    f"data to {self.remote_ip}:{self.remote_port} lost "
+                    f"{DATA_MAX_ATTEMPTS} times"
                 )
-                return
-            network.loop.call_later(
-                rto_ms,
-                self._transmit_with_retry,
-                segment,
-                attempts_left - 1,
-                rto_ms * 2.0,
             )
-
-        network.transmit(self.host, segment, on_lost=on_lost)
+            return
+        network.loop.call_later(  # type: ignore[union-attr]
+            rto_ms,
+            self._transmit_with_retry,
+            segment,
+            attempts_left - 1,
+            rto_ms * 2.0,
+        )
 
     def _fail(self, exc: Exception) -> None:
         callback = self.on_error
@@ -422,11 +435,18 @@ class SimTcpConnection:
 
     def _teardown(self) -> None:
         self.state = self.CLOSED
+        self._disarm()
+        self.host.unregister_connection(self.conn_id)
+        self._reassembly.clear()
+
+    def _disarm(self) -> None:
+        """Cancel the handshake's timers; none may fire into what comes after."""
         if self._connect_timer is not None:
             self._connect_timer.cancel()
             self._connect_timer = None
-        self.host.unregister_connection(self.conn_id)
-        self._reassembly.clear()
+        if self._handshake_timer is not None:
+            self._handshake_timer.cancel()
+            self._handshake_timer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "client" if self.is_client else "server"

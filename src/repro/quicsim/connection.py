@@ -142,24 +142,18 @@ class _QuicEndpoint:
     def _send_datagram(self, wire: bytes, attempts_left: int, pto_ms: float) -> None:
         if self.closed:
             return
-        src_ip, src_port, dst_ip, dst_port = self._addressing()
-        dgram = Datagram(
-            src_ip=src_ip, src_port=src_port, dst_ip=dst_ip, dst_port=dst_port,
-            payload=wire,
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("quic.datagrams_sent")
+        if self._network.transmit(self.host, Datagram(*self._addressing(), wire)):
+            return
+        if self.closed or attempts_left <= 1:
+            return
+        if metrics.enabled:
+            metrics.inc("quic.retransmits")
+        self._loop.call_later(
+            pto_ms, self._send_datagram, wire, attempts_left - 1, pto_ms * 2.0
         )
-
-        def on_lost(_packet) -> None:
-            if self.closed or attempts_left <= 1:
-                return
-            if get_metrics().enabled:
-                get_metrics().inc("quic.retransmits")
-            self._loop.call_later(
-                pto_ms, self._send_datagram, wire, attempts_left - 1, pto_ms * 2.0
-            )
-
-        if get_metrics().enabled:
-            get_metrics().inc("quic.datagrams_sent")
-        self._network.transmit(self.host, dgram, on_lost=on_lost)
 
 
 class QuicClientConnection(_QuicEndpoint):

@@ -47,22 +47,40 @@ class RecordStream:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
-        """Add bytes and return all newly completed records."""
-        self._buffer += data
+        """Add bytes and return all newly completed records.
+
+        With nothing buffered, which is how nearly every feed arrives, the
+        records are cut straight out of ``data`` and only an incomplete
+        tail is copied into the buffer.
+        """
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            source = buffer
+        else:
+            source = data
         records = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                break
-            content_type, version, length = _HEADER.unpack_from(self._buffer, 0)
-            if version != WIRE_VERSION:
-                raise TlsError(f"unexpected record version 0x{version:04x}")
-            if length > MAX_RECORD_BODY:
-                raise TlsError(f"record body {length} exceeds maximum")
-            if len(self._buffer) < _HEADER.size + length:
-                break
-            body = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            records.append((content_type, body))
+        offset = 0
+        available = len(source)
+        header_size = _HEADER.size
+        try:
+            while available - offset >= header_size:
+                content_type, version, length = _HEADER.unpack_from(source, offset)
+                if version != WIRE_VERSION:
+                    raise TlsError(f"unexpected record version 0x{version:04x}")
+                if length > MAX_RECORD_BODY:
+                    raise TlsError(f"record body {length} exceeds maximum")
+                end = offset + header_size + length
+                if end > available:
+                    break
+                records.append((content_type, bytes(source[offset + header_size : end])))
+                offset = end
+        finally:
+            # Also on error: what was consumed stays consumed.
+            if source is buffer:
+                del buffer[:offset]
+            elif offset < available:
+                buffer += source[offset:]
         return records
 
     @property

@@ -29,6 +29,7 @@ from repro.httpsim.h2 import (
     H2ServerSession,
     encode_frame,
     FRAME_HEADERS,
+    _FrameBuffer,
 )
 
 
@@ -220,6 +221,62 @@ class TestH2:
         client.request(HttpRequest(method="GET", path="/"), responses.append)
         pump()
         assert responses[0].body == b"z" * 40000
+
+
+class TestH2FrameBuffer:
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=255),
+                st.integers(min_value=0, max_value=2**31 - 1),
+                st.binary(min_size=0, max_size=300),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=2600), max_size=12),
+        preface=st.booleans(),
+    )
+    def test_property_any_split_yields_the_frames_of_one_whole_feed(self, frames, cuts, preface):
+        wire = (PREFACE if preface else b"") + b"".join(encode_frame(*frame) for frame in frames)
+
+        def buffer():
+            frame_buffer = _FrameBuffer()
+            frame_buffer.preface_pending = preface
+            return frame_buffer
+
+        assert buffer().feed(wire) == frames
+        points = sorted({min(cut, len(wire)) for cut in cuts})
+        split, pieces = buffer(), []
+        for start, end in zip([0] + points, points + [len(wire)]):
+            pieces.extend(split.feed(wire[start:end]))
+        assert pieces == frames
+        assert not split.preface_pending and not split._buffer
+        assert all(type(frame[3]) is bytes for frame in pieces)
+
+    def test_incomplete_tail_is_buffered_not_the_frames_before_it(self):
+        first, second = encode_frame(0, 1, 1, b"first"), encode_frame(0, 1, 3, b"second")
+        frame_buffer = _FrameBuffer()
+        assert frame_buffer.feed(first + second[:-2]) == [(0, 1, 1, b"first")]
+        assert len(frame_buffer._buffer) == len(second) - 2
+        assert frame_buffer.feed(second[-2:]) == [(0, 1, 3, b"second")]
+        assert not frame_buffer._buffer
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_bad_preface_raises_and_keeps_raising(self, split):
+        frame_buffer = _FrameBuffer()
+        frame_buffer.preface_pending = True
+        bad = b"GET / HTTP/1.1\r\n\r\n" + b"x" * 20
+        if split:
+            assert frame_buffer.feed(bad[:10]) == []
+            with pytest.raises(HttpProtocolError, match="preface"):
+                frame_buffer.feed(bad[10:])
+        else:
+            with pytest.raises(HttpProtocolError, match="preface"):
+                frame_buffer.feed(bad)
+        with pytest.raises(HttpProtocolError, match="preface"):
+            frame_buffer.feed(PREFACE)
 
 
 class TestDohCodec:

@@ -1,5 +1,8 @@
 """Tests for the virtual clock and event loop."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,6 +101,71 @@ class TestCancellation:
         loop.run()
         assert timer.fired
 
+    def test_fired_is_true_inside_its_own_callback(self):
+        loop = EventLoop()
+        seen = []
+        timer = loop.call_later(5.0, lambda: seen.append((timer.fired, timer.cancelled)))
+        assert not timer.fired
+        loop.run()
+        assert seen == [(True, False)]
+
+    def test_cancel_after_firing_is_harmless(self):
+        loop = EventLoop()
+        seen = []
+        timer = loop.call_later(5.0, seen.append, "x")
+        loop.run()
+        timer.cancel()
+        timer.cancel()
+        assert seen == ["x"]
+        assert timer.fired and timer.cancelled
+        loop.call_later(1.0, seen.append, "y")
+        loop.run()
+        assert seen == ["x", "y"]
+
+    def test_when_is_the_absolute_time(self):
+        loop = EventLoop(start_time=3.0)
+        assert loop.call_later(4.5, lambda: None).when == 7.5
+
+    def test_cancel_releases_the_callback_and_its_arguments(self):
+        loop = EventLoop()
+
+        class Payload:
+            pass
+
+        def make():
+            captured, argument = Payload(), Payload()
+
+            def callback(_arg):
+                return captured
+
+            timer = loop.call_later(5.0, callback, argument)
+            return timer, weakref.ref(callback), weakref.ref(captured), weakref.ref(argument)
+
+        timer, callback_ref, captured_ref, argument_ref = make()
+        gc.collect()
+        assert callback_ref() is not None and argument_ref() is not None
+        timer.cancel()  # still queued: the loop has not popped the entry
+        gc.collect()
+        assert loop.pending == 1
+        assert callback_ref() is None and captured_ref() is None and argument_ref() is None
+
+    def test_cancelled_entries_do_not_disturb_tie_order(self):
+        loop = EventLoop()
+        order = []
+        timers = [loop.call_later(5.0, order.append, label) for label in "abcdef"]
+        timers[1].cancel()
+        timers[4].cancel()
+        loop.run()
+        assert order == list("acdf")
+
+    def test_cancelled_timer_does_not_advance_the_clock(self):
+        loop = EventLoop()
+        loop.call_later(5.0, lambda: None)
+        loop.call_later(50.0, lambda: None).cancel()
+        loop.run()
+        assert loop.now == 5.0
+        assert loop.events_processed == 1
+
 
 class TestRunControl:
     def test_run_until_stops_before_later_events(self):
@@ -134,6 +202,45 @@ class TestRunControl:
         loop.call_later(1.0, respawn)
         with pytest.raises(ClockError):
             loop.run(max_events=100)
+
+    def test_max_events_runs_exactly_that_many_callbacks(self):
+        loop = EventLoop()
+        runs = []
+
+        def respawn():
+            runs.append(loop.now)
+            loop.call_later(1.0, respawn)
+
+        loop.call_later(1.0, respawn)
+        with pytest.raises(ClockError):
+            loop.run(max_events=100)
+        assert len(runs) == 100
+        assert loop.events_processed == 100
+        # The event that would have been the 101st is still queued.
+        assert loop.pending == 1
+        loop.run(until=loop.now + 1.0)
+        assert len(runs) == 101 and loop.events_processed == 101
+
+    def test_max_events_equal_to_the_queue_does_not_raise(self):
+        loop = EventLoop()
+        for _ in range(3):
+            loop.call_later(1.0, lambda: None)
+        loop.call_later(2.0, lambda: None).cancel()
+        loop.run(max_events=3)
+        assert loop.events_processed == 3 and loop.pending == 0
+
+    def test_events_processed_is_flushed_when_a_callback_raises(self):
+        loop = EventLoop()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        loop.call_later(1.0, lambda: None)
+        loop.call_later(2.0, boom)
+        with pytest.raises(RuntimeError):
+            loop.run()
+        assert loop.events_processed == 1
+        loop.run()  # not left marked as running
 
     def test_reentrant_run_rejected(self):
         loop = EventLoop()

@@ -144,6 +144,148 @@ class TestAnycast:
         assert set(net.anycast_sites("9.9.9.9")) == {site_na, site_eu}
 
 
+class TestHostImpairments:
+    """``any_active`` is a plain attribute that every field write refreshes."""
+
+    @pytest.mark.parametrize(
+        "field, value, neutral",
+        [
+            ("syn_override", "drop", None),
+            ("tls_failure", True, False),
+            ("extra_loss_rate", 0.25, 0.0),
+            ("extra_delay_ms", 40.0, 0.0),
+            ("extra_processing_ms", 5.0, 0.0),
+        ],
+    )
+    def test_any_active_follows_each_field(self, field, value, neutral):
+        import dataclasses
+
+        from repro.netsim.host import HostImpairments
+
+        imp = HostImpairments()
+        assert not imp.any_active
+        setattr(imp, field, value)
+        assert imp.any_active
+        assert dataclasses.replace(imp).any_active
+        assert HostImpairments(**{field: value}).any_active
+        setattr(imp, field, neutral)
+        assert not imp.any_active
+        setattr(imp, field, value)
+        imp.extra_delay_ms += 1.0
+        imp.clear()
+        assert not imp.any_active
+        assert imp == HostImpairments()
+
+    def test_impaired_endpoint_adds_its_delay_to_the_next_packet(self):
+        net = make_quiet_network()
+        src = add_host(net, "src", "10.0.0.1")
+        dst = add_host(net, "dst", "10.0.0.2")
+        arrivals = []
+        dst.bind_udp(53, lambda dgram, host: arrivals.append(net.now))
+        base = net.path_between(src, dst).fixed_one_way_ms
+        net.transmit(src, make_datagram(src, dst.ip))
+        net.run()
+        dst.impairments.extra_delay_ms = 40.0
+        sent_at = net.now
+        net.transmit(src, make_datagram(src, dst.ip))
+        net.run()
+        assert arrivals == [pytest.approx(base), pytest.approx(sent_at + base + 40.0)]
+
+
+class TestRouteCache:
+    """One lookup per packet, refilled when the topology changes."""
+
+    @staticmethod
+    def _arrivals(host, port=53):
+        arrivals = []
+        host.bind_udp(port, lambda dgram, _host: arrivals.append(dgram.payload))
+        return arrivals
+
+    def test_attach_makes_a_previously_unroutable_address_deliverable(self):
+        net = make_quiet_network()
+        src = add_host(net, "src", "10.0.0.1")
+        lost = []
+        assert not net.transmit(src, make_datagram(src, "10.0.0.2", b"early"), on_lost=lost.append)
+        assert [d.payload for d in lost] == [b"early"]
+        dst = add_host(net, "dst", "10.0.0.2")
+        arrivals = self._arrivals(dst)
+        assert net.transmit(src, make_datagram(src, "10.0.0.2", b"late"), on_lost=lost.append)
+        net.run()
+        assert arrivals == [b"late"] and len(lost) == 1
+
+    def test_unroutable_is_loss_every_time(self):
+        net = make_quiet_network(trace=True)
+        src = add_host(net, "src", "10.0.0.1")
+        lost = []
+        for _ in range(3):
+            assert net.transmit(src, make_datagram(src, "10.9.9.9"), on_lost=lost.append) is False
+        assert len(lost) == 3
+        assert [e.kind for e in net.trace] == ["unroutable"] * 3
+        assert net.loop.pending == 0
+
+    def test_add_anycast_of_a_nearer_site_moves_the_next_packet(self):
+        net = make_quiet_network()
+        client = add_host(net, "client", "10.0.0.1", lat=41.88, lon=-87.63)
+        far = add_host(net, "site-eu", "10.1.0.2", lat=52.37, lon=4.9, continent="EU")
+        net.add_anycast("9.9.9.9", [far])
+        at_far, rtt_far = self._arrivals(far), net.rtt_between(client, "9.9.9.9")
+        net.transmit(client, make_datagram(client, "9.9.9.9", b"one"))
+        net.run()
+        near = add_host(net, "site-na", "10.1.0.1", lat=40.71, lon=-74.0)
+        at_near = self._arrivals(near)
+        # Attaching alone changes nothing: the group still has one site.
+        net.transmit(client, make_datagram(client, "9.9.9.9", b"two"))
+        net.run()
+        net.add_anycast("9.9.9.9", [far, near])
+        net.transmit(client, make_datagram(client, "9.9.9.9", b"three"))
+        net.run()
+        assert at_far == [b"one", b"two"] and at_near == [b"three"]
+        assert net.resolve_destination(client, "9.9.9.9") is near
+        assert net.rtt_between(client, "9.9.9.9") < rtt_far
+
+    def test_routes_are_per_source(self):
+        net = make_quiet_network()
+        client_na = add_host(net, "client-na", "10.0.0.1", lat=41.88, lon=-87.63)
+        client_eu = add_host(net, "client-eu", "10.0.0.2", lat=50.11, lon=8.68, continent="EU")
+        site_na = add_host(net, "site-na", "10.1.0.1", lat=40.71, lon=-74.0)
+        site_eu = add_host(net, "site-eu", "10.1.0.2", lat=52.37, lon=4.9, continent="EU")
+        net.add_anycast("9.9.9.9", [site_na, site_eu])
+        at_na, at_eu = self._arrivals(site_na), self._arrivals(site_eu)
+        for _ in range(2):  # the second round is served from the cache
+            net.transmit(client_na, make_datagram(client_na, "9.9.9.9", b"na"))
+            net.transmit(client_eu, make_datagram(client_eu, "9.9.9.9", b"eu"))
+            net.run()
+        assert at_na == [b"na", b"na"] and at_eu == [b"eu", b"eu"]
+
+    def test_cached_route_keeps_the_draw_sequence(self):
+        """One loss draw (the path has loss), then one jitter draw, per packet."""
+        import random
+
+        from repro.netsim.latency import LatencyModel
+
+        net = make_quiet_network(seed=7)
+        net.latency.core_jitter_ms = 0.4
+        net.latency.core_loss_rate = 0.2
+        src = add_host(net, "src", "10.0.0.1")
+        dst = add_host(net, "dst", "10.0.0.2")
+        path = net.path_between(src, dst)
+        shadow, expected = random.Random(7), []
+        for _ in range(50):
+            if LatencyModel.sample_loss(path, shadow):
+                expected.append(None)
+            else:
+                expected.append(LatencyModel.sample_one_way_ms(path, shadow))
+        got = []
+        dst.bind_udp(53, lambda dgram, _host: got.append(net.now - float(dgram.payload)))
+        sent = []
+        for _ in range(50):
+            ok = net.transmit(src, make_datagram(src, dst.ip, repr(net.now).encode()))
+            sent.append(ok)
+            net.run()
+        assert sent == [delay is not None for delay in expected]
+        assert got == [pytest.approx(delay) for delay in expected if delay is not None]
+
+
 class TestTrace:
     def test_trace_records_send_and_delivery(self):
         net = make_quiet_network(trace=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConnectionRefused, ConnectTimeout, SocketError
-from repro.netsim.sockets import MSS, SimTcpConnection, SimUdpSocket
+from repro.netsim.sockets import MSS, SYN_RTO_MS, SimTcpConnection, SimUdpSocket
 from tests.conftest import add_host, make_quiet_network
 
 
@@ -267,3 +267,186 @@ class TestTcpTeardown:
         conn_id = client.conn_id
         client.close()
         assert client.host.connection(conn_id) is None
+
+
+class _CountingDict(dict):
+    """A reassembly map that counts how many segments were parked in it."""
+
+    parked = 0
+
+    def __setitem__(self, key, value):
+        self.parked += 1
+        super().__setitem__(key, value)
+
+
+class TestTcpReassembly:
+    def _connected_pair(self):
+        net, a, b = make_pair()
+        server_conns = []
+        b.listen_tcp(443, server_conns.append)
+        client_conns = []
+        SimTcpConnection.connect(a, b.ip, 443, client_conns.append)
+        net.run()
+        server = server_conns[0]
+        server._reassembly = _CountingDict()
+        return net, client_conns[0], server
+
+    @staticmethod
+    def _delays(monkeypatch, delays):
+        from repro.netsim.latency import LatencyModel
+
+        queue = list(delays)
+        monkeypatch.setattr(
+            LatencyModel, "sample_one_way_ms", staticmethod(lambda path, rng: queue.pop(0))
+        )
+
+    @pytest.mark.parametrize(
+        "delays, parked",
+        [
+            ((30.0, 10.0, 20.0), 3),  # arrives 1, 2, 0
+            ((30.0, 20.0, 10.0), 3),  # arrives 2, 1, 0
+            ((10.0, 30.0, 20.0), 2),  # arrives 0, 2, 1: the first goes straight through
+            ((20.0, 10.0, 30.0), 2),  # arrives 1, 0, 2: the last finds the gap closed
+        ],
+    )
+    def test_reordered_flight_reaches_the_application_once_and_in_order(
+        self, monkeypatch, delays, parked
+    ):
+        net, client, server = self._connected_pair()
+        chunks = []
+        server.on_data = chunks.append
+        payload = bytes(range(256)) * 16 + b"tail"  # 3 segments: MSS, MSS, rest
+        assert 2 * MSS < len(payload) <= 3 * MSS
+        self._delays(monkeypatch, delays)
+        client.send(payload)
+        net.run()
+        assert chunks == [payload[:MSS], payload[MSS : 2 * MSS], payload[2 * MSS :]]
+        assert server.bytes_received == len(payload)
+        assert not server._reassembly
+        # Only segments that arrive ahead of a gap, or behind parked ones,
+        # go through the reassembly map.
+        assert server._reassembly.parked == parked
+
+        # With the gap closed, later in-order segments bypass the map again.
+        self._delays(monkeypatch, (10.0, 10.0))
+        client.send(b"after")
+        client.send(b"again")
+        net.run()
+        assert chunks[3:] == [b"after", b"again"]
+        assert server._reassembly.parked == parked
+
+    def test_close_from_on_data_stops_the_drain(self, monkeypatch):
+        net, client, server = self._connected_pair()
+        chunks = []
+
+        def on_data(data):
+            chunks.append(data)
+            server.close()
+
+        server.on_data = on_data
+        self._delays(monkeypatch, (30.0, 10.0, 20.0, 1.0))  # + the server's FIN
+        client.send(b"x" * (3 * MSS))
+        net.run()
+        assert chunks == [b"x" * MSS]
+        assert not server._reassembly  # teardown cleared what was parked
+
+
+class TestHandshakeTimers:
+    """Which timers a connection owns, and when each is cancelled."""
+
+    @staticmethod
+    def _lose(monkeypatch, lost_packets):
+        """Lose the packets whose 0-based send index is in ``lost_packets``."""
+        from repro.netsim.latency import LatencyModel
+
+        sent = iter(range(10**6))
+        monkeypatch.setattr(
+            LatencyModel, "sample_loss", staticmethod(lambda path, rng: next(sent) in lost_packets)
+        )
+
+    def test_established_connection_leaves_only_cancelled_timers(self):
+        net, a, b = make_pair()
+        server_conns = []
+        b.listen_tcp(443, server_conns.append)
+        client = SimTcpConnection.connect(a, b.ip, 443, lambda conn: None)
+        armed = [client._connect_timer, client._handshake_timer]
+        net.loop.run(until=1.0)  # SYN in flight, nothing delivered yet
+        assert all(t is not None and not t.cancelled for t in armed)
+        net.run()
+        armed.append(server_conns[0]._handshake_timer)
+        assert client.state == server_conns[0].state == SimTcpConnection.ESTABLISHED
+        assert client._connect_timer is None and client._handshake_timer is None
+        assert server_conns[0]._handshake_timer is None
+        assert all(t.cancelled and not t.fired for t in armed[:2])
+        # Three packets, three deliveries; no timer was dispatched.
+        assert net.loop.events_processed == 3
+        assert net.loop.pending == 0
+        assert net.now < 100.0  # the clock did not run on to a dead 1 s timer
+
+    def test_refused_and_closed_connections_cancel_their_timers(self):
+        net, a, b = make_pair()
+        errors = []
+        refused = SimTcpConnection.connect(a, b.ip, 443, lambda conn: None, on_error=errors.append)
+        timers = [refused._connect_timer, refused._handshake_timer]
+        net.run()
+        assert isinstance(errors[0], ConnectionRefused)
+        assert all(t.cancelled and not t.fired for t in timers)
+        assert net.loop.events_processed == 2  # SYN and RST delivered
+
+    def test_lost_syn_is_retransmitted_after_the_rto(self, monkeypatch):
+        net, a, b = make_pair()
+        b.listen_tcp(443, lambda conn: None)
+        self._lose(monkeypatch, {0})
+        established = []
+        client = SimTcpConnection.connect(a, b.ip, 443, lambda conn: established.append(net.now))
+        first_timer = client._handshake_timer
+        net.run()
+        rtt = net.path_between(a, b).base_rtt_ms
+        assert established == [pytest.approx(SYN_RTO_MS + rtt)]
+        assert first_timer.fired and not first_timer.cancelled
+        assert client.srtt_ms == pytest.approx(rtt)  # timed from the retransmission
+
+    def test_lost_syn_ack_is_recovered_by_either_side(self, monkeypatch):
+        net, a, b = make_pair()
+        server_conns = []
+        b.listen_tcp(443, server_conns.append)
+        self._lose(monkeypatch, {1})  # the first SYN-ACK
+        established = []
+        SimTcpConnection.connect(a, b.ip, 443, lambda conn: established.append(net.now))
+        net.run()
+        assert len(established) == 1 and established[0] >= SYN_RTO_MS
+        assert server_conns[0].state == SimTcpConnection.ESTABLISHED
+        assert net.loop.pending == 0
+
+    def test_fourth_loss_ends_in_connect_timeout(self, monkeypatch):
+        net, a, b = make_pair()
+        b.listen_tcp(443, lambda conn: None)
+        self._lose(monkeypatch, {0, 1, 2, 3})
+        errors = []
+        SimTcpConnection.connect(
+            a, b.ip, 443, lambda conn: None,
+            on_error=lambda exc: errors.append((net.now, exc)), timeout_ms=60_000.0,
+        )
+        net.run()
+        assert len(errors) == 1
+        failed_at, exc = errors[0]
+        assert isinstance(exc, ConnectTimeout) and "4 attempts" in str(exc)
+        # 1 s + 2 s + 4 s + 8 s of exponential backoff.
+        assert failed_at == pytest.approx(15 * SYN_RTO_MS)
+        assert net.loop.pending == 0
+
+    def test_lost_data_segment_is_retransmitted_after_the_rto(self, monkeypatch):
+        net, a, b = make_pair()
+        server_conns = []
+        b.listen_tcp(443, server_conns.append)
+        client_conns = []
+        SimTcpConnection.connect(a, b.ip, 443, client_conns.append)
+        net.run()
+        received = []
+        server_conns[0].on_data = lambda data: received.append((net.now, data))
+        started = net.now
+        self._lose(monkeypatch, {0})
+        client_conns[0].send(b"hello")
+        net.run()
+        assert [data for _, data in received] == [b"hello"]
+        assert received[0][0] - started >= 250.0  # one data RTO later

@@ -77,6 +77,57 @@ class TestRecordFraming:
         records = RecordStream().feed(wire)
         assert [payload for _t, payload in records] == list(bodies)
 
+    @given(
+        records=st.lists(
+            st.tuples(st.sampled_from([21, 22, 23]), st.binary(min_size=0, max_size=300)),
+            min_size=1,
+            max_size=8,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=2600), max_size=12),
+    )
+    def test_property_any_split_yields_the_records_of_one_whole_feed(self, records, cuts):
+        wire = b"".join(wrap_record(kind, body) for kind, body in records)
+        whole = RecordStream().feed(wire)
+        assert whole == records
+        points = sorted({min(cut, len(wire)) for cut in cuts})
+        stream, pieces = RecordStream(), []
+        for start, end in zip([0] + points, points + [len(wire)]):
+            pieces.extend(stream.feed(wire[start:end]))
+        assert pieces == whole
+        assert stream.buffered == 0
+        assert all(type(body) is bytes for _kind, body in pieces)
+
+    def test_incomplete_tail_is_buffered_not_the_records_before_it(self):
+        wire = wrap_record(22, b"first") + wrap_record(23, b"second")
+        stream = RecordStream()
+        assert stream.feed(wire[:-2]) == [(22, b"first")]
+        assert stream.buffered == len(wrap_record(23, b"second")) - 2
+        assert stream.feed(wire[-2:]) == [(23, b"second")]
+        assert stream.buffered == 0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (bytes([22, 0x02, 0x00, 0x00, 0x01, 0x00]), "version"),
+            (bytes([23, 0x03, 0x03]) + (MAX_RECORD_BODY + 1).to_bytes(2, "big"), "exceeds maximum"),
+        ],
+    )
+    @pytest.mark.parametrize("split", [False, True])
+    def test_bad_record_after_good_ones_raises_and_keeps_raising(self, bad, message, split):
+        good = wrap_record(22, b"ok")
+        stream = RecordStream()
+        if split:
+            assert stream.feed(good + bad[:2]) == [(22, b"ok")]
+            with pytest.raises(TlsError, match=message):
+                stream.feed(bad[2:])
+        else:
+            with pytest.raises(TlsError, match=message):
+                stream.feed(good + bad)
+        # What was consumed stays consumed; the bad header stays at the front.
+        assert stream.buffered == len(bad)
+        with pytest.raises(TlsError, match=message):
+            stream.feed(wrap_record(23, b"later"))
+
 
 class TestSessionCache:
     def test_store_and_lookup(self):
