@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.errors_taxonomy import ErrorClass, classify_error
-from repro.dnswire.builder import make_query
+from repro.dnswire.builder import make_query_wire
 from repro.dnswire.message import Message
 from repro.dnswire.types import RCODE_NOERROR, TYPE_A
 from repro.errors import (
@@ -315,11 +315,8 @@ class Probe:
             domain=domain,
         )
         shot = _OneShot(loop, self.config.timeout_ms, clock, on_complete)
-        query = make_query(
-            domain, qtype, msg_id=None if transport.random_msg_id else 0, rng=self.rng
-        )
-        shot.wire = query.to_wire()
-        shot.msg_id = query.header.msg_id
+        shot.msg_id = self.rng.randint(0, 0xFFFF) if transport.random_msg_id else 0
+        shot.wire = make_query_wire(domain, qtype, shot.msg_id)
 
         live = self._live if self.config.reuse_connections else None
         if live is not None and live.conn.closed:

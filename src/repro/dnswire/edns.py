@@ -96,10 +96,15 @@ class EdnsOptions:
         )
 
 
+#: The OPT record of default options: what nearly every query and response
+#: carries, built once (the record, its root name and its rdata are frozen).
+_DEFAULT_OPT = EdnsOptions().to_record()
+
+
 def add_edns(message: Message, options: Optional[EdnsOptions] = None) -> Message:
     """Attach an OPT record to the message (replacing any existing one)."""
     message.additionals = [r for r in message.additionals if r.rdtype != TYPE_OPT]
-    message.additionals.append((options or EdnsOptions()).to_record())
+    message.additionals.append(_DEFAULT_OPT if options is None else options.to_record())
     return message
 
 

@@ -3,14 +3,16 @@
 Encoding builds one shared compression map across the whole message (names
 in owner fields and well-known RDATA all participate).  Decoding is strict:
 counts must match the body, trailing bytes are rejected, and all the
-name-decompression safety rules from :mod:`repro.dnswire.name` apply.
+name-decompression safety rules from :mod:`repro.dnswire.name` apply.  A
+message whose bytes after the id were decoded before is rebuilt from the
+questions and records parsed then.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import Rdata, decode_rdata
@@ -35,6 +37,18 @@ from repro.dnswire.types import (
 from repro.errors import MessageMalformed, MessageTruncated
 
 _HEADER = struct.Struct("!HHHHHH")
+
+#: Bound of :data:`_PARSED`; a full table is emptied.  One ``session_matrix``
+#: pass decodes 14,384 messages with 871 distinct bodies (the 7,197
+#: server-side parses see 3), which fit; one ``ec2_doh_cold`` pass 9,422
+#: with 3,822, most of them responses whose cache-aged TTLs never recur.
+#: What does recur there recurs soon: 59.3% of its lookups hit at this
+#: bound against 59.4% with no bound, while holding all 3,822 (~1 KiB each)
+#: cost 3 MiB of RSS and a third more objects for the collector to walk.
+_PARSED_MAX = 1024
+#: wire bytes after the message id -> the four sections, as tuples of
+#: frozen questions / records.  Only a parse that succeeded is stored.
+_PARSED: Dict[bytes, Tuple[tuple, tuple, tuple, tuple]] = {}
 
 
 @dataclass
@@ -183,7 +197,9 @@ class ResourceRecord:
         return cls(name, rdtype, rdclass, ttl, rdata), offset + rdlength
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
-        return replace(self, ttl=ttl)
+        if ttl == self.ttl:
+            return self
+        return ResourceRecord(self.name, self.rdtype, self.rdclass, ttl, self.rdata)
 
     def to_text(self) -> str:
         return (
@@ -257,28 +273,30 @@ class Message:
         if len(wire) < _HEADER.size:
             raise MessageTruncated(f"message is {len(wire)} bytes; header needs 12")
         msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(wire, 0)
-        header = Header.from_words(msg_id, flags, qd, an, ns, ar)
-        offset = _HEADER.size
-        questions = []
-        for _ in range(qd):
-            question, offset = Question.decode(wire, offset)
-            questions.append(question)
-        sections: List[List[ResourceRecord]] = [[], [], []]
-        for section, count in zip(sections, (an, ns, ar)):
-            for _ in range(count):
-                record, offset = ResourceRecord.decode(wire, offset)
-                section.append(record)
-        if offset != len(wire):
-            raise MessageMalformed(
-                f"{len(wire) - offset} trailing bytes after message body"
-            )
-        return cls(
-            header=header,
-            questions=questions,
-            answers=sections[0],
-            authorities=sections[1],
-            additionals=sections[2],
-        )
+        body = wire[2:]
+        parsed = _PARSED.get(body)
+        if parsed is None:
+            offset = _HEADER.size
+            questions = []
+            for _ in range(qd):
+                question, offset = Question.decode(wire, offset)
+                questions.append(question)
+            sections: List[List[ResourceRecord]] = [[], [], []]
+            for section, count in zip(sections, (an, ns, ar)):
+                for _ in range(count):
+                    record, offset = ResourceRecord.decode(wire, offset)
+                    section.append(record)
+            if offset != len(wire):
+                raise MessageMalformed(
+                    f"{len(wire) - offset} trailing bytes after message body"
+                )
+            parsed = (tuple(questions), *map(tuple, sections))
+            if len(_PARSED) >= _PARSED_MAX:
+                _PARSED.clear()
+            _PARSED[body] = parsed
+        # The header and the section lists are the caller's to mutate; the
+        # questions and records in them are frozen and shared.
+        return cls(Header.from_words(msg_id, flags, qd, an, ns, ar), *map(list, parsed))
 
     def describe(self) -> str:
         """dig-style multi-line rendering."""

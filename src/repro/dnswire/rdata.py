@@ -11,7 +11,7 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.dnswire.name import Name
 from repro.dnswire.types import (
@@ -107,13 +107,11 @@ class AaaaRdata(_AddressRdata):
     _size = 16
 
 
+@dataclass(frozen=True)
 class _SingleNameRdata(Rdata):
     """Common base for RDATA consisting of exactly one domain name."""
 
-    __slots__ = ("target",)
-
-    def __init__(self, target: Name) -> None:
-        self.target = target
+    target: Name
 
     def encode(self, buffer: bytearray, compress: Optional[CompressMap]) -> None:
         self.target.encode(buffer, compress)
@@ -126,15 +124,6 @@ class _SingleNameRdata(Rdata):
 
     def to_text(self) -> str:
         return self.target.to_text()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.target == self.target  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.target))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.target.to_text()!r})"
 
 
 class CnameRdata(_SingleNameRdata):
@@ -211,19 +200,21 @@ class MxRdata(Rdata):
         return f"{self.preference} {self.exchange.to_text()}"
 
 
+@dataclass(frozen=True)
 class TxtRdata(Rdata):
     """TXT record: one or more character-strings."""
 
+    strings: Tuple[bytes, ...]
     rdtype = TYPE_TXT
-    __slots__ = ("strings",)
 
-    def __init__(self, strings: List[bytes]) -> None:
+    def __post_init__(self) -> None:
+        strings = tuple(self.strings)
         if not strings:
             raise MessageMalformed("TXT rdata needs at least one string")
         for s in strings:
             if len(s) > 255:
                 raise MessageMalformed("TXT character-string exceeds 255 bytes")
-        self.strings = list(strings)
+        object.__setattr__(self, "strings", strings)
 
     def encode(self, buffer: bytearray, compress: Optional[CompressMap]) -> None:
         for s in self.strings:
@@ -247,24 +238,13 @@ class TxtRdata(Rdata):
     def to_text(self) -> str:
         return " ".join('"' + s.decode("ascii", "replace") + '"' for s in self.strings)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TxtRdata) and other.strings == self.strings
 
-    def __hash__(self) -> int:
-        return hash(tuple(self.strings))
-
-    def __repr__(self) -> str:
-        return f"TxtRdata({self.strings!r})"
-
-
+@dataclass(frozen=True)
 class GenericRdata(Rdata):
     """Opaque RDATA for types without a dedicated codec (RFC 3597)."""
 
-    __slots__ = ("rdtype", "data")
-
-    def __init__(self, rdtype: int, data: bytes) -> None:
-        self.rdtype = rdtype
-        self.data = data
+    rdtype: int = field()  # required: the base class's 0 is not its default
+    data: bytes
 
     def encode(self, buffer: bytearray, compress: Optional[CompressMap]) -> None:
         buffer += self.data
@@ -275,16 +255,6 @@ class GenericRdata(Rdata):
 
     def to_text(self) -> str:
         return f"\\# {len(self.data)} {self.data.hex()}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GenericRdata)
-            and other.rdtype == self.rdtype
-            and other.data == self.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rdtype, self.data))
 
     def __repr__(self) -> str:
         return f"GenericRdata(type={self.rdtype}, {len(self.data)}B)"

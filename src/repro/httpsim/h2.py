@@ -3,7 +3,9 @@
 Frames use the real 9-byte header — ``length(3) | type(1) | flags(1) |
 stream(4)`` — so sizes and segmentation are realistic.  Header blocks are
 JSON-encoded name/value maps standing in for HPACK (the compression ratio
-difference is a few dozen bytes, far below MSS granularity).
+difference is a few dozen bytes, far below MSS granularity).  In the spirit
+of HPACK's dynamic table, a header set seen before is not serialised or
+parsed again.
 
 Both sessions sit on top of a byte-stream ``send`` callable (typically
 ``TlsConnection.send_application``) and are fed inbound bytes via
@@ -46,18 +48,52 @@ def encode_frame(frame_type: int, flags: int, stream_id: int, payload: bytes) ->
     return _FRAME_HEADER.pack(len(payload).to_bytes(3, "big"), frame_type, flags, stream_id) + payload
 
 
+#: Bounds of the two header-block tables; a full table is emptied.  One
+#: ``session_matrix`` pass moves 3,580 blocks of which 217 are distinct; one
+#: ``ec2_doh_cold`` pass 9,316 of which 1,784 (the ``Cache-Control`` max-age
+#: follows the cache-aged TTL), and 79.9% of its lookups hit at this bound
+#: against 80.9% with no bound.  An entry is ~0.3 KiB.
+_ENCODED_BLOCKS_MAX = 1024
+_DECODED_BLOCKS_MAX = 1024
+#: header items, in order -> block.  Only maps of ``str`` to ``str``.
+_ENCODED_BLOCKS: Dict[tuple, bytes] = {}
+#: block -> header map.  Only blocks that decoded.
+_DECODED_BLOCKS: Dict[bytes, Dict[str, str]] = {}
+
+
 def _encode_headers_block(headers: Dict[str, str]) -> bytes:
-    return json.dumps(headers, separators=(",", ":")).encode("utf-8")
+    key: Optional[tuple] = tuple(headers.items())
+    try:
+        block = _ENCODED_BLOCKS.get(key)
+    except TypeError:  # an unhashable value: serialised, not remembered
+        block = key = None
+    if block is None:
+        block = json.dumps(headers, separators=(",", ":")).encode("utf-8")
+        # Anything but str may equal a value that serialises differently
+        # (1, 1.0 and True are one dict key and three JSON texts).
+        if key is not None and all(
+            type(name) is str and type(value) is str for name, value in key
+        ):
+            if len(_ENCODED_BLOCKS) >= _ENCODED_BLOCKS_MAX:
+                _ENCODED_BLOCKS.clear()
+            _ENCODED_BLOCKS[key] = block
+    return block
 
 
 def _decode_headers_block(payload: bytes) -> Dict[str, str]:
-    try:
-        decoded = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise HttpProtocolError(f"bad header block: {exc}")
-    if not isinstance(decoded, dict):
-        raise HttpProtocolError("header block is not a map")
-    return {str(k): str(v) for k, v in decoded.items()}
+    headers = _DECODED_BLOCKS.get(payload)
+    if headers is None:
+        try:
+            decoded = json.loads(payload.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise HttpProtocolError(f"bad header block: {exc}")
+        if not isinstance(decoded, dict):
+            raise HttpProtocolError("header block is not a map")
+        headers = {str(k): str(v) for k, v in decoded.items()}
+        if len(_DECODED_BLOCKS) >= _DECODED_BLOCKS_MAX:
+            _DECODED_BLOCKS.clear()
+        _DECODED_BLOCKS[payload] = headers
+    return dict(headers)
 
 
 class _FrameBuffer:
@@ -174,16 +210,18 @@ class H2ClientSession:
                 continue
             if frame_type == FRAME_GOAWAY:
                 self.goaway_received = True
-                if get_metrics().enabled:
-                    get_metrics().inc("h2.goaway_received")
+                metrics = get_metrics()
+                if metrics.enabled:
+                    metrics.inc("h2.goaway_received")
                 if self.on_goaway is not None:
                     self.on_goaway()
                 continue
             if frame_type == FRAME_RST_STREAM:
                 self._streams.pop(stream_id, None)
                 self._callbacks.pop(stream_id, None)
-                if get_metrics().enabled:
-                    get_metrics().inc("h2.rst_streams")
+                metrics = get_metrics()
+                if metrics.enabled:
+                    metrics.inc("h2.rst_streams")
                 continue
             stream = self._streams.setdefault(stream_id, _Stream(stream_id))
             if frame_type == FRAME_HEADERS:

@@ -129,6 +129,12 @@ class Host:
         self._tcp_listeners: Dict[int, Callable[["SimTcpConnection"], None]] = {}
         self._tcp_connections: Dict[int, "SimTcpConnection"] = {}
         self._next_port = EPHEMERAL_PORT_START
+        #: Session tickets the TLS / QUIC servers on this host have issued:
+        #: ticket id -> expiry on the virtual clock.  On the host, not the
+        #: connection, so that a new connection can honour a ticket an
+        #: earlier one issued (see :func:`repro.tlssim.session.register_ticket`).
+        self.tls_tickets: Dict[int, float] = {}
+        self.quic_tickets: Dict[int, float] = {}
         #: When True the host ignores all inbound packets (simulates a host
         #: that is down or firewalled off; used for availability modelling).
         self.blackholed = False

@@ -41,7 +41,7 @@ from repro.quicsim.packets import (
     stream_frame,
     stream_frame_data,
 )
-from repro.tlssim.session import SessionCache, SessionTicket
+from repro.tlssim.session import SessionCache, SessionTicket, register_ticket
 
 _conn_ids = itertools.count(1)
 
@@ -411,19 +411,11 @@ class _QuicServerConnection(_QuicEndpoint):
                 self.closed = True
                 self.listener._drop(self.conn_id)
 
-    def _ticket_registry(self) -> Dict[int, bool]:
-        registry = getattr(self.host, "_quic_ticket_registry", None)
-        if registry is None:
-            registry = {}
-            self.host._quic_ticket_registry = registry  # type: ignore[attr-defined]
-        return registry
-
     def _handle_crypto(self, frame: Dict[str, Any]) -> None:
         if frame.get("stage") == "client_hello" and not self._hello_seen:
             self._hello_seen = True
             config = self.listener.config
-            ticket_id = frame.get("ticket")
-            resumed = ticket_id is not None and ticket_id in self._ticket_registry()
+            resumed = self.host.quic_tickets.get(frame.get("ticket"), 0.0) > self._loop.now
             wants_early = bool(frame.get("early")) and not bool(
                 frame.get("early_replay")
             )
@@ -459,7 +451,7 @@ class _QuicServerConnection(_QuicEndpoint):
                         allows_early_data=config.allow_early_data,
                         now_ms=self._loop.now,
                     )
-                    self._ticket_registry()[ticket.ticket_id] = True
+                    register_ticket(self.host.quic_tickets, ticket)
                     self._send_packet(
                         KIND_ONE_RTT, self.conn_id,
                         [{"type": "ticket", "ticket": ticket.ticket_id,

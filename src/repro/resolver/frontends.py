@@ -27,7 +27,6 @@ from repro.dnswire.builder import make_response
 from repro.dnswire.edns import (
     EDE_NO_REACHABLE_AUTHORITY,
     EDE_NOT_READY,
-    EdnsOptions,
     add_edns,
     attach_ede,
     get_edns,
@@ -127,7 +126,7 @@ class Frontend:
             if mutator is not None:
                 response = mutator(query, response)
             if get_edns(query) is not None and response.opt_record() is None:
-                add_edns(response, EdnsOptions())
+                add_edns(response)
             delay = self.deployment.processing.sample_ms(self.rng)
             # ODoH targets sit behind a relay: one extra hop each way.
             delay += 2.0 * self.deployment.odoh_relay_extra_ms

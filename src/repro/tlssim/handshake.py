@@ -54,7 +54,7 @@ from repro.tlssim.record import (
     RecordStream,
     wrap_record,
 )
-from repro.tlssim.session import SessionCache, SessionTicket
+from repro.tlssim.session import SessionCache, SessionTicket, register_ticket
 
 # Handshake message types (RFC 8446 / 5246 values).
 CLIENT_HELLO = 1
@@ -628,10 +628,10 @@ class TlsServerConnection(_TlsEndpoint):
             return
         self.negotiated_version = version
         self.negotiated_alpn = alpn
-        ticket_known = (
-            hello.ticket_id is not None and hello.ticket_id in self._ticket_registry()
+        self.resumed = (
+            self.tcp.host.tls_tickets.get(hello.ticket_id, 0.0) > self.loop.now
+            and hello.ticket_version == version
         )
-        self.resumed = ticket_known and hello.ticket_version == version
         wants_early = hello.early_data and not hello.early_replay
         self.early_data_accepted = (
             wants_early and self.resumed and version == "1.3" and self.config.allow_early_data
@@ -703,7 +703,7 @@ class TlsServerConnection(_TlsEndpoint):
             now_ms=self.loop.now,
             lifetime_ms=self.config.ticket_lifetime_ms,
         )
-        self._ticket_registry()[ticket.ticket_id] = True
+        register_ticket(self.tcp.host.tls_tickets, ticket)
         self._send_record(
             CONTENT_HANDSHAKE,
             _encode_new_session_ticket(
@@ -715,14 +715,3 @@ class TlsServerConnection(_TlsEndpoint):
                 )
             ),
         )
-
-    # The ticket registry is shared per server host so that a new connection
-    # (new TlsServerConnection instance) can validate tickets issued by a
-    # previous one.  It lives on the host object.
-    def _ticket_registry(self) -> Dict[int, bool]:
-        host = self.tcp.host
-        registry = getattr(host, "_tls_ticket_registry", None)
-        if registry is None:
-            registry = {}
-            host._tls_ticket_registry = registry  # type: ignore[attr-defined]
-        return registry

@@ -27,8 +27,8 @@ _HEADER = struct.Struct("!BHH")
 
 def wrap_record(content_type: int, body: bytes) -> bytes:
     """Frame ``body`` into one or more TLS records."""
-    if not body:
-        return _HEADER.pack(content_type, WIRE_VERSION, 0)
+    if len(body) <= MAX_RECORD_BODY:  # one record, the empty one included
+        return _HEADER.pack(content_type, WIRE_VERSION, len(body)) + body
     out = bytearray()
     for offset in range(0, len(body), MAX_RECORD_BODY):
         chunk = body[offset : offset + MAX_RECORD_BODY]

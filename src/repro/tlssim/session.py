@@ -63,6 +63,24 @@ class SessionTicket:
         )
 
 
+def register_ticket(registry: Dict[int, float], ticket: SessionTicket) -> None:
+    """Record a ticket a server just issued in its host's registry (ticket
+    id -> expiry on the virtual clock), dropping the tickets expired by then.
+
+    A server honours ticket ``t`` at ``now`` when ``registry.get(t, 0.0) >
+    now``.  Ids and issue times only grow and a ``dict`` keeps insertion
+    order, so the expired entries are at the front, and the registry holds
+    the tickets of one lifetime, not of the whole campaign.
+    """
+    now_ms = ticket.issued_at_ms
+    while registry:
+        oldest = next(iter(registry))
+        if registry[oldest] > now_ms:
+            break
+        del registry[oldest]
+    registry[ticket.ticket_id] = now_ms + ticket.lifetime_ms
+
+
 class SessionCache:
     """Client-side ticket store, one ticket per server name (most recent wins)."""
 

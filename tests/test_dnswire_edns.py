@@ -1,5 +1,7 @@
 """Tests for EDNS(0) handling and query padding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,8 +54,8 @@ class TestEdnsRecord:
 
     def test_wrong_record_type_rejected(self):
         query = make_query("example.com", msg_id=0)
-        record = query.additionals[0]
-        object.__setattr__(record, "rdtype", 1)
+        # A copy: the default OPT record is frozen and shared by every query.
+        record = dataclasses.replace(query.additionals[0], rdtype=1)
         with pytest.raises(MessageMalformed):
             EdnsOptions.from_record(record)
 

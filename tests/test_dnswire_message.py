@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dnswire.builder import make_query, make_response
+import repro.dnswire.message as message_module
+from repro.diff.faults import FAULT_KINDS, mutate_response
+from repro.dnswire.builder import make_query, make_query_wire, make_response
 from repro.dnswire.message import Header, Message, Question, ResourceRecord
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import (
@@ -31,7 +33,7 @@ from repro.dnswire.types import (
     rcode_name,
     type_name,
 )
-from repro.errors import MessageMalformed, MessageTruncated
+from repro.errors import DnsWireError, MessageMalformed, MessageTruncated
 
 
 def rr(owner, rdtype, rdata, ttl=300):
@@ -222,8 +224,9 @@ class TestMessageCodec:
 
     def test_with_ttl(self):
         record = rr("a.example", TYPE_A, ARdata("192.0.2.1"), ttl=300)
-        assert record.with_ttl(5).ttl == 5
+        assert record.with_ttl(5) == rr("a.example", TYPE_A, ARdata("192.0.2.1"), ttl=5)
         assert record.ttl == 300  # original untouched
+        assert record.with_ttl(300) is record
 
 
 class TestBuilders:
@@ -373,3 +376,133 @@ class TestMultiRecordRoundTrips:
         decoded = Message.from_wire(message.to_wire())
         assert decoded.header.ancount == 3
         assert len(decoded.answers) == 3
+
+
+# ---------------------------------------------------------------------------
+# The parse memo is invisible: Message.from_wire keeps the sections of a
+# body (the bytes after the id) it decoded before.  Nothing a caller can do
+# with one decoded message may show in the next, and an error is never
+# answered from the table.
+# ---------------------------------------------------------------------------
+
+
+def _response_wire(msg_id=42):
+    query = make_query("www.example.com", msg_id=msg_id)
+    return make_response(
+        query,
+        answers=[
+            rr("www.example.com", TYPE_CNAME, CnameRdata(Name.from_text("example.com"))),
+            rr("example.com", TYPE_A, ARdata("192.0.2.10")),
+            rr("example.com", TYPE_TXT, TxtRdata([b"v=spf1 -all"])),
+        ],
+        authorities=[rr("example.com", TYPE_NS, NsRdata(Name.from_text("ns1.example.com")))],
+        additionals=[rr("ns1.example.com", TYPE_A, ARdata("192.0.2.53"))],
+    ).to_wire()
+
+
+@st.composite
+def hostile_wires(draw):
+    """Arbitrary bytes, or a valid response cut short and with bytes flipped
+    (which reaches the record and rdata decoders far more often)."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=120))
+    wire = bytearray(_response_wire(draw(st.integers(0, 0xFFFF))))
+    for _ in range(draw(st.integers(0, 4))):
+        wire[draw(st.integers(0, len(wire) - 1))] = draw(st.integers(0, 255))
+    return bytes(wire[: draw(st.integers(0, len(wire)))] + draw(st.binary(max_size=3)))
+
+
+class TestParseMemo:
+    @given(wire=hostile_wires())
+    def test_property_arbitrary_bytes_decode_or_raise_a_wire_error_twice(self, wire):
+        try:
+            first = Message.from_wire(wire)
+        except DnsWireError as exc:
+            # Raised again, by the decoder: the same type on the second call.
+            with pytest.raises(DnsWireError) as again:
+                Message.from_wire(wire)
+            assert type(again.value) is type(exc)
+        else:
+            assert Message.from_wire(wire) == first
+
+    def test_two_decodes_share_no_header_and_no_list(self):
+        wire = _response_wire()
+        first, second = Message.from_wire(wire), Message.from_wire(wire)
+        assert first == second
+        assert first.header is not second.header
+        for section in ("questions", "answers", "authorities", "additionals"):
+            assert getattr(first, section) is not getattr(second, section)
+        reference = second.to_wire()
+        first.header.msg_id = 7
+        first.header.rcode = RCODE_NXDOMAIN
+        first.header.tc = True
+        first.questions.clear()
+        first.answers.reverse()
+        first.answers.pop()
+        first.authorities.append(first.answers[0])
+        first.additionals *= 2
+        third = Message.from_wire(wire)
+        assert third == second
+        assert third.to_wire() == reference == wire
+
+    @given(ids=st.lists(st.integers(0, 0xFFFF), min_size=2, max_size=2, unique=True))
+    def test_property_wires_differing_only_in_id(self, ids):
+        a, b = (Message.from_wire(_response_wire(msg_id)) for msg_id in ids)
+        assert [a.header.msg_id, b.header.msg_id] == ids
+        a.header.msg_id = b.header.msg_id
+        assert a == b
+
+    def test_decoded_rdata_is_immutable(self):
+        decoded = Message.from_wire(_response_wire())
+        with pytest.raises(AttributeError):
+            decoded.answers[0].rdata.target = Name.root()
+        with pytest.raises(AttributeError):
+            decoded.answers[2].rdata.strings = ()
+        assert isinstance(decoded.answers[2].rdata.strings, tuple)
+        opt = make_query("example.com").additionals[0]
+        with pytest.raises(AttributeError):
+            opt.rdata.data = b"\x00"
+        with pytest.raises(AttributeError):
+            decoded.answers[1].ttl = 1
+        with pytest.raises(AttributeError):
+            decoded.questions[0].qtype = TYPE_AAAA
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_answer_fault_mutators_cannot_reach_the_table(self, kind):
+        wire = _response_wire()
+        reference = Message.from_wire(wire)
+        mutated = mutate_response(
+            make_query("www.example.com", msg_id=42), Message.from_wire(wire), kind
+        )
+        assert mutated != reference
+        assert Message.from_wire(wire) == reference
+        assert Message.from_wire(wire).to_wire() == wire
+
+    def test_an_error_is_not_stored(self):
+        wire = _response_wire() + b"\x00"
+        for _ in range(2):
+            with pytest.raises(MessageMalformed):
+                Message.from_wire(wire)
+        assert wire[2:] not in message_module._PARSED
+
+    def test_table_is_emptied_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(message_module, "_PARSED_MAX", 2)
+        for msg_id in range(3):
+            Message.from_wire(make_query(f"n{msg_id}.example", msg_id=0).to_wire())
+            assert len(message_module._PARSED) <= 2
+
+
+class TestQueryWireTemplate:
+    @given(
+        domain=st.sampled_from(["example.com", "ExAmPlE.com", "a.b.example.org.", "."]),
+        qtype=st.sampled_from([TYPE_A, TYPE_AAAA, TYPE_TXT]),
+        msg_id=st.integers(0, 0xFFFF),
+    )
+    def test_property_equals_the_encoded_query(self, domain, qtype, msg_id):
+        assert make_query_wire(domain, qtype, msg_id) == (
+            make_query(domain, qtype, msg_id=msg_id).to_wire()
+        )
+
+    def test_out_of_range_id_rejected(self):
+        with pytest.raises(MessageMalformed):
+            make_query_wire("example.com", TYPE_A, 0x10000)

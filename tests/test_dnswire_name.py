@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.dnswire.name as name_module
 from repro.dnswire.name import MAX_LABEL_LENGTH, MAX_NAME_LENGTH, Name
 from repro.errors import CompressionError, MessageTruncated
 from repro.errors import NameError_ as DnsNameError
@@ -209,3 +210,82 @@ def test_property_parent_chain_reaches_root(name):
     for _ in range(len(name.labels) + 1):
         current = current.parent()
     assert current.is_root
+
+
+# ---------------------------------------------------------------------------
+# Interning: decode / from_text / parent hand out one shared Name per
+# distinct label tuple.  Case is part of that identity, never folded away.
+# ---------------------------------------------------------------------------
+
+
+def _mixed_case(labels, mask):
+    """``labels`` with the letters picked by the bits of ``mask`` upper-cased."""
+    out, bit = [], 0
+    for label in labels:
+        chars = bytearray(label)
+        for index, char in enumerate(chars):
+            if 97 <= char <= 122:
+                if mask >> bit & 1:
+                    chars[index] = char - 32
+                bit += 1
+        out.append(bytes(chars))
+    return tuple(out)
+
+
+_lower_label = st.binary(min_size=1, max_size=8).map(bytes.lower)
+
+
+class TestInterning:
+    @pytest.fixture(autouse=True)
+    def _empty_tables(self):
+        name_module._INTERNED.clear()
+        name_module._FROM_TEXT.clear()
+
+    @given(
+        labels=st.lists(_lower_label, min_size=1, max_size=4),
+        mask=st.integers(1, 2**32 - 1),
+        folded_first=st.booleans(),
+    )
+    def test_property_case_survives_in_either_arrival_order(self, labels, mask, folded_first):
+        spellings = [tuple(labels), _mixed_case(labels, mask)]
+        if not folded_first:
+            spellings.reverse()
+        decoded = [Name.decode(Name(spelling).to_wire(), 0)[0] for spelling in spellings]
+        assert [name.labels for name in decoded] == spellings
+        assert decoded[0] == decoded[1]
+        assert hash(decoded[0]) == hash(decoded[1])
+
+    def test_from_text_keeps_case_in_either_arrival_order(self):
+        for texts in (["ExAmPlE.com", "example.com"], ["example.org", "EXAMPLE.org."]):
+            first, second = map(Name.from_text, texts)
+            assert first.to_text() == texts[0].rstrip(".") + "."
+            assert second.to_text() == texts[1].rstrip(".") + "."
+            assert first == second and hash(first) == hash(second)
+
+    def test_one_instance_per_name(self):
+        name = Name.from_text("www.example.com")
+        assert Name.from_text("www.example.com") is name
+        assert Name.from_text("www.example.com.") is name
+        assert Name.decode(name.to_wire(), 0)[0] is name
+        assert Name.from_text("x.www.example.com").parent() is name
+        assert Name([b"x", b"www", b"example", b"com"]).parent() is name
+        assert Name.root() is Name.from_text(".") is Name.from_text("")
+        assert Name.root() == Name.decode(b"\x00", 0)[0]
+
+    def test_an_invalid_name_is_rejected_every_time(self):
+        for _ in range(2):
+            with pytest.raises(DnsNameError):
+                Name.from_text("a..b")
+            with pytest.raises(DnsNameError):
+                Name.from_text("x" * 64 + ".com")
+        assert not name_module._FROM_TEXT
+
+    def test_tables_are_emptied_at_their_bounds(self, monkeypatch):
+        monkeypatch.setattr(name_module, "_INTERNED_MAX", 2)
+        monkeypatch.setattr(name_module, "_FROM_TEXT_MAX", 2)
+        names = [Name.from_text(f"host{index}.example") for index in range(5)]
+        assert len(name_module._INTERNED) <= 2
+        assert len(name_module._FROM_TEXT) <= 2
+        # Evicted names still compare by value with their replacements.
+        assert Name.from_text("host0.example") == names[0]
+        assert Name.from_text("host0.example").parent() == names[4].parent()

@@ -10,7 +10,9 @@ invariant that a rejected 0-RTT attempt always lands as a well-formed
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from repro.core.runner import Campaign
 from repro.errors import HttpProtocolError
 from repro.experiments.campaigns import sessions_campaign_config
 from repro.experiments.world import build_world
+import repro.httpsim.h3 as h3
 from repro.httpsim.h1 import HttpRequest, HttpResponse
 from repro.httpsim.h3 import (
     H3CodecError,
@@ -103,6 +106,111 @@ class TestH3Codec:
         wire = struct.pack("!BI", 0x01, 4) + b"[42]"
         with pytest.raises(H3CodecError):
             decode_h3_request(wire)
+
+
+_field_text = st.text(max_size=12)
+_awkward_values = st.one_of(
+    _field_text,
+    st.sampled_from([0, 1, 200, True, False, 1.0, 200.0, None]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def _reference_frame(fields):
+    """A HEADERS frame as it has always been: compact JSON, length-prefixed."""
+    payload = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    return struct.pack("!BI", 0x01, len(payload)) + payload
+
+
+class TestH3FieldMaps:
+    """The HEADERS frame of a field set is serialised and parsed once; that
+    must not show."""
+
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from(["GET", "POST"]),
+                _field_text,
+                _field_text,
+                st.dictionaries(_field_text, _field_text, max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_property_requests_encode_as_ever_and_round_trip(self, requests):
+        for method, path, host, headers in requests + requests:
+            request = HttpRequest(method=method, path=path, headers=headers, body=b"")
+            wire = encode_h3_request(request, host)
+            assert wire == _reference_frame(
+                {":method": method, ":path": path, ":authority": host, "headers": headers}
+            )
+            decoded = decode_h3_request(wire)
+            assert (decoded.method, decoded.path, decoded.headers) == (method, path, headers)
+            assert decoded.headers is not headers
+
+    @given(
+        responses=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 200, 404, True, False, 1.0, 200.0]),
+                st.dictionaries(st.sampled_from(["a", "b"]), _awkward_values, max_size=2),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_property_any_status_and_value_encodes_as_ever(self, responses):
+        for status, headers in responses + responses:
+            wire = encode_h3_response(HttpResponse(status=status, headers=headers, body=b""))
+            assert wire == _reference_frame({":status": status, "headers": headers})
+
+    def test_equal_keys_with_different_json_do_not_share_an_entry(self):
+        frames = [
+            encode_h3_response(HttpResponse(status=status, headers={}, body=b""))
+            for status in (1, True, 1.0, 1)
+        ]
+        assert [frame[5:] for frame in frames] == [
+            b'{":status":1,"headers":{}}',
+            b'{":status":true,"headers":{}}',
+            b'{":status":1.0,"headers":{}}',
+            b'{":status":1,"headers":{}}',
+        ]
+
+    def test_decode_hands_out_independent_messages(self):
+        wire = encode_h3_response(
+            HttpResponse(status=200, headers={"Content-Type": "x"}, body=b"abc")
+        )
+        first = decode_h3_response(wire)
+        first.headers["Content-Type"] = "y"
+        first.headers["extra"] = "1"
+        second = decode_h3_response(wire)
+        assert second.headers == {"Content-Type": "x"}
+        assert second.headers is not decode_h3_response(wire).headers
+        request_wire = encode_h3_request(
+            HttpRequest(method="POST", path="/dns-query", headers={"Accept": "x"}, body=b"q"),
+            "dns.example",
+        )
+        decode_h3_request(request_wire).headers.clear()
+        assert decode_h3_request(request_wire).headers == {"Accept": "x"}
+
+    @pytest.mark.parametrize("payload", [b"[42]", b"\xff", b"{", b""])
+    def test_a_bad_field_map_raises_every_time(self, payload):
+        wire = struct.pack("!BI", 0x01, len(payload)) + payload
+        for _ in range(2):
+            with pytest.raises(H3CodecError):
+                decode_h3_request(wire)
+            with pytest.raises(H3CodecError):
+                decode_h3_response(wire)
+        assert payload not in h3._FIELD_MAPS
+
+    def test_tables_are_emptied_at_their_bounds(self, monkeypatch):
+        monkeypatch.setattr(h3, "_HEADERS_FRAMES_MAX", 2)
+        monkeypatch.setattr(h3, "_FIELD_MAPS_MAX", 2)
+        for status in range(200, 205):
+            response = HttpResponse(status=status, headers={"a": "b"}, body=b"")
+            assert decode_h3_response(encode_h3_response(response)).status == status
+            assert len(h3._HEADERS_FRAMES) <= 2
+            assert len(h3._FIELD_MAPS) <= 2
 
 
 # ---------------------------------------------------------------------------

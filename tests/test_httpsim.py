@@ -1,8 +1,11 @@
 """Tests for the HTTP/1.1, HTTP/2 and DoH codec layers."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.httpsim.h2 as h2
 from repro.dnswire.builder import make_query
 from repro.errors import HttpProtocolError
 from repro.httpsim.doh import (
@@ -277,6 +280,90 @@ class TestH2FrameBuffer:
                 frame_buffer.feed(bad)
         with pytest.raises(HttpProtocolError, match="preface"):
             frame_buffer.feed(PREFACE)
+
+
+_header_text = st.text(max_size=12)
+#: Values that are equal as dict keys but not as JSON (1, 1.0, True; 0,
+#: False), values that are not ``str``, and values that cannot be hashed.
+_awkward_values = st.one_of(
+    _header_text,
+    st.sampled_from([0, 1, 200, True, False, 1.0, 0.0, 200.0, None]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["k"]), st.integers(0, 1), max_size=1),
+)
+
+
+def _reference_block(headers):
+    """What a header block has always been: compact JSON of the map."""
+    return json.dumps(headers, separators=(",", ":")).encode("utf-8")
+
+
+class TestH2HeaderBlocks:
+    """``_encode_headers_block`` / ``_decode_headers_block`` remember what
+    they did; nothing about that may be visible."""
+
+    @given(
+        maps=st.lists(
+            st.dictionaries(_header_text, _header_text, max_size=4), min_size=1, max_size=4
+        )
+    )
+    def test_property_str_maps_encode_as_ever_and_round_trip(self, maps):
+        for headers in maps + maps:
+            block = h2._encode_headers_block(headers)
+            assert block == _reference_block(headers)
+            assert h2._decode_headers_block(block) == headers
+
+    @given(
+        maps=st.lists(
+            st.dictionaries(st.sampled_from(["a", "b"]), _awkward_values, max_size=2),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_property_any_value_encodes_as_ever(self, maps):
+        for headers in maps + maps:
+            assert h2._encode_headers_block(headers) == _reference_block(headers)
+
+    def test_equal_keys_with_different_json_do_not_share_an_entry(self):
+        blocks = [
+            h2._encode_headers_block({"n": value}) for value in ("1", 1, True, 1.0, [1])
+        ]
+        assert blocks == [b'{"n":"1"}', b'{"n":1}', b'{"n":true}', b'{"n":1.0}', b'{"n":[1]}']
+        assert h2._encode_headers_block({"n": "1"}) == b'{"n":"1"}'
+
+    def test_field_order_is_part_of_the_block(self):
+        assert h2._encode_headers_block({"a": "1", "b": "2"}) == b'{"a":"1","b":"2"}'
+        assert h2._encode_headers_block({"b": "2", "a": "1"}) == b'{"b":"2","a":"1"}'
+
+    def test_decode_hands_out_an_independent_map_each_call(self):
+        block = _reference_block({":status": "200", "content-type": "x"})
+        first = h2._decode_headers_block(block)
+        first[":status"] = "500"
+        first["extra"] = "1"
+        second = h2._decode_headers_block(block)
+        assert second == {":status": "200", "content-type": "x"}
+        assert second is not h2._decode_headers_block(block)
+
+    def test_decoded_values_are_strings(self):
+        assert h2._decode_headers_block(b'{"a":1,"b":true,"c":null}') == {
+            "a": "1", "b": "True", "c": "None",
+        }
+
+    @pytest.mark.parametrize("block", [b"[1]", b"\xff", b"{", b"", b"7"])
+    def test_a_bad_block_raises_every_time(self, block):
+        for _ in range(2):
+            with pytest.raises(HttpProtocolError):
+                h2._decode_headers_block(block)
+        assert block not in h2._DECODED_BLOCKS
+
+    def test_tables_are_emptied_at_their_bounds(self, monkeypatch):
+        monkeypatch.setattr(h2, "_ENCODED_BLOCKS_MAX", 2)
+        monkeypatch.setattr(h2, "_DECODED_BLOCKS_MAX", 2)
+        for index in range(5):
+            headers = {"n": str(index)}
+            assert h2._decode_headers_block(h2._encode_headers_block(headers)) == headers
+            assert len(h2._ENCODED_BLOCKS) <= 2
+            assert len(h2._DECODED_BLOCKS) <= 2
 
 
 class TestDohCodec:

@@ -19,7 +19,9 @@ import time
 
 import pytest
 
+import repro.dnswire.message as message_module
 import repro.experiments.world as world_module
+import repro.httpsim.h2 as h2_module
 import repro.parallel.runner as runner_module
 from repro.core.probes import DohProbeConfig
 from repro.core.runner import CampaignConfig
@@ -96,6 +98,15 @@ def test_pooled_run_builds_one_world_in_the_parent_and_none_in_children(count_bu
     # The children's setup is what is left once the world is inherited.
     assert sum(r.setup_seconds for r in run.shard_results) < run.warm_seconds
     assert all(0 <= r.setup_seconds <= r.wall_seconds for r in run.shard_results)
+
+
+@needs_fork
+def test_children_inheriting_warm_codec_memos_match_the_sequential_run():
+    sequential = run_parallel(_plan(), workers=1)  # fills this process's memos
+    assert message_module._PARSED and h2_module._ENCODED_BLOCKS
+    pooled = run_parallel(_plan(), workers=2)  # forked with them
+    assert pooled.pool_used
+    assert _artifacts(pooled.shard_results) == _artifacts(sequential.shard_results)
 
 
 def test_sequential_run_builds_one_world_per_shard_and_reports_it(count_builds):

@@ -121,6 +121,39 @@ class TestQuicConnection:
         assert conn2.used_early_data
         assert (second_done[0] - start) / rtt == pytest.approx(1.0, rel=0.2)
 
+    def test_ticket_registry_holds_one_lifetime_of_tickets(self):
+        net, client, server, _listener = quic_echo_pair()
+        cache = SessionCache()
+        config = QuicConfig(session_cache=cache)
+        week_ms = 7 * 24 * 3600 * 1000.0
+
+        def exchange():
+            conn = QuicClientConnection(client, server.ip, 853, "q.example", config=config)
+            conn.open_stream(b"ping", lambda data: None)
+            net.run()
+            conn.close()
+            net.run()
+            return conn
+
+        # Connections more than a ticket lifetime apart: each issue finds
+        # the earlier tickets expired and drops them.
+        for _ in range(5):
+            assert not exchange().resumed
+            net.loop.call_later(week_ms + 1.0, lambda: None)
+            net.run()
+        assert len(server.quic_tickets) == 1
+        # A live ticket still resumes ...
+        assert not exchange().resumed
+        assert exchange().resumed
+        assert len(server.quic_tickets) == 2
+        # ... and one past its server-side expiry does not, even when the
+        # client believes it lives on.
+        (ticket,) = cache._tickets.values()
+        cache.store(replace(ticket, lifetime_ms=10 * week_ms))
+        net.loop.call_later(week_ms + 1.0, lambda: None)
+        net.run()
+        assert not exchange().resumed
+
     def test_rejected_early_data_replayed(self):
         net, client, server, listener = quic_echo_pair()
         cache = SessionCache()

@@ -1,5 +1,7 @@
 """Tests for the simulated TLS layer: records, sessions, handshakes."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -173,8 +175,13 @@ def run_handshake(
     early_data=True,
     rounds=1,
     server_name="dns.example",
+    ticket_lifetime_ms=None,
+    before_round=None,
 ):
     """Drive `rounds` sequential connections; return per-round details.
+
+    ``before_round(net, round_index)`` runs ahead of each connection (to
+    let virtual time pass or doctor the session cache).
 
     Each detail carries both endpoints (``tls``, ``server``) and
     ``flights``: ``(side, on-wire record length)`` of every handshake
@@ -187,6 +194,10 @@ def run_handshake(
     b = add_host(net, "server", "10.0.0.2", lat=50.11, lon=8.68, continent="EU")
     rtt = net.path_between(a, b).base_rtt_ms
     server_config = TlsServerConfig(versions=server_versions, alpn_preference=server_alpn)
+    if ticket_lifetime_ms is not None:
+        server_config = dataclasses.replace(
+            server_config, ticket_lifetime_ms=ticket_lifetime_ms
+        )
     results = []
 
     def tap(tcp_conn, side, detail):
@@ -208,7 +219,9 @@ def run_handshake(
         results[-1]["server"] = server
 
     b.listen_tcp(443, acceptor)
-    for _round in range(rounds):
+    for round_index in range(rounds):
+        if before_round is not None:
+            before_round(net, round_index)
         detail = {"flights": []}
         results.append(detail)
         started = net.now
@@ -307,6 +320,45 @@ class TestHandshakes:
         second_elapsed = second["response"][0] - second["started"]
         assert first_elapsed / first["rtt"] == pytest.approx(4.0, rel=0.05)
         assert second_elapsed / second["rtt"] == pytest.approx(3.0, rel=0.05)
+
+
+class TestTicketRegistry:
+    """The server host's registry of issued tickets (``Host.tls_tickets``)."""
+
+    def test_registry_holds_one_lifetime_of_tickets(self):
+        # ~0.4 s per connection against a 1 s lifetime: every ticket is
+        # presented while live, and each issue drops the expired ones.
+        details = run_handshake(
+            cache=SessionCache(), early_data=False, rounds=12, ticket_lifetime_ms=1000.0
+        )
+        assert [d["tls"].resumed for d in details] == [False] + [True] * 11
+        registry = details[-1]["server"].tcp.host.tls_tickets
+        assert 1 <= len(registry) <= 4
+        newest = max(registry.values())
+        assert all(expiry > newest - 1000.0 for expiry in registry.values())
+
+    def test_ticket_past_its_server_side_expiry_is_not_honoured(self):
+        cache = SessionCache()
+
+        def outlive_the_ticket(net, round_index):
+            if round_index == 1:
+                # The client believes the ticket lives on; the server's
+                # copy expires while three seconds pass.
+                (ticket,) = cache._tickets.values()
+                cache.store(dataclasses.replace(ticket, lifetime_ms=1e9))
+                net.loop.call_later(3000.0, lambda: None)
+                net.run()
+
+        first, second = run_handshake(
+            cache=cache,
+            early_data=False,
+            rounds=2,
+            ticket_lifetime_ms=1000.0,
+            before_round=outlive_the_ticket,
+        )
+        assert second["tls"].config.session_cache is cache
+        assert not second["tls"].resumed
+        assert not second["server"].resumed
 
 
 class TestEarlyDataRejection:
