@@ -9,7 +9,10 @@ campaigns stream to disk without holding file-size state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Callable,
@@ -24,6 +27,34 @@ from typing import (
 )
 
 from repro.errors import ResultsFormatError
+
+#: ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` for whatever
+#: :func:`_fragment` does not write itself, and ``json.loads`` without the
+#: per-call decoder lookup.
+_encode_other = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_decode = json.JSONDecoder().raw_decode
+
+
+def _fragment(value: object) -> str:
+    """The JSON text of one field value, exactly as ``json.dumps`` writes it.
+
+    The types a campaign produces are written directly; anything else
+    (NaN and the infinities, ``str`` / ``int`` / ``float`` subclasses,
+    containers) goes through the shared encoder, so the result is
+    ``json``'s for every value and not only for the common ones.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and isfinite(value)):
+        return repr(value)
+    return _encode_other(value)
 
 
 @dataclass
@@ -82,44 +113,47 @@ class MeasurementRecord:
     session_policy: Optional[str] = None
 
     def to_json(self) -> str:
-        # One flat dict built from the fields by name: ``asdict`` deep-copies
-        # (20 of its 26 us on a flat record), and reading ``__dict__`` makes
-        # CPython materialise the instance dict and slows every later
-        # attribute load on the record.  tests/test_results_format.py holds
-        # this list to ``dataclasses.fields``.
-        data = {
-            "campaign": self.campaign,
-            "vantage": self.vantage,
-            "resolver": self.resolver,
-            "kind": self.kind,
-            "transport": self.transport,
-            "domain": self.domain,
-            "round_index": self.round_index,
-            "started_at_ms": self.started_at_ms,
-            "duration_ms": self.duration_ms,
-            "success": self.success,
-            "error_class": self.error_class,
-            "rcode": self.rcode,
-            "http_status": self.http_status,
-            "http_version": self.http_version,
-            "tls_version": self.tls_version,
-            "response_size": self.response_size,
-            "connection_reused": self.connection_reused,
-            "attempts": self.attempts,
-            "connect_ms": self.connect_ms,
-            "tls_ms": self.tls_ms,
-            "query_ms": self.query_ms,
-            "failed_phase": self.failed_phase,
-            "response_wire": self.response_wire,
-        }
+        # The line is written from a template: the fields by name in sorted
+        # key order (what ``sort_keys`` produced when this went through
+        # ``json.dumps``), each value through ``_fragment``.  A field added
+        # to the dataclass goes here too, in its sorted position;
+        # tests/test_results_format.py holds the template to
+        # ``dataclasses.fields`` and to ``json.dumps`` of ``asdict``.
+        f = _fragment
         # Session fields appeared after the format froze; omit them when
         # unset so cold/legacy campaigns keep emitting byte-identical
         # JSONL (the golden-master equivalence suites depend on it).
-        if self.session_state is not None:
-            data["session_state"] = self.session_state
+        session = ""
         if self.session_policy is not None:
-            data["session_policy"] = self.session_policy
-        return json.dumps(data, separators=(",", ":"), sort_keys=True)
+            session = f',"session_policy":{f(self.session_policy)}'
+        if self.session_state is not None:
+            session += f',"session_state":{f(self.session_state)}'
+        return (
+            f'{{"attempts":{f(self.attempts)}'
+            f',"campaign":{f(self.campaign)}'
+            f',"connect_ms":{f(self.connect_ms)}'
+            f',"connection_reused":{f(self.connection_reused)}'
+            f',"domain":{f(self.domain)}'
+            f',"duration_ms":{f(self.duration_ms)}'
+            f',"error_class":{f(self.error_class)}'
+            f',"failed_phase":{f(self.failed_phase)}'
+            f',"http_status":{f(self.http_status)}'
+            f',"http_version":{f(self.http_version)}'
+            f',"kind":{f(self.kind)}'
+            f',"query_ms":{f(self.query_ms)}'
+            f',"rcode":{f(self.rcode)}'
+            f',"resolver":{f(self.resolver)}'
+            f',"response_size":{f(self.response_size)}'
+            f',"response_wire":{f(self.response_wire)}'
+            f',"round_index":{f(self.round_index)}'
+            f'{session}'
+            f',"started_at_ms":{f(self.started_at_ms)}'
+            f',"success":{f(self.success)}'
+            f',"tls_ms":{f(self.tls_ms)}'
+            f',"tls_version":{f(self.tls_version)}'
+            f',"transport":{f(self.transport)}'
+            f',"vantage":{f(self.vantage)}}}'
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "MeasurementRecord":
@@ -140,13 +174,30 @@ class MeasurementRecord:
         anonymous ``json.JSONDecodeError`` without file context.
         """
         try:
-            data = json.loads(line)
+            text = line.strip(_JSON_WHITESPACE)
+            data, end = _decode(text)
+            if end != len(text):
+                raise ValueError(f"extra data after the record at char {end}")
             if not isinstance(data, dict):
                 raise ValueError(
                     f"expected a JSON object, got {type(data).__name__}"
                 )
+            # A line this code wrote has exactly the record's fields, with
+            # or without the two session ones: build it positionally.  (As
+            # many keys as names and every name found is the same key set;
+            # counting is cheaper than comparing sets.)  Any other key set
+            # goes by keyword, whose TypeError names the missing or unknown
+            # field.
+            count = len(data)
+            try:
+                if count == _LEGACY_COUNT:
+                    return cls(*_legacy_values(data))
+                if count == _FIELD_COUNT:
+                    return cls(*_all_values(data))
+            except KeyError:
+                pass
             return cls(**data)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             location = ""
             if source is not None:
                 location = f" in {source}"
@@ -157,6 +208,24 @@ class MeasurementRecord:
             raise ResultsFormatError(
                 f"malformed measurement record{location}: {exc}"
             ) from exc
+
+
+#: What ``json.loads`` skips around a document (``str.strip()`` alone would
+#: also accept form feeds and Unicode spaces).
+_JSON_WHITESPACE = " \t\n\r"
+
+_FIELD_NAMES = tuple(f.name for f in fields(MeasurementRecord))
+#: The line of a campaign without a session policy.  Built positionally it
+#: must be a prefix of the constructor's arguments: the two session fields
+#: stay last in the dataclass.
+_LEGACY_NAMES = tuple(
+    name for name in _FIELD_NAMES if name not in ("session_state", "session_policy")
+)
+_FIELD_COUNT = len(_FIELD_NAMES)
+_LEGACY_COUNT = len(_LEGACY_NAMES)
+#: dict -> the constructor's positional arguments, in dataclass field order.
+_all_values = itemgetter(*_FIELD_NAMES)
+_legacy_values = itemgetter(*_LEGACY_NAMES)
 
 
 class ResultStore:

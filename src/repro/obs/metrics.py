@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -124,31 +125,41 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, dump: Dict[str, Any]) -> "Histogram":
-        histogram = cls(tuple(dump["bounds"]))
-        histogram.merge_dict(dump)
+        bounds = tuple(dump["bounds"])
+        counts = list(dump["counts"])
+        if len(counts) != len(bounds) + 1:
+            raise ValueError(
+                f"histogram dump has {len(counts)} counts for {len(bounds)} bounds"
+            )
+        histogram = cls.__new__(cls)  # every slot is set below
+        histogram.bounds = bounds
+        histogram.counts = counts
+        histogram.count = dump["count"]
+        histogram.total = dump["total"]
+        histogram.min = dump["min"]
+        histogram.max = dump["max"]
         return histogram
 
     def merge_dict(self, dump: Dict[str, Any]) -> None:
-        """Fold one :meth:`to_dict` dump into this histogram.
+        """Fold one :meth:`to_dict` dump into this histogram."""
+        self.merge(Histogram.from_dict(dump))
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold another histogram (same bounds) into this one.
 
         Fixed-bucket histograms compose exactly by adding counts, which is
         why per-shard and per-segment summaries merge into whole-run
         quantile estimates identical to a single-pass computation.
         """
-        if self.bounds != tuple(dump["bounds"]):
+        if self.bounds != other.bounds:
             raise ValueError("cannot merge histograms with differing bucket bounds")
-        for index, count in enumerate(dump["counts"]):
-            self.counts[index] += count
-        self.count += dump["count"]
-        self.total += dump["total"]
-        if dump["min"] is not None:
-            self.min = dump["min"] if self.min is None else min(self.min, dump["min"])
-        if dump["max"] is not None:
-            self.max = dump["max"] if self.max is None else max(self.max, dump["max"])
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram (same bounds) into this one."""
-        self.merge_dict(other.to_dict())
+        self.counts[:] = map(operator.add, self.counts, other.counts)
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None:
+            self.min = other.min if self.min is None else min(self.min, other.min)
+        if other.max is not None:
+            self.max = other.max if self.max is None else max(self.max, other.max)
 
     @property
     def p50(self) -> Optional[float]:

@@ -106,13 +106,14 @@ class GroupSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSummary":
-        summary = cls(
-            vantage=data["vantage"],
-            resolver=data["resolver"],
-            transport=data["transport"],
-            kind=data["kind"],
-            bounds=tuple(data["histogram"]["bounds"]),
-        )
+        # Every slot is set from the dump, so ``__init__`` (an empty Counter
+        # and a zeroed Histogram, both thrown away) is skipped: loading the
+        # book is most of what an aggregate-served query costs.
+        summary = cls.__new__(cls)
+        summary.vantage = data["vantage"]
+        summary.resolver = data["resolver"]
+        summary.transport = data["transport"]
+        summary.kind = data["kind"]
         summary.count = data["count"]
         summary.successes = data["successes"]
         summary.attempts_total = data["attempts_total"]
@@ -203,14 +204,17 @@ class AggregateBook:
                 summary = GroupSummary.from_dict(entry)
                 book._groups[summary.key] = summary
             return book
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ResultsFormatError(f"malformed aggregate book: {exc}") from exc
 
     def save_json(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # Compact, like the segment sidecars: nobody reads 546 histograms
+        # one number per line, and ``indent`` costs json's C encoder.
         path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
+            + "\n",
             encoding="utf-8",
         )
         return path

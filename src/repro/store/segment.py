@@ -137,9 +137,12 @@ class SegmentIndex:
             raise ResultsFormatError(f"malformed segment index: {exc}") from exc
 
     def save(self, directory: Union[str, Path]) -> Path:
+        # Compact: a machine reads this file, and ``indent`` would put one
+        # offset per line through json's pure-Python encoder.
         path = Path(directory) / self.index_filename
         path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
+            + "\n",
             encoding="utf-8",
         )
         return path
@@ -152,9 +155,8 @@ class SegmentIndex:
         except (OSError, json.JSONDecodeError) as exc:
             raise ResultsFormatError(f"unreadable segment index {path}: {exc}") from exc
         name = path.name
-        for suffix in (INDEX_SUFFIX,):
-            if name.endswith(suffix):
-                name = name[: -len(suffix)]
+        if name.endswith(INDEX_SUFFIX):
+            name = name[: -len(INDEX_SUFFIX)]
         return cls.from_dict(data, name=name)
 
 
@@ -190,7 +192,10 @@ class SegmentWriter:
             raise StoreError(f"segment {self.path} is already sealed")
         data = (record.to_json() + "\n").encode("utf-8")
         key = (record.vantage, record.resolver, record.transport)
-        self._groups.setdefault(key, []).append(self._offset)
+        offsets = self._groups.get(key)
+        if offsets is None:
+            offsets = self._groups[key] = []
+        offsets.append(self._offset)
         self._campaigns.add(record.campaign)
         if self._round_min is None or record.round_index < self._round_min:
             self._round_min = record.round_index
@@ -231,9 +236,15 @@ def iter_segment(
     with criteria and a sidecar, only the byte offsets of matching groups
     are visited.  Malformed or truncated lines raise
     :class:`~repro.errors.ResultsFormatError` naming the segment file and
-    line number.
+    line number (or byte offset).  With a sidecar, a segment that is not
+    the size it was sealed at is refused before any record is yielded, and
+    a full scan that does not yield the sealed record count raises at its
+    end: a file torn at a line boundary parses cleanly and must not pass
+    for a shorter segment.
     """
     path = Path(path)
+    if index is not None:
+        _check_sealed_size(path, index)
     filtered = not (vantage is None and resolver is None and transport is None)
     if filtered and index is not None:
         offsets = index.matching_offsets(
@@ -246,13 +257,15 @@ def iter_segment(
                 handle.seek(offset)
                 raw = handle.readline()
                 yield MeasurementRecord.parse_line(
-                    raw.decode("utf-8"), source=path
+                    raw.decode("utf-8"), source=f"{path}, byte offset {offset}"
                 )
         return
+    lines = 0
     for line_number, line in _iter_lines(path):
         record = MeasurementRecord.parse_line(
             line, source=path, line_number=line_number
         )
+        lines += 1
         if vantage is not None and record.vantage != vantage:
             continue
         if resolver is not None and record.resolver != resolver:
@@ -260,6 +273,33 @@ def iter_segment(
         if transport is not None and record.transport != transport:
             continue
         yield record
+    if index is not None and lines != index.records:
+        raise ResultsFormatError(
+            f"segment {path} holds {lines} records but its sidecar says "
+            f"{index.records}"
+        )
+
+
+def _check_sealed_size(path: Path, index: SegmentIndex) -> None:
+    """Refuse a segment whose size is not the one its sidecar recorded."""
+    try:
+        size = path.stat().st_size
+    except OSError as exc:
+        raise ResultsFormatError(f"unreadable segment {path}: {exc}") from exc
+    if size == index.byte_size:
+        return
+    # Torn or edited after sealing.  Name the first line that does not
+    # parse as well, when there is one: it is where to look.
+    detail = ""
+    try:
+        for line_number, line in _iter_lines(path):
+            MeasurementRecord.parse_line(line, source=path, line_number=line_number)
+    except (ResultsFormatError, UnicodeDecodeError) as exc:
+        detail = f": {exc}"
+    raise ResultsFormatError(
+        f"segment {path} is {size} bytes but its sidecar says "
+        f"{index.byte_size}{detail}"
+    )
 
 
 def _iter_lines(path: Path) -> Iterator[Tuple[int, str]]:

@@ -16,7 +16,8 @@ which is the bounded-memory guarantee the tests assert.
 
 Ingest observability goes to the ambient (or given) metrics registry:
 
-* ``store.ingest_records``   — counter, records accepted;
+* ``store.ingest_records``   — counter, records landed in sealed
+  segments (like the rest, counted at each flush);
 * ``store.ingest_flushes``   — counter, segments flushed;
 * ``store.ingest_seconds``   — counter, wall-clock spent in flushes
   (throughput = records / seconds; wall-clock, so excluded from
@@ -71,11 +72,6 @@ class StoreSink:
             raise StoreError(f"sink for {self.warehouse.root} is closed")
         self._buffer.append(record)
         self._book.observe(record)
-        if len(self._buffer) > self._hwm:
-            self._hwm = len(self._buffer)
-        metrics = self._registry()
-        if metrics.enabled:
-            metrics.inc("store.ingest_records")
         if len(self._buffer) >= self.segment_records:
             self.flush()
 
@@ -91,7 +87,7 @@ class StoreSink:
     @property
     def buffer_high_water_mark(self) -> int:
         """Most records ever held in the buffer (<= ``segment_records``)."""
-        return self._hwm
+        return max(self._hwm, len(self._buffer))
 
     @property
     def segments_written(self) -> int:
@@ -119,6 +115,10 @@ class StoreSink:
         if not self._buffer:
             return
         started = time.perf_counter()
+        # The buffer only grows between flushes, so its length here is the
+        # high-water mark since the last one.
+        flushed = len(self._buffer)
+        self._hwm = max(self._hwm, flushed)
         self._buffer.sort(key=merge_key)
         writer = SegmentWriter(
             self.warehouse.segments_dir, segment_name(len(self._indexes))
@@ -126,10 +126,11 @@ class StoreSink:
         for record in self._buffer:
             writer.append(record)
         self._indexes.append(writer.close())
-        self._written += len(self._buffer)
+        self._written += flushed
         self._buffer = []
         metrics = self._registry()
         if metrics.enabled:
+            metrics.inc("store.ingest_records", flushed)
             metrics.inc("store.ingest_flushes")
             metrics.inc("store.ingest_seconds", time.perf_counter() - started)
             metrics.set_gauge("store.segments", len(self._indexes))

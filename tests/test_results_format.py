@@ -11,6 +11,7 @@ serialization against every combination of optional fields.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 
 import pytest
@@ -22,42 +23,80 @@ from repro.errors import ResultsFormatError
 # ---------------------------------------------------------------------------
 # Round-trip property: record -> JSONL -> record is the identity
 # ---------------------------------------------------------------------------
+#
+# ``to_json`` writes the line itself instead of calling ``json.dumps``, so
+# the strategy is wider than anything a campaign produces: the line has to
+# be ``json``'s for every value a field can hold, declared type or not.
 
-_names = st.text(
-    alphabet=st.characters(min_codepoint=33, max_codepoint=126),
-    min_size=1,
-    max_size=20,
+
+class _Code(enum.IntEnum):
+    NOERROR = 0
+    SERVFAIL = 2
+
+
+class _Label(str, enum.Enum):
+    TIMEOUT = "timeout"
+
+
+class _Text(str):
+    pass
+
+
+_text = st.one_of(
+    st.text(max_size=20),  # full Unicode, control characters included
+    # One lone surrogate (json itself joins an adjacent high + low pair).
+    st.characters(categories=["Cs"]).map(lambda c: "a" + c + "b"),
+    st.sampled_from(
+        ['"', "\\", 'a"b\\c', "\u2028\u2029", "\U0001f600", "\x00\x1f\x7f", "",
+         _Label.TIMEOUT, _Text("sub\u00e9")]
+    ),
 )
-_finite = st.floats(
-    min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False
+_floats = st.one_of(
+    st.floats(),  # negative, subnormal, NaN and both infinities
+    st.sampled_from([-0.0, 0.0, 1e22, 1e16, 5e-324, -2.5e-310, 1e-7, 123456.789]),
 )
-_opt_ms = st.one_of(st.none(), _finite)
+_ints = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64), _Code.NOERROR, _Code.SERVFAIL]),
+)
+#: A field holds what its annotation says, or anything else JSON can carry:
+#: an int where a float is declared and the reverse, a bool where an int
+#: is, a container.
+_misc = st.one_of(
+    st.booleans(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers()), max_size=3),
+)
+_number = st.one_of(_ints, _floats, _misc)
+_opt_number = st.one_of(st.none(), _number)
+_opt_text = st.one_of(st.none(), _text, _misc)
 
 _records = st.builds(
     MeasurementRecord,
-    campaign=_names,
-    vantage=_names,
-    resolver=_names,
+    campaign=_text,
+    vantage=_text,
+    resolver=_text,
     kind=st.sampled_from(["dns_query", "ping", "dns_query_attempt"]),
     transport=st.sampled_from(["doh", "dot", "do53", "doq", "icmp"]),
-    domain=st.one_of(st.none(), _names),
-    round_index=st.integers(min_value=0, max_value=10_000),
-    started_at_ms=_finite,
-    duration_ms=_opt_ms,
-    success=st.booleans(),
-    error_class=st.one_of(st.none(), _names),
-    rcode=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
-    http_status=st.one_of(st.none(), st.integers(min_value=100, max_value=599)),
+    domain=_opt_text,
+    round_index=_number,
+    started_at_ms=_number,
+    duration_ms=_opt_number,
+    success=st.one_of(st.booleans(), st.integers(0, 1)),
+    error_class=_opt_text,
+    rcode=_opt_number,
+    http_status=_opt_number,
     http_version=st.one_of(st.none(), st.sampled_from(["h1", "h2", "h3"])),
     tls_version=st.one_of(st.none(), st.sampled_from(["1.2", "1.3"])),
-    response_size=st.one_of(st.none(), st.integers(min_value=0, max_value=65535)),
+    response_size=_opt_number,
     connection_reused=st.booleans(),
-    attempts=st.integers(min_value=1, max_value=5),
-    connect_ms=_opt_ms,
-    tls_ms=_opt_ms,
-    query_ms=_opt_ms,
+    attempts=_number,
+    connect_ms=_opt_number,
+    tls_ms=_opt_number,
+    query_ms=_opt_number,
     failed_phase=st.one_of(st.none(), st.sampled_from(["connect", "tls", "query"])),
     response_wire=st.one_of(st.none(), st.binary(max_size=16).map(bytes.hex)),
+    # Drawn independently: one session field set without the other.
     session_state=st.one_of(
         st.none(), st.sampled_from(["cold", "warm", "resumed", "zero_rtt"])
     ),
@@ -69,13 +108,32 @@ _prop = settings(
 )
 
 
+def _same(left, right) -> bool:
+    """Equality that lets NaN equal NaN, through containers."""
+    if isinstance(left, float) and left != left:
+        return isinstance(right, float) and right != right
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            _same(left[k], right[k]) for k in left
+        )
+    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
+        return len(left) == len(right) and all(map(_same, left, right))
+    return left == right
+
+
+def _same_record(left: MeasurementRecord, right: MeasurementRecord) -> bool:
+    return _same(dataclasses.astuple(left), dataclasses.astuple(right))
+
+
 @_prop
 @given(record=_records)
 def test_record_round_trips_through_jsonl(record: MeasurementRecord):
     line = record.to_json()
-    assert MeasurementRecord.from_json(line) == record
+    assert _same_record(MeasurementRecord.from_json(line), record)
     # And the serialization itself is stable (canonical key order).
     assert MeasurementRecord.from_json(line).to_json() == line
+    # A trailing newline and surrounding JSON whitespace are not content.
+    assert MeasurementRecord.from_json(" \t" + line + "\r\n").to_json() == line
 
 
 def _asdict_form(record: MeasurementRecord) -> str:
@@ -116,8 +174,9 @@ def test_store_round_trips_through_jsonl_file(records, tmp_path_factory):
     path = tmp / "results.jsonl"
     store.save_jsonl(path)
     loaded = ResultStore.load_jsonl(path)
-    assert loaded.records == records
-    assert list(ResultStore.iter_jsonl(path)) == records
+    assert all(map(_same_record, loaded.records, records))
+    assert len(loaded) == len(records)
+    assert all(map(_same_record, ResultStore.iter_jsonl(path), records))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +251,144 @@ def test_parse_line_without_source_still_raises_format_error():
     assert "line 7" in str(excinfo.value)
     with pytest.raises(ResultsFormatError):
         MeasurementRecord.from_json("{oops")
+
+
+# ---------------------------------------------------------------------------
+# The parser is ``json.loads`` + the dataclass constructor, for every line
+# ---------------------------------------------------------------------------
+
+_GOOD = MeasurementRecord(
+    campaign="c", vantage="v", resolver="r", kind="dns_query", transport="doh",
+    domain="example.com", round_index=3, started_at_ms=12.5, duration_ms=1.25,
+    success=True, rcode=0, http_status=200, http_version="h2",
+    tls_version="1.3", response_size=120, connect_ms=0.5, tls_ms=0.5,
+    query_ms=0.25,
+)
+_GOOD_SESSION = dataclasses.replace(
+    _GOOD, session_state="resumed", session_policy="resumption"
+)
+
+
+def _outcome(line: str, **where):
+    """What ``parse_line`` does with ``line``: the record's line, or the error text."""
+    try:
+        return MeasurementRecord.parse_line(line, **where).to_json()
+    except ResultsFormatError as exc:
+        return f"error: {exc}"
+
+
+def _check_terminates_with_a_named_error(line: str) -> None:
+    first = _outcome(line, source="fuzz.jsonl", line_number=7)
+    if first.startswith("error: "):
+        assert "fuzz.jsonl" in first and "line 7" in first
+    # Nothing the first call did changes the second.
+    assert _outcome(line, source="fuzz.jsonl", line_number=7) == first
+
+
+@_prop
+@given(line=st.text(max_size=80))
+def test_parse_line_on_arbitrary_text_raises_only_format_errors(line: str):
+    _check_terminates_with_a_named_error(line)
+
+
+@_prop
+@given(
+    record=st.sampled_from([_GOOD, _GOOD_SESSION]),
+    position=st.integers(min_value=0, max_value=10_000),
+    replacement=st.one_of(st.just(""), st.characters(), st.text(max_size=3)),
+    insert=st.booleans(),
+)
+def test_parse_line_on_a_mutated_line_raises_only_format_errors(
+    record, position, replacement, insert
+):
+    line = record.to_json()
+    position %= len(line)
+    mutated = line[:position] + replacement + line[position + (not insert):]
+    _check_terminates_with_a_named_error(mutated)
+
+
+def test_parse_line_on_runaway_nesting_raises_format_error():
+    with pytest.raises(ResultsFormatError):
+        MeasurementRecord.from_json("[" * 100_000)
+    with pytest.raises(ResultsFormatError):
+        MeasurementRecord.from_json('{"campaign":' * 100_000)
+
+
+def _fields_of(record: MeasurementRecord) -> dict:
+    return json.loads(record.to_json())
+
+
+@pytest.mark.parametrize("record", [_GOOD, _GOOD_SESSION], ids=["23-key", "25-key"])
+def test_parse_line_key_sets_beside_the_exact_one(record):
+    fields = _fields_of(record)
+    assert len(fields) in (23, 25)
+
+    # Same key count, one key renamed: the keyword path names both halves.
+    renamed = dict(fields)
+    renamed["resolvr"] = renamed.pop("resolver")
+    with pytest.raises(ResultsFormatError, match="resolvr"):
+        MeasurementRecord.from_json(json.dumps(renamed))
+
+    # One key fewer: a required field is named, a defaulted one defaults.
+    missing = {k: v for k, v in fields.items() if k != "vantage"}
+    with pytest.raises(ResultsFormatError, match="vantage"):
+        MeasurementRecord.from_json(json.dumps(missing))
+    defaulted = {k: v for k, v in fields.items() if k != "attempts"}
+    assert MeasurementRecord.from_json(json.dumps(defaulted)) == dataclasses.replace(
+        record, attempts=1
+    )
+
+    # One key more: an unknown field is an error, not dropped.
+    extra = dict(fields, colour="blue")
+    with pytest.raises(ResultsFormatError, match="colour"):
+        MeasurementRecord.from_json(json.dumps(extra))
+
+    # Key order is not content.
+    backwards = dict(reversed(list(fields.items())))
+    assert MeasurementRecord.from_json(json.dumps(backwards)) == record
+
+
+def test_parse_line_with_one_session_field():
+    fields = _fields_of(_GOOD)
+    assert len(fields) == 23
+    record = MeasurementRecord.from_json(json.dumps(dict(fields, session_state="warm")))
+    assert record == dataclasses.replace(_GOOD, session_state="warm")
+    assert len(_fields_of(record)) == 24
+
+
+def test_parse_line_duplicate_keys_last_wins_as_json_loads():
+    line = _GOOD.to_json()
+    doubled = line[:-1] + ',"resolver":"second"}'
+    assert json.loads(doubled)["resolver"] == "second"
+    assert MeasurementRecord.from_json(doubled) == dataclasses.replace(
+        _GOOD, resolver="second"
+    )
+
+
+@pytest.mark.parametrize(
+    "line", ["[1, 2]", '"str"', "1", "null", "", "   ", "{}x", "{} {}"]
+)
+def test_parse_line_rejects_what_is_not_one_object(line):
+    with pytest.raises(ResultsFormatError):
+        MeasurementRecord.from_json(line)
+
+
+def test_parse_line_rejects_trailing_data_and_accepts_json_whitespace():
+    line = _GOOD.to_json()
+    for bad in (line + "x", line + line, line + " ,", "x" + line):
+        with pytest.raises(ResultsFormatError):
+            MeasurementRecord.from_json(bad)
+    for padding in ("\n", "\r\n", " ", "\t", " \t\r\n "):
+        assert MeasurementRecord.from_json(line + padding) == _GOOD
+        assert MeasurementRecord.from_json(padding + line) == _GOOD
+    # Exactly json's whitespace: what ``json.loads`` refuses stays refused.
+    for padding in ("\x0c", "\x0b", "\xa0", "\u2003", "\ufeff"):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(padding + line)
+        with pytest.raises(ResultsFormatError):
+            MeasurementRecord.from_json(padding + line)
+        with pytest.raises(ResultsFormatError):
+            MeasurementRecord.from_json(line + padding)
 
 
 # ---------------------------------------------------------------------------

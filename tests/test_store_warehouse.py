@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 
 from repro.core.results import MeasurementRecord, ResultStore
-from repro.errors import StoreError
+from repro.errors import ResultsFormatError, StoreError
 from repro.store import (
     AggregateBook,
     SegmentIndex,
@@ -418,6 +419,188 @@ def test_compact_preserves_records_and_canonicalizes(tmp_path):
 def test_open_missing_warehouse_raises(tmp_path):
     with pytest.raises(StoreError):
         Warehouse.open(tmp_path / "nope")
+
+
+# ---------------------------------------------------------------------------
+# Torn segments: a sealed segment that changed is refused, never read short
+# ---------------------------------------------------------------------------
+
+
+def _cut_at_line_boundary(data: bytes) -> bytes:
+    return b"".join(data.splitlines(keepends=True)[:2])
+
+
+def _cut_mid_line(data: bytes) -> bytes:
+    return data[:-30]
+
+
+def _append_a_whole_line(data: bytes) -> bytes:
+    return data + data.splitlines(keepends=True)[0]
+
+
+def _append_garbage(data: bytes) -> bytes:
+    return data + b"\xff\xfe not utf-8"
+
+
+_DAMAGE = [_cut_at_line_boundary, _cut_mid_line, _append_a_whole_line, _append_garbage]
+
+_READ_PATHS = {
+    "iter_records": lambda wh, tmp: list(wh.iter_records()),
+    "iter_sorted": lambda wh, tmp: list(wh.iter_sorted()),
+    "filter": lambda wh, tmp: wh.filter(vantage="v1"),
+    "build_canonical": lambda wh, tmp: Warehouse.build_canonical([wh], tmp / "dest"),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READ_PATHS))
+@pytest.mark.parametrize("damage", _DAMAGE, ids=lambda fn: fn.__name__.strip("_"))
+def test_torn_segment_is_refused_on_every_read_path(tmp_path, damage, read):
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=6)
+    sink.extend(make_fleet(12))
+    warehouse = sink.close()
+    index = warehouse.segment_indexes()[1]
+    segment = warehouse.segments_dir / index.segment_filename
+    segment.write_bytes(damage(segment.read_bytes()))
+    torn_size = segment.stat().st_size
+    assert torn_size != index.byte_size
+
+    # The manifest still promises every record ...
+    assert len(warehouse) == 12
+    # ... so no reader may hand back fewer without saying so.
+    with pytest.raises(ResultsFormatError) as excinfo:
+        _READ_PATHS[read](warehouse, tmp_path)
+    message = str(excinfo.value)
+    assert segment.name in message
+    assert f"{torn_size} bytes" in message and str(index.byte_size) in message
+    assert not Warehouse(tmp_path / "dest").exists()
+
+
+def test_segment_of_the_sealed_size_but_fewer_lines_raises_at_scan_end(tmp_path):
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=8)
+    sink.extend(make_fleet(4))
+    warehouse = sink.close()
+    segment = warehouse.segments_dir / warehouse.manifest()["segments"][0]
+    lines = segment.read_bytes().splitlines(keepends=True)
+    lines[1] = b" " * (len(lines[1]) - 1) + b"\n"  # same size, one record gone
+    segment.write_bytes(b"".join(lines))
+
+    with pytest.raises(ResultsFormatError) as excinfo:
+        list(warehouse.iter_records())
+    message = str(excinfo.value)
+    assert segment.name in message
+    assert "3 records" in message and "says 4" in message
+
+
+def test_pushdown_read_of_a_corrupt_line_names_the_offset(tmp_path):
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=8)
+    sink.extend(make_fleet(4))
+    warehouse = sink.close()
+    index = warehouse.segment_indexes()[0]
+    segment = warehouse.segments_dir / index.segment_filename
+    key, offsets = next(iter(index.groups.items()))
+    data = bytearray(segment.read_bytes())
+    data[offsets[0]] = ord("x")  # same size: only parsing can notice
+    segment.write_bytes(bytes(data))
+
+    with pytest.raises(ResultsFormatError) as excinfo:
+        warehouse.filter(vantage=key[0], resolver=key[1], transport=key[2])
+    message = str(excinfo.value)
+    assert segment.name in message
+    assert f"byte offset {offsets[0]}" in message
+
+
+def test_missing_segment_file_is_a_named_error(tmp_path):
+    warehouse = Warehouse.from_records(make_fleet(4), tmp_path / "wh")
+    (warehouse.segments_dir / warehouse.manifest()["segments"][0]).unlink()
+    with pytest.raises(ResultsFormatError, match="seg-000000"):
+        list(warehouse.iter_records())
+
+
+# ---------------------------------------------------------------------------
+# Metadata format: compact JSON now, the indented form still read
+# ---------------------------------------------------------------------------
+
+
+def _metadata_paths(warehouse):
+    return [warehouse.aggregates_path, *sorted(warehouse.segments_dir.glob("*.idx.json"))]
+
+
+def _rewrite_metadata_indented(warehouse):
+    """Dump sidecars and aggregates the way the store did before it went compact."""
+    book = warehouse.aggregates()
+    warehouse.aggregates_path.write_text(
+        json.dumps(book.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
+    for index in warehouse.segment_indexes():
+        (warehouse.segments_dir / index.index_filename).write_text(
+            json.dumps(index.to_dict(), indent=2, sort_keys=True) + "\n"
+        )
+
+
+def _served_tables(warehouse):
+    book = warehouse.aggregates()
+    return (
+        availability_from_aggregates(book),
+        per_resolver_availability_from_aggregates(book),
+        response_time_summaries(book),
+    )
+
+
+def test_indented_metadata_of_an_older_warehouse_still_serves(tmp_path):
+    records = make_fleet(40)
+    sink = StoreSink(Warehouse(tmp_path / "new"), segment_records=7)
+    sink.extend(records)
+    new = sink.close()
+    shutil.copytree(new.root, tmp_path / "old")
+    old = Warehouse.open(tmp_path / "old")
+    _rewrite_metadata_indented(old)
+
+    # Another spelling of the same content: every file differs, none parses
+    # differently, and re-indenting the new one gives the old one back.
+    for new_path, old_path in zip(_metadata_paths(new), _metadata_paths(old)):
+        new_text, old_text = new_path.read_text(), old_path.read_text()
+        assert new_text != old_text
+        assert new_text.count("\n") == 1 and " " not in new_text
+        assert json.loads(new_text) == json.loads(old_text)
+        assert json.dumps(json.loads(new_text), indent=2, sort_keys=True) + "\n" == old_text
+
+    assert len(old) == len(new) == 40
+    assert [r.to_json() for r in old.iter_records()] == [
+        r.to_json() for r in new.iter_records()
+    ]
+    assert [r.to_json() for r in old.iter_sorted()] == [
+        r.to_json() for r in new.iter_sorted()
+    ]
+    old_stats, new_stats = {}, {}
+    assert [
+        r.to_json()
+        for r in old.iter_records(vantage="v1", resolver="r2", scan_stats=old_stats)
+    ] == [
+        r.to_json()
+        for r in new.iter_records(vantage="v1", resolver="r2", scan_stats=new_stats)
+    ]
+    assert old_stats == new_stats
+    assert old.info() == dict(new.info(), root=str(old.root))
+    assert _served_tables(old) == _served_tables(new)
+    assert (
+        old.aggregates().to_dict()
+        == AggregateBook.from_records(old.iter_records()).to_dict()
+    )
+
+    # Compacting the older warehouse lands exactly where a fresh build of
+    # the same records does, metadata included.
+    old.compact(segment_records=16)
+    fresh = Warehouse.from_records(records, tmp_path / "fresh", segment_records=16)
+    assert _tree_bytes(old.root) == _tree_bytes(fresh.root)
+
+
+def test_aggregate_book_with_a_miscounted_histogram_is_a_format_error(tmp_path):
+    warehouse = Warehouse.from_records(make_fleet(10), tmp_path / "wh")
+    data = json.loads(warehouse.aggregates_path.read_text())
+    data["groups"][0]["histogram"]["counts"].append(0)
+    warehouse.aggregates_path.write_text(json.dumps(data))
+    with pytest.raises(ResultsFormatError, match="counts"):
+        warehouse.aggregates()
 
 
 # ---------------------------------------------------------------------------
