@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.analysis.response_times import ping_durations, resolver_medians
 from repro.analysis.stats import median
 from repro.core.results import MeasurementRecord, RecordSource
 from repro.errors import AnalysisError
@@ -121,20 +120,16 @@ def latency_correlation(
     """Build the per-resolver (ping, DNS) correlation for one vantage point.
 
     Resolvers without ICMP responses are skipped (the paper shows no ping
-    distribution for them).
+    distribution for them).  One vantage of
+    :func:`latency_correlations_from_records`, its :class:`AnalysisError`
+    raised instead of returned.
     """
-    dns_medians = resolver_medians(store, vantage=vantage)
-    correlation = LatencyCorrelation(vantage=vantage)
-    for resolver, dns_median in sorted(dns_medians.items()):
-        pings = ping_durations(store, vantage=vantage, resolver=resolver)
-        if len(pings) < min_samples:
-            continue
-        correlation.pairs.append((resolver, median(pings), dns_median))
-    if len(correlation.pairs) < 3:
-        raise AnalysisError(
-            f"not enough resolvers with both ping and DNS data from {vantage}"
-        )
-    return correlation
+    outcome = latency_correlations_from_records(
+        store, vantages=[vantage], min_samples=min_samples
+    )[vantage]
+    if isinstance(outcome, AnalysisError):
+        raise outcome
+    return outcome
 
 
 def latency_correlations_from_records(
@@ -142,15 +137,14 @@ def latency_correlations_from_records(
     vantages: Optional[Iterable[str]] = None,
     min_samples: int = 3,
 ) -> Dict[str, Union[LatencyCorrelation, AnalysisError]]:
-    """Single-pass streaming variant of :func:`latency_correlation`.
+    """The correlation per vantage, in one pass over the records.
 
     Consumes any record iterable — :meth:`ResultStore.iter_jsonl`, a
     warehouse scan — holding only per-(vantage, resolver) duration lists,
     so memory is O(successful samples), never O(records).  Returns one
     entry per vantage observed in the stream (or per requested vantage):
     the correlation, or the :class:`AnalysisError` explaining why that
-    vantage has too little data.  Identical to calling
-    :func:`latency_correlation` per vantage on a loaded store.
+    vantage has too little data.
     """
     wanted = list(dict.fromkeys(vantages)) if vantages is not None else None
     seen: set = set()

@@ -11,13 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Sequence, Union
 
 from repro.analysis.figures import FigureRow
 from repro.analysis.response_times import VantageDelta
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.parallel.runner import ParallelRun
 
 FIGURE_FIELDS = (
     "panel", "resolver", "mainstream",
@@ -92,26 +89,3 @@ def write_csv(text: str, path: Union[str, Path]) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
 
-
-def export_parallel_run(
-    run: "ParallelRun",
-    results_path: Union[str, Path],
-    spans_path: Optional[Union[str, Path]] = None,
-    metrics_path: Optional[Union[str, Path]] = None,
-) -> Dict[str, int]:
-    """Write a merged parallel run's artifacts to disk.
-
-    Records go out in canonical order (the merge already sorted them),
-    spans with rebased ids, metrics as the merged snapshot.  The written
-    bytes are a pure function of the shard plan and seeds — the same no
-    matter how many workers executed the run — which is what the
-    equivalence suite asserts file-for-file.  Returns written counts per
-    artifact kind.
-    """
-    written = {"records": run.store.save_jsonl(results_path)}
-    if spans_path is not None:
-        written["spans"] = run.spans.save_jsonl(spans_path)
-    if metrics_path is not None:
-        run.metrics.save_json(metrics_path)
-        written["metrics"] = 1
-    return written

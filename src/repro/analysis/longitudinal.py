@@ -10,11 +10,10 @@ a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.response_times import resolver_medians
 from repro.analysis.stats import median
-from repro.core.results import MeasurementRecord, RecordSource, ResultStore
+from repro.core.results import MeasurementRecord, RecordSource
 from repro.errors import AnalysisError
 
 
@@ -134,26 +133,89 @@ class DriftReport:
         return "\n".join(lines)
 
 
+class _CampaignTallies:
+    """One pass over a record stream: all that drift analysis keeps.
+
+    Per-(campaign, resolver) duration lists and success counters — never
+    the records themselves — plus each campaign's first start time over
+    *all* records.  Medians are over successful DNS durations and
+    availability over all DNS query records, each restricted to
+    ``vantage`` when given.
+    """
+
+    def __init__(
+        self, records: Iterable[MeasurementRecord], vantage: Optional[str] = None
+    ) -> None:
+        self.first_seen: Dict[str, float] = {}
+        self.durations: Dict[Tuple[str, str], List[float]] = {}
+        self.query_counts: Dict[Tuple[str, str], List[int]] = {}  # [successes, total]
+        first_seen = self.first_seen
+        for record in records:
+            campaign = record.campaign
+            if campaign not in first_seen or record.started_at_ms < first_seen[campaign]:
+                first_seen[campaign] = record.started_at_ms
+            if record.kind != "dns_query":
+                continue
+            if vantage is not None and record.vantage != vantage:
+                continue
+            key = (campaign, record.resolver)
+            counts = self.query_counts.setdefault(key, [0, 0])
+            counts[1] += 1
+            if record.success:
+                counts[0] += 1
+                if record.duration_ms is not None:
+                    self.durations.setdefault(key, []).append(record.duration_ms)
+
+    def ordered(self) -> List[str]:
+        """Campaign names by their first record's start time."""
+        return sorted(self.first_seen, key=self.first_seen.__getitem__)
+
+    def _medians(self, campaign: str) -> Dict[str, float]:
+        return {
+            resolver: median(samples)
+            for (c, resolver), samples in self.durations.items()
+            if c == campaign and samples
+        }
+
+    def _availability(self, campaign: str, resolver: str) -> float:
+        successes, total = self.query_counts.get((campaign, resolver), (0, 0))
+        return successes / total if total else 0.0
+
+    def reports(
+        self,
+        base: str,
+        laters: Sequence[str],
+        latency_factor: float,
+        availability_drop: float,
+    ) -> List[DriftReport]:
+        """Each of ``laters`` against ``base``, over the resolvers both measured."""
+        base_medians = self._medians(base)
+        reports = []
+        for later in laters:
+            later_medians = self._medians(later)
+            report = DriftReport(
+                base_campaign=base,
+                later_campaign=later,
+                latency_factor=latency_factor,
+                availability_drop=availability_drop,
+            )
+            for resolver in sorted(set(base_medians) & set(later_medians)):
+                report.per_resolver.append(
+                    ResolverDrift(
+                        resolver=resolver,
+                        base_median_ms=base_medians[resolver],
+                        later_median_ms=later_medians[resolver],
+                        base_availability=self._availability(base, resolver),
+                        later_availability=self._availability(later, resolver),
+                    )
+                )
+            reports.append(report)
+        return reports
+
+
 def campaigns_in_order(store: RecordSource) -> List[str]:
     """Campaign names ordered by their first record's start time."""
-    first_seen: Dict[str, float] = {}
-    for record in store:
-        if record.campaign not in first_seen or record.started_at_ms < first_seen[record.campaign]:
-            first_seen[record.campaign] = record.started_at_ms
-    return [name for name, _t in sorted(first_seen.items(), key=lambda kv: kv[1])]
-
-
-def _campaign_view(store: RecordSource, campaign: str) -> ResultStore:
-    view = ResultStore()
-    view.extend(record for record in store if record.campaign == campaign)
-    return view
-
-
-def _availability(view: ResultStore, resolver: str, vantage: Optional[str]) -> float:
-    records = view.filter(kind="dns_query", resolver=resolver, vantage=vantage)
-    if not records:
-        return 0.0
-    return sum(1 for record in records if record.success) / len(records)
+    return _CampaignTallies(store).ordered()
 
 
 def drift_report(
@@ -170,32 +232,14 @@ def drift_report(
     basis for comparison).  Raises :class:`AnalysisError` when either
     campaign has no records at all.
     """
-    base_view = _campaign_view(store, base_campaign)
-    later_view = _campaign_view(store, later_campaign)
-    if not len(base_view):
+    tallies = _CampaignTallies(store, vantage)
+    if base_campaign not in tallies.first_seen:
         raise AnalysisError(f"no records for baseline campaign {base_campaign!r}")
-    if not len(later_view):
+    if later_campaign not in tallies.first_seen:
         raise AnalysisError(f"no records for campaign {later_campaign!r}")
-
-    base_medians = resolver_medians(base_view, vantage=vantage)
-    later_medians = resolver_medians(later_view, vantage=vantage)
-    report = DriftReport(
-        base_campaign=base_campaign,
-        later_campaign=later_campaign,
-        latency_factor=latency_factor,
-        availability_drop=availability_drop,
-    )
-    for resolver in sorted(set(base_medians) & set(later_medians)):
-        report.per_resolver.append(
-            ResolverDrift(
-                resolver=resolver,
-                base_median_ms=base_medians[resolver],
-                later_median_ms=later_medians[resolver],
-                base_availability=_availability(base_view, resolver, vantage),
-                later_availability=_availability(later_view, resolver, vantage),
-            )
-        )
-    return report
+    return tallies.reports(
+        base_campaign, [later_campaign], latency_factor, availability_drop
+    )[0]
 
 
 def drift_reports_over_time(
@@ -204,14 +248,9 @@ def drift_reports_over_time(
     latency_factor: float = 2.0,
 ) -> List[DriftReport]:
     """A report for every campaign after the first, in time order."""
-    ordered = campaigns_in_order(store)
-    if len(ordered) < 2:
-        raise AnalysisError("need at least two campaigns for drift analysis")
-    base = ordered[0]
-    return [
-        drift_report(store, base, later, vantage=vantage, latency_factor=latency_factor)
-        for later in ordered[1:]
-    ]
+    return drift_reports_from_records(
+        store, vantage=vantage, latency_factor=latency_factor
+    )
 
 
 def drift_reports_from_records(
@@ -220,69 +259,13 @@ def drift_reports_from_records(
     latency_factor: float = 2.0,
     availability_drop: float = 0.2,
 ) -> List[DriftReport]:
-    """Single-pass streaming variant of :func:`drift_reports_over_time`.
+    """Every campaign after the first against the first, in one pass.
 
-    Consumes any record iterable, keeping only per-(campaign, resolver)
-    duration lists and success counters — never the records themselves —
-    and produces the same reports :func:`drift_reports_over_time` builds
-    from a loaded store: campaign order by first start time over *all*
-    records, medians over successful DNS durations, availability over all
-    DNS query records (each restricted to ``vantage`` when given).
+    Consumes any record iterable — a loaded store, a JSONL stream, a
+    warehouse scan — and orders campaigns by their first start time.
     """
-    first_seen: Dict[str, float] = {}
-    durations: Dict[Tuple[str, str], List[float]] = {}
-    query_counts: Dict[Tuple[str, str], List[int]] = {}  # [successes, total]
-    for record in records:
-        campaign = record.campaign
-        if campaign not in first_seen or record.started_at_ms < first_seen[campaign]:
-            first_seen[campaign] = record.started_at_ms
-        if record.kind != "dns_query":
-            continue
-        if vantage is not None and record.vantage != vantage:
-            continue
-        key = (campaign, record.resolver)
-        counts = query_counts.setdefault(key, [0, 0])
-        counts[1] += 1
-        if record.success:
-            counts[0] += 1
-            if record.duration_ms is not None:
-                durations.setdefault(key, []).append(record.duration_ms)
-
-    ordered = [name for name, _t in sorted(first_seen.items(), key=lambda kv: kv[1])]
+    tallies = _CampaignTallies(records, vantage)
+    ordered = tallies.ordered()
     if len(ordered) < 2:
         raise AnalysisError("need at least two campaigns for drift analysis")
-
-    def medians_of(campaign: str) -> Dict[str, float]:
-        return {
-            resolver: median(samples)
-            for (c, resolver), samples in durations.items()
-            if c == campaign and samples
-        }
-
-    def availability_of(campaign: str, resolver: str) -> float:
-        successes, total = query_counts.get((campaign, resolver), (0, 0))
-        return successes / total if total else 0.0
-
-    base = ordered[0]
-    base_medians = medians_of(base)
-    reports = []
-    for later in ordered[1:]:
-        later_medians = medians_of(later)
-        report = DriftReport(
-            base_campaign=base,
-            later_campaign=later,
-            latency_factor=latency_factor,
-            availability_drop=availability_drop,
-        )
-        for resolver in sorted(set(base_medians) & set(later_medians)):
-            report.per_resolver.append(
-                ResolverDrift(
-                    resolver=resolver,
-                    base_median_ms=base_medians[resolver],
-                    later_median_ms=later_medians[resolver],
-                    base_availability=availability_of(base, resolver),
-                    later_availability=availability_of(later, resolver),
-                )
-            )
-        reports.append(report)
-    return reports
+    return tallies.reports(ordered[0], ordered[1:], latency_factor, availability_drop)

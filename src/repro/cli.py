@@ -25,26 +25,41 @@ Subcommands:
 * ``query``   — issue a single DoH query from a vantage point and print a
   dig-style response.
 
+Every command that runs a campaign from its arguments (``measure``,
+``trace``, ``diff``, ``sessions``, ``observe``) runs it through the shard
+plan of :mod:`repro.parallel`; ``measure`` without ``--workers`` and
+``--shards``, and ``trace`` always, run the identity plan — one shard, in
+this process, the classic ``Campaign.run()``.
+
 Interactive chatter (progress lines, fault-plan notes, monitor status)
 goes to stderr; stdout carries only the primary output of each command,
 so pipelines like ``repro-dns monitor wh/ --alerts - | jq .`` stay clean.
+A :class:`~repro.errors.ReproError` or ``OSError`` a command lets through
+ends it with ``repro-dns <command>: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.analysis.render import render_boxplot_rows, render_table
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import CATALOG
 from repro.core.probes import ProbeConfig, make_probe
 from repro.core.results import ResultStore
-from repro.core.runner import Campaign, CampaignConfig
+from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
+from repro.errors import (
+    CampaignConfigError,
+    MonitorConfigError,
+    ObserverConfigError,
+    ReproError,
+)
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
 
@@ -58,8 +73,6 @@ def _record_stream(path: str) -> Iterator:
         from repro.store import Warehouse
 
         return Warehouse.open(path).iter_records()
-    from repro.core.results import ResultStore
-
     return ResultStore.iter_jsonl(path)
 
 
@@ -77,29 +90,58 @@ def _load_policy(spec: Optional[str]):
     return SloPolicy.load(spec)
 
 
+def _write_verdicts(verdicts, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps([v.to_dict() for v in verdicts], indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
 def _write_alert_artifacts(monitor, alerts_dir: str) -> None:
     """Write alerts.jsonl + scoreboard.txt + verdicts.json under a directory."""
-    import json as _json
-
     directory = Path(alerts_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    _write_verdicts(monitor.verdicts(), directory / "verdicts.json")
     monitor.alerts.save_jsonl(directory / "alerts.jsonl")
     (directory / "scoreboard.txt").write_text(
         monitor.scoreboard().render() + "\n", encoding="utf-8"
-    )
-    (directory / "verdicts.json").write_text(
-        _json.dumps(
-            [verdict.to_dict() for verdict in monitor.verdicts()],
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
     )
     _status(
         f"wrote {len(monitor.alerts)} alerts, scoreboard and "
         f"{len(monitor.verdicts())} verdicts to {directory}"
     )
+
+
+def _write_log(log, path: str, noun: str) -> None:
+    """A JSONL log to ``path``; ``-`` is stdout, which the log then owns."""
+    if path == "-":
+        sys.stdout.write(log.to_jsonl())
+    else:
+        log.save_jsonl(path)
+        _status(f"wrote {len(log)} {noun} to {path}")
+
+
+def _execution(args: argparse.Namespace) -> Dict[str, Any]:
+    """``--workers/--shard-by/--shards/--store/--segment-records`` as the
+    keyword arguments every campaign entry point takes.
+
+    ``measure`` alone defaults ``--workers`` to ``None``: with ``--shards``
+    absent too that is the identity plan (one shard, in this process).
+    """
+    workers, shards = args.workers, args.shards
+    if workers is None:
+        workers = 1
+        if shards is None:
+            shards = 1
+    if workers < 1:
+        raise CampaignConfigError(f"--workers must be >= 1 (got {workers})")
+    return {
+        "workers": workers,
+        "shard_by": args.shard_by,
+        "shards": shards,
+        "store_dir": args.store or None,
+        "segment_records": args.segment_records,
+    }
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -126,136 +168,17 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    from repro.core.runner import RetryPolicy, RoundProgress
-    from repro.experiments.world import build_world
-    from repro.obs import MetricsRegistry, SpanCollector
+    """``measure`` — one campaign through the shard plan.
 
-    if args.workers is not None:
-        return _measure_parallel(args)
-
-    world = build_world(seed=args.seed)
-    vantages = [world.vantage(name) for name in args.vantage]
-    schedule = PeriodicSchedule(
-        rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
-    )
-    config = CampaignConfig(
-        name=args.name,
-        schedule=schedule,
-        probe_config=ProbeConfig(method=args.method),
-        retry=RetryPolicy(attempts=args.attempts),
-        seed=args.seed,
-    )
-    targets = world.targets(args.resolver or None)
-    if args.faults:
-        from repro.faults import FaultPlan, FaultPlanConfig, inject_faults
-
-        plan = FaultPlan.generate(
-            [target.hostname for target in targets],
-            horizon_ms=schedule.total_span_ms + schedule.interval_ms,
-            seed=args.fault_seed,
-            config=FaultPlanConfig(impaired_time_fraction=args.fault_fraction),
-        )
-        injector = inject_faults(
-            world.network,
-            [world.deployments[target.hostname] for target in targets],
-            plan,
-        )
-        _status(f"armed fault plan: {plan.describe()}")
-        _status(f"injector: {injector.describe()}")
-    recorder = SpanCollector() if args.trace else None
-    metrics = (
-        MetricsRegistry(enabled=True) if (args.metrics or args.progress) else None
-    )
-    on_round = (
-        (lambda progress: _status(progress.describe())) if args.progress else None
-    )
-    monitor = None
-    if args.slo or args.alerts:
-        from repro.monitor import Monitor
-
-        monitor = Monitor(_load_policy(args.slo))
-    sink = None
-    if args.store:
-        import shutil
-
-        from repro.store import StoreSink, Warehouse
-
-        staging = Path(args.store) / ".staging" / "serial"
-        sink = StoreSink(
-            Warehouse(staging),
-            segment_records=args.segment_records,
-            metrics=metrics,
-        )
-    store = _run_instrumented(
-        Campaign(
-            network=world.network,
-            vantages=vantages,
-            targets=targets,
-            config=config,
-            store=sink,
-            recorder=recorder,
-            monitor=monitor,
-            on_round_complete=on_round,
-        ),
-        metrics,
-    )
-    if monitor is not None:
-        monitor.finalize(metrics)
-    if sink is not None:
-        warehouse = Warehouse.build_canonical(
-            [sink.close()], args.store, segment_records=args.segment_records
-        )
-        shutil.rmtree(Path(args.store) / ".staging", ignore_errors=True)
-        print(f"wrote {len(warehouse)} records to warehouse {args.store}")
-        print(warehouse.describe())
-    else:
-        count = store.save_jsonl(args.output)
-        print(f"wrote {count} records to {args.output}")
-    if recorder is not None:
-        spans = recorder.save_jsonl(args.trace)
-        print(f"wrote {spans} spans to {args.trace}")
-    if args.metrics and metrics is not None:
-        metrics.save_json(args.metrics)
-        print(f"wrote metrics to {args.metrics}")
-    if monitor is not None:
-        if args.alerts:
-            _write_alert_artifacts(monitor, args.alerts)
-        print(monitor.scoreboard().render())
-    if args.faults:
-        if sink is not None:
-            from repro.store import availability_from_aggregates
-
-            availability = availability_from_aggregates(warehouse.aggregates())
-        else:
-            from repro.analysis.availability import availability_report
-
-            availability = availability_report(store)
-        print(availability.describe())
-    return 0
-
-
-def _measure_parallel(args: argparse.Namespace) -> int:
-    """``measure --workers N``: the sharded execution path.
-
-    Both ``--workers 1`` and ``--workers 4`` run the same shard plan
-    through :func:`repro.parallel.run_parallel`, so the written artifacts
-    are byte-identical across worker counts for the same seed.
+    With neither ``--workers`` nor ``--shards`` the plan is the identity
+    plan; any other plan is byte-identical across worker counts for the
+    same seed, because every count runs the same shards through
+    :func:`repro.parallel.run_parallel`.
     """
-    from repro.analysis.export import export_parallel_run
     from repro.core.runner import RetryPolicy
     from repro.experiments.campaigns import _catalog_hostnames, run_campaign_parallel
-    from repro.parallel import SHARD_STRATEGIES
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1 (got {args.workers})", file=sys.stderr)
-        return 2
-    if args.shard_by not in SHARD_STRATEGIES:
-        print(
-            f"--shard-by must be one of {sorted(SHARD_STRATEGIES)}",
-            file=sys.stderr,
-        )
-        return 2
-
+    execution = _execution(args)
     schedule = PeriodicSchedule(
         rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
     )
@@ -280,24 +203,23 @@ def _measure_parallel(args: argparse.Namespace) -> int:
         )
         _status(f"armed fault plan: {fault_plan.describe()}")
 
-    slo_policy = _load_policy(args.slo) if (args.slo or args.alerts) else None
     run = run_campaign_parallel(
         config,
         args.vantage,
         hostnames,
         world_seed=args.seed,
-        workers=args.workers,
-        shard_by=args.shard_by,
-        shards=args.shards,
         fault_plan=fault_plan,
         collect_spans=bool(args.trace),
         collect_metrics=bool(args.metrics),
-        store_dir=args.store or None,
-        segment_records=args.segment_records,
-        slo_policy=slo_policy,
+        slo_policy=_load_policy(args.slo) if (args.slo or args.alerts) else None,
+        # Heard round by round only under a one-shard plan (run_parallel).
+        on_round_complete=(
+            (lambda progress: _status(progress.describe())) if args.progress else None
+        ),
+        **execution,
     )
     _status(run.describe())
-    if args.progress:
+    if args.progress and len(run.shard_results) > 1:
         for result in run.shard_results:
             _status(
                 f"  shard {result.shard_index} [{result.shard_key}]: "
@@ -305,24 +227,16 @@ def _measure_parallel(args: argparse.Namespace) -> int:
             )
     if run.warehouse is not None:
         print(f"wrote {len(run.warehouse)} records to warehouse {args.store}")
-        if args.trace:
-            spans = run.spans.save_jsonl(args.trace)
-            print(f"wrote {spans} spans to {args.trace}")
-        if args.metrics:
-            run.metrics.save_json(args.metrics)
-            print(f"wrote metrics to {args.metrics}")
+        _status(run.warehouse.describe())
     else:
-        written = export_parallel_run(
-            run,
-            args.output,
-            spans_path=args.trace or None,
-            metrics_path=args.metrics or None,
-        )
-        print(f"wrote {written['records']} records to {args.output}")
-        if args.trace:
-            print(f"wrote {written['spans']} spans to {args.trace}")
-        if args.metrics:
-            print(f"wrote metrics to {args.metrics}")
+        count = run.store.save_jsonl(args.output)
+        print(f"wrote {count} records to {args.output}")
+    if args.trace:
+        spans = run.spans.save_jsonl(args.trace)
+        print(f"wrote {spans} spans to {args.trace}")
+    if args.metrics:
+        run.metrics.save_json(args.metrics)
+        print(f"wrote metrics to {args.metrics}")
     if run.monitor is not None:
         if args.alerts:
             _write_alert_artifacts(run.monitor, args.alerts)
@@ -337,23 +251,6 @@ def _measure_parallel(args: argparse.Namespace) -> int:
 
             print(availability_report(run.store).describe())
     return 0
-
-
-def _run_instrumented(campaign: Campaign, metrics) -> ResultStore:
-    """Run a campaign, installing ``metrics`` ambiently if given.
-
-    The registry must be ambient (not just passed to the campaign) so the
-    protocol layers — TLS, HTTP, QUIC, the network fabric — report into it.
-    """
-    if metrics is None:
-        return campaign.run()
-    from repro.obs import NULL_RECORDER, tracing
-
-    # The campaign's explicit recorder (if any) already wins over the
-    # ambient one; install NULL ambiently so spans stay off unless asked.
-    ambient_recorder = campaign._recorder if campaign._recorder is not None else NULL_RECORDER
-    with tracing(recorder=ambient_recorder, metrics=metrics):
-        return campaign.run()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -488,19 +385,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     worker counts and record sources for a fixed seed.
     """
     from repro.diff import AnswerFaultPlan, build_diff_report, verify_reproducibility
-    from repro.errors import DiffInputError
     from repro.experiments.campaigns import (
         _catalog_hostnames,
         diff_campaign_config,
         run_diff_campaign,
     )
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1 (got {args.workers})", file=sys.stderr)
-        return 2
+    execution = _execution(args)
     if args.verify < 0:
-        print(f"--verify must be >= 0 (got {args.verify})", file=sys.stderr)
-        return 2
+        raise CampaignConfigError(f"--verify must be >= 0 (got {args.verify})")
 
     hostnames = _catalog_hostnames(args.resolver or None)
     config = diff_campaign_config(
@@ -530,25 +423,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             transport=args.transport,
             vantage_names=args.vantage or None,
             target_hostnames=hostnames,
-            workers=args.workers,
-            shard_by=args.shard_by,
-            shards=args.shards,
             answer_fault_plan=fault_plan,
-            store_dir=args.store or None,
-            segment_records=args.segment_records,
+            **execution,
         )
         _status(run.describe())
-        records = (
-            run.warehouse.iter_records()
-            if run.warehouse is not None
-            else run.store.records
-        )
+        records = run.records()
 
-    try:
-        report = build_diff_report(records)
-    except DiffInputError as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
+    report = build_diff_report(records)
 
     if args.verify:
         from repro.experiments.world import build_world
@@ -586,10 +467,6 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     from repro.analysis.sessions import session_report, warm_cold_deltas
     from repro.experiments.campaigns import SESSION_STUDY_POLICIES, run_sessions_study
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1 (got {args.workers})", file=sys.stderr)
-        return 2
-
     runs = run_sessions_study(
         policies=tuple(args.policy) if args.policy else SESSION_STUDY_POLICIES,
         world_seed=args.world_seed,
@@ -599,11 +476,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         domains=args.domain or None,
         vantage_names=args.vantage or None,
         target_hostnames=args.resolver or None,
-        workers=args.workers,
-        shard_by=args.shard_by,
-        shards=args.shards,
-        store_dir=args.store or None,
-        segment_records=args.segment_records,
+        **_execution(args),
     )
     for name, run in runs.items():
         _status(f"{name}: {run.describe()}")
@@ -702,19 +575,15 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     evaluates final verdicts straight from the warehouse's persisted
     aggregates (no alerts in that mode — windows need the record stream).
     """
-    import json as _json
-
     from repro.monitor import Monitor, Scoreboard, verdicts_from_book
 
     policy = _load_policy(args.slo)
 
     if args.from_aggregates:
         if not Path(args.input).is_dir():
-            print(
-                "--from-aggregates needs a warehouse directory input",
-                file=sys.stderr,
+            raise MonitorConfigError(
+                "--from-aggregates needs a warehouse directory input"
             )
-            return 2
         from repro.store import Warehouse
 
         book = Warehouse.open(args.input).aggregates()
@@ -737,26 +606,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         )
 
     if args.alerts and monitor is not None:
-        if args.alerts == "-":
-            # Alert JSONL owns stdout; the scoreboard moves to stderr.
-            sys.stdout.write(monitor.alerts.to_jsonl())
-        else:
-            monitor.alerts.save_jsonl(args.alerts)
-            _status(f"wrote {len(monitor.alerts)} alerts to {args.alerts}")
+        _write_log(monitor.alerts, args.alerts, "alerts")
     if args.verdicts:
-        Path(args.verdicts).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.verdicts).write_text(
-            _json.dumps([v.to_dict() for v in verdicts], indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
+        _write_verdicts(verdicts, Path(args.verdicts))
         _status(f"wrote {len(verdicts)} verdicts to {args.verdicts}")
 
-    table = scoreboard.render()
-    if args.alerts == "-":
-        _status(table)
-    else:
-        print(table)
+    # Alert JSONL on stdout owns it; the scoreboard moves to stderr.
+    (_status if args.alerts == "-" else print)(scoreboard.render())
     counts = scoreboard.counts()
     _status(
         f"scoreboard: {counts['OK']} ok, {counts['DEGRADED']} degraded, "
@@ -778,7 +634,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     JSONL are byte-identical for any ``--workers N`` and for any record
     source over the same records.
     """
-    from repro.errors import ObserverConfigError
     from repro.experiments.observatory import run_observer_study
     from repro.obs.metrics import MetricsRegistry
     from repro.observers import (
@@ -788,30 +643,21 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         scaled_registry,
     )
 
-    if args.workers < 1:
-        print(f"--workers must be >= 1 (got {args.workers})", file=sys.stderr)
-        return 2
+    execution = _execution(args)
     if args.events == "-" and args.index == "-":
-        print(
+        raise ObserverConfigError(
             "--events - and --index - cannot both own stdout; "
-            "write at least one of them to a file",
-            file=sys.stderr,
+            "write at least one of them to a file"
         )
-        return 2
 
-    try:
-        if args.spec:
-            registry = ObserverRegistry.load(args.spec)
-        elif args.min_samples_scale != 1.0:
-            registry = scaled_registry(args.min_samples_scale)
-        else:
-            registry = default_registry()
-        specs = registry.select(args.observers or None)
-    except ObserverConfigError as exc:
-        print(f"observe: {exc}", file=sys.stderr)
-        return 2
+    if args.spec:
+        registry = ObserverRegistry.load(args.spec)
+    elif args.min_samples_scale != 1.0:
+        registry = scaled_registry(args.min_samples_scale)
+    else:
+        registry = default_registry()
+    specs = registry.select(args.observers or None)
 
-    run = None
     if args.input:
         records = _record_stream(args.input)
         metrics = MetricsRegistry()
@@ -823,21 +669,13 @@ def _cmd_observe(args: argparse.Namespace) -> int:
             seed=args.seed,
             vantage_names=args.vantage or None,
             target_hostnames=args.resolver or None,
-            workers=args.workers,
-            shard_by=args.shard_by,
-            shards=args.shards,
             fault_seed=args.fault_seed if args.faults else None,
             fault_fraction=args.fault_fraction,
             collect_metrics=bool(args.metrics),
-            store_dir=args.store or None,
-            segment_records=args.segment_records,
+            **execution,
         )
         _status(run.describe())
-        records = (
-            run.warehouse.iter_sorted()
-            if run.warehouse is not None
-            else run.store.records
-        )
+        records = run.records()
         # The merged registry is disabled when shards didn't collect; the
         # observer gauges still need a live registry of their own then.
         metrics = run.metrics if run.metrics.enabled else MetricsRegistry()
@@ -851,31 +689,16 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         f"{len(report.events.silences())} silences"
     )
 
-    stdout_taken = False
     if args.events:
-        if args.events == "-":
-            sys.stdout.write(report.events.to_jsonl())
-            stdout_taken = True
-        else:
-            report.events.save_jsonl(args.events)
-            _status(f"wrote {len(report.events)} events to {args.events}")
+        _write_log(report.events, args.events, "events")
     if args.index:
-        if args.index == "-":
-            sys.stdout.write(report.index.to_jsonl())
-            stdout_taken = True
-        else:
-            report.index.save_jsonl(args.index)
-            _status(f"wrote {len(report.index)} health samples to {args.index}")
+        _write_log(report.index, args.index, "health samples")
     if args.metrics:
         metrics.save_json(args.metrics)
         _status(f"wrote metrics to {args.metrics}")
 
     # The summary owns stdout unless an artifact already claimed it.
-    summary = report.render()
-    if stdout_taken:
-        _status(summary)
-    else:
-        print(summary)
+    (_status if "-" in (args.events, args.index) else print)(report.render())
 
     if args.gate and not report.index.healthy(args.gate_floor):
         low = report.index.min_score()
@@ -894,12 +717,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     histogram buckets) and a snapshot (``--metrics``/``save_json``:
     quantile estimates, exposed as summaries).
     """
-    import json as _json
-
     from repro.obs.metrics import exposition_from_dump
 
     try:
-        data = _json.loads(Path(args.input).read_text(encoding="utf-8"))
+        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
         text = exposition_from_dump(data)
     except (OSError, ValueError) as exc:
         print(f"unreadable metrics file {args.input}: {exc}", file=sys.stderr)
@@ -951,46 +772,41 @@ def _cmd_run_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.world import build_world
-    from repro.obs import MetricsRegistry, SpanCollector, tracing
+    """``trace`` — a small campaign under the identity plan, spans and
+    metrics collected."""
+    from repro.experiments.campaigns import run_campaign_parallel
 
-    world = build_world(seed=args.seed)
-    vantages = [world.vantage(name) for name in args.vantage]
-    targets = world.targets(args.resolver or None)
-    schedule = PeriodicSchedule(
-        rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
-    )
     config = CampaignConfig(
         name=args.name,
-        schedule=schedule,
+        schedule=PeriodicSchedule(
+            rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
+        ),
         transport=args.transport,
         seed=args.seed,
     )
-    recorder = SpanCollector()
-    metrics = MetricsRegistry(enabled=True)
-    with tracing(recorder=recorder, metrics=metrics):
-        store = Campaign(
-            network=world.network,
-            vantages=vantages,
-            targets=targets,
-            config=config,
-            recorder=recorder,
-            metrics=metrics,
-        ).run()
+    run = run_campaign_parallel(
+        config,
+        args.vantage,
+        args.resolver or None,
+        world_seed=args.seed,
+        shards=1,
+        collect_spans=True,
+        collect_metrics=True,
+    )
     print(
-        f"traced {len(store)} records: {len(recorder)} spans, "
-        f"{len(recorder.roots())} roots"
+        f"traced {run.record_count} records: {len(run.spans)} spans, "
+        f"{len(run.spans.roots())} roots"
     )
     if args.output:
-        spans = recorder.save_jsonl(args.output)
+        spans = run.spans.save_jsonl(args.output)
         print(f"wrote {spans} spans to {args.output}")
     if args.tree:
-        print(recorder.render_tree(max_spans=args.max_spans))
+        print(run.spans.render_tree(max_spans=args.max_spans))
     if args.metrics_output:
-        metrics.save_json(args.metrics_output)
+        run.metrics.save_json(args.metrics_output)
         print(f"wrote metrics to {args.metrics_output}")
     if args.summary:
-        print(metrics.summary())
+        print(run.metrics.summary())
     return 0
 
 
@@ -1023,6 +839,240 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 1
 
 
+#: Every argument of every subcommand, declared once: its ``add_argument``
+#: keywords with the default most subcommands share.  A subcommand names the
+#: arguments it takes (:func:`_take`) and states its own defaults with
+#: ``set_defaults``.
+_OPTIONS: Dict[str, Dict[str, Any]] = {
+    # -- what to measure ----------------------------------------------------
+    "--name": dict(help="campaign name written on every record"),
+    "--vantage": dict(
+        nargs="+",
+        help="vantage point names (measure, trace, query: default ec2-ohio; "
+             "diff, sessions, observe: default the three EC2 vantages; "
+             "analysis commands: restrict to these, default all)",
+    ),
+    "--resolver": dict(
+        nargs="*",
+        help="resolver hostnames (default: the whole catalog; sessions: the "
+             "five deployments speaking all four session transports)",
+    ),
+    "--domain": dict(
+        nargs="*", help="query domains (default: the campaign's study domains)"
+    ),
+    "--transport": dict(
+        choices=TRANSPORT_NAMES, default="doh",
+        help="transport to probe over (sessions: the transports in the matrix, "
+             "default all session transports)",
+    ),
+    "--method": dict(choices=["POST", "GET"], default="POST", help="DoH request method"),
+    "--rounds": dict(type=int, help="measurement rounds (observe: per monthly window)"),
+    "--interval-hours": dict(
+        type=float, default=8.0, help="virtual hours between rounds"
+    ),
+    "--attempts": dict(
+        type=int, default=1,
+        help="total tries per query (retries with exponential backoff)",
+    ),
+    "--seed": dict(type=int, default=0, help="campaign seed"),
+    "--world-seed": dict(type=int, default=0, help="seed of the simulated world"),
+    # -- how to run it (see _execution) -------------------------------------
+    "--workers": dict(
+        type=int, default=1, metavar="N",
+        help="run the shard plan across N worker processes; every artifact is "
+             "byte-identical for any N given the same seed (measure: absent "
+             "means the identity plan, one shard in this process)",
+    ),
+    "--shard-by": dict(
+        choices=["vantage", "resolver", "round"], default="vantage",
+        help="shard axis (measure: default resolver cohorts)",
+    ),
+    "--shards": dict(
+        type=int, default=None, metavar="K",
+        help="shard count (default: one per vantage, or 8 cohorts/spans for "
+             "resolver/round sharding)",
+    ),
+    "--store": dict(
+        metavar="DIR",
+        help="stream records into a results warehouse at DIR instead of RAM; "
+             "bounded memory, canonical segments, aggregates persisted "
+             "alongside (see the 'store' subcommand); sessions: one warehouse "
+             "per policy under DIR",
+    ),
+    "--segment-records": dict(
+        type=int, default=4096, metavar="N",
+        help="records per warehouse segment (store compact: the new segment "
+             "size, default keep current)",
+    ),
+    "--progress": dict(
+        action="store_true",
+        help="print one structured line per completed round (to stderr); with "
+             "more than one shard, one line per shard after the run",
+    ),
+    # -- faults ---------------------------------------------------------------
+    "--faults": dict(
+        action="store_true",
+        help="inject a seeded fault plan (measure, observe: outages, TLS "
+             "windows, loss/latency spikes; diff: answer faults nxdomain/"
+             "servfail/rewrite/ttl/truncate for the taxonomy to classify)",
+    ),
+    "--fault-seed": dict(
+        type=int, default=20230919, help="seed of the generated fault plan"
+    ),
+    "--fault-fraction": dict(
+        type=float, default=0.030,
+        help="expected fraction of each resolver's time under a fault window",
+    ),
+    "--faults-per-kind": dict(
+        type=int, default=1, metavar="N",
+        help="how many (resolver, domain) cells get each fault kind",
+    ),
+    # -- what to read and write -----------------------------------------------
+    "--input": dict(
+        metavar="PATH",
+        help="saved results to analyse instead of simulating: a JSONL file or "
+             "a warehouse directory, streamed (diff needs captured responses; "
+             "metrics export: a metrics JSON state dump or snapshot)",
+    ),
+    "--output": dict(
+        metavar="PATH",
+        help="output file (measure, run-config: results JSONL; trace: span "
+             "JSONL; report: raw records, a warehouse when PATH is a directory "
+             "or ends with a path separator; diff: per-cell diff records; "
+             "sessions, metrics export: the text otherwise printed)",
+    ),
+    "--trace": dict(
+        metavar="PATH", help="collect phase-level spans and write them as JSONL"
+    ),
+    "--metrics": dict(
+        metavar="PATH",
+        help="collect stack-wide metrics and write a JSON snapshot (observe: "
+             "including the observer.* gauges)",
+    ),
+    "--slo": dict(
+        metavar="FILE",
+        help="SLO policy to monitor against (TOML/JSON file, or the literal "
+             "'default' for paper-derived baselines); measure prints the "
+             "health scoreboard after the run",
+    ),
+    "--alerts": dict(
+        metavar="PATH",
+        help="measure: write alerts.jsonl, scoreboard.txt and verdicts.json "
+             "under this directory (implies --slo default); monitor: write the "
+             "alert JSONL to PATH, or '-' for stdout (the scoreboard then "
+             "moves to stderr, keeping stdout pure JSONL)",
+    ),
+    "--gate": dict(
+        action="store_true",
+        help="make the exit status a check (sessions: warm-path p95 beats the "
+             "within-run cold-path p95 for every gated transport; monitor: no "
+             "resolver DEGRADED or FAILING; observe: the world-health index "
+             "stays above the floor)",
+    ),
+    # -- the rest, in build_parser order --------------------------------------
+    "--region": dict(choices=["NA", "EU", "AS", "OC"]),
+    "--mainstream": dict(action="store_true"),
+    "--home-rounds": dict(type=int, default=12),
+    "--ec2-rounds": dict(type=int, default=10),
+    "--phases": dict(
+        action="store_true",
+        help="print the phase-attribution tables (establishment vs query)",
+    ),
+    "figure": dict(choices=["figure1", "figure2", "figure3", "figure4"]),
+    "--ping": dict(action="store_true", help="include ping rows"),
+    "--csv": dict(help="also export the panels as CSV"),
+    "--verify": dict(
+        type=int, default=0, metavar="N",
+        help="diffrepro pass: re-query each disagreement N times on a fresh "
+             "world and label it reproducible or transient",
+    ),
+    "--verify-seed": dict(type=int, default=0),
+    "--policy": dict(
+        nargs="+", choices=["cold", "keep-alive", "resumption", "zero-rtt"],
+        help="policy presets to sweep (default: all four)",
+    ),
+    "--per-vantage": dict(
+        action="store_true",
+        help="break the scenario-matrix table down per vantage point",
+    ),
+    "--gate-transport": dict(
+        nargs="+", default=["doh", "doq"], choices=SESSION_TRANSPORTS,
+        help="transports the --gate check covers (default: doh doq)",
+    ),
+    "action": dict(
+        choices=["info", "compact", "summarize"],
+        help="info: manifest + layout; compact: rewrite in canonical order; "
+             "summarize: availability/response-time tables from aggregates",
+    ),
+    "store_dir": dict(help="warehouse directory (from measure --store)"),
+    "input": dict(help="JSONL results file or warehouse directory"),
+    "--verdicts": dict(metavar="PATH", help="write the verdicts JSON to PATH"),
+    "--from-aggregates": dict(
+        action="store_true",
+        help="evaluate verdicts from the warehouse's persisted aggregates "
+             "without replaying records (warehouse input only; no alerts)",
+    ),
+    "--months": dict(
+        type=int, default=4,
+        help="monthly measurement windows in the observatory campaign",
+    ),
+    "--observers": dict(
+        nargs="+", metavar="NAME",
+        help="restrict the fleet to these observers (default: all)",
+    ),
+    "--spec": dict(
+        metavar="FILE",
+        help="observer registry (TOML/JSON file; default: the built-in five)",
+    ),
+    "--min-samples-scale": dict(
+        type=float, default=1.0, metavar="F",
+        help="scale every observer's per-day sample gate (small demo "
+             "campaigns need lower gates than a production stream)",
+    ),
+    "--events": dict(
+        metavar="PATH",
+        help="write the significance-event JSONL to PATH, or '-' for stdout "
+             "(the summary then moves to stderr)",
+    ),
+    "--index": dict(
+        metavar="PATH",
+        help="write the world-health index JSONL to PATH, or '-' for stdout",
+    ),
+    "--gate-floor": dict(type=float, default=70.0, metavar="SCORE"),
+    "resolver": dict(
+        help="catalog hostname (stamp --decode: an sdns:// URI instead)"
+    ),
+    "--decode": dict(action="store_true"),
+    "config": dict(help="path to the JSON spec"),
+    "--tree": dict(action="store_true", help="print the span tree"),
+    "--max-spans": dict(
+        type=int, default=None, help="limit the printed tree to the first N spans"
+    ),
+    "--metrics-output": dict(help="also write a metrics JSON snapshot"),
+    "--summary": dict(action="store_true", help="print the metrics summary"),
+    "domain": dict(help="the name to query"),
+}
+
+#: What :func:`_execution` reads.
+_EXECUTION_OPTIONS = (
+    "--workers", "--shard-by", "--shards", "--store", "--segment-records",
+)
+
+
+def _take(
+    parser: argparse.ArgumentParser, *names: str, **differs: Dict[str, Any]
+) -> None:
+    """Give ``parser`` the named arguments as :data:`_OPTIONS` declares them.
+
+    ``differs`` maps an argument's destination to the ``add_argument``
+    keywords this one subcommand replaces (``nargs``, ``required``,
+    ``choices``).  A default that differs goes through ``set_defaults``.
+    """
+    for name in names:
+        dest = name.lstrip("-").replace("-", "_")
+        parser.add_argument(name, **{**_OPTIONS[name], **differs.get(dest, {})})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dns",
@@ -1031,305 +1081,85 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="show the resolver catalog")
-    p_list.add_argument("--region", choices=["NA", "EU", "AS", "OC"])
-    p_list.add_argument("--mainstream", action="store_true")
+    _take(p_list, "--region", "--mainstream")
     p_list.set_defaults(func=_cmd_list)
 
     p_measure = sub.add_parser("measure", help="run a measurement campaign")
-    p_measure.add_argument("--name", default="cli-campaign")
-    p_measure.add_argument("--vantage", nargs="+", default=["ec2-ohio"])
-    p_measure.add_argument("--resolver", nargs="*", help="hostnames (default: all)")
-    p_measure.add_argument("--rounds", type=int, default=5)
-    p_measure.add_argument("--interval-hours", type=float, default=8.0)
-    p_measure.add_argument("--method", choices=["POST", "GET"], default="POST")
-    p_measure.add_argument("--seed", type=int, default=0)
-    p_measure.add_argument("--output", default="results.jsonl")
-    p_measure.add_argument(
-        "--store", metavar="DIR",
-        help="stream records into a results warehouse at DIR instead of "
-             "writing --output JSONL; bounded memory, canonical segments, "
-             "aggregates persisted alongside (see the 'store' subcommand)",
+    _take(
+        p_measure, "--name", "--vantage", "--resolver", "--rounds",
+        "--interval-hours", "--method", "--seed", "--output", "--attempts",
+        "--faults", "--fault-seed", "--fault-fraction", "--trace", "--metrics",
+        "--progress", "--slo", "--alerts", *_EXECUTION_OPTIONS,
     )
-    p_measure.add_argument(
-        "--segment-records", type=int, default=4096, metavar="N",
-        help="records per warehouse segment for --store (default: 4096)",
+    p_measure.set_defaults(
+        func=_cmd_measure, name="cli-campaign", vantage=["ec2-ohio"], rounds=5,
+        output="results.jsonl", workers=None, shard_by="resolver",
     )
-    p_measure.add_argument(
-        "--attempts", type=int, default=1,
-        help="total tries per query (retries with exponential backoff)",
-    )
-    p_measure.add_argument(
-        "--faults", action="store_true",
-        help="inject a seeded fault plan (outages, TLS windows, loss/latency spikes)",
-    )
-    p_measure.add_argument(
-        "--fault-seed", type=int, default=20230919,
-        help="seed of the generated fault plan",
-    )
-    p_measure.add_argument(
-        "--fault-fraction", type=float, default=0.030,
-        help="expected fraction of each resolver's time under a fault window",
-    )
-    p_measure.add_argument(
-        "--trace", metavar="PATH",
-        help="collect phase-level spans and write them as JSONL",
-    )
-    p_measure.add_argument(
-        "--metrics", metavar="PATH",
-        help="collect stack-wide metrics and write a JSON snapshot",
-    )
-    p_measure.add_argument(
-        "--progress", action="store_true",
-        help="print one structured line per completed round (to stderr)",
-    )
-    p_measure.add_argument(
-        "--slo", metavar="FILE",
-        help="monitor the campaign live against an SLO policy (TOML/JSON "
-             "file, or the literal 'default' for paper-derived baselines); "
-             "prints the health scoreboard after the run",
-    )
-    p_measure.add_argument(
-        "--alerts", metavar="DIR",
-        help="write monitoring artifacts (alerts.jsonl, scoreboard.txt, "
-             "verdicts.json) under DIR; implies --slo default if --slo "
-             "is not given",
-    )
-    p_measure.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the campaign sharded across N worker processes; the "
-             "written artifacts are byte-identical for any N given the "
-             "same seed (--workers 1 is the serial reference run)",
-    )
-    p_measure.add_argument(
-        "--shard-by", choices=["vantage", "resolver", "round"],
-        default="resolver",
-        help="shard axis for --workers (default: resolver cohorts)",
-    )
-    p_measure.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="shard count for --workers (default: one per vantage, or "
-             "8 cohorts/spans for resolver/round sharding)",
-    )
-    p_measure.set_defaults(func=_cmd_measure)
 
     p_report = sub.add_parser("report", help="full paper-vs-measured report")
-    p_report.add_argument("--home-rounds", type=int, default=12)
-    p_report.add_argument("--ec2-rounds", type=int, default=10)
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument(
-        "--output",
-        help="also write raw records: a JSONL file, or a results warehouse "
-             "when the path is an existing directory (or ends with a "
-             "path separator)",
-    )
-    p_report.add_argument(
-        "--phases", action="store_true",
-        help="print the phase-attribution tables (establishment vs query)",
-    )
-    p_report.add_argument(
-        "--trace", metavar="PATH",
-        help="collect phase-level spans during the study and write JSONL",
-    )
-    p_report.add_argument(
-        "--metrics", metavar="PATH",
-        help="collect stack-wide metrics during the study and write JSON",
+    _take(
+        p_report, "--home-rounds", "--ec2-rounds", "--seed", "--output",
+        "--phases", "--trace", "--metrics",
     )
     p_report.set_defaults(func=_cmd_report)
 
     p_figure = sub.add_parser("figure", help="render a paper figure")
-    p_figure.add_argument("figure", choices=["figure1", "figure2", "figure3", "figure4"])
-    p_figure.add_argument(
-        "--input",
-        help="results to analyse: JSONL file or warehouse directory "
-             "(else simulate)",
-    )
-    p_figure.add_argument("--rounds", type=int, default=8)
-    p_figure.add_argument("--seed", type=int, default=0)
-    p_figure.add_argument("--ping", action="store_true", help="include ping rows")
-    p_figure.add_argument("--csv", help="also export the panels as CSV")
-    p_figure.set_defaults(func=_cmd_figure)
+    _take(p_figure, "figure", "--input", "--rounds", "--seed", "--ping", "--csv")
+    p_figure.set_defaults(func=_cmd_figure, rounds=8)
 
     p_corr = sub.add_parser("correlate", help="ping-vs-DNS relationship from saved results")
-    p_corr.add_argument(
-        "--input", required=True,
-        help="JSONL results or warehouse directory (streamed)",
+    _take(
+        p_corr, "--input", "--vantage",
+        input={"required": True}, vantage={"nargs": "*"},
     )
-    p_corr.add_argument("--vantage", nargs="*", help="vantage names (default: all)")
     p_corr.set_defaults(func=_cmd_correlate)
 
-    p_drift = sub.add_parser("drift", help="longitudinal drift from saved results")
-    p_drift.add_argument(
-        "--input", required=True,
-        help="JSONL results or warehouse directory with >= 2 campaigns (streamed)",
+    p_drift = sub.add_parser(
+        "drift", help="longitudinal drift from saved results (>= 2 campaigns)"
     )
-    p_drift.add_argument("--vantage", help="restrict to one vantage")
+    _take(
+        p_drift, "--input", "--vantage",
+        input={"required": True}, vantage={"nargs": None},
+    )
     p_drift.set_defaults(func=_cmd_drift)
 
     p_diff = sub.add_parser(
         "diff", help="cross-resolver answer differencing (respdiff-style)"
     )
-    p_diff.add_argument(
-        "--input", metavar="PATH",
-        help="analyse saved results (JSONL file or warehouse directory, "
-             "streamed) instead of running a campaign; records need "
-             "captured responses (measure with capture enabled)",
+    _take(
+        p_diff, "--input", "--rounds", "--seed", "--world-seed", "--vantage",
+        "--resolver", "--domain", "--transport", *_EXECUTION_OPTIONS, "--faults",
+        "--fault-seed", "--faults-per-kind", "--verify", "--verify-seed", "--output",
     )
-    p_diff.add_argument("--rounds", type=int, default=2)
-    p_diff.add_argument("--seed", type=int, default=505, help="campaign seed")
-    p_diff.add_argument("--world-seed", type=int, default=0)
-    p_diff.add_argument(
-        "--vantage", nargs="+", default=None,
-        help="vantage names (default: the three EC2 vantages)",
-    )
-    p_diff.add_argument("--resolver", nargs="*", help="hostnames (default: all)")
-    p_diff.add_argument(
-        "--domain", nargs="*",
-        help="query domains (default: the campaign's study domains)",
-    )
-    p_diff.add_argument(
-        "--transport", choices=TRANSPORT_NAMES, default="doh",
-    )
-    p_diff.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the fan-out across N worker processes; the report is "
-             "byte-identical for any N given the same seed",
-    )
-    p_diff.add_argument(
-        "--shard-by", choices=["vantage", "resolver", "round"], default="vantage",
-    )
-    p_diff.add_argument("--shards", type=int, default=None, metavar="K")
-    p_diff.add_argument(
-        "--store", metavar="DIR",
-        help="stream campaign records into a results warehouse at DIR "
-             "(the report is then built from the warehouse)",
-    )
-    p_diff.add_argument("--segment-records", type=int, default=4096, metavar="N")
-    p_diff.add_argument(
-        "--faults", action="store_true",
-        help="inject a seeded answer-fault plan (nxdomain/servfail/rewrite/"
-             "ttl/truncate) so the taxonomy has something to classify",
-    )
-    p_diff.add_argument("--fault-seed", type=int, default=20230919)
-    p_diff.add_argument(
-        "--faults-per-kind", type=int, default=1, metavar="N",
-        help="how many (resolver, domain) cells get each fault kind",
-    )
-    p_diff.add_argument(
-        "--verify", type=int, default=0, metavar="N",
-        help="diffrepro pass: re-query each disagreement N times on a "
-             "fresh world and label it reproducible or transient",
-    )
-    p_diff.add_argument("--verify-seed", type=int, default=0)
-    p_diff.add_argument(
-        "--output", metavar="PATH",
-        help="also write the per-cell diff records as JSONL",
-    )
-    p_diff.set_defaults(func=_cmd_diff)
+    p_diff.set_defaults(func=_cmd_diff, rounds=2, seed=505)
 
     p_sessions = sub.add_parser(
         "sessions",
         help="transport x session-policy scenario matrix (reuse/resumption/0-RTT)",
     )
-    p_sessions.add_argument(
-        "--policy", nargs="+", default=None,
-        choices=["cold", "keep-alive", "resumption", "zero-rtt"],
-        help="policy presets to sweep (default: all four)",
+    _take(
+        p_sessions, "--policy", "--transport", "--rounds", "--seed", "--world-seed",
+        "--vantage", "--resolver", "--domain", *_EXECUTION_OPTIONS, "--per-vantage",
+        "--output", "--gate", "--gate-transport",
+        transport={"nargs": "+", "choices": SESSION_TRANSPORTS},
     )
-    p_sessions.add_argument(
-        "--transport", nargs="+", default=list(SESSION_TRANSPORTS),
-        choices=SESSION_TRANSPORTS,
-        help="transports in the matrix (default: all session transports)",
+    p_sessions.set_defaults(
+        func=_cmd_sessions, rounds=3, seed=606, transport=list(SESSION_TRANSPORTS)
     )
-    p_sessions.add_argument("--rounds", type=int, default=3)
-    p_sessions.add_argument("--seed", type=int, default=606, help="campaign seed")
-    p_sessions.add_argument("--world-seed", type=int, default=0)
-    p_sessions.add_argument(
-        "--vantage", nargs="+", default=None,
-        help="vantage names (default: the three EC2 vantages)",
-    )
-    p_sessions.add_argument(
-        "--resolver", nargs="*",
-        help="hostnames (default: the five deployments speaking all four "
-             "session transports)",
-    )
-    p_sessions.add_argument(
-        "--domain", nargs="*",
-        help="query domains (default: the campaign's study domains)",
-    )
-    p_sessions.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard each policy run across N worker processes; the report "
-             "is byte-identical for any N given the same seed",
-    )
-    p_sessions.add_argument(
-        "--shard-by", choices=["vantage", "resolver", "round"], default="vantage",
-    )
-    p_sessions.add_argument("--shards", type=int, default=None, metavar="K")
-    p_sessions.add_argument(
-        "--store", metavar="DIR",
-        help="stream each policy run into a per-policy warehouse under DIR "
-             "(the report is then built from the warehouses)",
-    )
-    p_sessions.add_argument("--segment-records", type=int, default=4096, metavar="N")
-    p_sessions.add_argument(
-        "--per-vantage", action="store_true",
-        help="break the scenario-matrix table down per vantage point",
-    )
-    p_sessions.add_argument(
-        "--output", metavar="PATH", help="also write the report to PATH",
-    )
-    p_sessions.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 unless warm-path p95 beats the within-run cold-path "
-             "p95 for every gated transport under every warm policy",
-    )
-    p_sessions.add_argument(
-        "--gate-transport", nargs="+", default=["doh", "doq"],
-        choices=SESSION_TRANSPORTS,
-        help="transports the --gate check covers (default: doh doq)",
-    )
-    p_sessions.set_defaults(func=_cmd_sessions)
 
     p_store = sub.add_parser("store", help="inspect or compact a results warehouse")
-    p_store.add_argument(
-        "action", choices=["info", "compact", "summarize"],
-        help="info: manifest + layout; compact: rewrite in canonical order; "
-             "summarize: availability/response-time tables from aggregates",
+    _take(
+        p_store, "action", "store_dir", "--segment-records", "--vantage",
+        vantage={"nargs": None},
     )
-    p_store.add_argument("store_dir", help="warehouse directory (from measure --store)")
-    p_store.add_argument(
-        "--segment-records", type=int, default=None, metavar="N",
-        help="new segment size for compact (default: keep current)",
-    )
-    p_store.add_argument("--vantage", help="restrict summarize to one vantage")
-    p_store.set_defaults(func=_cmd_store)
+    p_store.set_defaults(func=_cmd_store, segment_records=None)
 
     p_monitor = sub.add_parser(
         "monitor", help="evaluate SLOs over saved results; alerts + scoreboard"
     )
-    p_monitor.add_argument(
-        "input", help="JSONL results file or warehouse directory"
-    )
-    p_monitor.add_argument(
-        "--slo", metavar="FILE",
-        help="SLO policy (TOML/JSON file; default: paper-derived baselines)",
-    )
-    p_monitor.add_argument(
-        "--alerts", metavar="PATH",
-        help="write the alert JSONL to PATH, or '-' for stdout (the "
-             "scoreboard then moves to stderr, keeping stdout pure JSONL)",
-    )
-    p_monitor.add_argument(
-        "--verdicts", metavar="PATH", help="write the verdicts JSON to PATH"
-    )
-    p_monitor.add_argument(
-        "--from-aggregates", action="store_true",
-        help="evaluate verdicts from the warehouse's persisted aggregates "
-             "without replaying records (warehouse input only; no alerts)",
-    )
-    p_monitor.add_argument(
-        "--gate", action="store_true",
-        help="exit non-zero when any resolver is DEGRADED or FAILING",
+    _take(
+        p_monitor, "input", "--slo", "--alerts", "--verdicts", "--from-aggregates",
+        "--gate",
     )
     p_monitor.set_defaults(func=_cmd_monitor)
 
@@ -1337,84 +1167,13 @@ def build_parser() -> argparse.ArgumentParser:
         "observe",
         help="longitudinal observer fleet: significance events + world health",
     )
-    p_observe.add_argument(
-        "--input", metavar="PATH",
-        help="observe saved results (JSONL file or warehouse directory, "
-             "streamed) instead of running the observatory campaign",
+    _take(
+        p_observe, "--input", "--months", "--rounds", "--seed", "--world-seed",
+        "--vantage", "--resolver", *_EXECUTION_OPTIONS, "--observers", "--spec",
+        "--min-samples-scale", "--events", "--index", "--metrics", "--faults",
+        "--fault-seed", "--fault-fraction", "--gate", "--gate-floor",
     )
-    p_observe.add_argument(
-        "--months", type=int, default=4,
-        help="monthly measurement windows in the observatory campaign",
-    )
-    p_observe.add_argument(
-        "--rounds", type=int, default=6, help="rounds per monthly window"
-    )
-    p_observe.add_argument("--seed", type=int, default=606, help="campaign seed")
-    p_observe.add_argument("--world-seed", type=int, default=0)
-    p_observe.add_argument(
-        "--vantage", nargs="+", default=None,
-        help="vantage names (default: the three EC2 vantages)",
-    )
-    p_observe.add_argument("--resolver", nargs="*", help="hostnames (default: all)")
-    p_observe.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the campaign across N worker processes; events and "
-             "index are byte-identical for any N given the same seed",
-    )
-    p_observe.add_argument(
-        "--shard-by", choices=["vantage", "resolver", "round"], default="vantage",
-    )
-    p_observe.add_argument("--shards", type=int, default=None, metavar="K")
-    p_observe.add_argument(
-        "--store", metavar="DIR",
-        help="stream campaign records into a results warehouse at DIR "
-             "(the fleet then replays the warehouse)",
-    )
-    p_observe.add_argument("--segment-records", type=int, default=4096, metavar="N")
-    p_observe.add_argument(
-        "--observers", nargs="+", metavar="NAME",
-        help="restrict the fleet to these observers (default: all)",
-    )
-    p_observe.add_argument(
-        "--spec", metavar="FILE",
-        help="observer registry (TOML/JSON file; default: the built-in five)",
-    )
-    p_observe.add_argument(
-        "--min-samples-scale", type=float, default=1.0, metavar="F",
-        help="scale every observer's per-day sample gate (small demo "
-             "campaigns need lower gates than a production stream)",
-    )
-    p_observe.add_argument(
-        "--events", metavar="PATH",
-        help="write the significance-event JSONL to PATH, or '-' for "
-             "stdout (the summary then moves to stderr)",
-    )
-    p_observe.add_argument(
-        "--index", metavar="PATH",
-        help="write the world-health index JSONL to PATH, or '-' for stdout",
-    )
-    p_observe.add_argument(
-        "--metrics", metavar="PATH",
-        help="write a metrics JSON snapshot including observer.* gauges",
-    )
-    p_observe.add_argument(
-        "--faults", action="store_true",
-        help="inject a seeded fault plan spanning the whole horizon so "
-             "availability and error-share observers have dips to find",
-    )
-    p_observe.add_argument("--fault-seed", type=int, default=20230919)
-    p_observe.add_argument(
-        "--fault-fraction", type=float, default=0.10,
-        help="expected impaired time fraction of the fault plan",
-    )
-    p_observe.add_argument(
-        "--gate", action="store_true",
-        help="exit non-zero when the world-health index dips below the floor",
-    )
-    p_observe.add_argument(
-        "--gate-floor", type=float, default=70.0, metavar="SCORE",
-    )
-    p_observe.set_defaults(func=_cmd_observe)
+    p_observe.set_defaults(func=_cmd_observe, rounds=6, seed=606, fault_fraction=0.10)
 
     p_metrics = sub.add_parser(
         "metrics", help="export saved metrics as Prometheus text"
@@ -1423,63 +1182,47 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics_export = metrics_sub.add_parser(
         "export", help="Prometheus text exposition of a metrics JSON file"
     )
-    p_metrics_export.add_argument(
-        "--input", required=True,
-        help="metrics JSON: a state dump (full buckets) or a snapshot",
-    )
-    p_metrics_export.add_argument(
-        "--output", help="write the exposition to a file instead of stdout"
-    )
+    _take(p_metrics_export, "--input", "--output", input={"required": True})
     p_metrics_export.set_defaults(func=_cmd_metrics)
 
     p_stamp = sub.add_parser("stamp", help="DNS stamp for a resolver (or decode one)")
-    p_stamp.add_argument("resolver", help="catalog hostname, or an sdns:// URI with --decode")
-    p_stamp.add_argument("--decode", action="store_true")
+    _take(p_stamp, "resolver", "--decode")
     p_stamp.set_defaults(func=_cmd_stamp)
 
     p_config = sub.add_parser("run-config", help="run a JSON campaign spec")
-    p_config.add_argument("config", help="path to the JSON spec")
-    p_config.add_argument("--output", help="JSONL output (default: <name>.jsonl)")
+    _take(p_config, "config", "--output")
     p_config.set_defaults(func=_cmd_run_config)
 
     p_trace = sub.add_parser(
         "trace", help="run a traced campaign; export phase-level spans"
     )
-    p_trace.add_argument("--name", default="cli-trace")
-    p_trace.add_argument("--vantage", nargs="+", default=["ec2-ohio"])
-    p_trace.add_argument("--resolver", nargs="*", help="hostnames (default: all)")
-    p_trace.add_argument("--rounds", type=int, default=1)
-    p_trace.add_argument("--interval-hours", type=float, default=1.0)
-    p_trace.add_argument(
-        "--transport", choices=TRANSPORT_NAMES, default="doh"
+    _take(
+        p_trace, "--name", "--vantage", "--resolver", "--rounds", "--interval-hours",
+        "--transport", "--seed", "--output", "--tree", "--max-spans",
+        "--metrics-output", "--summary",
     )
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--output", default="spans.jsonl", help="span JSONL path")
-    p_trace.add_argument("--tree", action="store_true", help="print the span tree")
-    p_trace.add_argument(
-        "--max-spans", type=int, default=None,
-        help="limit the printed tree to the first N spans",
+    p_trace.set_defaults(
+        func=_cmd_trace, name="cli-trace", vantage=["ec2-ohio"], rounds=1,
+        interval_hours=1.0, output="spans.jsonl",
     )
-    p_trace.add_argument("--metrics-output", help="also write a metrics JSON snapshot")
-    p_trace.add_argument(
-        "--summary", action="store_true", help="print the metrics summary"
-    )
-    p_trace.set_defaults(func=_cmd_trace)
 
     p_query = sub.add_parser("query", help="one DoH query, dig-style output")
-    p_query.add_argument("resolver")
-    p_query.add_argument("domain")
-    p_query.add_argument("--vantage", default="ec2-ohio")
-    p_query.add_argument("--method", choices=["POST", "GET"], default="POST")
-    p_query.add_argument("--seed", type=int, default=0)
-    p_query.set_defaults(func=_cmd_query)
+    _take(
+        p_query, "resolver", "domain", "--vantage", "--method", "--seed",
+        vantage={"nargs": None},
+    )
+    p_query.set_defaults(func=_cmd_query, vantage="ec2-ohio")
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"repro-dns {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

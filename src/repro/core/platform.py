@@ -95,11 +95,7 @@ def select_targets(world, selector: Any) -> List[ResolverTarget]:
     if selector == "all" or selector is None:
         return world.targets()
     if isinstance(selector, (list, tuple)):
-        targets = world.targets(list(selector))
-        missing = set(selector) - {t.hostname for t in targets}
-        if missing:
-            raise CampaignConfigError(f"unknown resolvers in spec: {sorted(missing)}")
-        return targets
+        return world.targets(list(selector))
     if isinstance(selector, Mapping):
         entries = world.catalog
         if "region" in selector:

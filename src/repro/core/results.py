@@ -344,16 +344,24 @@ class ResultStore:
         Analysis passes that only need one record at a time (the CLI
         ``correlate`` and ``drift`` subcommands) read month-long result
         files through this with O(1) record memory.  Malformed lines raise
-        :class:`~repro.errors.ResultsFormatError` with file and line.
+        :class:`~repro.errors.ResultsFormatError` with file and line, and so
+        do bytes that are not UTF-8 (the file is decoded a block at a time,
+        so the line named is the first one not read yet).
         """
         path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if line:
-                    yield MeasurementRecord.parse_line(
-                        line, source=path, line_number=line_number
-                    )
+        line_number = 0
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                for line_number, line in enumerate(handle, start=1):
+                    line = line.strip()
+                    if line:
+                        yield MeasurementRecord.parse_line(
+                            line, source=path, line_number=line_number
+                        )
+        except UnicodeDecodeError as exc:
+            raise ResultsFormatError(
+                f"{path} is not UTF-8 at or after line {line_number + 1}: {exc}"
+            ) from exc
 
 
 @runtime_checkable

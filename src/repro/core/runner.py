@@ -290,7 +290,7 @@ class Campaign:
         if recorder.enabled and self._campaign_span:
             recorder.end(self._campaign_span, loop.now, records=len(self.store))
         if metrics.enabled:
-            metrics.set_gauge("campaign.records", len(self.store))
+            metrics.set_gauge("campaign.records", float(len(self.store)))
         return self.store
 
     def _rng_for(
@@ -617,8 +617,8 @@ class Campaign:
         metrics = self._active_metrics
         if metrics.enabled:
             metrics.inc("campaign.rounds_completed")
-            metrics.set_gauge("campaign.records", len(self.store))
-            metrics.set_gauge("campaign.errors", self._errors_total)
+            metrics.set_gauge("campaign.records", float(len(self.store)))
+            metrics.set_gauge("campaign.errors", float(self._errors_total))
         if self.on_round_complete is not None:
             self.on_round_complete(
                 RoundProgress(

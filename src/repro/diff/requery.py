@@ -66,12 +66,7 @@ def verify_reproducibility(
         if record.status != STATUS_DISAGREE or record.expected is None:
             continue
         vantage = world.vantage(record.vantage)
-        targets = world.targets([record.resolver])
-        if not targets:
-            raise CampaignConfigError(
-                f"cannot re-query unknown resolver {record.resolver!r}"
-            )
-        target = targets[0]
+        target = world.targets([record.resolver])[0]
         disagreed = 0
         for attempt in range(attempts):
             rng = derive_rng(

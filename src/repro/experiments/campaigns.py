@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from typing import OrderedDict as OrderedDictType
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from repro.session import SessionPolicy
 
 from repro.core.results import ResultStore
-from repro.core.runner import Campaign, CampaignConfig, RetryPolicy
+from repro.core.runner import Campaign, CampaignConfig, RetryPolicy, RoundProgress
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
 from repro.experiments.world import World
@@ -398,18 +398,21 @@ def run_campaign_parallel(
     store_dir: Optional[str] = None,
     segment_records: int = 4096,
     slo_policy: Optional[object] = None,
+    on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ParallelRun:
     """Run one campaign sharded across workers and merge the artifacts.
 
     ``workers=1`` is the serial reference execution of the same shard
-    plan; any higher worker count reproduces it byte for byte.  Each
+    plan; any higher worker count reproduces it byte for byte, and
+    ``shards=1`` is the identity plan, the classic ``Campaign.run()``.  Each
     shard runs on a fresh world built from ``world_seed``, so results
     depend only on the plan — see :mod:`repro.parallel`.  With
     ``store_dir`` the run streams into a results warehouse instead of
     RAM (see :mod:`repro.store`); the warehouse is byte-identical for
     any worker count.  With ``slo_policy`` (a
     :class:`repro.monitor.SloPolicy`) the merged canonical stream is
-    replayed through a monitor — see :func:`repro.parallel.run_parallel`.
+    replayed through a monitor, and ``on_round_complete`` hears the
+    rounds of a one-shard plan — see :func:`repro.parallel.run_parallel`.
     """
     tasks = plan_campaign(
         config,
@@ -431,6 +434,7 @@ def run_campaign_parallel(
         store_dir=store_dir,
         segment_records=segment_records,
         slo_policy=slo_policy,
+        on_round_complete=on_round_complete,
     )
 
 
@@ -455,33 +459,23 @@ def run_study_parallel(
     one.  The merged store holds both campaigns in canonical order.
     """
     hostnames = _catalog_hostnames(target_hostnames)
-    plans = []
-    if home_rounds > 0:
-        plans.append(
-            plan_campaign(
-                home_campaign_config(rounds=home_rounds),
-                HOME_VANTAGE_NAMES,
-                hostnames,
-                world_seed=world_seed,
-                shard_by=shard_by,
-                shards=shards,
-                collect_spans=collect_spans,
-                collect_metrics=collect_metrics,
-            )
+    plans = [
+        plan_campaign(
+            campaign_config(rounds=rounds),
+            vantage_names,
+            hostnames,
+            world_seed=world_seed,
+            shard_by=shard_by,
+            shards=shards,
+            collect_spans=collect_spans,
+            collect_metrics=collect_metrics,
         )
-    if ec2_rounds > 0:
-        plans.append(
-            plan_campaign(
-                ec2_campaign_config(rounds=ec2_rounds),
-                EC2_VANTAGE_NAMES,
-                hostnames,
-                world_seed=world_seed,
-                shard_by=shard_by,
-                shards=shards,
-                collect_spans=collect_spans,
-                collect_metrics=collect_metrics,
-            )
+        for rounds, campaign_config, vantage_names in (
+            (home_rounds, home_campaign_config, HOME_VANTAGE_NAMES),
+            (ec2_rounds, ec2_campaign_config, EC2_VANTAGE_NAMES),
         )
+        if rounds > 0
+    ]
     if not plans:
         raise CampaignConfigError("study needs home_rounds > 0 or ec2_rounds > 0")
     return run_parallel(

@@ -196,8 +196,5 @@ def observe_run(
     the run's own registry) under ``observer.*``.
     """
     fleet = ObserverFleet(specs)
-    if run.warehouse is not None:
-        fleet.replay(run.warehouse.iter_sorted())
-    else:
-        fleet.replay(run.store.records)
+    fleet.replay(run.records())
     return fleet.finalize(metrics if metrics is not None else run.metrics)

@@ -114,11 +114,21 @@ class World:
             raise CampaignConfigError(f"no vantage point {name!r}")
 
     def targets(self, hostnames: Optional[Sequence[str]] = None) -> List[ResolverTarget]:
-        """Campaign targets for the given hostnames (default: whole catalog)."""
+        """Campaign targets for the given hostnames (default: whole catalog).
+
+        A hostname this world has no catalog entry for raises
+        :class:`CampaignConfigError`: a typo must not quietly measure a
+        smaller set.
+        """
         entries = self.catalog
         if hostnames is not None:
             wanted = set(hostnames)
             entries = [entry for entry in self.catalog if entry.hostname in wanted]
+            if len(entries) != len(wanted):
+                missing = wanted.difference(entry.hostname for entry in entries)
+                raise CampaignConfigError(
+                    f"unknown resolvers: {', '.join(sorted(missing))}"
+                )
         return [
             ResolverTarget(
                 hostname=entry.hostname,

@@ -25,10 +25,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import MeasurementRecord, ResultStore
-from repro.core.runner import Campaign, CampaignConfig
+from repro.core.runner import Campaign, CampaignConfig, RoundProgress
 from repro.core.scheduler import MS_PER_HOUR
 from repro.errors import CampaignConfigError
 from repro.obs import (
@@ -178,14 +178,17 @@ def pristine_worlds(tasks: Iterable[ShardTask]) -> Dict[WorldKey, "World"]:
 
 
 def execute_shard(
-    task: ShardTask, inherited: Optional[Dict[WorldKey, "World"]] = None
+    task: ShardTask,
+    inherited: Optional[Dict[WorldKey, "World"]] = None,
+    on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ShardResult:
     """Run one shard on a fresh world and collect its artifacts.
 
     ``inherited`` is this process's own copy of :func:`pristine_worlds`.
     A campaign changes the world it runs on, so the shard *pops* its
     world from the mapping: a second task in the same process finds none
-    there and builds its own.
+    there and builds its own.  ``on_round_complete`` is the campaign's
+    round callback; only a caller in this process can hand one over.
     """
     started = time.perf_counter()
     world = inherited.pop(world_key(task), None) if inherited else None
@@ -201,12 +204,6 @@ def execute_shard(
 
     vantages = [world.vantage(name) for name in task.vantage_names]
     targets = world.targets(list(task.target_hostnames))
-    if len(targets) != len(task.target_hostnames):
-        known = {target.hostname for target in targets}
-        missing = [h for h in task.target_hostnames if h not in known]
-        raise CampaignConfigError(
-            f"shard {task.shard_key!r}: unknown targets {', '.join(missing)}"
-        )
 
     if task.fault_plan_json:
         from repro.faults import FaultPlan, inject_faults
@@ -276,6 +273,7 @@ def execute_shard(
             store=store,
             recorder=recorder,
             metrics=metrics,
+            on_round_complete=on_round_complete,
         ).run()
     record_count = len(store)
     if warehouse_path is not None:

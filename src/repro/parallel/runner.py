@@ -30,10 +30,10 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.results import ResultStore
-from repro.core.runner import CampaignConfig
+from repro.core.results import MeasurementRecord, ResultStore
+from repro.core.runner import CampaignConfig, RoundProgress
 from repro.errors import CampaignConfigError, ShardWorkerError, StoreError
 from repro.obs import MetricsRegistry, SpanCollector
 from repro.parallel.executor import (
@@ -74,6 +74,12 @@ class ParallelRun:
         if self.warehouse is not None:
             return len(self.warehouse)
         return len(self.store)
+
+    def records(self) -> Iterable[MeasurementRecord]:
+        """The merged records in canonical order, from disk or from RAM."""
+        if self.warehouse is not None:
+            return self.warehouse.iter_sorted()
+        return self.store.records
 
     def describe(self) -> str:
         mode = (
@@ -282,6 +288,7 @@ def run_parallel(
     store_dir: Optional[str] = None,
     segment_records: int = 4096,
     slo_policy: Optional[object] = None,
+    on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ParallelRun:
     """Execute shard tasks and merge their results.
 
@@ -306,6 +313,11 @@ def run_parallel(
     group, live arrival order equals canonical order).  The finalized
     monitor lands on
     ``ParallelRun.monitor`` and its detector gauges in the merged metrics.
+
+    ``on_round_complete`` is called as each round of a one-shard plan
+    finishes: such a plan always runs in this process, and its rounds are
+    the campaign's.  The shards of a larger plan each see a slice, possibly
+    in a child, so there it is not called.
     """
     if not tasks:
         raise CampaignConfigError("no shard tasks to run")
@@ -342,7 +354,10 @@ def run_parallel(
                 # Sandboxes that forbid new processes still complete the run.
                 fallback_reason = f"process pool unavailable: {exc}"
         if not pool_used:
-            results = [execute_shard(task) for task in tasks]
+            callback = on_round_complete if len(tasks) == 1 else None
+            results = [
+                execute_shard(task, on_round_complete=callback) for task in tasks
+            ]
         if store_dir is not None:
             warehouse = merge_shard_warehouses(
                 results, store_dir, segment_records=segment_records
@@ -355,21 +370,7 @@ def run_parallel(
     # A store run's results carry no records: its merged store is empty.
     store, spans, metrics = merge_shard_results(results)
 
-    monitor = None
-    if slo_policy is not None:
-        from repro.monitor import Monitor, SloPolicy
-
-        if not isinstance(slo_policy, SloPolicy):
-            raise CampaignConfigError(
-                f"slo_policy must be a SloPolicy, got {type(slo_policy).__name__}"
-            )
-        monitor = Monitor(slo_policy)
-        monitor.replay(
-            warehouse.iter_sorted() if warehouse is not None else store.records
-        )
-        monitor.finalize(metrics)
-
-    return ParallelRun(
+    run = ParallelRun(
         store=store,
         spans=spans,
         metrics=metrics,
@@ -377,14 +378,24 @@ def run_parallel(
         workers=workers,
         pool_used=pool_used,
         fallback_reason=fallback_reason,
-        wall_seconds=time.perf_counter() - started,
         shard_wall_seconds={
             result.shard_key: result.wall_seconds for result in results
         },
         warm_seconds=warm_seconds,
         warehouse=warehouse,
-        monitor=monitor,
     )
+    if slo_policy is not None:
+        from repro.monitor import Monitor, SloPolicy
+
+        if not isinstance(slo_policy, SloPolicy):
+            raise CampaignConfigError(
+                f"slo_policy must be a SloPolicy, got {type(slo_policy).__name__}"
+            )
+        run.monitor = Monitor(slo_policy)
+        run.monitor.replay(run.records())
+        run.monitor.finalize(metrics)
+    run.wall_seconds = time.perf_counter() - started
+    return run
 
 
 def default_worker_count() -> int:

@@ -234,7 +234,7 @@ def iter_segment(
 
     With no criteria (or no index) the whole file is parsed line by line;
     with criteria and a sidecar, only the byte offsets of matching groups
-    are visited.  Malformed or truncated lines raise
+    are visited.  Malformed, truncated or non-UTF-8 lines raise
     :class:`~repro.errors.ResultsFormatError` naming the segment file and
     line number (or byte offset).  With a sidecar, a segment that is not
     the size it was sealed at is refused before any record is yielded, and
@@ -253,12 +253,17 @@ def iter_segment(
         if not offsets:
             return
         with path.open("rb") as handle:
-            for offset in offsets:
-                handle.seek(offset)
-                raw = handle.readline()
-                yield MeasurementRecord.parse_line(
-                    raw.decode("utf-8"), source=f"{path}, byte offset {offset}"
-                )
+            try:
+                for offset in offsets:
+                    handle.seek(offset)
+                    raw = handle.readline()
+                    yield MeasurementRecord.parse_line(
+                        raw.decode("utf-8"), source=f"{path}, byte offset {offset}"
+                    )
+            except UnicodeDecodeError as exc:
+                raise ResultsFormatError(
+                    f"segment {path} is not UTF-8 at byte offset {offset}: {exc}"
+                ) from exc
         return
     lines = 0
     for line_number, line in _iter_lines(path):
@@ -294,7 +299,7 @@ def _check_sealed_size(path: Path, index: SegmentIndex) -> None:
     try:
         for line_number, line in _iter_lines(path):
             MeasurementRecord.parse_line(line, source=path, line_number=line_number)
-    except (ResultsFormatError, UnicodeDecodeError) as exc:
+    except ResultsFormatError as exc:
         detail = f": {exc}"
     raise ResultsFormatError(
         f"segment {path} is {size} bytes but its sidecar says "
@@ -303,8 +308,15 @@ def _check_sealed_size(path: Path, index: SegmentIndex) -> None:
 
 
 def _iter_lines(path: Path) -> Iterator[Tuple[int, str]]:
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                yield line_number, line
+    line_number = 0
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if line:
+                    yield line_number, line
+    except UnicodeDecodeError as exc:
+        # Decoded a block at a time: the bad byte is in a line not read yet.
+        raise ResultsFormatError(
+            f"segment {path} is not UTF-8 at or after line {line_number + 1}: {exc}"
+        ) from exc

@@ -133,8 +133,8 @@ class StoreSink:
             metrics.inc("store.ingest_records", flushed)
             metrics.inc("store.ingest_flushes")
             metrics.inc("store.ingest_seconds", time.perf_counter() - started)
-            metrics.set_gauge("store.segments", len(self._indexes))
-            metrics.set_gauge("store.buffer_hwm", self._hwm)
+            metrics.set_gauge("store.segments", float(len(self._indexes)))
+            metrics.set_gauge("store.buffer_hwm", float(self._hwm))
 
     def close(self) -> Warehouse:
         """Flush the tail, persist aggregates + manifest, return the warehouse."""

@@ -13,7 +13,7 @@ from repro.core.results import ResultStore
 from repro.core.runner import Campaign
 from repro.errors import MonitorConfigError
 from repro.experiments.campaigns import ec2_campaign_config
-from repro.monitor import Monitor, default_policy
+from repro.monitor import Monitor, SloPolicy, default_policy
 
 from tests.conftest import make_mini_world
 
@@ -170,12 +170,18 @@ class TestMonitorCommand:
         ) == 1
         capsys.readouterr()
 
-    def test_bad_policy_file_raises_config_error(self, results, tmp_path):
+    def test_bad_policy_file_exits_2_with_the_config_error(
+        self, results, tmp_path, capsys
+    ):
         _, jsonl, _ = results
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(MonitorConfigError):
-            main(["monitor", str(jsonl), "--slo", str(bad)])
+        assert main(["monitor", str(jsonl), "--slo", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        with pytest.raises(MonitorConfigError) as caught:
+            SloPolicy.load(bad)
+        assert err == f"repro-dns monitor: {caught.value}\n"
 
 
 class TestMeasureWithSlo:

@@ -68,6 +68,11 @@ class TestWorldBuilder:
         with pytest.raises(CampaignConfigError):
             mini_world.vantage("nope")
 
+    def test_targets_refuses_hostnames_it_does_not_have(self, mini_world):
+        with pytest.raises(CampaignConfigError, match="dns.gogle.typo, nope.example$"):
+            mini_world.targets(["dns.google", "nope.example", "dns.gogle.typo"])
+        assert len(mini_world.targets(["dns.google", "dns.google"])) == 1
+
     def test_targets_subset(self, mini_world):
         targets = mini_world.targets(["dns.google"])
         assert len(targets) == 1

@@ -344,6 +344,16 @@ class TestCampaignTracing:
         assert first.to_jsonl() == second.to_jsonl()
         assert len(first) > 0
 
+    def test_a_campaigns_snapshot_survives_the_shard_merge_byte_for_byte(self):
+        """Gauges are floats at the source, as the merge makes them: a
+        one-shard run writes the metrics file a plain registry would."""
+        _, _, metrics = run_traced_campaign(["dns.google", "dns.pumplex.com"], rounds=2)
+        snapshot = metrics.snapshot()
+        assert snapshot["gauges"]["campaign.records"] == 16.0
+        assert {type(value) for value in snapshot["gauges"].values()} == {float}
+        merged = MetricsRegistry.from_states([metrics.to_state()])
+        assert json.dumps(merged.snapshot()) == json.dumps(snapshot)
+
     def test_different_seed_runs_differ(self):
         _, first, _ = run_traced_campaign(["dns.google"], seed=1)
         _, second, _ = run_traced_campaign(["dns.google"], seed=2)

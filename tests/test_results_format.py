@@ -233,6 +233,24 @@ def test_iter_jsonl_is_lazy_and_raises_at_the_bad_line(tmp_path):
     assert "line 3" in str(excinfo.value)
 
 
+def test_iter_jsonl_on_a_non_utf8_byte_names_the_first_line_not_read(tmp_path):
+    record = _two_good_records()[0]
+    path = tmp_path / "latin.jsonl"
+    lines = [record.to_json().encode("utf-8") + b"\n"] * 400  # several read blocks
+    lines[-1] = lines[-1].replace(b"example", b"ex\xffmple")
+    path.write_bytes(b"".join(lines))
+    read = []
+    with pytest.raises(ResultsFormatError) as excinfo:
+        for parsed in ResultStore.iter_jsonl(path):
+            read.append(parsed)
+    assert 0 < len(read) < 400 and all(parsed == record for parsed in read)
+    message = str(excinfo.value)
+    assert "latin.jsonl" in message and "not UTF-8" in message
+    assert f"after line {len(read) + 1}:" in message
+    with pytest.raises(ResultsFormatError, match="not UTF-8"):
+        ResultStore.load_jsonl(path)
+
+
 def test_wrong_shape_line_raises_format_error(tmp_path):
     path = tmp_path / "shape.jsonl"
     # Valid JSON, wrong shape: array instead of object, then unknown field.

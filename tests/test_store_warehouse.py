@@ -509,6 +509,36 @@ def test_pushdown_read_of_a_corrupt_line_names_the_offset(tmp_path):
     assert f"byte offset {offsets[0]}" in message
 
 
+@pytest.mark.parametrize("read", sorted(_READ_PATHS) + ["correlate --input"])
+def test_non_utf8_byte_in_a_same_size_segment_is_a_format_error(tmp_path, read, capsys):
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=6)
+    sink.extend(make_fleet(12))
+    warehouse = sink.close()
+    index = warehouse.segment_indexes()[1]
+    segment = warehouse.segments_dir / index.segment_filename
+    offset = min(
+        offsets[0] for key, offsets in index.groups.items() if key[0] == "v1"
+    )
+    data = bytearray(segment.read_bytes())
+    data[offset + 5] = 0xFF  # same size, and every line still ends where it did
+    segment.write_bytes(bytes(data))
+
+    if read == "correlate --input":
+        from repro.cli import main
+
+        assert main(["correlate", "--input", str(warehouse.root)]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("repro-dns correlate: ")
+    else:
+        with pytest.raises(ResultsFormatError) as excinfo:
+            _READ_PATHS[read](warehouse, tmp_path)
+        message = str(excinfo.value)
+    assert segment.name in message and "not UTF-8" in message
+    # The pushdown read knows the line; a scan decodes a block at a time.
+    assert (f"byte offset {offset}" if read == "filter" else "after line 1") in message
+    assert not Warehouse(tmp_path / "dest").exists()
+
+
 def test_missing_segment_file_is_a_named_error(tmp_path):
     warehouse = Warehouse.from_records(make_fleet(4), tmp_path / "wh")
     (warehouse.segments_dir / warehouse.manifest()["segments"][0]).unlink()
