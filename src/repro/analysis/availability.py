@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.stats import median
-from repro.core.errors_taxonomy import CONNECTION_ESTABLISHMENT_CLASSES, ErrorClass
+from repro.core.errors_taxonomy import ESTABLISHMENT_VALUES, ErrorClass
 from repro.core.results import RecordSource
-
-#: String values of the paper's dominant error group, for record matching.
-_ESTABLISHMENT_VALUES = frozenset(c.value for c in CONNECTION_ESTABLISHMENT_CLASSES)
 
 
 @dataclass
@@ -64,7 +61,7 @@ def availability_report(store: RecordSource, vantage: Optional[str] = None) -> A
     establishment = sum(
         count
         for error_class, count in breakdown.items()
-        if error_class in _ESTABLISHMENT_VALUES
+        if error_class in ESTABLISHMENT_VALUES
     )
     share = establishment / len(failures) if failures else 0.0
     return AvailabilityReport(
@@ -95,7 +92,7 @@ class ResolverErrorProfile:
         establishment = sum(
             count
             for error_class, count in self.breakdown.items()
-            if error_class in _ESTABLISHMENT_VALUES
+            if error_class in ESTABLISHMENT_VALUES
         )
         return establishment / self.errors
 

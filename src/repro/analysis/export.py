@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Sequence, Union
 
 from repro.analysis.figures import FigureRow
 from repro.analysis.response_times import VantageDelta
+from repro.files import write_text
 
 FIGURE_FIELDS = (
     "panel", "resolver", "mainstream",
@@ -84,8 +85,5 @@ def deltas_to_csv(deltas: Iterable[VantageDelta]) -> str:
 
 def write_csv(text: str, path: Union[str, Path]) -> Path:
     """Write CSV text to ``path`` (creating parent directories)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
+    return write_text(path, text)
 

@@ -59,7 +59,9 @@ from repro.errors import (
     MonitorConfigError,
     ObserverConfigError,
     ReproError,
+    ResultsFormatError,
 )
+from repro.files import read_document, write_text
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
 
@@ -91,11 +93,8 @@ def _load_policy(spec: Optional[str]):
 
 
 def _write_verdicts(verdicts, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps([v.to_dict() for v in verdicts], indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    rows = [v.to_dict() for v in verdicts]
+    write_text(path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
 
 def _write_alert_artifacts(monitor, alerts_dir: str) -> None:
@@ -103,9 +102,7 @@ def _write_alert_artifacts(monitor, alerts_dir: str) -> None:
     directory = Path(alerts_dir)
     _write_verdicts(monitor.verdicts(), directory / "verdicts.json")
     monitor.alerts.save_jsonl(directory / "alerts.jsonl")
-    (directory / "scoreboard.txt").write_text(
-        monitor.scoreboard().render() + "\n", encoding="utf-8"
-    )
+    write_text(directory / "scoreboard.txt", monitor.scoreboard().render() + "\n")
     _status(
         f"wrote {len(monitor.alerts)} alerts, scoreboard and "
         f"{len(monitor.verdicts())} verdicts to {directory}"
@@ -448,7 +445,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 f"x{args.verify} re-queries")
 
     if args.output:
-        Path(args.output).write_text(report.to_jsonl(), encoding="utf-8")
+        write_text(args.output, report.to_jsonl())
         _status(f"wrote {len(report)} diff records to {args.output}")
     print(report.render(), end="")
     return 0
@@ -483,8 +480,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 
     report = session_report(runs, per_vantage=args.per_vantage)
     if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
+        write_text(args.output, report + "\n")
         _status(f"wrote session report to {args.output}")
     print(report)
 
@@ -719,15 +715,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """
     from repro.obs.metrics import exposition_from_dump
 
+    data = read_document(args.input, ResultsFormatError, "metrics file")
     try:
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
         text = exposition_from_dump(data)
-    except (OSError, ValueError) as exc:
-        print(f"unreadable metrics file {args.input}: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ResultsFormatError(f"malformed metrics file {args.input}: {exc}") from exc
     if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(text, encoding="utf-8")
+        write_text(args.output, text)
         _status(f"wrote {len(text.splitlines())} exposition lines to {args.output}")
     else:
         sys.stdout.write(text)

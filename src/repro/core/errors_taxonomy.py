@@ -51,6 +51,11 @@ CONNECTION_ESTABLISHMENT_CLASSES = frozenset(
     }
 )
 
+#: The same group as record-level ``error_class`` strings, and in the
+#: sorted order alert evidence lists them in.
+ESTABLISHMENT_VALUES = frozenset(c.value for c in CONNECTION_ESTABLISHMENT_CLASSES)
+ESTABLISHMENT_CLASS_VALUES = tuple(sorted(ESTABLISHMENT_VALUES))
+
 
 def classify_error(exc: BaseException) -> ErrorClass:
     """Map an exception raised during a probe to its error class."""

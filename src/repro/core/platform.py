@@ -24,7 +24,6 @@ Example spec::
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -33,6 +32,7 @@ from repro.core.results import ResultStore
 from repro.core.runner import Campaign, CampaignConfig, ResolverTarget
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
+from repro.files import read_document
 
 _ALLOWED_KEYS = {
     "name", "vantages", "resolvers", "transport", "domains", "rounds",
@@ -78,12 +78,8 @@ def parse_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def load_spec(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read and validate a JSON spec file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, dict):
-        raise CampaignConfigError("spec file must contain a JSON object")
-    return parse_spec(raw)
+    """Read and validate a spec file (JSON, or TOML by its suffix)."""
+    return parse_spec(read_document(path, CampaignConfigError, "campaign spec"))
 
 
 def select_targets(world, selector: Any) -> List[ResolverTarget]:

@@ -27,6 +27,7 @@ from typing import (
 )
 
 from repro.errors import ResultsFormatError
+from repro.files import iter_lines, write_text
 
 #: ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` for whatever
 #: :func:`_fragment` does not write itself, and ``json.loads`` without the
@@ -326,9 +327,7 @@ class ResultStore:
 
     def save_jsonl(self, path: Union[str, Path]) -> int:
         """Write all records as JSON Lines; returns the record count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
+        write_text(path, self.to_jsonl())
         return len(self._records)
 
     @classmethod
@@ -349,19 +348,10 @@ class ResultStore:
         so the line named is the first one not read yet).
         """
         path = Path(path)
-        line_number = 0
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if line:
-                        yield MeasurementRecord.parse_line(
-                            line, source=path, line_number=line_number
-                        )
-        except UnicodeDecodeError as exc:
-            raise ResultsFormatError(
-                f"{path} is not UTF-8 at or after line {line_number + 1}: {exc}"
-            ) from exc
+        for line_number, line in iter_lines(path, "results file"):
+            yield MeasurementRecord.parse_line(
+                line, source=path, line_number=line_number
+            )
 
 
 @runtime_checkable

@@ -32,7 +32,6 @@ from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
     get_metrics,
-    get_monitor,
     get_recorder,
 )
 from repro.session import SessionBroker, SessionPolicy
@@ -198,6 +197,12 @@ class CampaignConfig:
 class Campaign:
     """Runs one measurement campaign over the simulated world."""
 
+    #: The ambient recorder and registry, read when run() starts (so
+    #: ``with tracing():`` wraps run()): the protocol layers can only read
+    #: that pair, and the campaign reports where they do.
+    _active_recorder: SpanRecorder
+    _active_metrics: MetricsRegistry
+
     def __init__(
         self,
         network: Network,
@@ -205,8 +210,6 @@ class Campaign:
         targets: Sequence[ResolverTarget],
         config: CampaignConfig,
         store: Optional[ResultStore] = None,
-        recorder: Optional[SpanRecorder] = None,
-        metrics: Optional[MetricsRegistry] = None,
         monitor: Optional[object] = None,
         on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
     ) -> None:
@@ -229,15 +232,7 @@ class Campaign:
             if policy is not None and policy.enabled
             else None
         )
-        # Explicit recorder/metrics/monitor win; otherwise the ambient
-        # ones are picked up at run() time (so ``with tracing():`` wraps
-        # run()).
-        self._recorder = recorder
-        self._metrics = metrics
         self._monitor = monitor
-        self._active_recorder: SpanRecorder = get_recorder()
-        self._active_metrics: MetricsRegistry = get_metrics()
-        self._active_monitor: Optional[object] = None
         self._campaign_span = 0
         self._round_spans: Dict[int, int] = {}
         self._round_outstanding: Dict[int, int] = {}
@@ -248,13 +243,8 @@ class Campaign:
     def run(self) -> ResultStore:
         """Schedule all rounds and drive the event loop to completion."""
         loop = self.network.loop
-        recorder = self._recorder if self._recorder is not None else get_recorder()
-        metrics = self._metrics if self._metrics is not None else get_metrics()
-        self._active_recorder = recorder
-        self._active_metrics = metrics
-        self._active_monitor = (
-            self._monitor if self._monitor is not None else get_monitor()
-        )
+        recorder = self._active_recorder = get_recorder()
+        metrics = self._active_metrics = get_metrics()
         if recorder.enabled:
             self._campaign_span = recorder.begin(
                 "campaign",
@@ -549,8 +539,8 @@ class Campaign:
             ),
         )
         self.store.add(record)
-        if self._active_monitor is not None:
-            self._active_monitor.observe(record)
+        if self._monitor is not None:
+            self._monitor.observe(record)
         if kind == "dns_query" and not outcome.success:
             self._errors_total += 1
         metrics = self._active_metrics
@@ -592,8 +582,8 @@ class Campaign:
             error_class=outcome.error_class.value if outcome.error_class else None,
         )
         self.store.add(record)
-        if self._active_monitor is not None:
-            self._active_monitor.observe(record)
+        if self._monitor is not None:
+            self._monitor.observe(record)
         if not outcome.success:
             self._errors_total += 1
         metrics = self._active_metrics

@@ -9,12 +9,11 @@ JSONL bytes regardless of arrival interleaving across groups or shards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.render import render_table
-from repro.errors import ResultsFormatError
+from repro.files import JsonlLog
 
 #: Scoreboard states, from healthy to broken.
 HEALTH_STATES = ("OK", "DEGRADED", "FAILING")
@@ -51,98 +50,29 @@ class AlertEvent:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "campaign": self.campaign,
-            "vantage": self.vantage,
-            "resolver": self.resolver,
-            "transport": self.transport,
-            "slo": self.slo,
-            "detector": self.detector,
-            "severity": self.severity,
-            "status": self.status,
-            "round_index": self.round_index,
-            "at_ms": self.at_ms,
-            "window": self.window,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AlertEvent":
+        # ``window`` and ``evidence`` may be absent; every other field is required.
         return cls(
-            campaign=data["campaign"],
-            vantage=data["vantage"],
-            resolver=data["resolver"],
-            transport=data["transport"],
-            slo=data["slo"],
-            detector=data["detector"],
-            severity=data["severity"],
-            status=data["status"],
-            round_index=data["round_index"],
-            at_ms=data["at_ms"],
-            window=dict(data.get("window", {})),
-            evidence=dict(data.get("evidence", {})),
+            **{
+                f.name: dict(data.get(f.name, {}))
+                if f.default_factory is dict
+                else data[f.name]
+                for f in fields(cls)
+            }
         )
 
 
-class AlertLog:
+class AlertLog(JsonlLog[AlertEvent]):
     """Append-only alert collection with canonical JSONL export."""
 
-    def __init__(self) -> None:
-        self._events: List[AlertEvent] = []
-
-    def emit(self, event: AlertEvent) -> None:
-        self._events.append(event)
-
-    def extend(self, events: Iterable[AlertEvent]) -> None:
-        self._events.extend(events)
-
-    def events(self) -> List[AlertEvent]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[AlertEvent]:
-        return iter(self._events)
-
-    def canonical_sort(self) -> None:
-        """Order events by their canonical key, dropping arrival order."""
-        self._events.sort(key=AlertEvent.sort_key)
-
-    def counts_by_severity(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.severity] = counts.get(event.severity, 0) + 1
-        return {k: counts[k] for k in sorted(counts)}
-
-    def to_jsonl(self) -> str:
-        return "".join(event.to_json() + "\n" for event in self._events)
-
-    def save_jsonl(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
-        return path
-
-    @classmethod
-    def load_jsonl(cls, path: Union[str, Path]) -> "AlertLog":
-        path = Path(path)
-        log = cls()
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    log.emit(AlertEvent.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ResultsFormatError(
-                        f"{path}:{number}: malformed alert line: {exc}"
-                    ) from exc
-        return log
+    event_type = AlertEvent
+    what = "alert line"
 
 
 @dataclass(frozen=True)
@@ -161,18 +91,7 @@ class SloVerdict:
     samples: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "slo": self.slo,
-            "vantage": self.vantage,
-            "resolver": self.resolver,
-            "transport": self.transport,
-            "metric": self.metric,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "severity": self.severity,
-            "samples": self.samples,
-        }
+        return asdict(self)
 
 
 class Scoreboard:

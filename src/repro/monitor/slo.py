@@ -30,20 +30,16 @@ from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors_taxonomy import CONNECTION_ESTABLISHMENT_CLASSES, ErrorClass
+from repro.core.errors_taxonomy import ESTABLISHMENT_CLASS_VALUES, ErrorClass
 from repro.errors import MonitorConfigError
+from repro.files import read_document, write_text
 
 SLO_KINDS = ("availability", "latency_p95", "latency_p99", "error_budget")
 SEVERITIES = ("info", "warning", "critical")
-
-#: The paper's dominant error group, as record-level class values.
-ESTABLISHMENT_CLASS_VALUES: Tuple[str, ...] = tuple(
-    sorted(c.value for c in CONNECTION_ESTABLISHMENT_CLASSES)
-)
 
 _KNOWN_CLASS_VALUES = frozenset(c.value for c in ErrorClass)
 
@@ -80,11 +76,7 @@ class WindowConfig:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "records": self.records,
-            "span_ms": self.span_ms,
-            "min_samples": self.min_samples,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,13 +109,7 @@ class CusumConfig:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "alpha": self.alpha,
-            "k": self.k,
-            "h": self.h,
-            "min_samples": self.min_samples,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -292,29 +278,12 @@ class SloPolicy:
         The two formats carry the same structure — a ``[window]`` table, a
         ``[cusum]`` table and a list of ``[[slos]]`` entries.
         """
-        path = Path(path)
-        try:
-            if path.suffix.lower() == ".toml":
-                import tomllib
-
-                with path.open("rb") as handle:
-                    data = tomllib.load(handle)
-            else:
-                data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise MonitorConfigError(f"unreadable SLO policy {path}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError and TOMLDecodeError
-            raise MonitorConfigError(f"malformed SLO policy {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_document(path, MonitorConfigError, "SLO policy"))
 
     def save_json(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        return write_text(
+            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
         )
-        return path
 
 
 def default_policy(

@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.files import write_text
 from repro.netsim.packet import Datagram, Segment
 
 Packet = Union[Datagram, Segment]
@@ -126,5 +127,4 @@ class EventTrace:
 
     def save_jsonl(self, path: str) -> None:
         """Write the trace to ``path`` in the shared JSONL event format."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
+        write_text(path, self.to_jsonl())

@@ -1,20 +1,14 @@
-"""Observability: span tracing, metrics and monitoring hooks.
+"""Observability: span tracing and metrics.
 
-Three module-level singletons hold the *ambient* instrumentation targets:
+Two module-level singletons hold the *ambient* instrumentation targets:
 
 * the **span recorder** (default: :data:`~repro.obs.spans.NULL_RECORDER`,
-  a no-op) — campaign runners and probes also accept an explicit recorder,
-  which takes precedence over the ambient one;
-* the **metrics registry** (default: disabled) — protocol layers
-  (:mod:`repro.netsim.network`, :mod:`repro.tlssim.handshake`,
-  :mod:`repro.httpsim`, :mod:`repro.quicsim.connection`) report counters
-  and histograms here;
-* the **monitor** (default: ``None``) — a
-  :class:`repro.monitor.Monitor` (or anything with an
-  ``observe(record)`` method).  The campaign runner feeds it every
-  finished :class:`~repro.core.results.MeasurementRecord` right after the
-  record is stored, giving live SLO evaluation and alerting without a
-  second pass.
+  a no-op) — the campaign runner reads it when ``run()`` starts and hands
+  it to its probes;
+* the **metrics registry** (default: disabled) — the campaign runner and
+  the protocol layers (:mod:`repro.netsim.network`,
+  :mod:`repro.tlssim.handshake`, :mod:`repro.httpsim`,
+  :mod:`repro.quicsim.connection`) report counters and histograms here.
 
 Use :func:`tracing` to enable instrumentation for a scoped block::
 
@@ -23,9 +17,14 @@ Use :func:`tracing` to enable instrumentation for a scoped block::
     recorder.save_jsonl("spans.jsonl")
     print(metrics.summary())
 
+A live monitor is not ambient: it is the campaign's ``monitor=``
+argument (a :class:`repro.monitor.Monitor`, or anything with an
+``observe(record)`` method), fed every finished
+:class:`~repro.core.results.MeasurementRecord` right after it is stored::
+
     monitor = Monitor()
-    with tracing(monitor=monitor) as (recorder, metrics):
-        Campaign(...).run()
+    with tracing() as (recorder, metrics):
+        Campaign(..., monitor=monitor).run()
     monitor.finalize(metrics)  # sorted alerts + monitor.* gauges
 
 Everything is driven by the simulator's virtual clock, and all three
@@ -38,7 +37,7 @@ byte-identical span and alert exports.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -58,7 +57,6 @@ from repro.obs.spans import (
 
 _recorder: SpanRecorder = NULL_RECORDER
 _metrics: MetricsRegistry = MetricsRegistry(enabled=False)
-_monitor: Optional[Any] = None
 
 
 def get_recorder() -> SpanRecorder:
@@ -87,46 +85,26 @@ def set_metrics(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
     return previous
 
 
-def get_monitor() -> Optional[Any]:
-    """The ambient monitor, or ``None`` when no monitoring is installed."""
-    return _monitor
-
-
-def set_monitor(monitor: Optional[Any]) -> Optional[Any]:
-    """Install ``monitor`` as the ambient monitor; returns the previous one."""
-    global _monitor
-    previous = _monitor
-    _monitor = monitor
-    return previous
-
-
 @contextmanager
 def tracing(
     recorder: Optional[SpanRecorder] = None,
     metrics: Optional[MetricsRegistry] = None,
-    monitor: Optional[Any] = None,
 ) -> Iterator[Tuple[SpanRecorder, MetricsRegistry]]:
     """Install a recorder and registry for the duration of the block.
 
     Defaults to a fresh :class:`SpanCollector` and an enabled
     :class:`MetricsRegistry`; both are restored to their previous values
-    on exit and yielded so callers can export what was collected.  Pass
-    ``monitor`` to additionally install a live monitor for the block —
-    it stays in the caller's hands (it is not yielded), so finalize it
-    after the block to collect its alerts.
+    on exit and yielded so callers can export what was collected.
     """
     active_recorder = recorder if recorder is not None else SpanCollector()
     active_metrics = metrics if metrics is not None else MetricsRegistry(enabled=True)
     previous_recorder = set_recorder(active_recorder)
     previous_metrics = set_metrics(active_metrics)
-    previous_monitor = set_monitor(monitor) if monitor is not None else None
     try:
         yield active_recorder, active_metrics
     finally:
         set_recorder(previous_recorder)
         set_metrics(previous_metrics)
-        if monitor is not None:
-            set_monitor(previous_monitor)
 
 
 __all__ = [
@@ -142,10 +120,8 @@ __all__ = [
     "SpanRecorder",
     "exposition_from_dump",
     "get_metrics",
-    "get_monitor",
     "get_recorder",
     "set_metrics",
-    "set_monitor",
     "set_recorder",
     "tracing",
 ]

@@ -26,6 +26,8 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.files import write_text
+
 #: Default latency-shaped bucket upper bounds (ms).  The last implicit
 #: bucket is +inf.
 DEFAULT_BUCKETS = (
@@ -386,21 +388,11 @@ class MetricsRegistry:
         }
 
     def save_json(self, path: Union[str, Path]) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n")
 
     def save_state_json(self, path: Union[str, Path]) -> None:
         """Persist the lossless :meth:`to_state` dump (raw buckets)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_state(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, json.dumps(self.to_state(), indent=2, sort_keys=True) + "\n")
 
     def to_prometheus(self) -> str:
         """Prometheus text-format exposition of every metric.

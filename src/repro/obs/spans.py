@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from repro.files import write_text
+
 
 @dataclass
 class Span:
@@ -244,9 +246,7 @@ class SpanCollector(SpanRecorder):
 
     def save_jsonl(self, path: Union[str, Path]) -> int:
         """Write all spans as JSON Lines; returns the span count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
+        write_text(path, self.to_jsonl())
         return len(self._spans)
 
     def render_tree(self, max_spans: Optional[int] = None) -> str:

@@ -23,9 +23,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.render import render_table
 from repro.analysis.stats import quantile
+from repro.core.errors_taxonomy import ESTABLISHMENT_VALUES
 from repro.core.results import MeasurementRecord
 from repro.core.scheduler import MS_PER_DAY
-from repro.monitor.slo import ESTABLISHMENT_CLASS_VALUES
 from repro.observers.health import WorldHealthIndex
 from repro.observers.significance import (
     Candidate,
@@ -43,8 +43,6 @@ _ENCRYPTED_TRANSPORTS = frozenset(SESSION_TRANSPORTS)
 #: any DoH record that negotiated HTTP/3 (http_version "h3").
 _QUIC_TRANSPORTS = frozenset(QUIC_TRANSPORTS)
 _MODERN_HTTP_VERSIONS = frozenset({"h3"})
-
-_ESTABLISHMENT_CLASSES = frozenset(ESTABLISHMENT_CLASS_VALUES)
 
 
 def _region_map() -> Dict[str, str]:
@@ -93,7 +91,7 @@ class _ErrorShareAcc:
 
     def add(self, record: MeasurementRecord) -> None:
         self.total += 1
-        if not record.success and record.error_class in _ESTABLISHMENT_CLASSES:
+        if not record.success and record.error_class in ESTABLISHMENT_VALUES:
             self.matched += 1
 
     def reading(self) -> Tuple[Optional[float], int]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.render import render_table
-from repro.errors import ResultsFormatError
+from repro.files import read_jsonl, write_text
 from repro.observers.significance import (
     STATUS_SIGNIFICANT,
     SignificanceEvent,
@@ -200,27 +200,11 @@ class WorldHealthIndex:
         return "".join(sample.to_json() + "\n" for sample in self._samples)
 
     def save_jsonl(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
-        return path
+        return write_text(path, self.to_jsonl())
 
     @classmethod
     def load_jsonl(cls, path: Union[str, Path]) -> "WorldHealthIndex":
-        path = Path(path)
-        samples: List[HealthSample] = []
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    samples.append(HealthSample.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ResultsFormatError(
-                        f"{path}:{number}: malformed health sample: {exc}"
-                    ) from exc
-        return cls(samples)
+        return cls(read_jsonl(path, HealthSample.from_dict, "health sample"))
 
     def render(self, last: Optional[int] = None) -> str:
         """The index as a table (optionally only the trailing ``last`` days)."""

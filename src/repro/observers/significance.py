@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ResultsFormatError
+from repro.files import JsonlLog
 from repro.monitor.detectors import EwmaTracker
 from repro.observers.spec import ObserverSpec
 
@@ -116,67 +115,17 @@ class SignificanceEvent:
         )
 
 
-class SignificanceLog:
+class SignificanceLog(JsonlLog[SignificanceEvent]):
     """Append-only event collection with canonical JSONL export."""
 
-    def __init__(self) -> None:
-        self._events: List[SignificanceEvent] = []
-
-    def emit(self, event: SignificanceEvent) -> None:
-        self._events.append(event)
-
-    def extend(self, events: Iterable[SignificanceEvent]) -> None:
-        self._events.extend(events)
-
-    def events(self) -> List[SignificanceEvent]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[SignificanceEvent]:
-        return iter(self._events)
-
-    def canonical_sort(self) -> None:
-        self._events.sort(key=SignificanceEvent.sort_key)
+    event_type = SignificanceEvent
+    what = "significance event"
 
     def significant(self) -> List[SignificanceEvent]:
         return [e for e in self._events if e.status == STATUS_SIGNIFICANT]
 
     def silences(self) -> List[SignificanceEvent]:
         return [e for e in self._events if e.status == STATUS_SILENCE]
-
-    def counts_by_severity(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.severity] = counts.get(event.severity, 0) + 1
-        return {k: counts[k] for k in sorted(counts)}
-
-    def to_jsonl(self) -> str:
-        return "".join(event.to_json() + "\n" for event in self._events)
-
-    def save_jsonl(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
-        return path
-
-    @classmethod
-    def load_jsonl(cls, path: Union[str, Path]) -> "SignificanceLog":
-        path = Path(path)
-        log = cls()
-        with path.open("r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    log.emit(SignificanceEvent.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ResultsFormatError(
-                        f"{path}:{number}: malformed significance event: {exc}"
-                    ) from exc
-        return log
 
 
 @dataclass

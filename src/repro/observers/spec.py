@@ -17,11 +17,12 @@ latency drift, establishment-error pressure, encrypted-transport
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ObserverConfigError
+from repro.files import read_document, write_text
 
 #: Metric kinds an observer can watch, each with its own per-day
 #: accumulator (see :mod:`repro.observers.fleet`).
@@ -81,23 +82,11 @@ class BaselineConfig:
             raise ObserverConfigError(f"std_floor {self.std_floor!r} must be > 0")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "alpha": self.alpha,
-            "min_days": self.min_days,
-            "z_warning": self.z_warning,
-            "z_critical": self.z_critical,
-            "min_delta": self.min_delta,
-            "relative": self.relative,
-            "std_floor": self.std_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BaselineConfig":
-        known = {
-            "alpha", "min_days", "z_warning", "z_critical",
-            "min_delta", "relative", "std_floor",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ObserverConfigError(
                 f"unknown baseline fields: {', '.join(sorted(unknown))}"
@@ -146,22 +135,13 @@ class ObserverSpec:
             raise ObserverConfigError(f"observer {self.name!r}: weight must be > 0")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "scope": self.scope,
-            "min_samples": self.min_samples,
-            "baseline": self.baseline.to_dict(),
-            "weight": self.weight,
-            "description": self.description,
-        }
+        return asdict(self)  # ``baseline`` included, as its own dict
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ObserverSpec":
         data = dict(data)
         baseline = data.pop("baseline", None)
-        known = {"name", "kind", "scope", "min_samples", "weight", "description"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ObserverConfigError(
                 f"unknown observer fields: {', '.join(sorted(unknown))}"
@@ -222,20 +202,8 @@ class ObserverRegistry:
         The structure mirrors SLO policies: a list of ``[[observers]]``
         tables (TOML) or an ``{"observers": [...]}`` object (JSON).
         """
-        path = Path(path)
-        try:
-            if path.suffix.lower() == ".toml":
-                import tomllib
-
-                with path.open("rb") as handle:
-                    data = tomllib.load(handle)
-            else:
-                data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ObserverConfigError(f"unreadable observer spec {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ObserverConfigError(f"malformed observer spec {path}: {exc}") from exc
-        entries = data.get("observers") if isinstance(data, dict) else None
+        data = read_document(path, ObserverConfigError, "observer spec")
+        entries = data.get("observers")
         if not isinstance(entries, list) or not entries:
             raise ObserverConfigError(
                 f"observer spec {path} needs a non-empty 'observers' list"
@@ -243,18 +211,10 @@ class ObserverRegistry:
         return cls(ObserverSpec.from_dict(entry) for entry in entries)
 
     def save_json(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"observers": [spec.to_dict() for spec in self.specs()]},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
+        document = {"observers": [spec.to_dict() for spec in self.specs()]}
+        return write_text(
+            path, json.dumps(document, indent=2, sort_keys=True) + "\n"
         )
-        return path
 
 
 def default_registry() -> ObserverRegistry:

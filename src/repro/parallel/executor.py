@@ -261,8 +261,8 @@ def execute_shard(
     else:
         store = ResultStore()
     setup_seconds = time.perf_counter() - started
-    # Install both ambiently so the protocol layers (netsim, tlssim,
-    # httpsim, quicsim) report into the shard's own registry; the
+    # Installed ambiently: the campaign and the protocol layers (netsim,
+    # tlssim, httpsim, quicsim) all report into the shard's own pair; the
     # sequential fallback restores the previous ambient pair on exit.
     with tracing(recorder=recorder, metrics=metrics):
         Campaign(
@@ -271,8 +271,6 @@ def execute_shard(
             targets=targets,
             config=config,
             store=store,
-            recorder=recorder,
-            metrics=metrics,
             on_round_complete=on_round_complete,
         ).run()
     record_count = len(store)

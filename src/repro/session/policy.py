@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.errors import CampaignConfigError
+from repro.files import read_document, read_text
 
 #: Valid policy modes, in cold-to-hottest order.
 SESSION_MODES: Tuple[str, ...] = ("cold", "keep_alive", "resumption", "zero_rtt")
@@ -240,11 +241,11 @@ class SessionPolicy:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SessionPolicy":
         """Load a policy from a ``.json`` or ``.toml`` file."""
-        path = Path(path)
-        text = path.read_text()
-        if path.suffix.lower() == ".toml":
-            return cls.from_toml(text)
-        return cls.from_json(text)
+        what = "session policy"
+        if Path(path).suffix.lower() == ".toml":
+            # As text: ``from_toml`` also parses where there is no ``tomllib``.
+            return cls.from_toml(read_text(path, CampaignConfigError, what))
+        return cls.from_dict(read_document(path, CampaignConfigError, what))
 
     def describe(self) -> str:
         if self.mode == "cold":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
-from repro.core.errors_taxonomy import CONNECTION_ESTABLISHMENT_CLASSES
+from repro.core.errors_taxonomy import ESTABLISHMENT_VALUES
 from repro.core.results import MeasurementRecord
 from repro.errors import ResultsFormatError
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
@@ -32,8 +32,6 @@ from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 #: (vantage, resolver, transport) triple so DNS queries, intermediate
 #: retry attempts and pings never pool into one distribution.
 AggregateKey = Tuple[str, str, str, str]  # (vantage, resolver, transport, kind)
-
-_ESTABLISHMENT_VALUES = frozenset(c.value for c in CONNECTION_ESTABLISHMENT_CLASSES)
 
 
 class GroupSummary:
@@ -223,10 +221,10 @@ class AggregateBook:
     def load_json(cls, path: Union[str, Path]) -> "AggregateBook":
         path = Path(path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except (OSError, ValueError, ResultsFormatError) as exc:
+            # Not there; not UTF-8 or not JSON (both ``ValueError``); wrong shape.
             raise ResultsFormatError(f"unreadable aggregate book {path}: {exc}") from exc
-        return cls.from_dict(data)
 
 
 # -- aggregate-served tables ---------------------------------------------------
@@ -251,7 +249,7 @@ def availability_from_aggregates(
     establishment = sum(
         count
         for error_class, count in breakdown.items()
-        if error_class in _ESTABLISHMENT_VALUES
+        if error_class in ESTABLISHMENT_VALUES
     )
     return AvailabilityReport(
         successes=successes,

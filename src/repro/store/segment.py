@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.results import MeasurementRecord
 from repro.errors import ResultsFormatError, StoreError
+from repro.files import iter_lines
 
 SEGMENT_SUFFIX = ".jsonl"
 INDEX_SUFFIX = ".idx.json"
@@ -150,14 +151,15 @@ class SegmentIndex:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SegmentIndex":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ResultsFormatError(f"unreadable segment index {path}: {exc}") from exc
         name = path.name
         if name.endswith(INDEX_SUFFIX):
             name = name[: -len(INDEX_SUFFIX)]
-        return cls.from_dict(data, name=name)
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            return cls.from_dict(data, name=name)
+        except (OSError, ValueError, ResultsFormatError) as exc:
+            # Not there; not UTF-8 or not JSON (both ``ValueError``); wrong shape.
+            raise ResultsFormatError(f"unreadable segment index {path}: {exc}") from exc
 
 
 class SegmentWriter:
@@ -266,7 +268,7 @@ def iter_segment(
                 ) from exc
         return
     lines = 0
-    for line_number, line in _iter_lines(path):
+    for line_number, line in iter_lines(path, "segment"):
         record = MeasurementRecord.parse_line(
             line, source=path, line_number=line_number
         )
@@ -297,7 +299,7 @@ def _check_sealed_size(path: Path, index: SegmentIndex) -> None:
     # parse as well, when there is one: it is where to look.
     detail = ""
     try:
-        for line_number, line in _iter_lines(path):
+        for line_number, line in iter_lines(path, "segment"):
             MeasurementRecord.parse_line(line, source=path, line_number=line_number)
     except ResultsFormatError as exc:
         detail = f": {exc}"
@@ -305,18 +307,3 @@ def _check_sealed_size(path: Path, index: SegmentIndex) -> None:
         f"segment {path} is {size} bytes but its sidecar says "
         f"{index.byte_size}{detail}"
     )
-
-
-def _iter_lines(path: Path) -> Iterator[Tuple[int, str]]:
-    line_number = 0
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if line:
-                    yield line_number, line
-    except UnicodeDecodeError as exc:
-        # Decoded a block at a time: the bad byte is in a line not read yet.
-        raise ResultsFormatError(
-            f"segment {path} is not UTF-8 at or after line {line_number + 1}: {exc}"
-        ) from exc

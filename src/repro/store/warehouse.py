@@ -143,13 +143,19 @@ class Warehouse:
 
     def manifest(self) -> dict:
         try:
-            return json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            data = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise StoreError(f"unreadable warehouse manifest: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ResultsFormatError(
                 f"malformed warehouse manifest {self.manifest_path}: {exc}"
             ) from exc
+        if type(data) is not dict:  # what json.loads builds for an object
+            raise ResultsFormatError(
+                f"malformed warehouse manifest {self.manifest_path}: "
+                f"expected an object, got {type(data).__name__}"
+            )
+        return data
 
     def write_manifest(
         self,

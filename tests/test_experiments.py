@@ -6,6 +6,7 @@ from repro.analysis.availability import availability_report
 from repro.analysis.response_times import resolver_medians
 from repro.catalog.resolvers import CATALOG
 from repro.core.results import ResultStore
+from repro.core.scheduler import MS_PER_HOUR
 from repro.errors import CampaignConfigError
 from repro.experiments.campaigns import (
     EC2_VANTAGE_NAMES,
@@ -157,6 +158,31 @@ class TestRunStudy:
         frankfurt = resolver_medians(store, vantage="ec2-frankfurt")
         seoul = resolver_medians(store, vantage="ec2-seoul")
         assert frankfurt["dns.brahma.world"] * 5 < seoul["dns.brahma.world"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "run_study runs the EC2 campaign on the world the home campaign just "
+            "finished with, but ec2_campaign_config starts its schedule at 0: "
+            "every EC2 round scheduled before the home campaign's end fires at "
+            "one instant with no stagger (run_fault_study and the re-checks pass "
+            "start_ms=loop.now and do not).  Output-changing (AV-3's Jaccard "
+            "moves 0.41 -> 0.49 against a bound of 0.5 on per-campaign worlds), "
+            "so the fix belongs with the paper_scale item that moves report / "
+            "figure onto the shard plan; see ROADMAP."
+        ),
+    )
+    def test_ec2_rounds_keep_their_cadence(self, study):
+        _world, store = study
+        starts = {}
+        for record in store:
+            if record.campaign == "ec2-global":
+                starts.setdefault(record.round_index, []).append(record.started_at_ms)
+        first = [min(starts[index]) for index in sorted(starts)]
+        assert len(first) == 3
+        interval, stagger = 8 * MS_PER_HOUR, 10 * 60 * 1000.0
+        for earlier, later in zip(first, first[1:]):
+            assert abs((later - earlier) - interval) <= stagger
 
     def test_recheck_campaign(self):
         world = make_mini_world(seed=6)

@@ -175,6 +175,7 @@ class TestPolicyFiles:
         assert SloPolicy.load(saved) == policy
 
     def test_toml_load_matches_json(self, tmp_path):
+        pytest.importorskip("tomllib")
         toml_path = tmp_path / "policy.toml"
         toml_path.write_text(
             """
@@ -206,6 +207,22 @@ vantage = "ec2-*"
         json_path = tmp_path / "policy.json"
         json_path.write_text(json.dumps(self.POLICY_DICT), encoding="utf-8")
         assert SloPolicy.load(toml_path) == SloPolicy.load(json_path)
+
+    def test_toml_without_tomllib_names_the_interpreter_requirement(
+        self, tmp_path, monkeypatch
+    ):
+        """``requires-python`` is 3.9 and ``tomllib`` arrived in 3.11: a
+        ``.toml`` policy there is a config error, not ModuleNotFoundError."""
+        import sys
+
+        path = tmp_path / "policy.toml"
+        path.write_text("[window]\nrecords = 30\n", encoding="utf-8")
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        with pytest.raises(MonitorConfigError) as excinfo:
+            SloPolicy.load(path)
+        message = str(excinfo.value)
+        assert "policy.toml" in message
+        assert "Python 3.11" in message and "JSON" in message
 
     def test_malformed_and_missing_files(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -699,48 +716,3 @@ class TestPrometheus:
         text = registry.to_prometheus()
         assert "g_nan NaN" in text
         assert "g_frac 0.25" in text
-
-
-# ---------------------------------------------------------------------------
-# Ambient wiring (obs fix-up satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestAmbientMonitor:
-    def test_tracing_installs_and_restores_monitor(self):
-        from repro.obs import get_monitor, tracing
-
-        assert get_monitor() is None
-        monitor = Monitor(default_policy())
-        with tracing(monitor=monitor):
-            assert get_monitor() is monitor
-        assert get_monitor() is None
-
-    def test_tracing_without_monitor_leaves_ambient_alone(self):
-        from repro.obs import get_monitor, set_monitor, tracing
-
-        sentinel = Monitor(default_policy())
-        set_monitor(sentinel)
-        try:
-            with tracing():
-                assert get_monitor() is sentinel
-        finally:
-            set_monitor(None)
-
-    def test_campaign_picks_up_ambient_monitor(self):
-        from repro.obs import tracing
-
-        monitor = Monitor(default_policy())
-        with tracing(monitor=monitor):
-            store = _run_campaign(seed=3, rounds=2)
-        assert monitor.records_seen == len(store)
-
-    def test_explicit_monitor_wins_over_ambient(self):
-        from repro.obs import tracing
-
-        ambient = Monitor(default_policy())
-        explicit = Monitor(default_policy())
-        with tracing(monitor=ambient):
-            _run_campaign(seed=3, monitor=explicit, rounds=2)
-        assert ambient.records_seen == 0
-        assert explicit.records_seen > 0

@@ -85,13 +85,11 @@ def run_traced_campaign(
         vantages=[world.vantage(vantage)],
         targets=world.targets(list(hostnames)),
         config=config,
-        recorder=recorder,
-        metrics=metrics,
         on_round_complete=on_round_complete,
     )
-    # The protocol layers (netsim, tlssim, httpsim, quicsim) report into
-    # the *ambient* registry, so run under the tracing context the same
-    # way the CLI does.
+    # The campaign and the protocol layers (netsim, tlssim, httpsim,
+    # quicsim) report into the *ambient* pair, so run under the tracing
+    # context the same way the shard executor does.
     with tracing(recorder=recorder, metrics=metrics):
         store = campaign.run()
     return store, recorder, metrics

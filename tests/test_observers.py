@@ -143,6 +143,7 @@ class TestSpecs:
         ]
 
     def test_registry_toml_load(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "fleet.toml"
         path.write_text(
             "[[observers]]\n"

@@ -547,6 +547,63 @@ def test_missing_segment_file_is_a_named_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Torn metadata: a damaged manifest, sidecar or aggregate book is a named
+# error naming the file, never UnicodeDecodeError / TypeError
+# ---------------------------------------------------------------------------
+
+_METADATA_FILES = {
+    "MANIFEST.json": lambda wh: wh.manifest_path,
+    "sidecar": lambda wh: sorted(wh.segments_dir.glob("*.idx.json"))[1],
+    "aggregates.json": lambda wh: wh.aggregates_path,
+}
+
+_METADATA_DAMAGE = {
+    "non_utf8_byte": lambda data: data[:10] + b"\xff" + data[11:],
+    "truncated_mid_token": lambda data: data[: len(data) // 2],
+    "not_an_object": lambda data: b"[1]",
+}
+
+_METADATA_READ_PATHS = {**_READ_PATHS, "aggregates": lambda wh, tmp: wh.aggregates()}
+
+#: Which read path opens which file: scans and merges read the manifest and
+#: every sidecar, ``aggregates()`` reads the book and nothing else.
+_METADATA_CASES = [
+    (file, read)
+    for file in sorted(_METADATA_FILES)
+    for read in sorted(_METADATA_READ_PATHS)
+    if (file == "aggregates.json") == (read == "aggregates")
+]
+
+
+@pytest.mark.parametrize("damage", sorted(_METADATA_DAMAGE))
+@pytest.mark.parametrize("file,read", _METADATA_CASES)
+def test_torn_metadata_is_a_format_error_naming_the_file(tmp_path, file, read, damage):
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=6)
+    sink.extend(make_fleet(12))
+    warehouse = sink.close()
+    path = _METADATA_FILES[file](warehouse)
+    path.write_bytes(_METADATA_DAMAGE[damage](path.read_bytes()))
+
+    with pytest.raises(ResultsFormatError) as excinfo:
+        _METADATA_READ_PATHS[read](warehouse, tmp_path)
+    assert path.name in str(excinfo.value)
+    assert not Warehouse(tmp_path / "dest").exists()
+
+
+def test_store_summarize_on_a_flipped_aggregate_byte_exits_2(tmp_path, capsys):
+    from repro.cli import main
+
+    warehouse = Warehouse.from_records(make_fleet(12), tmp_path / "wh")
+    data = bytearray(warehouse.aggregates_path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    warehouse.aggregates_path.write_bytes(bytes(data))
+    assert main(["store", "summarize", str(warehouse.root)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("repro-dns store: ")
+    assert "aggregates.json" in err and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # Metadata format: compact JSON now, the indented form still read
 # ---------------------------------------------------------------------------
 
