@@ -15,7 +15,9 @@ Public surface:
   :class:`~repro.dnswire.message.ResourceRecord` — full message codec;
 * :mod:`~repro.dnswire.rdata` — typed RDATA for A, AAAA, CNAME, NS, SOA,
   PTR, MX, TXT and OPT;
-* :mod:`~repro.dnswire.builder` — convenience query/response builders.
+* :mod:`~repro.dnswire.builder` — convenience query/response builders;
+* :func:`~repro.dnswire.message.memo_stats` — hits and misses of the
+  message codec's two tables.
 """
 
 from repro.dnswire.types import (
@@ -41,7 +43,7 @@ from repro.dnswire.types import (
     type_name,
 )
 from repro.dnswire.name import Name
-from repro.dnswire.message import Header, Message, Question, ResourceRecord
+from repro.dnswire.message import Header, Message, Question, ResourceRecord, memo_stats
 from repro.dnswire.builder import make_query, make_response
 from repro.errors import (
     CompressionError,
@@ -82,6 +84,7 @@ __all__ = [
     "class_name",
     "make_query",
     "make_response",
+    "memo_stats",
     "rcode_name",
     "type_name",
 ]

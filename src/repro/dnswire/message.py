@@ -5,7 +5,12 @@ in owner fields and well-known RDATA all participate).  Decoding is strict:
 counts must match the body, trailing bytes are rejected, and all the
 name-decompression safety rules from :mod:`repro.dnswire.name` apply.  A
 message whose bytes after the id were decoded before is rebuilt from the
-questions and records parsed then.
+questions and records parsed then, and the encoder fills that table: the
+peer of a compressing ``to_wire`` decodes those very bytes, so its
+``from_wire`` is a hit unless they changed in flight.  An encoding is
+remembered too, per flags, counts and *which* names and rdata it carries:
+the next message made of the same ones differs in the id and the TTL words
+only, and those are packed into a copy.
 """
 
 from __future__ import annotations
@@ -34,21 +39,50 @@ from repro.dnswire.types import (
     rcode_name,
     type_name,
 )
-from repro.errors import MessageMalformed, MessageTruncated
+from repro.errors import DnsWireError, MessageMalformed, MessageTruncated
 
 _HEADER = struct.Struct("!HHHHHH")
 
-#: Bound of :data:`_PARSED`; a full table is emptied.  One ``session_matrix``
-#: pass decodes 14,384 messages with 871 distinct bodies (the 7,197
-#: server-side parses see 3), which fit; one ``ec2_doh_cold`` pass 9,422
-#: with 3,822, most of them responses whose cache-aged TTLs never recur.
-#: What does recur there recurs soon: 59.3% of its lookups hit at this
-#: bound against 59.4% with no bound, while holding all 3,822 (~1 KiB each)
-#: cost 3 MiB of RSS and a third more objects for the collector to walk.
+_MSG_ID = struct.Struct("!H")
+_TTL = struct.Struct("!I")
+
+#: Bound of :data:`_PARSED`; a full table is emptied.  One ``ec2_doh_cold``
+#: pass looks up 9,462 messages; 4,674 of them are responses whose
+#: cache-aged TTLs never recur, each stored by the encoder just before its
+#: one reader asks.  An entry is wanted soon or never, so the bound costs
+#: little: 99.73% of lookups hit at 1,024 against 99.90% with no bound
+#: (99.2% at 256, 97.6% at 64; ``session_matrix``: 99.94% of 14,419), while
+#: holding all 3,838 bodies is 0.7 MiB of RSS for nothing.
 _PARSED_MAX = 1024
 #: wire bytes after the message id -> the four sections, as tuples of
-#: frozen questions / records.  Only a parse that succeeded is stored.
+#: frozen questions / records.  Stored by a parse that succeeded, and by
+#: ``to_wire`` for the bytes it is about to return.
 _PARSED: Dict[bytes, Tuple[tuple, tuple, tuple, tuple]] = {}
+
+#: Bound of :data:`_ENCODED`; a full table is emptied.  A campaign sends
+#: the same few answers (56 entries after one ``ec2_doh_cold`` pass, 4,674
+#: of its 4,714 encodes patched; 87 and 7,165 of 7,200 on
+#: ``session_matrix``); the bound is for a caller that sweeps names.
+_ENCODED_MAX = 1024
+#: (flags, counts, qtype / qclass and rdtype / rdclass in wire order, then
+#: the ``id()`` of every question name, owner name and rdata in wire order)
+#: -> (those objects, the wire, the offset of each record's TTL).  An entry
+#: holds the objects it is keyed by, so while it is in the table an id in
+#: its key is theirs alone; they are immutable, so the bytes they encode to
+#: are fixed.  Only a message that decodes to its own sections is stored.
+_ENCODED: Dict[tuple, Tuple[list, bytes, List[int]]] = {}
+
+# Lookups answered from / not from each table: plain ints, bumped inline.
+_parse_hits = _parse_misses = _encode_hits = _encode_misses = 0
+
+
+def memo_stats() -> Dict[str, Dict[str, int]]:
+    """What this module's two tables have answered since import.  Every
+    ``to_wire`` hit is also one entry the encoder stored for ``from_wire``."""
+    return {
+        "from_wire": {"hits": _parse_hits, "misses": _parse_misses, "entries": len(_PARSED)},
+        "to_wire": {"hits": _encode_hits, "misses": _encode_misses, "entries": len(_ENCODED)},
+    }
 
 
 @dataclass
@@ -91,21 +125,21 @@ class Header:
 
     @classmethod
     def from_words(cls, msg_id: int, flags: int, qd: int, an: int, ns: int, ar: int) -> "Header":
-        return cls(
-            msg_id=msg_id,
-            qr=bool(flags & FLAG_QR),
-            opcode=(flags & OPCODE_MASK) >> OPCODE_SHIFT,
-            aa=bool(flags & FLAG_AA),
-            tc=bool(flags & FLAG_TC),
-            rd=bool(flags & FLAG_RD),
-            ra=bool(flags & FLAG_RA),
-            ad=bool(flags & FLAG_AD),
-            cd=bool(flags & FLAG_CD),
-            rcode=flags & RCODE_MASK,
-            qdcount=qd,
-            ancount=an,
-            nscount=ns,
-            arcount=ar,
+        return cls(  # positionally, in field order
+            msg_id,
+            flags & FLAG_QR != 0,
+            (flags & OPCODE_MASK) >> OPCODE_SHIFT,
+            flags & FLAG_AA != 0,
+            flags & FLAG_TC != 0,
+            flags & FLAG_RD != 0,
+            flags & FLAG_RA != 0,
+            flags & FLAG_AD != 0,
+            flags & FLAG_CD != 0,
+            flags & RCODE_MASK,
+            qd,
+            an,
+            ns,
+            ar,
         )
 
     def encode(self, buffer: bytearray) -> None:
@@ -174,7 +208,8 @@ class ResourceRecord:
     ttl: int
     rdata: Rdata
 
-    def encode(self, buffer: bytearray, compress) -> None:
+    def encode(self, buffer: bytearray, compress) -> int:
+        """Append the wire form; returns the offset of the TTL word."""
         self.name.encode(buffer, compress)
         buffer += struct.pack("!HHI", self.rdtype, self.rdclass, self.ttl)
         rdlength_at = len(buffer)
@@ -185,6 +220,7 @@ class ResourceRecord:
         if rdlength > 0xFFFF:
             raise MessageMalformed(f"rdata of {self.name} exceeds 65535 bytes")
         struct.pack_into("!H", buffer, rdlength_at, rdlength)
+        return rdlength_at - 4
 
     @classmethod
     def decode(cls, wire: bytes, offset: int) -> Tuple["ResourceRecord", int]:
@@ -251,31 +287,87 @@ class Message:
 
     # -- codec ----------------------------------------------------------------
 
+    def _sections(self) -> Tuple[tuple, tuple, tuple, tuple]:
+        """The four sections as :data:`_PARSED` holds them."""
+        return (
+            tuple(self.questions),
+            tuple(self.answers),
+            tuple(self.authorities),
+            tuple(self.additionals),
+        )
+
     def to_wire(self, compress: bool = True) -> bytes:
         """Encode to wire bytes, updating the header section counts."""
-        self.header.qdcount = len(self.questions)
-        self.header.ancount = len(self.answers)
-        self.header.nscount = len(self.authorities)
-        self.header.arcount = len(self.additionals)
+        global _encode_hits, _encode_misses
+        header = self.header
+        header.qdcount = len(self.questions)
+        header.ancount = len(self.answers)
+        header.nscount = len(self.authorities)
+        header.arcount = len(self.additionals)
+        records = [*self.answers, *self.authorities, *self.additionals]
+        if compress:
+            shape = [header.flags_word(), header.qdcount, header.ancount, header.nscount]
+            held = []
+            for question in self.questions:
+                shape += (question.qtype, question.qclass)
+                held += (question.qname,)
+            for record in records:
+                shape += (record.rdtype, record.rdclass)
+                held += (record.name, record.rdata)
+            key = (*shape, *map(id, held))
+            known = _ENCODED.get(key)
+            # An id out of range is the encoder's to refuse, below.
+            if known is not None and 0 <= header.msg_id <= 0xFFFF:
+                _encode_hits += 1
+                _held, template, ttl_at = known
+                buffer = bytearray(template)
+                _MSG_ID.pack_into(buffer, 0, header.msg_id)
+                for at, record in zip(ttl_at, records):
+                    _TTL.pack_into(buffer, at, record.ttl)
+                wire = bytes(buffer)
+                if len(_PARSED) >= _PARSED_MAX:
+                    _PARSED.clear()
+                _PARSED[wire[2:]] = self._sections()
+                return wire
+            _encode_misses += 1
         buffer = bytearray()
-        self.header.encode(buffer)
+        header.encode(buffer)
         compress_map = {} if compress else None
         for question in self.questions:
             question.encode(buffer, compress_map)
-        for section in (self.answers, self.authorities, self.additionals):
-            for record in section:
-                record.encode(buffer, compress_map)
-        return bytes(buffer)
+        ttl_at = [record.encode(buffer, compress_map) for record in records]
+        wire = bytes(buffer)
+        if compress:
+            # The decoder says what these bytes are, and keeps it for the
+            # peer.  Only if that is what this message holds, value for
+            # value and type for type (``==`` alone takes ``ExAmPlE.com``
+            # for the ``example.com`` its pointer decodes to, and ``True``
+            # for 1), may a later message of the same names and rdata be
+            # patched from this wire and store its own sections.
+            try:
+                decoded = Message.from_wire(wire)._sections()
+            except DnsWireError:
+                return wire
+            ours = self._sections()
+            if ours == decoded and repr(ours) == repr(decoded):
+                if len(_ENCODED) >= _ENCODED_MAX:
+                    _ENCODED.clear()
+                _ENCODED[key] = (held, wire, ttl_at)
+        return wire
 
     @classmethod
     def from_wire(cls, wire: bytes) -> "Message":
         """Decode wire bytes; strict about counts and trailing data."""
+        global _parse_hits, _parse_misses
         if len(wire) < _HEADER.size:
             raise MessageTruncated(f"message is {len(wire)} bytes; header needs 12")
         msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(wire, 0)
         body = wire[2:]
         parsed = _PARSED.get(body)
-        if parsed is None:
+        if parsed is not None:
+            _parse_hits += 1
+        else:
+            _parse_misses += 1
             offset = _HEADER.size
             questions = []
             for _ in range(qd):

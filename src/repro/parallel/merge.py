@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import shutil
 from pathlib import Path
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from repro.core.results import ResultStore
 from repro.errors import CampaignConfigError
@@ -94,17 +94,3 @@ def merge_shard_warehouses(
         for source in sources:
             shutil.rmtree(source.root, ignore_errors=True)
     return merged
-
-
-def coverage_triples(results: Sequence[ShardResult]) -> List[Tuple[str, str, int]]:
-    """(vantage, resolver, round) triples present in merged dns records.
-
-    Diagnostic helper for equivalence checks: a correct plan covers every
-    triple of the original campaign exactly once across shards.
-    """
-    seen: List[Tuple[str, str, int]] = []
-    for result in sorted(results, key=lambda r: r.shard_index):
-        for record in result.records:
-            if record.kind == "ping":
-                seen.append((record.vantage, record.resolver, record.round_index))
-    return seen

@@ -3,13 +3,19 @@
 The codecs above the packet remember what they decoded or encoded
 (``DESIGN.md``, "What is memoised").  A campaign's records must not depend
 on what those tables hold: the same digest with every table empty, with
-every table warm from a previous run in the process, and with every bound
-at 1, where each new entry evicts the one before it.
+every table warm from a previous run in the process, with every bound at
+1, where each new entry evicts the one before it, and with a parse table
+that forgets every store, so that nothing the encoder leaves there for its
+peer is ever read.  Nor on the interpreter's hash seed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +35,7 @@ MEMOS = (
     (name, "_INTERNED", "_INTERNED_MAX"),
     (name, "_FROM_TEXT", "_FROM_TEXT_MAX"),
     (message, "_PARSED", "_PARSED_MAX"),
+    (message, "_ENCODED", "_ENCODED_MAX"),
     (builder, "_QUERY_TEMPLATES", "_QUERY_TEMPLATES_MAX"),
     (h2, "_ENCODED_BLOCKS", "_ENCODED_BLOCKS_MAX"),
     (h2, "_DECODED_BLOCKS", "_DECODED_BLOCKS_MAX"),
@@ -94,7 +101,7 @@ def test_records_do_not_depend_on_what_the_memos_hold(make_campaign, monkeypatch
     cold = _digest(make_campaign())
     _assert_within_bounds()
     used = {table for module, table, _bound in MEMOS if getattr(module, table)}
-    assert {"_INTERNED", "_PARSED", "_QUERY_TEMPLATES"} <= used
+    assert {"_INTERNED", "_PARSED", "_ENCODED", "_QUERY_TEMPLATES"} <= used
     if make_campaign is _session_campaign:
         assert len(used) == len(MEMOS)  # every memo saw traffic
 
@@ -102,9 +109,47 @@ def test_records_do_not_depend_on_what_the_memos_hold(make_campaign, monkeypatch
     _assert_within_bounds()
     assert warm == cold
 
+    # What ``to_wire`` stores for its peer is never there to be read:
+    # every ``from_wire`` is the full decoder's.
+    with monkeypatch.context() as patch:
+        patch.setattr(message, "_PARSED", _Forgetful())
+        stats = message.memo_stats()
+        unread = _digest(make_campaign())
+        after = message.memo_stats()
+        assert not message._PARSED
+    assert unread == cold
+    assert after["from_wire"]["hits"] == stats["from_wire"]["hits"]
+    assert after["to_wire"]["hits"] > stats["to_wire"]["hits"]
+
     for module, _table, bound in MEMOS:
         monkeypatch.setattr(module, bound, 1)
     _empty_every_memo()
     evicting = _digest(make_campaign())
     _assert_within_bounds()
     assert evicting == cold
+
+
+class _Forgetful(dict):
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def test_records_do_not_depend_on_the_hash_seed(tmp_path):
+    """The same small cold campaign in two interpreters whose ``str`` and
+    ``bytes`` hashes differ exports the same bytes."""
+    root = Path(__file__).resolve().parent.parent
+    exports = []
+    for hash_seed in ("0", "12345"):
+        output = tmp_path / f"seed-{hash_seed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "repro.cli", "measure", "--vantage", "ec2-ohio",
+             "--rounds", "2", "--seed", "7", "--resolver", *EC2_TARGETS,
+             "--output", str(output)],
+            check=True,
+            capture_output=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": hash_seed},
+        )
+        exports.append(output.read_bytes())
+    assert exports[0] == exports[1]
+    assert exports[0].count(b"\n") == 2 * len(EC2_TARGETS) * 4  # 3 domains + ping
