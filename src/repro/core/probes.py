@@ -154,11 +154,13 @@ class _OneShot:
             return
         self.done = True
         self._timer.cancel()
-        for fn in self._cleanup:
-            try:
-                fn()
-            except Exception:
-                pass
+        # Read what is about to be called, let go of all of it, then call:
+        # the cleanups and the callback hold the connection and the
+        # measurement that hold this shot.
+        cleanups, self._cleanup = self._cleanup, []
+        on_complete, self._on_complete = self._on_complete, None
+        for fn in cleanups:
+            fn()
         clock = self.clock
         phases = clock.finish(
             outcome.success,
@@ -170,7 +172,7 @@ class _OneShot:
         if any(phase in phases for phase in _QUERY_PHASES):
             outcome.query_ms = sum(phases.get(phase, 0.0) for phase in _QUERY_PHASES)
         outcome.failed_phase = clock.failed_phase
-        self._on_complete(outcome)
+        on_complete(outcome)
 
     def fail(self, exc: BaseException) -> None:
         self.finish(ProbeOutcome.failure(self.elapsed_ms, exc))
@@ -341,6 +343,7 @@ class Probe:
         live, self._live = self._live, None
         if live is not None:
             live.conn.close()
+            live.http = None
 
     # -- connection establishment, per connection kind -------------------------
 
@@ -460,6 +463,9 @@ class Probe:
         """Shot cleanup: close the connection unless the probe kept it."""
         if self._live is not live:
             live.conn.close()
+            # An HTTP/2 session still holds the callback of a request that
+            # was never answered, and that callback holds ``live``.
+            live.http = None
 
     # -- request framing / response de-framing, per framing ---------------------
 
@@ -468,7 +474,8 @@ class Probe:
         # Do53's truncation fallback speaks length framing over plain TCP.
         framing = "length" if live.kind == "tcp" else self.transport.framing
         if framing == "raw":
-            self._send_datagrams(shot, live)
+            live.conn.on_datagram = lambda dgram: self._answer(shot, live, dgram.payload)
+            self._send_datagram(shot, live.conn, self.config.retries)
             return
         stream = LengthPrefixedStream() if framing == "length" else None
 
@@ -534,19 +541,15 @@ class Probe:
 
             live.send(payload, on_http_bytes, on_end)
 
-    def _send_datagrams(self, shot: _OneShot, live: _Live) -> None:
-        socket = live.conn
-        config = self.config
-        socket.on_datagram = lambda dgram: self._answer(shot, live, dgram.payload)
-
-        def attempt(remaining: int) -> None:
-            if shot.done or socket.closed:
-                return
-            socket.sendto(shot.wire, self.service_ip, self.transport.port)
-            if remaining > 0:
-                self._loop.call_later(config.retry_interval_ms, attempt, remaining - 1)
-
-        attempt(config.retries)
+    def _send_datagram(self, shot: _OneShot, socket: SimUdpSocket, remaining: int) -> None:
+        """Send the query, and again each retry interval while unanswered."""
+        if shot.done or socket.closed:
+            return
+        socket.sendto(shot.wire, self.service_ip, self.transport.port)
+        if remaining > 0:
+            self._loop.call_later(
+                self.config.retry_interval_ms, self._send_datagram, shot, socket, remaining - 1
+            )
 
     def _retry_over_tcp(self, shot: _OneShot) -> None:
         """Ask again over TCP with length framing (RFC 1035 §4.2.1)."""

@@ -304,22 +304,19 @@ class Campaign:
 
     def _transport_rng(
         self,
-        base_rng: random.Random,
         round_index: int,
         vantage: VantagePoint,
         target: ResolverTarget,
         transport: str,
     ) -> random.Random:
-        """RNG stream for one transport within a measurement set.
+        """RNG stream for one transport of a matrix measurement set.
 
-        With a single transport the base measurement stream is used
-        unchanged, so ``transports=("dot",)`` is byte-identical to the
-        legacy ``transport="dot"``.  With a matrix, each transport gets
-        its own derived stream: adding or removing one transport never
-        perturbs another's draws (and hence its records).
+        A single-transport campaign draws from the base measurement stream
+        (so ``transports=("dot",)`` is byte-identical to the legacy
+        ``transport="dot"``) and never comes here.  In a matrix each
+        transport gets its own derived stream: adding or removing one
+        transport never perturbs another's draws (and hence its records).
         """
-        if self.config.transports is None or len(self.config.transport_list) == 1:
-            return base_rng
         return derive_rng(
             self.config.seed,
             "measurement",
@@ -370,12 +367,11 @@ class Campaign:
         target: ResolverTarget,
         rng: random.Random,
     ) -> None:
+        run = _TargetRun(self, round_index, vantage, target, rng)
         loop = self.network.loop
         recorder = self._active_recorder
-        metrics = self._active_metrics
-        measurement_span = 0
         if recorder.enabled:
-            measurement_span = recorder.begin(
+            run.span = recorder.begin(
                 "measurement",
                 loop.now,
                 parent_id=self._round_spans.get(round_index) or None,
@@ -383,104 +379,10 @@ class Campaign:
                 resolver=target.hostname,
                 round=round_index,
             )
-        domains = list(self.config.domains)
-        transports = list(self.config.transport_list)
-        policy = self.config.retry
-        broker = self._sessions
-        pending = {"parts": 1 + (1 if self.config.ping else 0)}
-
-        def part_done() -> None:
-            pending["parts"] -= 1
-            if pending["parts"] == 0:
-                if recorder.enabled and measurement_span:
-                    recorder.end(measurement_span, loop.now)
-                self._round_done(round_index)
-
-        def run_transport(t_index: int) -> None:
-            if t_index >= len(transports):
-                part_done()
-                return
-            transport = transports[t_index]
-            t_rng = self._transport_rng(rng, round_index, vantage, target, transport)
-            key = (vantage.name, target.hostname, transport)
-            if (
-                broker is not None
-                and broker.keeps_probes
-                and transport in SESSION_TRANSPORTS
-            ):
-                probe = broker.checkout(
-                    key,
-                    t_rng,
-                    lambda: self._make_probe(transport, vantage, target, t_rng),
-                )
-                managed = True
-            else:
-                probe = self._make_probe(transport, vantage, target, t_rng)
-                managed = False
-
-            def query_next(index: int) -> None:
-                if index >= len(domains):
-                    if managed and broker is not None:
-                        broker.release(key, probe)
-                    else:
-                        probe.close()
-                    run_transport(t_index + 1)
-                    return
-                domain = domains[index]
-
-                def attempt(number: int) -> None:
-                    started = loop.now
-
-                    def on_outcome(outcome: ProbeOutcome) -> None:
-                        if broker is not None:
-                            broker.after_query(key)
-                        if policy.should_retry(outcome, number):
-                            if policy.record_attempts:
-                                self._record_query(
-                                    round_index, vantage, target, transport, domain,
-                                    started, outcome, attempts=number,
-                                    kind="dns_query_attempt",
-                                )
-                            if metrics.enabled:
-                                metrics.inc("campaign.retries", transport=transport)
-                            loop.call_later(
-                                policy.backoff_ms(number, t_rng), attempt, number + 1
-                            )
-                            return
-                        self._record_query(
-                            round_index, vantage, target, transport, domain,
-                            started, outcome, attempts=number,
-                        )
-                        query_next(index + 1)
-
-                    if broker is not None:
-                        broker.before_query(key, probe)
-                    probe.query(domain, on_outcome, span_parent=measurement_span)
-
-                attempt(1)
-
-            query_next(0)
-
-        run_transport(0)
-
+        run.run_transport(0)
         if self.config.ping:
-            started = loop.now
-
-            def on_ping(outcome: ProbeOutcome) -> None:
-                self._record_ping(round_index, vantage, target, started, outcome)
-                if recorder.enabled:
-                    recorder.emit(
-                        "probe",
-                        started,
-                        loop.now,
-                        parent_id=measurement_span or None,
-                        status="ok" if outcome.success else "error",
-                        transport="icmp",
-                        server=target.hostname,
-                    )
-                part_done()
-
-            PingProbe(vantage.host, target.service_ip).send(on_ping)
+            run.ping_started = loop.now
+            PingProbe(vantage.host, target.service_ip).send(run.on_ping)
 
     # -- recording -----------------------------------------------------------------
 
@@ -619,3 +521,153 @@ class Campaign:
                     measurements=len(self.vantages) * len(self.targets),
                 )
             )
+
+
+class _TargetRun:
+    """One (round, vantage, target) measurement set in flight.
+
+    Every listed transport in order, per transport every domain in order,
+    per domain one query and its retries, with the ping alongside.  The
+    steps are methods and the position is state, where closures that
+    named themselves were reference cycles pinning the whole probe until
+    the collector ran (DESIGN.md, "Object lifetime"): the run is held by
+    whatever it is waiting on — a probe's outcome callback, a backoff
+    timer, the ping — and by nothing once the last of them has fired.
+    """
+
+    __slots__ = (
+        "campaign", "round_index", "vantage", "target", "rng", "span", "parts",
+        "transports", "domains", "t_index", "transport", "t_rng", "key", "probe",
+        "managed", "d_index", "number", "started", "ping_started",
+    )
+
+    def __init__(
+        self,
+        campaign: Campaign,
+        round_index: int,
+        vantage: VantagePoint,
+        target: ResolverTarget,
+        rng: random.Random,
+    ) -> None:
+        config = campaign.config
+        self.campaign = campaign
+        self.round_index = round_index
+        self.vantage = vantage
+        self.target = target
+        self.rng = rng
+        self.span = 0
+        self.parts = 1 + (1 if config.ping else 0)
+        self.transports = config.transport_list
+        self.domains = config.domains
+        self.probe: Optional[Probe] = None
+
+    def part_done(self) -> None:
+        self.parts -= 1
+        if self.parts == 0:
+            campaign = self.campaign
+            recorder = campaign._active_recorder
+            if recorder.enabled and self.span:
+                recorder.end(self.span, campaign.network.loop.now)
+            campaign._round_done(self.round_index)
+
+    def run_transport(self, t_index: int) -> None:
+        transports = self.transports
+        count = len(transports)
+        if t_index >= count:
+            self.part_done()
+            return
+        campaign = self.campaign
+        vantage = self.vantage
+        target = self.target
+        self.t_index = t_index
+        transport = self.transport = transports[t_index]
+        t_rng = self.t_rng = (
+            self.rng
+            if count == 1
+            else campaign._transport_rng(self.round_index, vantage, target, transport)
+        )
+        key = self.key = (vantage.name, target.hostname, transport)
+        broker = campaign._sessions
+        self.managed = (
+            broker is not None
+            and broker.keeps_probes
+            and transport in SESSION_TRANSPORTS
+        )
+        if self.managed:
+            self.probe = broker.checkout(
+                key,
+                t_rng,
+                lambda: campaign._make_probe(transport, vantage, target, t_rng),
+            )
+        else:
+            self.probe = campaign._make_probe(transport, vantage, target, t_rng)
+        self.query_next(0)
+
+    def query_next(self, index: int) -> None:
+        if index >= len(self.domains):
+            probe, self.probe = self.probe, None
+            if self.managed:
+                self.campaign._sessions.release(self.key, probe)
+            else:
+                probe.close()
+            self.run_transport(self.t_index + 1)
+            return
+        self.d_index = index
+        self.attempt(1)
+
+    def attempt(self, number: int) -> None:
+        campaign = self.campaign
+        self.number = number
+        self.started = campaign.network.loop.now
+        broker = campaign._sessions
+        if broker is not None:
+            broker.before_query(self.key, self.probe)
+        self.probe.query(
+            self.domains[self.d_index], self.on_outcome, span_parent=self.span
+        )
+
+    def on_outcome(self, outcome: ProbeOutcome) -> None:
+        campaign = self.campaign
+        number = self.number
+        transport = self.transport
+        domain = self.domains[self.d_index]
+        policy = campaign.config.retry
+        broker = campaign._sessions
+        if broker is not None:
+            broker.after_query(self.key)
+        if policy.should_retry(outcome, number):
+            if policy.record_attempts:
+                campaign._record_query(
+                    self.round_index, self.vantage, self.target, transport, domain,
+                    self.started, outcome, attempts=number,
+                    kind="dns_query_attempt",
+                )
+            metrics = campaign._active_metrics
+            if metrics.enabled:
+                metrics.inc("campaign.retries", transport=transport)
+            campaign.network.loop.call_later(
+                policy.backoff_ms(number, self.t_rng), self.attempt, number + 1
+            )
+            return
+        campaign._record_query(
+            self.round_index, self.vantage, self.target, transport, domain,
+            self.started, outcome, attempts=number,
+        )
+        self.query_next(self.d_index + 1)
+
+    def on_ping(self, outcome: ProbeOutcome) -> None:
+        campaign = self.campaign
+        started = self.ping_started
+        campaign._record_ping(self.round_index, self.vantage, self.target, started, outcome)
+        recorder = campaign._active_recorder
+        if recorder.enabled:
+            recorder.emit(
+                "probe",
+                started,
+                campaign.network.loop.now,
+                parent_id=self.span or None,
+                status="ok" if outcome.success else "error",
+                transport="icmp",
+                server=self.target.hostname,
+            )
+        self.part_done()

@@ -141,6 +141,25 @@ class _FrameBuffer:
         return frames
 
 
+def response_frames(stream_id: int, response: HttpResponse) -> bytes:
+    """One complete response on ``stream_id``: HEADERS, then DATA if it has a body.
+
+    A function of its arguments alone, so a server whose request callback
+    is held by the session can answer without naming the session (a
+    callback that did would be a reference cycle with it).
+    """
+    headers = {":status": str(response.status)}
+    headers.update(response.headers)
+    flags = FLAG_END_HEADERS | (0 if response.body else FLAG_END_STREAM)
+    out = encode_frame(FRAME_HEADERS, flags, stream_id, _encode_headers_block(headers))
+    if response.body:
+        for offset in range(0, len(response.body), MAX_FRAME_SIZE):
+            chunk = response.body[offset : offset + MAX_FRAME_SIZE]
+            end = FLAG_END_STREAM if offset + len(chunk) >= len(response.body) else 0
+            out += encode_frame(FRAME_DATA, end, stream_id, chunk)
+    return out
+
+
 @dataclass
 class _Stream:
     stream_id: int
@@ -307,16 +326,7 @@ class H2ServerSession:
 
     def respond(self, stream_id: int, response: HttpResponse) -> None:
         """Send a complete response on ``stream_id``."""
-        headers = {":status": str(response.status)}
-        headers.update(response.headers)
-        flags = FLAG_END_HEADERS | (0 if response.body else FLAG_END_STREAM)
-        out = encode_frame(FRAME_HEADERS, flags, stream_id, _encode_headers_block(headers))
-        if response.body:
-            for offset in range(0, len(response.body), MAX_FRAME_SIZE):
-                chunk = response.body[offset : offset + MAX_FRAME_SIZE]
-                end = FLAG_END_STREAM if offset + len(chunk) >= len(response.body) else 0
-                out += encode_frame(FRAME_DATA, end, stream_id, chunk)
-        self._send(out)
+        self._send(response_frames(stream_id, response))
 
     def reset_stream(self, stream_id: int, error_code: int = 0x1) -> None:
         self._send(encode_frame(FRAME_RST_STREAM, 0, stream_id, struct.pack("!I", error_code)))

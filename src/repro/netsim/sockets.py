@@ -50,7 +50,8 @@ class SimUdpSocket:
     """A bound UDP socket on a simulated host.
 
     Assign :attr:`on_datagram` to receive inbound datagrams.  The socket
-    stays bound until :meth:`close`.
+    stays bound until :meth:`close`, which also drops the hook: a closed
+    socket delivers nothing and holds nothing of its owner.
     """
 
     def __init__(self, host: Host, port: Optional[int] = None) -> None:
@@ -77,6 +78,7 @@ class SimUdpSocket:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            self.on_datagram = None
             self.host.unbind_udp(self.port)
 
     @property
@@ -95,6 +97,14 @@ class SimTcpConnection:
     * ``on_data(bytes)`` — in-order application bytes;
     * ``on_close()`` — peer sent FIN;
     * ``on_error(exc)`` — connection failed (refused, reset, timed out).
+
+    A connection ends once, by one of ``close``, ``abort``, the peer's FIN
+    or a failure, and at most one of ``on_close`` / ``on_error`` fires for
+    it.  Whichever way it ends it reads the hook it is about to call, drops
+    every hook it was given, and then calls the one it read: the hooks are
+    bound methods and closures of whatever sits on top of the connection
+    and holds it, so a closed connection that kept them would keep that
+    whole stack alive in a reference cycle (DESIGN.md, "Object lifetime").
     """
 
     # Connection states.
@@ -438,6 +448,7 @@ class SimTcpConnection:
         self._disarm()
         self.host.unregister_connection(self.conn_id)
         self._reassembly.clear()
+        self.on_data = self.on_close = self.on_error = self._on_established = None
 
     def _disarm(self) -> None:
         """Cancel the handshake's timers; none may fire into what comes after."""

@@ -364,18 +364,27 @@ class QuicClientConnection(_QuicEndpoint):
 
     def _fail(self, exc: Exception) -> None:
         callback = self.on_error
-        self.on_error = None
         self.close()
         if callback is not None:
             callback(exc)
 
     def close(self) -> None:
+        """Tell the peer, stop the timer, and let go of every callback given.
+
+        The stream callbacks belong to whoever holds this connection, so a
+        closed connection that kept the unanswered ones would keep its owner
+        in a reference cycle (DESIGN.md, "Object lifetime").
+        """
         if self.closed:
             return
         self._send_packet(KIND_ONE_RTT, self.conn_id, [{"type": "close"}])
         self.closed = True
         self._timer.cancel()
         self._socket.close()
+        self.on_error = self._on_established = None
+        self._responses = {}
+        self._queued_streams = []
+        self._early_streams = []
 
 
 class _QuicServerConnection(_QuicEndpoint):

@@ -41,7 +41,7 @@ from repro.httpsim.doh import (
     encode_doh_response,
 )
 from repro.httpsim.h1 import H1RequestParser, HttpRequest, HttpResponse, encode_response
-from repro.httpsim.h2 import H2ServerSession
+from repro.httpsim.h2 import H2ServerSession, response_frames
 from repro.httpsim.h3 import H3CodecError, decode_h3_request, encode_h3_response
 from repro.httpsim.odoh_codec import (
     CONTENT_TYPE_ODOH,
@@ -189,8 +189,14 @@ class Frontend:
         session = None  # H2ServerSession or H1RequestParser, once ALPN has settled
 
         def serve_h2(request: HttpRequest, stream_id: int) -> None:
+            # Answered through ``tls``, not ``session.respond``: the session
+            # holds this callback, and a callback naming the session back
+            # would be a cycle no teardown reaches.
             self._serve_http(
-                request, lambda response: session.respond(stream_id, response)
+                request,
+                lambda response: tls.send_application(
+                    response_frames(stream_id, response)
+                ),
             )
 
         def on_app_data(data: bytes) -> None:

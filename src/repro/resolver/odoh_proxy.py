@@ -18,7 +18,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import HttpError
 from repro.httpsim.h1 import HttpRequest, HttpResponse
-from repro.httpsim.h2 import H2ClientSession, H2ServerSession
+from repro.httpsim.h2 import H2ClientSession, H2ServerSession, response_frames
 from repro.httpsim.odoh_codec import CONTENT_TYPE_ODOH
 from repro.netsim.host import Host
 from repro.netsim.sockets import SimTcpConnection
@@ -60,24 +60,20 @@ class OdohProxy:
 
     def _accept(self, conn: SimTcpConnection) -> None:
         tls = TlsServerConnection(conn, self.tls_config)
-        state: Dict[str, H2ServerSession] = {}
 
         def handle_request(request: HttpRequest, stream_id: int) -> None:
+            # Answered through ``tls``: the session holds this callback, so
+            # naming the session here would be a cycle no teardown reaches.
             def send(response: HttpResponse) -> None:
-                state["session"].respond(stream_id, response)
+                tls.send_application(response_frames(stream_id, response))
 
             self._loop.call_later(
                 self.processing_delay_ms, self._relay, request, send
             )
 
-        def on_app_data(data: bytes) -> None:
-            if "session" not in state:
-                state["session"] = H2ServerSession(
-                    send=tls.send_application, on_request=handle_request
-                )
-            state["session"].feed(data)
-
-        tls.on_application_data = on_app_data
+        tls.on_application_data = H2ServerSession(
+            send=tls.send_application, on_request=handle_request
+        ).feed
 
     # -- relay logic -----------------------------------------------------------
 

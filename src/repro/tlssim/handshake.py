@@ -287,7 +287,18 @@ class TlsServerConfig:
 
 
 class _TlsEndpoint:
-    """Shared plumbing: record stream parsing and application data callbacks."""
+    """Shared plumbing: record stream parsing and application data callbacks.
+
+    The endpoint ends once — ``close`` (which a failure of its own goes
+    through), or the TCP connection's FIN or failure — and at most one of
+    ``on_close`` / ``on_error`` fires for it.  Each of those three places
+    reads the hook it is about to call, drops every hook the endpoint was
+    given (inline: they are on every connection's path, and a helper would
+    be a call more on each) and then calls the one it read, so a finished
+    endpoint holds nothing of the session or probe above it.  It keeps
+    ``tcp``, whose own teardown drops the bound methods that pointed back
+    up here.
+    """
 
     def __init__(self, tcp: SimTcpConnection) -> None:
         self.tcp = tcp
@@ -298,6 +309,7 @@ class _TlsEndpoint:
         self.on_application_data: Optional[Callable[[bytes], None]] = None
         self.on_error: Optional[Callable[[Exception], None]] = None
         self.on_close: Optional[Callable[[], None]] = None
+        self._on_established: Optional[Callable] = None
         self.handshake_bytes = 0
         tcp.on_data = self._on_tcp_data
         tcp.on_close = self._on_tcp_close
@@ -355,33 +367,40 @@ class _TlsEndpoint:
     def _handle_handshake(self, msg_type: int, payload: bytes) -> None:
         raise NotImplementedError
 
-    def _send_alert(self, reason: str) -> None:
+    def _refuse(self, reason: str) -> None:
+        """Abort the handshake: a fatal alert to the peer, then close."""
         try:
             self._send_record(CONTENT_ALERT, reason.encode("ascii"))
         except Exception:
             pass
+        self.close()
 
     def _fail(self, exc: Exception) -> None:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("tls.failures", reason=type(exc).__name__)
         callback = self.on_error
-        self.on_error = None
-        self.tcp.close()
+        self.close()
         if callback is not None:
             callback(exc)
 
     def _on_tcp_close(self) -> None:
-        if self.on_close is not None:
-            self.on_close()
+        callback = self.on_close
+        self.on_application_data = self.on_close = self.on_error = None
+        self._on_established = None
+        if callback is not None:
+            callback()
 
     def _on_tcp_error(self, exc: Exception) -> None:
         callback = self.on_error
-        self.on_error = None
+        self.on_application_data = self.on_close = self.on_error = None
+        self._on_established = None
         if callback is not None:
             callback(exc)
 
     def close(self) -> None:
+        self.on_application_data = self.on_close = self.on_error = None
+        self._on_established = None
         self.tcp.close()
 
 
@@ -612,19 +631,16 @@ class TlsServerConnection(_TlsEndpoint):
         if self.tcp.host.impairments.tls_failure:
             # Fault window: the server cannot complete handshakes (expired
             # certificate, broken key material); abort with a fatal alert.
-            self._send_alert("internal_error")
-            self.tcp.close()
+            self._refuse("internal_error")
             return
         self.client_sni = hello.sni
         version = next((v for v in self.config.versions if v in hello.versions), None)
         if version is None:
-            self._send_alert("protocol_version")
-            self.tcp.close()
+            self._refuse("protocol_version")
             return
         alpn = next((a for a in self.config.alpn_preference if a in hello.alpn), None)
         if hello.alpn and alpn is None:
-            self._send_alert("no_application_protocol")
-            self.tcp.close()
+            self._refuse("no_application_protocol")
             return
         self.negotiated_version = version
         self.negotiated_alpn = alpn
