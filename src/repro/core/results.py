@@ -16,6 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import (
     Callable,
+    ClassVar,
     Dict,
     Iterable,
     Iterator,
@@ -112,6 +113,10 @@ class MeasurementRecord:
     #: byte-identical) for campaigns without an active session policy.
     session_state: Optional[str] = None
     session_policy: Optional[str] = None
+    #: Not a field: the line this record was parsed from, left on it by
+    #: ``Warehouse.iter_sorted`` alone, for ``Warehouse.build_canonical`` to
+    #: take off and write back (the contract is in :mod:`repro.store.warehouse`).
+    stored_line: ClassVar[Optional[str]] = None
 
     def to_json(self) -> str:
         # The line is written from a template: the fields by name in sorted

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence, Tuple, Union
 
 from repro.core.results import ResultStore
-from repro.errors import CampaignConfigError
+from repro.errors import CampaignConfigError, StoreError
 from repro.obs import MetricsRegistry, SpanCollector
 from repro.parallel.executor import ShardResult
 
@@ -90,6 +90,16 @@ def merge_shard_warehouses(
 
     sources = [Warehouse.open(result.warehouse_path) for result in ordered]
     merged = Warehouse.build_canonical(sources, dest, segment_records)
+    found = merged.records_written  # no second read of the manifest
+    expected = sum(result.record_count for result in ordered)
+    if found != expected:
+        # A staging manifest that lists a segment less merges cleanly: hold
+        # the merge to what the shards counted, and keep no short warehouse.
+        merged.discard()
+        raise StoreError(
+            f"merged warehouse at {merged.root} holds {found} records but "
+            f"shards {[r.shard_key for r in ordered]} produced {expected}"
+        )
     if cleanup:
         for source in sources:
             shutil.rmtree(source.root, ignore_errors=True)

@@ -190,9 +190,13 @@ class SegmentWriter:
         return self._records
 
     def append(self, record: MeasurementRecord) -> None:
+        self.append_line(record, record.to_json())
+
+    def append_line(self, record: MeasurementRecord, line: str) -> None:
+        """Append ``record`` as ``line``, its serialized form without the newline."""
         if self._closed:
             raise StoreError(f"segment {self.path} is already sealed")
-        data = (record.to_json() + "\n").encode("utf-8")
+        data = (line + "\n").encode("utf-8")
         key = (record.vantage, record.resolver, record.transport)
         offsets = self._groups.get(key)
         if offsets is None:
@@ -224,6 +228,11 @@ class SegmentWriter:
         index.save(self.directory)
         return index
 
+    def discard(self) -> None:
+        """Close the file without sealing it: what a failed build calls."""
+        self._closed = True
+        self._handle.close()
+
 
 def iter_segment(
     path: Union[str, Path],
@@ -231,6 +240,7 @@ def iter_segment(
     vantage: Optional[str] = None,
     resolver: Optional[str] = None,
     transport: Optional[str] = None,
+    carry_lines: bool = False,
 ) -> Iterator[MeasurementRecord]:
     """Stream a segment's records, seeking via the sidecar when filtered.
 
@@ -242,7 +252,9 @@ def iter_segment(
     the size it was sealed at is refused before any record is yielded, and
     a full scan that does not yield the sealed record count raises at its
     end: a file torn at a line boundary parses cleanly and must not pass
-    for a shorter segment.
+    for a shorter segment.  ``carry_lines`` (a full scan for
+    :meth:`Warehouse.iter_sorted`, nobody else) leaves each line on the
+    record it became, as ``stored_line``.
     """
     path = Path(path)
     if index is not None:
@@ -273,6 +285,8 @@ def iter_segment(
             line, source=path, line_number=line_number
         )
         lines += 1
+        if carry_lines:
+            record.stored_line = line
         if vantage is not None and record.vantage != vantage:
             continue
         if resolver is not None and record.resolver != resolver:

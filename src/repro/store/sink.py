@@ -123,8 +123,8 @@ class StoreSink:
         writer = SegmentWriter(
             self.warehouse.segments_dir, segment_name(len(self._indexes))
         )
-        for record in self._buffer:
-            writer.append(record)
+        for record in self._buffer:  # writer.append, less a call per record
+            writer.append_line(record, record.to_json())
         self._indexes.append(writer.close())
         self._written += flushed
         self._buffer = []

@@ -25,6 +25,18 @@ Two invariants make the warehouse useful:
 
 The manifest records no wall-clock timestamps for the same reason.
 
+**A source's ``iter_sorted()`` yields records as stored, and
+``build_canonical`` writes them as stored.**  A record that
+:meth:`Warehouse.iter_sorted` read from a segment carries the line it was
+parsed from (``MeasurementRecord.stored_line``, not a field), and the
+build takes that line off the record and writes it instead of encoding
+the record a second time; a record with no line (a custom source,
+:meth:`Warehouse.from_records`) is encoded.  So the destination's bytes
+are a pure function of the multiset of source *lines* -- which, for every
+segment :class:`~repro.store.segment.SegmentWriter` sealed, is the
+multiset of records.  A source that assigns to a record's fields in
+flight must drop its ``stored_line`` too.
+
 :class:`Warehouse` implements the :class:`~repro.core.results.RecordSource`
 protocol (``filter`` / ``durations_ms`` / ``by_resolver`` / iteration), so
 every analysis in :mod:`repro.analysis` accepts a warehouse wherever it
@@ -72,11 +84,13 @@ DEFAULT_SEGMENT_RECORDS = 4096
 
 
 class _LineTieBreak:
-    """A record's serialized line, computed only if it is compared.
+    """The line a record is written as, looked at only if it is compared.
 
     Second element of :func:`merge_key`: tuple comparison reaches it only
     when two canonical keys are equal, which a campaign never produces, so
-    sorting and merging serialize nothing.
+    sorting and merging serialize nothing.  When it is reached, a record
+    that carries its stored line compares by that line and encodes nothing
+    either; one that carries none compares by ``to_json()``.
     """
 
     __slots__ = ("record",)
@@ -84,23 +98,26 @@ class _LineTieBreak:
     def __init__(self, record: MeasurementRecord) -> None:
         self.record = record
 
+    def line(self) -> str:
+        return self.record.stored_line or self.record.to_json()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _LineTieBreak):
             return NotImplemented
-        return self.record.to_json() == other.record.to_json()
+        return self.line() == other.line()
 
     def __lt__(self, other: "_LineTieBreak") -> bool:
-        return self.record.to_json() < other.record.to_json()
+        return self.line() < other.line()
 
 
 def merge_key(record: MeasurementRecord) -> tuple:
     """Total order used inside segments and across the k-way merge.
 
-    The canonical key plus the serialized line as tie-breaker, so the
+    The canonical key plus the record's line as tie-breaker, so the
     merge is a total order even for duplicate records and never depends
     on which source produced a record first.  The line is lazy (see
-    :class:`_LineTieBreak`): a record is serialized when it is written
-    and at no other time.
+    :class:`_LineTieBreak`): a record is serialized when it first goes to
+    disk and at no other time -- not to be sorted, not to be merged.
     """
     return (ResultStore.canonical_key(record), _LineTieBreak(record))
 
@@ -110,6 +127,8 @@ class Warehouse:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        #: The record total of the manifest this object wrote, if it wrote one.
+        self.records_written: Optional[int] = None
 
     # -- paths -------------------------------------------------------------
 
@@ -127,6 +146,12 @@ class Warehouse:
 
     def exists(self) -> bool:
         return self.manifest_path.is_file()
+
+    def discard(self) -> None:
+        """Remove the warehouse's files; not the root (a pooled run stages under it)."""
+        shutil.rmtree(self.segments_dir, ignore_errors=True)
+        self.aggregates_path.unlink(missing_ok=True)
+        self.manifest_path.unlink(missing_ok=True)
 
     @classmethod
     def open(cls, root: Union[str, Path]) -> "Warehouse":
@@ -178,6 +203,7 @@ class Warehouse:
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+        self.records_written = records
 
     def segment_indexes(self) -> List[SegmentIndex]:
         """Sidecar indexes of every segment, in manifest order."""
@@ -265,10 +291,15 @@ class Warehouse:
         """All records in canonical order via a k-way heap merge.
 
         Relies on segment-local order; memory stays at one record per
-        segment regardless of warehouse size.
+        segment regardless of warehouse size.  Each record carries its
+        ``stored_line`` for :meth:`build_canonical` (module docstring).
         """
         streams = [
-            iter_segment(self.segments_dir / index.segment_filename, index=index)
+            iter_segment(
+                self.segments_dir / index.segment_filename,
+                index=index,
+                carry_lines=True,
+            )
             for index in self.segment_indexes()
         ]
         return heapq.merge(*streams, key=merge_key)
@@ -333,7 +364,8 @@ class Warehouse:
         Rotation happens every ``segment_records`` records exactly and the
         aggregate book is fed in stream order, so the emitted bytes —
         segments, sidecars, aggregates, manifest — depend only on the
-        stream's contents.
+        stream's contents.  A record's ``stored_line`` is taken off it and
+        written as it is; a build that fails removes what it wrote.
         """
         if segment_records < 1:
             raise StoreError(f"segment_records must be >= 1, got {segment_records}")
@@ -346,20 +378,31 @@ class Warehouse:
         book = AggregateBook()
         indexes: List[SegmentIndex] = []
         writer: Optional[SegmentWriter] = None
-        for record in stream:
-            if writer is None:
-                writer = SegmentWriter(
-                    warehouse.segments_dir, segment_name(len(indexes))
-                )
-            writer.append(record)
-            book.observe(record)
-            if writer.records >= segment_records:
+        try:
+            for record in stream:
+                if writer is None:
+                    writer = SegmentWriter(
+                        warehouse.segments_dir, segment_name(len(indexes))
+                    )
+                line = record.stored_line
+                if line is None:
+                    writer.append(record)
+                else:
+                    del record.stored_line
+                    writer.append_line(record, line)
+                book.observe(record)
+                if writer.records >= segment_records:
+                    indexes.append(writer.close())
+                    writer = None
+            if writer is not None:
                 indexes.append(writer.close())
-                writer = None
-        if writer is not None:
-            indexes.append(writer.close())
-        book.save_json(warehouse.aggregates_path)
-        warehouse.write_manifest(indexes, segment_records, canonical=True)
+            book.save_json(warehouse.aggregates_path)
+            warehouse.write_manifest(indexes, segment_records, canonical=True)
+        except BaseException:
+            if writer is not None:
+                writer.discard()
+            warehouse.discard()
+            raise
         return warehouse
 
     @classmethod
@@ -412,7 +455,11 @@ class Warehouse:
         tmp = self.root.with_name(self.root.name + ".compact-tmp")
         if tmp.exists():
             shutil.rmtree(tmp)
-        Warehouse.build_canonical([self], tmp, segment_records)
+        try:
+            Warehouse.build_canonical([self], tmp, segment_records)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         old = self.root.with_name(self.root.name + ".compact-old")
         if old.exists():
             shutil.rmtree(old)

@@ -128,16 +128,24 @@ def test_sorting_and_merging_serialize_nothing(tmp_path, monkeypatch):
         records, key=ResultStore.canonical_key
     )
     assert calls == []
-    # Through the store, a record is serialized when it is written and at
-    # no other time: once into staging, once into the canonical warehouse.
+    # Through the store, a record is serialized when it first goes to disk
+    # and at no other time: the canonical build writes the staging lines it
+    # read (tests/test_store_line_carry.py), and so does a compaction.
     sink = StoreSink(Warehouse(tmp_path / "staging"), segment_records=8)
     sink.extend(shuffled)
     staging = sink.close()
     assert len(calls) == len(records)
     assert len(list(staging.iter_sorted())) == len(records)
     assert len(calls) == len(records)
-    Warehouse.build_canonical([staging], tmp_path / "canonical", segment_records=8)
-    assert len(calls) == 2 * len(records)
+    canonical = Warehouse.build_canonical(
+        [staging], tmp_path / "canonical", segment_records=8
+    )
+    assert len(calls) == len(records)
+    canonical.compact(segment_records=5)
+    assert len(calls) == len(records)
+    assert [r.to_json() for r in canonical.iter_records()] == [
+        r.to_json() for r in sorted(records, key=ResultStore.canonical_key)
+    ]
 
 
 def test_sink_refuses_existing_warehouse(tmp_path):
