@@ -14,14 +14,12 @@ from repro.experiments.campaigns import run_study
 from benchmarks.conftest import print_artifact
 
 
-def test_monthly_recheck_stability(benchmark, study_world):
-    world = study_world
-
+def test_monthly_recheck_stability(benchmark):
     def run():
         store = run_study(
-            world, home_rounds=0, ec2_rounds=6,
-            recheck_months=["feb-2024", "mar-2024", "apr-2024"],
-        )
+            home_rounds=0, ec2_rounds=6,
+            recheck_months=["feb-2024", "mar-2024", "apr-2024"], shards=1,
+        ).store
         return drift_reports_over_time(store, vantage="ec2-ohio")
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -21,25 +21,22 @@ from repro.analysis.availability import (
 )
 from repro.core.runner import RetryPolicy
 from repro.experiments.campaigns import run_fault_study
-from repro.experiments.world import build_world
 from repro.faults import FaultPlanConfig
 
 PAPER_ERROR_RATE = 311_351 / 5_409_632  # ≈5.8%
 
 
 def main() -> None:
-    print("building the simulated world (91 resolvers)...")
-    world = build_world(seed=7)
-
-    print("running the fault-injected campaign from EC2 Ohio...")
-    store, plan = run_fault_study(
-        world,
+    print("running the fault-injected campaign from EC2 Ohio (91 resolvers)...")
+    run, plan = run_fault_study(
+        world_seed=7,
         rounds=8,
         fault_seed=20230919,
         plan_config=FaultPlanConfig(),  # ~3% of each resolver's time impaired
         retry=RetryPolicy(attempts=2),  # one retry with exponential backoff
         vantage_names=("ec2-ohio",),
     )
+    store = run.store
     print(plan.describe())
     print()
 

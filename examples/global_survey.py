@@ -22,16 +22,14 @@ from repro.analysis.stats import median
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import entries_by_region
 from repro.experiments.campaigns import run_study
-from repro.experiments.world import build_world
 
 VANTAGES = ("ec2-ohio", "ec2-frankfurt", "ec2-seoul")
 REGIONS = ("NA", "EU", "AS", "OC")
 
 
 def main() -> None:
-    print("building world and running the EC2 campaign (this takes ~20 s)...")
-    world = build_world(seed=7)
-    store = run_study(world, home_rounds=0, ec2_rounds=8)
+    print("running the EC2 campaign (this takes a few seconds)...")
+    store = run_study(world_seed=7, home_rounds=0, ec2_rounds=8).store
 
     print("\n== Availability ==")
     print(availability_report(store).describe())

@@ -14,7 +14,6 @@ from repro.analysis.render import render_table
 from repro.analysis.response_times import resolver_medians, variability
 from repro.analysis.stats import median
 from repro.experiments.campaigns import run_study
-from repro.experiments.world import build_world
 
 SHOWN = [
     "ordns.he.net",
@@ -29,9 +28,8 @@ SHOWN = [
 
 
 def main() -> None:
-    print("running home + Ohio campaigns (this takes ~30 s)...")
-    world = build_world(seed=11)
-    store = run_study(world, home_rounds=10, ec2_rounds=10)
+    print("running home + EC2 campaigns (this takes a few seconds)...")
+    store = run_study(world_seed=11, home_rounds=10, ec2_rounds=10).store
 
     home_medians = resolver_medians(store, vantage="home-chicago-1")
     ohio_medians = resolver_medians(store, vantage="ec2-ohio")

@@ -46,10 +46,9 @@ DOMAINS = [
 
 def main() -> None:
     vantage = sys.argv[1] if len(sys.argv) > 1 else "ec2-ohio"
-    print("building world and calibrating with a short campaign...")
-    world = build_world(seed=15)
-    store = run_study(world, home_rounds=0, ec2_rounds=4,
-                      target_hostnames=CANDIDATES)
+    print("calibrating with a short campaign...")
+    store = run_study(world_seed=15, home_rounds=0, ec2_rounds=4,
+                      target_hostnames=CANDIDATES).store
     medians = resolver_medians(store, vantage=vantage, resolvers=CANDIDATES)
 
     strategies = [
@@ -61,6 +60,7 @@ def main() -> None:
         RacingStrategy(CANDIDATES, fanout=2),
     ]
 
+    world = build_world(seed=15)
     print(f"\nstrategy comparison from {vantage} (60 queries each):\n")
     for strategy in strategies:
         outcome = evaluate_strategy(world, vantage, strategy, DOMAINS,

@@ -22,14 +22,12 @@ from repro.analysis.render import render_table
 from repro.analysis.response_times import resolver_medians
 from repro.catalog.resolvers import entry_for
 from repro.experiments.campaigns import run_study
-from repro.experiments.world import build_world
 
 
 def main() -> None:
     vantage = sys.argv[1] if len(sys.argv) > 1 else "ec2-frankfurt"
-    print(f"measuring all resolvers from {vantage} (this takes ~20 s)...")
-    world = build_world(seed=23)
-    store = run_study(world, home_rounds=0, ec2_rounds=8)
+    print(f"measuring all resolvers from {vantage} (this takes a few seconds)...")
+    store = run_study(world_seed=23, home_rounds=0, ec2_rounds=8).store
 
     availability = per_resolver_availability(store, vantage=vantage)
     medians = resolver_medians(store, vantage=vantage)

@@ -110,6 +110,14 @@ class _Reader:
         (length,) = self.take(1)
         return self.take(length)
 
+    def text(self) -> str:
+        """A length-prefixed field that must be UTF-8 text."""
+        field = self.lp()
+        try:
+            return field.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StampError(f"stamp field is not UTF-8 text: {field[:16]!r}") from exc
+
     def vlp(self) -> Tuple[bytes, ...]:
         items: List[bytes] = []
         while True:
@@ -164,7 +172,7 @@ def decode_stamp(uri: str) -> Stamp:
     reader = _Reader(payload)
     (protocol,) = reader.take(1)
     (props,) = struct.unpack("<Q", reader.take(8))
-    address = reader.lp().decode("utf-8")
+    address = reader.text()
     hostname = ""
     path = ""
     hashes: Tuple[bytes, ...] = ()
@@ -172,11 +180,11 @@ def decode_stamp(uri: str) -> Stamp:
         pass
     elif protocol == PROTOCOL_DOH:
         hashes = reader.vlp()
-        hostname = reader.lp().decode("utf-8")
-        path = reader.lp().decode("utf-8")
+        hostname = reader.text()
+        path = reader.text()
     elif protocol == PROTOCOL_DOT:
         hashes = reader.vlp()
-        hostname = reader.lp().decode("utf-8")
+        hostname = reader.text()
     else:
         raise StampError(f"unsupported stamp protocol {protocol:#x}")
     if not reader.exhausted:

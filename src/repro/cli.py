@@ -25,11 +25,10 @@ Subcommands:
 * ``query``   — issue a single DoH query from a vantage point and print a
   dig-style response.
 
-Every command that runs a campaign from its arguments (``measure``,
-``trace``, ``diff``, ``sessions``, ``observe``) runs it through the shard
-plan of :mod:`repro.parallel`; ``measure`` without ``--workers`` and
-``--shards``, and ``trace`` always, run the identity plan — one shard, in
-this process, the classic ``Campaign.run()``.
+Every command that runs a campaign runs it through the shard plan of
+:mod:`repro.parallel`; ``measure`` without ``--workers`` and ``--shards``,
+and ``trace``, ``report``, ``figure`` and ``run-config`` always, run the
+identity plan — one shard per campaign, in this process, on a fresh world.
 
 Interactive chatter (progress lines, fault-plan notes, monitor status)
 goes to stderr; stdout carries only the primary output of each command,
@@ -252,14 +251,12 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.paper import generate_report
-    from repro.obs import NULL_RECORDER, MetricsRegistry, SpanCollector, tracing
+    from repro.obs import MetricsRegistry, SpanCollector
 
-    recorder = SpanCollector() if args.trace else NULL_RECORDER
-    metrics = MetricsRegistry(enabled=bool(args.metrics))
-    with tracing(recorder=recorder, metrics=metrics):
-        report = generate_report(
-            home_rounds=args.home_rounds, ec2_rounds=args.ec2_rounds, seed=args.seed
-        )
+    report = generate_report(
+        home_rounds=args.home_rounds, ec2_rounds=args.ec2_rounds, seed=args.seed,
+        collect_spans=bool(args.trace), collect_metrics=bool(args.metrics),
+    )
     print(report.describe())
     print()
     for table in ("table1", "table2", "table3"):
@@ -268,10 +265,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.phases and report.store is not None:
         _print_phase_tables(report.store)
     if args.trace:
+        recorder = SpanCollector()
+        for run in report.runs:
+            recorder.absorb(run.spans.spans)
         spans = recorder.save_jsonl(args.trace)
         print(f"wrote {spans} spans to {args.trace}")
     if args.metrics:
-        metrics.save_json(args.metrics)
+        MetricsRegistry.from_states(
+            [run.metrics.to_state() for run in report.runs]
+        ).save_json(args.metrics)
         print(f"wrote metrics to {args.metrics}")
     if args.output and report.store is not None:
         out = Path(args.output)
@@ -317,7 +319,6 @@ def _print_phase_tables(store: ResultStore, near: str = "ec2-frankfurt",
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.analysis.figures import paper_figure
     from repro.experiments.campaigns import HOME_VANTAGE_NAMES, run_study
-    from repro.experiments.world import build_world
 
     if args.input and Path(args.input).is_dir():
         from repro.store import Warehouse
@@ -326,8 +327,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif args.input:
         store = ResultStore.load_jsonl(args.input)
     else:
-        world = build_world(seed=args.seed)
-        store = run_study(world, home_rounds=args.rounds, ec2_rounds=args.rounds)
+        store = run_study(
+            world_seed=args.seed, home_rounds=args.rounds, ec2_rounds=args.rounds,
+            shards=1,
+        ).store
     panels = paper_figure(
         store, args.figure, mainstream_hostnames(), home_vantages=HOME_VANTAGE_NAMES
     )
@@ -565,8 +568,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     """``monitor`` — SLO evaluation over saved results.
 
     Replays the input (JSONL file or warehouse directory) through the
-    streaming monitor, reproducing exactly the alerts a live-monitored
-    run of those records would have raised, and prints the health
+    streaming monitor, reproducing exactly the alerts ``measure --slo``
+    raised for those records, and prints the health
     scoreboard.  ``--from-aggregates`` skips the record replay and
     evaluates final verdicts straight from the warehouse's persisted
     aggregates (no alerts in that mode — windows need the record stream).
@@ -753,14 +756,12 @@ def _cmd_stamp(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_config(args: argparse.Namespace) -> int:
-    from repro.core.platform import build_campaign, load_spec
-    from repro.experiments.world import build_world
+    from repro.core.platform import load_spec, run_spec
 
     spec = load_spec(args.config)
-    world = build_world(seed=spec["seed"])
-    store = build_campaign(world, spec).run()
+    run = run_spec(spec)
     output = args.output or f"{spec['name']}.jsonl"
-    count = store.save_jsonl(output)
+    count = run.store.save_jsonl(output)
     print(f"campaign {spec['name']!r}: wrote {count} records to {output}")
     return 0
 

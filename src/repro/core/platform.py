@@ -5,7 +5,7 @@ declaratively and the platform schedules them and writes JSON results.
 This module gives the library the same operational surface: a JSON/dict
 test specification that selects vantage points, resolvers (by name, by
 region, by mainstream tier, or all), transport, domains and schedule —
-plus a loader that turns a spec into a runnable campaign.
+plus a runner that plans a spec's campaign through the shard plan.
 
 Example spec::
 
@@ -24,21 +24,55 @@ Example spec::
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Union
 
+from repro.catalog.resolvers import CATALOG
 from repro.core.probes import ProbeConfig
-from repro.core.results import ResultStore
-from repro.core.runner import Campaign, CampaignConfig, ResolverTarget
+from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
 from repro.files import read_document
+
+if TYPE_CHECKING:
+    from repro.parallel import ParallelRun
 
 _ALLOWED_KEYS = {
     "name", "vantages", "resolvers", "transport", "domains", "rounds",
     "interval_hours", "stagger_minutes", "seed", "ping", "method",
     "timeout_ms", "reuse_connections",
 }
+
+
+#: What a spec value of each shape must be; a value of another type is
+#: refused, never coerced (``"false"`` is not false, ``2.7`` rounds is not 2).
+_SHAPES = {
+    "names": (
+        "a non-empty list of names",
+        lambda v: isinstance(v, (list, tuple))
+        and bool(v)
+        and all(isinstance(item, str) and item for item in v),
+    ),
+    "integer": (
+        "an integer",
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+    ),
+    "number": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(v),
+    ),
+    "flag": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def _checked(key: str, value: Any, shape: str) -> Any:
+    expected, valid = _SHAPES[shape]
+    if not valid(value):
+        raise CampaignConfigError(f"spec {key!r} must be {expected}, got {value!r}")
+    return list(value) if shape == "names" else value
 
 
 def parse_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
@@ -55,23 +89,27 @@ def parse_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
         raise CampaignConfigError("spec needs a non-empty 'name'")
     normalized: Dict[str, Any] = {
         "name": str(spec["name"]),
-        "vantages": list(spec.get("vantages", ["ec2-ohio"])),
         "resolvers": spec.get("resolvers", "all"),
         "transport": str(spec.get("transport", "doh")),
-        "domains": list(spec.get("domains", ["google.com", "amazon.com", "wikipedia.com"])),
-        "rounds": int(spec.get("rounds", 3)),
-        "interval_hours": float(spec.get("interval_hours", 8.0)),
-        "stagger_minutes": float(spec.get("stagger_minutes", 5.0)),
-        "seed": int(spec.get("seed", 0)),
-        "ping": bool(spec.get("ping", True)),
         "method": str(spec.get("method", "POST")),
-        "timeout_ms": float(spec.get("timeout_ms", 5000.0)),
-        "reuse_connections": bool(spec.get("reuse_connections", False)),
     }
+    for key, default, shape in (
+        ("vantages", ["ec2-ohio"], "names"),
+        ("domains", ["google.com", "amazon.com", "wikipedia.com"], "names"),
+        ("rounds", 3, "integer"),
+        ("interval_hours", 8.0, "number"),
+        ("stagger_minutes", 5.0, "number"),
+        ("seed", 0, "integer"),
+        ("ping", True, "flag"),
+        ("timeout_ms", 5000.0, "number"),
+        ("reuse_connections", False, "flag"),
+    ):
+        normalized[key] = _checked(key, spec.get(key, default), shape)
     if normalized["rounds"] <= 0:
         raise CampaignConfigError("rounds must be positive")
-    if not normalized["vantages"]:
-        raise CampaignConfigError("spec needs at least one vantage")
+    if normalized["interval_hours"] <= 0:
+        # Zero would fire every round at one instant: a burst, not a schedule.
+        raise CampaignConfigError("interval_hours must be positive")
     if normalized["method"] not in ("POST", "GET"):
         raise CampaignConfigError(f"unknown method {normalized['method']!r}")
     return normalized
@@ -82,46 +120,53 @@ def load_spec(path: Union[str, Path]) -> Dict[str, Any]:
     return parse_spec(read_document(path, CampaignConfigError, "campaign spec"))
 
 
-def select_targets(world, selector: Any) -> List[ResolverTarget]:
-    """Resolve the spec's ``resolvers`` selector against a world.
+def select_targets(selector: Any) -> List[str]:
+    """Resolve the spec's ``resolvers`` selector against the catalog.
 
     Accepts ``"all"``, an explicit hostname list, or a mapping with any of
     ``region`` (continent code), ``mainstream`` (bool), ``anycast`` (bool).
+    Returns the selected hostnames in catalog order.
     """
+    entries = CATALOG
     if selector == "all" or selector is None:
-        return world.targets()
-    if isinstance(selector, (list, tuple)):
-        return world.targets(list(selector))
-    if isinstance(selector, Mapping):
-        entries = world.catalog
+        pass
+    elif isinstance(selector, (list, tuple)):
+        wanted = set(_checked("resolvers", selector, "names"))
+        entries = [e for e in entries if e.hostname in wanted]
+        missing = wanted.difference(e.hostname for e in entries)
+        if missing:
+            raise CampaignConfigError(
+                f"unknown resolvers: {', '.join(sorted(missing))}"
+            )
+    elif isinstance(selector, Mapping):
         if "region" in selector:
             entries = [e for e in entries if e.region == selector["region"]]
         if "mainstream" in selector:
             entries = [e for e in entries if e.mainstream == bool(selector["mainstream"])]
         if "anycast" in selector:
             entries = [e for e in entries if e.anycast == bool(selector["anycast"])]
-        if not entries:
-            raise CampaignConfigError(f"resolver selector matched nothing: {selector}")
-        return world.targets([e.hostname for e in entries])
-    raise CampaignConfigError(f"bad resolver selector: {selector!r}")
+    else:
+        raise CampaignConfigError(f"bad resolver selector: {selector!r}")
+    if not entries:
+        raise CampaignConfigError(f"resolver selector matched nothing: {selector}")
+    return [e.hostname for e in entries]
 
 
-def build_campaign(world, spec: Mapping[str, Any], store: Optional[ResultStore] = None) -> Campaign:
-    """Turn a validated spec into a runnable :class:`Campaign`."""
+def run_spec(spec: Mapping[str, Any]) -> "ParallelRun":
+    """Run a spec's campaign under the identity plan (one shard, in this
+    process) on a fresh world built from the spec's seed."""
+    from repro.experiments.campaigns import run_campaign_parallel
+
     normalized = parse_spec(spec)
-    schedule = PeriodicSchedule(
-        rounds=normalized["rounds"],
-        interval_ms=normalized["interval_hours"] * MS_PER_HOUR,
-        start_ms=world.network.loop.now,
-        stagger_ms=min(
-            normalized["stagger_minutes"] * 60_000.0,
-            normalized["interval_hours"] * MS_PER_HOUR,
-        ),
-    )
+    interval_ms = normalized["interval_hours"] * MS_PER_HOUR
     config = CampaignConfig(
         name=normalized["name"],
         domains=normalized["domains"],
-        schedule=schedule,
+        schedule=PeriodicSchedule(
+            rounds=normalized["rounds"],
+            interval_ms=interval_ms,
+            stagger_ms=min(normalized["stagger_minutes"] * 60_000.0, interval_ms),
+        ),
         transport=normalized["transport"],
         probe_config=ProbeConfig(
             method=normalized["method"],
@@ -131,17 +176,10 @@ def build_campaign(world, spec: Mapping[str, Any], store: Optional[ResultStore] 
         ping=normalized["ping"],
         seed=normalized["seed"],
     )
-    vantages = [world.vantage(name) for name in normalized["vantages"]]
-    targets = select_targets(world, normalized["resolvers"])
-    return Campaign(
-        network=world.network,
-        vantages=vantages,
-        targets=targets,
-        config=config,
-        store=store,
+    return run_campaign_parallel(
+        config,
+        normalized["vantages"],
+        select_targets(normalized["resolvers"]),
+        world_seed=normalized["seed"],
+        shards=1,
     )
-
-
-def run_spec(world, spec: Mapping[str, Any]) -> ResultStore:
-    """Build and run a campaign from a spec; returns its result store."""
-    return build_campaign(world, spec).run()

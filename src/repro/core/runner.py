@@ -210,7 +210,6 @@ class Campaign:
         targets: Sequence[ResolverTarget],
         config: CampaignConfig,
         store: Optional[ResultStore] = None,
-        monitor: Optional[object] = None,
         on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
     ) -> None:
         if not vantages:
@@ -232,7 +231,6 @@ class Campaign:
             if policy is not None and policy.enabled
             else None
         )
-        self._monitor = monitor
         self._campaign_span = 0
         self._round_spans: Dict[int, int] = {}
         self._round_outstanding: Dict[int, int] = {}
@@ -441,8 +439,6 @@ class Campaign:
             ),
         )
         self.store.add(record)
-        if self._monitor is not None:
-            self._monitor.observe(record)
         if kind == "dns_query" and not outcome.success:
             self._errors_total += 1
         metrics = self._active_metrics
@@ -484,8 +480,6 @@ class Campaign:
             error_class=outcome.error_class.value if outcome.error_class else None,
         )
         self.store.add(record)
-        if self._monitor is not None:
-            self._monitor.observe(record)
         if not outcome.success:
             self._errors_total += 1
         metrics = self._active_metrics

@@ -11,8 +11,9 @@ Three campaign shapes, mirroring §3.2:
   confirm resolver performance had not drifted (February/March/April
   2024).
 
-:func:`run_study` executes all of them against one world and returns the
-merged result store — the input to every analysis in the paper.
+:func:`run_study` plans all of them through the shard plan, each campaign
+on a fresh world of its own, and returns the merged run — the input to
+every analysis in the paper.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ if TYPE_CHECKING:
 
     from repro.session import SessionPolicy
 
-from repro.core.results import ResultStore
-from repro.core.runner import Campaign, CampaignConfig, RetryPolicy, RoundProgress
+from repro.core.runner import CampaignConfig, RetryPolicy, RoundProgress
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
-from repro.experiments.world import World
-from repro.faults import FaultPlan, FaultPlanConfig, inject_faults
+from repro.faults import FaultPlan, FaultPlanConfig
 from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
 from repro.transports import SESSION_TRANSPORTS
 
@@ -78,7 +77,6 @@ def fault_campaign_config(
     rounds: int = 8,
     seed: int = 404,
     retry: Optional[RetryPolicy] = None,
-    start_ms: float = 0.0,
 ) -> CampaignConfig:
     """Fault-study campaign: EC2 cadence with a modest retry budget.
 
@@ -90,66 +88,11 @@ def fault_campaign_config(
     return CampaignConfig(
         name="ec2-faults",
         schedule=PeriodicSchedule(
-            rounds=rounds,
-            interval_ms=8 * MS_PER_HOUR,
-            start_ms=start_ms,
-            stagger_ms=10 * 60 * 1000.0,
+            rounds=rounds, interval_ms=8 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
         retry=retry if retry is not None else RetryPolicy(attempts=2),
         seed=seed,
     )
-
-
-def run_fault_study(
-    world: World,
-    rounds: int = 8,
-    fault_seed: int = 20230919,
-    plan_config: Optional[FaultPlanConfig] = None,
-    retry: Optional[RetryPolicy] = None,
-    vantage_names: Optional[Sequence[str]] = None,
-    target_hostnames: Optional[Iterable[str]] = None,
-    store: Optional[ResultStore] = None,
-) -> Tuple[ResultStore, FaultPlan]:
-    """Run the fault-injected campaign: EC2 vantages under a seeded FaultPlan.
-
-    Generates a :class:`~repro.faults.FaultPlan` covering the campaign's
-    whole span, arms a :class:`~repro.faults.FaultInjector` over the
-    targeted deployments, then runs a retry-enabled campaign.  Returns the
-    result store and the plan (so callers can correlate failures with the
-    injected windows).  Everything is derived from ``fault_seed`` and the
-    campaign seed, so identical inputs reproduce identical results.
-    """
-    store = store if store is not None else ResultStore()
-    targets = world.targets(list(target_hostnames) if target_hostnames is not None else None)
-    names = list(vantage_names) if vantage_names is not None else [
-        name for name in EC2_VANTAGE_NAMES if name in world.vantages
-    ]
-    vantages = [world.vantage(name) for name in names]
-
-    start_ms = world.network.loop.now
-    config = fault_campaign_config(rounds=rounds, retry=retry, start_ms=start_ms)
-    # Cover the full span plus one interval of slack so windows can still be
-    # open while the last round's probes (and their retries) are in flight.
-    horizon_ms = config.schedule.total_span_ms + config.schedule.interval_ms
-    plan = FaultPlan.generate(
-        [target.hostname for target in targets],
-        horizon_ms=horizon_ms,
-        seed=fault_seed,
-        config=plan_config,
-    )
-    deployments = [world.deployments[target.hostname] for target in targets]
-    # The schedule starts at the current virtual time, and arm() interprets
-    # the plan relative to now — so plan-time 0 lines up with round 0.
-    inject_faults(world.network, deployments, plan, offset_ms=0.0)
-
-    Campaign(
-        network=world.network,
-        vantages=vantages,
-        targets=targets,
-        config=config,
-        store=store,
-    ).run()
-    return store, plan
 
 
 def diff_campaign_config(
@@ -322,59 +265,6 @@ def run_sessions_study(
     return runs
 
 
-def run_study(
-    world: World,
-    home_rounds: int = 20,
-    ec2_rounds: int = 20,
-    recheck_months: Sequence[str] = (),
-    target_hostnames: Optional[Iterable[str]] = None,
-    store: Optional[ResultStore] = None,
-) -> ResultStore:
-    """Run the full study (home + EC2 + optional re-checks) on ``world``.
-
-    Round counts are scaled down from the paper's multi-month spans; the
-    statistics of interest (per-resolver medians and spreads) stabilize
-    within a few dozen rounds because the simulation is stationary.
-    """
-    store = store if store is not None else ResultStore()
-    targets = world.targets(list(target_hostnames) if target_hostnames is not None else None)
-
-    home_vantages = [world.vantage(name) for name in HOME_VANTAGE_NAMES if name in world.vantages]
-    if home_vantages and home_rounds > 0:
-        Campaign(
-            network=world.network,
-            vantages=home_vantages,
-            targets=targets,
-            config=home_campaign_config(rounds=home_rounds),
-            store=store,
-        ).run()
-
-    ec2_vantages = [world.vantage(name) for name in EC2_VANTAGE_NAMES if name in world.vantages]
-    if ec2_vantages and ec2_rounds > 0:
-        Campaign(
-            network=world.network,
-            vantages=ec2_vantages,
-            targets=targets,
-            config=ec2_campaign_config(rounds=ec2_rounds),
-            store=store,
-        ).run()
-
-    for index, month in enumerate(recheck_months):
-        start_ms = world.network.loop.now + 30.0 * 24 * MS_PER_HOUR * (index + 1)
-        Campaign(
-            network=world.network,
-            vantages=ec2_vantages or home_vantages,
-            targets=targets,
-            config=monthly_recheck_config(month, start_ms=start_ms, seed=303 + index),
-            store=store,
-        ).run()
-
-    return store
-
-
-# -- sharded parallel execution ------------------------------------------------
-
-
 def _catalog_hostnames(target_hostnames: Optional[Iterable[str]]) -> List[str]:
     if target_hostnames is not None:
         return list(target_hostnames)
@@ -438,10 +328,16 @@ def run_campaign_parallel(
     )
 
 
-def run_study_parallel(
+#: The gap between the end of the study and its first monthly re-check,
+#: and between re-checks.
+RECHECK_GAP_MS = 30.0 * 24 * MS_PER_HOUR
+
+
+def run_study(
     world_seed: int = 0,
     home_rounds: int = 20,
     ec2_rounds: int = 20,
+    recheck_months: Sequence[str] = (),
     target_hostnames: Optional[Iterable[str]] = None,
     workers: int = 1,
     shard_by: str = "vantage",
@@ -452,16 +348,49 @@ def run_study_parallel(
     segment_records: int = 4096,
     slo_policy: Optional[object] = None,
 ) -> ParallelRun:
-    """The home + EC2 study as one sharded run over a shared worker pool.
+    """The full study (home + EC2 + optional monthly re-checks) as one run.
 
-    Both campaigns are planned up front and their shards executed through
-    one pool, so a long home campaign cannot serialize behind the EC2
-    one.  The merged store holds both campaigns in canonical order.
+    Every campaign is planned up front and their shards run through one
+    pool, so a long home campaign cannot serialize behind the EC2 one.
+    Each shard runs on a fresh world built from ``world_seed``, so every
+    campaign keeps its own cadence from virtual time 0, as the paper's home
+    and EC2 campaigns ran independently.  The re-checks measure from the
+    EC2 vantages, a month apart, starting a month after the longer campaign
+    ends.  The merged store holds every campaign in canonical order.
+
+    Round counts are scaled down from the paper's multi-month spans; the
+    statistics of interest (per-resolver medians and spreads) stabilize
+    within a few dozen rounds because the simulation is stationary.
     """
+    campaigns = [
+        (campaign_config(rounds=rounds), vantage_names)
+        for rounds, campaign_config, vantage_names in (
+            (home_rounds, home_campaign_config, HOME_VANTAGE_NAMES),
+            (ec2_rounds, ec2_campaign_config, EC2_VANTAGE_NAMES),
+        )
+        if rounds > 0
+    ]
+    study_end_ms = max(
+        (config.schedule.total_span_ms for config, _names in campaigns), default=0.0
+    )
+    campaigns += [
+        (
+            monthly_recheck_config(
+                month, start_ms=study_end_ms + RECHECK_GAP_MS * (index + 1),
+                seed=303 + index,
+            ),
+            EC2_VANTAGE_NAMES,
+        )
+        for index, month in enumerate(recheck_months)
+    ]
+    if not campaigns:
+        raise CampaignConfigError(
+            "study needs home_rounds > 0, ec2_rounds > 0 or a re-check month"
+        )
     hostnames = _catalog_hostnames(target_hostnames)
     plans = [
         plan_campaign(
-            campaign_config(rounds=rounds),
+            config,
             vantage_names,
             hostnames,
             world_seed=world_seed,
@@ -470,14 +399,8 @@ def run_study_parallel(
             collect_spans=collect_spans,
             collect_metrics=collect_metrics,
         )
-        for rounds, campaign_config, vantage_names in (
-            (home_rounds, home_campaign_config, HOME_VANTAGE_NAMES),
-            (ec2_rounds, ec2_campaign_config, EC2_VANTAGE_NAMES),
-        )
-        if rounds > 0
+        for config, vantage_names in campaigns
     ]
-    if not plans:
-        raise CampaignConfigError("study needs home_rounds > 0 or ec2_rounds > 0")
     return run_parallel(
         chain_tasks(*plans),
         workers=workers,
@@ -487,7 +410,7 @@ def run_study_parallel(
     )
 
 
-def run_fault_study_parallel(
+def run_fault_study(
     world_seed: int = 0,
     rounds: int = 8,
     fault_seed: int = 20230919,
@@ -498,14 +421,18 @@ def run_fault_study_parallel(
     workers: int = 1,
     shard_by: str = "vantage",
     shards: Optional[int] = None,
+    collect_spans: bool = False,
+    collect_metrics: bool = False,
 ) -> Tuple[ParallelRun, FaultPlan]:
-    """Sharded variant of :func:`run_fault_study`.
+    """Run the fault-injected campaign: EC2 vantages under a seeded FaultPlan.
 
-    The fault plan is generated once from ``fault_seed`` and shipped to
-    every shard, which arms only the windows of its own targets.  Because
-    plan generation derives an independent RNG per hostname, the armed
-    windows inside a shard are identical to the ones the serial fault
-    study arms for those resolvers.
+    Generates a :class:`~repro.faults.FaultPlan` covering the campaign's
+    whole span plus one interval of slack (windows can still be open while
+    the last round's probes and their retries are in flight) and ships it
+    to every shard, which arms only the windows of its own targets.  Plan
+    generation derives an independent RNG per hostname, so the windows a
+    resolver sees do not depend on the shard plan.  Returns the run and
+    the plan, so callers can correlate failures with the injected windows.
     """
     hostnames = _catalog_hostnames(target_hostnames)
     names = list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
@@ -523,5 +450,7 @@ def run_fault_study_parallel(
         shard_by=shard_by,
         shards=shards,
         fault_plan=plan,
+        collect_spans=collect_spans,
+        collect_metrics=collect_metrics,
     )
     return run, plan

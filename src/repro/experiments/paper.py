@@ -1,8 +1,8 @@
 """Run every experiment and compare against the paper's reported values.
 
-:func:`generate_report` runs the full study on a fresh world (or a
-caller-supplied result store) and evaluates each claim from §4, recording
-the paper's value next to the measured one.  The benchmark harness prints
+:func:`generate_report` runs the full study through the shard plan (or
+reads a caller-supplied result store) and evaluates each claim from §4,
+recording the paper's value next to the measured one.  The benchmark harness prints
 these rows; EXPERIMENTS.md archives them.
 """
 
@@ -28,7 +28,7 @@ from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import entries_by_region
 from repro.core.results import ResultStore
 from repro.experiments.campaigns import HOME_VANTAGE_NAMES, run_fault_study, run_study
-from repro.experiments.world import World, build_world
+from repro.parallel import ParallelRun
 
 #: §4 reported numbers used for paper-vs-measured rows.
 PAPER_VALUES = {
@@ -97,6 +97,9 @@ class PaperReport:
     #: Records of the fault-injected campaign, kept separate from the main
     #: study store so fault windows don't contaminate the §4 claims.
     fault_store: Optional[ResultStore] = None
+    #: The runs the report made itself (none from a caller's store): the
+    #: study, then the fault campaign.
+    runs: List[ParallelRun] = field(default_factory=list)
 
     @property
     def holds_count(self) -> int:
@@ -119,32 +122,43 @@ def _median_of_home(store: ResultStore, resolver: str, home_vantages: Sequence[s
 
 
 def generate_report(
-    world: Optional[World] = None,
     store: Optional[ResultStore] = None,
     home_rounds: int = 12,
     ec2_rounds: int = 12,
     seed: int = 0,
     fault_rounds: int = 8,
     fault_seed: int = 20230919,
+    collect_spans: bool = False,
+    collect_metrics: bool = False,
 ) -> PaperReport:
     """Run the study (if needed) and evaluate every §4 claim.
 
-    When the function runs the study itself (no ``store`` supplied) it also
-    runs a fault-injected campaign on the same world — into a *separate*
-    store — and evaluates the FAULT-* claims against the paper's reported
-    error shape.  Pass ``fault_rounds=0`` to skip it.  A caller-supplied
-    ``store`` skips the fault campaign (the matching world is unknown).
+    With no ``store`` the function runs the identity plan of the study on
+    worlds built from ``seed``, and also the identity plan of the
+    fault-injected campaign — into a *separate* store — whose FAULT-*
+    claims it evaluates against the paper's reported error shape.  Pass
+    ``fault_rounds=0`` to skip it.  A caller-supplied ``store`` skips the
+    fault campaign (the matching world is unknown).  ``collect_spans`` and
+    ``collect_metrics`` reach the runs, which land on ``PaperReport.runs``.
     """
     fault_store: Optional[ResultStore] = None
+    runs: List[ParallelRun] = []
     if store is None:
-        if world is None:
-            world = build_world(seed=seed)
-        store = run_study(world, home_rounds=home_rounds, ec2_rounds=ec2_rounds)
+        traced = dict(collect_spans=collect_spans, collect_metrics=collect_metrics)
+        study = run_study(
+            world_seed=seed, home_rounds=home_rounds, ec2_rounds=ec2_rounds,
+            shards=1, **traced,
+        )
+        store = study.store
+        runs.append(study)
         if fault_rounds > 0:
-            fault_store, _plan = run_fault_study(
-                world, rounds=fault_rounds, fault_seed=fault_seed
+            faulted, _plan = run_fault_study(
+                world_seed=seed, rounds=fault_rounds, fault_seed=fault_seed,
+                shards=1, **traced,
             )
-    report = PaperReport(store=store, fault_store=fault_store)
+            fault_store = faulted.store
+            runs.append(faulted)
+    report = PaperReport(store=store, fault_store=fault_store, runs=runs)
     mainstream = mainstream_hostnames()
     home_vantages = [v for v in HOME_VANTAGE_NAMES]
 

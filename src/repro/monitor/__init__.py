@@ -1,7 +1,7 @@
 """Live health monitoring: SLO engine, streaming detectors, alerts.
 
-The package watches a campaign as it runs — or replays one from a
-warehouse — and answers the operator questions the paper's longitudinal
+The package replays a campaign's records — the merged stream of a run,
+a JSONL file or a warehouse — and answers the operator questions the paper's longitudinal
 setting raises: is a resolver's availability holding its floor, are tail
 latencies under their ceilings, is an error class bursting past its
 budget, did query time shift?  See :mod:`repro.monitor.engine` for the
@@ -12,10 +12,12 @@ Quick start::
     from repro.monitor import Monitor, default_policy
 
     monitor = Monitor(default_policy())
-    campaign = Campaign(network, vantages, targets, config, monitor=monitor)
-    store = campaign.run()
+    monitor.replay(run.records())        # a ParallelRun's merged stream
     alerts = monitor.finalize()          # canonical-ordered AlertLog
     print(monitor.scoreboard().render()) # OK/DEGRADED/FAILING table
+
+``run_parallel(tasks, slo_policy=policy)`` does exactly this and leaves
+the finalized monitor on ``ParallelRun.monitor``.
 """
 
 from repro.monitor.alerts import (

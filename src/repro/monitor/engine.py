@@ -3,24 +3,21 @@
 A :class:`Monitor` holds one set of detectors per
 ``(campaign, vantage, resolver, transport, kind)`` group and is fed one
 :class:`~repro.core.results.MeasurementRecord` at a time through
-:meth:`Monitor.observe` — from the campaign runner's record hook during a
-live run, or from :meth:`Monitor.replay` over any record stream (a
-warehouse's canonical iterator, a JSONL file).  ``observe`` is a pure
-state update over record fields: it never touches the event loop, the
-RNG, or the virtual clock, so a monitored run produces exactly the same
-measurements as an unmonitored one.
+:meth:`Monitor.observe`, usually through :meth:`Monitor.replay` over a
+record stream (a run's merged records, a warehouse's canonical iterator,
+a JSONL file).  ``observe`` is a pure state update over record fields.
 
 Determinism of the exported artifacts rests on two facts.  Per group,
-records arrive in the canonical (virtual-time) order whether streamed
-live or replayed sorted — rounds are scheduled hours apart and queries
-within a measurement chain sequentially — so every group's detector
-trajectory, and hence its alert set, is identical either way.  Across
-groups, arrival order *can* differ, so :meth:`Monitor.finalize` sorts the
-alert log by its canonical key before export.  Final verdicts come from
-an embedded :class:`~repro.store.aggregates.AggregateBook`, whose
-counters and histograms are order-independent, which is why
-re-evaluating a warehouse's persisted aggregates yields verdicts
-identical to the live run's.
+records arrive in the canonical (virtual-time) order whether replayed
+sorted or in a serial campaign's arrival order — rounds are scheduled
+hours apart and queries within a measurement chain sequentially — so
+every group's detector trajectory, and hence its alert set, is identical
+either way.  Across groups, arrival order *can* differ, so
+:meth:`Monitor.finalize` sorts the alert log by its canonical key before
+export.  Final verdicts come from an embedded
+:class:`~repro.store.aggregates.AggregateBook`, whose counters and
+histograms are order-independent, which is why re-evaluating a
+warehouse's persisted aggregates yields verdicts identical to a replay's.
 """
 
 from __future__ import annotations
@@ -291,11 +288,11 @@ _DETECTOR_NAMES = {
 def verdicts_from_book(book: AggregateBook, policy: SloPolicy) -> List[SloVerdict]:
     """Evaluate a policy's objectives against run-level aggregates.
 
-    Works identically on a live monitor's embedded book and on
+    Works identically on a monitor's embedded book and on
     ``Warehouse.aggregates()``, because both are built by folding the same
     records into the same order-independent counters and histograms —
     that equality is what lets batch re-evaluation reproduce the
-    streaming run's verdicts exactly.
+    monitor's verdicts exactly.
     """
     verdicts: List[SloVerdict] = []
     for group in book.groups(kind="dns_query"):

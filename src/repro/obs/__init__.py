@@ -17,18 +17,11 @@ Use :func:`tracing` to enable instrumentation for a scoped block::
     recorder.save_jsonl("spans.jsonl")
     print(metrics.summary())
 
-A live monitor is not ambient: it is the campaign's ``monitor=``
-argument (a :class:`repro.monitor.Monitor`, or anything with an
-``observe(record)`` method), fed every finished
-:class:`~repro.core.results.MeasurementRecord` right after it is stored::
+A monitor is not ambient either: it replays a run's merged records
+afterwards (``run_parallel(slo_policy=)``, see :mod:`repro.monitor`).
 
-    monitor = Monitor()
-    with tracing() as (recorder, metrics):
-        Campaign(..., monitor=monitor).run()
-    monitor.finalize(metrics)  # sorted alerts + monitor.* gauges
-
-Everything is driven by the simulator's virtual clock, and all three
-hooks are pure observers — enabling them never perturbs timing,
+Everything is driven by the simulator's virtual clock, and both hooks
+are pure observers — enabling them never perturbs timing,
 scheduling or RNG draws: an instrumented run and a bare run of the same
 seed produce identical measurements, and two instrumented runs produce
 byte-identical span and alert exports.

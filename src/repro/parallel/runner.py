@@ -306,12 +306,11 @@ def run_parallel(
 
     With ``slo_policy`` set (a :class:`repro.monitor.SloPolicy`), the
     merged canonical record stream is replayed through a
-    :class:`repro.monitor.Monitor` after the merge — shards never monitor
-    live, so the alert log depends only on the record multiset and is
-    byte-identical for any worker count given a fixed shard plan, and
-    identical to live monitoring of a serial execution of that plan (per
-    group, live arrival order equals canonical order).  The finalized
-    monitor lands on
+    :class:`repro.monitor.Monitor` after the merge, so the alert log
+    depends only on the record multiset and is byte-identical for any
+    worker count given a fixed shard plan, and identical to feeding the
+    monitor a serial execution's records in arrival order (per group,
+    arrival order equals canonical order).  The finalized monitor lands on
     ``ParallelRun.monitor`` and its detector gauges in the merged metrics.
 
     ``on_round_complete`` is called as each round of a one-shard plan

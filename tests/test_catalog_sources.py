@@ -108,6 +108,47 @@ class TestStampCodec:
         )
         assert decode_stamp(encode_stamp(stamp)) == stamp
 
+    def test_non_utf8_field_rejected(self):
+        # A DoH stamp whose address field is not UTF-8 text.
+        with pytest.raises(StampError, match="not UTF-8"):
+            decode_stamp("sdns://3QHkiHU0og8LDQTDbtgOceD9d7B2cOuU")
+
+    def test_cli_decode_of_a_non_utf8_field_is_one_line(self, capsys):
+        from repro.cli import main
+
+        assert main(["stamp", "--decode", "sdns://3QHkiHU0og8LDQTDbtgOceD9d7B2cOuU"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-dns stamp: ") and "Traceback" not in err
+
+    @given(
+        payload=st.one_of(
+            st.binary(max_size=300),
+            # Framed like a real stamp up to the first length-prefixed
+            # field, so the field decoders see arbitrary bytes too.
+            st.builds(
+                lambda protocol, props, field, rest: (
+                    bytes([protocol]) + props + bytes([len(field)]) + field + rest
+                ),
+                st.sampled_from([PROTOCOL_PLAIN, PROTOCOL_DOH, PROTOCOL_DOT, 0x7F]),
+                st.binary(min_size=8, max_size=8),
+                st.binary(max_size=60),
+                st.binary(max_size=200),
+            ),
+        )
+    )
+    def test_property_arbitrary_payload_raises_only_stamp_error(self, payload):
+        """Any payload bytes: the decoder terminates, raises nothing but
+        StampError, and raises the same type again on a second call."""
+        import base64
+
+        uri = "sdns://" + base64.urlsafe_b64encode(payload).rstrip(b"=").decode()
+        try:
+            decode_stamp(uri)
+        except StampError as first:
+            with pytest.raises(type(first)):
+                decode_stamp(uri)
+
 
 class TestScraper:
     def test_sample_parses(self):

@@ -1,7 +1,11 @@
 """Tests for the world builder, campaigns, and the paper report machinery."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.availability import availability_report
 from repro.analysis.response_times import resolver_medians
 from repro.catalog.resolvers import CATALOG
@@ -18,7 +22,7 @@ from repro.experiments.campaigns import (
 )
 from repro.experiments.paper import PAPER_VALUES, generate_report
 from repro.experiments.world import DEFAULT_VANTAGES, build_world
-from tests.conftest import make_mini_world
+from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
 
 
 class TestWorldBuilder:
@@ -121,61 +125,44 @@ class TestCampaignConfigs:
 class TestRunStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        world = make_mini_world(seed=4)
-        store = run_study(world, home_rounds=3, ec2_rounds=3)
-        return world, store
+        return run_study(
+            world_seed=4, home_rounds=3, ec2_rounds=3,
+            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        ).store
 
     def test_record_volume(self, study):
-        world, store = study
-        live_targets = len(world.targets())
         # home: 3 rounds x 4 devices; ec2: 3 rounds x 3 instances; each
         # (vantage, target) contributes 3 queries + 1 ping.
-        expected = (3 * 4 + 3 * 3) * live_targets * 4
-        assert len(store) == expected
+        expected = (3 * 4 + 3 * 3) * len(MINI_CATALOG_HOSTNAMES) * 4
+        assert len(study) == expected
 
     def test_both_campaigns_present(self, study):
-        _world, store = study
-        assert {r.campaign for r in store} == {"home-chicago", "ec2-global"}
+        assert {r.campaign for r in study} == {"home-chicago", "ec2-global"}
 
     def test_vantage_coverage(self, study):
-        _world, store = study
-        assert {r.vantage for r in store} == set(HOME_VANTAGE_NAMES) | set(EC2_VANTAGE_NAMES)
+        assert {r.vantage for r in study} == set(HOME_VANTAGE_NAMES) | set(EC2_VANTAGE_NAMES)
 
     def test_availability_in_band(self, study):
-        _world, store = study
-        report = availability_report(store)
+        report = availability_report(study)
         # The mini catalog includes one dead and two flaky resolvers.
         assert 0.02 < report.error_rate < 0.30
 
     def test_anycast_resolvers_fast_from_all_ec2(self, study):
-        _world, store = study
         for vantage in EC2_VANTAGE_NAMES:
-            medians = resolver_medians(store, vantage=vantage)
+            medians = resolver_medians(study, vantage=vantage)
             assert medians["dns.google"] < 80.0
 
     def test_unicast_resolver_distance_effect(self, study):
-        _world, store = study
-        frankfurt = resolver_medians(store, vantage="ec2-frankfurt")
-        seoul = resolver_medians(store, vantage="ec2-seoul")
+        frankfurt = resolver_medians(study, vantage="ec2-frankfurt")
+        seoul = resolver_medians(study, vantage="ec2-seoul")
         assert frankfurt["dns.brahma.world"] * 5 < seoul["dns.brahma.world"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "run_study runs the EC2 campaign on the world the home campaign just "
-            "finished with, but ec2_campaign_config starts its schedule at 0: "
-            "every EC2 round scheduled before the home campaign's end fires at "
-            "one instant with no stagger (run_fault_study and the re-checks pass "
-            "start_ms=loop.now and do not).  Output-changing (AV-3's Jaccard "
-            "moves 0.41 -> 0.49 against a bound of 0.5 on per-campaign worlds), "
-            "so the fix belongs with the paper_scale item that moves report / "
-            "figure onto the shard plan; see ROADMAP."
-        ),
-    )
     def test_ec2_rounds_keep_their_cadence(self, study):
-        _world, store = study
+        """The EC2 campaign runs on a world of its own from virtual time 0,
+        so its rounds keep their schedule instead of bursting after the home
+        campaign ends."""
         starts = {}
-        for record in store:
+        for record in study:
             if record.campaign == "ec2-global":
                 starts.setdefault(record.round_index, []).append(record.started_at_ms)
         first = [min(starts[index]) for index in sorted(starts)]
@@ -185,20 +172,35 @@ class TestRunStudy:
             assert abs((later - earlier) - interval) <= stagger
 
     def test_recheck_campaign(self):
-        world = make_mini_world(seed=6)
         store = run_study(
-            world, home_rounds=0, ec2_rounds=1, recheck_months=["feb"],
-            target_hostnames=["dns.google"],
-        )
-        assert "recheck-feb" in {r.campaign for r in store}
+            home_rounds=0, ec2_rounds=1, recheck_months=["feb", "mar"],
+            target_hostnames=["dns.google"], shards=1,
+        ).store
+        first = {}
+        for record in store:
+            first[record.campaign] = min(
+                first.get(record.campaign, record.started_at_ms), record.started_at_ms
+            )
+        assert set(first) == {"ec2-global", "recheck-feb", "recheck-mar"}
+        # A month after the study's one round (and its stagger) ends, then a
+        # month apart; each first probe lands within its round's stagger.
+        stagger, month = 10 * 60 * 1000.0, 30 * 24 * MS_PER_HOUR
+        for months, campaign in ((1, "recheck-feb"), (2, "recheck-mar")):
+            assert 0 <= first[campaign] - (stagger + months * month) <= stagger
+
+    def test_needs_a_campaign(self):
+        with pytest.raises(CampaignConfigError, match="study needs"):
+            run_study(home_rounds=0, ec2_rounds=0)
 
 
 class TestPaperReport:
     def test_report_from_prebuilt_store(self):
         # Tiny store: mainstream fast, non-mainstream slow — just verifies
         # the claim machinery runs end to end without a full simulation.
-        world = make_mini_world(seed=8)
-        store = run_study(world, home_rounds=2, ec2_rounds=2)
+        store = run_study(
+            world_seed=8, home_rounds=2, ec2_rounds=2,
+            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        ).store
         report = generate_report(store=store)
         assert report.claims
         ids = {claim.claim_id for claim in report.claims}
@@ -213,3 +215,37 @@ class TestPaperReport:
         assert PAPER_VALUES["max_median.ec2-seoul"] == 569.0
         assert len(PAPER_VALUES["table2"]) == 5
         assert len(PAPER_VALUES["table3"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# One way to run a campaign
+# ---------------------------------------------------------------------------
+
+
+def _campaign_constructions(tree: ast.AST):
+    """Lines that build a ``Campaign(...)`` by hand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Campaign":
+                yield node.lineno
+
+
+def test_only_the_shard_executor_builds_a_campaign():
+    """Every campaign in the package runs through plan_campaign ->
+    run_parallel -> execute_shard; a second path beside the shard plan is
+    how the EC2 study once ran in a burst on the home campaign's world."""
+    root = Path(repro.__file__).parent
+    seam = Path("parallel", "executor.py")
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative == seam:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{relative}:{line}" for line in _campaign_constructions(tree)]
+    assert offenders == []
+    # The walker does see what it is looking for.
+    executor = ast.parse((root / seam).read_text(encoding="utf-8"))
+    assert len(list(_campaign_constructions(executor))) == 1

@@ -24,7 +24,6 @@ from repro.core.runner import Campaign, CampaignConfig, RetryPolicy
 from repro.core.scheduler import PeriodicSchedule
 from repro.errors import CampaignConfigError
 from repro.experiments.campaigns import run_fault_study
-from repro.experiments.world import build_world
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -33,7 +32,12 @@ from repro.faults import (
     FaultPlanConfig,
     inject_faults,
 )
-from tests.conftest import add_host, make_mini_world, make_quiet_network
+from tests.conftest import (
+    MINI_CATALOG_HOSTNAMES,
+    add_host,
+    make_mini_world,
+    make_quiet_network,
+)
 
 ESTABLISHMENT_VALUES = {"connect_refused", "connect_timeout", "tls_handshake"}
 
@@ -370,11 +374,11 @@ class TestRetryBackoff:
 class TestDeterminism:
     def test_identical_seeds_reproduce_identical_exports(self, tmp_path):
         def run(path):
-            world = make_mini_world(seed=5)
-            store, plan = run_fault_study(
-                world, rounds=2, vantage_names=("ec2-ohio",), fault_seed=77
+            faulted, plan = run_fault_study(
+                world_seed=5, rounds=2, vantage_names=("ec2-ohio",), fault_seed=77,
+                target_hostnames=MINI_CATALOG_HOSTNAMES,
             )
-            store.save_jsonl(path)
+            faulted.store.save_jsonl(path)
             return plan
 
         first_path = tmp_path / "first.jsonl"
@@ -389,8 +393,8 @@ class TestDeterminism:
 class TestPaperErrorShape:
     @pytest.mark.slow
     def test_fault_campaign_reproduces_error_rate_band(self):
-        world = build_world(seed=7)
-        store, plan = run_fault_study(world, rounds=8, vantage_names=("ec2-ohio",))
+        run, plan = run_fault_study(world_seed=7, rounds=8, vantage_names=("ec2-ohio",))
+        store = run.store
         assert len(plan) > 0
 
         report = availability_report(store)

@@ -13,10 +13,10 @@ import pytest
 from repro.core.probes import DohProbe, DohProbeConfig, PingProbe
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import PeriodicSchedule
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES, HOME_VANTAGE_NAMES, run_study
 from repro.experiments.world import build_world
 from repro.netsim.trace import EventTrace
-from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
+from tests.conftest import MINI_CATALOG_HOSTNAMES
 
 
 class TestWireLevelBehaviour:
@@ -112,16 +112,20 @@ class TestWireLevelBehaviour:
 class TestDeterminism:
     def test_identical_studies_identical_records(self):
         def run_once():
-            world = make_mini_world(seed=99)
-            store = run_study(world, home_rounds=2, ec2_rounds=2)
+            store = run_study(
+                world_seed=99, home_rounds=2, ec2_rounds=2,
+                target_hostnames=MINI_CATALOG_HOSTNAMES,
+            ).store
             return [record.to_json() for record in store]
 
         assert run_once() == run_once()
 
     def test_different_seeds_differ(self):
         def run_once(seed):
-            world = make_mini_world(seed=seed)
-            store = run_study(world, home_rounds=1, ec2_rounds=1)
+            store = run_study(
+                world_seed=seed, home_rounds=1, ec2_rounds=1,
+                target_hostnames=MINI_CATALOG_HOSTNAMES,
+            ).store
             return [record.to_json() for record in store]
 
         assert run_once(1) != run_once(2)
@@ -129,46 +133,41 @@ class TestDeterminism:
 
 class TestStudyProperties:
     @pytest.fixture(scope="class")
-    def study(self):
-        world = make_mini_world(seed=13)
-        store = run_study(world, home_rounds=4, ec2_rounds=4)
-        return world, store
+    def store(self):
+        return run_study(
+            world_seed=13, home_rounds=4, ec2_rounds=4,
+            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        ).store
 
-    def test_every_live_resolver_measured_from_every_vantage(self, study):
-        world, store = study
+    def test_every_live_resolver_measured_from_every_vantage(self, store):
         live = [h for h in MINI_CATALOG_HOSTNAMES if h != "dns.pumplex.com"]
-        for vantage in world.vantages:
+        for vantage in HOME_VANTAGE_NAMES + EC2_VANTAGE_NAMES:
             seen = {record.resolver for record in store.filter(vantage=vantage)}
             for hostname in live:
                 assert hostname in seen, (vantage, hostname)
 
-    def test_icmp_silent_resolvers_have_no_ping_successes(self, study):
-        _world, store = study
+    def test_icmp_silent_resolvers_have_no_ping_successes(self, store):
         # ibksturm.synology.me is configured answers_icmp=False.
         pings = store.filter(kind="ping", resolver="ibksturm.synology.me")
         assert pings and all(not record.success for record in pings)
 
-    def test_successful_queries_have_durations_and_rcode(self, study):
-        _world, store = study
+    def test_successful_queries_have_durations_and_rcode(self, store):
         for record in store.filter(kind="dns_query", success=True):
             assert record.duration_ms is not None and record.duration_ms > 0
             assert record.rcode == 0
             assert record.http_status == 200
 
-    def test_failed_queries_classified(self, study):
-        _world, store = study
+    def test_failed_queries_classified(self, store):
         for record in store.filter(kind="dns_query", success=False):
             assert record.error_class is not None
 
-    def test_round_indexes_contiguous(self, study):
-        _world, store = study
+    def test_round_indexes_contiguous(self, store):
         home_rounds = {r.round_index for r in store.filter(predicate=lambda r: r.campaign == "home-chicago")}
         assert home_rounds == {0, 1, 2, 3}
 
-    def test_mainstream_beats_distant_unicast_everywhere(self, study):
+    def test_mainstream_beats_distant_unicast_everywhere(self, store):
         from repro.analysis.response_times import resolver_medians
 
-        _world, store = study
         for vantage in ("ec2-ohio", "ec2-frankfurt", "ec2-seoul"):
             medians = resolver_medians(store, vantage=vantage)
             assert medians["dns.google"] < medians["doh.ffmuc.net"], vantage

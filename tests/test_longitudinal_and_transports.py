@@ -134,11 +134,10 @@ class TestLongitudinal:
             drift_reports_over_time(store)
 
     def test_monthly_recheck_shows_no_drift_in_stationary_world(self):
-        world = make_mini_world(seed=33)
         store = run_study(
-            world, home_rounds=0, ec2_rounds=4, recheck_months=["feb", "mar"],
+            world_seed=33, home_rounds=0, ec2_rounds=4, recheck_months=["feb", "mar"],
             target_hostnames=["dns.google", "dns.brahma.world", "dns.twnic.tw"],
-        )
+        ).store
         reports = drift_reports_over_time(store, vantage="ec2-ohio")
         for report in reports:
             assert report.stable_fraction == 1.0, report.describe()

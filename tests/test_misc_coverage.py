@@ -13,7 +13,12 @@ from repro.errors import AddressError
 from repro.netsim.packet import Datagram
 from repro.netsim.trace import EventTrace
 from repro.tlssim.session import SessionCache
-from tests.conftest import add_host, make_mini_world, make_quiet_network
+from tests.conftest import (
+    MINI_CATALOG_HOSTNAMES,
+    add_host,
+    make_mini_world,
+    make_quiet_network,
+)
 
 
 class TestTraceBounds:
@@ -153,8 +158,10 @@ class TestPaperReportRendering:
         from repro.experiments.campaigns import run_study
         from repro.experiments.paper import generate_report
 
-        world = make_mini_world(seed=63)
-        store = run_study(world, home_rounds=2, ec2_rounds=2)
+        store = run_study(
+            world_seed=63, home_rounds=2, ec2_rounds=2,
+            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        ).store
         report = generate_report(store=store)
         for figure in ("figure1", "figure2", "figure3", "figure4"):
             assert figure in report.rendered_figures

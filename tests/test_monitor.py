@@ -1,12 +1,9 @@
-"""Tests for the live health monitor: SLO specs, detectors, engine.
+"""Tests for the health monitor: SLO specs, detectors, engine.
 
-The heart of the suite is the determinism/equivalence triangle the
-monitor promises:
+The heart of the suite is the two equivalences the monitor promises:
 
-* a monitored run records exactly the same measurements as an
-  unmonitored run of the same seed (zero perturbation);
-* streaming evaluation during a live campaign equals batch replay of the
-  canonical record stream (identical alert JSONL);
+* feeding the monitor a campaign's records in arrival order equals
+  batch replay of the canonical record stream (identical alert JSONL);
 * final verdicts from the monitor's embedded aggregates equal verdicts
   from a warehouse's persisted aggregates (identical pass/fail).
 """
@@ -51,7 +48,7 @@ MONITOR_HOSTNAMES = (
 )
 
 
-def _run_campaign(seed: int, monitor=None, rounds: int = 6):
+def _run_campaign(seed: int, rounds: int = 6):
     world = make_mini_world(seed=seed)
     config = ec2_campaign_config(rounds=rounds, seed=seed)
     vantages = [world.vantage(name) for name in ("ec2-ohio", "ec2-seoul")]
@@ -60,16 +57,17 @@ def _run_campaign(seed: int, monitor=None, rounds: int = 6):
         vantages=vantages,
         targets=world.targets(MONITOR_HOSTNAMES),
         config=config,
-        monitor=monitor,
     )
     return campaign.run()
 
 
 @pytest.fixture(scope="module")
 def monitored_run():
-    """One live-monitored campaign shared by the equivalence tests."""
+    """One campaign's records fed to a monitor in arrival order, record by
+    record as the campaign stored them, shared by the equivalence tests."""
+    store = _run_campaign(seed=5)
     monitor = Monitor(default_policy())
-    store = _run_campaign(seed=5, monitor=monitor)
+    monitor.replay(store.records)
     monitor.finalize()
     return store, monitor
 
@@ -422,16 +420,11 @@ class TestScoreboard:
 
 
 # ---------------------------------------------------------------------------
-# The engine: zero perturbation and streaming/batch equivalence
+# The engine: streaming/batch equivalence
 # ---------------------------------------------------------------------------
 
 
 class TestMonitorEquivalence:
-    def test_monitoring_does_not_perturb_measurements(self, monitored_run):
-        store, _ = monitored_run
-        bare = _run_campaign(seed=5)
-        assert bare.to_jsonl() == store.to_jsonl()
-
     def test_monitor_saw_every_record(self, monitored_run):
         store, monitor = monitored_run
         assert monitor.records_seen == len(store)

@@ -32,8 +32,8 @@ from repro.experiments.campaigns import (
     EC2_VANTAGE_NAMES,
     ec2_campaign_config,
     run_campaign_parallel,
-    run_fault_study_parallel,
-    run_study_parallel,
+    run_fault_study,
+    run_study,
 )
 from repro.experiments.world import build_world
 from repro.parallel import ParallelRun
@@ -146,8 +146,8 @@ def test_study_parallel_byte_identical():
         world_seed=3, home_rounds=1, ec2_rounds=1, target_hostnames=MINI,
         collect_spans=True, collect_metrics=True,
     )
-    serial = run_study_parallel(workers=1, **kwargs)
-    pooled = run_study_parallel(workers=3, **kwargs)
+    serial = run_study(workers=1, **kwargs)
+    pooled = run_study(workers=3, **kwargs)
     assert _artifacts(serial) == _artifacts(pooled)
     # Both campaigns landed in the one merged store.
     assert {r.campaign for r in serial.store} == {"home-chicago", "ec2-global"}
@@ -155,10 +155,10 @@ def test_study_parallel_byte_identical():
 
 @pytest.mark.slow
 def test_fault_study_parallel_byte_identical():
-    serial, serial_plan = run_fault_study_parallel(
+    serial, serial_plan = run_fault_study(
         world_seed=9, rounds=2, workers=1, target_hostnames=MINI
     )
-    pooled, pooled_plan = run_fault_study_parallel(
+    pooled, pooled_plan = run_fault_study(
         world_seed=9, rounds=2, workers=2, target_hostnames=MINI
     )
     assert serial_plan.to_json() == pooled_plan.to_json()

@@ -4,14 +4,10 @@ import json
 
 import pytest
 
-from repro.core.platform import build_campaign, load_spec, parse_spec, run_spec, select_targets
+from repro.catalog.resolvers import CATALOG
+from repro.core.platform import load_spec, parse_spec, run_spec, select_targets
+from repro.core.scheduler import MS_PER_HOUR
 from repro.errors import CampaignConfigError
-from tests.conftest import make_mini_world
-
-
-@pytest.fixture(scope="module")
-def world():
-    return make_mini_world(seed=88)
 
 
 class TestSpecParsing:
@@ -52,45 +48,79 @@ class TestSpecParsing:
         with pytest.raises(CampaignConfigError):
             load_spec(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # A bare string was split into its characters: ten one-letter
+            # domains, or vantages named "e", "c", "2", ...
+            ("domains", "google.com", "'domains' must be a non-empty list of names"),
+            ("vantages", "ec2-ohio", "'vantages' must be a non-empty list of names"),
+            ("vantages", [], "'vantages' must be a non-empty list of names"),
+            ("domains", ["google.com", 7], "'domains' must be a non-empty list of names"),
+            # bool("false") is True.
+            ("ping", "false", "'ping' must be true or false"),
+            ("reuse_connections", 1, "'reuse_connections' must be true or false"),
+            # int(2.7) is 2.
+            ("rounds", 2.7, "'rounds' must be an integer"),
+            ("seed", True, "'seed' must be an integer"),
+            ("interval_hours", "8", "'interval_hours' must be a finite number"),
+            ("timeout_ms", float("nan"), "'timeout_ms' must be a finite number"),
+            # Every round at one instant: a burst, not a schedule.
+            ("interval_hours", 0, "interval_hours must be positive"),
+        ],
+    )
+    def test_wrong_shape_rejected_not_coerced(self, key, value, message):
+        with pytest.raises(CampaignConfigError, match=message):
+            parse_spec({"name": "t", key: value})
+
+    def test_normalized_spec_parses_to_itself(self):
+        normalized = parse_spec({"name": "t", "rounds": 2, "interval_hours": 1})
+        assert parse_spec(normalized) == normalized
+
 
 class TestTargetSelection:
-    def test_all(self, world):
-        assert len(select_targets(world, "all")) == len(world.catalog)
+    def test_all(self):
+        assert select_targets("all") == [entry.hostname for entry in CATALOG]
 
-    def test_explicit_list(self, world):
-        targets = select_targets(world, ["dns.google"])
-        assert [t.hostname for t in targets] == ["dns.google"]
+    def test_explicit_list(self):
+        assert select_targets(["dns.google"]) == ["dns.google"]
 
-    def test_unknown_hostname_rejected(self, world):
+    def test_unknown_hostname_rejected(self):
+        with pytest.raises(CampaignConfigError, match="^unknown resolvers: bogus.example$"):
+            select_targets(["dns.google", "bogus.example"])
+
+    def test_bare_string_rejected(self):
         with pytest.raises(CampaignConfigError):
-            select_targets(world, ["dns.google", "bogus.example"])
+            select_targets("dns.google")
 
-    def test_region_filter(self, world):
-        targets = select_targets(world, {"region": "EU"})
+    def test_region_filter(self):
+        targets = select_targets({"region": "EU"})
         assert targets
-        assert all(t.region == "EU" for t in targets)
+        assert all(entry.region == "EU" for entry in CATALOG if entry.hostname in targets)
 
-    def test_mainstream_filter(self, world):
-        targets = select_targets(world, {"mainstream": True})
-        assert targets and all(t.mainstream for t in targets)
+    def test_mainstream_filter(self):
+        targets = select_targets({"mainstream": True})
+        assert targets == [entry.hostname for entry in CATALOG if entry.mainstream]
 
-    def test_combined_filter(self, world):
-        targets = select_targets(world, {"region": "AS", "anycast": True})
-        assert [t.hostname for t in targets] == ["dns.alidns.com"]
+    def test_combined_filter(self):
+        targets = select_targets({"region": "AS", "anycast": True})
+        assert targets == [
+            entry.hostname for entry in CATALOG if entry.region == "AS" and entry.anycast
+        ]
+        assert "dns.alidns.com" in targets
 
-    def test_empty_match_rejected(self, world):
+    def test_empty_match_rejected(self):
         with pytest.raises(CampaignConfigError):
-            select_targets(world, {"region": "AF"})
+            select_targets({"region": "AF"})
 
-    def test_garbage_selector_rejected(self, world):
+    def test_garbage_selector_rejected(self):
         with pytest.raises(CampaignConfigError):
-            select_targets(world, 42)
+            select_targets(42)
 
 
 class TestRunSpec:
-    def test_run_produces_records(self, world):
-        store = run_spec(
-            world,
+    def test_run_produces_records(self):
+        run = run_spec(
             {
                 "name": "spec-run",
                 "vantages": ["ec2-ohio"],
@@ -100,13 +130,14 @@ class TestRunSpec:
                 "stagger_minutes": 0,
             },
         )
+        # One shard: the identity plan.
+        assert len(run.shard_results) == 1
         # 2 rounds x 2 resolvers x (3 domains + ping).
-        assert len(store) == 16
-        assert {r.campaign for r in store} == {"spec-run"}
+        assert len(run.store) == 16
+        assert {r.campaign for r in run.store} == {"spec-run"}
 
-    def test_transport_spec(self, world):
+    def test_transport_spec(self):
         store = run_spec(
-            world,
             {
                 "name": "dot-spec",
                 "resolvers": ["dns.google"],
@@ -114,11 +145,24 @@ class TestRunSpec:
                 "rounds": 1,
                 "stagger_minutes": 0,
             },
-        )
+        ).store
         queries = store.filter(kind="dns_query")
         assert queries and all(r.transport == "dot" for r in queries)
 
-    def test_build_campaign_uses_current_time(self, world):
-        campaign = build_campaign(world, {"name": "later", "rounds": 1})
-        starts = campaign.config.schedule.round_starts()
-        assert starts[0] >= world.network.loop.now
+    def test_rounds_keep_the_spec_interval(self):
+        store = run_spec(
+            {"name": "cadence", "resolvers": ["dns.google"], "rounds": 3,
+             "interval_hours": 2, "stagger_minutes": 1, "ping": False},
+        ).store
+        first = {}
+        for record in store:
+            first[record.round_index] = min(
+                first.get(record.round_index, record.started_at_ms), record.started_at_ms
+            )
+        starts = [first[index] for index in sorted(first)]
+        for earlier, later in zip(starts, starts[1:]):
+            assert abs((later - earlier) - 2 * MS_PER_HOUR) <= 60_000.0
+
+    def test_same_spec_same_records(self):
+        spec = {"name": "again", "resolvers": ["dns.google"], "rounds": 1, "seed": 3}
+        assert run_spec(spec).store.to_jsonl() == run_spec(spec).store.to_jsonl()
