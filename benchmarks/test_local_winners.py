@@ -8,8 +8,6 @@ freedns.controld.com outperforms dns.google and dns.cloudflare.com."
 """
 
 from repro.analysis.response_times import local_winners, resolver_medians
-from repro.analysis.stats import median
-from repro.core.results import ResultStore
 from repro.experiments.campaigns import HOME_VANTAGE_NAMES
 from benchmarks.conftest import print_artifact
 
@@ -22,11 +20,8 @@ MAINSTREAM_CORE = (
 )
 
 
-def _pooled_home_median(store: ResultStore, resolver: str):
-    samples = []
-    for vantage in HOME_VANTAGE_NAMES:
-        samples.extend(store.durations_ms(kind="dns_query", vantage=vantage, resolver=resolver))
-    return median(samples) if samples else None
+def _pooled_home_median(store, resolver: str):
+    return resolver_medians(store, vantage=HOME_VANTAGE_NAMES).get(resolver)
 
 
 def test_he_net_beats_all_mainstream_from_home(benchmark, study_store):

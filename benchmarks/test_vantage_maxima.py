@@ -8,7 +8,6 @@ maxima than the local ones).
 """
 
 from repro.analysis.response_times import resolver_medians
-from repro.analysis.stats import median
 from repro.catalog.resolvers import entries_by_region
 from repro.experiments.campaigns import HOME_VANTAGE_NAMES
 from benchmarks.conftest import print_artifact
@@ -22,17 +21,11 @@ def test_vantage_maxima(benchmark, study_store):
     def compute():
         maxima = {}
         # Home + Ohio: NA resolvers (Figure 1 scope).
-        home = {}
-        for hostname in na_hostnames:
-            samples = []
-            for vantage in HOME_VANTAGE_NAMES:
-                samples.extend(
-                    study_store.durations_ms(
-                        kind="dns_query", vantage=vantage, resolver=hostname
-                    )
-                )
-            if samples:
-                home[hostname] = median(samples)
+        home = {
+            k: v
+            for k, v in resolver_medians(study_store, vantage=HOME_VANTAGE_NAMES).items()
+            if k in na_hostnames
+        }
         maxima["home"] = max(home.items(), key=lambda kv: kv[1])
         ohio = {
             k: v

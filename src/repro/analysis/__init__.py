@@ -1,109 +1,16 @@
 """Analysis of measurement results: the paper's §4 computations.
 
-Takes a :class:`~repro.core.results.ResultStore` and produces the paper's
-artifacts — availability counts and error breakdowns, per-resolver
-response-time distributions (the figures), median tables across vantage
-points (Tables 2 and 3), and the browser matrix (Table 1) — plus text
-renderers for all of them.
+Every function folds a run's records once into a
+:class:`~repro.analysis.table.RecordTable` (or takes one already folded)
+and computes one of the paper's artifacts from it: availability counts and
+error breakdowns (:mod:`~repro.analysis.availability`), per-resolver
+response-time medians and vantage deltas
+(:mod:`~repro.analysis.response_times`), the figures' boxplot rows
+(:mod:`~repro.analysis.figures`), Tables 1-3 (:mod:`~repro.analysis.tables`),
+phase attribution (:mod:`~repro.analysis.phases`), the ping-vs-DNS
+relationship (:mod:`~repro.analysis.correlation`), drift across campaigns
+(:mod:`~repro.analysis.longitudinal`) and the session-policy matrix
+(:mod:`~repro.analysis.sessions`); :mod:`~repro.analysis.render` and
+:mod:`~repro.analysis.export` turn them into text and CSV.  Import names
+from their modules.
 """
-
-from repro.analysis.stats import BoxplotStats, median, quantile, summarize
-from repro.analysis.availability import (
-    AvailabilityReport,
-    availability_report,
-    per_resolver_availability,
-    unresponsive_resolvers,
-)
-from repro.analysis.response_times import (
-    VantageDelta,
-    largest_vantage_deltas,
-    local_winners,
-    max_median_by_vantage,
-    ping_durations,
-    query_durations,
-    resolver_median,
-    resolver_medians,
-)
-from repro.analysis.figures import FigureRow, figure_rows, paper_figure
-from repro.analysis.phases import (
-    PhaseBreakdown,
-    PhaseDelta,
-    error_phases,
-    phase_breakdown,
-    phase_breakdowns,
-    phase_deltas,
-    render_error_phases,
-    render_phase_delta_table,
-    render_phase_table,
-)
-from repro.analysis.tables import table1_rows, table2_rows, table3_rows
-from repro.analysis.render import render_boxplot_rows, render_table
-from repro.analysis.correlation import LatencyCorrelation, latency_correlation
-from repro.analysis.longitudinal import (
-    DriftReport,
-    drift_report,
-    drift_reports_over_time,
-)
-from repro.analysis.sessions import (
-    SessionCell,
-    WarmColdDelta,
-    ZeroRttAcceptance,
-    render_session_cells,
-    render_warm_cold_table,
-    render_zero_rtt_table,
-    session_cells,
-    session_report,
-    warm_cold_deltas,
-    zero_rtt_acceptance,
-)
-
-__all__ = [
-    "AvailabilityReport",
-    "BoxplotStats",
-    "DriftReport",
-    "FigureRow",
-    "LatencyCorrelation",
-    "drift_report",
-    "drift_reports_over_time",
-    "latency_correlation",
-    "PhaseBreakdown",
-    "PhaseDelta",
-    "SessionCell",
-    "VantageDelta",
-    "WarmColdDelta",
-    "ZeroRttAcceptance",
-    "availability_report",
-    "error_phases",
-    "phase_breakdown",
-    "phase_breakdowns",
-    "phase_deltas",
-    "render_error_phases",
-    "render_phase_delta_table",
-    "render_phase_table",
-    "render_session_cells",
-    "render_warm_cold_table",
-    "render_zero_rtt_table",
-    "session_cells",
-    "session_report",
-    "warm_cold_deltas",
-    "zero_rtt_acceptance",
-    "figure_rows",
-    "largest_vantage_deltas",
-    "local_winners",
-    "max_median_by_vantage",
-    "median",
-    "paper_figure",
-    "per_resolver_availability",
-    "ping_durations",
-    "quantile",
-    "query_durations",
-    "render_boxplot_rows",
-    "render_table",
-    "resolver_median",
-    "resolver_medians",
-    "summarize",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "unresponsive_resolvers",
-]

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.stats import median
+from repro.analysis.table import RecordTable, Source
 from repro.core.errors_taxonomy import ESTABLISHMENT_VALUES, ErrorClass
-from repro.core.results import RecordSource
 
 
 @dataclass
@@ -52,21 +52,19 @@ class AvailabilityReport:
         return "\n".join(lines)
 
 
-def availability_report(store: RecordSource, vantage: Optional[str] = None) -> AvailabilityReport:
+def availability_report(store: Source, vantage: Optional[str] = None) -> AvailabilityReport:
     """Compute the availability headline numbers over DNS query records."""
-    records = store.filter(kind="dns_query", vantage=vantage)
-    successes = sum(1 for r in records if r.success)
-    failures = [r for r in records if not r.success]
-    breakdown = Counter(r.error_class or "unknown" for r in failures)
+    cell = RecordTable.of(store).cell("dns_query", vantage=vantage)
+    breakdown = Counter(cell.errors)
     establishment = sum(
         count
         for error_class, count in breakdown.items()
         if error_class in ESTABLISHMENT_VALUES
     )
-    share = establishment / len(failures) if failures else 0.0
+    share = establishment / cell.failures if cell.failures else 0.0
     return AvailabilityReport(
-        successes=successes,
-        errors=len(failures),
+        successes=cell.successes,
+        errors=cell.failures,
         error_breakdown=breakdown,
         connection_establishment_share=share,
     )
@@ -107,7 +105,7 @@ class ResolverErrorProfile:
 
 
 def per_resolver_error_breakdown(
-    store: RecordSource, vantage: Optional[str] = None
+    store: Source, vantage: Optional[str] = None
 ) -> Dict[str, ResolverErrorProfile]:
     """Per-resolver, per-class error counts over DNS query records.
 
@@ -115,48 +113,47 @@ def per_resolver_error_breakdown(
     resolver, how many attempts failed and how the failures split across
     :class:`~repro.core.errors_taxonomy.ErrorClass` values.
     """
-    profiles: Dict[str, ResolverErrorProfile] = {}
-    for resolver, records in store.by_resolver(kind="dns_query", vantage=vantage).items():
-        failures = [r for r in records if not r.success]
-        profiles[resolver] = ResolverErrorProfile(
+    return {
+        resolver: ResolverErrorProfile(
             resolver=resolver,
-            attempts=len(records),
-            errors=len(failures),
-            breakdown=Counter(r.error_class or "unknown" for r in failures),
+            attempts=cell.count,
+            errors=cell.failures,
+            breakdown=Counter(cell.errors),
         )
-    return profiles
+        for resolver, cell in RecordTable.of(store).by_resolver(
+            "dns_query", vantage=vantage
+        ).items()
+    }
 
 
-def error_class_shares(store: RecordSource, vantage: Optional[str] = None) -> Dict[str, float]:
+def error_class_shares(store: Source, vantage: Optional[str] = None) -> Dict[str, float]:
     """Share of each error class among all failed DNS queries."""
-    failures = store.filter(kind="dns_query", vantage=vantage, success=False)
-    if not failures:
-        return {}
-    counts = Counter(r.error_class or "unknown" for r in failures)
-    total = sum(counts.values())
-    return {error_class: count / total for error_class, count in counts.items()}
+    cell = RecordTable.of(store).cell("dns_query", vantage=vantage)
+    return {
+        error_class: count / cell.failures
+        for error_class, count in cell.errors.items()
+    }
 
 
-def retry_burden(store: RecordSource, vantage: Optional[str] = None) -> float:
+def retry_burden(store: Source, vantage: Optional[str] = None) -> float:
     """Mean attempts per final DNS query record (1.0 = no retries needed)."""
-    records = store.filter(kind="dns_query", vantage=vantage)
-    if not records:
-        return 0.0
-    return sum(r.attempts for r in records) / len(records)
+    cell = RecordTable.of(store).cell("dns_query", vantage=vantage)
+    return cell.attempts_total / cell.count if cell.count else 0.0
 
 
 def per_resolver_availability(
-    store: RecordSource, vantage: Optional[str] = None
+    store: Source, vantage: Optional[str] = None
 ) -> Dict[str, float]:
     """Success rate of DNS queries per resolver."""
-    rates: Dict[str, float] = {}
-    for resolver, records in store.by_resolver(kind="dns_query", vantage=vantage).items():
-        successes = sum(1 for r in records if r.success)
-        rates[resolver] = successes / len(records) if records else 0.0
-    return rates
+    return {
+        resolver: cell.successes / cell.count
+        for resolver, cell in RecordTable.of(store).by_resolver(
+            "dns_query", vantage=vantage
+        ).items()
+    }
 
 
-def unresponsive_resolvers(store: RecordSource, vantage: Optional[str] = None) -> List[str]:
+def unresponsive_resolvers(store: Source, vantage: Optional[str] = None) -> List[str]:
     """Resolvers with zero successful responses from a vantage point.
 
     This is the paper's definition of "unresponsive from a given vantage
@@ -169,7 +166,7 @@ def unresponsive_resolvers(store: RecordSource, vantage: Optional[str] = None) -
     )
 
 
-def failure_pattern_consistency(store: RecordSource) -> float:
+def failure_pattern_consistency(store: Source) -> float:
     """How concentrated failures are in a fixed resolver subset, in [0, 1].
 
     For each round, collect the set of resolvers that had at least one
@@ -180,15 +177,11 @@ def failure_pattern_consistency(store: RecordSource) -> float:
     would push it toward 1).  Rounds with no failures are skipped.
     """
     failures_by_round: Dict[int, Set[str]] = {}
-    always_failed = {
-        resolver
-        for resolver, rate in per_resolver_availability(store).items()
-        if rate == 0.0
-    }
-    for record in store.filter(kind="dns_query", success=False):
-        if record.resolver in always_failed:
+    for resolver, cell in RecordTable.of(store).by_resolver("dns_query").items():
+        if not cell.successes:
             continue  # dead resolvers are a separate phenomenon
-        failures_by_round.setdefault(record.round_index, set()).add(record.resolver)
+        for round_index in cell.failed_rounds:
+            failures_by_round.setdefault(round_index, set()).add(resolver)
     rounds = [failures_by_round[k] for k in sorted(failures_by_round)]
     similarities = []
     for previous, current in zip(rounds, rounds[1:]):

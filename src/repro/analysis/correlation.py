@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.stats import median
-from repro.core.results import MeasurementRecord, RecordSource
+from repro.analysis.table import RecordTable, Source
 from repro.errors import AnalysisError
 
 
@@ -115,7 +115,7 @@ class LatencyCorrelation:
 
 
 def latency_correlation(
-    store: RecordSource, vantage: str, min_samples: int = 3
+    store: Source, vantage: str, min_samples: int = 3
 ) -> LatencyCorrelation:
     """Build the per-resolver (ping, DNS) correlation for one vantage point.
 
@@ -133,44 +133,30 @@ def latency_correlation(
 
 
 def latency_correlations_from_records(
-    records: Iterable[MeasurementRecord],
+    records: Source,
     vantages: Optional[Iterable[str]] = None,
     min_samples: int = 3,
 ) -> Dict[str, Union[LatencyCorrelation, AnalysisError]]:
-    """The correlation per vantage, in one pass over the records.
+    """The correlation per vantage, from one fold of the records.
 
-    Consumes any record iterable — :meth:`ResultStore.iter_jsonl`, a
-    warehouse scan — holding only per-(vantage, resolver) duration lists,
-    so memory is O(successful samples), never O(records).  Returns one
-    entry per vantage observed in the stream (or per requested vantage):
-    the correlation, or the :class:`AnalysisError` explaining why that
-    vantage has too little data.
+    Returns one entry per vantage observed in the records (or per
+    requested vantage): the correlation, or the :class:`AnalysisError`
+    explaining why that vantage has too little data.
     """
-    wanted = list(dict.fromkeys(vantages)) if vantages is not None else None
-    seen: set = set()
-    dns: Dict[Tuple[str, str], List[float]] = {}
-    pings: Dict[Tuple[str, str], List[float]] = {}
-    for record in records:
-        seen.add(record.vantage)
-        if not record.success or record.duration_ms is None:
-            continue
-        if wanted is not None and record.vantage not in wanted:
-            continue
-        key = (record.vantage, record.resolver)
-        if record.kind == "dns_query":
-            dns.setdefault(key, []).append(record.duration_ms)
-        elif record.kind == "ping":
-            pings.setdefault(key, []).append(record.duration_ms)
-
+    table = RecordTable.of(records)
+    if vantages is None:
+        vantages = sorted({key.vantage for key in table.groups})
     out: Dict[str, Union[LatencyCorrelation, AnalysisError]] = {}
-    for vantage in wanted if wanted is not None else sorted(seen):
+    for vantage in dict.fromkeys(vantages):
+        dns = table.by_resolver("dns_query", vantage=vantage)
+        pings = table.by_resolver("ping", vantage=vantage)
         correlation = LatencyCorrelation(vantage=vantage)
-        for resolver in sorted(r for v, r in dns if v == vantage):
-            ping_samples = pings.get((vantage, resolver), [])
+        for resolver in sorted(r for r, cell in dns.items() if cell.durations):
+            ping_samples = pings[resolver].durations if resolver in pings else ()
             if len(ping_samples) < min_samples:
                 continue
             correlation.pairs.append(
-                (resolver, median(ping_samples), median(dns[(vantage, resolver)]))
+                (resolver, median(ping_samples), median(dns[resolver].durations))
             )
         if len(correlation.pairs) < 3:
             out[vantage] = AnalysisError(

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import BoxplotStats, summarize_or_none
-from repro.analysis.response_times import ping_durations, query_durations
+from repro.analysis.table import Criterion, RecordTable, Source
 from repro.catalog.resolvers import REFERENCE_HOSTNAMES, entries_by_region
-from repro.core.results import ResultStore
 from repro.errors import AnalysisError
 
 
@@ -44,26 +43,30 @@ def region_panel_hostnames(region: str) -> List[str]:
 
 
 def figure_rows(
-    store: ResultStore,
-    vantage: str,
+    store: Source,
+    vantage: Criterion,
     hostnames: Sequence[str],
     mainstream_hostnames: Sequence[str] = (),
     sort_by_median: bool = True,
 ) -> List[FigureRow]:
-    """Build one figure panel's rows from the result store."""
+    """Build one figure panel's rows from the records.
+
+    ``vantage`` may name several vantages, whose samples are pooled into
+    the one panel.
+    """
+    table = RecordTable.of(store)
+    dns = table.by_resolver("dns_query", vantage=vantage)
+    pings = table.by_resolver("ping", vantage=vantage)
     mainstream = set(mainstream_hostnames)
-    rows = []
-    for hostname in hostnames:
-        dns_stats = summarize_or_none(query_durations(store, vantage=vantage, resolver=hostname))
-        ping_stats = summarize_or_none(ping_durations(store, vantage=vantage, resolver=hostname))
-        rows.append(
-            FigureRow(
-                resolver=hostname,
-                mainstream=hostname in mainstream,
-                dns_stats=dns_stats,
-                ping_stats=ping_stats,
-            )
+    rows = [
+        FigureRow(
+            resolver=hostname,
+            mainstream=hostname in mainstream,
+            dns_stats=summarize_or_none(dns[hostname].durations if hostname in dns else ()),
+            ping_stats=summarize_or_none(pings[hostname].durations if hostname in pings else ()),
         )
+        for hostname in hostnames
+    ]
     if sort_by_median:
         rows.sort(
             key=lambda row: row.dns_stats.median if row.dns_stats is not None else float("inf")
@@ -82,7 +85,7 @@ PAPER_FIGURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
 
 
 def paper_figure(
-    store: ResultStore,
+    store: Source,
     figure: str,
     mainstream_hostnames: Sequence[str],
     home_vantages: Sequence[str] = (),
@@ -95,39 +98,15 @@ def paper_figure(
     """
     if figure not in PAPER_FIGURES:
         raise AnalysisError(f"unknown figure {figure!r}; know {sorted(PAPER_FIGURES)}")
+    table = RecordTable.of(store)
     region, vantages = PAPER_FIGURES[figure]
     hostnames = region_panel_hostnames(region)
     panels: Dict[str, List[FigureRow]] = {}
     for vantage in vantages:
         if vantage.startswith("home") and home_vantages:
-            rows = _pooled_home_rows(store, list(home_vantages), hostnames, mainstream_hostnames)
-            panels["home-pooled"] = rows
-        else:
-            panels[vantage] = figure_rows(store, vantage, hostnames, mainstream_hostnames)
-    return panels
-
-
-def _pooled_home_rows(
-    store: ResultStore,
-    home_vantages: List[str],
-    hostnames: Sequence[str],
-    mainstream_hostnames: Sequence[str],
-) -> List[FigureRow]:
-    mainstream = set(mainstream_hostnames)
-    rows = []
-    for hostname in hostnames:
-        dns_samples: List[float] = []
-        ping_samples: List[float] = []
-        for vantage in home_vantages:
-            dns_samples.extend(query_durations(store, vantage=vantage, resolver=hostname))
-            ping_samples.extend(ping_durations(store, vantage=vantage, resolver=hostname))
-        rows.append(
-            FigureRow(
-                resolver=hostname,
-                mainstream=hostname in mainstream,
-                dns_stats=summarize_or_none(dns_samples),
-                ping_stats=summarize_or_none(ping_samples),
+            panels["home-pooled"] = figure_rows(
+                table, tuple(home_vantages), hostnames, mainstream_hostnames
             )
-        )
-    rows.sort(key=lambda row: row.dns_stats.median if row.dns_stats is not None else float("inf"))
-    return rows
+        else:
+            panels[vantage] = figure_rows(table, vantage, hostnames, mainstream_hostnames)
+    return panels

@@ -10,10 +10,10 @@ a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.analysis.stats import median
-from repro.core.results import MeasurementRecord, RecordSource
+from repro.analysis.table import RecordTable, Source
 from repro.errors import AnalysisError
 
 
@@ -133,93 +133,58 @@ class DriftReport:
         return "\n".join(lines)
 
 
-class _CampaignTallies:
-    """One pass over a record stream: all that drift analysis keeps.
+def _drift_reports(
+    table: RecordTable,
+    base: str,
+    laters: Sequence[str],
+    vantage: Optional[str],
+    latency_factor: float,
+    availability_drop: float,
+) -> List[DriftReport]:
+    """Each of ``laters`` against ``base``, over the resolvers both measured.
 
-    Per-(campaign, resolver) duration lists and success counters — never
-    the records themselves — plus each campaign's first start time over
-    *all* records.  Medians are over successful DNS durations and
-    availability over all DNS query records, each restricted to
-    ``vantage`` when given.
+    Medians are over successful DNS durations and availability over all
+    DNS query records, each restricted to ``vantage`` when given.
     """
 
-    def __init__(
-        self, records: Iterable[MeasurementRecord], vantage: Optional[str] = None
-    ) -> None:
-        self.first_seen: Dict[str, float] = {}
-        self.durations: Dict[Tuple[str, str], List[float]] = {}
-        self.query_counts: Dict[Tuple[str, str], List[int]] = {}  # [successes, total]
-        first_seen = self.first_seen
-        for record in records:
-            campaign = record.campaign
-            if campaign not in first_seen or record.started_at_ms < first_seen[campaign]:
-                first_seen[campaign] = record.started_at_ms
-            if record.kind != "dns_query":
+    def cells(campaign: str):
+        return table.by_resolver("dns_query", campaign=campaign, vantage=vantage)
+
+    base_cells = cells(base)
+    reports = []
+    for later in laters:
+        later_cells = cells(later)
+        report = DriftReport(
+            base_campaign=base,
+            later_campaign=later,
+            latency_factor=latency_factor,
+            availability_drop=availability_drop,
+        )
+        for resolver in sorted(base_cells.keys() & later_cells.keys()):
+            base_cell, later_cell = base_cells[resolver], later_cells[resolver]
+            if not (base_cell.durations and later_cell.durations):
                 continue
-            if vantage is not None and record.vantage != vantage:
-                continue
-            key = (campaign, record.resolver)
-            counts = self.query_counts.setdefault(key, [0, 0])
-            counts[1] += 1
-            if record.success:
-                counts[0] += 1
-                if record.duration_ms is not None:
-                    self.durations.setdefault(key, []).append(record.duration_ms)
-
-    def ordered(self) -> List[str]:
-        """Campaign names by their first record's start time."""
-        return sorted(self.first_seen, key=self.first_seen.__getitem__)
-
-    def _medians(self, campaign: str) -> Dict[str, float]:
-        return {
-            resolver: median(samples)
-            for (c, resolver), samples in self.durations.items()
-            if c == campaign and samples
-        }
-
-    def _availability(self, campaign: str, resolver: str) -> float:
-        successes, total = self.query_counts.get((campaign, resolver), (0, 0))
-        return successes / total if total else 0.0
-
-    def reports(
-        self,
-        base: str,
-        laters: Sequence[str],
-        latency_factor: float,
-        availability_drop: float,
-    ) -> List[DriftReport]:
-        """Each of ``laters`` against ``base``, over the resolvers both measured."""
-        base_medians = self._medians(base)
-        reports = []
-        for later in laters:
-            later_medians = self._medians(later)
-            report = DriftReport(
-                base_campaign=base,
-                later_campaign=later,
-                latency_factor=latency_factor,
-                availability_drop=availability_drop,
-            )
-            for resolver in sorted(set(base_medians) & set(later_medians)):
-                report.per_resolver.append(
-                    ResolverDrift(
-                        resolver=resolver,
-                        base_median_ms=base_medians[resolver],
-                        later_median_ms=later_medians[resolver],
-                        base_availability=self._availability(base, resolver),
-                        later_availability=self._availability(later, resolver),
-                    )
+            report.per_resolver.append(
+                ResolverDrift(
+                    resolver=resolver,
+                    base_median_ms=median(base_cell.durations),
+                    later_median_ms=median(later_cell.durations),
+                    base_availability=base_cell.successes / base_cell.count,
+                    later_availability=later_cell.successes / later_cell.count,
                 )
-            reports.append(report)
-        return reports
+            )
+        reports.append(report)
+    return reports
 
 
-def campaigns_in_order(store: RecordSource) -> List[str]:
+def campaigns_in_order(store: Source) -> List[str]:
     """Campaign names ordered by their first record's start time."""
-    return _CampaignTallies(store).ordered()
+    starts = RecordTable.of(store).campaign_starts
+    return sorted(starts, key=starts.__getitem__)
 
 
 def drift_report(
-    store: RecordSource,
+    store: Source,
     base_campaign: str,
     later_campaign: str,
     vantage: Optional[str] = None,
@@ -232,18 +197,18 @@ def drift_report(
     basis for comparison).  Raises :class:`AnalysisError` when either
     campaign has no records at all.
     """
-    tallies = _CampaignTallies(store, vantage)
-    if base_campaign not in tallies.first_seen:
+    table = RecordTable.of(store)
+    if base_campaign not in table.campaign_starts:
         raise AnalysisError(f"no records for baseline campaign {base_campaign!r}")
-    if later_campaign not in tallies.first_seen:
+    if later_campaign not in table.campaign_starts:
         raise AnalysisError(f"no records for campaign {later_campaign!r}")
-    return tallies.reports(
-        base_campaign, [later_campaign], latency_factor, availability_drop
+    return _drift_reports(
+        table, base_campaign, [later_campaign], vantage, latency_factor, availability_drop
     )[0]
 
 
 def drift_reports_over_time(
-    store: RecordSource,
+    store: Source,
     vantage: Optional[str] = None,
     latency_factor: float = 2.0,
 ) -> List[DriftReport]:
@@ -254,18 +219,19 @@ def drift_reports_over_time(
 
 
 def drift_reports_from_records(
-    records: Iterable[MeasurementRecord],
+    records: Source,
     vantage: Optional[str] = None,
     latency_factor: float = 2.0,
     availability_drop: float = 0.2,
 ) -> List[DriftReport]:
-    """Every campaign after the first against the first, in one pass.
+    """Every campaign after the first against the first, from one fold.
 
-    Consumes any record iterable — a loaded store, a JSONL stream, a
-    warehouse scan — and orders campaigns by their first start time.
+    Campaigns are ordered by their first start time.
     """
-    tallies = _CampaignTallies(records, vantage)
-    ordered = tallies.ordered()
+    table = RecordTable.of(records)
+    ordered = campaigns_in_order(table)
     if len(ordered) < 2:
         raise AnalysisError("need at least two campaigns for drift analysis")
-    return tallies.reports(ordered[0], ordered[1:], latency_factor, availability_drop)
+    return _drift_reports(
+        table, ordered[0], ordered[1:], vantage, latency_factor, availability_drop
+    )

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.render import render_table
-from repro.analysis.stats import median
-from repro.core.results import MeasurementRecord, ResultStore
+from repro.analysis.render import fmt_ms, render_table
+from repro.analysis.stats import median, median_or_none
+from repro.analysis.table import Group, RecordTable, Source
 
 #: Order phases appear in tables.
 PHASE_FIELDS = ("connect_ms", "tls_ms", "query_ms")
@@ -58,57 +58,47 @@ class PhaseBreakdown:
         return self.establishment_ms / self.median_total_ms
 
 
-def _phase_records(
-    store: ResultStore, vantage: Optional[str], resolver: Optional[str]
-) -> List[MeasurementRecord]:
-    return store.filter(
-        kind="dns_query",
-        vantage=vantage,
+def _breakdown(
+    resolver: str, vantage: Optional[str], cell: Optional[Group]
+) -> Optional[PhaseBreakdown]:
+    if cell is None or not cell.durations:
+        return None
+    return PhaseBreakdown(
         resolver=resolver,
-        success=True,
-        predicate=lambda r: r.duration_ms is not None,
+        vantage=vantage or "(all)",
+        count=len(cell.durations),
+        median_total_ms=median(cell.durations),
+        median_connect_ms=median_or_none(cell.connect_ms),
+        median_tls_ms=median_or_none(cell.tls_ms),
+        median_query_ms=median_or_none(cell.query_ms),
     )
 
 
 def phase_breakdown(
-    store: ResultStore, resolver: str, vantage: Optional[str] = None
+    store: Source, resolver: str, vantage: Optional[str] = None
 ) -> Optional[PhaseBreakdown]:
     """Median phase timings for one resolver (optionally one vantage)."""
-    records = _phase_records(store, vantage, resolver)
-    if not records:
-        return None
-
-    def field_median(name: str) -> Optional[float]:
-        values = [getattr(r, name) for r in records if getattr(r, name) is not None]
-        return median(values) if values else None
-
-    return PhaseBreakdown(
-        resolver=resolver,
-        vantage=vantage or "(all)",
-        count=len(records),
-        median_total_ms=median([r.duration_ms for r in records]),
-        median_connect_ms=field_median("connect_ms"),
-        median_tls_ms=field_median("tls_ms"),
-        median_query_ms=field_median("query_ms"),
-    )
+    cell = RecordTable.of(store).cell("dns_query", vantage=vantage, resolver=resolver)
+    return _breakdown(resolver, vantage, cell)
 
 
 def phase_breakdowns(
-    store: ResultStore,
+    store: Source,
     vantages: Optional[Sequence[str]] = None,
     resolvers: Optional[Iterable[str]] = None,
 ) -> List[PhaseBreakdown]:
     """One breakdown per (vantage, resolver) pair with successful data."""
+    table = RecordTable.of(store)
     if vantages is None:
-        vantages = sorted({r.vantage for r in store.filter(kind="dns_query")})
+        vantages = sorted({key.vantage for key, _group in table.select("dns_query")})
     wanted = set(resolvers) if resolvers is not None else None
     out: List[PhaseBreakdown] = []
     for vantage in vantages:
-        seen = sorted({r.resolver for r in store.filter(kind="dns_query", vantage=vantage)})
-        for resolver in seen:
+        cells = table.by_resolver("dns_query", vantage=vantage)
+        for resolver in sorted(cells):
             if wanted is not None and resolver not in wanted:
                 continue
-            breakdown = phase_breakdown(store, resolver, vantage)
+            breakdown = _breakdown(resolver, vantage, cells[resolver])
             if breakdown is not None:
                 out.append(breakdown)
     return out
@@ -139,16 +129,19 @@ class PhaseDelta:
 
 
 def phase_deltas(
-    store: ResultStore,
+    store: Source,
     resolvers: Iterable[str],
     near_vantage: str,
     far_vantage: str,
 ) -> List[PhaseDelta]:
     """Per-resolver far-vs-near phase attribution, largest gap first."""
+    table = RecordTable.of(store)
+    near_cells = table.by_resolver("dns_query", vantage=near_vantage)
+    far_cells = table.by_resolver("dns_query", vantage=far_vantage)
     deltas = []
     for resolver in resolvers:
-        near = phase_breakdown(store, resolver, near_vantage)
-        far = phase_breakdown(store, resolver, far_vantage)
+        near = _breakdown(resolver, near_vantage, near_cells.get(resolver))
+        far = _breakdown(resolver, far_vantage, far_cells.get(resolver))
         if near is None or far is None:
             continue
         deltas.append(PhaseDelta(resolver=resolver, near=near, far=far))
@@ -157,7 +150,7 @@ def phase_deltas(
 
 
 def error_phases(
-    store: ResultStore,
+    store: Source,
     vantage: Optional[str] = None,
     resolver: Optional[str] = None,
 ) -> Dict[str, int]:
@@ -167,20 +160,11 @@ def error_phases(
     ``"(unknown)"`` for failures recorded without phase data (e.g. loaded
     from pre-phase-tracking result files).
     """
-    counts: Dict[str, int] = {}
-    for record in store.filter(
-        kind="dns_query", vantage=vantage, resolver=resolver, success=False
-    ):
-        phase = record.failed_phase or "(unknown)"
-        counts[phase] = counts.get(phase, 0) + 1
-    return dict(sorted(counts.items()))
+    cell = RecordTable.of(store).cell("dns_query", vantage=vantage, resolver=resolver)
+    return dict(sorted(cell.failed_phases.items()))
 
 
 # -- rendering ---------------------------------------------------------------
-
-
-def _fmt(value: Optional[float]) -> str:
-    return f"{value:.1f}" if value is not None else "—"
 
 
 def render_phase_table(breakdowns: Sequence[PhaseBreakdown]) -> str:
@@ -194,10 +178,10 @@ def render_phase_table(breakdowns: Sequence[PhaseBreakdown]) -> str:
             b.vantage,
             b.resolver,
             str(b.count),
-            _fmt(b.median_total_ms),
-            _fmt(b.median_connect_ms),
-            _fmt(b.median_tls_ms),
-            _fmt(b.median_query_ms),
+            fmt_ms(b.median_total_ms),
+            fmt_ms(b.median_connect_ms),
+            fmt_ms(b.median_tls_ms),
+            fmt_ms(b.median_query_ms),
             f"{100.0 * b.establishment_share:.0f}%",
         )
         for b in breakdowns
@@ -216,10 +200,10 @@ def render_phase_delta_table(
     rows = [
         (
             d.resolver,
-            _fmt(d.near.median_total_ms),
-            _fmt(d.far.median_total_ms),
-            _fmt(d.added_total_ms),
-            _fmt(d.added_establishment_ms),
+            fmt_ms(d.near.median_total_ms),
+            fmt_ms(d.far.median_total_ms),
+            fmt_ms(d.added_total_ms),
+            fmt_ms(d.added_establishment_ms),
             f"{100.0 * d.establishment_share_of_added:.0f}%",
         )
         for d in deltas

@@ -27,6 +27,11 @@ def render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def fmt_ms(value: Optional[float]) -> str:
+    """A millisecond cell: one decimal, or an em dash for no value."""
+    return f"{value:.1f}" if value is not None else "—"
+
+
 def _bar(
     low: float, q1: float, med: float, q3: float, high: float,
     scale_max: float, width: int,

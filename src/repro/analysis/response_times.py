@@ -15,60 +15,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import median
-from repro.core.results import RecordSource
-
-# Every function here takes any RecordSource — the in-memory ResultStore
-# or an on-disk repro.store.Warehouse — since only the protocol surface
-# (filter / durations_ms / by_resolver) is used.
+from repro.analysis.stats import median, median_or_none, quantile
+from repro.analysis.table import Criterion, RecordTable, Source
 
 
 def query_durations(
-    store: RecordSource, vantage: Optional[str] = None, resolver: Optional[str] = None
+    store: Source, vantage: Optional[str] = None, resolver: Optional[str] = None
 ) -> List[float]:
-    """Successful DNS query durations (ms) matching the criteria."""
-    return store.durations_ms(kind="dns_query", vantage=vantage, resolver=resolver)
+    """Successful DNS query durations (ms) matching the criteria.
+
+    In record order within each group of the table, one group after
+    another; every consumer sorts them.
+    """
+    table = RecordTable.of(store)
+    return list(table.cell("dns_query", vantage=vantage, resolver=resolver).durations)
 
 
 def ping_durations(
-    store: RecordSource, vantage: Optional[str] = None, resolver: Optional[str] = None
+    store: Source, vantage: Optional[str] = None, resolver: Optional[str] = None
 ) -> List[float]:
-    """Successful ping RTTs (ms) matching the criteria."""
-    return store.durations_ms(kind="ping", vantage=vantage, resolver=resolver)
+    """Successful ping RTTs (ms) matching the criteria, ordered as above."""
+    return list(RecordTable.of(store).cell("ping", vantage=vantage, resolver=resolver).durations)
 
 
-def resolver_median(store: RecordSource, resolver: str, vantage: Optional[str] = None) -> Optional[float]:
+def resolver_median(store: Source, resolver: str, vantage: Optional[str] = None) -> Optional[float]:
     """Median successful response time, or None with no successes."""
-    durations = query_durations(store, vantage=vantage, resolver=resolver)
-    return median(durations) if durations else None
+    return median_or_none(query_durations(store, vantage=vantage, resolver=resolver))
 
 
 def resolver_medians(
-    store: RecordSource,
-    vantage: Optional[str] = None,
+    store: Source,
+    vantage: Criterion = None,
     resolvers: Optional[Iterable[str]] = None,
 ) -> Dict[str, float]:
-    """Median response time per resolver (resolvers with data only)."""
+    """Median response time per resolver (resolvers with data only).
+
+    ``vantage`` may name several vantages, whose samples are pooled (the
+    paper's "U.S. Home Networks" panel).  Resolvers come in the order of
+    their first successful query.
+    """
     wanted = set(resolvers) if resolvers is not None else None
-    out: Dict[str, float] = {}
-    for resolver, records in store.by_resolver(kind="dns_query", vantage=vantage, success=True).items():
-        if wanted is not None and resolver not in wanted:
-            continue
-        durations = [r.duration_ms for r in records if r.duration_ms is not None]
-        if durations:
-            out[resolver] = median(durations)
-    return out
+    cells = RecordTable.of(store).by_resolver("dns_query", vantage=vantage)
+    answered = sorted(
+        (cell.first_success, resolver)
+        for resolver, cell in cells.items()
+        if cell.first_success is not None
+    )
+    return {
+        resolver: median(cells[resolver].durations)
+        for _first, resolver in answered
+        if cells[resolver].durations and (wanted is None or resolver in wanted)
+    }
 
 
-def max_median_by_vantage(store: RecordSource, vantages: Sequence[str]) -> Dict[str, Tuple[str, float]]:
+def max_median_by_vantage(store: Source, vantages: Sequence[str]) -> Dict[str, Tuple[str, float]]:
     """Per vantage point: the resolver with the highest median and its value.
 
     Reproduces the paper's "maximum response time from a resolver was X ms"
     statements (which are maxima over per-resolver medians).
     """
+    table = RecordTable.of(store)
     out: Dict[str, Tuple[str, float]] = {}
     for vantage in vantages:
-        medians = resolver_medians(store, vantage=vantage)
+        medians = resolver_medians(table, vantage=vantage)
         if medians:
             worst = max(medians.items(), key=lambda item: item[1])
             out[vantage] = worst
@@ -95,7 +104,7 @@ class VantageDelta:
 
 
 def largest_vantage_deltas(
-    store: RecordSource,
+    store: Source,
     resolvers: Iterable[str],
     near_vantage: str,
     far_vantage: str,
@@ -107,8 +116,9 @@ def largest_vantage_deltas(
     region, compare their medians from the local vantage point against a
     remote one, and report the biggest gaps.
     """
-    near = resolver_medians(store, vantage=near_vantage, resolvers=resolvers)
-    far = resolver_medians(store, vantage=far_vantage, resolvers=resolvers)
+    table = RecordTable.of(store)
+    near = resolver_medians(table, vantage=near_vantage, resolvers=resolvers)
+    far = resolver_medians(table, vantage=far_vantage, resolvers=resolvers)
     deltas = [
         VantageDelta(
             resolver=resolver,
@@ -135,7 +145,7 @@ class LocalWinner:
 
 
 def local_winners(
-    store: RecordSource,
+    store: Source,
     vantage: str,
     candidates: Iterable[str],
     mainstream: Iterable[str],
@@ -165,11 +175,9 @@ def local_winners(
     return winners
 
 
-def variability(store: RecordSource, resolver: str, vantage: Optional[str] = None) -> Optional[float]:
+def variability(store: Source, resolver: str, vantage: Optional[str] = None) -> Optional[float]:
     """IQR of a resolver's response times (the paper's variability notion)."""
     durations = query_durations(store, vantage=vantage, resolver=resolver)
     if len(durations) < 4:
         return None
-    from repro.analysis.stats import quantile
-
     return quantile(durations, 0.75) - quantile(durations, 0.25)

@@ -20,19 +20,22 @@ after:
   1-RTT resumed handshake after an (anti-replay) rejection.
 
 All functions take a mapping of policy name → records, where the records
-may come from a :class:`~repro.core.results.ResultStore`, a
+may come from a :class:`~repro.analysis.table.RecordTable`, a
+:class:`~repro.core.results.ResultStore`, a
 :class:`~repro.parallel.runner.ParallelRun` (RAM store or warehouse), or
-any iterable of :class:`~repro.core.results.MeasurementRecord`.
+any iterable of :class:`~repro.core.results.MeasurementRecord`; each is
+folded once by :meth:`~repro.analysis.table.RecordTable.of`.  A record
+without a session state (no policy) counts as cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.analysis.render import render_table
-from repro.analysis.stats import median, quantile
-from repro.core.results import MeasurementRecord
+from repro.analysis.render import fmt_ms, render_table
+from repro.analysis.stats import median, median_or_none, quantile
+from repro.analysis.table import Group, GroupKey, RecordTable, Source, merge
 from repro.session import SESSION_STATES, WARM_STATES
 from repro.transports import SESSION_TRANSPORTS
 
@@ -40,34 +43,11 @@ from repro.transports import SESSION_TRANSPORTS
 SESSION_TABLE_TRANSPORTS: Tuple[str, ...] = SESSION_TRANSPORTS
 
 
-def iter_run_records(source: Any) -> Iterable[MeasurementRecord]:
-    """Records from a ParallelRun, ResultStore, warehouse, or iterable.
-
-    Duck-typed so analysis works identically on in-RAM runs and runs
-    that streamed to a warehouse (byte-identical by construction).
-    """
-    warehouse = getattr(source, "warehouse", None)
-    if warehouse is not None:
-        return warehouse.iter_records()
-    store = getattr(source, "store", None)
-    if store is not None:
-        return iter(store)
-    if hasattr(source, "iter_records"):
-        return source.iter_records()
-    return iter(source)
-
-
-def record_session_state(record: MeasurementRecord) -> str:
-    """The record's session state, with ``None`` (no policy) read as cold."""
-    return record.session_state or "cold"
-
-
-def _query_records(source: Any) -> List[MeasurementRecord]:
-    return [
-        r
-        for r in iter_run_records(source)
-        if r.kind == "dns_query" and r.success and r.duration_ms is not None
-    ]
+def _answered(source: Source) -> Iterator[Tuple[str, GroupKey, Group]]:
+    """(session state, key, group) of every DNS query group with a timed answer."""
+    for key, group in RecordTable.of(source).select("dns_query"):
+        if group.durations:
+            yield key.session_state or "cold", key, group
 
 
 # -- per-cell state breakdown ------------------------------------------------
@@ -109,7 +89,7 @@ class SessionCell:
 
 
 def session_cells(
-    records_by_policy: Mapping[str, Any],
+    records_by_policy: Mapping[str, Source],
     per_vantage: bool = False,
 ) -> List[SessionCell]:
     """One :class:`SessionCell` per policy × transport (× vantage).
@@ -119,33 +99,25 @@ def session_cells(
     """
     cells: List[SessionCell] = []
     for policy, source in records_by_policy.items():
-        records = _query_records(source)
-        groups: Dict[Tuple[str, str], List[MeasurementRecord]] = {}
-        for record in records:
-            vantage = record.vantage if per_vantage else "(all)"
-            groups.setdefault((record.transport, vantage), []).append(record)
-        for (transport, vantage) in sorted(groups):
-            members = groups[(transport, vantage)]
+        members: Dict[Tuple[str, str], List[Tuple[str, Group]]] = {}
+        for state, key, group in _answered(source):
+            vantage = key.vantage if per_vantage else "(all)"
+            members.setdefault((key.transport, vantage), []).append((state, group))
+        for (transport, vantage) in sorted(members):
             counts = {state: 0 for state in SESSION_STATES}
-            for record in members:
-                counts[record_session_state(record)] += 1
-
-            def field_median(name: str) -> Optional[float]:
-                values = [
-                    getattr(r, name) for r in members if getattr(r, name) is not None
-                ]
-                return median(values) if values else None
-
+            for state, group in members[(transport, vantage)]:
+                counts[state] = counts.get(state, 0) + len(group.durations)
+            cell = merge(group for _state, group in members[(transport, vantage)])
             cells.append(
                 SessionCell(
                     policy=policy,
                     transport=transport,
                     vantage=vantage,
-                    count=len(members),
+                    count=len(cell.durations),
                     state_counts=counts,
-                    median_total_ms=median([r.duration_ms for r in members]),
-                    median_connect_ms=field_median("connect_ms"),
-                    median_tls_ms=field_median("tls_ms"),
+                    median_total_ms=median(cell.durations),
+                    median_connect_ms=median_or_none(cell.connect_ms),
+                    median_tls_ms=median_or_none(cell.tls_ms),
                 )
             )
     return cells
@@ -184,7 +156,7 @@ class WarmColdDelta:
         return delta is not None and delta < 0
 
 
-def warm_cold_deltas(records_by_policy: Mapping[str, Any]) -> List[WarmColdDelta]:
+def warm_cold_deltas(records_by_policy: Mapping[str, Source]) -> List[WarmColdDelta]:
     """Per policy × transport warm-vs-cold p95, skipping all-cold runs.
 
     Runs without a single warm-state record (e.g. the ``cold`` baseline
@@ -192,23 +164,17 @@ def warm_cold_deltas(records_by_policy: Mapping[str, Any]) -> List[WarmColdDelta
     """
     deltas: List[WarmColdDelta] = []
     for policy, source in records_by_policy.items():
-        by_transport: Dict[str, List[MeasurementRecord]] = {}
-        for record in _query_records(source):
-            by_transport.setdefault(record.transport, []).append(record)
+        by_transport: Dict[str, Tuple[List[float], List[float]]] = {}
+        for state, key, group in _answered(source):
+            warm, cold = by_transport.setdefault(key.transport, ([], []))
+            if state in WARM_STATES:
+                warm.extend(group.durations)
+            elif state == "cold":
+                cold.extend(group.durations)
         for transport in sorted(by_transport):
-            members = by_transport[transport]
-            warm = [
-                r.duration_ms
-                for r in members
-                if record_session_state(r) in WARM_STATES
-            ]
+            warm, cold = by_transport[transport]
             if not warm:
                 continue
-            cold = [
-                r.duration_ms
-                for r in members
-                if record_session_state(r) == "cold"
-            ]
             deltas.append(
                 WarmColdDelta(
                     policy=policy,
@@ -246,7 +212,7 @@ class ZeroRttAcceptance:
 
 
 def zero_rtt_acceptance(
-    records_by_policy: Mapping[str, Any],
+    records_by_policy: Mapping[str, Source],
 ) -> List[ZeroRttAcceptance]:
     """Acceptance rates for every policy run that attempted early data.
 
@@ -259,12 +225,14 @@ def zero_rtt_acceptance(
     for policy, source in records_by_policy.items():
         accepted: Dict[str, int] = {}
         fallback: Dict[str, int] = {}
-        for record in _query_records(source):
-            state = record_session_state(record)
+        for state, key, group in _answered(source):
             if state == "zero_rtt":
-                accepted[record.transport] = accepted.get(record.transport, 0) + 1
+                counts = accepted
             elif state == "resumed":
-                fallback[record.transport] = fallback.get(record.transport, 0) + 1
+                counts = fallback
+            else:
+                continue
+            counts[key.transport] = counts.get(key.transport, 0) + len(group.durations)
         if not accepted:
             continue
         for transport in sorted(set(accepted) | set(fallback)):
@@ -280,10 +248,6 @@ def zero_rtt_acceptance(
 
 
 # -- rendering ---------------------------------------------------------------
-
-
-def _fmt(value: Optional[float]) -> str:
-    return f"{value:.1f}" if value is not None else "—"
 
 
 def render_session_cells(cells: Iterable[SessionCell]) -> str:
@@ -303,8 +267,8 @@ def render_session_cells(cells: Iterable[SessionCell]) -> str:
             str(c.state_counts.get("warm", 0)),
             str(c.state_counts.get("resumed", 0)),
             str(c.state_counts.get("zero_rtt", 0)),
-            _fmt(c.median_total_ms),
-            _fmt(c.establishment_ms),
+            fmt_ms(c.median_total_ms),
+            fmt_ms(c.establishment_ms),
             f"{100.0 * c.establishment_share:.0f}%",
             f"{100.0 * c.warm_share:.0f}%",
         )
@@ -325,9 +289,9 @@ def render_warm_cold_table(deltas: Iterable[WarmColdDelta]) -> str:
             d.transport,
             str(d.cold_count),
             str(d.warm_count),
-            _fmt(d.cold_p95_ms),
-            _fmt(d.warm_p95_ms),
-            _fmt(d.delta_ms),
+            fmt_ms(d.cold_p95_ms),
+            fmt_ms(d.warm_p95_ms),
+            fmt_ms(d.delta_ms),
         )
         for d in deltas
     ]
@@ -356,10 +320,13 @@ def render_zero_rtt_table(rows: Iterable[ZeroRttAcceptance]) -> str:
 
 
 def session_report(
-    records_by_policy: Mapping[str, Any],
+    records_by_policy: Mapping[str, Source],
     per_vantage: bool = False,
 ) -> str:
     """The full session study report: cells, warm-vs-cold p95, 0-RTT rates."""
+    records_by_policy = {
+        policy: RecordTable.of(source) for policy, source in records_by_policy.items()
+    }
     sections = [
         "## Session scenario matrix",
         render_session_cells(session_cells(records_by_policy, per_vantage)),
@@ -380,8 +347,6 @@ __all__ = [
     "SessionCell",
     "WarmColdDelta",
     "ZeroRttAcceptance",
-    "iter_run_records",
-    "record_session_state",
     "render_session_cells",
     "render_warm_cold_table",
     "render_zero_rtt_table",

@@ -40,6 +40,11 @@ def median(values: Sequence[float]) -> float:
     return quantile(values, 0.5)
 
 
+def median_or_none(values: Sequence[float]) -> Optional[float]:
+    """:func:`median`, returning None for an empty sample."""
+    return median(values) if values else None
+
+
 @dataclass(frozen=True)
 class BoxplotStats:
     """Five-number summary with Tukey whiskers (1.5 × IQR)."""

@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.analysis.response_times import VantageDelta, largest_vantage_deltas
+from repro.analysis.table import Source
 from repro.catalog.browsers import BROWSER_MATRIX, PROVIDERS
 from repro.catalog.resolvers import entries_by_region
-from repro.core.results import RecordSource
 
 
 def table1_rows() -> Tuple[Tuple[str, ...], List[Tuple[str, ...]]]:
@@ -39,7 +39,7 @@ def _region_non_mainstream(region: str) -> List[str]:
 
 
 def table2_rows(
-    store: RecordSource,
+    store: Source,
     near_vantage: str = "ec2-seoul",
     far_vantage: str = "ec2-frankfurt",
     top_n: int = 5,
@@ -55,7 +55,7 @@ def table2_rows(
 
 
 def table3_rows(
-    store: RecordSource,
+    store: Source,
     near_vantage: str = "ec2-frankfurt",
     far_vantage: str = "ec2-seoul",
     top_n: int = 5,

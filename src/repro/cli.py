@@ -297,12 +297,15 @@ def _print_phase_tables(store: ResultStore, near: str = "ec2-frankfurt",
         render_error_phases,
         render_phase_delta_table,
     )
+    from repro.analysis.table import RecordTable
+
+    table = RecordTable.of(store)
 
     non_mainstream_unicast = [
         e.hostname for e in CATALOG
         if not e.mainstream and not e.anycast and e.region == "EU"
     ]
-    deltas = phase_deltas(store, non_mainstream_unicast, near, far)
+    deltas = phase_deltas(table, non_mainstream_unicast, near, far)
     if deltas:
         print(render_phase_delta_table(
             deltas,
@@ -310,7 +313,7 @@ def _print_phase_tables(store: ResultStore, near: str = "ec2-frankfurt",
                   f"{far} vs {near}",
         ))
         print()
-    errors = error_phases(store)
+    errors = error_phases(table)
     if errors:
         print(render_error_phases(errors))
         print()
@@ -320,19 +323,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.analysis.figures import paper_figure
     from repro.experiments.campaigns import HOME_VANTAGE_NAMES, run_study
 
-    if args.input and Path(args.input).is_dir():
-        from repro.store import Warehouse
-
-        store = Warehouse.open(args.input)
-    elif args.input:
-        store = ResultStore.load_jsonl(args.input)
+    if args.input:
+        records = _record_stream(args.input)
     else:
-        store = run_study(
+        records = run_study(
             world_seed=args.seed, home_rounds=args.rounds, ec2_rounds=args.rounds,
             shards=1,
         ).store
     panels = paper_figure(
-        store, args.figure, mainstream_hostnames(), home_vantages=HOME_VANTAGE_NAMES
+        records, args.figure, mainstream_hostnames(), home_vantages=HOME_VANTAGE_NAMES
     )
     for vantage, rows in panels.items():
         print(f"=== {args.figure} / {vantage} ===")
@@ -465,6 +464,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     that produced a warm path.
     """
     from repro.analysis.sessions import session_report, warm_cold_deltas
+    from repro.analysis.table import RecordTable
     from repro.experiments.campaigns import SESSION_STUDY_POLICIES, run_sessions_study
 
     runs = run_sessions_study(
@@ -481,7 +481,8 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     for name, run in runs.items():
         _status(f"{name}: {run.describe()}")
 
-    report = session_report(runs, per_vantage=args.per_vantage)
+    tables = {name: RecordTable.of(run) for name, run in runs.items()}
+    report = session_report(tables, per_vantage=args.per_vantage)
     if args.output:
         write_text(args.output, report + "\n")
         _status(f"wrote session report to {args.output}")
@@ -489,7 +490,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
 
     if not args.gate:
         return 0
-    deltas = warm_cold_deltas(runs)
+    deltas = warm_cold_deltas(tables)
     gated = tuple(args.gate_transport)
     failed = False
     for transport in gated:

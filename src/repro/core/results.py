@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import (
     Callable,
     ClassVar,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -285,17 +284,6 @@ class ResultStore:
             out.append(record)
         return out
 
-    def durations_ms(self, **criteria) -> List[float]:
-        """Durations of successful records matching the criteria."""
-        records = self.filter(success=True, **criteria)
-        return [r.duration_ms for r in records if r.duration_ms is not None]
-
-    def by_resolver(self, **criteria) -> Dict[str, List[MeasurementRecord]]:
-        grouped: Dict[str, List[MeasurementRecord]] = {}
-        for record in self.filter(**criteria):
-            grouped.setdefault(record.resolver, []).append(record)
-        return grouped
-
     # -- canonical ordering ---------------------------------------------------
 
     @staticmethod
@@ -361,12 +349,12 @@ class ResultStore:
 
 @runtime_checkable
 class RecordSource(Protocol):
-    """What analysis needs from a collection of measurement records.
+    """A collection of measurement records: iterable, sized, filterable.
 
     Implemented by :class:`ResultStore` (in-memory) and by
     :class:`repro.store.Warehouse` (on-disk, streaming with predicate
-    pushdown), so every table/figure builder accepts either
-    interchangeably.
+    pushdown).  Analysis reads either in one pass, through
+    :meth:`repro.analysis.table.RecordTable.of`.
     """
 
     def __iter__(self) -> Iterator[MeasurementRecord]: ...
@@ -382,7 +370,3 @@ class RecordSource(Protocol):
         success: Optional[bool] = None,
         predicate: Optional[Callable[[MeasurementRecord], bool]] = None,
     ) -> List[MeasurementRecord]: ...
-
-    def durations_ms(self, **criteria) -> List[float]: ...
-
-    def by_resolver(self, **criteria) -> Dict[str, List[MeasurementRecord]]: ...

@@ -9,7 +9,7 @@ these rows; EXPERIMENTS.md archives them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.availability import (
     availability_report,
@@ -18,11 +18,9 @@ from repro.analysis.availability import (
 )
 from repro.analysis.figures import paper_figure
 from repro.analysis.render import render_boxplot_rows, render_delta_table, render_table
-from repro.analysis.response_times import (
-    local_winners,
-    max_median_by_vantage,
-    resolver_medians,
-)
+from repro.analysis.response_times import local_winners, resolver_medians
+from repro.analysis.stats import median
+from repro.analysis.table import RecordTable
 from repro.analysis.tables import delta_table_as_text_rows, table1_rows, table2_rows, table3_rows
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import entries_by_region
@@ -112,15 +110,6 @@ class PaperReport:
         return render_table(header, rows) + "\n" + summary
 
 
-def _median_of_home(store: ResultStore, resolver: str, home_vantages: Sequence[str]) -> Optional[float]:
-    from repro.analysis.stats import median
-
-    samples: List[float] = []
-    for vantage in home_vantages:
-        samples.extend(store.durations_ms(kind="dns_query", vantage=vantage, resolver=resolver))
-    return median(samples) if samples else None
-
-
 def generate_report(
     store: Optional[ResultStore] = None,
     home_rounds: int = 12,
@@ -159,11 +148,15 @@ def generate_report(
             fault_store = faulted.store
             runs.append(faulted)
     report = PaperReport(store=store, fault_store=fault_store, runs=runs)
+    table = RecordTable.of(store)
     mainstream = mainstream_hostnames()
-    home_vantages = [v for v in HOME_VANTAGE_NAMES]
+    ec2_vantages = ("ec2-ohio", "ec2-frankfurt", "ec2-seoul")
+    ec2_medians = {vantage: resolver_medians(table, vantage=vantage) for vantage in ec2_vantages}
+    # The paper pools its home devices into one "U.S. Home Networks" series.
+    home_medians = resolver_medians(table, vantage=HOME_VANTAGE_NAMES)
 
     # -- availability -----------------------------------------------------------
-    availability = availability_report(store)
+    availability = availability_report(table)
     report.claims.append(
         ClaimResult(
             claim_id="AV-1",
@@ -184,7 +177,7 @@ def generate_report(
             holds=availability.connection_establishment_share > 0.5,
         )
     )
-    consistency = failure_pattern_consistency(store)
+    consistency = failure_pattern_consistency(table)
     report.claims.append(
         ClaimResult(
             claim_id="AV-3",
@@ -200,7 +193,8 @@ def generate_report(
     # connection-establishment classes dominating) emerges here from
     # injected outage/TLS/loss windows rather than steady-state flakiness.
     if fault_store is not None and len(fault_store) > 0:
-        fault_availability = availability_report(fault_store)
+        faults = RecordTable.of(fault_store)
+        fault_availability = availability_report(faults)
         report.claims.append(
             ClaimResult(
                 claim_id="FAULT-1",
@@ -221,7 +215,7 @@ def generate_report(
                 holds=fault_availability.connection_establishment_share > 0.5,
             )
         )
-        burden = retry_burden(fault_store)
+        burden = retry_burden(faults)
         report.claims.append(
             ClaimResult(
                 claim_id="FAULT-3",
@@ -233,26 +227,24 @@ def generate_report(
         )
 
     # -- mainstream vs non-mainstream ------------------------------------------------
-    for vantage in ("ec2-ohio", "ec2-frankfurt", "ec2-seoul"):
-        medians = resolver_medians(store, vantage=vantage)
+    for vantage in ec2_vantages:
+        medians = ec2_medians[vantage]
         main = [v for k, v in medians.items() if k in mainstream]
         non = [v for k, v in medians.items() if k not in mainstream]
         if main and non:
-            from repro.analysis.stats import median as med
-
             report.claims.append(
                 ClaimResult(
                     claim_id=f"MS-{vantage}",
                     description=f"mainstream median-of-medians beats non-mainstream ({vantage})",
                     paper_value="mainstream outperform from most vantage points",
-                    measured_value=f"mainstream {med(main):.0f} ms vs non-mainstream {med(non):.0f} ms",
-                    holds=med(main) < med(non),
+                    measured_value=f"mainstream {median(main):.0f} ms vs non-mainstream {median(non):.0f} ms",
+                    holds=median(main) < median(non),
                 )
             )
 
     # -- top-5 presence of the big three ----------------------------------------------
-    for vantage in ("ec2-ohio", "ec2-frankfurt", "ec2-seoul"):
-        medians = resolver_medians(store, vantage=vantage)
+    for vantage in ec2_vantages:
+        medians = ec2_medians[vantage]
         top5 = [name for name, _v in sorted(medians.items(), key=lambda kv: kv[1])[:5]]
         big = {"dns.quad9.net", "dns9.quad9.net", "dns10.quad9.net",
                "dns11.quad9.net", "dns12.quad9.net", "dns.google",
@@ -272,11 +264,11 @@ def generate_report(
     # -- local winners ---------------------------------------------------------------
     for winner, vantage_key, beaten in LOCAL_WINNER_CLAIMS:
         if vantage_key == "home":
-            winner_median = _median_of_home(store, winner, home_vantages)
+            winner_median = home_medians.get(winner)
             beaten_ok = True
             measured_bits = []
             for mainstream_host in beaten:
-                other = _median_of_home(store, mainstream_host, home_vantages)
+                other = home_medians.get(mainstream_host)
                 if winner_median is None or other is None or winner_median >= other:
                     beaten_ok = False
                 if winner_median is not None and other is not None:
@@ -296,7 +288,7 @@ def generate_report(
                 )
             )
         else:
-            winners = local_winners(store, vantage_key, [winner], list(beaten))
+            winners = local_winners(table, vantage_key, [winner], list(beaten))
             holds = bool(winners) and all(b in winners[0].beats for b in beaten)
             measured = (
                 f"median {winners[0].median_ms:.1f} ms, beats {', '.join(winners[0].beats)}"
@@ -318,57 +310,32 @@ def generate_report(
     # located in North America); the Frankfurt/Seoul maxima from the
     # cross-continent discussion (all resolvers).
     na_hostnames = {entry.hostname for entry in entries_by_region("NA")}
-
-    def _max_median(vantage: str, restrict_na: bool) -> Optional[Tuple[str, float]]:
-        medians = resolver_medians(store, vantage=vantage)
-        if restrict_na:
-            medians = {k: v for k, v in medians.items() if k in na_hostnames}
-        if not medians:
-            return None
-        return max(medians.items(), key=lambda item: item[1])
-
-    for vantage, paper_key, restrict_na in (
-        ("ec2-ohio", "max_median.ec2-ohio", True),
-        ("ec2-frankfurt", "max_median.ec2-frankfurt", False),
-        ("ec2-seoul", "max_median.ec2-seoul", False),
+    ohio = ec2_medians["ec2-ohio"]
+    for place, medians, paper_key in (
+        ("ec2-ohio (NA resolvers)", {k: v for k, v in ohio.items() if k in na_hostnames},
+         "ec2-ohio"),
+        ("ec2-frankfurt (all resolvers)", ec2_medians["ec2-frankfurt"], "ec2-frankfurt"),
+        ("ec2-seoul (all resolvers)", ec2_medians["ec2-seoul"], "ec2-seoul"),
+        # Figure 1 context again: NA resolvers, pooled home devices.
+        ("home devices (NA resolvers)",
+         {k: home_medians[k] for k in na_hostnames if k in home_medians}, "home"),
     ):
-        worst = _max_median(vantage, restrict_na)
-        if worst is not None:
-            worst_resolver, worst_value = worst
-            paper_max = PAPER_VALUES[paper_key]
-            scope = "NA resolvers" if restrict_na else "all resolvers"
+        if medians:
+            worst_resolver, worst_value = max(medians.items(), key=lambda item: item[1])
+            paper_max = PAPER_VALUES[f"max_median.{paper_key}"]
             report.claims.append(
                 ClaimResult(
-                    claim_id=f"X2-{vantage}",
-                    description=f"max per-resolver median from {vantage} ({scope})",
+                    claim_id=f"X2-{paper_key}",
+                    description=f"max per-resolver median from {place}",
                     paper_value=f"{paper_max:.0f} ms",
                     measured_value=f"{worst_value:.0f} ms ({worst_resolver})",
                     holds=0.33 * paper_max <= worst_value <= 3.0 * paper_max,
                 )
             )
 
-    # Home maximum (Figure 1 context: NA resolvers, pooled home devices).
-    home_na_medians = {}
-    for hostname in na_hostnames:
-        value = _median_of_home(store, hostname, home_vantages)
-        if value is not None:
-            home_na_medians[hostname] = value
-    if home_na_medians:
-        worst_resolver, worst_value = max(home_na_medians.items(), key=lambda kv: kv[1])
-        paper_max = PAPER_VALUES["max_median.home"]
-        report.claims.append(
-            ClaimResult(
-                claim_id="X2-home",
-                description="max per-resolver median from home devices (NA resolvers)",
-                paper_value=f"{paper_max:.0f} ms",
-                measured_value=f"{worst_value:.0f} ms ({worst_resolver})",
-                holds=0.33 * paper_max <= worst_value <= 3.0 * paper_max,
-            )
-        )
-
     # -- tables 2 and 3 -----------------------------------------------------------------
-    table2 = table2_rows(store)
-    table3 = table3_rows(store)
+    table2 = table2_rows(table)
+    table3 = table3_rows(table)
     for table_id, measured_rows, near, far in (
         ("T2", table2, "ec2-seoul", "ec2-frankfurt"),
         ("T3", table3, "ec2-frankfurt", "ec2-seoul"),
@@ -398,7 +365,7 @@ def generate_report(
         "Frankfurt", "Seoul", delta_table_as_text_rows(table3),
     )
     for figure in ("figure1", "figure2", "figure3", "figure4"):
-        panels = paper_figure(store, figure, mainstream, home_vantages=home_vantages)
+        panels = paper_figure(table, figure, mainstream, home_vantages=HOME_VANTAGE_NAMES)
         rendered = []
         for vantage, fig_rows in panels.items():
             rendered.append(f"--- {figure} / {vantage} ---")

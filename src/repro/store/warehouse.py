@@ -38,12 +38,12 @@ multiset of records.  A source that assigns to a record's fields in
 flight must drop its ``stored_line`` too.
 
 :class:`Warehouse` implements the :class:`~repro.core.results.RecordSource`
-protocol (``filter`` / ``durations_ms`` / ``by_resolver`` / iteration), so
-every analysis in :mod:`repro.analysis` accepts a warehouse wherever it
-accepts an in-memory :class:`~repro.core.results.ResultStore` — but scans
-stream from disk and push ``(vantage, resolver, transport)`` predicates
-down to the segment sidecars, touching only matching segments and
-offsets.
+protocol (``filter`` / iteration), so every analysis in
+:mod:`repro.analysis` accepts a warehouse wherever it accepts an
+in-memory :class:`~repro.core.results.ResultStore` and reads it in one
+scan.  ``filter`` streams from disk and pushes ``(vantage, resolver,
+transport)`` predicates down to the segment sidecars, touching only
+matching segments and offsets.
 """
 
 from __future__ import annotations
@@ -338,17 +338,6 @@ class Warehouse:
                 continue
             out.append(record)
         return out
-
-    def durations_ms(self, **criteria) -> List[float]:
-        """Durations of successful records matching the criteria."""
-        records = self.filter(success=True, **criteria)
-        return [r.duration_ms for r in records if r.duration_ms is not None]
-
-    def by_resolver(self, **criteria) -> Dict[str, List[MeasurementRecord]]:
-        grouped: Dict[str, List[MeasurementRecord]] = {}
-        for record in self.filter(**criteria):
-            grouped.setdefault(record.resolver, []).append(record)
-        return grouped
 
     # -- canonical builds --------------------------------------------------
 

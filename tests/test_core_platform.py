@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.table import RecordTable
 from repro.core.errors_taxonomy import ErrorClass, classify_error
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import Campaign, CampaignConfig, ResolverTarget
@@ -93,15 +94,15 @@ class TestResultStore:
         store = ResultStore()
         store.add(make_record(duration_ms=10.0))
         store.add(make_record(success=False, duration_ms=None))
-        assert store.durations_ms(kind="dns_query") == [10.0]
+        assert list(RecordTable.of(store).cell("dns_query").durations) == [10.0]
 
     def test_by_resolver_grouping(self):
         store = ResultStore()
         store.add(make_record(resolver="a"))
         store.add(make_record(resolver="a"))
         store.add(make_record(resolver="b"))
-        grouped = store.by_resolver()
-        assert len(grouped["a"]) == 2 and len(grouped["b"]) == 1
+        grouped = RecordTable.of(store).by_resolver("dns_query")
+        assert grouped["a"].count == 2 and grouped["b"].count == 1
 
 
 class TestPeriodicSchedule:

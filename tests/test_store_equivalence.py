@@ -165,8 +165,8 @@ def test_campaign_aggregates_match_full_scan(tmp_path):
 
     for resolver, summary in response_time_summaries(book).items():
         hist = Histogram(book.bounds)
-        for duration in scan.durations_ms(kind="dns_query", resolver=resolver):
-            hist.observe(duration)
+        for record in scan.filter(kind="dns_query", resolver=resolver, success=True):
+            hist.observe(record.duration_ms)
         assert summary.count == hist.count
         assert summary.mean_ms == hist.mean
         assert (summary.p50_ms, summary.p95_ms, summary.p99_ms) == (

@@ -274,18 +274,22 @@ def test_filter_parity(parity):
         ) == sorted(r.to_json() for r in store.filter(**criteria))
 
 
-def test_durations_and_by_resolver_parity(parity):
+def test_record_table_parity(parity):
+    from repro.analysis.table import RecordTable
+
     store, warehouse = parity
-    assert sorted(warehouse.durations_ms(kind="dns_query")) == sorted(
-        store.durations_ms(kind="dns_query")
-    )
-    wh_grouped = warehouse.by_resolver(kind="dns_query", vantage="v2")
-    st_grouped = store.by_resolver(kind="dns_query", vantage="v2")
-    assert set(wh_grouped) == set(st_grouped)
-    for resolver in st_grouped:
-        assert sorted(r.to_json() for r in wh_grouped[resolver]) == sorted(
-            r.to_json() for r in st_grouped[resolver]
+    from_store = RecordTable.of(store)
+    from_warehouse = RecordTable.of(warehouse)
+    assert set(from_warehouse.groups) == set(from_store.groups)
+    assert from_warehouse.campaign_starts == from_store.campaign_starts
+    for key, group in from_store.groups.items():
+        other = from_warehouse.groups[key]
+        assert (other.count, other.successes, other.attempts_total) == (
+            group.count, group.successes, group.attempts_total
         )
+        assert other.errors == group.errors
+        assert other.failed_rounds == group.failed_rounds
+        assert sorted(other.durations) == sorted(group.durations)
 
 
 def test_analysis_accepts_warehouse_as_record_source(parity):
