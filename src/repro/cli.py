@@ -575,7 +575,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     evaluates final verdicts straight from the warehouse's persisted
     aggregates (no alerts in that mode — windows need the record stream).
     """
-    from repro.monitor import Monitor, Scoreboard, verdicts_from_book
+    from repro.monitor import HEALTH_STATES, Monitor, Scoreboard, verdicts_from_book
 
     policy = _load_policy(args.slo)
 
@@ -614,10 +614,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     # Alert JSONL on stdout owns it; the scoreboard moves to stderr.
     (_status if args.alerts == "-" else print)(scoreboard.render())
     counts = scoreboard.counts()
-    _status(
-        f"scoreboard: {counts['OK']} ok, {counts['DEGRADED']} degraded, "
-        f"{counts['FAILING']} failing"
-    )
+    _status("scoreboard: " + ", ".join(
+        f"{counts[state]} {state.lower()}" for state in HEALTH_STATES
+    ))
     if args.gate and scoreboard.worst_state() != "OK":
         _status(f"gate: worst state {scoreboard.worst_state()} -> failing")
         return 1
@@ -685,8 +684,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     report = fleet.finalize(metrics)
     _status(
         f"observed {report.records_seen} records over {report.days_observed} "
-        f"virtual days: {len(report.events.significant())} events, "
-        f"{len(report.events.silences())} silences"
+        f"virtual days: {len(report.events.with_status('significant'))} events, "
+        f"{len(report.events.with_status('silence'))} silences"
     )
 
     if args.events:

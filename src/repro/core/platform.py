@@ -24,7 +24,6 @@ Example spec::
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Union
 
@@ -33,7 +32,7 @@ from repro.core.probes import ProbeConfig
 from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
-from repro.files import read_document
+from repro.files import check_shape, read_document
 
 if TYPE_CHECKING:
     from repro.parallel import ParallelRun
@@ -43,36 +42,6 @@ _ALLOWED_KEYS = {
     "interval_hours", "stagger_minutes", "seed", "ping", "method",
     "timeout_ms", "reuse_connections",
 }
-
-
-#: What a spec value of each shape must be; a value of another type is
-#: refused, never coerced (``"false"`` is not false, ``2.7`` rounds is not 2).
-_SHAPES = {
-    "names": (
-        "a non-empty list of names",
-        lambda v: isinstance(v, (list, tuple))
-        and bool(v)
-        and all(isinstance(item, str) and item for item in v),
-    ),
-    "integer": (
-        "an integer",
-        lambda v: isinstance(v, int) and not isinstance(v, bool),
-    ),
-    "number": (
-        "a finite number",
-        lambda v: isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and math.isfinite(v),
-    ),
-    "flag": ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
-def _checked(key: str, value: Any, shape: str) -> Any:
-    expected, valid = _SHAPES[shape]
-    if not valid(value):
-        raise CampaignConfigError(f"spec {key!r} must be {expected}, got {value!r}")
-    return list(value) if shape == "names" else value
 
 
 def parse_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
@@ -104,7 +73,9 @@ def parse_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
         ("timeout_ms", 5000.0, "number"),
         ("reuse_connections", False, "flag"),
     ):
-        normalized[key] = _checked(key, spec.get(key, default), shape)
+        value = spec.get(key, default)
+        check_shape(f"spec {key!r}", value, shape, CampaignConfigError)
+        normalized[key] = list(value) if shape == "names" else value
     if normalized["rounds"] <= 0:
         raise CampaignConfigError("rounds must be positive")
     if normalized["interval_hours"] <= 0:
@@ -131,7 +102,8 @@ def select_targets(selector: Any) -> List[str]:
     if selector == "all" or selector is None:
         pass
     elif isinstance(selector, (list, tuple)):
-        wanted = set(_checked("resolvers", selector, "names"))
+        check_shape("spec 'resolvers'", selector, "names", CampaignConfigError)
+        wanted = set(selector)
         entries = [e for e in entries if e.hostname in wanted]
         missing = wanted.difference(e.hostname for e in entries)
         if missing:

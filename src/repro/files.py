@@ -7,14 +7,18 @@ parent directory, and a reader fails only with a named
 :mod:`repro.errors` type saying which file (and line) was at fault.  The
 one exception is a missing JSONL file: it is opened when iteration starts
 and stays the ``OSError`` the operating system raised (``main()`` prints
-it, exit 2).  :class:`JsonlLog` is the append-only, canonically sortable
-event log the monitor and the observer fleet both keep.  A new artefact
-needs a ``to_json`` on its rows and a noun for messages.
+it, exit 2).  :data:`SHAPES` is the one table of what a spec file's
+values may be; the campaign spec, the SLO policy and the observer spec
+all check against it.  :class:`JsonlLog` is the append-only, canonically
+sortable log the monitor and the observer fleet both keep their events
+in.  A new artefact needs a ``to_json`` on its rows and a noun for
+messages.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import (
     Any,
@@ -25,6 +29,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Tuple,
     Type,
     TypeVar,
@@ -127,11 +132,60 @@ def read_document(
     return data
 
 
+def _number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+#: What a spec value of each shape must be; a value of another type is
+#: refused, never coerced (``"false"`` is not false, ``2.7`` rounds is not 2).
+SHAPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "names": (
+        "a non-empty list of names",
+        lambda v: isinstance(v, (list, tuple))
+        and bool(v)
+        and all(isinstance(item, str) and item for item in v),
+    ),
+    "integer": (
+        "an integer",
+        lambda v: isinstance(v, int) and not isinstance(v, bool),
+    ),
+    "number": ("a finite number", _number),
+    "optional number": ("a finite number or absent", lambda v: v is None or _number(v)),
+    "flag": ("true or false", lambda v: isinstance(v, bool)),
+    "text": ("a string", lambda v: isinstance(v, str)),
+    "table": ("a table", lambda v: isinstance(v, dict)),
+}
+
+
+def check_shape(what: str, value: Any, shape: str, error: Type[ReproError]) -> None:
+    """Raise ``error`` when ``value`` is not of ``SHAPES[shape]``:
+    "``{what}`` must be ..., got ...".
+    """
+    expected, valid = SHAPES[shape]
+    if not valid(value):
+        raise error(f"{what} must be {expected}, got {value!r}")
+
+
+def check_shapes(
+    owner: str,
+    values: Mapping[str, Any],
+    shapes: Mapping[str, str],
+    error: Type[ReproError],
+) -> None:
+    """:func:`check_shape` on each key of ``shapes``, named ``{owner} 'key'``."""
+    for key, shape in shapes.items():
+        check_shape(f"{owner} {key!r}", values[key], shape, error)
+
+
 class JsonlLog(Generic[T]):
     """Append-only event collection with canonical JSONL export.
 
-    A subclass names its event class (``sort_key()``, ``to_json()``,
-    ``from_dict()`` and a ``severity``) and the noun for one line.
+    A subclass names its event class (``sort_key()``, ``to_json()`` and
+    ``from_dict()``) and the noun for one line.
     """
 
     event_type: ClassVar[type]
@@ -158,12 +212,6 @@ class JsonlLog(Generic[T]):
     def canonical_sort(self) -> None:
         """Order events by their canonical key, dropping arrival order."""
         self._events.sort(key=self.event_type.sort_key)
-
-    def counts_by_severity(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.severity] = counts.get(event.severity, 0) + 1
-        return {k: counts[k] for k in sorted(counts)}
 
     def to_jsonl(self) -> str:
         return "".join(event.to_json() + "\n" for event in self._events)

@@ -6,16 +6,89 @@ the same per-group record sequence always reproduces the same state, no
 matter which process, shard or replay pass drove it.  Memory per group is
 bounded by the window configuration: O(window records) for the rolling
 window, O(1) for the EWMA baseline and CUSUM statistic.
+
+A :class:`Tally` is the one count of final DNS-query outcomes behind
+every reading: the monitor's window keeps one, the observer fleet keeps
+one per group and day, and :func:`reading` reads a kind off it -- or off
+a :class:`~repro.store.aggregates.GroupSummary`, which counts the same
+way and estimates its latency quantiles from a histogram instead.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.stats import quantile
+from repro.core.errors_taxonomy import ESTABLISHMENT_CLASS_VALUES
 from repro.monitor.slo import CusumConfig, WindowConfig
+
+#: The quantile behind each latency kind.
+LATENCY_QUANTILES = {"latency_p95": 0.95, "latency_p99": 0.99}
+
+
+class Tally:
+    """Outcome counts and successful durations of some final DNS queries.
+
+    ``add`` folds one outcome in.  ``remove`` takes the *oldest* one back
+    out: a window evicts in arrival order, so its duration is the first.
+    """
+
+    __slots__ = ("count", "successes", "error_classes", "durations")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.successes = 0
+        self.error_classes: Counter = Counter()
+        self.durations: Deque[float] = deque()
+
+    def add(
+        self, success: bool, duration_ms: Optional[float], error_class: Optional[str]
+    ) -> None:
+        self.count += 1
+        if success:
+            self.successes += 1
+            if duration_ms is not None:
+                self.durations.append(duration_ms)
+        else:
+            self.error_classes[error_class or "unknown"] += 1
+
+    def remove(
+        self, success: bool, duration_ms: Optional[float], error_class: Optional[str]
+    ) -> None:
+        self.count -= 1
+        if success:
+            self.successes -= 1
+            if duration_ms is not None:
+                self.durations.popleft()
+        else:
+            self.error_classes[error_class or "unknown"] -= 1
+
+    def observe(self, record: Any) -> None:
+        self.add(record.success, record.duration_ms, record.error_class)
+
+    def latency_quantile(self, q: float) -> Optional[float]:
+        """The exact linear-interpolation quantile of the durations (the one
+        every analysis table uses); ``None`` without a duration."""
+        return quantile(self.durations, q) if self.durations else None
+
+
+def reading(
+    kind: str, tally: Any, classes: Sequence[str] = ESTABLISHMENT_CLASS_VALUES
+) -> Optional[float]:
+    """``kind``'s value off a :class:`Tally` or a ``GroupSummary``.
+
+    ``availability`` is the success share; ``error_budget`` (an SLO) and
+    ``error_share`` (an observer) the share failing with one of
+    ``classes``; a latency kind its quantile of the successful durations
+    (``None`` without one).  The tally is never empty.
+    """
+    if kind in LATENCY_QUANTILES:
+        return tally.latency_quantile(LATENCY_QUANTILES[kind])
+    if kind == "availability":
+        return tally.successes / tally.count
+    return sum(tally.error_classes[c] for c in classes) / tally.count
 
 
 class RollingWindow:
@@ -24,16 +97,16 @@ class RollingWindow:
     Entries are ``(at_ms, success, duration_ms, error_class)`` tuples;
     eviction is by the virtual-clock horizon first (``span_ms`` relative
     to the newest entry's start time), then by the record cap, so window
-    membership is a pure function of the group's record sequence.
+    membership is a pure function of the group's record sequence.  The
+    entries' counts are :attr:`tally`.
     """
 
-    __slots__ = ("config", "_entries", "_successes", "_errors")
+    __slots__ = ("config", "_entries", "tally")
 
     def __init__(self, config: WindowConfig) -> None:
         self.config = config
         self._entries: Deque[Tuple[float, bool, Optional[float], Optional[str]]] = deque()
-        self._successes = 0
-        self._errors: Counter = Counter()
+        self.tally = Tally()
 
     def push(
         self,
@@ -43,44 +116,16 @@ class RollingWindow:
         error_class: Optional[str],
     ) -> None:
         self._entries.append((at_ms, success, duration_ms, error_class))
-        if success:
-            self._successes += 1
-        else:
-            self._errors[error_class or "unknown"] += 1
+        self.tally.add(success, duration_ms, error_class)
         if self.config.span_ms is not None:
             horizon = at_ms - self.config.span_ms
             while self._entries and self._entries[0][0] < horizon:
-                self._evict()
+                self.tally.remove(*self._entries.popleft()[1:])
         while len(self._entries) > self.config.records:
-            self._evict()
-
-    def _evict(self) -> None:
-        _, success, _, error_class = self._entries.popleft()
-        if success:
-            self._successes -= 1
-        else:
-            self._errors[error_class or "unknown"] -= 1
-
-    # -- window reads ------------------------------------------------------
+            self.tally.remove(*self._entries.popleft()[1:])
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def count(self) -> int:
-        return len(self._entries)
-
-    @property
-    def successes(self) -> int:
-        return self._successes
-
-    @property
-    def failures(self) -> int:
-        return len(self._entries) - self._successes
-
-    @property
-    def success_ratio(self) -> float:
-        return self._successes / len(self._entries) if self._entries else 0.0
 
     @property
     def span(self) -> Tuple[Optional[float], Optional[float]]:
@@ -91,30 +136,8 @@ class RollingWindow:
 
     def error_counts(self) -> Dict[str, int]:
         """Per-class failure counts currently in the window (sorted keys)."""
-        return {k: self._errors[k] for k in sorted(self._errors) if self._errors[k]}
-
-    def error_share(self, classes: Sequence[str]) -> float:
-        """Share of window entries failing with one of ``classes``."""
-        if not self._entries:
-            return 0.0
-        matched = sum(self._errors[c] for c in classes)
-        return matched / len(self._entries)
-
-    def durations(self) -> List[float]:
-        """Successful durations currently in the window, in entry order."""
-        return [d for _, success, d, _ in self._entries if success and d is not None]
-
-    def latency_quantile(self, q: float) -> Optional[float]:
-        """Windowed response-time quantile over successful entries.
-
-        Uses the library's linear-interpolation quantile (the same one
-        every analysis table uses); ``None`` when the window holds no
-        successful duration.
-        """
-        values = self.durations()
-        if not values:
-            return None
-        return quantile(values, q)
+        errors = self.tally.error_classes
+        return {k: errors[k] for k in sorted(errors) if errors[k]}
 
 
 class EwmaTracker:

@@ -1,7 +1,7 @@
 """The streaming monitor: record ingestion, alerting, verdicts.
 
 A :class:`Monitor` holds one set of detectors per
-``(campaign, vantage, resolver, transport, kind)`` group and is fed one
+``(campaign, vantage, resolver, transport)`` group of final DNS queries and is fed one
 :class:`~repro.core.results.MeasurementRecord` at a time through
 :meth:`Monitor.observe`, usually through :meth:`Monitor.replay` over a
 record stream (a run's merged records, a warehouse's canonical iterator,
@@ -25,27 +25,46 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import MeasurementRecord
-from repro.monitor.alerts import AlertEvent, AlertLog, Scoreboard, SloVerdict
-from repro.monitor.detectors import CusumDetector, RollingWindow
-from repro.monitor.slo import SloPolicy, SloSpec, default_policy
+from repro.monitor.detectors import (
+    LATENCY_QUANTILES,
+    CusumDetector,
+    RollingWindow,
+    reading,
+)
+from repro.monitor.events import (
+    EventLog,
+    HealthEvent,
+    Scoreboard,
+    SloVerdict,
+    rounded,
+)
+from repro.monitor.slo import SloPolicy, default_policy
 from repro.store.aggregates import AggregateBook
 
-GroupKey = Tuple[str, str, str, str, str]
+#: The axes of an SLO group, in key order.
+SLO_AXES = ("campaign", "vantage", "resolver", "transport")
+GroupKey = Tuple[str, str, str, str]
 
-_KIND_TO_QUANTILE = {"latency_p95": 0.95, "latency_p99": 0.99}
+#: kind -> (the detector an alert names, the metric a verdict names)
+_KIND_NAMES = {
+    "availability": ("success_window", "success_rate"),
+    "latency_p95": ("latency_window", "latency_p95"),
+    "latency_p99": ("latency_window", "latency_p99"),
+    "error_budget": ("error_burst", "error_share"),
+}
 
 
 class _GroupState:
     """Per-group detector bundle plus per-objective firing flags."""
 
-    __slots__ = ("window", "cusum", "specs", "firing", "last_round")
+    __slots__ = ("group", "window", "cusum", "specs", "firing")
 
-    def __init__(self, policy: SloPolicy, specs: List[SloSpec]) -> None:
+    def __init__(self, policy: SloPolicy, key: GroupKey) -> None:
+        self.group = dict(zip(SLO_AXES, key))
         self.window = RollingWindow(policy.window)
         self.cusum = CusumDetector(policy.cusum)
-        self.specs = specs
-        self.firing: Dict[str, bool] = {spec.name: False for spec in specs}
-        self.last_round = -1
+        self.specs = policy.specs_for(*key[1:])
+        self.firing: Dict[str, bool] = {spec.name: False for spec in self.specs}
 
 
 class Monitor:
@@ -53,11 +72,10 @@ class Monitor:
 
     def __init__(self, policy: Optional[SloPolicy] = None) -> None:
         self.policy = policy if policy is not None else default_policy()
-        self.alerts = AlertLog()
+        self.alerts = EventLog()
         self.records_seen = 0
         self._book = AggregateBook()
         self._groups: Dict[GroupKey, _GroupState] = {}
-        self._finalized = False
 
     # -- ingestion ---------------------------------------------------------
 
@@ -70,23 +88,10 @@ class Monitor:
         self._book.observe(record)
         if record.kind != "dns_query":
             return
-        key: GroupKey = (
-            record.campaign,
-            record.vantage,
-            record.resolver,
-            record.transport,
-            record.kind,
-        )
+        key = (record.campaign, record.vantage, record.resolver, record.transport)
         state = self._groups.get(key)
         if state is None:
-            state = _GroupState(
-                self.policy,
-                self.policy.specs_for(
-                    record.vantage, record.resolver, record.transport
-                ),
-            )
-            self._groups[key] = state
-        state.last_round = record.round_index
+            state = self._groups[key] = _GroupState(self.policy, key)
         state.window.push(
             record.started_at_ms,
             record.success,
@@ -96,7 +101,16 @@ class Monitor:
         if record.success and record.duration_ms is not None:
             crossing = state.cusum.update(record.duration_ms)
             if crossing is not None:
-                self._emit_cusum_alert(record, state, crossing)
+                # A point event, not a firing/resolved pair: the statistic
+                # resets on crossing, so each alarm marks one detected shift.
+                baseline = state.cusum.baseline
+                self._emit(record, state, "latency-shift", "cusum", "warning",
+                           "firing", crossing, {
+                               "threshold": state.cusum.config.h,
+                               "baseline_mean_ms": rounded(baseline.mean),
+                               "baseline_std_ms": rounded(baseline.std),
+                               "observed_ms": record.duration_ms,
+                           })
         if len(state.window) >= self.policy.window.min_samples:
             self._evaluate_specs(record, state)
 
@@ -107,137 +121,67 @@ class Monitor:
 
     # -- alerting ----------------------------------------------------------
 
-    def _window_snapshot(self, state: _GroupState) -> Dict[str, object]:
-        oldest, newest = state.window.span
-        return {
-            "count": state.window.count,
-            "successes": state.window.successes,
-            "oldest_ms": oldest,
-            "newest_ms": newest,
-        }
-
     def _emit(
         self,
         record: MeasurementRecord,
         state: _GroupState,
-        *,
-        slo: str,
+        name: str,
         detector: str,
         severity: str,
         status: str,
+        value: Optional[float],
         evidence: Dict[str, object],
     ) -> None:
+        window = state.window
+        oldest, newest = window.span
         self.alerts.emit(
-            AlertEvent(
-                campaign=record.campaign,
-                vantage=record.vantage,
-                resolver=record.resolver,
-                transport=record.transport,
-                slo=slo,
-                detector=detector,
-                severity=severity,
-                status=status,
-                round_index=record.round_index,
+            HealthEvent(
+                source="slo",
+                name=name,
+                group=dict(state.group),
                 at_ms=record.started_at_ms,
-                window=self._window_snapshot(state),
-                evidence=evidence,
+                status=status,
+                severity=severity,
+                value=rounded(value),
+                evidence={
+                    "round_index": record.round_index,
+                    "detector": detector,
+                    "window": {
+                        "count": window.tally.count,
+                        "successes": window.tally.successes,
+                        "oldest_ms": oldest,
+                        "newest_ms": newest,
+                    },
+                    **evidence,
+                },
             )
         )
 
-    def _emit_cusum_alert(
-        self, record: MeasurementRecord, state: _GroupState, crossing: float
-    ) -> None:
-        # Point event, not a firing/resolved pair: the statistic resets on
-        # crossing, so each alarm marks one detected shift.
-        self._emit(
-            record,
-            state,
-            slo="latency-shift",
-            detector="cusum",
-            severity="warning",
-            status="firing",
-            evidence={
-                "statistic": round(crossing, 6),
-                "threshold": state.cusum.config.h,
-                "baseline_mean_ms": round(state.cusum.baseline.mean, 6),
-                "baseline_std_ms": round(state.cusum.baseline.std, 6),
-                "observed_ms": record.duration_ms,
-            },
-        )
-
     def _evaluate_specs(self, record: MeasurementRecord, state: _GroupState) -> None:
+        tally = state.window.tally
         for spec in state.specs:
-            value, breach, evidence = self._check_spec(spec, state)
-            was_firing = state.firing[spec.name]
-            if breach and not was_firing:
-                state.firing[spec.name] = True
-                self._emit(
-                    record,
-                    state,
-                    slo=spec.name,
-                    detector=_DETECTOR_NAMES[spec.kind],
-                    severity=spec.severity,
-                    status="firing",
-                    evidence=evidence,
-                )
-            elif was_firing and not breach:
-                state.firing[spec.name] = False
-                self._emit(
-                    record,
-                    state,
-                    slo=spec.name,
-                    detector=_DETECTOR_NAMES[spec.kind],
-                    severity=spec.severity,
-                    status="resolved",
-                    evidence=evidence,
-                )
-
-    def _check_spec(
-        self, spec: SloSpec, state: _GroupState
-    ) -> Tuple[Optional[float], bool, Dict[str, object]]:
-        window = state.window
-        if spec.kind == "availability":
-            value = window.success_ratio
-            breach = value < spec.threshold
+            value = reading(spec.kind, tally, spec.budget_classes())
+            breach = spec.breached(value)
+            if breach == state.firing[spec.name]:
+                continue
+            state.firing[spec.name] = breach
             evidence: Dict[str, object] = {
-                "success_ratio": round(value, 6),
-                "floor": spec.threshold,
-                "failures": window.failures,
-                "error_counts": window.error_counts(),
+                "threshold": spec.threshold,
+                "error_counts": state.window.error_counts(),
             }
-            return value, breach, evidence
-        if spec.kind in _KIND_TO_QUANTILE:
-            q = _KIND_TO_QUANTILE[spec.kind]
-            value = window.latency_quantile(q)
-            breach = value is not None and value > spec.threshold
-            evidence = {
-                "quantile": q,
-                "value_ms": None if value is None else round(value, 6),
-                "ceiling_ms": spec.threshold,
-                "successes": window.successes,
-            }
-            return value, breach, evidence
-        # error_budget
-        classes = spec.budget_classes()
-        value = window.error_share(classes)
-        breach = value > spec.threshold
-        evidence = {
-            "error_share": round(value, 6),
-            "budget": spec.threshold,
-            "classes": list(classes),
-            "error_counts": window.error_counts(),
-        }
-        return value, breach, evidence
+            if spec.kind in LATENCY_QUANTILES:
+                evidence["quantile"] = LATENCY_QUANTILES[spec.kind]
+            elif spec.kind == "error_budget":
+                evidence["classes"] = list(spec.budget_classes())
+            self._emit(record, state, spec.name, _KIND_NAMES[spec.kind][0],
+                       spec.severity, "firing" if breach else "resolved",
+                       value, evidence)
 
     # -- reads -------------------------------------------------------------
 
     @property
     def group_count(self) -> int:
         return len(self._groups)
-
-    def book(self) -> AggregateBook:
-        """The monitor's order-independent aggregate view of the run."""
-        return self._book
 
     def verdicts(self) -> List[SloVerdict]:
         """Final per-group pass/fail of every objective, from aggregates."""
@@ -246,7 +190,7 @@ class Monitor:
     def scoreboard(self) -> Scoreboard:
         return Scoreboard.from_verdicts(self.verdicts(), self.alerts)
 
-    def finalize(self, metrics: Optional[object] = None) -> AlertLog:
+    def finalize(self, metrics: Optional[object] = None) -> EventLog:
         """Canonical-sort the alert log; optionally export gauges.
 
         ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` (or
@@ -255,34 +199,23 @@ class Monitor:
         exposition as everything else.
         """
         self.alerts.canonical_sort()
-        self._finalized = True
         if metrics is not None and getattr(metrics, "enabled", True):
             metrics.set_gauge("monitor.groups", float(len(self._groups)))
             metrics.set_gauge("monitor.alerts", float(len(self.alerts)))
             metrics.set_gauge("monitor.records_seen", float(self.records_seen))
             for key in sorted(self._groups):
                 state = self._groups[key]
-                labels = {
-                    "vantage": key[1],
-                    "resolver": key[2],
-                    "transport": key[3],
-                }
+                labels = dict(zip(SLO_AXES[1:], key[1:]))
                 metrics.set_gauge(
-                    "monitor.success_ratio", state.window.success_ratio, **labels
+                    "monitor.success_ratio",
+                    reading("availability", state.window.tally),
+                    **labels,
                 )
                 metrics.set_gauge(
                     "monitor.ewma_ms", state.cusum.baseline.mean, **labels
                 )
                 metrics.set_gauge("monitor.cusum_stat", state.cusum.stat, **labels)
         return self.alerts
-
-
-_DETECTOR_NAMES = {
-    "availability": "success_window",
-    "latency_p95": "latency_window",
-    "latency_p99": "latency_window",
-    "error_budget": "error_burst",
-}
 
 
 def verdicts_from_book(book: AggregateBook, policy: SloPolicy) -> List[SloVerdict]:
@@ -292,43 +225,25 @@ def verdicts_from_book(book: AggregateBook, policy: SloPolicy) -> List[SloVerdic
     ``Warehouse.aggregates()``, because both are built by folding the same
     records into the same order-independent counters and histograms —
     that equality is what lets batch re-evaluation reproduce the
-    monitor's verdicts exactly.
+    monitor's verdicts exactly.  Each value is :func:`reading` over the
+    group's summary, the same reading the window alerts on.
     """
     verdicts: List[SloVerdict] = []
     for group in book.groups(kind="dns_query"):
         if group.count < policy.window.min_samples:
             continue
-        vantage, resolver, transport = group.vantage, group.resolver, group.transport
-        for spec in policy.specs_for(vantage, resolver, transport):
-            if spec.kind == "availability":
-                metric = "success_rate"
-                value: Optional[float] = group.success_rate
-                passed = value >= spec.threshold
-            elif spec.kind in _KIND_TO_QUANTILE:
-                metric = spec.kind
-                value = (
-                    group.histogram.quantile(_KIND_TO_QUANTILE[spec.kind])
-                    if group.histogram.count
-                    else None
-                )
-                passed = value is None or value <= spec.threshold
-            else:
-                metric = "error_share"
-                matched = sum(
-                    group.error_classes.get(c, 0) for c in spec.budget_classes()
-                )
-                value = matched / group.count
-                passed = value <= spec.threshold
+        for spec in policy.specs_for(group.vantage, group.resolver, group.transport):
+            value = reading(spec.kind, group, spec.budget_classes())
             verdicts.append(
                 SloVerdict(
                     slo=spec.name,
-                    vantage=vantage,
-                    resolver=resolver,
-                    transport=transport,
-                    metric=metric,
+                    vantage=group.vantage,
+                    resolver=group.resolver,
+                    transport=group.transport,
+                    metric=_KIND_NAMES[spec.kind][1],
                     value=value,
                     threshold=spec.threshold,
-                    passed=passed,
+                    passed=not spec.breached(value),
                     severity=spec.severity,
                     samples=group.count,
                 )

@@ -36,10 +36,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors_taxonomy import ESTABLISHMENT_CLASS_VALUES, ErrorClass
 from repro.errors import MonitorConfigError
-from repro.files import read_document, write_text
+from repro.files import check_shape, check_shapes, read_document, write_text
+from repro.monitor.events import SEVERITIES
 
 SLO_KINDS = ("availability", "latency_p95", "latency_p99", "error_budget")
-SEVERITIES = ("info", "warning", "critical")
+#: What an objective may be graded: any severity but "none".
+SLO_SEVERITIES = SEVERITIES[1:]
 
 _KNOWN_CLASS_VALUES = frozenset(c.value for c in ErrorClass)
 
@@ -61,15 +63,23 @@ class WindowConfig:
     min_samples: int = 12
 
     def __post_init__(self) -> None:
-        if not isinstance(self.records, int) or self.records < 1:
+        check_shapes(
+            "window",
+            vars(self),
+            {"records": "integer", "span_ms": "optional number", "min_samples": "integer"},
+            MonitorConfigError,
+        )
+        if self.records < 1:
             raise MonitorConfigError(
                 f"window records must be a positive integer, got {self.records!r}"
             )
-        if self.span_ms is not None and self.span_ms <= 0:
-            raise MonitorConfigError(
-                f"window span_ms must be positive, got {self.span_ms!r}"
-            )
-        if not isinstance(self.min_samples, int) or self.min_samples < 1:
+        if self.span_ms is not None:
+            if self.span_ms <= 0:
+                raise MonitorConfigError(
+                    f"window span_ms must be positive, got {self.span_ms!r}"
+                )
+            object.__setattr__(self, "span_ms", float(self.span_ms))
+        if self.min_samples < 1:
             raise MonitorConfigError(
                 f"window min_samples must be a positive integer, "
                 f"got {self.min_samples!r}"
@@ -97,13 +107,20 @@ class CusumConfig:
     min_samples: int = 20
 
     def __post_init__(self) -> None:
+        check_shapes(
+            "cusum",
+            vars(self),
+            {"enabled": "flag", "alpha": "number", "k": "number", "h": "number",
+             "min_samples": "integer"},
+            MonitorConfigError,
+        )
         if not 0.0 < self.alpha <= 1.0:
             raise MonitorConfigError(f"cusum alpha must be in (0, 1], got {self.alpha!r}")
         if self.k < 0 or self.h <= 0:
             raise MonitorConfigError(
                 f"cusum needs k >= 0 and h > 0, got k={self.k!r} h={self.h!r}"
             )
-        if not isinstance(self.min_samples, int) or self.min_samples < 2:
+        if self.min_samples < 2:
             raise MonitorConfigError(
                 f"cusum min_samples must be an integer >= 2, got {self.min_samples!r}"
             )
@@ -128,17 +145,25 @@ class SloSpec:
     error_classes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        check_shapes(
+            f"SLO {self.name!r}",
+            vars(self),
+            {"name": "text", "threshold": "number", "vantage": "text",
+             "resolver": "text", "transport": "text"},
+            MonitorConfigError,
+        )
         if not self.name:
             raise MonitorConfigError("SLO spec needs a name")
+        object.__setattr__(self, "threshold", float(self.threshold))
         if self.kind not in SLO_KINDS:
             raise MonitorConfigError(
                 f"SLO {self.name!r}: unknown kind {self.kind!r} "
                 f"(expected one of {', '.join(SLO_KINDS)})"
             )
-        if self.severity not in SEVERITIES:
+        if self.severity not in SLO_SEVERITIES:
             raise MonitorConfigError(
                 f"SLO {self.name!r}: unknown severity {self.severity!r} "
-                f"(expected one of {', '.join(SEVERITIES)})"
+                f"(expected one of {', '.join(SLO_SEVERITIES)})"
             )
         if self.kind in ("availability", "error_budget"):
             if not 0.0 <= self.threshold <= 1.0:
@@ -172,6 +197,16 @@ class SloSpec:
         """Error classes an ``error_budget`` objective counts."""
         return self.error_classes or ESTABLISHMENT_CLASS_VALUES
 
+    def breached(self, value: Optional[float]) -> bool:
+        """Is a reading on the wrong side of the threshold?  Availability is
+        a floor, the rest are ceilings; no reading (no latency sample) never
+        breaches."""
+        if value is None:
+            return False
+        if self.kind == "availability":
+            return value < self.threshold
+        return value > self.threshold
+
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "name": self.name,
@@ -188,6 +223,7 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SloSpec":
+        check_shape("SLO entry", data, "table", MonitorConfigError)
         known = {
             "name", "kind", "threshold", "severity",
             "vantage", "resolver", "transport", "error_classes",
@@ -201,7 +237,7 @@ class SloSpec:
             return cls(
                 name=data["name"],
                 kind=data["kind"],
-                threshold=float(data["threshold"]),
+                threshold=data["threshold"],
                 severity=data.get("severity", "warning"),
                 vantage=data.get("vantage", "*"),
                 resolver=data.get("resolver", "*"),
@@ -210,7 +246,7 @@ class SloSpec:
             )
         except KeyError as exc:
             raise MonitorConfigError(f"SLO entry missing key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise MonitorConfigError(f"malformed SLO entry: {exc}") from exc
 
 
@@ -257,12 +293,12 @@ class SloPolicy:
             raise MonitorConfigError(
                 f"SLO policy has unknown sections: {', '.join(unknown)}"
             )
-        window_data = dict(data.get("window", {}))
-        if "span_ms" in window_data and window_data["span_ms"] is not None:
-            window_data["span_ms"] = float(window_data["span_ms"])
+        sections = {"window": data.get("window", {}), "cusum": data.get("cusum", {})}
+        check_shapes("SLO policy", sections, {"window": "table", "cusum": "table"},
+                     MonitorConfigError)
         try:
-            window = WindowConfig(**window_data)
-            cusum = CusumConfig(**dict(data.get("cusum", {})))
+            window = WindowConfig(**sections["window"])
+            cusum = CusumConfig(**sections["cusum"])
         except TypeError as exc:
             raise MonitorConfigError(f"malformed window/cusum section: {exc}") from exc
         entries = data.get("slos", [])

@@ -5,7 +5,8 @@ months-long virtual-clock cadence and reports in two artifacts:
 
 * a **significance event log** — at most one graded event per observer
   per virtual day, with explicit silence checkpoints for measured-but-
-  quiet days (:mod:`repro.observers.significance`);
+  quiet days (:mod:`repro.observers.significance`), in the
+  :class:`~repro.monitor.events.EventLog` the SLO monitor keeps too;
 * a **world-health index** — one scored, banded series aggregating the
   whole fleet (:mod:`repro.observers.health`).
 
@@ -36,16 +37,11 @@ from repro.observers.health import (
     band_of,
 )
 from repro.observers.significance import (
-    STATUS_SIGNIFICANT,
-    STATUS_SILENCE,
     Candidate,
-    SignificanceEvent,
-    SignificanceLog,
     SignificanceModel,
     debounce_day,
 )
 from repro.observers.spec import (
-    EVENT_SEVERITIES,
     OBSERVER_KINDS,
     OBSERVER_SCOPES,
     BaselineConfig,
@@ -58,11 +54,8 @@ from repro.observers.spec import (
 __all__ = [
     "OBSERVER_KINDS",
     "OBSERVER_SCOPES",
-    "EVENT_SEVERITIES",
     "HEALTH_BANDS",
     "SEVERITY_PENALTIES",
-    "STATUS_SIGNIFICANT",
-    "STATUS_SILENCE",
     "BaselineConfig",
     "Candidate",
     "HealthSample",
@@ -70,8 +63,6 @@ __all__ = [
     "ObserverRegistry",
     "ObserverReport",
     "ObserverSpec",
-    "SignificanceEvent",
-    "SignificanceLog",
     "SignificanceModel",
     "WorldHealthIndex",
     "band_of",

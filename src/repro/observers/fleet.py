@@ -3,10 +3,14 @@
 An :class:`ObserverFleet` consumes the canonical measurement stream —
 live run, warehouse scan, JSONL file, or a parallel run's merged store —
 and buckets each final DNS-query record into per-(observer, group,
-virtual-day) accumulators.  ``observe`` only ever *accumulates* into
-order-independent state (counters, duration multisets, answer cells);
-all evaluation happens in :meth:`ObserverFleet.finalize`, which walks
-days in ascending order feeding each group's long-horizon baseline.
+virtual-day) accumulators: the :class:`~repro.monitor.detectors.Tally`
+the monitor's windows count with, read by the same
+:func:`~repro.monitor.detectors.reading`, or one of the two fleet-only
+folds (transport adoption, answer disagreement).  ``observe`` only ever
+*accumulates* into order-independent state (counters, duration
+multisets, answer cells); all evaluation happens in
+:meth:`ObserverFleet.finalize`, which walks days in ascending order
+feeding each group's long-horizon baseline.
 
 That split is the determinism argument: the accumulated state is a pure
 function of the record *multiset* (no arrival-order dependence at all),
@@ -22,14 +26,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.render import render_table
-from repro.analysis.stats import quantile
-from repro.core.errors_taxonomy import ESTABLISHMENT_VALUES
 from repro.core.results import MeasurementRecord
 from repro.core.scheduler import MS_PER_DAY
+from repro.monitor.detectors import LATENCY_QUANTILES, Tally, reading
+from repro.monitor.events import SEVERITIES, EventLog
 from repro.observers.health import WorldHealthIndex
 from repro.observers.significance import (
     Candidate,
-    SignificanceLog,
+    Group,
     SignificanceModel,
     debounce_day,
 )
@@ -53,69 +57,12 @@ def _region_map() -> Dict[str, str]:
     }
 
 
-# -- per-day accumulators ----------------------------------------------------
+# -- the fleet-only per-day accumulators ---------------------------------------
 #
-# One instance per (observer, group, virtual day).  Each is a bag of
-# counters / multisets, so the (value, samples) it yields depends only on
-# which records were added, never on their order.
-
-
-class _ShareAcc:
-    """successes / total over final DNS queries (availability)."""
-
-    __slots__ = ("total", "successes")
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.successes = 0
-
-    def add(self, record: MeasurementRecord) -> None:
-        self.total += 1
-        if record.success:
-            self.successes += 1
-
-    def reading(self) -> Tuple[Optional[float], int]:
-        if not self.total:
-            return None, 0
-        return self.successes / self.total, self.total
-
-
-class _ErrorShareAcc:
-    """establishment-class failures / total final DNS queries."""
-
-    __slots__ = ("total", "matched")
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.matched = 0
-
-    def add(self, record: MeasurementRecord) -> None:
-        self.total += 1
-        if not record.success and record.error_class in ESTABLISHMENT_VALUES:
-            self.matched += 1
-
-    def reading(self) -> Tuple[Optional[float], int]:
-        if not self.total:
-            return None, 0
-        return self.matched / self.total, self.total
-
-
-class _LatencyAcc:
-    """p95 over the day's successful durations (a multiset: sorted at read)."""
-
-    __slots__ = ("durations",)
-
-    def __init__(self) -> None:
-        self.durations: List[float] = []
-
-    def add(self, record: MeasurementRecord) -> None:
-        if record.success and record.duration_ms is not None:
-            self.durations.append(record.duration_ms)
-
-    def reading(self) -> Tuple[Optional[float], int]:
-        if not self.durations:
-            return None, 0
-        return quantile(sorted(self.durations), 0.95), len(self.durations)
+# One instance per (observer, group, virtual day), beside the Tally the
+# other kinds keep.  Each is a bag of counters / multisets, so the
+# (value, samples) it yields depends only on which records were added,
+# never on their order.
 
 
 class _AdoptionAcc:
@@ -127,7 +74,7 @@ class _AdoptionAcc:
         self.encrypted = 0
         self.modern = 0
 
-    def add(self, record: MeasurementRecord) -> None:
+    def observe(self, record: MeasurementRecord) -> None:
         if not record.success or record.transport not in _ENCRYPTED_TRANSPORTS:
             return
         self.encrypted += 1
@@ -159,7 +106,7 @@ class _DisagreementAcc:
     def __init__(self) -> None:
         self.cells: Dict[Tuple[str, int, str, str], List[Tuple[str, object]]] = {}
 
-    def add(self, record: MeasurementRecord) -> None:
+    def observe(self, record: MeasurementRecord) -> None:
         if not record.response_wire:
             return
         from repro.dnswire.canonical import canonical_form_from_wire
@@ -196,13 +143,16 @@ class _DisagreementAcc:
         return disagree / comparable, comparable
 
 
-_ACCUMULATORS = {
-    "availability": _ShareAcc,
-    "error_share": _ErrorShareAcc,
-    "latency_p95": _LatencyAcc,
-    "adoption_share": _AdoptionAcc,
-    "disagreement_rate": _DisagreementAcc,
-}
+#: The kinds a Tally cannot read; every other kind is a :func:`reading`.
+_FLEET_ONLY = {"adoption_share": _AdoptionAcc, "disagreement_rate": _DisagreementAcc}
+
+
+def _day_reading(kind: str, acc) -> Tuple[Optional[float], int]:
+    """(value, samples behind it) of one group's day."""
+    if kind in _FLEET_ONLY:
+        return acc.reading()
+    samples = len(acc.durations) if kind in LATENCY_QUANTILES else acc.count
+    return reading(kind, acc), samples
 
 
 class ObserverReport:
@@ -211,7 +161,7 @@ class ObserverReport:
     def __init__(
         self,
         specs: List[ObserverSpec],
-        events: SignificanceLog,
+        events: EventLog,
         index: WorldHealthIndex,
         records_seen: int,
         days_observed: int,
@@ -234,15 +184,17 @@ class ObserverReport:
             }
             for spec in self.specs
         }
-        rank = {"-": 0, "none": 0, "warning": 1, "critical": 2}
         for event in self.events:
-            row = per.get(event.observer)
+            row = per.get(event.name)
             if row is None:
                 continue
             row["days"] = int(row["days"]) + 1
             if event.status == "significant":
                 row["significant"] = int(row["significant"]) + 1
-                if rank[event.severity] > rank[str(row["worst"])]:
+                worst = str(row["worst"])
+                if worst == "-" or (
+                    SEVERITIES.index(event.severity) > SEVERITIES.index(worst)
+                ):
                     row["worst"] = event.severity
             else:
                 row["silences"] = int(row["silences"]) + 1
@@ -272,8 +224,8 @@ class ObserverReport:
             "",
             (
                 f"records={self.records_seen} days={self.days_observed} "
-                f"events={len(self.events.significant())} "
-                f"silences={len(self.events.silences())}"
+                f"events={len(self.events.with_status('significant'))} "
+                f"silences={len(self.events.with_status('silence'))}"
             ),
             "",
             fleet_table,
@@ -314,24 +266,20 @@ class ObserverFleet:
         self.records_seen = 0
         self._regions = _region_map()
         # (observer name, group, day) -> accumulator
-        self._cells: Dict[Tuple[str, str, int], object] = {}
+        self._cells: Dict[Tuple[str, Group, int], object] = {}
 
     # -- ingestion ---------------------------------------------------------
 
-    def _group_of(self, spec: ObserverSpec, record: MeasurementRecord) -> str:
+    def _group_of(self, spec: ObserverSpec, record: MeasurementRecord) -> Group:
+        """The record's values along ``spec.axes``."""
         if spec.scope == "fleet":
-            group = "fleet"
+            group: Group = ()
         elif spec.scope == "region":
-            group = self._regions.get(record.resolver, "unlocatable")
-        elif spec.scope == "resolver":
-            group = record.resolver
+            group = (self._regions.get(record.resolver, "unlocatable"),)
         else:
-            group = record.vantage
+            group = (getattr(record, spec.scope),)  # resolver or vantage
         if spec.kind == "latency_p95":
-            # Latency is only comparable within a transport: a DoQ series
-            # ramping up next to an established DoH series must warm its
-            # own baseline, not read as the DoH tail drifting.
-            group = f"{group}/{record.transport}"
+            group += (record.transport,)
         return group
 
     def observe(self, record: MeasurementRecord) -> None:
@@ -344,9 +292,8 @@ class ObserverFleet:
             key = (spec.name, self._group_of(spec, record), day)
             acc = self._cells.get(key)
             if acc is None:
-                acc = _ACCUMULATORS[spec.kind]()
-                self._cells[key] = acc
-            acc.add(record)
+                acc = self._cells[key] = _FLEET_ONLY.get(spec.kind, Tally)()
+            acc.observe(record)
 
     def replay(self, records: Iterable[MeasurementRecord]) -> None:
         for record in records:
@@ -365,19 +312,19 @@ class ObserverFleet:
         anything with ``set_gauge``); fleet and world-health state land as
         ``observer.*`` gauges next to the monitor's ``monitor.*`` series.
         """
-        events = SignificanceLog()
+        events = EventLog()
         days_observed: set = set()
         # Regroup cells per spec: day -> group -> accumulator.
-        per_spec: Dict[str, Dict[int, Dict[str, object]]] = {
+        per_spec: Dict[str, Dict[int, Dict[Group, object]]] = {
             spec.name: {} for spec in self.specs
         }
         for (name, group, day), acc in self._cells.items():
             per_spec[name].setdefault(day, {})[group] = acc
 
-        baselines: Dict[Tuple[str, str], SignificanceModel] = {}
+        baselines: Dict[Tuple[str, Group], SignificanceModel] = {}
         for spec in self.specs:
             days = per_spec[spec.name]
-            models: Dict[str, SignificanceModel] = {}
+            models: Dict[Group, SignificanceModel] = {}
             for day in sorted(days):
                 candidates: List[Candidate] = []
                 readings = 0
@@ -385,7 +332,7 @@ class ObserverFleet:
                 warming = 0
                 max_abs_z: Optional[float] = None
                 for group in sorted(days[day]):
-                    value, count = days[day][group].reading()
+                    value, count = _day_reading(spec.kind, days[day][group])
                     if value is None or count < spec.min_samples:
                         continue
                     model = models.get(group)
@@ -438,16 +385,16 @@ class ObserverFleet:
         self,
         metrics: object,
         report: ObserverReport,
-        baselines: Dict[Tuple[str, str], SignificanceModel],
+        baselines: Dict[Tuple[str, Group], SignificanceModel],
     ) -> None:
         metrics.set_gauge("observer.records_seen", float(self.records_seen))
         metrics.set_gauge("observer.specs", float(len(self.specs)))
         metrics.set_gauge("observer.days", float(report.days_observed))
         metrics.set_gauge(
-            "observer.events", float(len(report.events.significant()))
+            "observer.events", float(len(report.events.with_status("significant")))
         )
         metrics.set_gauge(
-            "observer.silences", float(len(report.events.silences()))
+            "observer.silences", float(len(report.events.with_status("silence")))
         )
         for row in report.summary_rows():
             labels = {"observer": str(row["observer"])}
@@ -460,7 +407,7 @@ class ObserverFleet:
                 )
         for (name, group) in sorted(baselines):
             model = baselines[(name, group)]
-            labels = {"observer": name, "group": group}
+            labels = {"observer": name, **dict(zip(model.spec.axes, group))}
             metrics.set_gauge(
                 "observer.baseline_mean", model.baseline.mean, **labels
             )

@@ -20,21 +20,15 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.render import render_table
 from repro.files import read_jsonl, write_text
-from repro.observers.significance import (
-    STATUS_SIGNIFICANT,
-    SignificanceEvent,
-)
+from repro.monitor.events import HEALTH_STATES, HealthEvent
 from repro.observers.spec import ObserverSpec
 
 #: Penalty per significance event, before the observer weight.
 SEVERITY_PENALTIES = {"warning": 15.0, "critical": 40.0}
 
-#: Index states, healthiest first, with their score floors.
-HEALTH_BANDS: Tuple[Tuple[str, float], ...] = (
-    ("STABLE", 90.0),
-    ("WATCH", 70.0),
-    ("DEGRADED", 40.0),
-    ("CRITICAL", 0.0),
+#: The health states, healthiest first, with the score floor of each.
+HEALTH_BANDS: Tuple[Tuple[str, float], ...] = tuple(
+    zip(HEALTH_STATES, (90.0, 70.0, 40.0, 0.0))
 )
 
 #: EWMA weight of one day in the trend line (half-life ~4.6 days).
@@ -83,6 +77,8 @@ class HealthSample:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "HealthSample":
+        if data["band"] not in HEALTH_STATES:
+            raise ValueError(f"unknown band {data['band']!r}")
         return cls(
             day=data["day"],
             at_ms=data["at_ms"],
@@ -105,7 +101,7 @@ class WorldHealthIndex:
     @classmethod
     def from_events(
         cls,
-        events: Iterable[SignificanceEvent],
+        events: Iterable[HealthEvent],
         specs: Iterable[ObserverSpec],
         ms_per_day: float,
     ) -> "WorldHealthIndex":
@@ -117,9 +113,9 @@ class WorldHealthIndex:
         is well-defined; within a day only the event *set* matters.
         """
         weights = {spec.name: spec.weight for spec in specs}
-        by_day: Dict[int, List[SignificanceEvent]] = {}
+        by_day: Dict[int, List[HealthEvent]] = {}
         for event in events:
-            by_day.setdefault(event.day, []).append(event)
+            by_day.setdefault(event.evidence["day"], []).append(event)
 
         samples: List[HealthSample] = []
         trend: Optional[float] = None
@@ -128,13 +124,13 @@ class WorldHealthIndex:
             contributions: Dict[str, float] = {}
             fired = 0
             silences = 0
-            for event in sorted(day_events, key=SignificanceEvent.sort_key):
-                if event.status == STATUS_SIGNIFICANT:
+            for event in sorted(day_events, key=HealthEvent.sort_key):
+                if event.status == "significant":
                     fired += 1
                     penalty = SEVERITY_PENALTIES.get(event.severity, 0.0)
-                    penalty *= weights.get(event.observer, 1.0)
-                    contributions[event.observer] = (
-                        contributions.get(event.observer, 0.0) + penalty
+                    penalty *= weights.get(event.name, 1.0)
+                    contributions[event.name] = (
+                        contributions.get(event.name, 0.0) + penalty
                     )
                 else:
                     silences += 1
@@ -177,12 +173,11 @@ class WorldHealthIndex:
         return min((s.score for s in self._samples), default=None)
 
     def worst_band(self) -> str:
-        ranks = {name: i for i, (name, _) in enumerate(HEALTH_BANDS)}
-        worst = HEALTH_BANDS[0][0]
-        for sample in self._samples:
-            if ranks[sample.band] > ranks[worst]:
-                worst = sample.band
-        return worst
+        return max(
+            (s.band for s in self._samples),
+            key=HEALTH_STATES.index,
+            default=HEALTH_STATES[0],
+        )
 
     def healthy(self, floor: float = 70.0) -> bool:
         """Did the index stay at or above ``floor`` on every measured day?

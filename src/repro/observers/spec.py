@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ObserverConfigError
-from repro.files import read_document, write_text
+from repro.files import check_shape, check_shapes, read_document, write_text
 
-#: Metric kinds an observer can watch, each with its own per-day
-#: accumulator (see :mod:`repro.observers.fleet`).
+#: Metric kinds an observer can watch, read per group and day (see
+#: :mod:`repro.observers.fleet`).
 OBSERVER_KINDS = (
     "availability",
     "latency_p95",
@@ -36,9 +36,6 @@ OBSERVER_KINDS = (
 
 #: Grouping axes: one observer group (and one baseline) per distinct value.
 OBSERVER_SCOPES = ("fleet", "region", "resolver", "vantage")
-
-#: Severities a significance event can carry, mildest first.
-EVENT_SEVERITIES = ("warning", "critical")
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,14 @@ class BaselineConfig:
     std_floor: float = 0.01
 
     def __post_init__(self) -> None:
+        check_shapes(
+            "observer baseline",
+            vars(self),
+            {"alpha": "number", "min_days": "integer", "z_warning": "number",
+             "z_critical": "number", "min_delta": "number", "relative": "flag",
+             "std_floor": "number"},
+            ObserverConfigError,
+        )
         if not 0.0 < self.alpha <= 1.0:
             raise ObserverConfigError(f"baseline alpha {self.alpha!r} not in (0, 1]")
         if self.min_days < 1:
@@ -86,6 +91,7 @@ class BaselineConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BaselineConfig":
+        check_shape("observer baseline", data, "table", ObserverConfigError)
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ObserverConfigError(
@@ -115,6 +121,13 @@ class ObserverSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        check_shapes(
+            f"observer {self.name!r}",
+            vars(self),
+            {"name": "text", "min_samples": "integer", "weight": "number",
+             "description": "text"},
+            ObserverConfigError,
+        )
         if not self.name:
             raise ObserverConfigError("observer needs a non-empty name")
         if self.kind not in OBSERVER_KINDS:
@@ -134,11 +147,21 @@ class ObserverSpec:
         if self.weight <= 0.0:
             raise ObserverConfigError(f"observer {self.name!r}: weight must be > 0")
 
+    @property
+    def axes(self) -> Tuple[str, ...]:
+        """What a group of this observer is keyed by: the scope's axis (none
+        for the fleet), then the transport for latency, which is only
+        comparable within one -- a DoQ series ramping up next to an
+        established DoH series must warm its own baseline."""
+        axes = () if self.scope == "fleet" else (self.scope,)
+        return axes + ("transport",) if self.kind == "latency_p95" else axes
+
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)  # ``baseline`` included, as its own dict
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ObserverSpec":
+        check_shape("observer entry", data, "table", ObserverConfigError)
         data = dict(data)
         baseline = data.pop("baseline", None)
         unknown = set(data) - {f.name for f in fields(cls)}

@@ -30,7 +30,16 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import CampaignConfig, RoundProgress
@@ -44,6 +53,9 @@ from repro.parallel.executor import (
 )
 from repro.parallel.merge import merge_shard_results, merge_shard_warehouses
 from repro.parallel.shard import Shard, partition
+
+if TYPE_CHECKING:
+    from repro.monitor import Monitor, SloPolicy
 
 
 @dataclass
@@ -65,9 +77,9 @@ class ParallelRun:
     #: The canonical warehouse when the run streamed to disk (``store_dir``
     #: was set); ``store`` is empty in that mode.
     warehouse: Optional[object] = None
-    #: A finalized :class:`repro.monitor.Monitor` when the run was given an
-    #: SLO policy; holds the alert log, verdicts and scoreboard.
-    monitor: Optional[object] = None
+    #: A finalized monitor when the run was given an SLO policy; holds the
+    #: alert ``EventLog``, the verdicts and the scoreboard.
+    monitor: Optional["Monitor"] = None
 
     @property
     def record_count(self) -> int:
@@ -287,7 +299,7 @@ def run_parallel(
     workers: int = 1,
     store_dir: Optional[str] = None,
     segment_records: int = 4096,
-    slo_policy: Optional[object] = None,
+    slo_policy: Optional["SloPolicy"] = None,
     on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ParallelRun:
     """Execute shard tasks and merge their results.

@@ -68,9 +68,9 @@ class GroupSummary:
     def errors(self) -> int:
         return self.count - self.successes
 
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.count if self.count else 0.0
+    def latency_quantile(self, q: float) -> Optional[float]:
+        """The histogram's estimate (``None`` without a timed success)."""
+        return self.histogram.quantile(q)
 
     def observe(self, record: MeasurementRecord) -> None:
         self.count += 1

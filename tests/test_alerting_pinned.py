@@ -67,33 +67,24 @@ def _digest(rows) -> str:
 def alert_tuple(event) -> tuple:
     """(campaign, vantage, resolver, transport, slo, status, severity,
     at_ms, value) of one alert."""
-    evidence = event.evidence
-    value = next(
-        (evidence[key] for key in ("success_ratio", "value_ms", "error_share",
-                                   "statistic") if key in evidence),
-        None,
-    )
+    group = event.group
     return (
-        event.campaign, event.vantage, event.resolver, event.transport,
-        event.slo, event.status, event.severity, event.at_ms, _round(value),
+        group["campaign"], group["vantage"], group["resolver"], group["transport"],
+        event.name, event.status, event.severity, event.at_ms, _round(event.value),
     )
-
-
-def _group(text: str) -> list:
-    return [] if text in ("*", "fleet") else text.split("/")
 
 
 def fleet_event_tuple(event) -> tuple:
     """One observer-day: who, where, when, what, and the evidence behind it."""
-    data = event.to_dict()
-    evidence = data["evidence"]
+    evidence = event.evidence
     return (
-        data["observer"], _group(data["group"]), data["day"], data["at_ms"],
-        data["status"], data["severity"], data["value"], data["baseline_mean"],
-        data["baseline_std"], data["delta"], data["zscore"], data["direction"],
-        data["samples"], data["suppressed"], evidence["readings"],
-        evidence["records"], evidence.get("warming"), evidence.get("max_abs_z"),
-        [_group(group) for group in evidence.get("suppressed_groups", [])],
+        event.name, list(event.group.values()), evidence["day"], event.at_ms,
+        event.status, event.severity, event.value, evidence.get("baseline_mean"),
+        evidence.get("baseline_std"), evidence.get("delta"), evidence.get("z"),
+        evidence.get("direction", "none"), evidence.get("samples", evidence["records"]),
+        evidence.get("suppressed", 0), evidence["readings"], evidence["records"],
+        evidence.get("warming"), evidence.get("max_abs_z"),
+        [list(group.values()) for group in evidence.get("suppressed_groups", [])],
     )
 
 

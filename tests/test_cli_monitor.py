@@ -97,7 +97,7 @@ class TestMonitorCommand:
         lines = out.splitlines()
         assert lines, "expected alert lines on stdout"
         parsed = [json.loads(line) for line in lines]
-        assert all("slo" in event for event in parsed)
+        assert all(event["v"] == 2 and event["source"] == "slo" for event in parsed)
         assert out == _expected_alerts(store)
         # the scoreboard and chatter moved to stderr
         assert "| vantage" in err and "| vantage" not in out

@@ -128,7 +128,7 @@ class TestObserveInput:
         lines = out.splitlines()
         assert lines, "expected event lines on stdout"
         parsed = [json.loads(line) for line in lines]
-        assert all("observer" in event for event in parsed)
+        assert all(event["v"] == 2 and event["source"] == "observer" for event in parsed)
         assert out == _expected(store)[0]
         # the summary tables moved to stderr
         assert "# Observer fleet" in err and "# Observer fleet" not in out
@@ -158,7 +158,7 @@ class TestObserveInput:
         assert rc == 0
         capsys.readouterr()
         names = {
-            json.loads(line)["observer"]
+            json.loads(line)["name"]
             for line in events.read_text(encoding="utf-8").splitlines()
         }
         assert names <= {"region-availability"}

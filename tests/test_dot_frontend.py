@@ -11,7 +11,7 @@ a TLS stream.  These tests pin:
   rotting into an anonymous timeout;
 * DoT rides every downstream pipeline: phase attribution
   (``connect_ms``/``tls_ms``/``query_ms``), monitor group keys, and the
-  observer fleet's transport-qualified latency groups (``host/dot``).
+  observer fleet's transport-qualified latency groups (``(host, dot)``).
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def test_dot_monitor_groups_keyed_by_transport(dot_store):
     assert transports == {"dot"}
 
 
-def test_dot_observer_latency_group_is_host_slash_dot():
+def test_dot_observer_latency_group_is_host_and_dot():
     spec = ObserverSpec(
         name="p95",
         kind="latency_p95",
@@ -211,7 +211,8 @@ def test_dot_observer_latency_group_is_host_slash_dot():
         duration_ms=25.0,
         success=True,
     )
-    assert fleet._group_of(spec, record) == "dns.google/dot"
+    assert fleet._group_of(spec, record) == ("dns.google", "dot")
+    assert spec.axes == ("resolver", "transport")
     doh3 = MeasurementRecord(
         campaign="dot-check",
         vantage="ec2-ohio",
@@ -224,4 +225,4 @@ def test_dot_observer_latency_group_is_host_slash_dot():
         duration_ms=25.0,
         success=True,
     )
-    assert fleet._group_of(spec, doh3) == "dns.google/doh3"
+    assert fleet._group_of(spec, doh3) == ("dns.google", "doh3")

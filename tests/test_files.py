@@ -26,12 +26,11 @@ from repro.errors import (
     ResultsFormatError,
 )
 from repro.files import JsonlLog, iter_lines, read_document, read_jsonl, write_text
-from repro.monitor import AlertEvent, AlertLog, Monitor, SloPolicy, default_policy
+from repro.monitor import EventLog, HealthEvent, Monitor, SloPolicy, default_policy
 from repro.netsim.trace import EventTrace, TraceEvent
 from repro.obs import MetricsRegistry, SpanCollector
 from repro.observers import ObserverRegistry, default_registry
 from repro.observers.health import HealthSample, WorldHealthIndex
-from repro.observers.significance import SignificanceEvent, SignificanceLog
 from repro.session import SessionPolicy
 
 # ---------------------------------------------------------------------------
@@ -48,29 +47,28 @@ def _record(i: int = 0, success: bool = True) -> MeasurementRecord:
     )
 
 
-def _alert(**overrides) -> AlertEvent:
-    base = dict(
-        campaign="c", vantage="v1", resolver="r.example", transport="doh",
-        slo="availability-floor", detector="success_window", severity="critical",
-        status="firing", round_index=3, at_ms=11.0,
-        window={"count": 12}, evidence={"success_ratio": 0.5},
+def _alert(status: str = "firing", round_index: int = 3, at_ms: float = 11.0):
+    return HealthEvent(
+        source="slo", name="availability-floor",
+        group={"campaign": "c", "vantage": "v1", "resolver": "r.example",
+               "transport": "doh"},
+        at_ms=at_ms, status=status, severity="critical", value=0.5,
+        evidence={"round_index": round_index, "detector": "success_window",
+                  "window": {"count": 12}},
     )
-    base.update(overrides)
-    return AlertEvent(**base)
 
 
-def _significance(day: int = 0) -> SignificanceEvent:
-    return SignificanceEvent(
-        observer="region-availability", group="EU", day=day, at_ms=day * 86.4e6,
-        status="significant", severity="warning", value=0.8, baseline_mean=0.95,
-        baseline_std=0.01, delta=-0.15, zscore=-15.0, direction="down",
-        samples=40, suppressed=1, evidence={"readings": 3},
+def _significance(day: int = 0) -> HealthEvent:
+    return HealthEvent(
+        source="observer", name="region-availability", group={"region": "EU"},
+        at_ms=day * 86.4e6, status="significant", severity="warning", value=0.8,
+        evidence={"day": day, "baseline_mean": 0.95, "z": -15.0, "readings": 3},
     )
 
 
 def _health(day: int = 0) -> HealthSample:
     return HealthSample(
-        day=day, at_ms=day * 86.4e6, score=85.0, trend=97.9, band="STABLE",
+        day=day, at_ms=day * 86.4e6, score=85.0, trend=97.9, band="OK",
         events=1, silences=4, observers=5, contributions={"region-availability": 15.0},
     )
 
@@ -81,14 +79,14 @@ def _store() -> ResultStore:
     return store
 
 
-def _alert_log() -> AlertLog:
-    log = AlertLog()
+def _alert_log() -> EventLog:
+    log = EventLog()
     log.extend([_alert(), _alert(status="resolved", round_index=5, at_ms=20.0)])
     return log
 
 
-def _significance_log() -> SignificanceLog:
-    log = SignificanceLog()
+def _significance_log() -> EventLog:
+    log = EventLog()
     log.extend(_significance(day) for day in (0, 28))
     return log
 
@@ -145,10 +143,7 @@ def _metrics_export(path: Path) -> None:
 #: name -> (reader, the one ``repro.errors`` type it may raise, JSONL or document)
 _READERS = {
     "ResultStore.load_jsonl": (ResultStore.load_jsonl, ResultsFormatError, "jsonl"),
-    "AlertLog.load_jsonl": (AlertLog.load_jsonl, ResultsFormatError, "jsonl"),
-    "SignificanceLog.load_jsonl": (
-        SignificanceLog.load_jsonl, ResultsFormatError, "jsonl",
-    ),
+    "EventLog.load_jsonl": (EventLog.load_jsonl, ResultsFormatError, "jsonl"),
     "WorldHealthIndex.load_jsonl": (
         WorldHealthIndex.load_jsonl, ResultsFormatError, "jsonl",
     ),
@@ -244,8 +239,7 @@ def test_session_policy_is_read_as_utf8_not_in_the_locales_encoding(tmp_path):
 @pytest.mark.parametrize(
     "log_type,decode,what",
     [
-        (AlertLog, AlertEvent.from_dict, "alert line"),
-        (SignificanceLog, SignificanceEvent.from_dict, "significance event"),
+        (EventLog, HealthEvent.from_dict, "health event"),
         (WorldHealthIndex, HealthSample.from_dict, "health sample"),
     ],
 )
@@ -288,8 +282,7 @@ def test_read_jsonl_under_arbitrary_bytes_raises_only_format_errors(
 ):
     path = tmp_path / "fuzz.jsonl"
     path.write_bytes(data[: max(cut, 1)] if cut % 3 == 0 else data)
-    for decode in (AlertEvent.from_dict, SignificanceEvent.from_dict,
-                   HealthSample.from_dict):
+    for decode in (HealthEvent.from_dict, HealthSample.from_dict):
         try:
             read_jsonl(path, decode, "line")
         except ResultsFormatError as exc:
@@ -321,8 +314,8 @@ def _library_writers():
     fleet_doc = {"observers": [spec.to_dict() for spec in fleet.specs()]}
     return {
         "ResultStore.save_jsonl": (store.save_jsonl, store.to_jsonl(), 3),
-        "AlertLog.save_jsonl": (alerts.save_jsonl, alerts.to_jsonl(), Path),
-        "SignificanceLog.save_jsonl": (events.save_jsonl, events.to_jsonl(), Path),
+        "EventLog.save_jsonl": (alerts.save_jsonl, alerts.to_jsonl(), Path),
+        "EventLog.save_jsonl (observer)": (events.save_jsonl, events.to_jsonl(), Path),
         "WorldHealthIndex.save_jsonl": (index.save_jsonl, index.to_jsonl(), Path),
         "SloPolicy.save_json": (policy.save_json, _indented(policy.to_dict()), Path),
         "ObserverRegistry.save_json": (fleet.save_json, _indented(fleet_doc), Path),
@@ -373,40 +366,36 @@ def test_alert_artifacts_directory_is_created_for_all_three_files(tmp_path, caps
     )
 
 
-def test_log_round_trips_and_subclass_adds_nothing(tmp_path):
-    """``AlertLog`` is the generic log and nothing else; the significance
-    log adds its two status views."""
-    assert AlertLog.__bases__ == (JsonlLog,) and SignificanceLog.__bases__ == (JsonlLog,)
-
-    def own(cls):
-        return {name for name in vars(cls) if not name.startswith("__")}
-
-    assert own(AlertLog) == {"event_type", "what"}
-    assert own(SignificanceLog) == {"event_type", "what", "significant", "silences"}
+def test_log_round_trips_and_subclass_adds_one_view(tmp_path):
+    """``EventLog`` is the generic log plus ``with_status``, and holds the
+    monitor's alerts and the fleet's observer-days alike."""
+    assert EventLog.__bases__ == (JsonlLog,)
+    assert {name for name in vars(EventLog) if not name.startswith("__")} == {
+        "event_type", "what", "with_status",
+    }
     for log in (_alert_log(), _significance_log()):
-        loaded = type(log).load_jsonl(log.save_jsonl(tmp_path / "a" / "log.jsonl"))
-        assert type(loaded) is type(log)
+        loaded = EventLog.load_jsonl(log.save_jsonl(tmp_path / "a" / "log.jsonl"))
         assert loaded.events() == log.events() and len(loaded) == 2
         loaded.extend(reversed(log.events()))
         loaded.canonical_sort()
         keys = [event.sort_key() for event in loaded]
         assert keys == sorted(keys)
-        assert sum(loaded.counts_by_severity().values()) == 4
 
 
 def test_event_dict_forms_are_the_dataclass_fields():
-    """``to_dict`` says the fields once; ``from_dict`` keeps its two defaults."""
+    """``to_dict`` says the fields once, after ``v``; ``from_dict`` needs all."""
     import dataclasses
 
     alert = _alert()
-    assert list(alert.to_dict()) == [f.name for f in dataclasses.fields(AlertEvent)]
-    assert AlertEvent.from_dict(alert.to_dict()) == alert
-    bare = {k: v for k, v in alert.to_dict().items() if k not in ("window", "evidence")}
-    assert AlertEvent.from_dict(bare) == _alert(window={}, evidence={})
+    assert list(alert.to_dict()) == ["v"] + [
+        f.name for f in dataclasses.fields(HealthEvent)
+    ]
+    assert HealthEvent.from_dict(alert.to_dict()) == alert
+    bare = {k: v for k, v in alert.to_dict().items() if k != "evidence"}
     with pytest.raises(KeyError):
-        AlertEvent.from_dict({"campaign": "c"})
+        HealthEvent.from_dict(bare)
     with pytest.raises((TypeError, ValueError)):
-        AlertEvent.from_dict({**alert.to_dict(), "window": 5})
+        HealthEvent.from_dict({**alert.to_dict(), "group": 5})
 
 
 # ---------------------------------------------------------------------------

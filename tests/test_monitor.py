@@ -21,11 +21,11 @@ from repro.errors import MonitorConfigError
 from repro.experiments.campaigns import ec2_campaign_config
 from repro.monitor import (
     ESTABLISHMENT_CLASS_VALUES,
-    AlertEvent,
-    AlertLog,
     CusumConfig,
     CusumDetector,
+    EventLog,
     EwmaTracker,
+    HealthEvent,
     Monitor,
     RollingWindow,
     Scoreboard,
@@ -33,6 +33,7 @@ from repro.monitor import (
     SloSpec,
     WindowConfig,
     default_policy,
+    reading,
     verdicts_from_book,
 )
 from repro.store.aggregates import AggregateBook
@@ -243,7 +244,8 @@ class TestRollingWindow:
         window = RollingWindow(WindowConfig(records=3, min_samples=1))
         for i in range(5):
             window.push(float(i), success=True, duration_ms=10.0, error_class=None)
-        assert window.count == 3
+        assert len(window) == window.tally.count == 3
+        assert list(window.tally.durations) == [10.0] * 3
         assert window.span == (2.0, 4.0)
 
     def test_span_eviction_on_virtual_clock(self):
@@ -253,7 +255,7 @@ class TestRollingWindow:
         window.push(0.0, True, 1.0, None)
         window.push(10.0, True, 1.0, None)
         window.push(70.0, True, 1.0, None)  # horizon 20.0 evicts the first two
-        assert window.count == 1
+        assert len(window) == window.tally.count == 1
         assert window.span == (70.0, 70.0)
 
     def test_success_ratio_and_error_share(self):
@@ -262,9 +264,11 @@ class TestRollingWindow:
         window.push(1.0, False, None, "connect_refused")
         window.push(2.0, False, None, "dns_rcode")
         window.push(3.0, True, 7.0, None)
-        assert window.success_ratio == 0.5
-        assert window.failures == 2
-        assert window.error_share(("connect_refused", "tls_handshake")) == 0.25
+        assert reading("availability", window.tally) == 0.5
+        assert window.tally.count - window.tally.successes == 2
+        assert reading(
+            "error_budget", window.tally, ("connect_refused", "tls_handshake")
+        ) == 0.25
         assert window.error_counts() == {"connect_refused": 1, "dns_rcode": 1}
 
     def test_eviction_keeps_counters_consistent(self):
@@ -272,9 +276,11 @@ class TestRollingWindow:
         window.push(0.0, False, None, "timeout")
         window.push(1.0, True, 3.0, None)
         window.push(2.0, True, 4.0, None)  # evicts the failure
-        assert window.failures == 0
+        assert window.tally.count == window.tally.successes == 2
         assert window.error_counts() == {}
-        assert window.success_ratio == 1.0
+        assert reading("availability", window.tally) == 1.0
+        window.push(3.0, True, 5.0, None)  # evicts a success: its duration goes
+        assert list(window.tally.durations) == [4.0, 5.0]
 
     def test_latency_quantile_matches_analysis_stats(self):
         from repro.analysis.stats import quantile
@@ -283,13 +289,13 @@ class TestRollingWindow:
         values = [12.0, 55.0, 3.0, 90.0, 41.0]
         for i, value in enumerate(values):
             window.push(float(i), True, value, None)
-        assert window.latency_quantile(0.95) == quantile(values, 0.95)
-        assert window.latency_quantile(0.5) == quantile(values, 0.5)
+        assert reading("latency_p95", window.tally) == quantile(values, 0.95)
+        assert window.tally.latency_quantile(0.5) == quantile(values, 0.5)
 
     def test_quantile_none_without_successes(self):
         window = RollingWindow(WindowConfig(records=10, min_samples=1))
         window.push(0.0, False, None, "timeout")
-        assert window.latency_quantile(0.95) is None
+        assert reading("latency_p99", window.tally) is None
 
 
 class TestEwmaAndCusum:
@@ -338,19 +344,21 @@ class TestEwmaAndCusum:
 # ---------------------------------------------------------------------------
 
 
-def _alert(**overrides) -> AlertEvent:
-    base = dict(
-        campaign="c", vantage="v", resolver="r", transport="doh",
-        slo="availability-floor", detector="success_window",
-        severity="critical", status="firing", round_index=1, at_ms=10.0,
+def _alert(round_index=1, at_ms=10.0, resolver="r", severity="critical",
+           name="availability-floor", evidence=None) -> HealthEvent:
+    return HealthEvent(
+        source="slo", name=name,
+        group={"campaign": "c", "vantage": "v", "resolver": resolver,
+               "transport": "doh"},
+        at_ms=at_ms, status="firing", severity=severity, value=0.5,
+        evidence={"round_index": round_index, "detector": "success_window",
+                  **(evidence or {})},
     )
-    base.update(overrides)
-    return AlertEvent(**base)
 
 
 class TestAlertLog:
     def test_canonical_sort_drops_arrival_order(self):
-        log_a, log_b = AlertLog(), AlertLog()
+        log_a, log_b = EventLog(), EventLog()
         first = _alert(at_ms=5.0, round_index=0)
         second = _alert(at_ms=7.0, round_index=0, resolver="zzz")
         third = _alert(at_ms=1.0, round_index=2)
@@ -363,12 +371,13 @@ class TestAlertLog:
         assert [e.at_ms for e in log_a] == [5.0, 7.0, 1.0]
 
     def test_jsonl_round_trip(self, tmp_path):
-        log = AlertLog()
-        log.emit(_alert(window={"count": 12}, evidence={"success_ratio": 0.5}))
+        log = EventLog()
+        log.emit(_alert(evidence={"window": {"count": 12}}))
         path = log.save_jsonl(tmp_path / "alerts.jsonl")
-        loaded = AlertLog.load_jsonl(path)
+        loaded = EventLog.load_jsonl(path)
         assert loaded.to_jsonl() == log.to_jsonl()
-        assert loaded.events()[0].evidence == {"success_ratio": 0.5}
+        assert loaded.events() == log.events()
+        assert loaded.events()[0].evidence["window"] == {"count": 12}
 
     def test_malformed_line_names_position(self, tmp_path):
         from repro.errors import ResultsFormatError
@@ -376,14 +385,13 @@ class TestAlertLog:
         path = tmp_path / "alerts.jsonl"
         path.write_text('{"campaign": "c"}\n', encoding="utf-8")
         with pytest.raises(ResultsFormatError, match="alerts.jsonl:1"):
-            AlertLog.load_jsonl(path)
+            EventLog.load_jsonl(path)
 
-    def test_counts_by_severity(self):
-        log = AlertLog()
-        log.emit(_alert())
-        log.emit(_alert(severity="warning", slo="latency-p95-ceiling"))
-        log.emit(_alert(severity="warning", slo="latency-p99-ceiling"))
-        assert log.counts_by_severity() == {"critical": 1, "warning": 2}
+    def test_with_status(self):
+        log = EventLog()
+        log.extend([_alert(), _alert(severity="warning", name="latency-p95-ceiling")])
+        assert log.with_status("firing") == log.events()
+        assert log.with_status("resolved") == []
 
 
 class TestScoreboard:
@@ -408,11 +416,21 @@ class TestScoreboard:
         assert scoreboard.status("v", "degraded") == "DEGRADED"
         assert scoreboard.status("v", "failing") == "FAILING"
         assert scoreboard.worst_state() == "FAILING"
-        assert scoreboard.counts() == {"OK": 1, "DEGRADED": 1, "FAILING": 1}
+        assert scoreboard.counts() == {
+            "OK": 1, "WATCH": 0, "DEGRADED": 1, "FAILING": 1,
+        }
+
+    def test_a_failed_info_objective_reads_watch(self):
+        scoreboard = Scoreboard.from_verdicts([
+            self._verdict(resolver="noted", passed=False, severity="info"),
+            self._verdict(resolver="noted", slo="b"),
+        ])
+        assert scoreboard.status("v", "noted") == "WATCH"
+        assert scoreboard.worst_state() == "WATCH"
 
     def test_render_is_a_markdown_table(self):
         scoreboard = Scoreboard.from_verdicts(
-            [self._verdict(passed=False)], [_alert(vantage="v", resolver="r")]
+            [self._verdict(passed=False)], [_alert()]
         )
         text = scoreboard.render()
         assert text.splitlines()[0].startswith("| vantage")
@@ -431,11 +449,11 @@ class TestMonitorEquivalence:
 
     def test_alerts_fired_on_the_known_offenders(self, monitored_run):
         _, monitor = monitored_run
-        alerting = {(e.vantage, e.resolver) for e in monitor.alerts}
-        resolvers = {resolver for _, resolver in alerting}
+        resolvers = {e.group["resolver"] for e in monitor.alerts}
         assert "dns.pumplex.com" in resolvers  # dead: availability alerts
         assert "dns.google" not in resolvers
-        slos = {e.slo for e in monitor.alerts}
+        assert all(e.source == "slo" for e in monitor.alerts)
+        slos = {e.name for e in monitor.alerts}
         assert "availability-floor" in slos
 
     def test_streaming_equals_canonical_replay(self, monitored_run):
@@ -525,12 +543,12 @@ class TestMonitorEngineUnits:
                 self._record(success=False, duration=None,
                              error="connect_timeout", at=at)
             ); at += 1
-        firing = [e for e in monitor.alerts if e.slo == "availability-floor"]
+        firing = [e for e in monitor.alerts if e.name == "availability-floor"]
         assert [e.status for e in firing] == ["firing"]
         # window refills with successes -> breach clears exactly once
         for _ in range(20):
             monitor.observe(self._record(at=at)); at += 1
-        events = [e for e in monitor.alerts if e.slo == "availability-floor"]
+        events = [e for e in monitor.alerts if e.name == "availability-floor"]
         assert [e.status for e in events] == ["firing", "resolved"]
 
     def test_no_evaluation_below_min_samples(self):
@@ -555,7 +573,8 @@ class TestMonitorEngineUnits:
             )
         assert monitor.group_count == 0
         assert len(monitor.alerts) == 0
-        assert monitor.book().total_records == 20
+        assert monitor.records_seen == 20
+        assert [v.samples for v in monitor.verdicts()] == []  # no dns_query group
 
     def test_error_burst_alert_carries_class_evidence(self):
         monitor = Monitor(self._policy())
@@ -567,8 +586,8 @@ class TestMonitorEngineUnits:
                 self._record(success=False, duration=None,
                              error="tls_handshake", at=at)
             ); at += 1
-        bursts = [e for e in monitor.alerts if e.slo == "establishment-error-budget"]
-        assert bursts and bursts[0].detector == "error_burst"
+        bursts = [e for e in monitor.alerts if e.name == "establishment-error-budget"]
+        assert bursts and bursts[0].evidence["detector"] == "error_burst"
         assert bursts[0].evidence["error_counts"] == {"tls_handshake": 1}
         assert bursts[0].evidence["classes"] == list(ESTABLISHMENT_CLASS_VALUES)
 
@@ -577,7 +596,7 @@ class TestMonitorEngineUnits:
         at = 0.0
         for _ in range(4):
             monitor.observe(self._record(duration=2000.0, at=at)); at += 1
-        slos = {e.slo for e in monitor.alerts}
+        slos = {e.name for e in monitor.alerts}
         assert {"latency-p95-ceiling", "latency-p99-ceiling"} <= slos
 
     def test_cusum_alert_on_latency_step(self):
@@ -593,10 +612,10 @@ class TestMonitorEngineUnits:
         for i in range(20):
             jitter = 5.0 if i % 2 else -5.0
             monitor.observe(self._record(duration=300.0 + jitter, at=at)); at += 1
-        shifts = [e for e in monitor.alerts if e.detector == "cusum"]
+        shifts = [e for e in monitor.alerts if e.evidence["detector"] == "cusum"]
         assert shifts, "latency step must raise a cusum alert"
-        assert shifts[0].slo == "latency-shift"
-        assert shifts[0].evidence["statistic"] > 5.0
+        assert shifts[0].name == "latency-shift"
+        assert shifts[0].value > 5.0
 
     def test_finalize_exports_gauges(self):
         from repro.obs import MetricsRegistry

@@ -75,7 +75,7 @@ class TestWorkerCountInvariance:
     def test_alert_log_is_non_trivial(self, serial_run):
         # The dead resolver guarantees the equality above is not vacuous.
         assert len(serial_run.monitor.alerts) > 0
-        resolvers = {e.resolver for e in serial_run.monitor.alerts}
+        resolvers = {e.group["resolver"] for e in serial_run.monitor.alerts}
         assert "dns.pumplex.com" in resolvers
 
     def test_scoreboard_states_cover_the_fleet(self, serial_run):

@@ -119,7 +119,7 @@ def test_at_most_one_event_per_observer_per_day(records):
     report = _run_fleet(records)
     seen = set()
     for event in report.events:
-        key = (event.observer, event.day)
+        key = (event.name, event.evidence["day"])
         assert key not in seen, f"duplicate event for {key}"
         seen.add(key)
 

@@ -15,14 +15,13 @@ import pytest
 from repro.core.results import MeasurementRecord
 from repro.core.scheduler import MS_PER_DAY
 from repro.errors import ObserverConfigError
+from repro.monitor import EventLog, HealthEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.observers import (
     BaselineConfig,
     ObserverFleet,
     ObserverRegistry,
     ObserverSpec,
-    SignificanceEvent,
-    SignificanceLog,
     SignificanceModel,
     WorldHealthIndex,
     band_of,
@@ -177,23 +176,23 @@ class TestSignificanceModel:
         model = SignificanceModel(AVAIL_SPEC)
         for _ in range(AVAIL_SPEC.baseline.min_days):
             assert not model.warmed_up
-            candidate, zscore = model.evaluate("g", 1.0, 10)
+            candidate, zscore = model.evaluate(("g",), 1.0, 10)
             assert candidate is None and zscore is None
         assert model.warmed_up
-        _, zscore = model.evaluate("g", 1.0, 10)
+        _, zscore = model.evaluate(("g",), 1.0, 10)
         assert zscore is not None
 
     def test_stable_stream_stays_quiet(self):
         model = SignificanceModel(AVAIL_SPEC)
         for _ in range(30):
-            candidate, _ = model.evaluate("g", 1.0, 10)
+            candidate, _ = model.evaluate(("g",), 1.0, 10)
             assert candidate is None
 
     def test_shift_fires_once_then_becomes_normal(self):
         model = SignificanceModel(AVAIL_SPEC)
         for _ in range(10):
-            model.evaluate("g", 1.0, 10)
-        candidate, zscore = model.evaluate("g", 0.5, 10)
+            model.evaluate(("g",), 1.0, 10)
+        candidate, zscore = model.evaluate(("g",), 0.5, 10)
         assert candidate is not None
         assert candidate.severity == "critical"
         assert candidate.direction == "down"
@@ -202,7 +201,7 @@ class TestSignificanceModel:
         # briefly and then goes quiet (one-shot semantics).
         fired = 0
         for _ in range(30):
-            candidate, _ = model.evaluate("g", 0.5, 10)
+            candidate, _ = model.evaluate(("g",), 0.5, 10)
             fired += candidate is not None
         assert fired <= 3
 
@@ -218,46 +217,41 @@ class TestSignificanceModel:
         )
         model = SignificanceModel(spec)
         for _ in range(10):
-            model.evaluate("g", 100.0, 5)
+            model.evaluate(("g",), 100.0, 5)
         # +20% is surprising by z but below the 50% relative gate.
-        candidate, _ = model.evaluate("g", 120.0, 5)
+        candidate, _ = model.evaluate(("g",), 120.0, 5)
         assert candidate is None
-        candidate, _ = model.evaluate("g", 200.0, 5)
+        candidate, _ = model.evaluate(("g",), 200.0, 5)
         assert candidate is not None
 
 
 class TestDebounce:
-    def _candidates(self, model, values):
-        out = []
-        for group, value in values:
-            candidate, _ = model.evaluate(group, value, 10)
-            if candidate is not None:
-                out.append(candidate)
-        return out
-
     def test_most_severe_wins_and_others_suppressed(self):
         models = {g: SignificanceModel(AVAIL_SPEC) for g in ("a", "b", "c")}
         for _ in range(10):
             for model in models.values():
-                model.evaluate("x", 1.0, 10)
+                model.evaluate(("x",), 1.0, 10)
         candidates = []
         for group, value in (("a", 0.9), ("b", 0.2), ("c", 0.85)):
-            candidate, _ = models[group].evaluate(group, value, 10)
+            candidate, _ = models[group].evaluate((group,), value, 10)
             if candidate is not None:
                 candidates.append(candidate)
         assert len(candidates) == 3
         event = debounce_day(AVAIL_SPEC, 7, 7 * MS_PER_DAY, candidates, 3, 30, 0, 9.0)
         assert event.status == "significant"
-        assert event.group == "b"  # the deepest dip
-        assert event.suppressed == 2
-        assert sorted(event.evidence["suppressed_groups"]) == ["a", "c"]
+        assert event.group == {"resolver": "b"}  # the deepest dip
+        assert event.evidence["suppressed"] == 2
+        assert event.evidence["suppressed_groups"] == [
+            {"resolver": "c"}, {"resolver": "a"},
+        ]
 
     def test_silence_checkpoint_carries_coverage(self):
         event = debounce_day(AVAIL_SPEC, 3, 3 * MS_PER_DAY, [], 4, 40, 1, 0.7)
         assert event.status == "silence"
-        assert event.group == "*"
+        assert event.group == {}
         assert event.severity == "none"
         assert event.evidence == {
+            "day": 3,
             "readings": 4,
             "records": 40,
             "warming": 1,
@@ -266,61 +260,40 @@ class TestDebounce:
 
     def test_event_json_round_trip(self):
         event = debounce_day(AVAIL_SPEC, 3, 3 * MS_PER_DAY, [], 4, 40, 1, None)
-        again = SignificanceEvent.from_dict(json.loads(event.to_json()))
-        assert again.to_json() == event.to_json()
+        again = HealthEvent.from_dict(json.loads(event.to_json()))
+        assert again == event and again.to_json() == event.to_json()
 
     def test_log_round_trip(self, tmp_path):
-        log = SignificanceLog()
+        log = EventLog()
         log.emit(debounce_day(AVAIL_SPEC, 2, 2 * MS_PER_DAY, [], 1, 10, 0, None))
         log.emit(debounce_day(AVAIL_SPEC, 1, 1 * MS_PER_DAY, [], 1, 10, 1, 0.2))
         log.canonical_sort()
         path = log.save_jsonl(tmp_path / "events.jsonl")
-        loaded = SignificanceLog.load_jsonl(path)
+        loaded = EventLog.load_jsonl(path)
         assert loaded.to_jsonl() == log.to_jsonl()
-        assert [e.day for e in loaded] == [1, 2]
+        assert [e.evidence["day"] for e in loaded] == [1, 2]
 
 
 class TestWorldHealthIndex:
     def test_bands(self):
-        assert band_of(95.0) == "STABLE"
-        assert band_of(70.0) == "WATCH"
-        assert band_of(50.0) == "DEGRADED"
-        assert band_of(0.0) == "CRITICAL"
+        from repro.monitor import HEALTH_STATES
+
+        assert [band_of(score) for score in (95.0, 70.0, 50.0, 0.0)] == list(
+            HEALTH_STATES
+        )
 
     def _significant(self, observer, day, severity):
-        return SignificanceEvent(
-            observer=observer,
-            group="g",
-            day=day,
-            at_ms=day * MS_PER_DAY,
-            status="significant",
-            severity=severity,
-            value=0.5,
-            baseline_mean=1.0,
-            baseline_std=0.02,
-            delta=-0.5,
-            zscore=-25.0,
-            direction="down",
-            samples=10,
-            suppressed=0,
+        return HealthEvent(
+            source="observer", name=observer, group={"region": "g"},
+            at_ms=day * MS_PER_DAY, status="significant", severity=severity,
+            value=0.5, evidence={"day": day, "z": -25.0, "direction": "down"},
         )
 
     def _silence(self, observer, day):
-        return SignificanceEvent(
-            observer=observer,
-            group="*",
-            day=day,
-            at_ms=day * MS_PER_DAY,
-            status="silence",
-            severity="none",
-            value=None,
-            baseline_mean=None,
-            baseline_std=None,
-            delta=None,
-            zscore=None,
-            direction="none",
-            samples=10,
-            suppressed=0,
+        return HealthEvent(
+            source="observer", name=observer, group={}, at_ms=day * MS_PER_DAY,
+            status="silence", severity="none", value=None,
+            evidence={"day": day, "readings": 1, "records": 10},
         )
 
     def test_scores_weights_and_clamp(self):
@@ -348,7 +321,7 @@ class TestWorldHealthIndex:
         index = WorldHealthIndex.from_events([], [], MS_PER_DAY)
         assert index.healthy()
         assert index.latest() is None
-        assert index.worst_band() == "STABLE"
+        assert index.worst_band() == "OK"
 
     def test_jsonl_round_trip(self, tmp_path):
         index = WorldHealthIndex.from_events(
@@ -371,23 +344,24 @@ class TestFleet:
         fleet = ObserverFleet([AVAIL_SPEC])
         fleet.replay(self._stream_with_dip())
         report = fleet.finalize()
-        significant = report.events.significant()
+        significant = report.events.with_status("significant")
         assert len(significant) == 1
         event = significant[0]
-        assert event.day == 6
-        assert event.observer == "avail"
-        assert event.group == "dns.google"
-        assert event.direction == "down"
+        assert event.evidence["day"] == 6
+        assert event.name == "avail"
+        assert event.group == {"resolver": "dns.google"}
+        assert event.evidence["direction"] == "down"
         # Every other measured day closes with a silence checkpoint.
-        assert len(report.events.silences()) == 9
-        assert {e.day for e in report.events.silences()} == set(range(10)) - {6}
+        silences = report.events.with_status("silence")
+        assert {e.evidence["day"] for e in silences} == set(range(10)) - {6}
+        assert len(silences) == 9
 
     def test_thin_days_are_gaps_not_silences(self):
         records = day_batch(0) + day_batch(1, n=2) + day_batch(2)
         fleet = ObserverFleet([AVAIL_SPEC])
         fleet.replay(records)
         report = fleet.finalize()
-        assert {e.day for e in report.events} == {0, 2}
+        assert {e.evidence["day"] for e in report.events} == {0, 2}
         assert report.days_observed == 2
 
     def test_non_query_records_ignored(self):
@@ -413,9 +387,10 @@ class TestFleet:
         fleet = ObserverFleet([spec])
         fleet.replay(records)
         report = fleet.finalize()
-        significant = report.events.significant()
-        assert [e.day for e in significant] == [7]
-        assert significant[0].direction == "up"
+        significant = report.events.with_status("significant")
+        assert [e.evidence["day"] for e in significant] == [7]
+        assert significant[0].evidence["direction"] == "up"
+        assert significant[0].group == {"resolver": "dns.google", "transport": "doh"}
 
     def test_latency_groups_are_transport_qualified(self):
         """A DoQ series ramping up next to an established DoH series must
@@ -443,10 +418,12 @@ class TestFleet:
         # Two separate series exist; neither ever looks like a drift: the
         # DoH baseline never sees a DoQ duration, and the DoQ series is
         # internally stable (its first min_days readings are warm-up).
-        assert not report.events.significant()
-        means = metrics.gauges_matching("observer.baseline_mean")
-        assert any("dns.google/doh" in key for key in means)
-        assert any("dns.google/doq" in key for key in means)
+        assert not report.events.with_status("significant")
+        for transport in ("doh", "doq"):
+            assert metrics.gauge_value(
+                "observer.baseline_mean", observer="p95",
+                resolver="dns.google", transport=transport,
+            ) is not None
 
     def test_error_share_uses_establishment_classes_only(self):
         spec = ObserverSpec(
@@ -470,7 +447,9 @@ class TestFleet:
         fleet = ObserverFleet([spec])
         fleet.replay(records)
         report = fleet.finalize()
-        assert [e.day for e in report.events.significant()] == [5]
+        assert [
+            e.evidence["day"] for e in report.events.with_status("significant")
+        ] == [5]
 
     def test_adoption_share_counts_doq_among_encrypted(self):
         spec = ObserverSpec(
@@ -489,8 +468,9 @@ class TestFleet:
         fleet = ObserverFleet([spec])
         fleet.replay(records)
         report = fleet.finalize()
-        significant = report.events.significant()
-        assert [e.day for e in significant] == [5]
+        significant = report.events.with_status("significant")
+        assert [e.evidence["day"] for e in significant] == [5]
+        assert significant[0].group == {}
         assert significant[0].value == pytest.approx(0.8)
 
     def test_region_scope_groups_by_catalog_region(self):
@@ -515,8 +495,8 @@ class TestFleet:
         fleet = ObserverFleet([spec])
         fleet.replay(records)
         report = fleet.finalize()
-        significant = report.events.significant()
-        assert [e.group for e in significant] == ["unlocatable"]
+        significant = report.events.with_status("significant")
+        assert [e.group for e in significant] == [{"region": "unlocatable"}]
 
     def test_gauges_exported(self):
         metrics = MetricsRegistry()
@@ -533,7 +513,7 @@ class TestFleet:
             report.index.latest().score
         )
         baseline_mean = metrics.gauge_value(
-            "observer.baseline_mean", observer="avail", group="dns.google"
+            "observer.baseline_mean", observer="avail", resolver="dns.google"
         )
         assert baseline_mean is not None and 0.85 <= baseline_mean <= 1.0
         # And the prefix scan (used by metrics export) sees the series.
