@@ -193,7 +193,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
         fault_plan = FaultPlan.generate(
             hostnames,
-            horizon_ms=schedule.total_span_ms + schedule.interval_ms,
+            horizon_ms=schedule.horizon_ms,
             seed=args.fault_seed,
             config=FaultPlanConfig(impaired_time_fraction=args.fault_fraction),
         )
@@ -383,7 +383,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     report text on stdout is deterministic — byte-identical across
     worker counts and record sources for a fixed seed.
     """
-    from repro.diff import AnswerFaultPlan, build_diff_report, verify_reproducibility
+    from repro.diff import build_diff_report, verify_reproducibility
     from repro.experiments.campaigns import (
         _catalog_hostnames,
         diff_campaign_config,
@@ -403,13 +403,16 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
     fault_plan = None
     if args.faults:
-        fault_plan = AnswerFaultPlan.generate(
+        from repro.faults import FaultPlan, inject_faults
+
+        fault_plan = FaultPlan.answer_faults(
             hostnames,
-            list(config.domains),
+            config.domains,
+            horizon_ms=config.schedule.horizon_ms,
             seed=args.fault_seed,
             per_kind=args.faults_per_kind,
         )
-        _status(f"armed answer faults:\n{fault_plan.describe()}")
+        _status(f"armed answer faults: {fault_plan.describe()}")
 
     if args.input:
         records = _record_stream(args.input)
@@ -422,7 +425,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             transport=args.transport,
             vantage_names=args.vantage or None,
             target_hostnames=hostnames,
-            answer_fault_plan=fault_plan,
+            fault_plan=fault_plan,
             **execution,
         )
         _status(run.describe())
@@ -437,10 +440,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         if fault_plan is not None:
             # The verify world must serve the same (faulted) answers the
             # campaign world did, or injected faults would read transient.
-            fault_plan.install(
-                world.deployments[hostname]
-                for hostname in hostnames
-                if hostname in world.deployments
+            inject_faults(
+                world.network, world.deployments, fault_plan, close_windows=False
             )
         verify_reproducibility(world, report, attempts=args.verify, seed=args.verify_seed)
         _status(f"verified {len(report.disagreements())} disagreements "

@@ -10,6 +10,7 @@ naturally spreads them).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Tuple
@@ -52,6 +53,11 @@ class PeriodicSchedule:
     def __post_init__(self) -> None:
         if self.rounds <= 0:
             raise CampaignConfigError("schedule needs at least one round")
+        for name in ("interval_ms", "stagger_ms", "start_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise CampaignConfigError(
+                    f"schedule {name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.interval_ms < 0 or self.stagger_ms < 0:
             raise CampaignConfigError("negative schedule interval/stagger")
         if self.stagger_ms > self.interval_ms and self.rounds > 1:
@@ -104,6 +110,13 @@ class PeriodicSchedule:
     def total_span_ms(self) -> float:
         """Time from the first round start to the end of the last round."""
         return (self.rounds - 1) * self.interval_ms + self.stagger_ms
+
+    @property
+    def horizon_ms(self) -> float:
+        """How long a fault plan for this schedule must last: the span plus
+        one interval, while the last round's probes and retries are in
+        flight."""
+        return self.total_span_ms + self.interval_ms
 
     @classmethod
     def every_hours(cls, hours: float, rounds: int, stagger_minutes: float = 5.0) -> "PeriodicSchedule":

@@ -25,16 +25,12 @@ diff reports are byte-identical for any worker count.
 """
 
 from repro.diff.engine import DiffReport, build_diff_report
-from repro.diff.faults import FAULT_KINDS, AnswerFault, AnswerFaultPlan
 from repro.diff.records import DiffRecord
 from repro.diff.requery import verify_reproducibility
 
 __all__ = [
-    "AnswerFault",
-    "AnswerFaultPlan",
     "DiffRecord",
     "DiffReport",
-    "FAULT_KINDS",
     "build_diff_report",
     "verify_reproducibility",
 ]

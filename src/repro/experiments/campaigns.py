@@ -132,17 +132,17 @@ def run_diff_campaign(
     workers: int = 1,
     shard_by: str = "vantage",
     shards: Optional[int] = None,
-    answer_fault_plan: Optional["AnswerFaultPlan"] = None,
+    fault_plan: Optional[FaultPlan] = None,
     store_dir: Optional[str] = None,
     segment_records: int = 4096,
 ) -> ParallelRun:
     """Run the differencing fan-out, serial or sharded, RAM or warehouse.
 
-    With ``answer_fault_plan`` set, every shard (and the serial path —
-    the identity shard plan) arms the plan's response mutators on its
-    own targets, so the injected disagreements are identical for any
-    worker count.  The returned run's record source feeds
-    :func:`repro.diff.build_diff_report`.
+    With ``fault_plan`` set (normally :meth:`FaultPlan.answer_faults`),
+    every shard arms the plan on its own targets, as
+    :func:`run_campaign_parallel` does, so the injected disagreements are
+    identical for any worker count.  The returned run's record source
+    feeds :func:`repro.diff.build_diff_report`.
     """
     names = list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
     return run_campaign_parallel(
@@ -155,7 +155,7 @@ def run_diff_campaign(
         workers=workers,
         shard_by=shard_by,
         shards=shards,
-        answer_fault_plan=answer_fault_plan,
+        fault_plan=fault_plan,
         store_dir=store_dir,
         segment_records=segment_records,
     )
@@ -282,7 +282,6 @@ def run_campaign_parallel(
     shard_by: str = "vantage",
     shards: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    answer_fault_plan: Optional["AnswerFaultPlan"] = None,
     collect_spans: bool = False,
     collect_metrics: bool = False,
     store_dir: Optional[str] = None,
@@ -312,9 +311,6 @@ def run_campaign_parallel(
         shard_by=shard_by,
         shards=shards,
         fault_plan_json=fault_plan.to_json() if fault_plan is not None else None,
-        answer_fault_plan_json=(
-            answer_fault_plan.to_json() if answer_fault_plan is not None else None
-        ),
         collect_spans=collect_spans,
         collect_metrics=collect_metrics,
     )
@@ -437,9 +433,9 @@ def run_fault_study(
     hostnames = _catalog_hostnames(target_hostnames)
     names = list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
     config = fault_campaign_config(rounds=rounds, retry=retry)
-    horizon_ms = config.schedule.total_span_ms + config.schedule.interval_ms
     plan = FaultPlan.generate(
-        hostnames, horizon_ms=horizon_ms, seed=fault_seed, config=plan_config
+        hostnames, horizon_ms=config.schedule.horizon_ms, seed=fault_seed,
+        config=plan_config,
     )
     run = run_campaign_parallel(
         config,

@@ -12,11 +12,19 @@ The subsystem has two halves:
 Together they reproduce the paper's transient-failure phenomenology:
 resolver outages (refused or silently dropped connections), TLS
 handshake failure windows, loss and latency spikes, and overload
-degradation — all reproducible from a single seed.
+degradation — all reproducible from a single seed.  The answer kinds
+(:data:`ANSWER_KINDS`) make a resolver answer one domain wrongly, for the
+differencing engine to classify.
 """
 
-from repro.faults.injector import FaultInjector, deployment_hosts, inject_faults
+from repro.faults.injector import (
+    FaultInjector,
+    deployment_hosts,
+    inject_faults,
+    mutate_response,
+)
 from repro.faults.plan import (
+    ANSWER_KINDS,
     DEFAULT_KIND_WEIGHTS,
     FaultEvent,
     FaultKind,
@@ -25,6 +33,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
+    "ANSWER_KINDS",
     "DEFAULT_KIND_WEIGHTS",
     "FaultEvent",
     "FaultInjector",
@@ -33,4 +42,5 @@ __all__ = [
     "FaultPlanConfig",
     "deployment_hosts",
     "inject_faults",
+    "mutate_response",
 ]

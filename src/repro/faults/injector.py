@@ -6,7 +6,9 @@ clock — apply at ``start_ms``, revert at ``end_ms`` — and recomputes the
 the set of windows currently active there.  Recomputing (rather than
 toggling fields) makes overlapping windows compose correctly: numeric
 impairments stack, and an outage that outlasts a nested TLS window stays
-in force until its own end.
+in force until its own end.  An answer fault lands on the same
+impairments, as a qname -> kind map the resolver frontends consult before
+they send a response (:func:`mutate_response` applies it).
 
 Everything is driven by the event loop, so injection is deterministic
 given the plan, and arming the same plan on identically seeded worlds
@@ -17,8 +19,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
+from repro.dnswire.message import Message, ResourceRecord
+from repro.dnswire.name import Name
+from repro.dnswire.rdata import ARdata
+from repro.dnswire.types import RCODE_NXDOMAIN, RCODE_SERVFAIL, TYPE_A
 from repro.errors import CampaignConfigError
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import ANSWER_KINDS, FaultEvent, FaultKind, FaultPlan
 from repro.netsim.host import Host
 from repro.netsim.network import Network
 
@@ -58,12 +64,16 @@ class FaultInjector:
 
     # -- arming ----------------------------------------------------------------
 
-    def arm(self, offset_ms: float = 0.0) -> int:
+    def arm(self, offset_ms: float = 0.0, close_windows: bool = True) -> int:
         """Schedule every window; returns the number of events armed.
 
         ``offset_ms`` shifts the whole plan (whose events are relative to
         0) to start at ``now + offset_ms``, so a plan generated for a
         campaign horizon can be armed just before the campaign runs.
+        ``close_windows=False`` opens each window at its start and never
+        closes it: for a world driven one query at a time, each run to idle
+        (``diff --verify`` re-queries), where a scheduled close would run
+        at the first query and take the clock to the end of the plan.
         """
         if self._armed:
             raise CampaignConfigError("fault injector is already armed")
@@ -79,7 +89,8 @@ class FaultInjector:
         base = self.network.loop.now + offset_ms
         for event in self.plan.events:
             self.network.loop.call_at(base + event.start_ms, self._apply, event)
-            self.network.loop.call_at(base + event.end_ms, self._revert, event)
+            if close_windows:
+                self.network.loop.call_at(base + event.end_ms, self._revert, event)
         self._armed = True
         return len(self.plan.events)
 
@@ -121,6 +132,8 @@ class FaultInjector:
                     imp.extra_delay_ms += event.magnitude
                 elif event.kind == FaultKind.DEGRADATION:
                     imp.extra_processing_ms += event.magnitude
+                elif event.kind in ANSWER_KINDS:
+                    imp.answer_faults[Name.from_text(event.domain)] = event.kind
 
     # -- introspection ---------------------------------------------------------
 
@@ -135,6 +148,39 @@ class FaultInjector:
             f"{self.applied_count} applied, {self.reverted_count} reverted, "
             f"{len(self.active_events)} active"
         )
+
+
+def mutate_response(response: Message, kind: FaultKind) -> Message:
+    """Apply one answer kind to a response message (in place, returned)."""
+    if kind == FaultKind.NXDOMAIN:
+        response.header.rcode = RCODE_NXDOMAIN
+        response.answers = []
+    elif kind == FaultKind.SERVFAIL:
+        response.header.rcode = RCODE_SERVFAIL
+        response.answers = []
+    elif kind == FaultKind.REWRITE:
+        # Each A record keeps its last octet and moves into TEST-NET-3.
+        response.answers = [
+            ResourceRecord(
+                name=record.name,
+                rdtype=record.rdtype,
+                rdclass=record.rdclass,
+                ttl=record.ttl,
+                rdata=ARdata("203.0.113." + record.rdata.address.rsplit(".", 1)[-1]),
+            )
+            if record.rdtype == TYPE_A and isinstance(record.rdata, ARdata)
+            else record
+            for record in response.answers
+        ]
+    elif kind == FaultKind.TTL:
+        # Five seconds sits in the "1s+" band; zone data lives in "1d+".
+        response.answers = [record.with_ttl(5) for record in response.answers]
+    elif kind == FaultKind.TRUNCATE:
+        response.header.tc = True
+        response.answers = []
+    else:
+        raise CampaignConfigError(f"{kind!r} is not an answer fault kind")
+    return response
 
 
 def deployment_hosts(deployments: "DeploymentsLike") -> Dict[str, List[Host]]:
@@ -159,8 +205,9 @@ def inject_faults(
     deployments: "DeploymentsLike",
     plan: FaultPlan,
     offset_ms: float = 0.0,
+    close_windows: bool = True,
 ) -> FaultInjector:
     """Convenience: build an injector over whole deployments and arm it."""
     injector = FaultInjector(network, deployment_hosts(deployments), plan)
-    injector.arm(offset_ms=offset_ms)
+    injector.arm(offset_ms=offset_ms, close_windows=close_windows)
     return injector

@@ -14,17 +14,25 @@ so the same seed always yields byte-identical plans across processes
 serialized, inspected and replayed.  The
 :class:`~repro.faults.injector.FaultInjector` schedules the windows on
 the virtual clock.
+
+Besides the network kinds, a window can carry one of the five answer
+kinds (:data:`ANSWER_KINDS`): for its duration the resolver answers one
+``domain`` wrongly, in the way the kind names.  The clean world agrees
+everywhere, so these are what the differencing engine (:mod:`repro.diff`)
+has to classify back into its taxonomy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.core.seeding import derive_rng
 from repro.errors import CampaignConfigError
 
 
@@ -43,6 +51,26 @@ class FaultKind(str, Enum):
     LATENCY_SPIKE = "latency_spike"
     #: Extra frontend service time per query (overload / slow start).
     DEGRADATION = "degradation"
+    #: Answers for one domain are NXDOMAIN (diffs as nxdomain_vs_noerror).
+    NXDOMAIN = "nxdomain"
+    #: Answers for one domain are SERVFAIL (rcode_mismatch).
+    SERVFAIL = "servfail"
+    #: A records for one domain move into TEST-NET-3 (answer_set_mismatch).
+    REWRITE = "rewrite"
+    #: TTLs for one domain drop to 5 s (ttl_band_drift).
+    TTL = "ttl"
+    #: Answers for one domain are truncated, TC set (truncation).
+    TRUNCATE = "truncate"
+
+
+#: The answer kinds, in the order :meth:`FaultPlan.answer_faults` fills them.
+ANSWER_KINDS = (
+    FaultKind.NXDOMAIN,
+    FaultKind.SERVFAIL,
+    FaultKind.REWRITE,
+    FaultKind.TTL,
+    FaultKind.TRUNCATE,
+)
 
 
 #: Kinds whose magnitude is a probability in [0, 1].
@@ -58,7 +86,8 @@ class FaultEvent:
     ``magnitude`` is kind-dependent: a loss probability for
     :attr:`FaultKind.LOSS_SPIKE`, extra milliseconds for
     :attr:`FaultKind.LATENCY_SPIKE`/:attr:`FaultKind.DEGRADATION`, and
-    unused (0) for the outage/TLS kinds.
+    unused (0) for the other kinds.  ``domain`` is the name an answer kind
+    answers wrongly, and empty for every other kind.
     """
 
     kind: FaultKind
@@ -66,10 +95,20 @@ class FaultEvent:
     start_ms: float
     duration_ms: float
     magnitude: float = 0.0
+    domain: str = ""
 
     def __post_init__(self) -> None:
         if not self.hostname:
             raise CampaignConfigError("fault event needs a target hostname")
+        if (self.kind in ANSWER_KINDS) != bool(self.domain):
+            raise CampaignConfigError(
+                f"{self.kind.value} fault on {self.hostname}: an answer kind "
+                f"names a domain and no other kind does (got {self.domain!r})"
+            )
+        if not math.isfinite(self.start_ms + self.duration_ms):
+            raise CampaignConfigError(
+                f"fault window [{self.start_ms!r}, +{self.duration_ms!r}) is not finite"
+            )
         if self.start_ms < 0:
             raise CampaignConfigError(f"fault start {self.start_ms!r} is negative")
         if self.duration_ms <= 0:
@@ -92,13 +131,16 @@ class FaultEvent:
         return self.start_ms <= at_ms < self.end_ms
 
     def to_dict(self) -> Dict:
-        return {
+        data = {
             "kind": self.kind.value,
             "hostname": self.hostname,
             "start_ms": self.start_ms,
             "duration_ms": self.duration_ms,
             "magnitude": self.magnitude,
         }
+        if self.domain:
+            data["domain"] = self.domain
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultEvent":
@@ -108,6 +150,7 @@ class FaultEvent:
             start_ms=float(data["start_ms"]),
             duration_ms=float(data["duration_ms"]),
             magnitude=float(data.get("magnitude", 0.0)),
+            domain=data.get("domain", ""),
         )
 
 
@@ -163,12 +206,19 @@ def _stable_seed(*parts: object) -> int:
     return zlib.crc32(material) & 0xFFFFFFFF
 
 
+def _check_horizon(horizon_ms: float) -> None:
+    if not (math.isfinite(horizon_ms) and horizon_ms > 0):
+        raise CampaignConfigError(
+            f"fault horizon {horizon_ms!r} must be a positive, finite number of ms"
+        )
+
+
 class FaultPlan:
     """An immutable schedule of fault windows over a set of resolvers."""
 
     def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
         self.events: List[FaultEvent] = sorted(
-            events, key=lambda e: (e.start_ms, e.hostname, e.kind.value)
+            events, key=lambda e: (e.start_ms, e.hostname, e.kind.value, e.domain)
         )
 
     def __len__(self) -> int:
@@ -221,8 +271,7 @@ class FaultPlan:
         resolvers at different times, which is what produces the paper's
         "no consistent pattern" observation.
         """
-        if horizon_ms <= 0:
-            raise CampaignConfigError(f"fault horizon {horizon_ms!r} must be positive")
+        _check_horizon(horizon_ms)
         config = config or FaultPlanConfig()
         kinds = list(config.kind_weights.keys())
         weights = [config.kind_weights[k] for k in kinds]
@@ -262,6 +311,39 @@ class FaultPlan:
                 )
         return cls(events)
 
+    @classmethod
+    def answer_faults(
+        cls,
+        hostnames: Sequence[str],
+        domains: Sequence[str],
+        horizon_ms: float,
+        seed: int = 0,
+        per_kind: int = 1,
+    ) -> "FaultPlan":
+        """``per_kind`` distinct (hostname, domain) pairs per answer kind,
+        each faulted over the whole of ``[0, horizon_ms)``.
+
+        The pairs are sorted, shuffled with a derived RNG and consumed in
+        :data:`ANSWER_KINDS` order: a pure function of the inputs, so every
+        process (and every shard) derives the identical plan.
+        """
+        _check_horizon(horizon_ms)
+        if per_kind < 1:
+            raise CampaignConfigError(f"per_kind must be >= 1, got {per_kind!r}")
+        pairs = [(h, d) for h in sorted(hostnames) for d in sorted(domains)]
+        needed = per_kind * len(ANSWER_KINDS)
+        if len(pairs) < needed:
+            raise CampaignConfigError(
+                f"{len(pairs)} (hostname, domain) pairs cannot host "
+                f"{needed} answer faults"
+            )
+        derive_rng(seed, "answer-faults").shuffle(pairs)
+        return cls(
+            FaultEvent(kind, hostname, 0.0, horizon_ms, domain=domain)
+            for index, kind in enumerate(ANSWER_KINDS)
+            for hostname, domain in pairs[index * per_kind:(index + 1) * per_kind]
+        )
+
     # -- persistence ----------------------------------------------------------
 
     def to_json(self) -> str:
@@ -276,12 +358,20 @@ class FaultPlan:
         return cls(FaultEvent.from_dict(item) for item in json.loads(text))
 
     def describe(self) -> str:
-        """Human-readable summary: events per kind and per resolver count."""
+        """Human-readable summary: events per kind and per resolver count,
+        then one line per answer fault."""
         by_kind: Dict[str, int] = {}
         for event in self.events:
             by_kind[event.kind.value] = by_kind.get(event.kind.value, 0) + 1
         kinds = ", ".join(f"{kind}={count}" for kind, count in sorted(by_kind.items()))
-        return (
-            f"FaultPlan: {len(self.events)} windows over "
-            f"{len(self.hostnames)} resolvers ({kinds or 'none'})"
+        return "\n".join(
+            [
+                f"FaultPlan: {len(self.events)} windows over "
+                f"{len(self.hostnames)} resolvers ({kinds or 'none'})"
+            ]
+            + [
+                f"  {event.hostname} {event.domain} -> {event.kind.value}"
+                for event in self.events
+                if event.domain
+            ]
         )

@@ -12,7 +12,7 @@ are invoked by :class:`repro.netsim.network.Network` when packets arrive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import AddressError, SocketError
@@ -21,6 +21,7 @@ from repro.netsim.latency import SERVER, AccessProfile
 from repro.netsim.packet import Datagram, Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dnswire.name import Name
     from repro.netsim.icmp import IcmpPolicy
     from repro.netsim.network import Network
     from repro.netsim.sockets import SimTcpConnection
@@ -56,6 +57,10 @@ class HostImpairments:
     extra_processing_ms:
         Additional frontend service time per query (slow-start /
         overload degradation).
+    answer_faults:
+        qname -> answer fault kind: the host's resolver frontends answer
+        these names wrongly, in the way the kind names.  It never touches
+        a packet, so it leaves :attr:`any_active` alone.
     """
 
     syn_override: Optional[str] = None
@@ -63,6 +68,7 @@ class HostImpairments:
     extra_loss_rate: float = 0.0
     extra_delay_ms: float = 0.0
     extra_processing_ms: float = 0.0
+    answer_faults: Dict["Name", str] = field(default_factory=dict)
 
     #: True while any field is off its neutral value.  Not a field: every
     #: assignment to one brings it up to date, because the fault injector
@@ -89,6 +95,7 @@ class HostImpairments:
         self.extra_loss_rate = 0.0
         self.extra_delay_ms = 0.0
         self.extra_processing_ms = 0.0
+        self.answer_faults = {}
 
 
 class Host:

@@ -69,10 +69,9 @@ class ShardTask:
     shard_key: str
     shard_seed: int
     network_seed: Optional[int]
+    #: Serialized :class:`repro.faults.FaultPlan`, network windows and
+    #: answer faults alike; each shard arms the events of its own targets.
     fault_plan_json: Optional[str] = None
-    #: Serialized :class:`repro.diff.faults.AnswerFaultPlan`; shards arm
-    #: response mutators on their own targets exactly like the serial run.
-    answer_fault_plan_json: Optional[str] = None
     collect_spans: bool = False
     collect_metrics: bool = False
     warm_caches: bool = True
@@ -90,7 +89,6 @@ class ShardTask:
         config: CampaignConfig,
         world_seed: int,
         fault_plan_json: Optional[str] = None,
-        answer_fault_plan_json: Optional[str] = None,
         collect_spans: bool = False,
         collect_metrics: bool = False,
         warm_caches: bool = True,
@@ -114,7 +112,6 @@ class ShardTask:
             shard_seed=shard.seed,
             network_seed=shard.network_seed,
             fault_plan_json=fault_plan_json,
-            answer_fault_plan_json=answer_fault_plan_json,
             collect_spans=collect_spans,
             collect_metrics=collect_metrics,
             warm_caches=warm_caches,
@@ -216,17 +213,6 @@ def execute_shard(
                 world.network,
                 [world.deployments[hostname] for hostname in task.target_hostnames],
                 plan,
-            )
-
-    if task.answer_fault_plan_json:
-        from repro.diff.faults import AnswerFaultPlan
-
-        answer_plan = AnswerFaultPlan.from_json(
-            task.answer_fault_plan_json
-        ).restricted_to(task.target_hostnames)
-        if len(answer_plan):
-            answer_plan.install(
-                world.deployments[hostname] for hostname in task.target_hostnames
             )
 
     config = replace(

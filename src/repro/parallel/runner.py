@@ -120,7 +120,6 @@ def plan_campaign(
     shard_by: str = "vantage",
     shards: Optional[int] = None,
     fault_plan_json: Optional[str] = None,
-    answer_fault_plan_json: Optional[str] = None,
     collect_spans: bool = False,
     collect_metrics: bool = False,
     warm_caches: bool = True,
@@ -149,7 +148,6 @@ def plan_campaign(
             config=config,
             world_seed=world_seed,
             fault_plan_json=fault_plan_json,
-            answer_fault_plan_json=answer_fault_plan_json,
             collect_spans=collect_spans,
             collect_metrics=collect_metrics,
             warm_caches=warm_caches,

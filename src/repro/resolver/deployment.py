@@ -114,12 +114,6 @@ class ResolverDeployment:
     #: Whether the DoH frontend accepts application/oblivious-dns-message
     #: (true for the odoh-target-* deployments).
     supports_odoh: bool = False
-    #: Optional hook rewriting every response message before it leaves a
-    #: frontend: ``mutator(query, response) -> response``.  Installed by
-    #: answer-fault plans (``repro.diff.faults``) to make a deployment
-    #: disagree with the fleet in a controlled, seeded way; ``None`` for
-    #: faithful deployments.
-    response_mutator: Optional[object] = None
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -34,6 +34,7 @@ from repro.dnswire.edns import (
 from repro.dnswire.message import Message
 from repro.dnswire.types import RCODE_SERVFAIL, TYPE_OPT
 from repro.errors import DnsWireError
+from repro.faults.injector import mutate_response
 from repro.httpsim.doh import (
     DohCodecError,
     decode_doh_request,
@@ -122,16 +123,19 @@ class Frontend:
         assert engine is not None, "deployment not activated"
 
         def send_response(response: Message) -> None:
-            mutator = self.deployment.response_mutator
-            if mutator is not None:
-                response = mutator(query, response)
+            # What fault windows have put on this site: answer faults here,
+            # transient overload / degradation below.
+            impairments = self.site.host.impairments
+            if impairments.answer_faults and question is not None:
+                kind = impairments.answer_faults.get(question.qname)
+                if kind is not None:
+                    response = mutate_response(response, kind)
             if get_edns(query) is not None and response.opt_record() is None:
                 add_edns(response)
             delay = self.deployment.processing.sample_ms(self.rng)
             # ODoH targets sit behind a relay: one extra hop each way.
             delay += 2.0 * self.deployment.odoh_relay_extra_ms
-            # Transient overload/degradation injected by a fault window.
-            delay += self.site.host.impairments.extra_processing_ms
+            delay += impairments.extra_processing_ms
             self._loop.call_later(delay, respond, query, response)
 
         if question is None:

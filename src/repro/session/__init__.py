@@ -7,14 +7,12 @@ that implements it on the virtual clock.
 """
 
 from repro.session.policy import (
-    MS_PER_DAY,
     POLICY_PRESETS,
     SESSION_MODES,
     SESSION_STATES,
     WARM_STATES,
     SessionPolicy,
     policy_from_name,
-    policy_label,
 )
 from repro.session.state import (
     SESSION_TRANSPORTS,
@@ -26,7 +24,6 @@ from repro.session.state import (
 
 __all__ = [
     "ClampedSessionCache",
-    "MS_PER_DAY",
     "POLICY_PRESETS",
     "SESSION_MODES",
     "SESSION_STATES",
@@ -37,5 +34,4 @@ __all__ = [
     "SessionWiring",
     "WARM_STATES",
     "policy_from_name",
-    "policy_label",
 ]

@@ -24,6 +24,9 @@ The four modes map onto the related measurement literature:
 
 Policies are plain frozen dataclasses that round-trip losslessly
 through JSON and a flat TOML form, so campaign specs can carry them.
+Their values are checked against the shared :data:`repro.files.SHAPES`
+table like every other spec: a value of the wrong type is refused, never
+coerced.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
+from repro.core.scheduler import MS_PER_DAY
 from repro.errors import CampaignConfigError
-from repro.files import read_document, read_text
+from repro.files import check_shapes, read_document
 
 #: Valid policy modes, in cold-to-hottest order.
 SESSION_MODES: Tuple[str, ...] = ("cold", "keep_alive", "resumption", "zero_rtt")
@@ -45,7 +49,15 @@ SESSION_STATES: Tuple[str, ...] = ("cold", "warm", "resumed", "zero_rtt")
 #: Record states that skipped full connection establishment.
 WARM_STATES: Tuple[str, ...] = ("warm", "resumed", "zero_rtt")
 
-MS_PER_DAY = 24 * 3600 * 1000.0
+#: The :data:`repro.files.SHAPES` entry each policy field must match.
+_FIELD_SHAPES = {
+    "mode": "text",
+    "idle_ttl_ms": "number",
+    "max_streams": "integer",
+    "ticket_lifetime_ms": "number",
+    "zero_rtt_reject_p": "number",
+    "cert_verify_ms": "number",
+}
 
 
 def _normalize_mode(mode: str) -> str:
@@ -95,6 +107,7 @@ class SessionPolicy:
     cert_verify_ms: float = 3.0
 
     def __post_init__(self) -> None:
+        check_shapes("session policy", vars(self), _FIELD_SHAPES, CampaignConfigError)
         object.__setattr__(self, "mode", _normalize_mode(self.mode))
         if self.mode not in SESSION_MODES:
             raise CampaignConfigError(
@@ -138,31 +151,12 @@ class SessionPolicy:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SessionPolicy":
-        known = {
-            "mode",
-            "idle_ttl_ms",
-            "max_streams",
-            "ticket_lifetime_ms",
-            "zero_rtt_reject_p",
-            "cert_verify_ms",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(_FIELD_SHAPES))
         if unknown:
             raise CampaignConfigError(
                 f"unknown session policy fields: {', '.join(unknown)}"
             )
-        kwargs: Dict[str, Any] = dict(data)
-        if "idle_ttl_ms" in kwargs:
-            kwargs["idle_ttl_ms"] = float(kwargs["idle_ttl_ms"])
-        if "max_streams" in kwargs:
-            kwargs["max_streams"] = int(kwargs["max_streams"])
-        if "ticket_lifetime_ms" in kwargs:
-            kwargs["ticket_lifetime_ms"] = float(kwargs["ticket_lifetime_ms"])
-        if "zero_rtt_reject_p" in kwargs:
-            kwargs["zero_rtt_reject_p"] = float(kwargs["zero_rtt_reject_p"])
-        if "cert_verify_ms" in kwargs:
-            kwargs["cert_verify_ms"] = float(kwargs["cert_verify_ms"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
@@ -178,13 +172,11 @@ class SessionPolicy:
         return cls.from_dict(data)
 
     def to_toml(self) -> str:
-        """Flat ``key = value`` TOML; losslessly parsed by :meth:`from_toml`."""
+        """Flat ``key = value`` TOML, which :meth:`load` reads back losslessly."""
         lines = []
         for key, value in sorted(self.to_dict().items()):
             if isinstance(value, str):
                 lines.append(f'{key} = "{value}"')
-            elif isinstance(value, bool):
-                lines.append(f"{key} = {'true' if value else 'false'}")
             elif isinstance(value, float):
                 # repr() keeps full precision so the round-trip is exact.
                 lines.append(f"{key} = {value!r}")
@@ -193,59 +185,9 @@ class SessionPolicy:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_toml(cls, text: str) -> "SessionPolicy":
-        """Parse the flat TOML subset emitted by :meth:`to_toml`.
-
-        Uses :mod:`tomllib` when the interpreter ships it (3.11+) and a
-        minimal flat parser otherwise, so no third-party dependency is
-        required on older interpreters.
-        """
-        try:
-            import tomllib  # Python 3.11+
-
-            try:
-                return cls.from_dict(tomllib.loads(text))
-            except tomllib.TOMLDecodeError as exc:
-                raise CampaignConfigError(
-                    f"malformed session policy TOML: {exc}"
-                ) from exc
-        except ImportError:
-            pass
-        data: Dict[str, Any] = {}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CampaignConfigError(
-                    f"malformed session policy TOML at line {line_no}: {raw!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            if value.startswith('"') and value.endswith('"') and len(value) >= 2:
-                data[key] = value[1:-1]
-            elif value in ("true", "false"):
-                data[key] = value == "true"
-            else:
-                try:
-                    data[key] = int(value)
-                except ValueError:
-                    try:
-                        data[key] = float(value)
-                    except ValueError:
-                        raise CampaignConfigError(
-                            f"malformed session policy TOML value at line "
-                            f"{line_no}: {raw!r}"
-                        ) from None
-        return cls.from_dict(data)
-
-    @classmethod
     def load(cls, path: Union[str, Path]) -> "SessionPolicy":
         """Load a policy from a ``.json`` or ``.toml`` file."""
-        what = "session policy"
-        if Path(path).suffix.lower() == ".toml":
-            # As text: ``from_toml`` also parses where there is no ``tomllib``.
-            return cls.from_toml(read_text(path, CampaignConfigError, what))
-        return cls.from_dict(read_document(path, CampaignConfigError, what))
+        return cls.from_dict(read_document(path, CampaignConfigError, "session policy"))
 
     def describe(self) -> str:
         if self.mode == "cold":
@@ -284,18 +226,11 @@ def policy_from_name(name: str) -> SessionPolicy:
     )
 
 
-def policy_label(policy: "SessionPolicy") -> str:
-    """Stable display/record label for a policy (its mode name)."""
-    return policy.mode
-
-
 __all__ = [
-    "MS_PER_DAY",
     "POLICY_PRESETS",
     "SESSION_MODES",
     "SESSION_STATES",
     "SessionPolicy",
     "WARM_STATES",
     "policy_from_name",
-    "policy_label",
 ]

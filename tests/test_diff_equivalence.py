@@ -20,13 +20,7 @@ import os
 import pytest
 
 from repro.core.runner import Campaign
-from repro.diff import (
-    AnswerFault,
-    AnswerFaultPlan,
-    DiffRecord,
-    build_diff_report,
-    verify_reproducibility,
-)
+from repro.diff import DiffRecord, build_diff_report, verify_reproducibility
 from repro.diff.records import STATUS_DISAGREE, STATUS_UNANSWERED
 from repro.dnswire.canonical import (
     CLASS_ANSWER_SET_MISMATCH,
@@ -36,12 +30,13 @@ from repro.dnswire.canonical import (
     CLASS_TTL_BAND_DRIFT,
     CLASS_UNANSWERED,
 )
-from repro.errors import DiffInputError
+from repro.errors import CampaignConfigError, DiffInputError
 from repro.experiments.campaigns import (
     EC2_VANTAGE_NAMES,
     diff_campaign_config,
     run_diff_campaign,
 )
+from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 
 from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
 
@@ -63,13 +58,29 @@ STABLE = (
 
 DEAD_RESOLVER = "dns.pumplex.com"  # never comes up in the mini catalog
 
+#: How long the answer faults of a two-round diff campaign last.
+HORIZON_MS = diff_campaign_config(rounds=2).schedule.horizon_ms
+
+
+def answer_plan(hostnames=STABLE, domains=None, seed=7):
+    domains = diff_campaign_config().domains if domains is None else domains
+    return FaultPlan.answer_faults(hostnames, domains, HORIZON_MS, seed=seed)
+
 
 def _mini_diff_campaign(seed, fault_plan=None, store=None, world=None):
-    """One serial differencing fan-out on a fresh mini world."""
+    """One serial differencing fan-out on a fresh mini world.
+
+    A plan's windows stay open after the campaign, so the re-query pass
+    that follows on the same world meets the same faults."""
     if world is None:
         world = make_mini_world(seed=seed)
     if fault_plan is not None:
-        fault_plan.install(world.deployments[hostname] for hostname in MINI)
+        inject_faults(
+            world.network,
+            [world.deployments[hostname] for hostname in MINI],
+            fault_plan,
+            close_windows=False,
+        )
     result = Campaign(
         network=world.network,
         vantages=[world.vantage(name) for name in EC2_VANTAGE_NAMES],
@@ -139,9 +150,7 @@ EXPECTED_CLASS = {
 
 @pytest.fixture(scope="module")
 def faulted():
-    plan = AnswerFaultPlan.generate(
-        STABLE, list(diff_campaign_config().domains), seed=7
-    )
+    plan = answer_plan()
     world, store = _mini_diff_campaign(seed=5, fault_plan=plan)
     report = build_diff_report(store)
     verify_reproducibility(world, report, attempts=3, seed=5)
@@ -151,7 +160,7 @@ def faulted():
 class TestInjectedFaultTaxonomy:
     def test_one_fault_per_kind_was_planned(self, faulted):
         plan, _report = faulted
-        assert sorted(fault.kind for fault in plan.faults) == sorted(EXPECTED_CLASS)
+        assert sorted(event.kind.value for event in plan) == sorted(EXPECTED_CLASS)
 
     def test_each_fault_kind_classifies_to_its_taxonomy_class(self, faulted):
         plan, report = faulted
@@ -160,20 +169,20 @@ class TestInjectedFaultTaxonomy:
             by_cell.setdefault((record.resolver, record.domain), set()).add(
                 record.classification
             )
-        for fault in plan.faults:
-            cell = (fault.hostname, fault.domain)
-            assert by_cell.get(cell) == {EXPECTED_CLASS[fault.kind]}, (
-                f"fault {fault.kind} on {cell} misclassified: {by_cell.get(cell)}"
+        for event in plan:
+            cell = (event.hostname, event.domain)
+            assert by_cell.get(cell) == {EXPECTED_CLASS[event.kind.value]}, (
+                f"fault {event.kind.value} on {cell} misclassified: {by_cell.get(cell)}"
             )
 
     def test_no_disagreements_outside_faulted_cells(self, faulted):
         plan, report = faulted
-        faulted_cells = {(fault.hostname, fault.domain) for fault in plan.faults}
+        faulted_cells = {(event.hostname, event.domain) for event in plan}
         for record in report.disagreements():
             assert (record.resolver, record.domain) in faulted_cells
 
     def test_requery_labels_injected_faults_reproducible(self, faulted):
-        """The mutator rewrites every response, so all re-queries that got
+        """The fault rewrites every response, so all re-queries that got
         an answer disagree again -> reproducible (a cell stays unlabeled
         only if a re-query attempt itself went unanswered)."""
         _plan, report = faulted
@@ -195,19 +204,33 @@ class TestInjectedFaultTaxonomy:
             assert repro + transient == count
 
 
-class TestAnswerFaultPlan:
+class TestAnswerFaultsInOnePlan:
     def test_plan_json_round_trip(self):
-        plan = AnswerFaultPlan.generate(STABLE, ["a.com", "b.com"], seed=3)
-        assert AnswerFaultPlan.from_json(plan.to_json()) == plan
+        plan = answer_plan(domains=["a.com", "b.com"], seed=3)
+        assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_restricted_to_drops_other_hosts(self):
-        plan = AnswerFaultPlan.generate(STABLE, ["a.com"], seed=3)
+        plan = answer_plan(domains=["a.com"], seed=3)
         kept = plan.restricted_to(STABLE[:1])
-        assert all(fault.hostname == STABLE[0] for fault in kept.faults)
+        assert all(event.hostname == STABLE[0] for event in kept)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(Exception):
-            AnswerFault(hostname="h", domain="d", kind="scramble")
+        with pytest.raises(ValueError):
+            FaultEvent.from_dict(
+                {"kind": "scramble", "hostname": "h", "domain": "d",
+                 "start_ms": 0.0, "duration_ms": 1.0}
+            )
+
+    @pytest.mark.parametrize(
+        "kind,domain", [(FaultKind.TTL, ""), (FaultKind.OUTAGE_DROP, "a.com")]
+    )
+    def test_a_domain_exactly_on_answer_kinds(self, kind, domain):
+        with pytest.raises(CampaignConfigError):
+            FaultEvent(kind, "h", 0.0, 1.0, domain=domain)
+
+    def test_too_few_pairs_rejected(self):
+        with pytest.raises(CampaignConfigError, match="cannot host 10 answer faults"):
+            FaultPlan.answer_faults(STABLE, ["a.com"], HORIZON_MS, per_kind=2)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +265,7 @@ class TestDiffInputs:
 @pytest.mark.slow
 class TestGoldenMasters:
     def test_report_byte_identical_serial_vs_pooled(self):
-        plan = AnswerFaultPlan.generate(
-            STABLE, list(diff_campaign_config().domains), seed=7
-        )
+        plan = answer_plan()
         runs = [
             run_diff_campaign(
                 world_seed=0,
@@ -252,7 +273,7 @@ class TestGoldenMasters:
                 seed=5,
                 target_hostnames=list(MINI),
                 workers=workers,
-                answer_fault_plan=plan,
+                fault_plan=plan,
             )
             for workers in (1, POOLED_WORKERS)
         ]

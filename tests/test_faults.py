@@ -9,9 +9,16 @@ fault-enabled campaign over the full catalog reproduces the poster's
 ≈5–6% error rate with connection-establishment dominance.
 """
 
+import math
+import os
 import random
+import subprocess
+import sys
+from itertools import chain
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.availability import (
     availability_report,
@@ -22,9 +29,11 @@ from repro.analysis.availability import (
 from repro.core.probes import DohProbe, DohProbeConfig
 from repro.core.runner import Campaign, CampaignConfig, RetryPolicy
 from repro.core.scheduler import PeriodicSchedule
+from repro.dnswire.name import Name
 from repro.errors import CampaignConfigError
 from repro.experiments.campaigns import run_fault_study
 from repro.faults import (
+    ANSWER_KINDS,
     FaultEvent,
     FaultInjector,
     FaultKind,
@@ -153,6 +162,134 @@ class TestFaultPlan:
     def test_generate_rejects_bad_horizon(self):
         with pytest.raises(CampaignConfigError):
             FaultPlan.generate(["a.example"], horizon_ms=0)
+
+    @pytest.mark.parametrize("horizon_ms", [-1.0, math.inf, math.nan])
+    def test_both_generators_refuse_a_non_finite_or_negative_horizon(self, horizon_ms):
+        with pytest.raises(CampaignConfigError, match="positive, finite"):
+            FaultPlan.generate(["a.example"], horizon_ms=horizon_ms)
+        with pytest.raises(CampaignConfigError, match="positive, finite"):
+            FaultPlan.answer_faults(["a.example"], ["a.com"] * 5, horizon_ms)
+
+
+# ---------------------------------------------------------------------------
+# One plan: network windows and answer faults together
+# ---------------------------------------------------------------------------
+
+
+HOSTS = ("a.example", "b.example", "c.example", "d.example")
+_window = dict(
+    hostname=st.sampled_from(HOSTS),
+    start_ms=st.floats(0.0, 1e7),
+    duration_ms=st.floats(1.0, 1e7),
+)
+_network_events = st.one_of(
+    st.builds(
+        FaultEvent,
+        kind=st.sampled_from(
+            [FaultKind.OUTAGE_REFUSE, FaultKind.OUTAGE_DROP, FaultKind.TLS_WINDOW]
+        ),
+        **_window,
+    ),
+    st.builds(
+        FaultEvent, kind=st.just(FaultKind.LOSS_SPIKE),
+        magnitude=st.floats(0.01, 1.0), **_window,
+    ),
+    st.builds(
+        FaultEvent,
+        kind=st.sampled_from([FaultKind.LATENCY_SPIKE, FaultKind.DEGRADATION]),
+        magnitude=st.floats(1.0, 500.0), **_window,
+    ),
+)
+_answer_events = st.builds(
+    FaultEvent,
+    kind=st.sampled_from(ANSWER_KINDS),
+    domain=st.sampled_from(["a.com", "b.org", "www.c.net"]),
+    **_window,
+)
+answer_plans = st.lists(_answer_events, max_size=12).map(FaultPlan)
+mixed_plans = st.lists(st.one_of(_network_events, _answer_events), max_size=20).map(
+    FaultPlan
+)
+
+
+class TestOnePlan:
+    @given(plan=mixed_plans)
+    @settings(max_examples=100, deadline=None)
+    def test_json_round_trip(self, plan):
+        assert FaultPlan.from_json(plan.to_json()) == plan
+
+    @given(
+        plan=mixed_plans,
+        shard_of=st.lists(st.integers(0, 3), min_size=len(HOSTS), max_size=len(HOSTS)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shards_partition_the_plan(self, plan, shard_of):
+        shards = [
+            [host for host, shard in zip(HOSTS, shard_of) if shard == index]
+            for index in range(4)
+        ]
+        parts = [plan.restricted_to(shard) for shard in shards]
+        assert FaultPlan(chain.from_iterable(parts)) == plan
+
+    @given(plan=answer_plans)
+    @settings(max_examples=50, deadline=None)
+    def test_answer_kinds_never_touch_the_packet_path(self, plan):
+        net = make_quiet_network()
+        hosts = {
+            name: [add_host(net, name, f"10.0.0.{index + 1}")]
+            for index, name in enumerate(HOSTS)
+        }
+        FaultInjector(net, hosts, plan).arm()
+        for at_ms in sorted({0.0} | {e.start_ms for e in plan} | {e.end_ms for e in plan}):
+            net.run(until=at_ms)
+            for name, (host,) in hosts.items():
+                open_domains = {
+                    Name.from_text(event.domain)
+                    for event in plan.events_for(name)
+                    if event.overlaps(at_ms)
+                }
+                assert not host.impairments.any_active
+                assert set(host.impairments.answer_faults) == open_domains
+
+    def test_answer_faults_pick_distinct_pairs_in_kind_order(self):
+        plan = FaultPlan.answer_faults(
+            HOSTS, ["a.com", "b.org"], horizon_ms=1e6, seed=5, per_kind=1
+        )
+        assert sorted(event.kind for event in plan) == sorted(ANSWER_KINDS)
+        assert len({(event.hostname, event.domain) for event in plan}) == 5
+        assert all((e.start_ms, e.duration_ms) == (0.0, 1e6) for e in plan)
+        assert plan == FaultPlan.answer_faults(
+            reversed(HOSTS), ["b.org", "a.com"], horizon_ms=1e6, seed=5
+        )
+
+
+# ---------------------------------------------------------------------------
+# Non-finite schedules and horizons are refused, not spun on
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["interval_ms", "stagger_ms", "start_ms"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_schedule_refuses_non_finite_values(field, value):
+    with pytest.raises(CampaignConfigError, match=f"schedule {field} must be finite"):
+        PeriodicSchedule(**{"rounds": 2, "interval_ms": 1000.0, field: value})
+
+
+@pytest.mark.parametrize("faults", [(), ("--faults",)])
+@pytest.mark.parametrize("hours", ["inf", "nan"])
+def test_measure_refuses_a_non_finite_interval(hours, faults, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "measure", "--interval-hours", hours,
+         *faults, "--output", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"repro-dns measure: schedule interval_ms must be finite, got {hours}"
+    ]
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------

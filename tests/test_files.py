@@ -221,6 +221,7 @@ def test_session_policy_is_read_as_utf8_not_in_the_locales_encoding(tmp_path):
     import subprocess
     import sys
 
+    pytest.importorskip("tomllib")
     path = tmp_path / "policy.toml"
     path.write_text('mode = "cold"  # \u00e9\n', encoding="utf-8")
     code = (

@@ -680,8 +680,7 @@ def fresh_world():
     return build_world(seed=4, catalog=catalog, warm_caches=True)
 
 
-def test_a_fault_plan_and_an_answer_fault_plan_armed(fresh_world, lifetimes):
-    from repro.diff import AnswerFaultPlan
+def test_network_faults_and_answer_faults_armed(fresh_world, lifetimes):
     from repro.experiments.campaigns import (
         diff_campaign_config,
         fault_campaign_config,
@@ -696,7 +695,7 @@ def test_a_fault_plan_and_an_answer_fault_plan_armed(fresh_world, lifetimes):
         config = fault_campaign_config(rounds=4, retry=RetryPolicy(attempts=2))
         plan = FaultPlan.generate(
             hostnames,
-            horizon_ms=config.schedule.total_span_ms + config.schedule.interval_ms,
+            horizon_ms=config.schedule.horizon_ms,
             seed=7,
             config=FaultPlanConfig(impaired_time_fraction=0.4),
         )
@@ -709,10 +708,12 @@ def test_a_fault_plan_and_an_answer_fault_plan_armed(fresh_world, lifetimes):
                 rounds=2, interval_ms=3_600_000.0, start_ms=world.network.loop.now + 1.0
             ),
         )
-        answer_plan = AnswerFaultPlan.generate(
-            hostnames, list(diff_config.domains), seed=11, per_kind=1
+        answer_plan = FaultPlan.answer_faults(
+            hostnames, diff_config.domains, diff_config.schedule.horizon_ms, seed=11
         )
-        assert answer_plan.install(world.deployments[h] for h in hostnames)
+        inject_faults(
+            world.network, [world.deployments[h] for h in hostnames], answer_plan
+        )
         differed = Campaign(world.network, vantages, targets, diff_config).run()
         world.network.run()
         assert gc.collect() == 0

@@ -13,7 +13,7 @@ Four invariants, checked with Hypothesis on the virtual clock:
   the outcome is well-formed (never lost), whatever the rejection
   probability;
 * a :class:`~repro.session.SessionPolicy` round-trips losslessly through
-  JSON and TOML.
+  JSON and TOML, and a value of the wrong shape is refused, not coerced.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ from repro.tlssim.handshake import (
 from repro.tlssim.session import SessionCache
 from tests.conftest import add_host, make_quiet_network
 
+try:
+    import tomllib
+except ImportError:  # Python < 3.11 reads no TOML spec, this one included
+    tomllib = None
+needs_tomllib = pytest.mark.skipif(tomllib is None, reason="TOML needs Python 3.11+")
+
 # ---------------------------------------------------------------------------
 # Policy serialization round-trips
 # ---------------------------------------------------------------------------
@@ -62,11 +68,13 @@ class TestPolicyRoundTrip:
     def test_json_round_trip_lossless(self, policy):
         assert SessionPolicy.from_json(policy.to_json()) == policy
 
+    @needs_tomllib
     @given(policy=_policies)
     @settings(max_examples=50, deadline=None)
     def test_toml_round_trip_lossless(self, policy):
-        assert SessionPolicy.from_toml(policy.to_toml()) == policy
+        assert SessionPolicy.from_dict(tomllib.loads(policy.to_toml())) == policy
 
+    @needs_tomllib
     @given(policy=_policies)
     @settings(max_examples=20, deadline=None)
     def test_file_round_trip_both_formats(self, policy, tmp_path_factory):
@@ -79,10 +87,30 @@ class TestPolicyRoundTrip:
             path.write_text(text)
             assert SessionPolicy.load(path) == policy
 
+    @needs_tomllib
     def test_presets_round_trip(self):
         for name, policy in POLICY_PRESETS.items():
             assert SessionPolicy.from_json(policy.to_json()) == policy, name
-            assert SessionPolicy.from_toml(policy.to_toml()) == policy, name
+            assert SessionPolicy.from_dict(tomllib.loads(policy.to_toml())) == policy, name
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_streams", 2.7),
+            ("max_streams", True),
+            ("max_streams", "100"),
+            ("idle_ttl_ms", "30000"),
+            ("idle_ttl_ms", math.inf),
+            ("idle_ttl_ms", False),
+            ("ticket_lifetime_ms", None),
+            ("zero_rtt_reject_p", math.nan),
+            ("cert_verify_ms", math.nan),
+            ("mode", 7),
+        ],
+    )
+    def test_wrong_shapes_refused_not_coerced(self, field, value):
+        with pytest.raises(CampaignConfigError, match=f"session policy '{field}' must be"):
+            SessionPolicy.from_dict({"mode": "keep_alive", field: value})
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(CampaignConfigError):
