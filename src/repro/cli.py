@@ -440,9 +440,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         if fault_plan is not None:
             # The verify world must serve the same (faulted) answers the
             # campaign world did, or injected faults would read transient.
-            inject_faults(
-                world.network, world.deployments, fault_plan, close_windows=False
-            )
+            inject_faults(world.network, world.deployments, fault_plan)
         verify_reproducibility(world, report, attempts=args.verify, seed=args.verify_seed)
         _status(f"verified {len(report.disagreements())} disagreements "
                 f"x{args.verify} re-queries")

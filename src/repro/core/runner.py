@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.errors_taxonomy import CONNECTION_ESTABLISHMENT_CLASSES, ErrorClass
 from repro.core.probes import PingProbe, Probe, ProbeConfig, ProbeOutcome, make_probe
@@ -34,12 +34,8 @@ from repro.obs import (
     get_metrics,
     get_recorder,
 )
+from repro.session import SessionBroker, SessionPolicy
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
-
-if TYPE_CHECKING:
-    # Imported where a broker is built: the session package reads this
-    # package's schedule constants, so a top-level import would be a cycle.
-    from repro.session import SessionBroker, SessionPolicy
 
 #: Transports a campaign can measure (ping rides alongside, not listed).
 VALID_TRANSPORTS = TRANSPORT_NAMES
@@ -232,8 +228,6 @@ class Campaign:
         policy = config.session_policy
         self._sessions: Optional[SessionBroker] = None
         if policy is not None and policy.enabled:
-            from repro.session import SessionBroker
-
             self._sessions = SessionBroker(policy, network.loop)
         self._campaign_span = 0
         self._round_spans: Dict[int, int] = {}

@@ -1,7 +1,8 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` to a simulated world.
 
 The injector schedules two callbacks per fault window on the virtual
-clock — apply at ``start_ms``, revert at ``end_ms`` — and recomputes the
+clock — apply at ``start_ms``, revert at ``end_ms``; an answer fault is
+applied and never reverted (:meth:`FaultInjector.arm`) — and recomputes the
 :class:`~repro.netsim.host.HostImpairments` of every affected host from
 the set of windows currently active there.  Recomputing (rather than
 toggling fields) makes overlapping windows compose correctly: numeric
@@ -64,16 +65,17 @@ class FaultInjector:
 
     # -- arming ----------------------------------------------------------------
 
-    def arm(self, offset_ms: float = 0.0, close_windows: bool = True) -> int:
+    def arm(self, offset_ms: float = 0.0) -> int:
         """Schedule every window; returns the number of events armed.
 
         ``offset_ms`` shifts the whole plan (whose events are relative to
         0) to start at ``now + offset_ms``, so a plan generated for a
-        campaign horizon can be armed just before the campaign runs.
-        ``close_windows=False`` opens each window at its start and never
-        closes it: for a world driven one query at a time, each run to idle
-        (``diff --verify`` re-queries), where a scheduled close would run
-        at the first query and take the clock to the end of the plan.
+        campaign horizon can be armed just before the campaign runs.  An
+        answer fault opens at its start and is never closed: its window is
+        the whole horizon (:meth:`FaultPlan.answer_faults`), and a
+        scheduled close would only run out the clock of a world queried
+        one run to idle at a time (``diff --verify``'s) at its first
+        query, so its re-queries would miss the faults the campaign met.
         """
         if self._armed:
             raise CampaignConfigError("fault injector is already armed")
@@ -89,7 +91,7 @@ class FaultInjector:
         base = self.network.loop.now + offset_ms
         for event in self.plan.events:
             self.network.loop.call_at(base + event.start_ms, self._apply, event)
-            if close_windows:
+            if event.kind not in ANSWER_KINDS:
                 self.network.loop.call_at(base + event.end_ms, self._revert, event)
         self._armed = True
         return len(self.plan.events)
@@ -205,9 +207,8 @@ def inject_faults(
     deployments: "DeploymentsLike",
     plan: FaultPlan,
     offset_ms: float = 0.0,
-    close_windows: bool = True,
 ) -> FaultInjector:
     """Convenience: build an injector over whole deployments and arm it."""
     injector = FaultInjector(network, deployment_hosts(deployments), plan)
-    injector.arm(offset_ms=offset_ms, close_windows=close_windows)
+    injector.arm(offset_ms=offset_ms)
     return injector

@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
-from repro.core.scheduler import MS_PER_DAY
 from repro.errors import CampaignConfigError
 from repro.files import check_shapes, read_document
 
@@ -102,7 +101,9 @@ class SessionPolicy:
     mode: str = "cold"
     idle_ttl_ms: float = 30_000.0
     max_streams: int = 100
-    ticket_lifetime_ms: float = MS_PER_DAY
+    # One day, written out: ``repro.core.scheduler.MS_PER_DAY`` would import
+    # ``repro.core``, whose runner imports this package.
+    ticket_lifetime_ms: float = 24 * 3600 * 1000.0
     zero_rtt_reject_p: float = 0.0
     cert_verify_ms: float = 3.0
 

@@ -35,7 +35,12 @@ from repro.core.results import MeasurementRecord
 from repro.errors import StoreError
 from repro.obs import MetricsRegistry, get_metrics
 from repro.store.aggregates import AggregateBook
-from repro.store.segment import SegmentIndex, SegmentWriter, segment_name
+from repro.store.segment import (
+    SegmentIndex,
+    SegmentWriter,
+    TwinWriter,
+    segment_name,
+)
 from repro.store.warehouse import DEFAULT_SEGMENT_RECORDS, Warehouse, merge_key
 
 
@@ -123,9 +128,16 @@ class StoreSink:
         writer = SegmentWriter(
             self.warehouse.segments_dir, segment_name(len(self._indexes))
         )
-        for record in self._buffer:  # writer.append, less a call per record
-            writer.append_line(record, record.to_json())
+        # The twin is written from the lines the segment gets, a chunk of
+        # lines alive at a time.
+        twin = TwinWriter(writer.path)
+        for records in twin.chunks(self._buffer):
+            lines = [record.to_json() for record in records]
+            for record, line in zip(records, lines):
+                writer.append_line(record, line)
+            twin.append(records, lines)
         self._indexes.append(writer.close())
+        twin.close()
         self._written += flushed
         self._buffer = []
         metrics = self._registry()

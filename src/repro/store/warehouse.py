@@ -8,6 +8,7 @@ Layout::
       segments/
         seg-000000.jsonl     records, one JSON object per line
         seg-000000.idx.json  sidecar: counts, round range, group offsets
+        seg-000000.twin      staging only: the lines' fields, pre-decoded
         seg-000001.jsonl
         ...
 
@@ -36,6 +37,17 @@ are a pure function of the multiset of source *lines* -- which, for every
 segment :class:`~repro.store.segment.SegmentWriter` sealed, is the
 multiset of records.  A source that assigns to a record's fields in
 flight must drop its ``stored_line`` too.
+
+**A staging segment is read through its twin.**  The sink that seals a
+staging segment also writes its binary twin
+(:class:`~repro.store.segment.TwinWriter`): the field tuples of its lines,
+taken from the records it has just encoded.  A full scan of a segment
+that has one -- so :meth:`Warehouse.iter_sorted` of a staging warehouse
+-- builds each record from the twin and decodes no JSON; the record is
+the one ``parse_line`` would build, and it carries the segment's line.
+:meth:`_write_canonical` writes no twin, so a canonical warehouse has
+none and its sources (``store compact``, a re-merge) are parsed, and no
+twin outlives the staging warehouse it was written into.
 
 :class:`Warehouse` implements the :class:`~repro.core.results.RecordSource`
 protocol (``filter`` / iteration), so every analysis in
@@ -291,7 +303,8 @@ class Warehouse:
         """All records in canonical order via a k-way heap merge.
 
         Relies on segment-local order; memory stays at one record per
-        segment regardless of warehouse size.  Each record carries its
+        segment -- one twin chunk per segment for a staging warehouse --
+        regardless of warehouse size.  Each record carries its
         ``stored_line`` for :meth:`build_canonical` (module docstring).
         """
         streams = [

@@ -79,7 +79,6 @@ def _mini_diff_campaign(seed, fault_plan=None, store=None, world=None):
             world.network,
             [world.deployments[hostname] for hostname in MINI],
             fault_plan,
-            close_windows=False,
         )
     result = Campaign(
         network=world.network,

@@ -221,9 +221,10 @@ def test_session_policy_is_read_as_utf8_not_in_the_locales_encoding(tmp_path):
     import subprocess
     import sys
 
-    pytest.importorskip("tomllib")
-    path = tmp_path / "policy.toml"
-    path.write_text('mode = "cold"  # \u00e9\n', encoding="utf-8")
+    # A .json policy, so this runs on every Python: ``json`` keeps the last
+    # of a repeated key, and the first only puts a non-ASCII byte in the file.
+    path = tmp_path / "policy.json"
+    path.write_text('{"mode": "\u00e9", "mode": "cold"}\n', encoding="utf-8")
     code = (
         "import sys; from repro.session import SessionPolicy; "
         "print(SessionPolicy.load(sys.argv[1]).mode)"

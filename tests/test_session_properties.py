@@ -74,23 +74,24 @@ class TestPolicyRoundTrip:
     def test_toml_round_trip_lossless(self, policy):
         assert SessionPolicy.from_dict(tomllib.loads(policy.to_toml())) == policy
 
-    @needs_tomllib
     @given(policy=_policies)
     @settings(max_examples=20, deadline=None)
     def test_file_round_trip_both_formats(self, policy, tmp_path_factory):
         root = tmp_path_factory.mktemp("policies")
-        for name, text in (
-            ("p.json", policy.to_json()),
-            ("p.toml", policy.to_toml()),
-        ):
+        files = [("p.json", policy.to_json())]
+        if tomllib is not None:  # the TOML half only: it needs Python 3.11+
+            files.append(("p.toml", policy.to_toml()))
+        for name, text in files:
             path = root / name
             path.write_text(text)
             assert SessionPolicy.load(path) == policy
 
-    @needs_tomllib
     def test_presets_round_trip(self):
         for name, policy in POLICY_PRESETS.items():
             assert SessionPolicy.from_json(policy.to_json()) == policy, name
+        if tomllib is None:  # the TOML half only: it needs Python 3.11+
+            pytest.skip("TOML needs Python 3.11+; the JSON round trips ran")
+        for name, policy in POLICY_PRESETS.items():
             assert SessionPolicy.from_dict(tomllib.loads(policy.to_toml())) == policy, name
 
     @pytest.mark.parametrize(
