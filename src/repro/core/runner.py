@@ -233,11 +233,28 @@ class Campaign:
         self._round_spans: Dict[int, int] = {}
         self._round_outstanding: Dict[int, int] = {}
         self._errors_total = 0
+        # Round opening (run): rounds opened so far, the first of the
+        # campaign's reserved sequence numbers, and the sets scheduled but
+        # not started.
+        self._opened = 0
+        self._first_seq = 0
+        self._unstarted = 0
 
     # -- execution -------------------------------------------------------------
 
     def run(self) -> ResultStore:
-        """Schedule all rounds and drive the event loop to completion."""
+        """Open the first round and drive the event loop to completion.
+
+        Every round's span and set counter are made here, so span ids do
+        not depend on when a round opens.  A round's measurement sets --
+        their RNG streams, stagger offsets and timers -- are made when the
+        round opens (:meth:`_open_round`): round 0 and every round whose
+        start is already behind the clock open now, and each later round
+        opens as the previous round's last set starts, so the campaign
+        holds one round of sets at a time, not its whole length.  The sets'
+        sequence numbers are reserved now, so they run, ties included, in
+        the order an up-front schedule gives them.
+        """
         loop = self.network.loop
         recorder = self._active_recorder = get_recorder()
         metrics = self._active_metrics = get_metrics()
@@ -250,26 +267,24 @@ class Campaign:
                 vantages=len(self.vantages),
                 targets=len(self.targets),
             )
+        schedule = self.config.schedule
         per_round = len(self.vantages) * len(self.targets)
-        for round_index, round_start in self.config.schedule.round_items():
+        behind = 0
+        for round_index, round_start in schedule.round_items():
             start = max(round_start, loop.now)
             self._round_outstanding[round_index] = per_round
             if recorder.enabled:
                 self._round_spans[round_index] = recorder.begin(
                     "round", start, parent_id=self._campaign_span, round=round_index
                 )
-            for vantage in self.vantages:
-                for target in self.targets:
-                    rng = self._rng_for(round_index, vantage, target)
-                    offset = self.config.schedule.probe_offset(rng)
-                    loop.call_at(
-                        max(round_start + offset, loop.now),
-                        self._measure_target,
-                        round_index,
-                        vantage,
-                        target,
-                        rng,
-                    )
+            if round_start < loop.now:
+                behind += 1
+        self._first_seq = loop.reserve(schedule.rounds * per_round)
+        # A round behind the clock clamps its sets to the campaign's start,
+        # so it must open now; no later round's sets can start earlier
+        # than the previous round's last (stagger <= interval).
+        for _ in range(max(behind, 1)):
+            self._open_round()
         self.network.run()
         if self._sessions is not None:
             self._sessions.close_all()
@@ -279,24 +294,43 @@ class Campaign:
             metrics.set_gauge("campaign.records", float(len(self.store)))
         return self.store
 
-    def _rng_for(
-        self, round_index: int, vantage: VantagePoint, target: ResolverTarget
-    ) -> random.Random:
-        """The (round, vantage, target) measurement's private RNG stream.
+    def _open_round(self) -> None:
+        """Schedule the measurement sets of the next round not yet open.
 
-        Derived with a stable hash — not Python's salted ``hash`` — so the
+        Each (round, vantage, target) set draws from its own RNG stream,
+        derived with a stable hash -- not Python's salted ``hash`` -- so the
         stream (and hence the probe stagger, backoff jitter, and every
         client-side draw) is identical across processes and identical
         whether the round runs inside a serial campaign or a shard.
         """
-        return derive_rng(
-            self.config.seed,
-            "measurement",
-            self.config.name,
-            round_index,
-            vantage.name,
-            target.hostname,
-        )
+        schedule = self.config.schedule
+        local = self._opened
+        self._opened = local + 1
+        round_index = schedule.first_round_index + local
+        round_start = schedule.start_ms + local * schedule.interval_ms
+        loop = self.network.loop
+        now = loop.now
+        seed = self.config.seed
+        name = self.config.name
+        per_round = len(self.vantages) * len(self.targets)
+        seq = self._first_seq + local * per_round
+        for vantage in self.vantages:
+            for target in self.targets:
+                rng = derive_rng(
+                    seed, "measurement", name, round_index, vantage.name, target.hostname
+                )
+                offset = schedule.probe_offset(rng)
+                loop.call_reserved(
+                    max(round_start + offset, now),
+                    seq,
+                    self._measure_target,
+                    round_index,
+                    vantage,
+                    target,
+                    rng,
+                )
+                seq += 1
+        self._unstarted += per_round
 
     def _transport_rng(
         self,
@@ -363,6 +397,9 @@ class Campaign:
         target: ResolverTarget,
         rng: random.Random,
     ) -> None:
+        self._unstarted -= 1
+        if not self._unstarted and self._opened < self.config.schedule.rounds:
+            self._open_round()
         run = _TargetRun(self, round_index, vantage, target, rng)
         loop = self.network.loop
         recorder = self._active_recorder

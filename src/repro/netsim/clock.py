@@ -3,7 +3,8 @@
 All simulated time is measured in **milliseconds** as a ``float``.  The event
 loop is a plain heap-ordered scheduler: callbacks are scheduled at absolute
 virtual times and executed in order.  Ties break by insertion order, which
-keeps runs fully deterministic.
+keeps runs fully deterministic; a caller that schedules later what it
+decided now reserves its place in that order (:meth:`EventLoop.reserve`).
 
 The loop deliberately has no notion of wall-clock time; a full month-long
 measurement campaign runs in however long the Python executes.
@@ -84,6 +85,29 @@ class EventLoop:
                 f"cannot schedule at t={when:.6f} ms; clock already at {self._now:.6f} ms"
             )
         timer = Timer((when, self._next_seq(), callback, args))
+        heapq.heappush(self._heap, timer)
+        return timer
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the first.
+
+        An event scheduled later with :meth:`call_reserved` and one of these
+        numbers runs, among events at its instant, where it would have run
+        had it been scheduled now.
+        """
+        first = self._next_seq()
+        self._next_seq = itertools.count(first + count).__next__
+        return first
+
+    def call_reserved(
+        self, when: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> Timer:
+        """:meth:`call_at` with a sequence number from :meth:`reserve`."""
+        if when < self._now:
+            raise ClockError(
+                f"cannot schedule at t={when:.6f} ms; clock already at {self._now:.6f} ms"
+            )
+        timer = Timer((when, seq, callback, args))
         heapq.heappush(self._heap, timer)
         return timer
 

@@ -271,19 +271,23 @@ class TwinWriter:
     """Writes the twin of the segment a :class:`SegmentWriter` is writing.
 
     Fed the same records and lines, a chunk at a time, as the segment
-    writer takes them; :meth:`close` writes the file.  It is a header
-    (magic, its own size, the record count, the fields per record) and one
-    chunk per :meth:`append`: the chunk's blob size and CRC-32, its lines'
-    byte size and CRC-32, then the blob, a ``marshal`` list of one field
-    tuple per line.  A tuple is the record's own values when ``json`` gives
-    those back unchanged, and else the values of ``parse_line(line)`` (see
-    :func:`_json_alters`), so a record built from the twin is always the
-    one the JSON path builds.
+    writer takes them.  The file is a header (magic, its own size, the
+    record count, the fields per record) and one chunk per :meth:`append`:
+    the chunk's blob size and CRC-32, its lines' byte size and CRC-32, then
+    the blob, a ``marshal`` list of one field tuple per line.  A tuple is
+    the record's own values when ``json`` gives those back unchanged, and
+    else the values of ``parse_line(line)`` (see :func:`_json_alters`), so
+    a record built from the twin is always the one the JSON path builds.
+    Each chunk goes to disk as :meth:`append` makes it, behind a zeroed
+    header that :meth:`close` writes in place: a twin is never held whole.
+    A flush that fails calls :meth:`discard`, so no partial twin stays.
     """
 
     def __init__(self, segment: Path) -> None:
         self.path = twin_path(segment)
-        self._chunks: List[bytes] = []
+        self._handle = self.path.open("wb")
+        self._handle.write(bytes(_TWIN_HEADER.size))
+        self._size = _TWIN_HEADER.size
         self._records = 0
 
     @staticmethod
@@ -312,17 +316,22 @@ class TwinWriter:
                 [_row(MeasurementRecord.parse_line(line)) for line in lines]
             )
         head = (len(blob), zlib.crc32(blob), len(data), zlib.crc32(data))
-        self._chunks.append(_TWIN_CHUNK.pack(*head) + blob)
+        self._size += self._handle.write(_TWIN_CHUNK.pack(*head) + blob)
         self._records += len(lines)
 
     def close(self) -> Path:
-        body = b"".join(self._chunks)
-        size = _TWIN_HEADER.size + len(body)
-        header = _TWIN_HEADER.pack(
-            _TWIN_MAGIC, size, self._records, len(_FIELD_NAMES)
+        handle = self._handle
+        handle.seek(0)
+        handle.write(
+            _TWIN_HEADER.pack(_TWIN_MAGIC, self._size, self._records, len(_FIELD_NAMES))
         )
-        self.path.write_bytes(header + body)
+        handle.close()
         return self.path
+
+    def discard(self) -> None:
+        """Close and remove the twin: what a failed flush calls."""
+        self._handle.close()
+        self.path.unlink(missing_ok=True)
 
 
 def _json_alters(text: str, lines: int) -> bool:

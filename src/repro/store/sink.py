@@ -131,13 +131,17 @@ class StoreSink:
         # The twin is written from the lines the segment gets, a chunk of
         # lines alive at a time.
         twin = TwinWriter(writer.path)
-        for records in twin.chunks(self._buffer):
-            lines = [record.to_json() for record in records]
-            for record, line in zip(records, lines):
-                writer.append_line(record, line)
-            twin.append(records, lines)
-        self._indexes.append(writer.close())
-        twin.close()
+        try:
+            for records in twin.chunks(self._buffer):
+                lines = [record.to_json() for record in records]
+                for record, line in zip(records, lines):
+                    writer.append_line(record, line)
+                twin.append(records, lines)
+            self._indexes.append(writer.close())
+            twin.close()
+        except BaseException:
+            twin.discard()
+            raise
         self._written += flushed
         self._buffer = []
         metrics = self._registry()

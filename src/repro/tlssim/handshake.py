@@ -517,7 +517,14 @@ class TlsClientConnection(_TlsEndpoint):
     def _handle_handshake(self, msg_type: int, payload: bytes) -> None:
         if msg_type == SERVER_HELLO:
             hello = _decode_server_hello(payload)
-            self.negotiated_version = hello.version
+            version = hello.version
+            # The client's own offered string, not the fresh one decoded per
+            # handshake: every record of a campaign shares one object.
+            for offered in self.config.versions:
+                if offered == version:
+                    version = offered
+                    break
+            self.negotiated_version = version
             self.negotiated_alpn = hello.alpn
             self.resumed = hello.resumed
             if self.used_early_data and not hello.early_data_accepted:

@@ -97,6 +97,58 @@ def test_sink_rotates_segments_and_bounds_buffer(tmp_path):
         assert keys == sorted(keys)
 
 
+def test_sealing_a_twin_holds_none_of_it(tmp_path, monkeypatch):
+    # Each chunk went to disk as it was appended; close writes the header
+    # in place, so sealing a 4,096-record twin (~290 KB) allocates ~nothing.
+    import tracemalloc
+
+    from repro.store import segment
+
+    records = make_fleet(4096)
+    peaks = []
+    real = segment.TwinWriter.close
+
+    def close(self):
+        tracemalloc.start()
+        try:
+            path = real(self)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        return path
+
+    monkeypatch.setattr(segment.TwinWriter, "close", close)
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=4096)
+    sink.extend(records)
+    (twin,) = (tmp_path / "wh").rglob("*" + segment.TWIN_SUFFIX)
+    assert twin.stat().st_size > 250_000
+    assert peaks and max(peaks) < 16_384
+    assert [r.to_json() for r in sink.close().iter_records()] == [
+        r.to_json() for r in sorted(records, key=merge_key)
+    ]
+
+
+def test_a_failed_flush_leaves_no_partial_twin(tmp_path, monkeypatch):
+    from repro.store import segment
+
+    monkeypatch.setattr(segment, "TWIN_CHUNK_RECORDS", 4)
+    calls = []
+    real = MeasurementRecord.to_json
+
+    def to_json(self):
+        calls.append(self)
+        if len(calls) == 30:  # in the eighth chunk, seven on disk
+            raise OSError("disk full")
+        return real(self)
+
+    monkeypatch.setattr(MeasurementRecord, "to_json", to_json)
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=40)
+    with pytest.raises(OSError, match="disk full"):
+        sink.extend(make_fleet(40))
+    assert not list((tmp_path / "wh").rglob("*" + segment.TWIN_SUFFIX))
+
+
 def test_merge_key_is_a_total_order_on_equal_canonical_keys():
     base = make_record(3)
     twin = make_record(3)

@@ -277,6 +277,13 @@ class TestHandshakes:
         (detail,) = run_handshake(client_versions=("1.2", "1.3"), server_versions=("1.3", "1.2"))
         assert detail["tls"].negotiated_version == "1.3"
 
+    def test_negotiated_version_is_the_clients_own_string(self):
+        # Made at run time, so neither the decoder nor the server holds it:
+        # every record of a campaign shares the one string its probes offer.
+        offered = ("".join(("1", ".3")), "".join(("1", ".2")))
+        (detail,) = run_handshake(client_versions=offered)
+        assert detail["tls"].negotiated_version is offered[0]
+
     def test_version_mismatch_alerts(self):
         (detail,) = run_handshake(client_versions=("1.3",), server_versions=("1.2",))
         assert isinstance(detail["error"], TlsHandshakeError)
@@ -513,9 +520,14 @@ class TestHandshakeCodec:
             early_data_accepted=st.booleans(),
         )
     )
+    # Two 24-character fields of 4-byte characters: 193 bytes of text.
+    @example(hello=ServerHello("\U00010000" * 24, "\U00010000" * 24, False, False))
     def test_property_server_hello_round_trips(self, hello):
         body = self.only_message(_encode_server_hello(hello), SERVER_HELLO, SIZE_SERVER_HELLO)
-        assert len(body) == SIZE_SERVER_HELLO
+        # Padded to its size, or grown past it by fields that outgrow it:
+        # a 3-byte head, then the NUL-joined version and ALPN.
+        text = f"{hello.version}\0{hello.alpn or ''}".encode("utf-8")
+        assert len(body) == max(SIZE_SERVER_HELLO, 3 + len(text))
         assert _decode_server_hello(body) == hello
 
     @given(
