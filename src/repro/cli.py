@@ -27,8 +27,10 @@ Subcommands:
 
 Every command that runs a campaign runs it through the shard plan of
 :mod:`repro.parallel`; ``measure`` without ``--workers`` and ``--shards``,
-and ``trace``, ``report``, ``figure`` and ``run-config`` always, run the
-identity plan — one shard per campaign, in this process, on a fresh world.
+and ``trace``, ``report``, ``figure``, ``run-config``, ``query`` and the
+re-query campaign of ``diff --verify`` always, run the identity plan — one
+shard per campaign, in this process, on a fresh world.  No command builds a
+world of its own.
 
 Interactive chatter (progress lines, fault-plan notes, monitor status)
 goes to stderr; stdout carries only the primary output of each command,
@@ -41,15 +43,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.analysis.render import render_boxplot_rows, render_table
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import CATALOG
-from repro.core.probes import ProbeConfig, make_probe
+from repro.core.probes import ProbeConfig
 from repro.core.results import ResultStore
 from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
@@ -387,6 +389,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.experiments.campaigns import (
         _catalog_hostnames,
         diff_campaign_config,
+        run_campaign_parallel,
         run_diff_campaign,
     )
 
@@ -395,16 +398,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         raise CampaignConfigError(f"--verify must be >= 0 (got {args.verify})")
 
     hostnames = _catalog_hostnames(args.resolver or None)
-    config = diff_campaign_config(
-        rounds=args.rounds,
-        seed=args.seed,
-        domains=args.domain or None,
-        transport=args.transport,
-    )
     fault_plan = None
     if args.faults:
-        from repro.faults import FaultPlan, inject_faults
+        from repro.faults import FaultPlan
 
+        # Over max(--rounds, --verify) rounds, so every re-query meets them.
+        config = diff_campaign_config(
+            rounds=max(args.rounds, args.verify), domains=args.domain or None
+        )
         fault_plan = FaultPlan.answer_faults(
             hostnames,
             config.domains,
@@ -434,15 +435,30 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     report = build_diff_report(records)
 
     if args.verify:
-        from repro.experiments.world import build_world
-
-        world = build_world(seed=args.world_seed, warm_caches=True)
-        if fault_plan is not None:
-            # The verify world must serve the same (faulted) answers the
-            # campaign world did, or injected faults would read transient.
-            inject_faults(world.network, world.deployments, fault_plan)
-        verify_reproducibility(world, report, attempts=args.verify, seed=args.verify_seed)
-        _status(f"verified {len(report.disagreements())} disagreements "
+        disagreements = report.disagreements()
+        if disagreements:
+            # The re-query campaign: every disagreeing vantage x resolver x
+            # domain, one round per attempt, as the identity plan, so the
+            # verdicts never depend on --workers or --shard-by.
+            transports = sorted({r.transport for r in disagreements})
+            requery = diff_campaign_config(
+                rounds=args.verify,
+                seed=args.verify_seed,
+                domains=sorted({r.domain for r in disagreements}),
+                transport=transports[0],
+            )
+            if len(transports) > 1:
+                requery = replace(requery, transports=tuple(transports))
+            requeries = run_campaign_parallel(
+                requery,
+                sorted({r.vantage for r in disagreements}),
+                sorted({r.resolver for r in disagreements}),
+                world_seed=args.world_seed,
+                shards=1,
+                fault_plan=fault_plan,
+            )
+            verify_reproducibility(report, requeries.records(), attempts=args.verify)
+        _status(f"verified {len(disagreements)} disagreements "
                 f"x{args.verify} re-queries")
 
     if args.output:
@@ -805,31 +821,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.experiments.world import build_world
+    """``query`` — the identity plan of one cell: one DoH query, no stagger."""
+    from repro.dnswire.message import Message
+    from repro.experiments.campaigns import run_campaign_parallel
 
-    world = build_world(seed=args.seed)
-    vantage = world.vantage(args.vantage)
-    deployment = world.deployment(args.resolver)
-    probe = make_probe(
-        "doh",
-        vantage.host,
-        deployment.service_ip,
-        deployment.hostname,
-        ProbeConfig(method=args.method),
-        rng=random.Random(args.seed),
+    config = CampaignConfig(
+        name="query",
+        domains=(args.domain,),
+        schedule=PeriodicSchedule(rounds=1, interval_ms=0.0),
+        probe_config=ProbeConfig(method=args.method),
+        ping=False,
+        seed=args.seed,
+        capture_responses=True,
     )
-    outcomes = []
-    probe.query(args.domain, outcomes.append)
-    world.network.run()
-    outcome = outcomes[0]
-    if outcome.success:
+    (record,) = run_campaign_parallel(
+        config, [args.vantage], [args.resolver], world_seed=args.seed, shards=1
+    ).records()
+    if record.success:
         print(f";; {args.domain} via {args.resolver} from {args.vantage}")
-        print(f";; response time: {outcome.duration_ms:.1f} ms "
-              f"({outcome.http_version}, TLS {outcome.tls_version})")
-        for address in outcome.answers:
+        print(f";; response time: {record.duration_ms:.1f} ms "
+              f"({record.http_version}, TLS {record.tls_version})")
+        answers = Message.from_wire(bytes.fromhex(record.response_wire))
+        for address in answers.answer_addresses():
             print(f"{args.domain}.\tA\t{address}")
         return 0
-    print(f";; FAILED: {outcome.error_class} ({outcome.error_detail})")
+    print(f";; FAILED: {record.error_class} (in the {record.failed_phase} phase)")
     return 1
 
 
@@ -977,8 +993,9 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
     "--csv": dict(help="also export the panels as CSV"),
     "--verify": dict(
         type=int, default=0, metavar="N",
-        help="diffrepro pass: re-query each disagreement N times on a fresh "
-             "world and label it reproducible or transient",
+        help="diffrepro pass: re-query the disagreeing cells in an N-round "
+             "campaign (same world seed and faults) and label each "
+             "disagreement reproducible or transient",
     ),
     "--verify-seed": dict(type=int, default=0),
     "--policy": dict(

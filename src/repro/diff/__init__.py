@@ -17,8 +17,9 @@ Pipeline (mirroring CZ-NIC respdiff's msgdiff / diffsum / diffrepro):
    :class:`~repro.core.results.RecordSource`) into a
    :class:`DiffReport`: per-resolver disagreement rates, per-field
    mismatch shares, taxonomy counts;
-3. :func:`verify_reproducibility` — re-query each disagreement under
-   seeded retries and label it reproducible/transient.
+3. :func:`verify_reproducibility` — fold the records of a re-query
+   campaign over the disagreeing cells (``diff --verify``) into a
+   reproducible/transient label per disagreement.
 
 Everything downstream of the record multiset is a pure function of it, so
 diff reports are byte-identical for any worker count.

@@ -1,8 +1,7 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` to a simulated world.
 
 The injector schedules two callbacks per fault window on the virtual
-clock — apply at ``start_ms``, revert at ``end_ms``; an answer fault is
-applied and never reverted (:meth:`FaultInjector.arm`) — and recomputes the
+clock — apply at ``start_ms``, revert at ``end_ms`` — and recomputes the
 :class:`~repro.netsim.host.HostImpairments` of every affected host from
 the set of windows currently active there.  Recomputing (rather than
 toggling fields) makes overlapping windows compose correctly: numeric
@@ -70,12 +69,8 @@ class FaultInjector:
 
         ``offset_ms`` shifts the whole plan (whose events are relative to
         0) to start at ``now + offset_ms``, so a plan generated for a
-        campaign horizon can be armed just before the campaign runs.  An
-        answer fault opens at its start and is never closed: its window is
-        the whole horizon (:meth:`FaultPlan.answer_faults`), and a
-        scheduled close would only run out the clock of a world queried
-        one run to idle at a time (``diff --verify``'s) at its first
-        query, so its re-queries would miss the faults the campaign met.
+        campaign horizon can be armed just before the campaign runs.  Every
+        window, answer kinds included, is in force on ``[start, end)``.
         """
         if self._armed:
             raise CampaignConfigError("fault injector is already armed")
@@ -91,8 +86,7 @@ class FaultInjector:
         base = self.network.loop.now + offset_ms
         for event in self.plan.events:
             self.network.loop.call_at(base + event.start_ms, self._apply, event)
-            if event.kind not in ANSWER_KINDS:
-                self.network.loop.call_at(base + event.end_ms, self._revert, event)
+            self.network.loop.call_at(base + event.end_ms, self._revert, event)
         self._armed = True
         return len(self.plan.events)
 

@@ -116,7 +116,7 @@ class TestQueryCommand:
         code = main(["query", "dns.pumplex.com", "google.com"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAILED" in out
+        assert out == ";; FAILED: connect_timeout (in the tcp_connect phase)\n"
 
 
 class TestMeasureCommand:

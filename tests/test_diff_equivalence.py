@@ -58,8 +58,9 @@ STABLE = (
 
 DEAD_RESOLVER = "dns.pumplex.com"  # never comes up in the mini catalog
 
-#: How long the answer faults of a two-round diff campaign last.
-HORIZON_MS = diff_campaign_config(rounds=2).schedule.horizon_ms
+#: How long the answer faults last: over the two-round campaign and the
+#: three-round re-query campaign that verifies its disagreements.
+HORIZON_MS = diff_campaign_config(rounds=3).schedule.horizon_ms
 
 
 def answer_plan(hostnames=STABLE, domains=None, seed=7):
@@ -67,27 +68,21 @@ def answer_plan(hostnames=STABLE, domains=None, seed=7):
     return FaultPlan.answer_faults(hostnames, domains, HORIZON_MS, seed=seed)
 
 
-def _mini_diff_campaign(seed, fault_plan=None, store=None, world=None):
-    """One serial differencing fan-out on a fresh mini world.
-
-    A plan's windows stay open after the campaign, so the re-query pass
-    that follows on the same world meets the same faults."""
-    if world is None:
-        world = make_mini_world(seed=seed)
+def _mini_diff_campaign(config, fault_plan=None, vantages=EC2_VANTAGE_NAMES, targets=MINI):
+    """One serial differencing campaign on a fresh (faulted) mini world."""
+    world = make_mini_world(seed=5)
     if fault_plan is not None:
         inject_faults(
             world.network,
             [world.deployments[hostname] for hostname in MINI],
             fault_plan,
         )
-    result = Campaign(
+    return Campaign(
         network=world.network,
-        vantages=[world.vantage(name) for name in EC2_VANTAGE_NAMES],
-        targets=world.targets(list(MINI)),
-        config=diff_campaign_config(rounds=2, seed=seed),
-        store=store,
+        vantages=[world.vantage(name) for name in vantages],
+        targets=world.targets(list(targets)),
+        config=config,
     ).run()
-    return world, result
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +92,7 @@ def _mini_diff_campaign(seed, fault_plan=None, store=None, world=None):
 
 @pytest.fixture(scope="module")
 def clean_report():
-    _world, store = _mini_diff_campaign(seed=5)
-    return build_diff_report(store)
+    return build_diff_report(_mini_diff_campaign(diff_campaign_config(rounds=2, seed=5)))
 
 
 class TestCleanWorldAgreement:
@@ -124,8 +118,9 @@ class TestCleanWorldAgreement:
                 assert record.observed is None
 
     def test_report_is_deterministic_for_a_fixed_seed(self, clean_report):
-        _world, store = _mini_diff_campaign(seed=5)
-        again = build_diff_report(store)
+        again = build_diff_report(
+            _mini_diff_campaign(diff_campaign_config(rounds=2, seed=5))
+        )
         assert again.render() == clean_report.render()
         assert again.to_jsonl() == clean_report.to_jsonl()
 
@@ -149,10 +144,22 @@ EXPECTED_CLASS = {
 
 @pytest.fixture(scope="module")
 def faulted():
+    """The faulted report, labelled from a second campaign: three rounds of
+    re-queries of the disagreeing cells on a fresh world with the same plan."""
     plan = answer_plan()
-    world, store = _mini_diff_campaign(seed=5, fault_plan=plan)
-    report = build_diff_report(store)
-    verify_reproducibility(world, report, attempts=3, seed=5)
+    report = build_diff_report(
+        _mini_diff_campaign(diff_campaign_config(rounds=2, seed=5), plan)
+    )
+    disagreements = report.disagreements()
+    requeries = _mini_diff_campaign(
+        diff_campaign_config(
+            rounds=3, seed=5, domains=sorted({r.domain for r in disagreements})
+        ),
+        plan,
+        vantages=sorted({r.vantage for r in disagreements}),
+        targets=sorted({r.resolver for r in disagreements}),
+    )
+    verify_reproducibility(report, requeries, attempts=3)
     return plan, report
 
 
@@ -201,6 +208,45 @@ class TestInjectedFaultTaxonomy:
             count, repro, transient, _unverified = counts[label]
             assert count > 0, f"no {label} rows for injected {kind}"
             assert repro + transient == count
+
+
+class TestRequeryCampaign:
+    """``diff --verify`` re-queries the disagreements in a campaign of its own."""
+
+    ARGV = ["diff", "--resolver", *STABLE, "--rounds", "2", "--seed", "5"]
+
+    def _run(self, monkeypatch, tmp_path, *extra):
+        import repro.experiments.campaigns as campaigns
+        from repro.cli import main
+
+        rounds = []
+        run = campaigns.run_campaign_parallel
+
+        def counted(config, *args, **kwargs):
+            rounds.append(config.schedule.rounds)
+            return run(config, *args, **kwargs)
+
+        monkeypatch.setattr(campaigns, "run_campaign_parallel", counted)
+        cells = tmp_path / "cells.jsonl"
+        assert main(self.ARGV + list(extra) + ["--output", str(cells)]) == 0
+        records = [DiffRecord.parse_line(line) for line in cells.read_text().splitlines()]
+        return rounds, [r for r in records if r.status == STATUS_DISAGREE]
+
+    def test_faults_last_as_long_as_the_requeries(self, monkeypatch, tmp_path, capsys):
+        # Eight re-query rounds run far past the two measured ones; a plan
+        # over the measured rounds alone would read every fault transient.
+        rounds, disagreements = self._run(
+            monkeypatch, tmp_path, "--faults", "--verify", "8"
+        )
+        assert rounds == [2, 8]
+        assert disagreements
+        assert all(r.verify_disagreements == 8 for r in disagreements)
+        assert all(r.reproducible for r in disagreements)
+
+    def test_a_clean_run_starts_no_requery_campaign(self, monkeypatch, tmp_path, capsys):
+        rounds, disagreements = self._run(monkeypatch, tmp_path, "--verify", "3")
+        assert rounds == [2]
+        assert disagreements == []
 
 
 class TestAnswerFaultsInOnePlan:

@@ -222,20 +222,19 @@ class TestPaperReport:
 # ---------------------------------------------------------------------------
 
 
-def _campaign_constructions(tree: ast.AST):
-    """Lines that build a ``Campaign(...)`` by hand."""
+def _calls_to(tree: ast.AST, callee: str):
+    """Lines that call ``callee(...)``, by bare name or as an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "Campaign":
+            if name == callee:
                 yield node.lineno
 
 
-def test_only_the_shard_executor_builds_a_campaign():
-    """Every campaign in the package runs through plan_campaign ->
-    run_parallel -> execute_shard; a second path beside the shard plan is
-    how the EC2 study once ran in a burst on the home campaign's world."""
+def _callers_outside_the_executor(callee: str):
+    """``callee(...)`` call sites outside ``parallel/executor.py``, and the
+    number inside it (so a test can check the walker sees the seam's)."""
     root = Path(repro.__file__).parent
     seam = Path("parallel", "executor.py")
     offenders = []
@@ -244,8 +243,24 @@ def test_only_the_shard_executor_builds_a_campaign():
         if relative == seam:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        offenders += [f"{relative}:{line}" for line in _campaign_constructions(tree)]
+        offenders += [f"{relative}:{line}" for line in _calls_to(tree, callee)]
+    executor = ast.parse((root / seam).read_text(encoding="utf-8"))
+    return offenders, len(list(_calls_to(executor, callee)))
+
+
+def test_only_the_shard_executor_builds_a_campaign():
+    """Every campaign in the package runs through plan_campaign ->
+    run_parallel -> execute_shard; a second path beside the shard plan is
+    how the EC2 study once ran in a burst on the home campaign's world."""
+    offenders, seen = _callers_outside_the_executor("Campaign")
     assert offenders == []
     # The walker does see what it is looking for.
-    executor = ast.parse((root / seam).read_text(encoding="utf-8"))
-    assert len(list(_campaign_constructions(executor))) == 1
+    assert seen == 1
+
+
+def test_only_the_shard_executor_builds_a_world():
+    """A world is built for a shard (or for the shards a pool forks) and
+    nowhere else: ``query`` and ``diff --verify`` run plans, not probes."""
+    offenders, seen = _callers_outside_the_executor("build_world")
+    assert offenders == []
+    assert seen == 2

@@ -243,11 +243,11 @@ class TestOnePlan:
         for at_ms in sorted({0.0} | {e.start_ms for e in plan} | {e.end_ms for e in plan}):
             net.run(until=at_ms)
             for name, (host,) in hosts.items():
-                # An answer window opens at its start and is never closed.
+                # An answer window is open exactly on [start, end).
                 open_domains = {
                     Name.from_text(event.domain)
                     for event in plan.events_for(name)
-                    if event.start_ms <= at_ms
+                    if event.start_ms <= at_ms < event.end_ms
                 }
                 assert not host.impairments.any_active
                 assert set(host.impairments.answer_faults) == open_domains
