@@ -8,7 +8,7 @@ with the dead resolvers excluded by construction (they never produce a
 baseline median).
 """
 
-from repro.analysis.longitudinal import drift_reports_over_time
+from repro.analysis.longitudinal import drift_reports_from_records
 from repro.core.results import ResultStore
 from repro.experiments.campaigns import run_study
 from benchmarks.conftest import print_artifact
@@ -20,7 +20,7 @@ def test_monthly_recheck_stability(benchmark):
             home_rounds=0, ec2_rounds=6,
             recheck_months=["feb-2024", "mar-2024", "apr-2024"], shards=1,
         ).store
-        return drift_reports_over_time(store, vantage="ec2-ohio")
+        return drift_reports_from_records(store, vantage="ec2-ohio")
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(reports) == 3

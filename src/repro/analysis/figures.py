@@ -28,10 +28,6 @@ class FigureRow:
     dns_stats: Optional[BoxplotStats]  # None if the resolver never answered
     ping_stats: Optional[BoxplotStats]  # None if it doesn't answer ICMP
 
-    @property
-    def has_data(self) -> bool:
-        return self.dns_stats is not None
-
 
 def region_panel_hostnames(region: str) -> List[str]:
     """The resolvers shown in a region's figure: region rows + references."""

@@ -207,17 +207,6 @@ def drift_report(
     )[0]
 
 
-def drift_reports_over_time(
-    store: Source,
-    vantage: Optional[str] = None,
-    latency_factor: float = 2.0,
-) -> List[DriftReport]:
-    """A report for every campaign after the first, in time order."""
-    return drift_reports_from_records(
-        store, vantage=vantage, latency_factor=latency_factor
-    )
-
-
 def drift_reports_from_records(
     records: Source,
     vantage: Optional[str] = None,

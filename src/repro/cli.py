@@ -63,6 +63,7 @@ from repro.errors import (
     ResultsFormatError,
 )
 from repro.files import read_document, write_text
+from repro.store import DEFAULT_SEGMENT_RECORDS
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
 
@@ -201,6 +202,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         )
         _status(f"armed fault plan: {fault_plan.describe()}")
 
+    # Loaded first: a bad --slo fails before the campaign writes anything.
+    policy = _load_policy(args.slo) if (args.slo or args.alerts) else None
     run = run_campaign_parallel(
         config,
         args.vantage,
@@ -209,7 +212,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         collect_spans=bool(args.trace),
         collect_metrics=bool(args.metrics),
-        slo_policy=_load_policy(args.slo) if (args.slo or args.alerts) else None,
         # Heard round by round only under a one-shard plan (run_parallel).
         on_round_complete=(
             (lambda progress: _status(progress.describe())) if args.progress else None
@@ -217,6 +219,15 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         **execution,
     )
     _status(run.describe())
+    monitor = None
+    if policy is not None:
+        from repro.monitor import Monitor
+
+        # The merged canonical stream, so the alerts are the same for any
+        # worker count and equal to a live monitor's over a serial run.
+        monitor = Monitor(policy)
+        monitor.replay(run.records())
+        monitor.finalize(run.metrics)
     if args.progress and len(run.shard_results) > 1:
         for result in run.shard_results:
             _status(
@@ -235,10 +246,10 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if args.metrics:
         run.metrics.save_json(args.metrics)
         print(f"wrote metrics to {args.metrics}")
-    if run.monitor is not None:
+    if monitor is not None:
         if args.alerts:
-            _write_alert_artifacts(run.monitor, args.alerts)
-        print(run.monitor.scoreboard().render())
+            _write_alert_artifacts(monitor, args.alerts)
+        print(monitor.scoreboard().render())
     if args.faults:
         if run.warehouse is not None:
             from repro.store import availability_from_aggregates
@@ -387,10 +398,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     """
     from repro.diff import build_diff_report, verify_reproducibility
     from repro.experiments.campaigns import (
+        EC2_VANTAGE_NAMES,
         _catalog_hostnames,
         diff_campaign_config,
         run_campaign_parallel,
-        run_diff_campaign,
     )
 
     execution = _execution(args)
@@ -418,14 +429,16 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.input:
         records = _record_stream(args.input)
     else:
-        run = run_diff_campaign(
+        run = run_campaign_parallel(
+            diff_campaign_config(
+                rounds=args.rounds,
+                seed=args.seed,
+                domains=args.domain or None,
+                transport=args.transport,
+            ),
+            args.vantage or EC2_VANTAGE_NAMES,
+            hostnames,
             world_seed=args.world_seed,
-            rounds=args.rounds,
-            seed=args.seed,
-            domains=args.domain or None,
-            transport=args.transport,
-            vantage_names=args.vantage or None,
-            target_hostnames=hostnames,
             fault_plan=fault_plan,
             **execution,
         )
@@ -905,12 +918,12 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
     "--store": dict(
         metavar="DIR",
         help="stream records into a results warehouse at DIR instead of RAM; "
-             "bounded memory, canonical segments, aggregates persisted "
-             "alongside (see the 'store' subcommand); sessions: one warehouse "
-             "per policy under DIR",
+             "bounded memory, canonical segments, aggregates built once by "
+             "the final merge (see the 'store' subcommand); sessions: one "
+             "warehouse per policy under DIR",
     ),
     "--segment-records": dict(
-        type=int, default=4096, metavar="N",
+        type=int, default=DEFAULT_SEGMENT_RECORDS, metavar="N",
         help="records per warehouse segment (store compact: the new segment "
              "size, default keep current)",
     ),

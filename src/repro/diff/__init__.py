@@ -11,8 +11,10 @@ pass labels each disagreement reproducible or transient.
 
 Pipeline (mirroring CZ-NIC respdiff's msgdiff / diffsum / diffrepro):
 
-1. :func:`repro.experiments.campaigns.run_diff_campaign` — the same-query
-   fan-out campaign, serial or sharded, RAM or warehouse backed;
+1. :func:`repro.experiments.campaigns.run_campaign_parallel` of a
+   :func:`~repro.experiments.campaigns.diff_campaign_config` — the
+   same-query fan-out campaign, serial or sharded, RAM or warehouse
+   backed;
 2. :func:`build_diff_report` — stream the records (any
    :class:`~repro.core.results.RecordSource`) into a
    :class:`DiffReport`: per-resolver disagreement rates, per-field

@@ -158,16 +158,3 @@ def pad_query(message: Message, block_size: int = 128) -> Message:
     edns.options.append(EdnsOption(OPTION_PADDING, b"\x00" * pad_len))
     return add_edns(message, edns)
 
-
-def unpadded_equal(a: Message, b: Message) -> bool:
-    """Compare two messages ignoring EDNS padding (test helper)."""
-
-    def strip(m: Message) -> Tuple[bytes, ...]:
-        edns = get_edns(m)
-        clone = Message.from_wire(m.to_wire())
-        if edns is not None:
-            edns.options = [o for o in edns.options if o.code != OPTION_PADDING]
-            add_edns(clone, edns)
-        return (clone.to_wire(),)
-
-    return strip(a) == strip(b)

@@ -265,10 +265,6 @@ class Message:
     def rcode(self) -> int:
         return self.header.rcode
 
-    @property
-    def is_response(self) -> bool:
-        return self.header.qr
-
     def opt_record(self) -> Optional[ResourceRecord]:
         """The EDNS OPT pseudo-record, if present in additionals."""
         for record in self.additionals:

@@ -37,22 +37,10 @@ _TYPE_NAMES: Dict[int, str] = {
     TYPE_ANY: "ANY",
 }
 
-_TYPE_VALUES: Dict[str, int] = {name: value for value, name in _TYPE_NAMES.items()}
-
 
 def type_name(value: int) -> str:
     """Symbolic name for an RR type (``"TYPE123"`` for unknown types)."""
     return _TYPE_NAMES.get(value, f"TYPE{value}")
-
-
-def type_value(name: str) -> int:
-    """RR type value for a symbolic name; accepts ``"TYPE123"`` form."""
-    upper = name.upper()
-    if upper in _TYPE_VALUES:
-        return _TYPE_VALUES[upper]
-    if upper.startswith("TYPE") and upper[4:].isdigit():
-        return int(upper[4:])
-    raise ValueError(f"unknown RR type name {name!r}")
 
 
 # -- classes -------------------------------------------------------------------

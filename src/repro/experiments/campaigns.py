@@ -32,6 +32,7 @@ from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
 from repro.faults import FaultPlan, FaultPlanConfig
 from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
+from repro.store import DEFAULT_SEGMENT_RECORDS
 from repro.transports import SESSION_TRANSPORTS
 
 
@@ -121,46 +122,6 @@ def diff_campaign_config(
     )
 
 
-def run_diff_campaign(
-    world_seed: int = 0,
-    rounds: int = 2,
-    seed: int = 505,
-    domains: Optional[Sequence[str]] = None,
-    transport: str = "doh",
-    vantage_names: Optional[Sequence[str]] = None,
-    target_hostnames: Optional[Iterable[str]] = None,
-    workers: int = 1,
-    shard_by: str = "vantage",
-    shards: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    store_dir: Optional[str] = None,
-    segment_records: int = 4096,
-) -> ParallelRun:
-    """Run the differencing fan-out, serial or sharded, RAM or warehouse.
-
-    With ``fault_plan`` set (normally :meth:`FaultPlan.answer_faults`),
-    every shard arms the plan on its own targets, as
-    :func:`run_campaign_parallel` does, so the injected disagreements are
-    identical for any worker count.  The returned run's record source
-    feeds :func:`repro.diff.build_diff_report`.
-    """
-    names = list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
-    return run_campaign_parallel(
-        diff_campaign_config(
-            rounds=rounds, seed=seed, domains=domains, transport=transport
-        ),
-        names,
-        target_hostnames,
-        world_seed=world_seed,
-        workers=workers,
-        shard_by=shard_by,
-        shards=shards,
-        fault_plan=fault_plan,
-        store_dir=store_dir,
-        segment_records=segment_records,
-    )
-
-
 HOME_VANTAGE_NAMES = (
     "home-chicago-1",
     "home-chicago-2",
@@ -225,7 +186,7 @@ def run_sessions_study(
     shard_by: str = "vantage",
     shards: Optional[int] = None,
     store_dir: Optional[str] = None,
-    segment_records: int = 4096,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
 ) -> "OrderedDictType[str, ParallelRun]":
     """Run the same campaign once per session policy, serial or sharded.
 
@@ -285,8 +246,7 @@ def run_campaign_parallel(
     collect_spans: bool = False,
     collect_metrics: bool = False,
     store_dir: Optional[str] = None,
-    segment_records: int = 4096,
-    slo_policy: Optional[object] = None,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
     on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ParallelRun:
     """Run one campaign sharded across workers and merge the artifacts.
@@ -298,10 +258,8 @@ def run_campaign_parallel(
     depend only on the plan — see :mod:`repro.parallel`.  With
     ``store_dir`` the run streams into a results warehouse instead of
     RAM (see :mod:`repro.store`); the warehouse is byte-identical for
-    any worker count.  With ``slo_policy`` (a
-    :class:`repro.monitor.SloPolicy`) the merged canonical stream is
-    replayed through a monitor, and ``on_round_complete`` hears the
-    rounds of a one-shard plan — see :func:`repro.parallel.run_parallel`.
+    any worker count.  ``on_round_complete`` hears the rounds of a
+    one-shard plan — see :func:`repro.parallel.run_parallel`.
     """
     tasks = plan_campaign(
         config,
@@ -319,7 +277,6 @@ def run_campaign_parallel(
         workers=workers,
         store_dir=store_dir,
         segment_records=segment_records,
-        slo_policy=slo_policy,
         on_round_complete=on_round_complete,
     )
 
@@ -341,8 +298,7 @@ def run_study(
     collect_spans: bool = False,
     collect_metrics: bool = False,
     store_dir: Optional[str] = None,
-    segment_records: int = 4096,
-    slo_policy: Optional[object] = None,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
 ) -> ParallelRun:
     """The full study (home + EC2 + optional monthly re-checks) as one run.
 
@@ -402,7 +358,6 @@ def run_study(
         workers=workers,
         store_dir=store_dir,
         segment_records=segment_records,
-        slo_policy=slo_policy,
     )
 
 

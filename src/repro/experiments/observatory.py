@@ -34,6 +34,7 @@ from repro.faults import FaultPlan, FaultPlanConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.observers import ObserverFleet, ObserverReport, ObserverSpec
 from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
+from repro.store import DEFAULT_SEGMENT_RECORDS
 
 #: Gap between successive measurement windows (the poster re-measured
 #: roughly monthly).
@@ -124,7 +125,7 @@ def run_observer_study(
     fault_fraction: float = 0.10,
     collect_metrics: bool = False,
     store_dir: Optional[str] = None,
-    segment_records: int = 4096,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
 ) -> ParallelRun:
     """Run the whole multi-month observatory through one worker pool.
 

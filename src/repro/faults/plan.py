@@ -246,9 +246,6 @@ class FaultPlan:
         wanted = set(hostnames)
         return FaultPlan(event for event in self.events if event.hostname in wanted)
 
-    def active_at(self, at_ms: float) -> List[FaultEvent]:
-        return [event for event in self.events if event.overlaps(at_ms)]
-
     @property
     def hostnames(self) -> List[str]:
         return sorted({event.hostname for event in self.events})

@@ -23,8 +23,8 @@ Quick start::
     alerts = monitor.finalize()          # canonical-ordered EventLog
     print(monitor.scoreboard().render()) # OK/WATCH/DEGRADED/FAILING table
 
-``run_parallel(tasks, slo_policy=policy)`` does exactly this and leaves
-the finalized monitor on ``ParallelRun.monitor``.
+``measure --slo`` does exactly this, finalizing into ``run.metrics``;
+the parallel runner itself knows no monitor.
 """
 
 from repro.monitor.detectors import (

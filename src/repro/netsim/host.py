@@ -181,9 +181,6 @@ class Host:
     def close_tcp_listener(self, port: int) -> None:
         self._tcp_listeners.pop(port, None)
 
-    def tcp_listener(self, port: int) -> Optional[Callable[["SimTcpConnection"], None]]:
-        return self._tcp_listeners.get(port)
-
     # -- connection demux ----------------------------------------------------
 
     def register_connection(self, conn: "SimTcpConnection") -> None:

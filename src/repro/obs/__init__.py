@@ -17,8 +17,8 @@ Use :func:`tracing` to enable instrumentation for a scoped block::
     recorder.save_jsonl("spans.jsonl")
     print(metrics.summary())
 
-A monitor is not ambient either: it replays a run's merged records
-afterwards (``run_parallel(slo_policy=)``, see :mod:`repro.monitor`).
+A monitor is not ambient either: the caller replays a run's merged
+records afterwards (``ParallelRun.records()``, see :mod:`repro.monitor`).
 
 Everything is driven by the simulator's virtual clock, and both hooks
 are pure observers — enabling them never perturbs timing,

@@ -6,7 +6,7 @@ to a worker pool:
 
 * :mod:`repro.parallel.shard` partitions a campaign's
   (vantage × resolver × round) space into disjoint, covering shards and
-  derives a stable per-shard seed from the campaign seed;
+  derives each shard's network seed from the campaign seed;
 * :mod:`repro.parallel.executor` runs one shard standalone — a fresh
   world for the campaign's world seed (inherited from the parent by a
   forked child, built on the spot otherwise), the campaign restricted

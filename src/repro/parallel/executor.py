@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.results import MeasurementRecord, ResultStore
@@ -39,12 +40,10 @@ from repro.obs import (
     tracing,
 )
 from repro.parallel.shard import Shard
+from repro.store import DEFAULT_SEGMENT_RECORDS, StoreSink, Warehouse
 
 if TYPE_CHECKING:
     from repro.experiments.world import World
-
-#: What tells two shard worlds apart before a shard has touched them.
-WorldKey = Tuple[int, bool]
 
 
 @dataclass(frozen=True)
@@ -67,20 +66,18 @@ class ShardTask:
     round_stop: int
     shard_index: int
     shard_key: str
-    shard_seed: int
     network_seed: Optional[int]
     #: Serialized :class:`repro.faults.FaultPlan`, network windows and
     #: answer faults alike; each shard arms the events of its own targets.
     fault_plan_json: Optional[str] = None
     collect_spans: bool = False
     collect_metrics: bool = False
-    warm_caches: bool = True
     #: When set, the shard streams records into its own staging warehouse
     #: under this directory (``<store_staging_dir>/shard-NNNN``) instead of
     #: returning them in RAM; the merge step k-way merges the staging
     #: warehouses into the canonical store.
     store_staging_dir: Optional[str] = None
-    segment_records: int = 4096
+    segment_records: int = DEFAULT_SEGMENT_RECORDS
 
     @classmethod
     def from_shard(
@@ -91,9 +88,8 @@ class ShardTask:
         fault_plan_json: Optional[str] = None,
         collect_spans: bool = False,
         collect_metrics: bool = False,
-        warm_caches: bool = True,
         store_staging_dir: Optional[str] = None,
-        segment_records: int = 4096,
+        segment_records: int = DEFAULT_SEGMENT_RECORDS,
     ) -> "ShardTask":
         if shard.round_stop > config.schedule.rounds:
             raise CampaignConfigError(
@@ -109,12 +105,10 @@ class ShardTask:
             round_stop=shard.round_stop,
             shard_index=shard.index,
             shard_key=shard.key,
-            shard_seed=shard.seed,
             network_seed=shard.network_seed,
             fault_plan_json=fault_plan_json,
             collect_spans=collect_spans,
             collect_metrics=collect_metrics,
-            warm_caches=warm_caches,
             store_staging_dir=store_staging_dir,
             segment_records=segment_records,
         )
@@ -150,12 +144,8 @@ class ShardResult:
         )
 
 
-def world_key(task: ShardTask) -> WorldKey:
-    return (task.world_seed, task.warm_caches)
-
-
-def pristine_worlds(tasks: Iterable[ShardTask]) -> Dict[WorldKey, "World"]:
-    """One built (and warmed) world per distinct :func:`world_key` in ``tasks``.
+def pristine_worlds(tasks: Iterable[ShardTask]) -> Dict[int, "World"]:
+    """One built and warmed world per distinct world seed in ``tasks``.
 
     The runner calls this once, before it forks, so that every child
     starts from the same untouched world by copy-on-write instead of
@@ -165,18 +155,17 @@ def pristine_worlds(tasks: Iterable[ShardTask]) -> Dict[WorldKey, "World"]:
     """
     from repro.experiments.world import build_world
 
-    worlds: Dict[WorldKey, "World"] = {}
+    worlds: Dict[int, "World"] = {}
     with tracing(recorder=NULL_RECORDER, metrics=MetricsRegistry(enabled=False)):
         for task in tasks:
-            key = world_key(task)
-            if key not in worlds:
-                worlds[key] = build_world(seed=key[0], warm_caches=key[1])
+            if task.world_seed not in worlds:
+                worlds[task.world_seed] = build_world(seed=task.world_seed)
     return worlds
 
 
 def execute_shard(
     task: ShardTask,
-    inherited: Optional[Dict[WorldKey, "World"]] = None,
+    inherited: Optional[Dict[int, "World"]] = None,
     on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ShardResult:
     """Run one shard on a fresh world and collect its artifacts.
@@ -188,11 +177,11 @@ def execute_shard(
     round callback; only a caller in this process can hand one over.
     """
     started = time.perf_counter()
-    world = inherited.pop(world_key(task), None) if inherited else None
+    world = inherited.pop(task.world_seed, None) if inherited else None
     if world is None:
         from repro.experiments.world import build_world
 
-        world = build_world(seed=task.world_seed, warm_caches=task.warm_caches)
+        world = build_world(seed=task.world_seed)
     if task.network_seed is not None:
         # De-correlate this shard's packet noise from its siblings.  The
         # reseed happens after cache warming, so all shards diverge from
@@ -219,24 +208,19 @@ def execute_shard(
         task.config,
         schedule=task.config.schedule.slice_rounds(task.round_start, task.round_stop),
     )
-    if task.warm_caches:
-        # The build-time warm decays at the study-domain TTL; a campaign
-        # scheduled deep into virtual time (the observatory's monthly
-        # windows) re-warms just ahead of its first round so every month
-        # measures the same always-cached steady state.
-        refresh_at = config.schedule.start_ms - MS_PER_HOUR
-        if refresh_at > world.network.loop.now:
-            world.schedule_cache_refresh(refresh_at)
+    # The build-time warm decays at the study-domain TTL; a campaign
+    # scheduled deep into virtual time (the observatory's monthly windows)
+    # re-warms just ahead of its first round so every month measures the
+    # same always-cached steady state.
+    refresh_at = config.schedule.start_ms - MS_PER_HOUR
+    if refresh_at > world.network.loop.now:
+        world.schedule_cache_refresh(refresh_at)
     recorder = SpanCollector() if task.collect_spans else NULL_RECORDER
     metrics = MetricsRegistry(enabled=task.collect_metrics)
     warehouse_path: Optional[str] = None
     if task.store_staging_dir is not None:
         # Stream records to a per-shard staging warehouse instead of
         # holding them in RAM; the merge step k-way merges the stagings.
-        from pathlib import Path
-
-        from repro.store import StoreSink, Warehouse
-
         staging_root = Path(task.store_staging_dir) / f"shard-{task.shard_index:04d}"
         store = StoreSink(
             Warehouse(staging_root),

@@ -27,6 +27,7 @@ from repro.core.results import ResultStore
 from repro.errors import CampaignConfigError, StoreError
 from repro.obs import MetricsRegistry, SpanCollector
 from repro.parallel.executor import ShardResult
+from repro.store import DEFAULT_SEGMENT_RECORDS, Warehouse
 
 
 def merge_shard_results(
@@ -63,8 +64,7 @@ def merge_shard_results(
 def merge_shard_warehouses(
     results: Sequence[ShardResult],
     dest: Union[str, Path],
-    segment_records: int = 4096,
-    cleanup: bool = True,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
 ):
     """K-way merge shard staging warehouses into one canonical warehouse.
 
@@ -73,11 +73,9 @@ def merge_shard_warehouses(
     Because each staging segment is internally sorted and
     :meth:`repro.store.Warehouse.build_canonical` rewrites with fixed
     rotation, the destination bytes depend only on the record multiset —
-    the same warehouse emerges for any worker count.  ``cleanup`` removes
-    the staging warehouses afterwards.
+    the same warehouse emerges for any worker count.  The staging
+    warehouses are removed afterwards.
     """
-    from repro.store import Warehouse
-
     ordered = sorted(results, key=lambda result: result.shard_index)
     indices = [result.shard_index for result in ordered]
     if len(set(indices)) != len(indices):
@@ -100,7 +98,6 @@ def merge_shard_warehouses(
             f"merged warehouse at {merged.root} holds {found} records but "
             f"shards {[r.shard_key for r in ordered]} produced {expected}"
         )
-    if cleanup:
-        for source in sources:
-            shutil.rmtree(source.root, ignore_errors=True)
+    for source in sources:
+        shutil.rmtree(source.root, ignore_errors=True)
     return merged

@@ -30,16 +30,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import CampaignConfig, RoundProgress
@@ -53,9 +44,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.merge import merge_shard_results, merge_shard_warehouses
 from repro.parallel.shard import Shard, partition
-
-if TYPE_CHECKING:
-    from repro.monitor import Monitor, SloPolicy
+from repro.store import DEFAULT_SEGMENT_RECORDS
 
 
 @dataclass
@@ -77,9 +66,6 @@ class ParallelRun:
     #: The canonical warehouse when the run streamed to disk (``store_dir``
     #: was set); ``store`` is empty in that mode.
     warehouse: Optional[object] = None
-    #: A finalized monitor when the run was given an SLO policy; holds the
-    #: alert ``EventLog``, the verdicts and the scoreboard.
-    monitor: Optional["Monitor"] = None
 
     @property
     def record_count(self) -> int:
@@ -122,9 +108,8 @@ def plan_campaign(
     fault_plan_json: Optional[str] = None,
     collect_spans: bool = False,
     collect_metrics: bool = False,
-    warm_caches: bool = True,
     store_staging_dir: Optional[str] = None,
-    segment_records: int = 4096,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
 ) -> List[ShardTask]:
     """Shard one campaign into executable tasks.
 
@@ -150,7 +135,6 @@ def plan_campaign(
             fault_plan_json=fault_plan_json,
             collect_spans=collect_spans,
             collect_metrics=collect_metrics,
-            warm_caches=warm_caches,
             store_staging_dir=store_staging_dir,
             segment_records=segment_records,
         )
@@ -296,8 +280,7 @@ def run_parallel(
     tasks: Sequence[ShardTask],
     workers: int = 1,
     store_dir: Optional[str] = None,
-    segment_records: int = 4096,
-    slo_policy: Optional["SloPolicy"] = None,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
     on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
 ) -> ParallelRun:
     """Execute shard tasks and merge their results.
@@ -313,15 +296,6 @@ def run_parallel(
     accordingly) and the merge step k-way merges the stagings into a
     canonical warehouse at ``store_dir`` — byte-identical for any worker
     count, since the output depends only on the record multiset.
-
-    With ``slo_policy`` set (a :class:`repro.monitor.SloPolicy`), the
-    merged canonical record stream is replayed through a
-    :class:`repro.monitor.Monitor` after the merge, so the alert log
-    depends only on the record multiset and is byte-identical for any
-    worker count given a fixed shard plan, and identical to feeding the
-    monitor a serial execution's records in arrival order (per group,
-    arrival order equals canonical order).  The finalized monitor lands on
-    ``ParallelRun.monitor`` and its detector gauges in the merged metrics.
 
     ``on_round_complete`` is called as each round of a one-shard plan
     finishes: such a plan always runs in this process, and its rounds are
@@ -379,7 +353,7 @@ def run_parallel(
     # A store run's results carry no records: its merged store is empty.
     store, spans, metrics = merge_shard_results(results)
 
-    run = ParallelRun(
+    return ParallelRun(
         store=store,
         spans=spans,
         metrics=metrics,
@@ -387,24 +361,13 @@ def run_parallel(
         workers=workers,
         pool_used=pool_used,
         fallback_reason=fallback_reason,
+        wall_seconds=time.perf_counter() - started,
         shard_wall_seconds={
             result.shard_key: result.wall_seconds for result in results
         },
         warm_seconds=warm_seconds,
         warehouse=warehouse,
     )
-    if slo_policy is not None:
-        from repro.monitor import Monitor, SloPolicy
-
-        if not isinstance(slo_policy, SloPolicy):
-            raise CampaignConfigError(
-                f"slo_policy must be a SloPolicy, got {type(slo_policy).__name__}"
-            )
-        run.monitor = Monitor(slo_policy)
-        run.monitor.replay(run.records())
-        run.monitor.finalize(metrics)
-    run.wall_seconds = time.perf_counter() - started
-    return run
 
 
 def default_worker_count() -> int:

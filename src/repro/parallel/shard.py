@@ -1,9 +1,9 @@
 """Campaign sharding: partition (vantage × resolver × round) space.
 
 A :class:`Shard` names a rectangular slice of a campaign — a subset of
-vantages, a subset of targets, and a contiguous round range — plus a
-stable seed derived from the campaign seed and the shard key.  The three
-strategies cut along one axis each:
+vantages, a subset of targets, and a contiguous round range — plus the
+seed of its world's network stream.  The three strategies cut along one
+axis each:
 
 * ``vantage``  — one shard per vantage point (the paper's natural unit:
   each EC2 instance / home device ran independently);
@@ -45,7 +45,6 @@ class Shard:
     target_hostnames: Tuple[str, ...]
     round_start: int
     round_stop: int
-    seed: int
     network_seed: Optional[int]
 
     def __post_init__(self) -> None:
@@ -106,9 +105,10 @@ def partition(
     under any strategy returns the single identity shard whose execution
     is the classic serial campaign.
 
-    Each shard's ``seed`` is derived from the campaign ``seed`` and the
-    shard key with a stable hash, so seeds are reproducible across
-    processes and pairwise distinct with overwhelming probability.
+    In a multi-shard plan each shard's ``network_seed`` is derived from
+    the campaign ``seed`` and the shard key with a stable hash, so seeds
+    are reproducible across processes and pairwise distinct with
+    overwhelming probability.
     """
     if shard_by not in SHARD_STRATEGIES:
         raise CampaignConfigError(
@@ -165,7 +165,6 @@ def partition(
                 target_hostnames=shard_targets,
                 round_start=lo,
                 round_stop=hi,
-                seed=derive_seed(seed, "shard", key),
                 # The identity plan keeps the world's own network stream
                 # so a 1-shard run reproduces Campaign.run() exactly.
                 network_seed=(

@@ -4,14 +4,15 @@ The subsystem replaces keep-everything-in-RAM result handling for
 production-scale campaigns (the paper's real runs produced ~5.4M
 measurement attempts):
 
-* :class:`~repro.store.sink.StoreSink` — streaming ingestion with at most
-  one segment of records buffered, segment rotation, and online
-  per-(vantage, resolver, transport, kind) summaries;
+* :class:`~repro.store.sink.StoreSink` — streaming ingestion into a
+  staging warehouse with at most one segment of records buffered and
+  segment rotation;
 * :class:`~repro.store.warehouse.Warehouse` — the on-disk store: JSONL
-  segments with sidecar indexes (predicate pushdown for scans), an
-  aggregate book serving availability/response-time tables without record
-  rescans, and a deterministic canonical rebuild (k-way merge) that makes
-  serial and sharded ingest byte-identical;
+  segments with sidecar indexes (predicate pushdown for scans), a
+  deterministic canonical rebuild (k-way merge) that makes serial and
+  sharded ingest byte-identical and folds the per-(vantage, resolver,
+  transport, kind) aggregate book serving availability/response-time
+  tables without record rescans;
 * :mod:`~repro.store.aggregates` — the mergeable summary machinery and
   the aggregate-served tables;
 * :mod:`~repro.store.segment` — segment writer/reader and sidecar format.

@@ -5,10 +5,11 @@ A sink presents the write surface of a
 ``len``), so :class:`~repro.core.runner.Campaign` streams records into it
 unchanged — but instead of keeping everything in RAM it buffers at most
 one segment of records, sorts the buffer by the canonical key, and flushes
-it as a sealed warehouse segment with its sidecar index.  Aggregates are
-maintained online at ``add`` time (one counter bump and at most one
-histogram increment per record), so summary tables exist the moment
-ingestion ends, without any rescan.
+it as a sealed warehouse segment with its sidecar index.  A sink writes a
+*staging* warehouse and keeps no aggregates: the canonical build
+(:meth:`~repro.store.warehouse.Warehouse.build_canonical`) folds the
+merged stream into the one persisted book, so a staging warehouse has
+no ``aggregates.json``.
 
 The buffer high-water mark is tracked and exposed —
 :attr:`StoreSink.buffer_high_water_mark` never exceeds the segment size,
@@ -34,7 +35,6 @@ from typing import Iterable, List, Optional
 from repro.core.results import MeasurementRecord
 from repro.errors import StoreError
 from repro.obs import MetricsRegistry, get_metrics
-from repro.store.aggregates import AggregateBook
 from repro.store.segment import (
     SegmentIndex,
     SegmentWriter,
@@ -66,7 +66,6 @@ class StoreSink:
         self._hwm = 0
         self._written = 0
         self._indexes: List[SegmentIndex] = []
-        self._book = AggregateBook()
         self._closed = False
         warehouse.segments_dir.mkdir(parents=True, exist_ok=True)
 
@@ -76,7 +75,6 @@ class StoreSink:
         if self._closed:
             raise StoreError(f"sink for {self.warehouse.root} is closed")
         self._buffer.append(record)
-        self._book.observe(record)
         if len(self._buffer) >= self.segment_records:
             self.flush()
 
@@ -93,15 +91,6 @@ class StoreSink:
     def buffer_high_water_mark(self) -> int:
         """Most records ever held in the buffer (<= ``segment_records``)."""
         return max(self._hwm, len(self._buffer))
-
-    @property
-    def segments_written(self) -> int:
-        return len(self._indexes)
-
-    @property
-    def aggregates(self) -> AggregateBook:
-        """The live online summaries (updated on every ``add``)."""
-        return self._book
 
     def _registry(self) -> MetricsRegistry:
         return self._metrics if self._metrics is not None else get_metrics()
@@ -153,12 +142,11 @@ class StoreSink:
             metrics.set_gauge("store.buffer_hwm", float(self._hwm))
 
     def close(self) -> Warehouse:
-        """Flush the tail, persist aggregates + manifest, return the warehouse."""
+        """Flush the tail, write the manifest, return the warehouse."""
         if self._closed:
             return self.warehouse
         self.flush()
         self._closed = True
-        self._book.save_json(self.warehouse.aggregates_path)
         self.warehouse.write_manifest(
             self._indexes, self.segment_records, canonical=False
         )

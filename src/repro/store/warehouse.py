@@ -4,7 +4,7 @@ Layout::
 
     <root>/
       MANIFEST.json          segment list, record total, canonical flag
-      aggregates.json        AggregateBook (per-group online summaries)
+      aggregates.json        canonical only: AggregateBook (per-group summaries)
       segments/
         seg-000000.jsonl     records, one JSON object per line
         seg-000000.idx.json  sidecar: counts, round range, group offsets

@@ -497,12 +497,6 @@ class Oracle:
         )[0]
 
     @staticmethod
-    def drift_reports_over_time(store, vantage=None, latency_factor=2.0):
-        return Oracle.drift_reports_from_records(
-            store, vantage=vantage, latency_factor=latency_factor
-        )
-
-    @staticmethod
     def drift_reports_from_records(records, vantage=None, latency_factor=2.0,
                                    availability_drop=0.2):
         tallies = Oracle._CampaignTallies(records, vantage)
@@ -738,8 +732,6 @@ def _calls(store):
                     "vantage": vantage}
         yield "drift_reports_from_records", longitudinal.drift_reports_from_records, \
             Oracle.drift_reports_from_records, (store,), {"vantage": vantage}
-        yield "drift_reports_over_time", longitudinal.drift_reports_over_time, \
-            Oracle.drift_reports_over_time, (store,), {"vantage": vantage}
         yield "drift_report", longitudinal.drift_report, Oracle.drift_report, \
             (store, "base", "later"), {"vantage": vantage}
     yield "resolver_medians", response_times.resolver_medians, Oracle.resolver_medians, (store,), {

@@ -34,7 +34,7 @@ from repro.errors import CampaignConfigError, DiffInputError
 from repro.experiments.campaigns import (
     EC2_VANTAGE_NAMES,
     diff_campaign_config,
-    run_diff_campaign,
+    run_campaign_parallel,
 )
 from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 
@@ -312,11 +312,11 @@ class TestGoldenMasters:
     def test_report_byte_identical_serial_vs_pooled(self):
         plan = answer_plan()
         runs = [
-            run_diff_campaign(
+            run_campaign_parallel(
+                diff_campaign_config(rounds=2, seed=5),
+                EC2_VANTAGE_NAMES,
+                MINI,
                 world_seed=0,
-                rounds=2,
-                seed=5,
-                target_hostnames=list(MINI),
                 workers=workers,
                 fault_plan=plan,
             )
@@ -328,14 +328,13 @@ class TestGoldenMasters:
         assert reports[0].status_counts()[STATUS_DISAGREE] > 0
 
     def test_report_byte_identical_classic_vs_warehouse(self, tmp_path):
-        classic = run_diff_campaign(
-            world_seed=0, rounds=2, seed=5, target_hostnames=list(MINI)
+        classic = run_campaign_parallel(
+            diff_campaign_config(rounds=2, seed=5), EC2_VANTAGE_NAMES, MINI
         )
-        stored = run_diff_campaign(
-            world_seed=0,
-            rounds=2,
-            seed=5,
-            target_hostnames=list(MINI),
+        stored = run_campaign_parallel(
+            diff_campaign_config(rounds=2, seed=5),
+            EC2_VANTAGE_NAMES,
+            MINI,
             store_dir=str(tmp_path / "wh"),
             segment_records=64,
         )

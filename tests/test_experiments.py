@@ -264,3 +264,32 @@ def test_only_the_shard_executor_builds_a_world():
     offenders, seen = _callers_outside_the_executor("build_world")
     assert offenders == []
     assert seen == 2
+
+
+def _imports_of(tree: ast.AST, package: str):
+    """Lines that import ``package`` or a module under it, at any depth
+    (inside functions and ``TYPE_CHECKING`` blocks too)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == package or name.startswith(package + ".") for name in names):
+            yield node.lineno
+
+
+def test_the_parallel_runner_does_not_import_the_monitor():
+    """A run hands back its merged stream; the caller that wants alerts
+    replays it (``measure --slo``), so the runner knows no monitor."""
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted((root / "parallel").rglob("*.py"))
+        for line in _imports_of(ast.parse(path.read_text(encoding="utf-8")), "repro.monitor")
+    ]
+    assert offenders == []
+    # The walker does see what it is looking for.
+    cli = ast.parse((root / "cli.py").read_text(encoding="utf-8"))
+    assert list(_imports_of(cli, "repro.monitor"))

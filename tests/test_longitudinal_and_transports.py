@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.longitudinal import (
     campaigns_in_order,
     drift_report,
-    drift_reports_over_time,
+    drift_reports_from_records,
 )
 from repro.analysis.response_times import resolver_medians
 from repro.core.probes import Do53Probe, Do53ProbeConfig
@@ -124,21 +124,21 @@ class TestLongitudinal:
         store = self._store()
         for value in (11.0, 13.0):
             store.add(record("even-later", "stable.example", value, started=2000.0))
-        reports = drift_reports_over_time(store)
+        reports = drift_reports_from_records(store)
         assert [r.later_campaign for r in reports] == ["later", "even-later"]
 
     def test_single_campaign_rejected(self):
         store = ResultStore()
         store.add(record("only", "r.example", 10.0))
         with pytest.raises(AnalysisError):
-            drift_reports_over_time(store)
+            drift_reports_from_records(store)
 
     def test_monthly_recheck_shows_no_drift_in_stationary_world(self):
         store = run_study(
             world_seed=33, home_rounds=0, ec2_rounds=4, recheck_months=["feb", "mar"],
             target_hostnames=["dns.google", "dns.brahma.world", "dns.twnic.tw"],
         ).store
-        reports = drift_reports_over_time(store, vantage="ec2-ohio")
+        reports = drift_reports_from_records(store, vantage="ec2-ohio")
         for report in reports:
             assert report.stable_fraction == 1.0, report.describe()
 

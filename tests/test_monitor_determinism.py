@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import NamedTuple
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.experiments.campaigns import (
     run_campaign_parallel,
 )
 from repro.monitor import Monitor, default_policy
+from repro.parallel import ParallelRun
 
 #: Worker count used for the pooled runs (override: REPRO_TEST_WORKERS=4).
 POOLED_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -39,8 +41,15 @@ HOSTNAMES = (
 ROUNDS = 6  # enough for every group to clear min_samples=12
 
 
+class Monitored(NamedTuple):
+    run: ParallelRun
+    monitor: Monitor
+
+
 def _run(seed: int, workers: int, store_dir=None, shard_by: str = "vantage"):
-    return run_campaign_parallel(
+    """A run, and a monitor that replayed its merged stream (as ``measure``
+    does) and finalized into its metrics."""
+    run = run_campaign_parallel(
         ec2_campaign_config(rounds=ROUNDS, seed=seed),
         EC2_VANTAGE_NAMES,
         HOSTNAMES,
@@ -49,8 +58,11 @@ def _run(seed: int, workers: int, store_dir=None, shard_by: str = "vantage"):
         shard_by=shard_by,
         collect_metrics=True,
         store_dir=None if store_dir is None else str(store_dir),
-        slo_policy=default_policy(),
     )
+    monitor = Monitor(default_policy())
+    monitor.replay(run.records())
+    monitor.finalize(run.metrics)
+    return Monitored(run, monitor)
 
 
 def _artifacts(run):
@@ -96,7 +108,7 @@ class TestWorkerCountInvariance:
 class TestWarehouseMode:
     def test_warehouse_replay_matches_in_memory(self, serial_run, tmp_path):
         pooled = _run(seed=23, workers=POOLED_WORKERS, store_dir=tmp_path / "wh")
-        assert pooled.warehouse is not None
+        assert pooled.run.warehouse is not None
         assert _artifacts(pooled) == _artifacts(serial_run)
 
 
@@ -107,7 +119,7 @@ class TestLiveVsReplay:
         replay."""
         live = Monitor(default_policy())
         bare = _run(seed=23, workers=1)
-        live.replay(bare.store.records)
+        live.replay(bare.run.store.records)
         live.finalize()
         assert live.alerts.to_jsonl() == serial_run.monitor.alerts.to_jsonl()
         assert [v.to_dict() for v in live.verdicts()] == [
@@ -122,7 +134,7 @@ class TestLiveVsReplay:
 
 class TestMonitorGauges:
     def test_detector_gauges_land_in_merged_metrics(self, serial_run):
-        metrics = serial_run.metrics
+        metrics = serial_run.run.metrics
         groups = metrics.gauge_value("monitor.groups")
         assert groups is not None and groups > 0
         assert metrics.gauge_value("monitor.records_seen") == float(
@@ -136,12 +148,12 @@ class TestMonitorGauges:
         pooled = _run(seed=23, workers=POOLED_WORKERS)
         serial_gauges = {
             k: v
-            for k, v in serial_run.metrics.to_state()["gauges"].items()
+            for k, v in serial_run.run.metrics.to_state()["gauges"].items()
             if k.startswith("monitor.")
         }
         pooled_gauges = {
             k: v
-            for k, v in pooled.metrics.to_state()["gauges"].items()
+            for k, v in pooled.run.metrics.to_state()["gauges"].items()
             if k.startswith("monitor.")
         }
         assert serial_gauges == pooled_gauges

@@ -642,9 +642,13 @@ _METADATA_CASES = [
 @pytest.mark.parametrize("damage", sorted(_METADATA_DAMAGE))
 @pytest.mark.parametrize("file,read", _METADATA_CASES)
 def test_torn_metadata_is_a_format_error_naming_the_file(tmp_path, file, read, damage):
-    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=6)
+    sink = StoreSink(Warehouse(tmp_path / "staging"), segment_records=6)
     sink.extend(make_fleet(12))
-    warehouse = sink.close()
+    if file == "aggregates.json":
+        # Only a canonical build writes the book.
+        warehouse = Warehouse.build_canonical([sink.close()], tmp_path / "wh", 6)
+    else:
+        warehouse = sink.close()
     path = _METADATA_FILES[file](warehouse)
     path.write_bytes(_METADATA_DAMAGE[damage](path.read_bytes()))
 
@@ -665,6 +669,25 @@ def test_store_summarize_on_a_flipped_aggregate_byte_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("repro-dns store: ")
     assert "aggregates.json" in err and err.count("\n") == 1
+
+
+def test_a_staging_warehouse_has_no_book_until_compacted(tmp_path, capsys):
+    from repro.cli import main
+
+    sink = StoreSink(Warehouse(tmp_path / "wh"), segment_records=6)
+    sink.extend(make_fleet(40))
+    warehouse = sink.close()
+    assert not warehouse.aggregates_path.exists()
+    assert main(["store", "summarize", str(warehouse.root)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("repro-dns store: ")
+    assert "aggregates.json" in err and err.count("\n") == 1
+
+    assert main(["store", "compact", str(warehouse.root)]) == 0
+    assert (
+        warehouse.aggregates().to_dict()
+        == AggregateBook.from_records(warehouse.iter_sorted()).to_dict()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +722,10 @@ def _served_tables(warehouse):
 
 def test_indented_metadata_of_an_older_warehouse_still_serves(tmp_path):
     records = make_fleet(40)
-    sink = StoreSink(Warehouse(tmp_path / "new"), segment_records=7)
+    sink = StoreSink(Warehouse(tmp_path / "staging"), segment_records=7)
     sink.extend(records)
-    new = sink.close()
+    # Only a canonical build writes the book.
+    new = Warehouse.build_canonical([sink.close()], tmp_path / "new", 7)
     shutil.copytree(new.root, tmp_path / "old")
     old = Warehouse.open(tmp_path / "old")
     _rewrite_metadata_indented(old)
