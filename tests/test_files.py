@@ -349,6 +349,27 @@ def test_writer_creates_its_directory_and_keeps_bytes_and_return(
         assert result == returned and type(result) is type(returned)
 
 
+#: SHA-256 of the default SLO policy and the default observer fleet as
+#: written to a JSON spec file.
+SPEC_FILE_SHA256 = {
+    "SloPolicy": "1d0d947d332da26830d557139e12d28ad57d040e3496c35322edbc43edc599e6",
+    "ObserverRegistry": "b70a3cf6f620a215cc6ba64507e6a65fe78eb3764c2bee45fab2bac179cf2a6a",
+}
+
+
+def test_default_spec_files_keep_their_bytes(tmp_path):
+    import hashlib
+
+    written = {
+        "SloPolicy": default_policy().save_json(tmp_path / "policy.json"),
+        "ObserverRegistry": default_registry().save_json(tmp_path / "fleet.json"),
+    }
+    assert {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in written.items()
+    } == SPEC_FILE_SHA256
+
+
 def test_alert_artifacts_directory_is_created_for_all_three_files(tmp_path, capsys):
     """``verdicts.json``, ``alerts.jsonl`` and ``scoreboard.txt``: none of the
     three may depend on another having created the directory first."""

@@ -40,6 +40,14 @@ from repro.store.aggregates import AggregateBook
 
 from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
 
+#: SHA-256 of ``TestPrometheus``'s pinned registry exposed from its dumps.
+SNAPSHOT_EXPOSITION_SHA256 = (
+    "c1d1a9891d55b0fc0cb2ba756858c933be62ec307c1a67dbd47a61ed749d6b62"
+)
+STATE_EXPOSITION_SHA256 = (
+    "a6f91160b8f86f2bfce3446bd15f2fcf21505ca2e30bca0ca14f7ef47a790e24"
+)
+
 MONITOR_HOSTNAMES = (
     "dns.google",        # healthy mainstream
     "dns.quad9.net",     # healthy mainstream
@@ -697,6 +705,25 @@ class TestPrometheus:
         registry.save_state_json(path)
         dump = json.loads(path.read_text(encoding="utf-8"))
         assert exposition_from_dump(dump) == registry.to_prometheus()
+
+    def test_exposition_bytes_are_pinned(self):
+        """One registry's snapshot dump and state dump, exposed as text: the
+        digests were taken before the two exposition paths shared a writer."""
+        import hashlib
+
+        from repro.obs.metrics import exposition_from_dump
+
+        registry = self._registry()
+        registry.inc("campaign.errors", transport="dot", error_class="timeout")
+        registry.set_gauge("campaign.queries", 9.0, transport="doq")
+        registry.set_gauge("store.ingest_seconds", 0.125)
+        for value in (0.2, 7.0, 45.0, 60_000.0):
+            registry.observe("net.rtt_ms", value, vantage="ec2-ohio")
+        digests = [
+            hashlib.sha256(exposition_from_dump(dump).encode("utf-8")).hexdigest()
+            for dump in (registry.snapshot(), registry.to_state())
+        ]
+        assert digests == [SNAPSHOT_EXPOSITION_SHA256, STATE_EXPOSITION_SHA256]
 
     def test_snapshot_dump_exposes_summaries(self):
         from repro.obs.metrics import exposition_from_dump
