@@ -788,9 +788,9 @@ def _cmd_run_config(args: argparse.Namespace) -> int:
 
     spec = load_spec(args.config)
     run = run_spec(spec)
-    output = args.output or f"{spec['name']}.jsonl"
+    output = args.output or f"{spec.name}.jsonl"
     count = run.store.save_jsonl(output)
-    print(f"campaign {spec['name']!r}: wrote {count} records to {output}")
+    print(f"campaign {spec.name!r}: wrote {count} records to {output}")
     return 0
 
 

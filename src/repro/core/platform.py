@@ -24,99 +24,102 @@ Example spec::
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Union
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Tuple, Union
 
 from repro.catalog.resolvers import CATALOG
 from repro.core.probes import ProbeConfig
 from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
-from repro.files import check_shape, read_document
+from repro.files import check_spec, read_document, spec_from_table
 
 if TYPE_CHECKING:
     from repro.parallel import ParallelRun
 
-_ALLOWED_KEYS = {
-    "name", "vantages", "resolvers", "transport", "domains", "rounds",
-    "interval_hours", "stagger_minutes", "seed", "ping", "method",
-    "timeout_ms", "reuse_connections",
-}
+
+@dataclass(frozen=True)
+class ResolverFilter:
+    """A ``resolvers`` table: the catalog entries matching every key given."""
+
+    region: Optional[str] = None
+    mainstream: Optional[bool] = None
+    anycast: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        check_spec(self, CampaignConfigError, "spec 'resolvers'")
 
 
-def parse_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate a raw spec mapping; returns a normalized dict.
+@dataclass(frozen=True)
+class CampaignSpec:
+    """One campaign spec file: every key, its default and its shape.
 
-    Raises :class:`CampaignConfigError` on unknown keys or bad values so
-    configuration typos fail loudly rather than silently measuring the
-    wrong thing.
+    A key left out takes the default below; an unknown key, a missing
+    ``name`` or a value of the wrong type raises
+    :class:`CampaignConfigError`, so configuration typos fail loudly rather
+    than silently measuring the wrong thing.
     """
-    unknown = set(spec) - _ALLOWED_KEYS
-    if unknown:
-        raise CampaignConfigError(f"unknown spec keys: {sorted(unknown)}")
-    if "name" not in spec or not str(spec["name"]).strip():
-        raise CampaignConfigError("spec needs a non-empty 'name'")
-    normalized: Dict[str, Any] = {
-        "name": str(spec["name"]),
-        "resolvers": spec.get("resolvers", "all"),
-        "transport": str(spec.get("transport", "doh")),
-        "method": str(spec.get("method", "POST")),
-    }
-    for key, default, shape in (
-        ("vantages", ["ec2-ohio"], "names"),
-        ("domains", ["google.com", "amazon.com", "wikipedia.com"], "names"),
-        ("rounds", 3, "integer"),
-        ("interval_hours", 8.0, "number"),
-        ("stagger_minutes", 5.0, "number"),
-        ("seed", 0, "integer"),
-        ("ping", True, "flag"),
-        ("timeout_ms", 5000.0, "number"),
-        ("reuse_connections", False, "flag"),
-    ):
-        value = spec.get(key, default)
-        check_shape(f"spec {key!r}", value, shape, CampaignConfigError)
-        normalized[key] = list(value) if shape == "names" else value
-    if normalized["rounds"] <= 0:
-        raise CampaignConfigError("rounds must be positive")
-    if normalized["interval_hours"] <= 0:
-        # Zero would fire every round at one instant: a burst, not a schedule.
-        raise CampaignConfigError("interval_hours must be positive")
-    if normalized["method"] not in ("POST", "GET"):
-        raise CampaignConfigError(f"unknown method {normalized['method']!r}")
-    return normalized
+
+    name: str
+    vantages: Tuple[str, ...] = ("ec2-ohio",)
+    #: ``"all"``, a list of hostnames or a :class:`ResolverFilter` table.
+    resolvers: Union[str, Tuple[str, ...], ResolverFilter] = "all"
+    transport: str = "doh"
+    domains: Tuple[str, ...] = ("google.com", "amazon.com", "wikipedia.com")
+    rounds: int = 3
+    interval_hours: float = 8.0
+    stagger_minutes: float = 5.0
+    seed: int = 0
+    ping: bool = True
+    method: str = "POST"
+    timeout_ms: float = 5000.0
+    reuse_connections: bool = False
+
+    def __post_init__(self) -> None:
+        check_spec(self, CampaignConfigError, "spec")
+        if not self.name.strip():
+            raise CampaignConfigError("spec needs a non-empty 'name'")
+        if self.rounds <= 0:
+            raise CampaignConfigError("rounds must be positive")
+        if self.interval_hours <= 0:
+            # Zero would fire every round at one instant: a burst, not a schedule.
+            raise CampaignConfigError("interval_hours must be positive")
+        if self.method not in ("POST", "GET"):
+            raise CampaignConfigError(f"unknown method {self.method!r}")
+        select_targets(self.resolvers)
 
 
-def load_spec(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read and validate a spec file (JSON, or TOML by its suffix)."""
-    return parse_spec(read_document(path, CampaignConfigError, "campaign spec"))
+def load_spec(path: Union[str, Path]) -> CampaignSpec:
+    """Read and check a spec file (JSON, or TOML by its suffix)."""
+    data = read_document(path, CampaignConfigError, "campaign spec")
+    what = f"campaign spec {path}"
+    return spec_from_table(CampaignSpec, data, CampaignConfigError, what)
 
 
 def select_targets(selector: Any) -> List[str]:
-    """Resolve the spec's ``resolvers`` selector against the catalog.
+    """Resolve a ``resolvers`` selector against the catalog.
 
-    Accepts ``"all"``, an explicit hostname list, or a mapping with any of
-    ``region`` (continent code), ``mainstream`` (bool), ``anycast`` (bool).
-    Returns the selected hostnames in catalog order.
+    Accepts ``"all"``, a list of hostnames, or a :class:`ResolverFilter` or
+    the table one is read from: any of ``region`` (continent code),
+    ``mainstream`` and ``anycast`` (true or false).  Returns the selected
+    hostnames in catalog order.
     """
-    entries = CATALOG
+    if isinstance(selector, Mapping):
+        selector = spec_from_table(
+            ResolverFilter, dict(selector), CampaignConfigError, "spec 'resolvers'"
+        )
     if selector == "all" or selector is None:
-        pass
+        entries = CATALOG
+    elif isinstance(selector, ResolverFilter):
+        wanted = [(key, v) for key, v in vars(selector).items() if v is not None]
+        entries = [e for e in CATALOG if all(getattr(e, k) == v for k, v in wanted)]
     elif isinstance(selector, (list, tuple)):
-        check_shape("spec 'resolvers'", selector, "names", CampaignConfigError)
-        wanted = set(selector)
-        entries = [e for e in entries if e.hostname in wanted]
-        missing = wanted.difference(e.hostname for e in entries)
-        if missing:
-            raise CampaignConfigError(
-                f"unknown resolvers: {', '.join(sorted(missing))}"
-            )
-    elif isinstance(selector, Mapping):
-        if "region" in selector:
-            entries = [e for e in entries if e.region == selector["region"]]
-        if "mainstream" in selector:
-            entries = [e for e in entries if e.mainstream == bool(selector["mainstream"])]
-        if "anycast" in selector:
-            entries = [e for e in entries if e.anycast == bool(selector["anycast"])]
+        hostnames = [e.hostname for e in CATALOG]
+        unknown = {str(name) for name in selector if name not in hostnames}
+        if unknown:
+            raise CampaignConfigError(f"unknown resolvers: {', '.join(sorted(unknown))}")
+        entries = [e for e in CATALOG if e.hostname in selector]
     else:
         raise CampaignConfigError(f"bad resolver selector: {selector!r}")
     if not entries:
@@ -124,34 +127,33 @@ def select_targets(selector: Any) -> List[str]:
     return [e.hostname for e in entries]
 
 
-def run_spec(spec: Mapping[str, Any]) -> "ParallelRun":
+def run_spec(spec: CampaignSpec) -> "ParallelRun":
     """Run a spec's campaign under the identity plan (one shard, in this
     process) on a fresh world built from the spec's seed."""
     from repro.experiments.campaigns import run_campaign_parallel
 
-    normalized = parse_spec(spec)
-    interval_ms = normalized["interval_hours"] * MS_PER_HOUR
+    interval_ms = spec.interval_hours * MS_PER_HOUR
     config = CampaignConfig(
-        name=normalized["name"],
-        domains=normalized["domains"],
+        name=spec.name,
+        domains=list(spec.domains),
         schedule=PeriodicSchedule(
-            rounds=normalized["rounds"],
+            rounds=spec.rounds,
             interval_ms=interval_ms,
-            stagger_ms=min(normalized["stagger_minutes"] * 60_000.0, interval_ms),
+            stagger_ms=min(spec.stagger_minutes * 60_000.0, interval_ms),
         ),
-        transport=normalized["transport"],
+        transport=spec.transport,
         probe_config=ProbeConfig(
-            method=normalized["method"],
-            timeout_ms=normalized["timeout_ms"],
-            reuse_connections=normalized["reuse_connections"],
+            method=spec.method,
+            timeout_ms=spec.timeout_ms,
+            reuse_connections=spec.reuse_connections,
         ),
-        ping=normalized["ping"],
-        seed=normalized["seed"],
+        ping=spec.ping,
+        seed=spec.seed,
     )
     return run_campaign_parallel(
         config,
-        normalized["vantages"],
-        select_targets(normalized["resolvers"]),
-        world_seed=normalized["seed"],
+        list(spec.vantages),
+        select_targets(spec.resolvers),
+        world_seed=spec.seed,
         shards=1,
     )

@@ -7,9 +7,12 @@ parent directory, and a reader fails only with a named
 :mod:`repro.errors` type saying which file (and line) was at fault.  The
 one exception is a missing JSONL file: it is opened when iteration starts
 and stays the ``OSError`` the operating system raised (``main()`` prints
-it, exit 2).  :data:`SHAPES` is the one table of what a spec file's
-values may be; the campaign spec, the SLO policy and the observer spec
-all check against it.  :class:`JsonlLog` is the append-only, canonically
+it, exit 2).  A spec file -- the campaign spec, the SLO policy, the
+observer spec, the session policy -- is a frozen dataclass read by
+:func:`spec_from_table` and written by :func:`spec_to_table`; what each
+value may be comes from its field's type (:data:`SHAPES`), and the
+dataclass's ``__post_init__`` checks it (:func:`check_spec`).
+:class:`JsonlLog` is the append-only, canonically
 sortable log the monitor and the observer fleet both keep their events
 in.  A new artefact needs a ``to_json`` on its rows and a noun for
 messages.
@@ -17,8 +20,11 @@ messages.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from pathlib import Path
 from typing import (
     Any,
@@ -29,7 +35,8 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
+    NamedTuple,
+    Optional,
     Tuple,
     Type,
     TypeVar,
@@ -140,45 +147,150 @@ def _number(value: Any) -> bool:
     )
 
 
-#: What a spec value of each shape must be; a value of another type is
+def _non_empty_tuple(valid_item: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, tuple) and bool(v) and all(map(valid_item, v))
+
+
+#: What a spec field of each type must hold; a value of another type is
 #: refused, never coerced (``"false"`` is not false, ``2.7`` rounds is not 2).
-SHAPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
-    "names": (
+#: A spec dataclass holds a table and a ``Tuple`` of them a non-empty list
+#: of tables; ``Union`` / ``Optional`` take any of their types ("or absent").
+SHAPES: Dict[Any, Tuple[str, Callable[[Any], bool]]] = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    Tuple[str, ...]: (
         "a non-empty list of names",
-        lambda v: isinstance(v, (list, tuple))
-        and bool(v)
-        and all(isinstance(item, str) and item for item in v),
+        _non_empty_tuple(lambda item: isinstance(item, str) and bool(item)),
     ),
-    "integer": (
-        "an integer",
-        lambda v: isinstance(v, int) and not isinstance(v, bool),
-    ),
-    "number": ("a finite number", _number),
-    "optional number": ("a finite number or absent", lambda v: v is None or _number(v)),
-    "flag": ("true or false", lambda v: isinstance(v, bool)),
-    "text": ("a string", lambda v: isinstance(v, str)),
-    "table": ("a table", lambda v: isinstance(v, dict)),
+    type(None): ("absent", lambda v: v is None),
 }
 
 
-def check_shape(what: str, value: Any, shape: str, error: Type[ReproError]) -> None:
-    """Raise ``error`` when ``value`` is not of ``SHAPES[shape]``:
-    "``{what}`` must be ..., got ...".
+class _SpecField(NamedTuple):
+    name: str
+    #: The file key: the field's name unless it declares ``metadata={"key": ...}``.
+    key: str
+    required: bool
+    expected: str
+    valid: Callable[[Any], bool]
+    #: The spec dataclass a table read for this field becomes, if any.
+    table_spec: Optional[type]
+    #: Whether a list read for this field becomes a tuple, and the spec
+    #: dataclass each entry becomes (``None``: entries are kept as they are).
+    many: bool
+    entry_spec: Optional[type]
+
+
+def _shape(hint: Any) -> Tuple[str, Callable[[Any], bool]]:
+    spec = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else hint
+    if not dataclasses.is_dataclass(spec):
+        return SHAPES[hint]
+    if spec is hint:
+        return "a table", lambda v: isinstance(v, spec)
+    return "a non-empty list of tables", _non_empty_tuple(lambda v: isinstance(v, spec))
+
+
+def _spec_field(item: "dataclasses.Field[Any]", hint: Any) -> _SpecField:
+    # ``Optional[X]`` is ``Union[X, None]``: a value of any of the types.
+    types = typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
+    shapes = [_shape(one) for one in types]
+    checks = [valid for _, valid in shapes]
+    if item.default == ():
+        # The default stays valid in code; a file says it by leaving the key out.
+        checks.append(lambda v: v == ())
+    tables = [one for one in types if dataclasses.is_dataclass(one)]
+    lists = [one for one in types if typing.get_origin(one) is tuple]
+    entry = typing.get_args(lists[0])[0] if lists else None
+    return _SpecField(
+        name=item.name,
+        key=item.metadata.get("key", item.name),
+        required=item.default is dataclasses.MISSING
+        and item.default_factory is dataclasses.MISSING,
+        expected=" or ".join(expected for expected, _ in shapes),
+        valid=lambda v: any(check(v) for check in checks),
+        table_spec=tables[0] if tables else None,
+        many=bool(lists),
+        entry_spec=entry if dataclasses.is_dataclass(entry) else None,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_fields(cls: type) -> Tuple[_SpecField, ...]:
+    """Each field's shape, worked out from the class's type hints once."""
+    hints = typing.get_type_hints(cls)
+    return tuple(_spec_field(item, hints[item.name]) for item in dataclasses.fields(cls))
+
+
+def check_spec(spec: Any, error: Type[ReproError], what: str) -> None:
+    """Raise ``error`` -- "``{what} 'key'`` must be ..., got ..." -- for the
+    first field of the spec dataclass ``spec`` whose value is not of the
+    shape its type declares.  Every spec's ``__post_init__`` calls it, so a
+    spec built in code is checked like one read from a file."""
+    for item in _spec_fields(type(spec)):
+        value = getattr(spec, item.name)
+        if not item.valid(value):
+            raise error(f"{what} {item.key!r} must be {item.expected}, got {value!r}")
+
+
+def spec_from_table(cls: Type[T], table: Any, error: Type[ReproError], what: str) -> T:
+    """The spec dataclass ``cls`` from a JSON object or TOML table.
+
+    ``what`` names the table ("SLO policy path/to/policy.json"); a nested
+    table is named by its key, and an entry of a list by its index too.  A
+    table that is not a mapping, an unknown key and a missing required key
+    raise ``error`` before any value is looked at; the values are then
+    checked by ``cls``'s ``__post_init__``.  A list becomes a tuple and a
+    table a spec dataclass, as the field's type says; nothing else is
+    converted.
     """
-    expected, valid = SHAPES[shape]
-    if not valid(value):
-        raise error(f"{what} must be {expected}, got {value!r}")
+    if not isinstance(table, dict):
+        raise error(f"{what} must be a table, got {table!r}")
+    fields = _spec_fields(cls)
+    unknown = sorted(map(str, set(table) - {item.key for item in fields}))
+    if unknown:
+        raise error(f"{what} has unknown keys: {', '.join(unknown)}")
+    missing = [item.key for item in fields if item.required and item.key not in table]
+    if missing:
+        raise error(f"{what} is missing keys: {', '.join(missing)}")
+    values = {}
+    for item in fields:
+        if item.key not in table:
+            continue
+        value = table[item.key]
+        named = f"{what} {item.key!r}"
+        if item.table_spec is not None and isinstance(value, dict):
+            value = spec_from_table(item.table_spec, value, error, named)
+        elif item.many and isinstance(value, list):
+            value = tuple(
+                entry
+                if item.entry_spec is None
+                else spec_from_table(item.entry_spec, entry, error, f"{named}[{index}]")
+                for index, entry in enumerate(value)
+            )
+        values[item.name] = value
+    return cls(**values)
 
 
-def check_shapes(
-    owner: str,
-    values: Mapping[str, Any],
-    shapes: Mapping[str, str],
-    error: Type[ReproError],
-) -> None:
-    """:func:`check_shape` on each key of ``shapes``, named ``{owner} 'key'``."""
-    for key, shape in shapes.items():
-        check_shape(f"{owner} {key!r}", values[key], shape, error)
+def spec_to_table(spec: Any) -> Dict[str, Any]:
+    """The table :func:`spec_from_table` reads ``spec`` back from: one key
+    per field, a tuple as a list, a nested spec as a table.  An empty tuple
+    is left out: it is the field's default."""
+    table: Dict[str, Any] = {}
+    for item in _spec_fields(type(spec)):
+        value = getattr(spec, item.name)
+        if value != ():
+            table[item.key] = _table_value(value)
+    return table
+
+
+def _table_value(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return spec_to_table(value)
+    if isinstance(value, tuple):
+        return [_table_value(entry) for entry in value]
+    return value
 
 
 class JsonlLog(Generic[T]):

@@ -16,8 +16,8 @@ transport, so one objective can cover the whole fleet or a single
 deployment.  An :class:`SloPolicy` bundles the objectives with the shared
 :class:`WindowConfig` (record cap and/or virtual-clock horizon) and the
 :class:`CusumConfig` of the change-point detector; policies load from
-TOML or JSON files (see :meth:`SloPolicy.load`) and serialize back to
-plain dicts.
+TOML or JSON files (see :meth:`SloPolicy.load`); every field's file shape
+comes from its type (:func:`repro.files.spec_from_table`).
 
 :func:`default_policy` derives its thresholds from the paper's measured
 baselines: ~5.8% of all ~5.4M attempts failed (availability floor 0.94),
@@ -29,14 +29,13 @@ second at the tail from every vantage (p95 ceiling 750 ms, p99 1500 ms).
 from __future__ import annotations
 
 import fnmatch
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.errors_taxonomy import ESTABLISHMENT_CLASS_VALUES, ErrorClass
 from repro.errors import MonitorConfigError
-from repro.files import check_shape, check_shapes, read_document, write_text
+from repro.files import check_spec, read_document, spec_from_table
 from repro.monitor.events import SEVERITIES
 
 SLO_KINDS = ("availability", "latency_p95", "latency_p99", "error_budget")
@@ -63,12 +62,7 @@ class WindowConfig:
     min_samples: int = 12
 
     def __post_init__(self) -> None:
-        check_shapes(
-            "window",
-            vars(self),
-            {"records": "integer", "span_ms": "optional number", "min_samples": "integer"},
-            MonitorConfigError,
-        )
+        check_spec(self, MonitorConfigError, "window")
         if self.records < 1:
             raise MonitorConfigError(
                 f"window records must be a positive integer, got {self.records!r}"
@@ -84,9 +78,6 @@ class WindowConfig:
                 f"window min_samples must be a positive integer, "
                 f"got {self.min_samples!r}"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -107,13 +98,7 @@ class CusumConfig:
     min_samples: int = 20
 
     def __post_init__(self) -> None:
-        check_shapes(
-            "cusum",
-            vars(self),
-            {"enabled": "flag", "alpha": "number", "k": "number", "h": "number",
-             "min_samples": "integer"},
-            MonitorConfigError,
-        )
+        check_spec(self, MonitorConfigError, "cusum")
         if not 0.0 < self.alpha <= 1.0:
             raise MonitorConfigError(f"cusum alpha must be in (0, 1], got {self.alpha!r}")
         if self.k < 0 or self.h <= 0:
@@ -124,9 +109,6 @@ class CusumConfig:
             raise MonitorConfigError(
                 f"cusum min_samples must be an integer >= 2, got {self.min_samples!r}"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -145,13 +127,7 @@ class SloSpec:
     error_classes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        check_shapes(
-            f"SLO {self.name!r}",
-            vars(self),
-            {"name": "text", "threshold": "number", "vantage": "text",
-             "resolver": "text", "transport": "text"},
-            MonitorConfigError,
-        )
+        check_spec(self, MonitorConfigError, f"SLO {self.name!r}")
         if not self.name:
             raise MonitorConfigError("SLO spec needs a name")
         object.__setattr__(self, "threshold", float(self.threshold))
@@ -207,58 +183,17 @@ class SloSpec:
             return value < self.threshold
         return value > self.threshold
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "severity": self.severity,
-            "vantage": self.vantage,
-            "resolver": self.resolver,
-            "transport": self.transport,
-        }
-        if self.error_classes:
-            data["error_classes"] = list(self.error_classes)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SloSpec":
-        check_shape("SLO entry", data, "table", MonitorConfigError)
-        known = {
-            "name", "kind", "threshold", "severity",
-            "vantage", "resolver", "transport", "error_classes",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise MonitorConfigError(
-                f"SLO entry has unknown keys: {', '.join(unknown)}"
-            )
-        try:
-            return cls(
-                name=data["name"],
-                kind=data["kind"],
-                threshold=data["threshold"],
-                severity=data.get("severity", "warning"),
-                vantage=data.get("vantage", "*"),
-                resolver=data.get("resolver", "*"),
-                transport=data.get("transport", "*"),
-                error_classes=tuple(data.get("error_classes", ())),
-            )
-        except KeyError as exc:
-            raise MonitorConfigError(f"SLO entry missing key: {exc}") from exc
-        except TypeError as exc:
-            raise MonitorConfigError(f"malformed SLO entry: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class SloPolicy:
     """A set of objectives plus shared window and change-point settings."""
 
-    specs: Tuple[SloSpec, ...]
+    specs: Tuple[SloSpec, ...] = field(metadata={"key": "slos"})
     window: WindowConfig = field(default_factory=WindowConfig)
     cusum: CusumConfig = field(default_factory=CusumConfig)
 
     def __post_init__(self) -> None:
+        check_spec(self, MonitorConfigError, "SLO policy")
         names = [spec.name for spec in self.specs]
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
@@ -275,38 +210,6 @@ class SloPolicy:
             if spec.matches(vantage, resolver, transport)
         ]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "window": self.window.to_dict(),
-            "cusum": self.cusum.to_dict(),
-            "slos": [spec.to_dict() for spec in self.specs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SloPolicy":
-        if not isinstance(data, dict):
-            raise MonitorConfigError(
-                f"SLO policy must be a mapping, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"window", "cusum", "slos"})
-        if unknown:
-            raise MonitorConfigError(
-                f"SLO policy has unknown sections: {', '.join(unknown)}"
-            )
-        sections = {"window": data.get("window", {}), "cusum": data.get("cusum", {})}
-        check_shapes("SLO policy", sections, {"window": "table", "cusum": "table"},
-                     MonitorConfigError)
-        try:
-            window = WindowConfig(**sections["window"])
-            cusum = CusumConfig(**sections["cusum"])
-        except TypeError as exc:
-            raise MonitorConfigError(f"malformed window/cusum section: {exc}") from exc
-        entries = data.get("slos", [])
-        if not isinstance(entries, list) or not entries:
-            raise MonitorConfigError("SLO policy needs a non-empty 'slos' list")
-        specs = tuple(SloSpec.from_dict(entry) for entry in entries)
-        return cls(specs=specs, window=window, cusum=cusum)
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SloPolicy":
         """Load a policy from a ``.toml`` or ``.json`` file.
@@ -314,12 +217,8 @@ class SloPolicy:
         The two formats carry the same structure — a ``[window]`` table, a
         ``[cusum]`` table and a list of ``[[slos]]`` entries.
         """
-        return cls.from_dict(read_document(path, MonitorConfigError, "SLO policy"))
-
-    def save_json(self, path: Union[str, Path]) -> Path:
-        return write_text(
-            path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        data = read_document(path, MonitorConfigError, "SLO policy")
+        return spec_from_table(cls, data, MonitorConfigError, f"SLO policy {path}")
 
 
 def default_policy(

@@ -24,7 +24,17 @@ import math
 import operator
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.files import write_text
 
@@ -404,56 +414,12 @@ class MetricsRegistry:
         samples are emitted in sorted order, so two registries with equal
         state expose byte-identical text.
         """
-        families: Dict[str, List[str]] = {}
-
-        def family(name: str, kind: str) -> List[str]:
-            prom = _prom_name(name)
-            lines = families.get(prom)
-            if lines is None:
-                lines = families[prom] = [f"# TYPE {prom} {kind}"]
-            return lines
-
-        for key in sorted(self._counters):
-            name, labels = _parse_key(key)
-            family(name, "counter").append(
-                f"{_prom_name(name)}{_prom_labels(labels)} "
-                f"{_prom_value(self._counters[key].value)}"
-            )
-        for key in sorted(self._gauges):
-            name, labels = _parse_key(key)
-            family(name, "gauge").append(
-                f"{_prom_name(name)}{_prom_labels(labels)} "
-                f"{_prom_value(self._gauges[key].value)}"
-            )
-        for key in sorted(self._histograms):
-            name, labels = _parse_key(key)
-            histogram = self._histograms[key]
-            lines = family(name, "histogram")
-            prom = _prom_name(name)
-            cumulative = 0
-            for bound, count in zip(histogram.bounds, histogram.counts):
-                cumulative += count
-                bucket_labels = dict(labels)
-                bucket_labels["le"] = _prom_value(bound)
-                lines.append(
-                    f"{prom}_bucket{_prom_labels(bucket_labels)} {cumulative}"
-                )
-            inf_labels = dict(labels)
-            inf_labels["le"] = "+Inf"
-            lines.append(
-                f"{prom}_bucket{_prom_labels(inf_labels)} {histogram.count}"
-            )
-            lines.append(
-                f"{prom}_sum{_prom_labels(labels)} {_prom_value(histogram.total)}"
-            )
-            lines.append(f"{prom}_count{_prom_labels(labels)} {histogram.count}")
-        return (
-            "\n".join(
-                line for name in sorted(families) for line in families[name]
-            )
-            + "\n"
-            if families
-            else ""
+        return _exposition(
+            {key: counter.value for key, counter in self._counters.items()},
+            {key: gauge.value for key, gauge in self._gauges.items()},
+            self._histograms,
+            "histogram",
+            _bucket_lines,
         )
 
     def summary(self) -> str:
@@ -500,41 +466,71 @@ def exposition_from_dump(data: Dict[str, Any]) -> str:
     )
     if is_state:
         return MetricsRegistry.from_states([data]).to_prometheus()
+    return _exposition(
+        data.get("counters", {}), data.get("gauges", {}), histograms, "summary",
+        _quantile_lines,
+    )
 
+
+def _bucket_lines(prom: str, labels: Dict[str, str], histogram: Histogram) -> List[str]:
+    """A histogram's cumulative ``_bucket{le=...}`` series, ``_sum`` and ``_count``."""
+    lines = []
+    cumulative = 0
+    for bound, count in zip(histogram.bounds, histogram.counts):
+        cumulative += count
+        lines.append(
+            f"{prom}_bucket{_prom_labels({**labels, 'le': _prom_value(bound)})} "
+            f"{cumulative}"
+        )
+    inf = _prom_labels({**labels, "le": "+Inf"})
+    lines.append(f"{prom}_bucket{inf} {histogram.count}")
+    lines.append(f"{prom}_sum{_prom_labels(labels)} {_prom_value(histogram.total)}")
+    lines.append(f"{prom}_count{_prom_labels(labels)} {histogram.count}")
+    return lines
+
+
+def _quantile_lines(
+    prom: str, labels: Dict[str, str], dump: Dict[str, Any]
+) -> List[str]:
+    """A snapshot histogram as a summary: quantile samples, ``_sum``, ``_count``."""
+    lines = [
+        f"{prom}{_prom_labels({**labels, 'quantile': '0.' + q[1:]})} "
+        f"{_prom_value(dump[q])}"
+        for q in ("p50", "p95", "p99")
+        if dump.get(q) is not None
+    ]
+    count = dump.get("count", 0)
+    mean = dump.get("mean")
+    total = mean * count if mean is not None else 0.0
+    lines.append(f"{prom}_sum{_prom_labels(labels)} {_prom_value(total)}")
+    lines.append(f"{prom}_count{_prom_labels(labels)} {count}")
+    return lines
+
+
+def _exposition(
+    counters: Mapping[str, Any],
+    gauges: Mapping[str, Any],
+    histograms: Mapping[str, Any],
+    histogram_kind: str,
+    histogram_lines: Callable[[str, Dict[str, str], Any], List[str]],
+) -> str:
+    """Prometheus text: one ``# TYPE`` line per family (typed by its first
+    metric), then its samples -- counters, gauges, histograms -- with the
+    families in sorted order."""
     families: Dict[str, List[str]] = {}
-
-    def family(name: str, kind: str) -> List[str]:
-        prom = _prom_name(name)
-        lines = families.get(prom)
-        if lines is None:
-            lines = families[prom] = [f"# TYPE {prom} {kind}"]
-        return lines
-
-    for kind, section in (("counter", "counters"), ("gauge", "gauges")):
-        for key in sorted(data.get(section, {})):
+    for kind, values in (("counter", counters), ("gauge", gauges)):
+        for key in sorted(values):
             name, labels = _parse_key(key)
-            family(name, kind).append(
-                f"{_prom_name(name)}{_prom_labels(labels)} "
-                f"{_prom_value(data[section][key])}"
+            prom = _prom_name(name)
+            families.setdefault(prom, [f"# TYPE {prom} {kind}"]).append(
+                f"{prom}{_prom_labels(labels)} {_prom_value(values[key])}"
             )
     for key in sorted(histograms):
         name, labels = _parse_key(key)
-        dump = histograms[key]
-        lines = family(name, "summary")
         prom = _prom_name(name)
-        for q in ("p50", "p95", "p99"):
-            if dump.get(q) is None:
-                continue
-            q_labels = dict(labels)
-            q_labels["quantile"] = f"0.{q[1:]}"
-            lines.append(
-                f"{prom}{_prom_labels(q_labels)} {_prom_value(dump[q])}"
-            )
-        count = dump.get("count", 0)
-        mean = dump.get("mean")
-        total = mean * count if mean is not None else 0.0
-        lines.append(f"{prom}_sum{_prom_labels(labels)} {_prom_value(total)}")
-        lines.append(f"{prom}_count{_prom_labels(labels)} {count}")
+        families.setdefault(prom, [f"# TYPE {prom} {histogram_kind}"]).extend(
+            histogram_lines(prom, labels, histograms[key])
+        )
     return (
         "\n".join(line for name in sorted(families) for line in families[name]) + "\n"
         if families

@@ -16,13 +16,12 @@ latency drift, establishment-error pressure, encrypted-transport
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ObserverConfigError
-from repro.files import check_shape, check_shapes, read_document, write_text
+from repro.files import check_spec, read_document, spec_from_table
 
 #: Metric kinds an observer can watch, read per group and day (see
 #: :mod:`repro.observers.fleet`).
@@ -64,14 +63,7 @@ class BaselineConfig:
     std_floor: float = 0.01
 
     def __post_init__(self) -> None:
-        check_shapes(
-            "observer baseline",
-            vars(self),
-            {"alpha": "number", "min_days": "integer", "z_warning": "number",
-             "z_critical": "number", "min_delta": "number", "relative": "flag",
-             "std_floor": "number"},
-            ObserverConfigError,
-        )
+        check_spec(self, ObserverConfigError, "observer baseline")
         if not 0.0 < self.alpha <= 1.0:
             raise ObserverConfigError(f"baseline alpha {self.alpha!r} not in (0, 1]")
         if self.min_days < 1:
@@ -85,19 +77,6 @@ class BaselineConfig:
             raise ObserverConfigError(f"min_delta {self.min_delta!r} must be >= 0")
         if self.std_floor <= 0.0:
             raise ObserverConfigError(f"std_floor {self.std_floor!r} must be > 0")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BaselineConfig":
-        check_shape("observer baseline", data, "table", ObserverConfigError)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ObserverConfigError(
-                f"unknown baseline fields: {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -121,13 +100,7 @@ class ObserverSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        check_shapes(
-            f"observer {self.name!r}",
-            vars(self),
-            {"name": "text", "min_samples": "integer", "weight": "number",
-             "description": "text"},
-            ObserverConfigError,
-        )
+        check_spec(self, ObserverConfigError, f"observer {self.name!r}")
         if not self.name:
             raise ObserverConfigError("observer needs a non-empty name")
         if self.kind not in OBSERVER_KINDS:
@@ -156,25 +129,17 @@ class ObserverSpec:
         axes = () if self.scope == "fleet" else (self.scope,)
         return axes + ("transport",) if self.kind == "latency_p95" else axes
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)  # ``baseline`` included, as its own dict
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ObserverSpec":
-        check_shape("observer entry", data, "table", ObserverConfigError)
-        data = dict(data)
-        baseline = data.pop("baseline", None)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ObserverConfigError(
-                f"unknown observer fields: {', '.join(sorted(unknown))}"
-            )
-        if baseline is not None:
-            data["baseline"] = BaselineConfig.from_dict(baseline)
-        try:
-            return cls(**data)
-        except TypeError as exc:  # missing required fields
-            raise ObserverConfigError(f"incomplete observer spec: {exc}") from exc
+@dataclass(frozen=True)
+class FleetSpec:
+    """An observer spec file: ``[[observers]]`` tables (TOML) or an
+    ``{"observers": [...]}`` object (JSON), the same structure as an SLO
+    policy's ``slos``."""
+
+    observers: Tuple[ObserverSpec, ...]
+
+    def __post_init__(self) -> None:
+        check_spec(self, ObserverConfigError, "observer spec")
 
 
 class ObserverRegistry:
@@ -220,24 +185,10 @@ class ObserverRegistry:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ObserverRegistry":
-        """A registry from a ``.toml`` or ``.json`` spec file.
-
-        The structure mirrors SLO policies: a list of ``[[observers]]``
-        tables (TOML) or an ``{"observers": [...]}`` object (JSON).
-        """
+        """A registry from a ``.toml`` or ``.json`` :class:`FleetSpec` file."""
         data = read_document(path, ObserverConfigError, "observer spec")
-        entries = data.get("observers")
-        if not isinstance(entries, list) or not entries:
-            raise ObserverConfigError(
-                f"observer spec {path} needs a non-empty 'observers' list"
-            )
-        return cls(ObserverSpec.from_dict(entry) for entry in entries)
-
-    def save_json(self, path: Union[str, Path]) -> Path:
-        document = {"observers": [spec.to_dict() for spec in self.specs()]}
-        return write_text(
-            path, json.dumps(document, indent=2, sort_keys=True) + "\n"
-        )
+        what = f"observer spec {path}"
+        return cls(spec_from_table(FleetSpec, data, ObserverConfigError, what).observers)
 
 
 def default_registry() -> ObserverRegistry:

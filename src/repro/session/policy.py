@@ -22,22 +22,20 @@ The four modes map onto the related measurement literature:
     that the server-side anti-replay filter rejects the early data and
     forces the 1-RTT resumed fallback (Kosek et al.'s DoQ scenario).
 
-Policies are plain frozen dataclasses that round-trip losslessly
-through JSON and a flat TOML form, so campaign specs can carry them.
-Their values are checked against the shared :data:`repro.files.SHAPES`
-table like every other spec: a value of the wrong type is refused, never
-coerced.
+Policies are plain frozen dataclasses read from a JSON or TOML file by
+the one spec reader (:func:`repro.files.spec_from_table`): each value is
+checked against the shape its field's type declares, like every other
+spec, and a value of the wrong type is refused, never coerced.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.errors import CampaignConfigError
-from repro.files import check_shapes, read_document
+from repro.files import check_spec, read_document, spec_from_table
 
 #: Valid policy modes, in cold-to-hottest order.
 SESSION_MODES: Tuple[str, ...] = ("cold", "keep_alive", "resumption", "zero_rtt")
@@ -48,19 +46,9 @@ SESSION_STATES: Tuple[str, ...] = ("cold", "warm", "resumed", "zero_rtt")
 #: Record states that skipped full connection establishment.
 WARM_STATES: Tuple[str, ...] = ("warm", "resumed", "zero_rtt")
 
-#: The :data:`repro.files.SHAPES` entry each policy field must match.
-_FIELD_SHAPES = {
-    "mode": "text",
-    "idle_ttl_ms": "number",
-    "max_streams": "integer",
-    "ticket_lifetime_ms": "number",
-    "zero_rtt_reject_p": "number",
-    "cert_verify_ms": "number",
-}
-
 
 def _normalize_mode(mode: str) -> str:
-    return str(mode).strip().lower().replace("-", "_")
+    return mode.strip().lower().replace("-", "_")
 
 
 @dataclass(frozen=True)
@@ -108,7 +96,7 @@ class SessionPolicy:
     cert_verify_ms: float = 3.0
 
     def __post_init__(self) -> None:
-        check_shapes("session policy", vars(self), _FIELD_SHAPES, CampaignConfigError)
+        check_spec(self, CampaignConfigError, "session policy")
         object.__setattr__(self, "mode", _normalize_mode(self.mode))
         if self.mode not in SESSION_MODES:
             raise CampaignConfigError(
@@ -145,50 +133,11 @@ class SessionPolicy:
     def uses_early_data(self) -> bool:
         return self.mode == "zero_rtt"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SessionPolicy":
-        unknown = sorted(set(data) - set(_FIELD_SHAPES))
-        if unknown:
-            raise CampaignConfigError(
-                f"unknown session policy fields: {', '.join(unknown)}"
-            )
-        return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SessionPolicy":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CampaignConfigError(f"malformed session policy JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CampaignConfigError("session policy JSON must be an object")
-        return cls.from_dict(data)
-
-    def to_toml(self) -> str:
-        """Flat ``key = value`` TOML, which :meth:`load` reads back losslessly."""
-        lines = []
-        for key, value in sorted(self.to_dict().items()):
-            if isinstance(value, str):
-                lines.append(f'{key} = "{value}"')
-            elif isinstance(value, float):
-                # repr() keeps full precision so the round-trip is exact.
-                lines.append(f"{key} = {value!r}")
-            else:
-                lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SessionPolicy":
         """Load a policy from a ``.json`` or ``.toml`` file."""
-        return cls.from_dict(read_document(path, CampaignConfigError, "session policy"))
+        data = read_document(path, CampaignConfigError, "session policy")
+        return spec_from_table(cls, data, CampaignConfigError, f"session policy {path}")
 
     def describe(self) -> str:
         if self.mode == "cold":

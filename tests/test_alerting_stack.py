@@ -251,13 +251,18 @@ SPEC_CASES = {
         SloPolicy, {"slos": [{**_SLO, "resolver": ["dns.google"]}]},
         MonitorConfigError, "'resolver'"),
     "slo entry not a table": (
-        SloPolicy, {"slos": ["tail"]}, MonitorConfigError, "SLO entry must be"),
+        SloPolicy, {"slos": ["tail"]}, MonitorConfigError, "'slos'[0] must be a table"),
+    "error_classes a string": (
+        SloPolicy,
+        {"slos": [{**_SLO, "kind": "error_budget", "threshold": 0.1,
+                   "error_classes": "timeout"}]},
+        MonitorConfigError, "'error_classes' must be a non-empty list of names"),
     "baseline alpha text": (
         ObserverRegistry, _fleet(baseline={"alpha": "x"}), ObserverConfigError,
         "'alpha'"),
     "baseline a list": (
         ObserverRegistry, _fleet(baseline=[1]), ObserverConfigError,
-        "observer baseline must be"),
+        "'baseline' must be a table"),
     "baseline relative text": (
         ObserverRegistry, _fleet(baseline={"relative": "yes"}), ObserverConfigError,
         "'relative'"),
@@ -266,7 +271,7 @@ SPEC_CASES = {
         "'min_delta'"),
     "observer entry not a table": (
         ObserverRegistry, {"observers": ["avail"]}, ObserverConfigError,
-        "observer entry must be"),
+        "'observers'[0] must be a table"),
     "min_samples fractional": (
         ObserverRegistry, _fleet(min_samples=2.5), ObserverConfigError,
         "'min_samples'"),

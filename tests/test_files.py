@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.analysis.export import write_csv
 from repro.cli import _write_alert_artifacts, main
-from repro.core.platform import load_spec
+from repro.core.platform import CampaignSpec, ResolverFilter, load_spec
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.errors import (
     CampaignConfigError,
@@ -25,13 +25,30 @@ from repro.errors import (
     ReproError,
     ResultsFormatError,
 )
-from repro.files import JsonlLog, iter_lines, read_document, read_jsonl, write_text
-from repro.monitor import EventLog, HealthEvent, Monitor, SloPolicy, default_policy
+from repro.files import (
+    JsonlLog,
+    iter_lines,
+    read_document,
+    read_jsonl,
+    spec_from_table,
+    spec_to_table,
+    write_text,
+)
+from repro.monitor import (
+    EventLog,
+    HealthEvent,
+    Monitor,
+    SloPolicy,
+    SloSpec,
+    WindowConfig,
+    default_policy,
+)
 from repro.netsim.trace import EventTrace, TraceEvent
 from repro.obs import MetricsRegistry, SpanCollector
 from repro.observers import ObserverRegistry, default_registry
 from repro.observers.health import HealthSample, WorldHealthIndex
-from repro.session import SessionPolicy
+from repro.observers.spec import FleetSpec
+from repro.session import POLICY_PRESETS, SessionPolicy
 
 # ---------------------------------------------------------------------------
 # Fixtures: one small instance of everything that is written or read back
@@ -311,16 +328,12 @@ def _library_writers():
     ``Path`` for "the path itself")."""
     store, alerts, events = _store(), _alert_log(), _significance_log()
     index = WorldHealthIndex([_health(0), _health(28)])
-    policy, fleet = default_policy(), default_registry()
     spans, registry, trace = _spans(), _registry(), _trace()
-    fleet_doc = {"observers": [spec.to_dict() for spec in fleet.specs()]}
     return {
         "ResultStore.save_jsonl": (store.save_jsonl, store.to_jsonl(), 3),
         "EventLog.save_jsonl": (alerts.save_jsonl, alerts.to_jsonl(), Path),
         "EventLog.save_jsonl (observer)": (events.save_jsonl, events.to_jsonl(), Path),
         "WorldHealthIndex.save_jsonl": (index.save_jsonl, index.to_jsonl(), Path),
-        "SloPolicy.save_json": (policy.save_json, _indented(policy.to_dict()), Path),
-        "ObserverRegistry.save_json": (fleet.save_json, _indented(fleet_doc), Path),
         "SpanCollector.save_jsonl": (spans.save_jsonl, spans.to_jsonl(), 1),
         "MetricsRegistry.save_json": (
             registry.save_json, _indented(registry.snapshot()), None,
@@ -361,13 +374,65 @@ def test_default_spec_files_keep_their_bytes(tmp_path):
     import hashlib
 
     written = {
-        "SloPolicy": default_policy().save_json(tmp_path / "policy.json"),
-        "ObserverRegistry": default_registry().save_json(tmp_path / "fleet.json"),
+        "SloPolicy": default_policy(),
+        "ObserverRegistry": FleetSpec(tuple(default_registry().specs())),
     }
     assert {
-        name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for name, path in written.items()
+        name: hashlib.sha256(_indented(spec_to_table(spec)).encode("utf-8")).hexdigest()
+        for name, spec in written.items()
     } == SPEC_FILE_SHA256
+    # And each is read back as what was written.
+    policy = write_text(tmp_path / "p.json", _indented(spec_to_table(written["SloPolicy"])))
+    assert SloPolicy.load(policy) == default_policy()
+    fleet = write_text(
+        tmp_path / "f.json", _indented(spec_to_table(written["ObserverRegistry"]))
+    )
+    assert ObserverRegistry.load(fleet).specs() == default_registry().specs()
+
+
+def _every_spec():
+    """id -> one spec of each class the one reader reads."""
+    policy = default_policy()
+    specs = {
+        "SloPolicy": policy,
+        "WindowConfig": policy.window,
+        "CusumConfig": policy.cusum,
+        "FleetSpec": FleetSpec(tuple(default_registry().specs())),
+        "CampaignSpec": CampaignSpec(
+            name="full", vantages=("ec2-frankfurt", "ec2-ohio"),
+            resolvers=ResolverFilter(region="EU", anycast=False), transport="dot",
+            domains=("google.com",), rounds=2, interval_hours=6.0,
+            stagger_minutes=1.5, seed=7, ping=False, method="GET",
+            timeout_ms=2500.0, reuse_connections=True,
+        ),
+        "CampaignSpec (hostnames)": CampaignSpec(
+            name="pair", resolvers=("dns.google", "dns.quad9.net"),
+        ),
+        "SloSpec (error classes)": SloSpec(
+            name="budget", kind="error_budget", threshold=0.02, vantage="ec2-*",
+            error_classes=("timeout", "tls_handshake"),
+        ),
+        "WindowConfig (span)": WindowConfig(records=30, span_ms=3.6e6, min_samples=6),
+    }
+    specs.update((f"SloSpec {spec.name}", spec) for spec in policy.specs)
+    specs.update(
+        (f"ObserverSpec {spec.name}", spec) for spec in default_registry().specs()
+    )
+    specs.update(
+        (f"BaselineConfig {spec.name}", spec.baseline)
+        for spec in default_registry().specs()
+    )
+    specs.update((f"SessionPolicy {name}", p) for name, p in POLICY_PRESETS.items())
+    return specs
+
+
+@pytest.mark.parametrize("case", sorted(_every_spec()))
+def test_every_spec_round_trips_through_its_table(case):
+    spec = _every_spec()[case]
+    table = spec_to_table(spec)
+    assert spec_from_table(type(spec), table, ReproError, case) == spec
+    # The table is plain JSON: no tuple and no dataclass is left in it.
+    assert json.loads(json.dumps(table)) == table
 
 
 def test_alert_artifacts_directory_is_created_for_all_three_files(tmp_path, capsys):
@@ -505,3 +570,41 @@ def test_no_module_outside_the_seam_and_the_store_touches_a_file_itself():
     assert {call for _, call in _file_calls(seam)} == {
         ".open()", ".read_text()", ".write_text()",
     }
+
+
+_SHAPE_NAMES = {"check_shape", "check_shapes", "SHAPES"}
+
+
+def _shape_names(tree: ast.AST):
+    """Where a module names a shape table or a shape check of its own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _SHAPE_NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in _SHAPE_NAMES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias) and node.name in _SHAPE_NAMES:
+            yield getattr(node, "lineno", 0), node.name
+        elif isinstance(node, ast.FunctionDef) and node.name in _SHAPE_NAMES:
+            yield node.lineno, node.name
+
+
+def test_spec_shapes_are_named_only_in_the_seam():
+    """Every spec's shape comes from its field types, through ``files.py``:
+    no other module keeps a shape table or calls a shape check by hand."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative == Path("files.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{relative}:{line}: {name}" for line, name in _shape_names(tree)]
+    assert offenders == []
+    # The walker does see what it is looking for.
+    seam = ast.parse((root / "files.py").read_text(encoding="utf-8"))
+    assert "SHAPES" in {name for _, name in _shape_names(seam)}
+    parent_style = ast.parse(
+        "from repro.files import check_shapes\n"
+        "check_shapes('x', {}, {}, ValueError)\nfiles.SHAPES\n"
+    )
+    assert {name for _, name in _shape_names(parent_style)} == {"check_shapes", "SHAPES"}

@@ -18,6 +18,7 @@ import pytest
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import Campaign
 from repro.errors import MonitorConfigError
+from repro.files import spec_from_table, spec_to_table, write_text
 from repro.experiments.campaigns import ec2_campaign_config
 from repro.monitor import (
     ESTABLISHMENT_CLASS_VALUES,
@@ -139,12 +140,17 @@ class TestSloSpec:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(MonitorConfigError, match="unknown keys"):
-            SloSpec.from_dict(
+            spec_from_table(
+                SloSpec,
                 {"name": "x", "kind": "availability", "threshold": 0.9,
-                 "treshold": 1.0}
+                 "treshold": 1.0},
+                MonitorConfigError,
+                "SLO entry",
             )
-        with pytest.raises(MonitorConfigError, match="unknown sections"):
-            SloPolicy.from_dict({"slos": [], "windows": {}})
+        with pytest.raises(MonitorConfigError, match="unknown keys: windows"):
+            spec_from_table(
+                SloPolicy, {"slos": [], "windows": {}}, MonitorConfigError, "SLO policy"
+            )
 
     def test_window_and_cusum_validation(self):
         with pytest.raises(MonitorConfigError):
@@ -177,8 +183,7 @@ class TestPolicyFiles:
         assert policy.window.records == 30
         assert policy.cusum.alpha == 0.3
         assert [s.name for s in policy.specs] == ["avail", "tail"]
-        saved = tmp_path / "saved.json"
-        policy.save_json(saved)
+        saved = write_text(tmp_path / "saved.json", json.dumps(spec_to_table(policy)))
         assert SloPolicy.load(saved) == policy
 
     def test_toml_load_matches_json(self, tmp_path):
@@ -239,7 +244,7 @@ vantage = "ec2-*"
         with pytest.raises(MonitorConfigError, match="unreadable"):
             SloPolicy.load(tmp_path / "absent.json")
         with pytest.raises(MonitorConfigError, match="non-empty"):
-            SloPolicy.from_dict({"slos": []})
+            spec_from_table(SloPolicy, {"slos": []}, MonitorConfigError, "SLO policy")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from repro.core.results import MeasurementRecord
 from repro.core.scheduler import MS_PER_DAY
 from repro.errors import ObserverConfigError
+from repro.files import spec_to_table, write_text
 from repro.monitor import EventLog, HealthEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.observers import (
@@ -29,6 +30,7 @@ from repro.observers import (
     default_registry,
     scaled_registry,
 )
+from repro.observers.spec import FleetSpec
 
 
 def make_record(
@@ -134,11 +136,11 @@ class TestSpecs:
         assert registry.select(["avail"]) == [AVAIL_SPEC]
 
     def test_registry_json_round_trip(self, tmp_path):
-        path = tmp_path / "fleet.json"
-        default_registry().save_json(path)
+        fleet = FleetSpec(tuple(default_registry().specs()))
+        path = write_text(tmp_path / "fleet.json", json.dumps(spec_to_table(fleet)))
         loaded = ObserverRegistry.load(path)
-        assert [s.to_dict() for s in loaded.specs()] == [
-            s.to_dict() for s in default_registry().specs()
+        assert [spec_to_table(s) for s in loaded.specs()] == [
+            spec_to_table(s) for s in default_registry().specs()
         ]
 
     def test_registry_toml_load(self, tmp_path):

@@ -5,18 +5,23 @@ import json
 import pytest
 
 from repro.catalog.resolvers import CATALOG
-from repro.core.platform import load_spec, parse_spec, run_spec, select_targets
+from repro.core.platform import CampaignSpec, load_spec, run_spec, select_targets
 from repro.core.scheduler import MS_PER_HOUR
 from repro.errors import CampaignConfigError
+from repro.files import spec_from_table, spec_to_table
+
+
+def parse_spec(table) -> CampaignSpec:
+    return spec_from_table(CampaignSpec, table, CampaignConfigError, "campaign spec")
 
 
 class TestSpecParsing:
     def test_minimal_spec_gets_defaults(self):
         normalized = parse_spec({"name": "t"})
-        assert normalized["transport"] == "doh"
-        assert normalized["rounds"] == 3
-        assert normalized["vantages"] == ["ec2-ohio"]
-        assert normalized["ping"] is True
+        assert normalized.transport == "doh"
+        assert normalized.rounds == 3
+        assert normalized.vantages == ("ec2-ohio",)
+        assert normalized.ping is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(CampaignConfigError):
@@ -40,7 +45,7 @@ class TestSpecParsing:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"name": "file-test", "rounds": 2}))
         spec = load_spec(path)
-        assert spec["name"] == "file-test"
+        assert spec.name == "file-test"
 
     def test_load_spec_rejects_non_object(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -67,6 +72,11 @@ class TestSpecParsing:
             ("timeout_ms", float("nan"), "'timeout_ms' must be a finite number"),
             # Every round at one instant: a burst, not a schedule.
             ("interval_hours", 0, "interval_hours must be positive"),
+            # A campaign named "7", a transport named "['doh']".
+            ("name", 7, "'name' must be a string, got 7"),
+            ("transport", ["doh"], "'transport' must be a string, got \\['doh'\\]"),
+            # Every resolver in the catalog for a misspelt key.
+            ("resolvers", {"regoin": "EU"}, "'resolvers' has unknown keys: regoin"),
         ],
     )
     def test_wrong_shape_rejected_not_coerced(self, key, value, message):
@@ -75,7 +85,7 @@ class TestSpecParsing:
 
     def test_normalized_spec_parses_to_itself(self):
         normalized = parse_spec({"name": "t", "rounds": 2, "interval_hours": 1})
-        assert parse_spec(normalized) == normalized
+        assert parse_spec(spec_to_table(normalized)) == normalized
 
 
 class TestTargetSelection:
@@ -109,6 +119,17 @@ class TestTargetSelection:
         ]
         assert "dns.alidns.com" in targets
 
+    def test_unknown_selector_key_rejected(self):
+        with pytest.raises(CampaignConfigError, match="unknown keys: regoin"):
+            select_targets({"regoin": "EU"})
+
+    def test_selector_flags_must_be_true_or_false(self):
+        # bool("false") is True: this selected the mainstream tier.
+        with pytest.raises(CampaignConfigError, match="'mainstream' must be true or false"):
+            select_targets({"region": "EU", "mainstream": "false"})
+        with pytest.raises(CampaignConfigError, match="'anycast' must be true or false"):
+            select_targets({"anycast": 1})
+
     def test_empty_match_rejected(self):
         with pytest.raises(CampaignConfigError):
             select_targets({"region": "AF"})
@@ -121,14 +142,16 @@ class TestTargetSelection:
 class TestRunSpec:
     def test_run_produces_records(self):
         run = run_spec(
-            {
-                "name": "spec-run",
-                "vantages": ["ec2-ohio"],
-                "resolvers": ["dns.google", "dns.quad9.net"],
-                "rounds": 2,
-                "interval_hours": 1,
-                "stagger_minutes": 0,
-            },
+            parse_spec(
+                {
+                    "name": "spec-run",
+                    "vantages": ["ec2-ohio"],
+                    "resolvers": ["dns.google", "dns.quad9.net"],
+                    "rounds": 2,
+                    "interval_hours": 1,
+                    "stagger_minutes": 0,
+                },
+            )
         )
         # One shard: the identity plan.
         assert len(run.shard_results) == 1
@@ -138,21 +161,25 @@ class TestRunSpec:
 
     def test_transport_spec(self):
         store = run_spec(
-            {
-                "name": "dot-spec",
-                "resolvers": ["dns.google"],
-                "transport": "dot",
-                "rounds": 1,
-                "stagger_minutes": 0,
-            },
+            parse_spec(
+                {
+                    "name": "dot-spec",
+                    "resolvers": ["dns.google"],
+                    "transport": "dot",
+                    "rounds": 1,
+                    "stagger_minutes": 0,
+                },
+            )
         ).store
         queries = store.filter(kind="dns_query")
         assert queries and all(r.transport == "dot" for r in queries)
 
     def test_rounds_keep_the_spec_interval(self):
         store = run_spec(
-            {"name": "cadence", "resolvers": ["dns.google"], "rounds": 3,
-             "interval_hours": 2, "stagger_minutes": 1, "ping": False},
+            parse_spec(
+                {"name": "cadence", "resolvers": ["dns.google"], "rounds": 3,
+                 "interval_hours": 2, "stagger_minutes": 1, "ping": False},
+            )
         ).store
         first = {}
         for record in store:
@@ -164,5 +191,7 @@ class TestRunSpec:
             assert abs((later - earlier) - 2 * MS_PER_HOUR) <= 60_000.0
 
     def test_same_spec_same_records(self):
-        spec = {"name": "again", "resolvers": ["dns.google"], "rounds": 1, "seed": 3}
+        spec = parse_spec(
+            {"name": "again", "resolvers": ["dns.google"], "rounds": 1, "seed": 3}
+        )
         assert run_spec(spec).store.to_jsonl() == run_spec(spec).store.to_jsonl()

@@ -12,12 +12,14 @@ Four invariants, checked with Hypothesis on the virtual clock:
   handshake — the early data is replayed, the exchange completes, and
   the outcome is well-formed (never lost), whatever the rejection
   probability;
-* a :class:`~repro.session.SessionPolicy` round-trips losslessly through
-  JSON and TOML, and a value of the wrong shape is refused, not coerced.
+* a :class:`~repro.session.SessionPolicy` written to a JSON or TOML file
+  loads back losslessly, and a value of the wrong shape is refused, not
+  coerced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CampaignConfigError
+from repro.files import spec_from_table, spec_to_table
 from repro.netsim.sockets import SimTcpConnection
 from repro.session import (
     POLICY_PRESETS,
@@ -62,37 +65,55 @@ _policies = st.builds(
 )
 
 
+def _json(policy: SessionPolicy) -> str:
+    return json.dumps(spec_to_table(policy), sort_keys=True)
+
+
+def _toml(policy: SessionPolicy) -> str:
+    """Flat ``key = value`` TOML; ``repr`` keeps a float's full precision."""
+    return "".join(
+        f'{key} = "{value}"\n' if isinstance(value, str) else f"{key} = {value!r}\n"
+        for key, value in sorted(spec_to_table(policy).items())
+    )
+
+
+def _load(root, name: str, text: str) -> SessionPolicy:
+    path = root / name
+    path.write_text(text, encoding="utf-8")
+    return SessionPolicy.load(path)
+
+
 class TestPolicyRoundTrip:
     @given(policy=_policies)
     @settings(max_examples=50, deadline=None)
-    def test_json_round_trip_lossless(self, policy):
-        assert SessionPolicy.from_json(policy.to_json()) == policy
+    def test_json_round_trip_lossless(self, policy, tmp_path_factory):
+        root = tmp_path_factory.mktemp("policies")
+        assert _load(root, "p.json", _json(policy)) == policy
 
     @needs_tomllib
     @given(policy=_policies)
     @settings(max_examples=50, deadline=None)
-    def test_toml_round_trip_lossless(self, policy):
-        assert SessionPolicy.from_dict(tomllib.loads(policy.to_toml())) == policy
+    def test_toml_round_trip_lossless(self, policy, tmp_path_factory):
+        root = tmp_path_factory.mktemp("policies")
+        assert _load(root, "p.toml", _toml(policy)) == policy
 
     @given(policy=_policies)
     @settings(max_examples=20, deadline=None)
     def test_file_round_trip_both_formats(self, policy, tmp_path_factory):
         root = tmp_path_factory.mktemp("policies")
-        files = [("p.json", policy.to_json())]
+        files = [("p.json", _json(policy))]
         if tomllib is not None:  # the TOML half only: it needs Python 3.11+
-            files.append(("p.toml", policy.to_toml()))
+            files.append(("p.toml", _toml(policy)))
         for name, text in files:
-            path = root / name
-            path.write_text(text)
-            assert SessionPolicy.load(path) == policy
+            assert _load(root, name, text) == policy
 
-    def test_presets_round_trip(self):
+    def test_presets_round_trip(self, tmp_path):
         for name, policy in POLICY_PRESETS.items():
-            assert SessionPolicy.from_json(policy.to_json()) == policy, name
+            assert _load(tmp_path, "p.json", _json(policy)) == policy, name
         if tomllib is None:  # the TOML half only: it needs Python 3.11+
             pytest.skip("TOML needs Python 3.11+; the JSON round trips ran")
         for name, policy in POLICY_PRESETS.items():
-            assert SessionPolicy.from_dict(tomllib.loads(policy.to_toml())) == policy, name
+            assert _load(tmp_path, "p.toml", _toml(policy)) == policy, name
 
     @pytest.mark.parametrize(
         "field,value",
@@ -111,11 +132,16 @@ class TestPolicyRoundTrip:
     )
     def test_wrong_shapes_refused_not_coerced(self, field, value):
         with pytest.raises(CampaignConfigError, match=f"session policy '{field}' must be"):
-            SessionPolicy.from_dict({"mode": "keep_alive", field: value})
+            spec_from_table(
+                SessionPolicy,
+                {"mode": "keep_alive", field: value},
+                CampaignConfigError,
+                "session policy",
+            )
 
-    def test_unknown_fields_rejected(self):
+    def test_unknown_fields_rejected(self, tmp_path):
         with pytest.raises(CampaignConfigError):
-            SessionPolicy.from_json('{"mode": "cold", "bogus": 1}')
+            _load(tmp_path, "p.json", '{"mode": "cold", "bogus": 1}')
 
     def test_validation(self):
         with pytest.raises(CampaignConfigError):
