@@ -195,3 +195,39 @@ class TestRunSpec:
             {"name": "again", "resolvers": ["dns.google"], "rounds": 1, "seed": 3}
         )
         assert run_spec(spec).store.to_jsonl() == run_spec(spec).store.to_jsonl()
+
+
+#: SHA-256 of the results JSONL of two campaign files: the do53 campaign CI
+#: runs (two vantages, five resolvers, two rounds) and a one-resolver,
+#: one-round DoH campaign.  Taken from ``run-config`` output; a change to how
+#: a campaign file is read or run must keep these bytes.
+PINNED_CAMPAIGNS = {
+    "do53": (
+        {
+            "name": "lifetime-do53", "transport": "do53", "rounds": 2,
+            "resolvers": ["dns.google", "dns.quad9.net", "dns.adguard.com",
+                          "doh.opendns.com", "ordns.he.net"],
+            "vantages": ["ec2-ohio", "ec2-seoul"],
+        },
+        "a02d6956b8d868a727460a3f1fb1cc8dbbe19a4d7f11894b1562e273601e1e4f",
+    ),
+    "one-resolver": (
+        {"name": "cli-config-test", "resolvers": ["dns.google"], "rounds": 1,
+         "stagger_minutes": 0},
+        "15cbbfc448eacee538892913e8e88b5f512d0b463f411ba97024db2658a2cf20",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CAMPAIGNS))
+def test_campaign_file_output_is_pinned(case, tmp_path, capsys):
+    import hashlib
+
+    from repro.cli import main
+
+    spec, digest = PINNED_CAMPAIGNS[case]
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(spec))
+    output = tmp_path / "out.jsonl"
+    assert main(["run-config", str(path), "--output", str(output)]) == 0
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == digest
