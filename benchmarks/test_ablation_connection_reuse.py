@@ -32,11 +32,12 @@ def reuse_world():
     return build_world(seed=21, catalog=catalog)
 
 
-def measure_policy(world, config) -> float:
+def measure_policy(world, config, session_cache=None) -> float:
     vantage = world.vantage("ec2-ohio")
     deployment = world.deployment(RESOLVER)
     probe = DohProbe(
-        vantage.host, deployment.service_ip, RESOLVER, config, rng=random.Random(9)
+        vantage.host, deployment.service_ip, RESOLVER, config, rng=random.Random(9),
+        session_cache=session_cache,
     )
     durations = []
     for _ in range(QUERIES):
@@ -62,7 +63,8 @@ def test_connection_reuse_ablation(benchmark, reuse_world):
             "fresh-1.2": measure_policy(world, DohProbeConfig(tls_versions=("1.2",))),
             "0rtt": measure_policy(
                 world,
-                DohProbeConfig(session_cache=SessionCache(), enable_early_data=True),
+                DohProbeConfig(enable_early_data=True),
+                session_cache=SessionCache(),
             ),
             "reuse": measure_policy(world, DohProbeConfig(reuse_connections=True)),
         }

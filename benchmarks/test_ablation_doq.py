@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.stats import median
 from repro.catalog.resolvers import CATALOG
-from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, DoqProbeConfig
+from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, ProbeConfig
 from repro.experiments.world import build_world
 from repro.tlssim.session import SessionCache
 from benchmarks.conftest import print_artifact
@@ -62,18 +62,18 @@ def test_doq_vs_doh(benchmark, doq_world):
             "DoQ fresh": run_queries(
                 world,
                 DoqProbe(host, deployment.service_ip, RESOLVER,
-                         DoqProbeConfig(), rng=random.Random(1)),
+                         ProbeConfig(), rng=random.Random(1)),
             ),
             "DoQ 0-RTT resumed": run_queries(
                 world,
                 DoqProbe(host, deployment.service_ip, RESOLVER,
-                         DoqProbeConfig(session_cache=SessionCache()),
-                         rng=random.Random(1)),
+                         ProbeConfig(), rng=random.Random(1),
+                         session_cache=SessionCache()),
             ),
             "DoQ reused connection": run_queries(
                 world,
                 DoqProbe(host, deployment.service_ip, RESOLVER,
-                         DoqProbeConfig(reuse_connections=True),
+                         ProbeConfig(reuse_connections=True),
                          rng=random.Random(1)),
             ),
         }

@@ -19,7 +19,7 @@ import random
 
 from repro.analysis.render import render_table
 from repro.analysis.stats import summarize
-from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, DoqProbeConfig
+from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, ProbeConfig
 from repro.experiments.world import build_world
 from repro.tlssim.session import SessionCache
 
@@ -28,11 +28,14 @@ VANTAGE = "ec2-ohio"
 QUERIES = 30
 
 
-def measure(world, policy_name, config, resolver=RESOLVER, probe_cls=DohProbe) -> tuple:
+def measure(
+    world, policy_name, config, resolver=RESOLVER, probe_cls=DohProbe, session_cache=None
+) -> tuple:
     vantage = world.vantage(VANTAGE)
     deployment = world.deployment(resolver)
     probe = probe_cls(
-        vantage.host, deployment.service_ip, resolver, config, rng=random.Random(5)
+        vantage.host, deployment.service_ip, resolver, config, rng=random.Random(5),
+        session_cache=session_cache,
     )
     durations = []
     for index in range(QUERIES):
@@ -66,12 +69,13 @@ def main() -> None:
         measure(
             world,
             "fresh TCP + TLS 1.3 0-RTT resumption",
-            DohProbeConfig(session_cache=SessionCache(), enable_early_data=True),
+            DohProbeConfig(enable_early_data=True),
+            session_cache=SessionCache(),
         ),
         measure(world, "persistent connection (h2 reuse)", DohProbeConfig(reuse_connections=True)),
         # DoQ is measured against dns.adguard.com (which serves it); the
         # RTT-multiple column keeps the comparison fair across resolvers.
-        measure(world, "fresh DoQ (dns.adguard.com)", DoqProbeConfig(),
+        measure(world, "fresh DoQ (dns.adguard.com)", ProbeConfig(),
                 resolver="dns.adguard.com", probe_cls=DoqProbe),
     ]
     print(render_table(("client policy", "median ms", "q1", "q3", "x RTT"), rows))

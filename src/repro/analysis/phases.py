@@ -24,9 +24,6 @@ from repro.analysis.render import fmt_ms, render_table
 from repro.analysis.stats import median, median_or_none
 from repro.analysis.table import Group, RecordTable, Source
 
-#: Order phases appear in tables.
-PHASE_FIELDS = ("connect_ms", "tls_ms", "query_ms")
-
 
 @dataclass(frozen=True)
 class PhaseBreakdown:

@@ -1,36 +1,30 @@
 """``repro-dns`` — command-line front end for the measurement platform.
 
-Subcommands:
+Subcommands, in ``--help`` order:
 
-* ``list``    — show the resolver catalog (filter by region/mainstream);
-* ``measure`` — run a measurement campaign over the simulated world and
-  write JSONL results;
-* ``report``  — run the full study and print the paper-vs-measured claim
-  table plus Tables 2/3;
-* ``figure``  — render one of the paper's figures as ASCII boxplots;
-* ``monitor`` — evaluate SLOs over saved results (JSONL or warehouse),
-  emitting alerts, verdicts and a resolver health scoreboard;
-* ``diff``    — cross-resolver answer differencing: fan the same queries
-  out to every deployment (or read saved captures), diff each response
-  against the consensus and classify the disagreements;
-* ``observe`` — run the longitudinal observer fleet over saved results or
-  a months-long observatory campaign, emitting significance events and
-  the world-health index;
-* ``sessions`` — run the session-policy scenario matrix (cold /
-  keep-alive / resumption / 0-RTT across DoH, DoT, DoQ, DoH/3) and print
-  the per-policy state, warm-vs-cold p95 and 0-RTT acceptance tables;
-* ``metrics`` — export a saved metrics JSON file as Prometheus text;
-* ``trace``   — run a small traced campaign and export phase-level spans
-  (JSONL) and/or a text span tree;
-* ``query``   — issue a single DoH query from a vantage point and print a
-  dig-style response.
+* ``list`` — the resolver catalog (filter by region/mainstream);
+* ``measure`` — one campaign, from flags or from a ``--spec`` campaign
+  file (:mod:`repro.core.platform`), written as JSONL or a warehouse;
+* ``report`` — the full study: the paper-vs-measured claims, Tables 1-3;
+* ``figure`` — one of the paper's figures as ASCII boxplots;
+* ``correlate`` / ``drift`` — ping-vs-DNS correlation and longitudinal
+  drift from saved results;
+* ``diff`` — cross-resolver answer differencing, live or from captures;
+* ``sessions`` — the transport x session-policy scenario matrix;
+* ``store`` — inspect, compact or summarize a results warehouse;
+* ``monitor`` — SLO alerts, verdicts and a health scoreboard over results;
+* ``observe`` — the longitudinal observer fleet and world-health index;
+* ``metrics`` — a saved metrics JSON file as Prometheus text;
+* ``stamp`` — a resolver's DNS stamp, or one decoded;
+* ``trace`` — a small traced campaign's phase-level spans and span tree;
+* ``query`` — one DoH query from a vantage point, dig-style.
 
 Every command that runs a campaign runs it through the shard plan of
 :mod:`repro.parallel`; ``measure`` without ``--workers`` and ``--shards``,
-and ``trace``, ``report``, ``figure``, ``run-config``, ``query`` and the
-re-query campaign of ``diff --verify`` always, run the identity plan — one
-shard per campaign, in this process, on a fresh world.  No command builds a
-world of its own.
+and ``trace``, ``report``, ``figure``, ``query`` and the re-query campaign
+of ``diff --verify`` always, run the identity plan — one shard per
+campaign, in this process, on a fresh world.  No command builds a world of
+its own.
 
 Interactive chatter (progress lines, fault-plan notes, monitor status)
 goes to stderr; stdout carries only the primary output of each command,
@@ -53,7 +47,7 @@ from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import CATALOG
 from repro.core.probes import ProbeConfig
 from repro.core.results import ResultStore
-from repro.core.runner import CampaignConfig
+from repro.core.runner import CampaignConfig, RetryPolicy
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import (
     CampaignConfigError,
@@ -167,28 +161,42 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    """``measure`` — one campaign through the shard plan.
+    """``measure`` — one campaign, from the campaign flags or from a
+    ``--spec`` campaign file, through the shard plan.
 
     With neither ``--workers`` nor ``--shards`` the plan is the identity
     plan; any other plan is byte-identical across worker counts for the
     same seed, because every count runs the same shards through
     :func:`repro.parallel.run_parallel`.
     """
-    from repro.core.runner import RetryPolicy
     from repro.experiments.campaigns import _catalog_hostnames, run_campaign_parallel
 
     execution = _execution(args)
-    schedule = PeriodicSchedule(
-        rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
-    )
-    config = CampaignConfig(
-        name=args.name,
-        schedule=schedule,
-        probe_config=ProbeConfig(method=args.method),
-        retry=RetryPolicy(attempts=args.attempts),
-        seed=args.seed,
-    )
-    hostnames = _catalog_hostnames(args.resolver or None)
+    if args.spec:
+        from repro.core.platform import CampaignFile, select_targets
+
+        _refuse_campaign_flags(args.argv)
+        campaign = CampaignFile.load(args.spec)
+        config, vantages = campaign.campaign, list(campaign.vantages)
+        hostnames = select_targets(campaign.resolvers)
+        interval = f"campaign file {args.spec} 'schedule' 'interval_ms'"
+    else:
+        config = CampaignConfig(
+            name=args.name,
+            schedule=PeriodicSchedule(
+                rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
+            ),
+            probe_config=ProbeConfig(method=args.method),
+            retry=RetryPolicy(attempts=args.attempts),
+            seed=args.seed,
+        )
+        vantages = args.vantage
+        hostnames = _catalog_hostnames(args.resolver or None)
+        interval = "--interval-hours"
+    if config.schedule.interval_ms <= 0:
+        raise CampaignConfigError(
+            f"{interval} must be positive: every round would start at one instant"
+        )
 
     fault_plan = None
     if args.faults:
@@ -196,7 +204,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
         fault_plan = FaultPlan.generate(
             hostnames,
-            horizon_ms=schedule.horizon_ms,
+            horizon_ms=config.schedule.horizon_ms,
             seed=args.fault_seed,
             config=FaultPlanConfig(impaired_time_fraction=args.fault_fraction),
         )
@@ -206,9 +214,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     policy = _load_policy(args.slo) if (args.slo or args.alerts) else None
     run = run_campaign_parallel(
         config,
-        args.vantage,
+        vantages,
         hostnames,
-        world_seed=args.seed,
+        world_seed=config.seed,
         fault_plan=fault_plan,
         collect_spans=bool(args.trace),
         collect_metrics=bool(args.metrics),
@@ -311,14 +319,11 @@ def _print_phase_tables(store: ResultStore, near: str = "ec2-frankfurt",
         render_phase_delta_table,
     )
     from repro.analysis.table import RecordTable
+    from repro.core.platform import ResolverFilter, select_targets
 
     table = RecordTable.of(store)
-
-    non_mainstream_unicast = [
-        e.hostname for e in CATALOG
-        if not e.mainstream and not e.anycast and e.region == "EU"
-    ]
-    deltas = phase_deltas(table, non_mainstream_unicast, near, far)
+    non_mainstream_unicast = ResolverFilter(region="EU", mainstream=False, anycast=False)
+    deltas = phase_deltas(table, select_targets(non_mainstream_unicast), near, far)
     if deltas:
         print(render_phase_delta_table(
             deltas,
@@ -380,11 +385,9 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     reports = drift_reports_from_records(
         _record_stream(args.input), vantage=args.vantage
     )
-    stable = True
     for report in reports:
         print(report.describe())
-        stable = stable and not report.drifted
-    return 0 if stable else 1
+    return 1 if any(report.drifted for report in reports) else 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -519,9 +522,8 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     if not args.gate:
         return 0
     deltas = warm_cold_deltas(tables)
-    gated = tuple(args.gate_transport)
     failed = False
-    for transport in gated:
+    for transport in args.gate_transport:
         rows = [d for d in deltas if d.transport == transport]
         if not rows:
             _status(f"gate: {transport}: FAIL (no warm-path records)")
@@ -577,17 +579,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
     rows = []
     for resolver in sorted(rates):
         summary = summaries.get(resolver)
-        rows.append(
-            (
-                resolver,
-                f"{rates[resolver]:.1%}",
-                str(summary.count) if summary else "0",
-                f"{summary.mean_ms:.1f}" if summary else "-",
-                f"{summary.p50_ms:.1f}" if summary else "-",
-                f"{summary.p95_ms:.1f}" if summary else "-",
-                f"{summary.p99_ms:.1f}" if summary else "-",
-            )
+        stats = ("0", "-", "-", "-", "-") if summary is None else (
+            str(summary.count),
+            *(f"{ms:.1f}" for ms in (
+                summary.mean_ms, summary.p50_ms, summary.p95_ms, summary.p99_ms
+            )),
         )
+        rows.append((resolver, f"{rates[resolver]:.1%}", *stats))
     print(render_table(header, rows))
     print(f"{len(rows)} resolvers (served from aggregates, no record scan)")
     return 0
@@ -663,12 +661,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     """
     from repro.experiments.observatory import run_observer_study
     from repro.obs.metrics import MetricsRegistry
-    from repro.observers import (
-        ObserverFleet,
-        ObserverRegistry,
-        default_registry,
-        scaled_registry,
-    )
+    from repro.observers import ObserverFleet, ObserverRegistry, scaled_registry
 
     execution = _execution(args)
     if args.events == "-" and args.index == "-":
@@ -677,12 +670,11 @@ def _cmd_observe(args: argparse.Namespace) -> int:
             "write at least one of them to a file"
         )
 
-    if args.spec:
-        registry = ObserverRegistry.load(args.spec)
-    elif args.min_samples_scale != 1.0:
-        registry = scaled_registry(args.min_samples_scale)
-    else:
-        registry = default_registry()
+    # The built-in fleet is the one scaled by 1.
+    registry = (
+        ObserverRegistry.load(args.spec) if args.spec
+        else scaled_registry(args.min_samples_scale)
+    )
     specs = registry.select(args.observers or None)
 
     if args.input:
@@ -780,17 +772,6 @@ def _cmd_stamp(args: argparse.Namespace) -> int:
         return 0
     entry = entry_for(args.resolver)
     print(encode_stamp(doh_stamp(hostname=entry.hostname)))
-    return 0
-
-
-def _cmd_run_config(args: argparse.Namespace) -> int:
-    from repro.core.platform import load_spec, run_spec
-
-    spec = load_spec(args.config)
-    run = run_spec(spec)
-    output = args.output or f"{spec.name}.jsonl"
-    count = run.store.save_jsonl(output)
-    print(f"campaign {spec.name!r}: wrote {count} records to {output}")
     return 0
 
 
@@ -959,7 +940,7 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
     ),
     "--output": dict(
         metavar="PATH",
-        help="output file (measure, run-config: results JSONL; trace: span "
+        help="output file (measure: results JSONL; trace: span "
              "JSONL; report: raw records, a warehouse when PATH is a directory "
              "or ends with a path separator; diff: per-cell diff records; "
              "sessions, metrics export: the text otherwise printed)",
@@ -1046,7 +1027,9 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
     ),
     "--spec": dict(
         metavar="FILE",
-        help="observer registry (TOML/JSON file; default: the built-in five)",
+        help="a TOML/JSON file (measure: the campaign, vantages and resolvers "
+             "instead of the campaign flags; observe: the observer registry, "
+             "default the built-in five)",
     ),
     "--min-samples-scale": dict(
         type=float, default=1.0, metavar="F",
@@ -1067,7 +1050,6 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
         help="catalog hostname (stamp --decode: an sdns:// URI instead)"
     ),
     "--decode": dict(action="store_true"),
-    "config": dict(help="path to the JSON spec"),
     "--tree": dict(action="store_true", help="print the span tree"),
     "--max-spans": dict(
         type=int, default=None, help="limit the printed tree to the first N spans"
@@ -1081,6 +1063,27 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
 _EXECUTION_OPTIONS = (
     "--workers", "--shard-by", "--shards", "--store", "--segment-records",
 )
+
+#: What ``measure`` builds its campaign from when it is not given ``--spec``.
+_CAMPAIGN_OPTIONS = (
+    "--name", "--vantage", "--resolver", "--rounds", "--interval-hours",
+    "--method", "--seed", "--attempts",
+)
+
+
+def _refuse_campaign_flags(argv: List[str]) -> None:
+    """A run has one description: refuse the first campaign flag ``argv``
+    gives beside ``--spec``.  A parser that knows only those flags and
+    fills in no default finds them, a flag given its default value too."""
+    parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for name in _CAMPAIGN_OPTIONS:
+        parser.add_argument(name, dest=name, nargs="*")
+    given = vars(parser.parse_known_args(argv)[0])
+    if given:
+        raise CampaignConfigError(
+            f"{next(iter(given))} cannot be given with --spec: "
+            f"the campaign file describes the campaign"
+        )
 
 
 def _take(
@@ -1110,10 +1113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_measure = sub.add_parser("measure", help="run a measurement campaign")
     _take(
-        p_measure, "--name", "--vantage", "--resolver", "--rounds",
-        "--interval-hours", "--method", "--seed", "--output", "--attempts",
-        "--faults", "--fault-seed", "--fault-fraction", "--trace", "--metrics",
-        "--progress", "--slo", "--alerts", *_EXECUTION_OPTIONS,
+        p_measure, *_CAMPAIGN_OPTIONS, "--spec", "--output", "--faults",
+        "--fault-seed", "--fault-fraction", "--trace", "--metrics", "--progress",
+        "--slo", "--alerts", *_EXECUTION_OPTIONS,
     )
     p_measure.set_defaults(
         func=_cmd_measure, name="cli-campaign", vantage=["ec2-ohio"], rounds=5,
@@ -1213,10 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
     _take(p_stamp, "resolver", "--decode")
     p_stamp.set_defaults(func=_cmd_stamp)
 
-    p_config = sub.add_parser("run-config", help="run a JSON campaign spec")
-    _take(p_config, "config", "--output")
-    p_config.set_defaults(func=_cmd_run_config)
-
     p_trace = sub.add_parser(
         "trace", help="run a traced campaign; export phase-level spans"
     )
@@ -1242,6 +1240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     try:
         return args.func(args)
     except (ReproError, OSError) as exc:

@@ -56,6 +56,9 @@ CONNECTION_ESTABLISHMENT_CLASSES = frozenset(
 ESTABLISHMENT_VALUES = frozenset(c.value for c in CONNECTION_ESTABLISHMENT_CLASSES)
 ESTABLISHMENT_CLASS_VALUES = tuple(sorted(ESTABLISHMENT_VALUES))
 
+#: Every ``error_class`` string: what a spec's list of error classes may hold.
+ERROR_CLASS_VALUES = frozenset(c.value for c in ErrorClass)
+
 
 def classify_error(exc: BaseException) -> ErrorClass:
     """Map an exception raised during a probe to its error class."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 from urllib.parse import quote
 
 from repro.core.probes import Probe, ProbeConfig
@@ -31,12 +31,12 @@ from repro.transports import TRANSPORTS
 _ODOH = dataclasses.replace(TRANSPORTS["doh"], name="odoh")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OdohProbeConfig(ProbeConfig):
     """Knobs of the ODoH probe: the shared ones plus the two ODoH has."""
 
     #: Oblivious proxies speak HTTP/2 only.
-    http_versions: Sequence[str] = ("h2",)
+    http_versions: Tuple[str, ...] = ("h2",)
     target_path: str = "/dns-query"
     key_id: int = 7  # the target key generation the client believes in
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.errors_taxonomy import ErrorClass, classify_error
 from repro.dnswire.builder import make_query_wire
@@ -40,6 +40,7 @@ from repro.errors import (
     HttpStatusError,
     ProbeTimeout,
 )
+from repro.files import check_spec
 from repro.httpsim.doh import decode_doh_response, encode_doh_request
 from repro.httpsim.h1 import H1ResponseParser, HttpRequest, HttpResponse, encode_request
 from repro.httpsim.h2 import H2ClientSession
@@ -57,9 +58,7 @@ DEFAULT_TIMEOUT_MS = 5000.0
 
 
 def _validate_timeout_ms(timeout_ms: float) -> None:
-    """Reject non-positive or non-numeric probe deadlines at construction."""
-    if not isinstance(timeout_ms, (int, float)) or isinstance(timeout_ms, bool):
-        raise CampaignConfigError(f"timeout_ms must be a number, got {timeout_ms!r}")
+    """Reject non-positive probe deadlines at construction."""
     if timeout_ms <= 0:
         raise CampaignConfigError(f"timeout_ms must be positive, got {timeout_ms!r}")
 
@@ -178,22 +177,23 @@ class _OneShot:
         self.finish(ProbeOutcome.failure(self.elapsed_ms, exc))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeConfig:
     """Knobs of a probe, one set for every transport.
 
     A transport reads the fields its stack has: ``method``, ``doh_path``
     and ``http_versions`` matter where there is HTTP, ``tls_versions``
     where there is TLS, the session fields where there is a connection to
-    keep or resume, and the retry fields on UDP.
+    keep or resume, and the retry fields on UDP.  A campaign file's
+    ``probe_config`` table holds these keys.  A ticket cache is run state,
+    not configuration: it is handed to :func:`make_probe` on its own.
     """
 
     method: str = "POST"
-    http_versions: Sequence[str] = ("h2", "http/1.1")
-    tls_versions: Sequence[str] = ("1.3", "1.2")
+    http_versions: Tuple[str, ...] = ("h2", "http/1.1")
+    tls_versions: Tuple[str, ...] = ("1.3", "1.2")
     timeout_ms: float = DEFAULT_TIMEOUT_MS
     reuse_connections: bool = False
-    session_cache: Optional[SessionCache] = None
     #: Attempt 0-RTT when a cached ticket allows it.  ``None`` takes the
     #: transport's habit (:attr:`Transport.early_data`): QUIC clients do,
     #: TLS-over-TCP clients do not.
@@ -211,10 +211,11 @@ class ProbeConfig:
     tcp_fallback: bool = True
 
     def __post_init__(self) -> None:
+        check_spec(self, CampaignConfigError, "probe config")
         _validate_timeout_ms(self.timeout_ms)
         if self.method not in ("POST", "GET"):
             raise CampaignConfigError(f"DoH method must be POST or GET, got {self.method!r}")
-        if not isinstance(self.retries, int) or self.retries < 0:
+        if self.retries < 0:
             raise CampaignConfigError(
                 f"retries must be a non-negative integer, got {self.retries!r}"
             )
@@ -281,6 +282,7 @@ class Probe:
         config: Optional[ProbeConfig] = None,
         rng: Optional[random.Random] = None,
         recorder: Optional[SpanRecorder] = None,
+        session_cache: Optional[SessionCache] = None,
     ) -> None:
         self.transport = transport
         self.host = host
@@ -289,6 +291,8 @@ class Probe:
         self.config = config or ProbeConfig()
         self.rng = rng if rng is not None else random.Random(0)
         self.recorder = recorder
+        #: The tickets this probe resumes from and stores into, if any.
+        self.session_cache = session_cache
         self._live: Optional[_Live] = None
 
     @property
@@ -373,7 +377,7 @@ class Probe:
                 QuicClientConnection(
                     self.host, self.service_ip, transport.port, self.server_name,
                     config=QuicConfig(
-                        session_cache=config.session_cache,
+                        session_cache=self.session_cache,
                         enable_early_data=early_data,
                         early_data_reject_p=config.early_data_reject_p,
                         early_data_rng=self.rng,
@@ -394,7 +398,7 @@ class Probe:
             tls_config = TlsClientConfig(
                 versions=tuple(config.tls_versions),
                 alpn=transport.alpn or tuple(config.http_versions),
-                session_cache=config.session_cache,
+                session_cache=self.session_cache,
                 enable_early_data=early_data,
                 early_data_reject_p=config.early_data_reject_p,
                 early_data_rng=self.rng,
@@ -673,17 +677,18 @@ def make_probe(
     config: Optional[ProbeConfig] = None,
     rng: Optional[random.Random] = None,
     recorder: Optional[SpanRecorder] = None,
+    session_cache: Optional[SessionCache] = None,
 ) -> Probe:
-    """The probe for ``transport`` (a name in the transport table)."""
+    """The probe for ``transport`` (a name in the transport table), resuming
+    from and storing tickets in ``session_cache`` when one is given."""
     row = TRANSPORTS.get(transport)
     if row is None:
         raise CampaignConfigError(f"unknown transport {transport!r}")
-    return Probe(row, host, service_ip, server_name, config, rng, recorder)
+    return Probe(row, host, service_ip, server_name, config, rng, recorder, session_cache)
 
 
 # The per-transport names older call sites construct positionally.  They
-# hold no logic: each is make_probe with the transport filled in, and
-# every config name is the one ProbeConfig.
+# hold no logic: each is make_probe with the transport filled in.
 DohProbe = partial(make_probe, "doh")
 DotProbe = partial(make_probe, "dot")
 DoqProbe = partial(make_probe, "doq")
@@ -701,8 +706,7 @@ def Do53Probe(
     return make_probe("do53", host, service_ip, service_ip, config, rng, recorder)
 
 
-DohProbeConfig = DotProbeConfig = Do53ProbeConfig = ProbeConfig
-DoqProbeConfig = Doh3ProbeConfig = ProbeConfig
+DohProbeConfig = ProbeConfig
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,20 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.core.errors_taxonomy import CONNECTION_ESTABLISHMENT_CLASSES, ErrorClass
+from repro.core.errors_taxonomy import (
+    CONNECTION_ESTABLISHMENT_CLASSES,
+    ERROR_CLASS_VALUES,
+    ErrorClass,
+)
 from repro.core.probes import PingProbe, Probe, ProbeConfig, ProbeOutcome, make_probe
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.scheduler import PeriodicSchedule
 from repro.core.seeding import derive_rng
 from repro.core.vantage import VantagePoint
 from repro.errors import CampaignConfigError
+from repro.files import check_spec
 from repro.netsim.network import Network
 from repro.obs import (
     MetricsRegistry,
@@ -44,9 +49,12 @@ VALID_TRANSPORTS = TRANSPORT_NAMES
 #: connection-establishment conditions.  Protocol-level failures (bad
 #: rcode, malformed message, HTTP error) repeat deterministically and are
 #: not retried by default.
-DEFAULT_RETRYABLE_CLASSES: FrozenSet[ErrorClass] = frozenset(
-    CONNECTION_ESTABLISHMENT_CLASSES
-    | {ErrorClass.CONNECTION_RESET, ErrorClass.TIMEOUT}
+DEFAULT_RETRYABLE_CLASSES: Tuple[str, ...] = tuple(
+    sorted(
+        c.value
+        for c in CONNECTION_ESTABLISHMENT_CLASSES
+        | {ErrorClass.CONNECTION_RESET, ErrorClass.TIMEOUT}
+    )
 )
 
 
@@ -65,13 +73,15 @@ class RetryPolicy:
     backoff_base_ms: float = 250.0
     backoff_factor: float = 2.0
     backoff_jitter_ms: float = 50.0
-    retry_on: FrozenSet[ErrorClass] = DEFAULT_RETRYABLE_CLASSES
+    #: The :class:`ErrorClass` values worth another try.
+    retry_on: Tuple[str, ...] = DEFAULT_RETRYABLE_CLASSES
     #: Also store each intermediate failed attempt as a record with
     #: ``kind="dns_query_attempt"`` (final outcomes are always recorded).
     record_attempts: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.attempts, int) or self.attempts < 1:
+        check_spec(self, CampaignConfigError, "retry policy")
+        if self.attempts < 1:
             raise CampaignConfigError(
                 f"retry attempts must be a positive integer, got {self.attempts!r}"
             )
@@ -81,11 +91,17 @@ class RetryPolicy:
             raise CampaignConfigError(
                 f"backoff factor {self.backoff_factor!r} must be >= 1"
             )
+        unknown = [c for c in self.retry_on if c not in ERROR_CLASS_VALUES]
+        if unknown:
+            raise CampaignConfigError(
+                f"retry policy 'retry_on': unknown error classes {', '.join(unknown)}"
+            )
 
     def should_retry(self, outcome: ProbeOutcome, attempt: int) -> bool:
         """Whether a failed ``attempt`` (1-based) warrants another try."""
         if outcome.success or attempt >= self.attempts:
             return False
+        # An ErrorClass is a str: it equals its value.
         return outcome.error_class in self.retry_on
 
     def backoff_ms(self, attempt: int, rng: random.Random) -> float:
@@ -134,7 +150,7 @@ class RoundProgress:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
     """Parameters of one measurement campaign.
 
@@ -144,11 +160,12 @@ class CampaignConfig:
     campaign into a scenario matrix: each measurement set sweeps every
     listed transport in order, and ``session_policy`` decides what happens
     to connections and session tickets between queries (see
-    :mod:`repro.session`).
+    :mod:`repro.session`).  A campaign file's ``campaign`` table holds
+    these keys, the nested ones as tables (:mod:`repro.core.platform`).
     """
 
     name: str
-    domains: Sequence[str] = ("google.com", "amazon.com", "wikipedia.com")
+    domains: Tuple[str, ...] = ("google.com", "amazon.com", "wikipedia.com")
     schedule: PeriodicSchedule = field(
         default_factory=lambda: PeriodicSchedule(rounds=3, interval_ms=8 * 3600 * 1000.0)
     )
@@ -158,7 +175,7 @@ class CampaignConfig:
     #: legacy RNG stream (byte-identical to ``transport=...``); with more
     #: transports each gets its own derived stream so adding one never
     #: perturbs another's records.
-    transports: Optional[Sequence[str]] = None
+    transports: Optional[Tuple[str, ...]] = None
     probe_config: ProbeConfig = field(default_factory=ProbeConfig)
     #: Session management between queries; ``None`` and the ``cold``
     #: policy are both the legacy per-query-teardown behaviour.
@@ -172,19 +189,17 @@ class CampaignConfig:
     capture_responses: bool = False
 
     def __post_init__(self) -> None:
-        if not self.domains:
-            raise CampaignConfigError("campaign needs at least one domain")
+        check_spec(self, CampaignConfigError, "campaign")
+        if not self.name.strip():
+            raise CampaignConfigError("campaign 'name' must not be blank")
         if self.transport not in VALID_TRANSPORTS:
             raise CampaignConfigError(f"unknown transport {self.transport!r}")
         if self.transports is not None:
-            if not self.transports:
-                raise CampaignConfigError("transports must list at least one transport")
             unknown = [t for t in self.transports if t not in VALID_TRANSPORTS]
             if unknown:
                 raise CampaignConfigError(f"unknown transports {unknown!r}")
             if len(set(self.transports)) != len(self.transports):
                 raise CampaignConfigError("transports must not repeat")
-            self.transports = tuple(self.transports)
 
     @property
     def transport_list(self) -> Sequence[str]:
@@ -369,15 +384,16 @@ class Campaign:
         """Instantiate the probe for one transport of the campaign matrix.
 
         The campaign's probe config applies to every transport.  When a
-        session policy is active the broker's wiring overrides its five
-        session fields (reuse, ticket cache, early data, reject
-        probability, certificate cost); otherwise they pass through
-        unchanged.
+        session policy is active the broker's wiring overrides its four
+        session fields (reuse, early data, reject probability, certificate
+        cost) and hands the probe its ticket cache; otherwise they pass
+        through unchanged.
         """
-        wiring = {}
+        wiring, session_cache = {}, None
         if self._sessions is not None:
             key = (vantage.name, target.hostname, transport)
-            wiring = vars(self._sessions.wiring(key))
+            wiring = dict(vars(self._sessions.wiring(key)))
+            session_cache = wiring.pop("session_cache")
         return make_probe(
             transport,
             vantage.host,
@@ -388,6 +404,7 @@ class Campaign:
             ),
             rng,
             self._active_recorder,
+            session_cache,
         )
 
     def _measure_target(

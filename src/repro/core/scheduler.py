@@ -10,12 +10,12 @@ naturally spreads them).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Tuple
 
 from repro.errors import CampaignConfigError
+from repro.files import check_spec
 
 MS_PER_HOUR = 3600.0 * 1000.0
 MS_PER_DAY = 24.0 * MS_PER_HOUR
@@ -51,13 +51,9 @@ class PeriodicSchedule:
     first_round_index: int = 0
 
     def __post_init__(self) -> None:
+        check_spec(self, CampaignConfigError, "schedule")
         if self.rounds <= 0:
             raise CampaignConfigError("schedule needs at least one round")
-        for name in ("interval_ms", "stagger_ms", "start_ms"):
-            if not math.isfinite(getattr(self, name)):
-                raise CampaignConfigError(
-                    f"schedule {name} must be finite, got {getattr(self, name)!r}"
-                )
         if self.interval_ms < 0 or self.stagger_ms < 0:
             raise CampaignConfigError("negative schedule interval/stagger")
         if self.stagger_ms > self.interval_ms and self.rounds > 1:
@@ -117,21 +113,3 @@ class PeriodicSchedule:
         one interval, while the last round's probes and retries are in
         flight."""
         return self.total_span_ms + self.interval_ms
-
-    @classmethod
-    def every_hours(cls, hours: float, rounds: int, stagger_minutes: float = 5.0) -> "PeriodicSchedule":
-        """Convenience: a round every ``hours`` hours."""
-        return cls(
-            rounds=rounds,
-            interval_ms=hours * MS_PER_HOUR,
-            stagger_ms=stagger_minutes * 60.0 * 1000.0,
-        )
-
-    @classmethod
-    def times_per_day(cls, times: int, days: int, stagger_minutes: float = 5.0) -> "PeriodicSchedule":
-        """Convenience: ``times`` rounds per day for ``days`` days."""
-        return cls(
-            rounds=times * days,
-            interval_ms=MS_PER_DAY / times,
-            stagger_ms=stagger_minutes * 60.0 * 1000.0,
-        )

@@ -115,8 +115,5 @@ OPCODE_SHIFT = 11
 OPCODE_MASK = 0x7800
 RCODE_MASK = 0x000F
 
-#: Maximum size of a DNS message over UDP without EDNS (RFC 1035 §4.2.1).
-MAX_UDP_SIZE = 512
-
 #: Common EDNS0 advertised buffer size.
 EDNS_DEFAULT_PAYLOAD = 1232

@@ -105,10 +105,6 @@ class TlsHandshakeError(TlsError):
     """The simulated TLS handshake failed (version mismatch, server abort)."""
 
 
-class TlsAlert(TlsError):
-    """The peer sent a fatal TLS alert."""
-
-
 class HttpError(ReproError):
     """Base class for simulated HTTP failures."""
 
@@ -141,10 +137,6 @@ class ZoneError(ResolverError):
 
 class ResolutionFailed(ResolverError):
     """The recursive engine could not resolve the name (SERVFAIL)."""
-
-
-class NxDomain(ResolverError):
-    """The name does not exist (authoritative NXDOMAIN)."""
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ parent directory, and a reader fails only with a named
 :mod:`repro.errors` type saying which file (and line) was at fault.  The
 one exception is a missing JSONL file: it is opened when iteration starts
 and stays the ``OSError`` the operating system raised (``main()`` prints
-it, exit 2).  A spec file -- the campaign spec, the SLO policy, the
+it, exit 2).  A spec file -- the campaign file, the SLO policy, the
 observer spec, the session policy -- is a frozen dataclass read by
 :func:`spec_from_table` and written by :func:`spec_to_table`; what each
 value may be comes from its field's type (:data:`SHAPES`), and the
@@ -209,7 +209,8 @@ def _spec_field(item: "dataclasses.Field[Any]", hint: Any) -> _SpecField:
         required=item.default is dataclasses.MISSING
         and item.default_factory is dataclasses.MISSING,
         expected=" or ".join(expected for expected, _ in shapes),
-        valid=lambda v: any(check(v) for check in checks),
+        # One check is called as it is: ProbeConfig is checked once per probe.
+        valid=checks[0] if len(checks) == 1 else lambda v: any(c(v) for c in checks),
         table_spec=tables[0] if tables else None,
         many=bool(lists),
         entry_spec=entry if dataclasses.is_dataclass(entry) else None,

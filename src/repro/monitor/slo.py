@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.core.errors_taxonomy import ESTABLISHMENT_CLASS_VALUES, ErrorClass
+from repro.core.errors_taxonomy import ERROR_CLASS_VALUES, ESTABLISHMENT_CLASS_VALUES
 from repro.errors import MonitorConfigError
 from repro.files import check_spec, read_document, spec_from_table
 from repro.monitor.events import SEVERITIES
@@ -41,8 +41,6 @@ from repro.monitor.events import SEVERITIES
 SLO_KINDS = ("availability", "latency_p95", "latency_p99", "error_budget")
 #: What an objective may be graded: any severity but "none".
 SLO_SEVERITIES = SEVERITIES[1:]
-
-_KNOWN_CLASS_VALUES = frozenset(c.value for c in ErrorClass)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ class SloSpec:
             raise MonitorConfigError(
                 f"SLO {self.name!r}: error_classes only apply to error_budget"
             )
-        unknown = [c for c in self.error_classes if c not in _KNOWN_CLASS_VALUES]
+        unknown = [c for c in self.error_classes if c not in ERROR_CLASS_VALUES]
         if unknown:
             raise MonitorConfigError(
                 f"SLO {self.name!r}: unknown error classes {', '.join(unknown)}"

@@ -52,7 +52,6 @@ class Datagram:
 
 # TCP segment flags are modelled as simple strings for readability.
 SYN = "SYN"
-SYN_ACK = "SYN-ACK"
 ACK = "ACK"
 FIN = "FIN"
 RST = "RST"

@@ -56,7 +56,8 @@ class ClampedSessionCache(SessionCache):
 
 @dataclasses.dataclass
 class SessionWiring:
-    """Probe-construction knobs one policy mode implies for one key."""
+    """Probe-construction knobs one policy mode implies for one key: the
+    probe-config fields it overrides, and the ticket cache the probe gets."""
 
     reuse_connections: bool = False
     session_cache: Optional[SessionCache] = None

@@ -256,6 +256,14 @@ class TestErrorBoundary:
         [
             (["measure", "--vantage", "ec2-ohoi"], "no vantage point 'ec2-ohoi'"),
             (["measure", "--rounds", "0"], "schedule needs at least one round"),
+            # Records whose campaign is "".
+            (["measure", "--name", ""], "campaign 'name' must not be blank"),
+            # Every round at one instant: a burst, not a schedule.
+            (
+                ["measure", "--interval-hours", "0", "--rounds", "3"],
+                "--interval-hours must be positive: every round would start at "
+                "one instant",
+            ),
             (["measure", "--workers", "0"], "--workers must be >= 1 (got 0)"),
             (["diff", "--workers", "0"], "--workers must be >= 1 (got 0)"),
             (["sessions", "--workers", "0"], "--workers must be >= 1 (got 0)"),
@@ -292,14 +300,15 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    def test_run_config_refuses_an_unknown_resolver(self, tmp_path, capsys):
+    def test_measure_spec_refuses_an_unknown_resolver(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
-            {"name": "typo", "resolvers": ["dns.google", "dns.gogle.typo"], "rounds": 1}
+            {"resolvers": ["dns.google", "dns.gogle.typo"], "campaign": {"name": "typo"}}
         ))
-        assert main(["run-config", str(spec), "--output", str(tmp_path / "o.jsonl")]) == 2
+        output = tmp_path / "o.jsonl"
+        assert main(["measure", "--spec", str(spec), "--output", str(output)]) == 2
         assert capsys.readouterr().err == (
-            "repro-dns run-config: unknown resolvers: dns.gogle.typo\n"
+            "repro-dns measure: unknown resolvers: dns.gogle.typo\n"
         )
 
     def test_diff_verify_refuses_a_resolver_the_world_lacks(self, tmp_path, capsys):
@@ -347,19 +356,18 @@ class TestStampCommand:
         assert "protocol: doh" in out
 
 
-class TestRunConfigCommand:
-    def test_runs_spec_file(self, tmp_path, capsys):
-        import json
-
+class TestMeasureSpecCommand:
+    def test_runs_campaign_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
-            "name": "cli-config-test",
             "resolvers": ["dns.google"],
-            "rounds": 1,
-            "stagger_minutes": 0,
+            "campaign": {
+                "name": "cli-config-test",
+                "schedule": {"rounds": 1, "interval_ms": 28800000.0},
+            },
         }))
         output = tmp_path / "out.jsonl"
-        assert main(["run-config", str(spec_path), "--output", str(output)]) == 0
+        assert main(["measure", "--spec", str(spec_path), "--output", str(output)]) == 0
         from repro.core.results import ResultStore
 
         store = ResultStore.load_jsonl(output)

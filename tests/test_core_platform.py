@@ -9,7 +9,7 @@ from repro.analysis.table import RecordTable
 from repro.core.errors_taxonomy import ErrorClass, classify_error
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import Campaign, CampaignConfig, ResolverTarget
-from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
+from repro.core.scheduler import MS_PER_DAY, MS_PER_HOUR, PeriodicSchedule
 from repro.core.vantage import make_ec2_vantage, make_home_vantage
 from repro.errors import (
     CampaignConfigError,
@@ -110,13 +110,13 @@ class TestPeriodicSchedule:
         schedule = PeriodicSchedule(rounds=3, interval_ms=100.0, start_ms=50.0)
         assert schedule.round_starts() == [50.0, 150.0, 250.0]
 
-    def test_every_hours_helper(self):
-        schedule = PeriodicSchedule.every_hours(6, rounds=4)
+    def test_a_round_every_six_hours(self):
+        schedule = PeriodicSchedule(rounds=4, interval_ms=6 * MS_PER_HOUR)
         starts = schedule.round_starts()
         assert starts[1] - starts[0] == 6 * MS_PER_HOUR
 
-    def test_times_per_day_helper(self):
-        schedule = PeriodicSchedule.times_per_day(3, days=2)
+    def test_three_rounds_a_day_for_two_days(self):
+        schedule = PeriodicSchedule(rounds=3 * 2, interval_ms=MS_PER_DAY / 3)
         assert schedule.rounds == 6
         assert schedule.interval_ms == pytest.approx(8 * MS_PER_HOUR)
 

@@ -10,8 +10,8 @@ from repro.core.probes import (
     DohProbe,
     DohProbeConfig,
     DotProbe,
-    DotProbeConfig,
     PingProbe,
+    ProbeConfig,
 )
 from repro.tlssim.session import SessionCache
 from tests.conftest import make_mini_world
@@ -22,11 +22,13 @@ def world():
     return make_mini_world(seed=5)
 
 
-def doh_outcome(world, vantage, hostname, domain="google.com", config=None, seed=1):
+def doh_outcome(
+    world, vantage, hostname, domain="google.com", config=None, seed=1, session_cache=None
+):
     deployment = world.deployment(hostname)
     probe = DohProbe(
         world.vantage(vantage).host, deployment.service_ip, hostname,
-        config or DohProbeConfig(), rng=random.Random(seed),
+        config or DohProbeConfig(), rng=random.Random(seed), session_cache=session_cache,
     )
     outcomes = []
     probe.query(domain, outcomes.append)
@@ -90,9 +92,9 @@ class TestDohProbe:
 
     def test_session_cache_resumption_speeds_up(self, world):
         cache = SessionCache()
-        config = DohProbeConfig(session_cache=cache, enable_early_data=True)
-        first = doh_outcome(world, "ec2-seoul", "dns.brahma.world", config=config)
-        second = doh_outcome(world, "ec2-seoul", "dns.brahma.world", config=config)
+        config = dict(config=DohProbeConfig(enable_early_data=True), session_cache=cache)
+        first = doh_outcome(world, "ec2-seoul", "dns.brahma.world", **config)
+        second = doh_outcome(world, "ec2-seoul", "dns.brahma.world", **config)
         assert first.success and second.success
         assert second.duration_ms < first.duration_ms * 0.78  # 2 RTT vs 3 RTT
 
@@ -118,7 +120,7 @@ class TestDotProbe:
         deployment = world.deployment("dns.quad9.net")
         probe = DotProbe(
             world.vantage("ec2-ohio").host, deployment.service_ip, "dns.quad9.net",
-            DotProbeConfig(), rng=random.Random(1),
+            ProbeConfig(), rng=random.Random(1),
         )
         outcomes = []
         probe.query("google.com", outcomes.append)
@@ -130,7 +132,7 @@ class TestDotProbe:
         deployment = world.deployment("dns.quad9.net")
         probe = DotProbe(
             world.vantage("ec2-ohio").host, deployment.service_ip, "dns.quad9.net",
-            DotProbeConfig(reuse_connections=True), rng=random.Random(1),
+            ProbeConfig(reuse_connections=True), rng=random.Random(1),
         )
         outcomes = []
         probe.query("google.com", outcomes.append)
@@ -210,7 +212,7 @@ class TestProbeConfigValidation:
         from repro.errors import CampaignConfigError
 
         with pytest.raises(CampaignConfigError):
-            DotProbeConfig(timeout_ms=timeout_ms)
+            ProbeConfig(timeout_ms=timeout_ms)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -222,18 +224,16 @@ class TestProbeConfigValidation:
         ],
     )
     def test_do53_config_rejects_bad_parameters(self, kwargs):
-        from repro.core.probes import Do53ProbeConfig
         from repro.errors import CampaignConfigError
 
         with pytest.raises(CampaignConfigError):
-            Do53ProbeConfig(**kwargs)
+            ProbeConfig(**kwargs)
 
     def test_doq_config_rejects_bad_timeout(self):
-        from repro.core.probes import DoqProbeConfig
         from repro.errors import CampaignConfigError
 
         with pytest.raises(CampaignConfigError):
-            DoqProbeConfig(timeout_ms=-1)
+            ProbeConfig(timeout_ms=-1)
 
     def test_ping_probe_rejects_bad_timeout(self, world):
         from repro.errors import CampaignConfigError
@@ -243,9 +243,8 @@ class TestProbeConfigValidation:
             PingProbe(host, "10.0.0.1", timeout_ms=0)
 
     def test_valid_configs_accepted(self):
-        from repro.core.probes import Do53ProbeConfig, DoqProbeConfig
 
         assert DohProbeConfig(timeout_ms=1.0).timeout_ms == 1.0
-        assert DotProbeConfig(timeout_ms=2500).timeout_ms == 2500
-        assert Do53ProbeConfig(retries=0).retries == 0
-        assert DoqProbeConfig(timeout_ms=4000.0).timeout_ms == 4000.0
+        assert ProbeConfig(timeout_ms=2500).timeout_ms == 2500
+        assert ProbeConfig(retries=0).retries == 0
+        assert ProbeConfig(timeout_ms=4000.0).timeout_ms == 4000.0

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.catalog.resolvers import CATALOG
-from repro.core.probes import Doh3Probe, Doh3ProbeConfig
+from repro.core.probes import Doh3Probe, ProbeConfig
 from repro.core.runner import Campaign
 from repro.errors import HttpProtocolError
 from repro.experiments.campaigns import sessions_campaign_config
@@ -229,7 +229,7 @@ class TestDoh3Probe:
             world.vantage("ec2-ohio").host,
             deployment.service_ip,
             DOH3_HOSTNAME,
-            config or Doh3ProbeConfig(),
+            config or ProbeConfig(),
             rng=random.Random(seed),
         )
         outcomes = []
@@ -257,7 +257,7 @@ class TestDoh3Probe:
 
     def test_wrong_path_is_http_error(self, world):
         outcome = self._outcome(
-            world, config=Doh3ProbeConfig(doh_path="/wrong-path")
+            world, config=ProbeConfig(doh_path="/wrong-path")
         )
         assert not outcome.success
         assert outcome.http_status == 404

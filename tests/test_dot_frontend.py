@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors_taxonomy import ErrorClass
-from repro.core.probes import DotProbe, DotProbeConfig
+from repro.core.probes import DotProbe, ProbeConfig
 from repro.core.results import MeasurementRecord
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import PeriodicSchedule
@@ -122,7 +122,7 @@ def test_server_close_mid_frame_surfaces_framing_error(cut, expect_framing):
 
     outcomes = []
     probe = DotProbe(client, server.ip, "dns.example",
-                     DotProbeConfig(timeout_ms=30_000.0),
+                     ProbeConfig(timeout_ms=30_000.0),
                      rng=random.Random(0))
     probe.query("example.com", outcomes.append)
     net.run()

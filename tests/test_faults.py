@@ -272,7 +272,7 @@ class TestOnePlan:
 @pytest.mark.parametrize("field", ["interval_ms", "stagger_ms", "start_ms"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_schedule_refuses_non_finite_values(field, value):
-    with pytest.raises(CampaignConfigError, match=f"schedule {field} must be finite"):
+    with pytest.raises(CampaignConfigError, match=f"schedule '{field}' must be a finite number"):
         PeriodicSchedule(**{"rounds": 2, "interval_ms": 1000.0, field: value})
 
 
@@ -288,7 +288,7 @@ def test_measure_refuses_a_non_finite_interval(hours, faults, tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr.splitlines() == [
-        f"repro-dns measure: schedule interval_ms must be finite, got {hours}"
+        f"repro-dns measure: schedule 'interval_ms' must be a finite number, got {hours}"
     ]
     assert not (tmp_path / "out.jsonl").exists()
 

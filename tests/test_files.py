@@ -16,7 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.analysis.export import write_csv
 from repro.cli import _write_alert_artifacts, main
-from repro.core.platform import CampaignSpec, ResolverFilter, load_spec
+from repro.core.platform import CampaignFile, ResolverFilter
+from repro.core.probes import ProbeConfig
+from repro.core.runner import CampaignConfig, RetryPolicy
+from repro.core.scheduler import PeriodicSchedule
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.errors import (
     CampaignConfigError,
@@ -167,7 +170,7 @@ _READERS = {
     "SloPolicy.load": (SloPolicy.load, MonitorConfigError, "document"),
     "ObserverRegistry.load": (ObserverRegistry.load, ObserverConfigError, "document"),
     "SessionPolicy.load": (SessionPolicy.load, CampaignConfigError, "document"),
-    "load_spec": (load_spec, CampaignConfigError, "document"),
+    "CampaignFile.load": (CampaignFile.load, CampaignConfigError, "document"),
     "metrics export --input": (_metrics_export, ResultsFormatError, "document"),
 }
 
@@ -398,15 +401,26 @@ def _every_spec():
         "WindowConfig": policy.window,
         "CusumConfig": policy.cusum,
         "FleetSpec": FleetSpec(tuple(default_registry().specs())),
-        "CampaignSpec": CampaignSpec(
-            name="full", vantages=("ec2-frankfurt", "ec2-ohio"),
-            resolvers=ResolverFilter(region="EU", anycast=False), transport="dot",
-            domains=("google.com",), rounds=2, interval_hours=6.0,
-            stagger_minutes=1.5, seed=7, ping=False, method="GET",
-            timeout_ms=2500.0, reuse_connections=True,
+        "CampaignFile": CampaignFile(
+            campaign=CampaignConfig(
+                name="full", domains=("google.com",), transport="dot",
+                transports=("dot", "doq"), session_policy=POLICY_PRESETS["zero-rtt"],
+                schedule=PeriodicSchedule(
+                    rounds=2, interval_ms=6 * 3.6e6, stagger_ms=90_000.0
+                ),
+                probe_config=ProbeConfig(
+                    method="GET", timeout_ms=2500.0, reuse_connections=True,
+                    enable_early_data=False,
+                ),
+                retry=RetryPolicy(attempts=3, retry_on=("timeout",)),
+                seed=7, ping=False, capture_responses=True,
+            ),
+            vantages=("ec2-frankfurt", "ec2-ohio"),
+            resolvers=ResolverFilter(region="EU", anycast=False),
         ),
-        "CampaignSpec (hostnames)": CampaignSpec(
-            name="pair", resolvers=("dns.google", "dns.quad9.net"),
+        "CampaignFile (hostnames)": CampaignFile(
+            campaign=CampaignConfig(name="pair"),
+            resolvers=("dns.google", "dns.quad9.net"),
         ),
         "SloSpec (error classes)": SloSpec(
             name="budget", kind="error_budget", threshold=0.02, vantage="ec2-*",
@@ -491,13 +505,13 @@ def test_event_dict_forms_are_the_dataclass_fields():
 # ---------------------------------------------------------------------------
 
 
-def test_run_config_on_malformed_json_exits_2_with_one_line(tmp_path, capsys):
+def test_measure_spec_on_malformed_json_exits_2_with_one_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    assert main(["run-config", str(bad)]) == 2
+    assert main(["measure", "--spec", str(bad)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("repro-dns run-config: malformed campaign spec ")
+    assert err.startswith("repro-dns measure: malformed campaign file ")
     assert "bad.json" in err and err.count("\n") == 1
 
 

@@ -11,7 +11,7 @@ from repro.analysis.longitudinal import (
     drift_reports_from_records,
 )
 from repro.analysis.response_times import resolver_medians
-from repro.core.probes import Do53Probe, Do53ProbeConfig
+from repro.core.probes import Do53Probe, ProbeConfig
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
@@ -202,7 +202,7 @@ class TestTruncationFallback:
         deployment = world.deployment("dns.brahma.world")
         probe = Do53Probe(
             world.vantage("ec2-frankfurt").host, deployment.service_ip,
-            Do53ProbeConfig(), rng=random.Random(1),
+            ProbeConfig(), rng=random.Random(1),
         )
         outcomes = []
         probe.query("bulk.example-sites.net", outcomes.append, qtype=TYPE_TXT)
@@ -216,7 +216,7 @@ class TestTruncationFallback:
         deployment = world.deployment("dns.brahma.world")
         probe = Do53Probe(
             world.vantage("ec2-frankfurt").host, deployment.service_ip,
-            Do53ProbeConfig(tcp_fallback=False), rng=random.Random(2),
+            ProbeConfig(tcp_fallback=False), rng=random.Random(2),
         )
         outcomes = []
         probe.query("bulk.example-sites.net", outcomes.append, qtype=TYPE_TXT)
@@ -230,7 +230,7 @@ class TestTruncationFallback:
         deployment = world.deployment("dns.brahma.world")
         probe = Do53Probe(
             world.vantage("ec2-frankfurt").host, deployment.service_ip,
-            Do53ProbeConfig(), rng=random.Random(3),
+            ProbeConfig(), rng=random.Random(3),
         )
         outcomes = []
         probe.query("google.com", outcomes.append)

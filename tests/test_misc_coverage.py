@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.render import render_boxplot_rows
 from repro.analysis.figures import FigureRow
 from repro.analysis.stats import summarize
-from repro.core.probes import DohProbe, DohProbeConfig, DotProbe, DotProbeConfig
+from repro.core.probes import DohProbe, DohProbeConfig, DotProbe, ProbeConfig
 from repro.errors import AddressError
 from repro.netsim.packet import Datagram
 from repro.netsim.trace import EventTrace
@@ -137,7 +137,7 @@ class TestDotResumption:
         def one(seed):
             probe = DotProbe(
                 host, deployment.service_ip, "dns.google",
-                DotProbeConfig(session_cache=cache), rng=random.Random(seed),
+                ProbeConfig(), rng=random.Random(seed), session_cache=cache,
             )
             out = []
             probe.query("google.com", out.append)

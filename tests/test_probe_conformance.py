@@ -38,7 +38,9 @@ def world():
     return build_world(seed=9, catalog=catalog, warm_caches=True)
 
 
-def probe_for(world, transport, hostname=RESOLVER, seed=1, **config) -> Probe:
+def probe_for(
+    world, transport, hostname=RESOLVER, seed=1, session_cache=None, **config
+) -> Probe:
     return make_probe(
         transport,
         world.vantage(VANTAGE).host,
@@ -46,6 +48,7 @@ def probe_for(world, transport, hostname=RESOLVER, seed=1, **config) -> Probe:
         hostname,
         ProbeConfig(**config),
         rng=random.Random(seed),
+        session_cache=session_cache,
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.catalog.resolvers import CATALOG
 from repro.cli import main
-from repro.core.probes import DohProbe, DohProbeConfig, DotProbe, DotProbeConfig
+from repro.core.probes import DohProbe, DohProbeConfig, DotProbe, ProbeConfig
 from repro.experiments.world import build_world
 
 #: Speaks every transport in the table.
@@ -27,7 +27,7 @@ def world():
 
 @pytest.mark.parametrize(
     "probe_cls, config_cls",
-    [(DohProbe, DohProbeConfig), (DotProbe, DotProbeConfig)],
+    [(DohProbe, DohProbeConfig), (DotProbe, ProbeConfig)],
     ids=["doh", "dot"],
 )
 def test_dead_kept_alive_connection_is_re_established(world, probe_cls, config_cls):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.catalog.resolvers import CATALOG
-from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, DoqProbeConfig
+from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, ProbeConfig
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import PeriodicSchedule
 from repro.errors import ConnectTimeout
@@ -224,7 +224,7 @@ class TestDoqProbe:
         deployment = world.deployment("dns.adguard.com")
         probe = DoqProbe(
             world.vantage("ec2-frankfurt").host, deployment.service_ip,
-            "dns.adguard.com", DoqProbeConfig(), rng=random.Random(1),
+            "dns.adguard.com", ProbeConfig(), rng=random.Random(1),
         )
         out = []
         probe.query("google.com", out.append)
@@ -243,7 +243,7 @@ class TestDoqProbe:
                  DohProbeConfig(), rng=random.Random(2)).query("google.com", doh_out.append)
         world.network.run()
         DoqProbe(host, deployment.service_ip, "dns.adguard.com",
-                 DoqProbeConfig(), rng=random.Random(2)).query("google.com", doq_out.append)
+                 ProbeConfig(), rng=random.Random(2)).query("google.com", doq_out.append)
         world.network.run()
         assert doq_out[0].duration_ms < doh_out[0].duration_ms - 0.7 * rtt
 
@@ -252,7 +252,7 @@ class TestDoqProbe:
         deployment = world.deployment("dns.adguard.com")
         probe = DoqProbe(
             world.vantage("ec2-ohio").host, deployment.service_ip,
-            "dns.adguard.com", DoqProbeConfig(reuse_connections=True),
+            "dns.adguard.com", ProbeConfig(reuse_connections=True),
             rng=random.Random(3),
         )
         out = []
@@ -292,7 +292,7 @@ class TestDoqProbe:
         deployment = world.deployment("dns.brahma.world")
         probe = DoqProbe(
             world.vantage("ec2-frankfurt").host, deployment.service_ip,
-            "dns.brahma.world", DoqProbeConfig(timeout_ms=1500.0),
+            "dns.brahma.world", ProbeConfig(timeout_ms=1500.0),
             rng=random.Random(4),
         )
         out = []

@@ -6,11 +6,10 @@ import pytest
 
 from repro.core.probes import (
     Do53Probe,
-    Do53ProbeConfig,
     DohProbe,
     DohProbeConfig,
     DotProbe,
-    DotProbeConfig,
+    ProbeConfig,
 )
 from repro.core.errors_taxonomy import ErrorClass
 from repro.dnswire.name import Name
@@ -149,7 +148,7 @@ class TestDotFrontend:
         net, deployment, client = build_setup()
         probe = DotProbe(
             client, deployment.service_ip, deployment.hostname,
-            DotProbeConfig(), rng=random.Random(7),
+            ProbeConfig(), rng=random.Random(7),
         )
         outcomes = []
         probe.query("google.com", outcomes.append)
@@ -161,7 +160,7 @@ class TestDotFrontend:
         net, deployment, client = build_setup()
         probe = DotProbe(
             client, deployment.service_ip, deployment.hostname,
-            DotProbeConfig(reuse_connections=True), rng=random.Random(7),
+            ProbeConfig(reuse_connections=True), rng=random.Random(7),
         )
         durations = []
         for _ in range(2):
@@ -177,7 +176,7 @@ class TestDotFrontend:
         net, deployment, client = build_setup(transports=("doh",))
         probe = DotProbe(
             client, deployment.service_ip, deployment.hostname,
-            DotProbeConfig(), rng=random.Random(7),
+            ProbeConfig(), rng=random.Random(7),
         )
         outcomes = []
         probe.query("google.com", outcomes.append)
@@ -189,7 +188,7 @@ class TestDotFrontend:
 class TestDo53Frontend:
     def test_udp_query_answered(self):
         net, deployment, client = build_setup()
-        probe = Do53Probe(client, deployment.service_ip, Do53ProbeConfig(), rng=random.Random(7))
+        probe = Do53Probe(client, deployment.service_ip, ProbeConfig(), rng=random.Random(7))
         outcomes = []
         probe.query("google.com", outcomes.append)
         net.run()
