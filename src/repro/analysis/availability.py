@@ -52,9 +52,9 @@ class AvailabilityReport:
         return "\n".join(lines)
 
 
-def availability_report(store: Source, vantage: Optional[str] = None) -> AvailabilityReport:
+def availability_report(store: Source) -> AvailabilityReport:
     """Compute the availability headline numbers over DNS query records."""
-    cell = RecordTable.of(store).cell("dns_query", vantage=vantage)
+    cell = RecordTable.of(store).cell("dns_query")
     breakdown = Counter(cell.errors)
     establishment = sum(
         count
@@ -135,9 +135,9 @@ def error_class_shares(store: Source, vantage: Optional[str] = None) -> Dict[str
     }
 
 
-def retry_burden(store: Source, vantage: Optional[str] = None) -> float:
+def retry_burden(store: Source) -> float:
     """Mean attempts per final DNS query record (1.0 = no retries needed)."""
-    cell = RecordTable.of(store).cell("dns_query", vantage=vantage)
+    cell = RecordTable.of(store).cell("dns_query")
     return cell.attempts_total / cell.count if cell.count else 0.0
 
 

@@ -85,8 +85,9 @@ class LatencyCorrelation:
             raise AnalysisError("no ping data to form ratios")
         return median(ratios)
 
-    def outliers(self, factor: float = 2.0) -> List[Tuple[str, float, float]]:
-        """Resolvers whose DNS/ping ratio is far from the cohort median.
+    def outliers(self) -> List[Tuple[str, float, float]]:
+        """Resolvers whose DNS/ping ratio is over twice, or under half, the
+        cohort median.
 
         These are the interesting rows: high response time *not* explained
         by network latency (slow resolver processing), or vice versa.
@@ -97,7 +98,7 @@ class LatencyCorrelation:
             if ping <= 0:
                 continue
             ratio = dns / ping
-            if ratio > center * factor or ratio < center / factor:
+            if ratio > center * 2.0 or ratio < center / 2.0:
                 out.append((resolver, ping, dns))
         return out
 

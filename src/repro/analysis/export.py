@@ -1,4 +1,4 @@
-"""CSV export of figures and tables, for external plotting.
+"""CSV export of figure panels, for external plotting.
 
 The ASCII renderers are for terminals; users who want to regenerate the
 paper's figures with matplotlib/R get the same data as tidy CSV: one row
@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Dict, Iterable, Sequence, Union
+from typing import Dict, Sequence, Union
 
 from repro.analysis.figures import FigureRow
-from repro.analysis.response_times import VantageDelta
 from repro.files import write_text
 
 FIGURE_FIELDS = (
@@ -57,29 +56,6 @@ def figure_rows_to_csv(panels: Dict[str, Sequence[FigureRow]]) -> str:
                     ping_q3=round(ping.q3, 3),
                 )
             writer.writerow(record)
-    return buffer.getvalue()
-
-
-def deltas_to_csv(deltas: Iterable[VantageDelta]) -> str:
-    """Serialize Table 2/3-style rows as CSV text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ("resolver", "near_vantage", "near_median_ms",
-         "far_vantage", "far_median_ms", "delta_ms", "ratio")
-    )
-    for delta in deltas:
-        writer.writerow(
-            (
-                delta.resolver,
-                delta.near_vantage,
-                round(delta.near_median_ms, 3),
-                delta.far_vantage,
-                round(delta.far_median_ms, 3),
-                round(delta.delta_ms, 3),
-                round(delta.ratio, 3),
-            )
-        )
     return buffer.getvalue()
 
 

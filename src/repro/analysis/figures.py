@@ -43,12 +43,11 @@ def figure_rows(
     vantage: Criterion,
     hostnames: Sequence[str],
     mainstream_hostnames: Sequence[str] = (),
-    sort_by_median: bool = True,
 ) -> List[FigureRow]:
-    """Build one figure panel's rows from the records.
+    """Build one figure panel's rows from the records, fastest median first.
 
     ``vantage`` may name several vantages, whose samples are pooled into
-    the one panel.
+    the one panel.  Resolvers that never answered sort last.
     """
     table = RecordTable.of(store)
     dns = table.by_resolver("dns_query", vantage=vantage)
@@ -63,10 +62,9 @@ def figure_rows(
         )
         for hostname in hostnames
     ]
-    if sort_by_median:
-        rows.sort(
-            key=lambda row: row.dns_stats.median if row.dns_stats is not None else float("inf")
-        )
+    rows.sort(
+        key=lambda row: row.dns_stats.median if row.dns_stats is not None else float("inf")
+    )
     return rows
 
 

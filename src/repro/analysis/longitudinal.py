@@ -138,8 +138,6 @@ def _drift_reports(
     base: str,
     laters: Sequence[str],
     vantage: Optional[str],
-    latency_factor: float,
-    availability_drop: float,
 ) -> List[DriftReport]:
     """Each of ``laters`` against ``base``, over the resolvers both measured.
 
@@ -154,12 +152,7 @@ def _drift_reports(
     reports = []
     for later in laters:
         later_cells = cells(later)
-        report = DriftReport(
-            base_campaign=base,
-            later_campaign=later,
-            latency_factor=latency_factor,
-            availability_drop=availability_drop,
-        )
+        report = DriftReport(base_campaign=base, later_campaign=later)
         for resolver in sorted(base_cells.keys() & later_cells.keys()):
             base_cell, later_cell = base_cells[resolver], later_cells[resolver]
             if not (base_cell.durations and later_cell.durations):
@@ -183,44 +176,17 @@ def campaigns_in_order(store: Source) -> List[str]:
     return sorted(starts, key=starts.__getitem__)
 
 
-def drift_report(
-    store: Source,
-    base_campaign: str,
-    later_campaign: str,
-    vantage: Optional[str] = None,
-    latency_factor: float = 2.0,
-    availability_drop: float = 0.2,
-) -> DriftReport:
-    """Compare ``later_campaign`` against ``base_campaign``.
-
-    Resolvers present in only one of the two campaigns are skipped (no
-    basis for comparison).  Raises :class:`AnalysisError` when either
-    campaign has no records at all.
-    """
-    table = RecordTable.of(store)
-    if base_campaign not in table.campaign_starts:
-        raise AnalysisError(f"no records for baseline campaign {base_campaign!r}")
-    if later_campaign not in table.campaign_starts:
-        raise AnalysisError(f"no records for campaign {later_campaign!r}")
-    return _drift_reports(
-        table, base_campaign, [later_campaign], vantage, latency_factor, availability_drop
-    )[0]
-
-
 def drift_reports_from_records(
-    records: Source,
-    vantage: Optional[str] = None,
-    latency_factor: float = 2.0,
-    availability_drop: float = 0.2,
+    records: Source, vantage: Optional[str] = None
 ) -> List[DriftReport]:
     """Every campaign after the first against the first, from one fold.
 
-    Campaigns are ordered by their first start time.
+    Campaigns are ordered by their first start time.  A resolver missing
+    from either campaign of a pair is skipped (no basis for comparison);
+    the thresholds are :class:`DriftReport`'s defaults.
     """
     table = RecordTable.of(records)
     ordered = campaigns_in_order(table)
     if len(ordered) < 2:
         raise AnalysisError("need at least two campaigns for drift analysis")
-    return _drift_reports(
-        table, ordered[0], ordered[1:], vantage, latency_factor, availability_drop
-    )
+    return _drift_reports(table, ordered[0], ordered[1:], vantage)

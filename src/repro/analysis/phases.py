@@ -71,14 +71,6 @@ def _breakdown(
     )
 
 
-def phase_breakdown(
-    store: Source, resolver: str, vantage: Optional[str] = None
-) -> Optional[PhaseBreakdown]:
-    """Median phase timings for one resolver (optionally one vantage)."""
-    cell = RecordTable.of(store).cell("dns_query", vantage=vantage, resolver=resolver)
-    return _breakdown(resolver, vantage, cell)
-
-
 def phase_breakdowns(
     store: Source,
     vantages: Optional[Sequence[str]] = None,
@@ -146,18 +138,14 @@ def phase_deltas(
     return deltas
 
 
-def error_phases(
-    store: Source,
-    vantage: Optional[str] = None,
-    resolver: Optional[str] = None,
-) -> Dict[str, int]:
+def error_phases(store: Source) -> Dict[str, int]:
     """Failed queries counted by the phase that was in flight.
 
     Keys are phase names (``tcp_connect``, ``tls_handshake``, …) with
     ``"(unknown)"`` for failures recorded without phase data (e.g. loaded
     from pre-phase-tracking result files).
     """
-    cell = RecordTable.of(store).cell("dns_query", vantage=vantage, resolver=resolver)
+    cell = RecordTable.of(store).cell("dns_query")
     return dict(sorted(cell.failed_phases.items()))
 
 

@@ -56,23 +56,18 @@ def _bar(
     return "".join(cells)
 
 
-def render_boxplot_rows(
-    rows: Sequence[FigureRow],
-    width: int = 48,
-    scale_max_ms: Optional[float] = None,
-    include_ping: bool = True,
-) -> str:
-    """Render one figure panel as aligned ASCII boxplots.
+def render_boxplot_rows(rows: Sequence[FigureRow], include_ping: bool = True) -> str:
+    """Render one figure panel as aligned 48-column ASCII boxplots.
 
     Mirrors the paper's truncation: distributions beyond the scale maximum
-    (default: the 95th-percentile whisker across rows, capped at 600 ms
-    like the paper's axes) are clipped.
+    (the highest upper whisker across rows plus 10%, capped at 600 ms like
+    the paper's axes) are clipped.
     """
     populated = [row for row in rows if row.dns_stats is not None]
     if not populated:
         return "(no data)"
-    if scale_max_ms is None:
-        scale_max_ms = min(600.0, max(row.dns_stats.whisker_high for row in populated) * 1.1)
+    width = 48
+    scale_max_ms = min(600.0, max(row.dns_stats.whisker_high for row in populated) * 1.1)
     name_width = max(len(row.resolver) for row in rows) + 2
     lines = [
         f"{'resolver'.ljust(name_width)} {'median'.rjust(8)}  "

@@ -1,4 +1,4 @@
-"""Response-time analysis: medians, vantage deltas, local winners, maxima.
+"""Response-time analysis: medians, vantage deltas, local winners.
 
 These functions back the paper's §4 comparisons:
 
@@ -6,14 +6,13 @@ These functions back the paper's §4 comparisons:
 * the resolvers with the largest median difference between a local and a
   remote vantage point (Tables 2 and 3);
 * local non-mainstream winners — resolvers that beat specific mainstream
-  resolvers from specific vantage points;
-* the maximum per-resolver median seen from each vantage point.
+  resolvers from specific vantage points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.stats import median, median_or_none, quantile
 from repro.analysis.table import Criterion, RecordTable, Source
@@ -29,13 +28,6 @@ def query_durations(
     """
     table = RecordTable.of(store)
     return list(table.cell("dns_query", vantage=vantage, resolver=resolver).durations)
-
-
-def ping_durations(
-    store: Source, vantage: Optional[str] = None, resolver: Optional[str] = None
-) -> List[float]:
-    """Successful ping RTTs (ms) matching the criteria, ordered as above."""
-    return list(RecordTable.of(store).cell("ping", vantage=vantage, resolver=resolver).durations)
 
 
 def resolver_median(store: Source, resolver: str, vantage: Optional[str] = None) -> Optional[float]:
@@ -68,22 +60,6 @@ def resolver_medians(
     }
 
 
-def max_median_by_vantage(store: Source, vantages: Sequence[str]) -> Dict[str, Tuple[str, float]]:
-    """Per vantage point: the resolver with the highest median and its value.
-
-    Reproduces the paper's "maximum response time from a resolver was X ms"
-    statements (which are maxima over per-resolver medians).
-    """
-    table = RecordTable.of(store)
-    out: Dict[str, Tuple[str, float]] = {}
-    for vantage in vantages:
-        medians = resolver_medians(table, vantage=vantage)
-        if medians:
-            worst = max(medians.items(), key=lambda item: item[1])
-            out[vantage] = worst
-    return out
-
-
 @dataclass(frozen=True)
 class VantageDelta:
     """One row of Table 2 / Table 3."""
@@ -108,13 +84,12 @@ def largest_vantage_deltas(
     resolvers: Iterable[str],
     near_vantage: str,
     far_vantage: str,
-    top_n: int = 5,
 ) -> List[VantageDelta]:
-    """Resolvers with the largest (far − near) median difference.
+    """The five resolvers with the largest (far − near) median difference.
 
     This is how the paper builds Tables 2 and 3: take the resolvers of a
     region, compare their medians from the local vantage point against a
-    remote one, and report the biggest gaps.
+    remote one, and report the five biggest gaps.
     """
     table = RecordTable.of(store)
     near = resolver_medians(table, vantage=near_vantage, resolvers=resolvers)
@@ -131,7 +106,7 @@ def largest_vantage_deltas(
         if resolver in far
     ]
     deltas.sort(key=lambda d: d.delta_ms, reverse=True)
-    return deltas[:top_n]
+    return deltas[:5]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ after:
 * :func:`session_cells` — per policy × transport (optionally × vantage)
   counts by ``session_state`` plus the establishment share of the median
   response time, the session-aware analogue of
-  :func:`~repro.analysis.phases.phase_breakdown`;
+  :func:`~repro.analysis.phases.phase_breakdowns`;
 * :func:`warm_cold_deltas` — warm-path vs cold-path p95 within each
   policy run.  The cold baseline is the run's *own* cold-state records
   (first contact per (vantage, resolver, transport) cell), so the

@@ -108,10 +108,3 @@ def summarize_or_none(values: Sequence[float]) -> Optional[BoxplotStats]:
     """:func:`summarize`, returning None for an empty sample."""
     return summarize(values) if values else None
 
-
-def median_absolute_deviation(values: Sequence[float]) -> float:
-    """MAD — a robust spread measure used in variability comparisons."""
-    if not values:
-        raise AnalysisError("MAD of empty sequence")
-    center = median(values)
-    return median([abs(v - center) for v in values])

@@ -38,35 +38,17 @@ def _region_non_mainstream(region: str) -> List[str]:
     ]
 
 
-def table2_rows(
-    store: Source,
-    near_vantage: str = "ec2-seoul",
-    far_vantage: str = "ec2-frankfurt",
-    top_n: int = 5,
-) -> List[VantageDelta]:
+def table2_rows(store: Source) -> List[VantageDelta]:
     """Table 2: Asian non-mainstream resolvers, Seoul vs Frankfurt medians."""
     return largest_vantage_deltas(
-        store,
-        resolvers=_region_non_mainstream("AS"),
-        near_vantage=near_vantage,
-        far_vantage=far_vantage,
-        top_n=top_n,
+        store, _region_non_mainstream("AS"), "ec2-seoul", "ec2-frankfurt"
     )
 
 
-def table3_rows(
-    store: Source,
-    near_vantage: str = "ec2-frankfurt",
-    far_vantage: str = "ec2-seoul",
-    top_n: int = 5,
-) -> List[VantageDelta]:
+def table3_rows(store: Source) -> List[VantageDelta]:
     """Table 3: European non-mainstream resolvers, Frankfurt vs Seoul medians."""
     return largest_vantage_deltas(
-        store,
-        resolvers=_region_non_mainstream("EU"),
-        near_vantage=near_vantage,
-        far_vantage=far_vantage,
-        top_n=top_n,
+        store, _region_non_mainstream("EU"), "ec2-frankfurt", "ec2-seoul"
     )
 
 

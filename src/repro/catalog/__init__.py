@@ -13,21 +13,13 @@ from repro.catalog.resolvers import (
     CatalogEntry,
     entries_by_region,
     entry_for,
-    mainstream_entries,
-    non_mainstream_entries,
-    reference_set,
 )
-from repro.catalog.browsers import BROWSER_MATRIX, browsers_offering, resolvers_in_browser
+from repro.catalog.browsers import BROWSER_MATRIX
 
 __all__ = [
     "BROWSER_MATRIX",
     "CATALOG",
     "CatalogEntry",
-    "browsers_offering",
     "entries_by_region",
     "entry_for",
-    "mainstream_entries",
-    "non_mainstream_entries",
-    "reference_set",
-    "resolvers_in_browser",
 ]

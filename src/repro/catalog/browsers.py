@@ -49,19 +49,6 @@ PROVIDER_HOSTNAMES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def browsers_offering(provider: str) -> List[str]:
-    """Browsers that offer ``provider`` as a built-in choice."""
-    return [browser for browser, offered in BROWSER_MATRIX.items() if provider in offered]
-
-
-def resolvers_in_browser(browser: str) -> List[str]:
-    """All catalog hostnames reachable from ``browser``'s built-in menu."""
-    hostnames: List[str] = []
-    for provider in BROWSER_MATRIX.get(browser, ()):
-        hostnames.extend(PROVIDER_HOSTNAMES.get(provider, ()))
-    return hostnames
-
-
 def mainstream_hostnames() -> List[str]:
     """Every hostname operated by a Table 1 provider."""
     out: List[str] = []

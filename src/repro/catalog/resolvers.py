@@ -346,15 +346,3 @@ def entries_by_region(region: Optional[str]) -> List[CatalogEntry]:
     """Entries whose geolocated region equals ``region`` (None = unlocatable)."""
     return [entry for entry in CATALOG if entry.region == region]
 
-
-def mainstream_entries() -> List[CatalogEntry]:
-    return [entry for entry in CATALOG if entry.mainstream]
-
-
-def non_mainstream_entries() -> List[CatalogEntry]:
-    return [entry for entry in CATALOG if not entry.mainstream]
-
-
-def reference_set() -> List[CatalogEntry]:
-    """The cross-region reference resolvers (shown in every figure)."""
-    return [entry_for(hostname) for hostname in REFERENCE_HOSTNAMES]

@@ -137,6 +137,15 @@ def _execution(args: argparse.Namespace) -> Dict[str, Any]:
     }
 
 
+def _require_interval(schedule: PeriodicSchedule, source: str) -> None:
+    """Refuse a schedule whose rounds would all start at one instant: a
+    burst, not a schedule.  ``source`` names where the interval came from."""
+    if schedule.interval_ms <= 0:
+        raise CampaignConfigError(
+            f"{source} must be positive: every round would start at one instant"
+        )
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     entries = CATALOG
     if args.region:
@@ -193,10 +202,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         vantages = args.vantage
         hostnames = _catalog_hostnames(args.resolver or None)
         interval = "--interval-hours"
-    if config.schedule.interval_ms <= 0:
-        raise CampaignConfigError(
-            f"{interval} must be positive: every round would start at one instant"
-        )
+    _require_interval(config.schedule, interval)
 
     fault_plan = None
     if args.faults:
@@ -309,9 +315,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report.holds_count == len(report.claims) else 1
 
 
-def _print_phase_tables(store: ResultStore, near: str = "ec2-frankfurt",
-                        far: str = "ec2-seoul") -> None:
-    """Phase attribution: far-vs-near deltas plus error breakdown."""
+def _print_phase_tables(store: ResultStore) -> None:
+    """Phase attribution: Seoul-vs-Frankfurt deltas plus error breakdown."""
     from repro.analysis.phases import (
         error_phases,
         phase_deltas,
@@ -323,12 +328,14 @@ def _print_phase_tables(store: ResultStore, near: str = "ec2-frankfurt",
 
     table = RecordTable.of(store)
     non_mainstream_unicast = ResolverFilter(region="EU", mainstream=False, anycast=False)
-    deltas = phase_deltas(table, select_targets(non_mainstream_unicast), near, far)
+    deltas = phase_deltas(
+        table, select_targets(non_mainstream_unicast), "ec2-frankfurt", "ec2-seoul"
+    )
     if deltas:
         print(render_phase_delta_table(
             deltas,
-            title=f"Phase attribution: non-mainstream unicast EU resolvers, "
-                  f"{far} vs {near}",
+            title="Phase attribution: non-mainstream unicast EU resolvers, "
+                  "ec2-seoul vs ec2-frankfurt",
         ))
         print()
     errors = error_phases(table)
@@ -780,6 +787,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     metrics collected."""
     from repro.experiments.campaigns import run_campaign_parallel
 
+    if args.max_spans is not None and args.max_spans < 0:
+        raise CampaignConfigError(f"--max-spans must be >= 0 (got {args.max_spans})")
     config = CampaignConfig(
         name=args.name,
         schedule=PeriodicSchedule(
@@ -788,6 +797,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         transport=args.transport,
         seed=args.seed,
     )
+    _require_interval(config.schedule, "--interval-hours")
     run = run_campaign_parallel(
         config,
         args.vantage,

@@ -21,9 +21,7 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Protocol,
     Union,
-    runtime_checkable,
 )
 
 from repro.errors import ResultsFormatError
@@ -346,27 +344,3 @@ class ResultStore:
                 line, source=path, line_number=line_number
             )
 
-
-@runtime_checkable
-class RecordSource(Protocol):
-    """A collection of measurement records: iterable, sized, filterable.
-
-    Implemented by :class:`ResultStore` (in-memory) and by
-    :class:`repro.store.Warehouse` (on-disk, streaming with predicate
-    pushdown).  Analysis reads either in one pass, through
-    :meth:`repro.analysis.table.RecordTable.of`.
-    """
-
-    def __iter__(self) -> Iterator[MeasurementRecord]: ...
-
-    def __len__(self) -> int: ...
-
-    def filter(
-        self,
-        kind: Optional[str] = None,
-        vantage: Optional[str] = None,
-        resolver: Optional[str] = None,
-        transport: Optional[str] = None,
-        success: Optional[bool] = None,
-        predicate: Optional[Callable[[MeasurementRecord], bool]] = None,
-    ) -> List[MeasurementRecord]: ...

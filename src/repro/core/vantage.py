@@ -37,28 +37,9 @@ class VantagePoint:
         return f"{self.city.name} ({self.kind})"
 
 
-def make_ec2_vantage(network: Network, name: str, ip: str, city: City) -> VantagePoint:
-    """Attach an EC2-profile vantage point in ``city``."""
-    host = network.attach(
-        Host(
-            name=f"vantage-{name}",
-            ip=ip,
-            coords=city.coords,
-            continent=city.continent,
-            access=DATACENTER,
-        )
-    )
-    return VantagePoint(name=name, kind="ec2", host=host, city=city)
-
-
-def make_home_vantage(
-    network: Network,
-    name: str,
-    ip: str,
-    city: City,
-    access: AccessProfile = HOME_BROADBAND,
+def _attach(
+    network: Network, name: str, ip: str, city: City, kind: str, access: AccessProfile
 ) -> VantagePoint:
-    """Attach a home-broadband vantage point in ``city``."""
     host = network.attach(
         Host(
             name=f"vantage-{name}",
@@ -68,4 +49,14 @@ def make_home_vantage(
             access=access,
         )
     )
-    return VantagePoint(name=name, kind="home", host=host, city=city)
+    return VantagePoint(name=name, kind=kind, host=host, city=city)
+
+
+def make_ec2_vantage(network: Network, name: str, ip: str, city: City) -> VantagePoint:
+    """Attach an EC2-profile vantage point in ``city``."""
+    return _attach(network, name, ip, city, "ec2", DATACENTER)
+
+
+def make_home_vantage(network: Network, name: str, ip: str, city: City) -> VantagePoint:
+    """Attach a home-broadband vantage point in ``city``."""
+    return _attach(network, name, ip, city, "home", HOME_BROADBAND)

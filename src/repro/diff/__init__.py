@@ -15,8 +15,8 @@ Pipeline (mirroring CZ-NIC respdiff's msgdiff / diffsum / diffrepro):
    :func:`~repro.experiments.campaigns.diff_campaign_config` — the
    same-query fan-out campaign, serial or sharded, RAM or warehouse
    backed;
-2. :func:`build_diff_report` — stream the records (any
-   :class:`~repro.core.results.RecordSource`) into a
+2. :func:`build_diff_report` — stream the records (any iterable of
+   :class:`~repro.core.results.MeasurementRecord`) into a
    :class:`DiffReport`: per-resolver disagreement rates, per-field
    mismatch shares, taxonomy counts;
 3. :func:`verify_reproducibility` — fold the records of a re-query

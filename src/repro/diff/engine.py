@@ -166,15 +166,12 @@ class DiffReport:
         return render_diff_summary(self)
 
 
-def build_diff_report(
-    records: Iterable[MeasurementRecord],
-    campaign: Optional[str] = None,
-) -> DiffReport:
+def build_diff_report(records: Iterable[MeasurementRecord]) -> DiffReport:
     """Diff every same-query cell in ``records`` against its consensus.
 
     Only final ``dns_query`` records participate (pings and intermediate
-    retry attempts are skipped); ``campaign`` restricts to one campaign
-    when the source mixes several.  Records with a captured response
+    retry attempts are skipped); a cell never spans two campaigns, as the
+    campaign is part of its key.  Records with a captured response
     contribute their canonical form; records without one (timeouts, dead
     resolvers) enter their cell as *unanswered* — counted separately,
     never as a content disagreement.
@@ -188,8 +185,6 @@ def build_diff_report(
     answered_without_wire = 0
     for record in records:
         if record.kind != "dns_query":
-            continue
-        if campaign is not None and record.campaign != campaign:
             continue
         form: Optional[CanonicalForm] = None
         if record.response_wire:

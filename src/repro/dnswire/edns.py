@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.dnswire.message import Message, ResourceRecord
 from repro.dnswire.name import Name
@@ -20,9 +20,6 @@ from repro.errors import MessageMalformed
 
 #: DO ("DNSSEC OK") flag bit within the EDNS flags word.
 EDNS_FLAG_DO = 0x8000
-
-#: Option code for EDNS padding (RFC 7830), used by encrypted transports.
-OPTION_PADDING = 12
 
 #: Option code for Extended DNS Errors (RFC 8914).
 OPTION_EDE = 15
@@ -121,40 +118,10 @@ def make_ede_option(info_code: int, text: str = "") -> EdnsOption:
     return EdnsOption(OPTION_EDE, struct.pack("!H", info_code) + text.encode("utf-8"))
 
 
-def get_ede(message: Message) -> Optional[Tuple[int, str]]:
-    """The first Extended DNS Error in the message, as (info_code, text)."""
-    edns = get_edns(message)
-    if edns is None:
-        return None
-    for option in edns.options:
-        if option.code == OPTION_EDE and len(option.value) >= 2:
-            (info_code,) = struct.unpack_from("!H", option.value, 0)
-            return info_code, option.value[2:].decode("utf-8", "replace")
-    return None
-
-
 def attach_ede(message: Message, info_code: int, text: str = "") -> Message:
     """Attach an EDE option, preserving any existing EDNS state."""
     edns = get_edns(message) or EdnsOptions()
     edns.options = [o for o in edns.options if o.code != OPTION_EDE]
     edns.options.append(make_ede_option(info_code, text))
-    return add_edns(message, edns)
-
-
-def pad_query(message: Message, block_size: int = 128) -> Message:
-    """Apply RFC 8467 recommended padding to a query (multiple of 128B).
-
-    Encrypted transports pad queries so that message sizes do not leak the
-    queried name.  The padding lives in an EDNS padding option; callers must
-    have added EDNS first (or this adds a default OPT record).
-    """
-    edns = get_edns(message) or EdnsOptions()
-    edns.options = [o for o in edns.options if o.code != OPTION_PADDING]
-    add_edns(message, edns)
-    unpadded_len = len(message.to_wire())
-    # Option header is 4 bytes; find the smallest padding reaching a multiple.
-    target = ((unpadded_len + 4 + block_size - 1) // block_size) * block_size
-    pad_len = target - unpadded_len - 4
-    edns.options.append(EdnsOption(OPTION_PADDING, b"\x00" * pad_len))
     return add_edns(message, edns)
 

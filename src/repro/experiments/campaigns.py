@@ -59,13 +59,13 @@ def ec2_campaign_config(rounds: int = 30, seed: int = 202) -> CampaignConfig:
 
 
 def monthly_recheck_config(
-    month_label: str, start_ms: float, rounds: int = 6, seed: int = 303
+    month_label: str, start_ms: float, seed: int = 303
 ) -> CampaignConfig:
-    """A short re-measurement span months after the main campaign."""
+    """A short re-measurement span months after the main campaign: 6 rounds."""
     return CampaignConfig(
         name=f"recheck-{month_label}",
         schedule=PeriodicSchedule(
-            rounds=rounds,
+            rounds=6,
             interval_ms=8 * MS_PER_HOUR,
             start_ms=start_ms,
             stagger_ms=10 * 60 * 1000.0,
@@ -75,9 +75,7 @@ def monthly_recheck_config(
 
 
 def fault_campaign_config(
-    rounds: int = 8,
-    seed: int = 404,
-    retry: Optional[RetryPolicy] = None,
+    rounds: int = 8, retry: Optional[RetryPolicy] = None
 ) -> CampaignConfig:
     """Fault-study campaign: EC2 cadence with a modest retry budget.
 
@@ -92,7 +90,7 @@ def fault_campaign_config(
             rounds=rounds, interval_ms=8 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
         retry=retry if retry is not None else RetryPolicy(attempts=2),
-        seed=seed,
+        seed=404,
     )
 
 

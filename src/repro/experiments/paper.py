@@ -115,20 +115,18 @@ def generate_report(
     home_rounds: int = 12,
     ec2_rounds: int = 12,
     seed: int = 0,
-    fault_rounds: int = 8,
-    fault_seed: int = 20230919,
     collect_spans: bool = False,
     collect_metrics: bool = False,
 ) -> PaperReport:
     """Run the study (if needed) and evaluate every §4 claim.
 
     With no ``store`` the function runs the identity plan of the study on
-    worlds built from ``seed``, and also the identity plan of the
+    worlds built from ``seed``, and also the identity plan of the 8-round
     fault-injected campaign — into a *separate* store — whose FAULT-*
-    claims it evaluates against the paper's reported error shape.  Pass
-    ``fault_rounds=0`` to skip it.  A caller-supplied ``store`` skips the
-    fault campaign (the matching world is unknown).  ``collect_spans`` and
-    ``collect_metrics`` reach the runs, which land on ``PaperReport.runs``.
+    claims it evaluates against the paper's reported error shape.  A
+    caller-supplied ``store`` skips the fault campaign (the matching world
+    is unknown).  ``collect_spans`` and ``collect_metrics`` reach the runs,
+    which land on ``PaperReport.runs``.
     """
     fault_store: Optional[ResultStore] = None
     runs: List[ParallelRun] = []
@@ -140,13 +138,9 @@ def generate_report(
         )
         store = study.store
         runs.append(study)
-        if fault_rounds > 0:
-            faulted, _plan = run_fault_study(
-                world_seed=seed, rounds=fault_rounds, fault_seed=fault_seed,
-                shards=1, **traced,
-            )
-            fault_store = faulted.store
-            runs.append(faulted)
+        faulted, _plan = run_fault_study(world_seed=seed, shards=1, **traced)
+        fault_store = faulted.store
+        runs.append(faulted)
     report = PaperReport(store=store, fault_store=fault_store, runs=runs)
     table = RecordTable.of(store)
     mainstream = mainstream_hostnames()

@@ -139,25 +139,27 @@ class World:
             for entry in entries
         ]
 
-    def warm_resolver_caches(self, domains: Sequence[str] = STUDY_DOMAIN_NAMES) -> None:
-        """Pre-resolve the study domains on every live resolver site.
-
-        The paper's domains are popular enough to be effectively always
-        cached at real resolvers; warming reproduces that steady state so
-        measurements see cache-hit behaviour from round one.
-        """
-        names = [Name.from_text(domain) for domain in domains]
+    def _resolve_study_domains(self) -> None:
+        """Ask every live resolver site for each study domain, answers dropped."""
+        names = [Name.from_text(domain) for domain in STUDY_DOMAIN_NAMES]
         for deployment in self.deployments.values():
             for site in deployment.sites:
                 if site.host.blackholed or site.engine is None:
                     continue
                 for qname in names:
                     site.engine.resolve_question(qname, TYPE_A, lambda _r: None)
+
+    def warm_resolver_caches(self) -> None:
+        """Pre-resolve the study domains on every live resolver site.
+
+        The paper's domains are popular enough to be effectively always
+        cached at real resolvers; warming reproduces that steady state so
+        measurements see cache-hit behaviour from round one.
+        """
+        self._resolve_study_domains()
         self.network.run()
 
-    def schedule_cache_refresh(
-        self, at_ms: float, domains: Sequence[str] = STUDY_DOMAIN_NAMES
-    ) -> None:
+    def schedule_cache_refresh(self, at_ms: float) -> None:
         """Re-warm every resolver's study-domain cache at a virtual instant.
 
         The build-time warm models the steady state kept alive by other
@@ -169,17 +171,7 @@ class World:
         The refresh is a no-op on still-valid caches (pure cache hits,
         no network traffic), so arming it is always safe.
         """
-        names = [Name.from_text(domain) for domain in domains]
-
-        def _refresh() -> None:
-            for deployment in self.deployments.values():
-                for site in deployment.sites:
-                    if site.host.blackholed or site.engine is None:
-                        continue
-                    for qname in names:
-                        site.engine.resolve_question(qname, TYPE_A, lambda _r: None)
-
-        self.network.loop.call_at(at_ms, _refresh)
+        self.network.loop.call_at(at_ms, self._resolve_study_domains)
 
 
 def build_world(

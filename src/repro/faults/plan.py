@@ -126,10 +126,6 @@ class FaultEvent:
     def end_ms(self) -> float:
         return self.start_ms + self.duration_ms
 
-    def overlaps(self, at_ms: float) -> bool:
-        """Whether the window is active at virtual time ``at_ms``."""
-        return self.start_ms <= at_ms < self.end_ms
-
     def to_dict(self) -> Dict:
         data = {
             "kind": self.kind.value,

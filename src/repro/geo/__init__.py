@@ -8,7 +8,7 @@ A handful of resolver IPs are deliberately left unregistered to reproduce
 the paper's "6 resolvers were unable to return a location".
 """
 
-from repro.geo.regions import CITIES, City, continent_name
+from repro.geo.regions import CITIES, City
 from repro.geo.ipalloc import IpAllocator
 from repro.geo.db import GeoDatabase, GeoRecord
 
@@ -18,5 +18,4 @@ __all__ = [
     "GeoDatabase",
     "GeoRecord",
     "IpAllocator",
-    "continent_name",
 ]

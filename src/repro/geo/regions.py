@@ -11,21 +11,6 @@ from dataclasses import dataclass
 
 from repro.netsim.geo import Coordinates
 
-_CONTINENT_NAMES = {
-    "NA": "North America",
-    "SA": "South America",
-    "EU": "Europe",
-    "AS": "Asia",
-    "AF": "Africa",
-    "OC": "Oceania",
-}
-
-
-def continent_name(code: str) -> str:
-    """Full name for a continent code (returns the code if unknown)."""
-    return _CONTINENT_NAMES.get(code, code)
-
-
 @dataclass(frozen=True)
 class City:
     """A named location with country and continent."""

@@ -15,7 +15,7 @@ body with the TTL-derived ``Cache-Control`` the RFC suggests.
 from __future__ import annotations
 
 import base64
-from typing import Optional, Tuple
+from typing import Optional
 from urllib.parse import parse_qs, quote, urlsplit
 
 from repro.errors import HttpError
@@ -137,10 +137,3 @@ def decode_doh_response(response: HttpResponse) -> bytes:
         metrics.observe("doh.response_bytes", len(response.body))
     return response.body
 
-
-def split_get_request(request: HttpRequest) -> Tuple[str, Optional[str]]:
-    """(path, dns-parameter) view of a GET request (diagnostics helper)."""
-    split = urlsplit(request.path)
-    params = parse_qs(split.query)
-    values = params.get("dns")
-    return split.path, values[0] if values else None

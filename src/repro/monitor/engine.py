@@ -229,7 +229,7 @@ def verdicts_from_book(book: AggregateBook, policy: SloPolicy) -> List[SloVerdic
     group's summary, the same reading the window alerts on.
     """
     verdicts: List[SloVerdict] = []
-    for group in book.groups(kind="dns_query"):
+    for group in book.groups():
         if group.count < policy.window.min_samples:
             continue
         for spec in policy.specs_for(group.vantage, group.resolver, group.transport):

@@ -219,10 +219,7 @@ class SloPolicy:
         return spec_from_table(cls, data, MonitorConfigError, f"SLO policy {path}")
 
 
-def default_policy(
-    window: Optional[WindowConfig] = None,
-    cusum: Optional[CusumConfig] = None,
-) -> SloPolicy:
+def default_policy() -> SloPolicy:
     """Fleet-wide objectives derived from the paper's measured baselines."""
     return SloPolicy(
         specs=(
@@ -251,6 +248,4 @@ def default_policy(
                 severity="critical",
             ),
         ),
-        window=window if window is not None else WindowConfig(),
-        cusum=cusum if cusum is not None else CusumConfig(),
     )

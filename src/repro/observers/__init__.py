@@ -18,7 +18,7 @@ Quick start::
     from repro.observers import ObserverFleet, default_registry
 
     fleet = ObserverFleet(default_registry().specs())
-    fleet.replay(store.records())          # any RecordSource iteration
+    fleet.replay(store.records())          # any iterable of records
     report = fleet.finalize(metrics)       # observer.* gauges optional
     report.events.save_jsonl("events.jsonl")
     report.index.save_jsonl("index.jsonl")

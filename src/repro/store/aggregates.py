@@ -165,23 +165,13 @@ class AggregateBook:
             book.observe(record)
         return book
 
-    def groups(
-        self,
-        vantage: Optional[str] = None,
-        resolver: Optional[str] = None,
-        transport: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> Iterator[GroupSummary]:
-        """Summaries matching the criteria, in sorted key order."""
+    def groups(self, vantage: Optional[str] = None) -> Iterator[GroupSummary]:
+        """DNS-query summaries (of one vantage, if given), in sorted key order."""
         for key in sorted(self._groups):
             group = self._groups[key]
+            if group.kind != "dns_query":
+                continue
             if vantage is not None and group.vantage != vantage:
-                continue
-            if resolver is not None and group.resolver != resolver:
-                continue
-            if transport is not None and group.transport != transport:
-                continue
-            if kind is not None and group.kind != kind:
                 continue
             yield group
 
@@ -242,7 +232,7 @@ def availability_from_aggregates(
 
     successes = 0
     breakdown: Counter = Counter()
-    for group in book.groups(vantage=vantage, kind="dns_query"):
+    for group in book.groups(vantage):
         successes += group.successes
         breakdown.update(group.error_classes)
     errors = sum(breakdown.values())
@@ -265,7 +255,7 @@ def per_resolver_availability_from_aggregates(
     """Success rate of DNS queries per resolver, served from aggregates."""
     successes: Counter = Counter()
     counts: Counter = Counter()
-    for group in book.groups(vantage=vantage, kind="dns_query"):
+    for group in book.groups(vantage):
         successes[group.resolver] += group.successes
         counts[group.resolver] += group.count
     return {
@@ -290,9 +280,7 @@ class ResponseTimeSummary:
 
 
 def response_time_summaries(
-    book: AggregateBook,
-    vantage: Optional[str] = None,
-    transport: Optional[str] = None,
+    book: AggregateBook, vantage: Optional[str] = None
 ) -> Dict[str, ResponseTimeSummary]:
     """Per-resolver response-time table from the persisted histograms.
 
@@ -302,7 +290,7 @@ def response_time_summaries(
     and needs no record access at all.
     """
     merged: Dict[str, Histogram] = {}
-    for group in book.groups(vantage=vantage, transport=transport, kind="dns_query"):
+    for group in book.groups(vantage):
         if not group.histogram.count:
             continue
         histogram = merged.get(group.resolver)

@@ -49,13 +49,12 @@ the one ``parse_line`` would build, and it carries the segment's line.
 none and its sources (``store compact``, a re-merge) are parsed, and no
 twin outlives the staging warehouse it was written into.
 
-:class:`Warehouse` implements the :class:`~repro.core.results.RecordSource`
-protocol (``filter`` / iteration), so every analysis in
-:mod:`repro.analysis` accepts a warehouse wherever it accepts an
-in-memory :class:`~repro.core.results.ResultStore` and reads it in one
-scan.  ``filter`` streams from disk and pushes ``(vantage, resolver,
-transport)`` predicates down to the segment sidecars, touching only
-matching segments and offsets.
+:class:`Warehouse` iterates, sizes and filters like an in-memory
+:class:`~repro.core.results.ResultStore`, so every analysis in
+:mod:`repro.analysis` accepts a warehouse wherever it accepts a store and
+reads it in one scan.  ``filter`` streams from disk and pushes
+``(vantage, resolver, transport)`` predicates down to the segment
+sidecars, touching only matching segments and offsets.
 """
 
 from __future__ import annotations
@@ -317,7 +316,7 @@ class Warehouse:
         ]
         return heapq.merge(*streams, key=merge_key)
 
-    # -- RecordSource protocol --------------------------------------------
+    # -- the ResultStore surface: iteration, size, filter -----------------
 
     def __iter__(self) -> Iterator[MeasurementRecord]:
         return self.iter_records()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,7 +203,9 @@ def test_a_short_window_evicts_and_resolves_as_before():
         targets=world.targets(),
         config=ec2_campaign_config(rounds=6, seed=202),
     )
-    monitor = Monitor(default_policy(window=WindowConfig(records=8, min_samples=4)))
+    monitor = Monitor(
+        replace(default_policy(), window=WindowConfig(records=8, min_samples=4))
+    )
     monitor.replay(campaign.run().records)
     monitor.finalize()
     alerts = [alert_tuple(event) for event in monitor.alerts]

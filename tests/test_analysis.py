@@ -16,7 +16,6 @@ from repro.analysis.render import render_boxplot_rows, render_delta_table, rende
 from repro.analysis.response_times import (
     largest_vantage_deltas,
     local_winners,
-    max_median_by_vantage,
     resolver_median,
     resolver_medians,
     variability,
@@ -24,7 +23,6 @@ from repro.analysis.response_times import (
 from repro.analysis.stats import (
     BoxplotStats,
     median,
-    median_absolute_deviation,
     quantile,
     summarize,
     summarize_or_none,
@@ -32,6 +30,7 @@ from repro.analysis.stats import (
 from repro.analysis.tables import table1_rows
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.errors import AnalysisError
+from repro.store.aggregates import AggregateBook, availability_from_aggregates
 
 
 class TestQuantiles:
@@ -92,9 +91,6 @@ class TestSummarize:
         assert summarize_or_none([]) is None
         assert summarize_or_none([1.0]) is not None
 
-    def test_mad(self):
-        assert median_absolute_deviation([1.0, 1.0, 2.0, 2.0, 4.0]) == 1.0
-
     def test_describe(self):
         assert "med=" in summarize([1.0, 2.0]).describe()
 
@@ -153,8 +149,22 @@ class TestAvailability:
         assert report.dominant_error_class == "connect_timeout"
 
     def test_report_filtered_by_vantage(self):
-        report = availability_report(build_store(), vantage="v2")
-        assert report.errors == 0
+        book = AggregateBook.from_records(build_store())
+        assert availability_from_aggregates(book, vantage="v2").errors == 0
+        assert availability_from_aggregates(book).describe() == (
+            availability_report(build_store()).describe()
+        )
+
+    def test_aggregate_groups_are_dns_query_summaries_in_key_order(self):
+        book = AggregateBook.from_records(build_store())
+        keys = [(g.vantage, g.resolver, g.transport, g.kind) for g in book.groups()]
+        assert keys == sorted(keys)
+        # r1's ping group is in the book but is not a DNS-query summary.
+        assert ("v1", "r1", "icmp", "ping") not in keys
+        assert {kind for *_rest, kind in keys} == {"dns_query"}
+        assert [(g.vantage, g.resolver) for g in book.groups("v2")] == [
+            ("v2", "r1"), ("v2", "r2"),
+        ]
 
     def test_per_resolver_availability(self):
         rates = per_resolver_availability(build_store())
@@ -195,18 +205,24 @@ class TestResponseTimes:
         medians = resolver_medians(build_store(), vantage="v1", resolvers=["r1"])
         assert set(medians) == {"r1"}
 
-    def test_max_median_by_vantage(self):
-        maxima = max_median_by_vantage(build_store(), ["v1", "v2"])
-        assert maxima["v1"] == ("r2", 110.0)
-        assert maxima["v2"][0] == "r1"  # 240 > 115
-
     def test_largest_vantage_deltas(self):
         deltas = largest_vantage_deltas(
-            build_store(), ["r1", "r2"], near_vantage="v1", far_vantage="v2", top_n=2
+            build_store(), ["r1", "r2"], near_vantage="v1", far_vantage="v2"
         )
         assert deltas[0].resolver == "r1"  # 240 - 12 = 228 dominates
         assert deltas[0].delta_ms == pytest.approx(228.0)
         assert deltas[0].ratio == pytest.approx(20.0)
+
+    def test_largest_vantage_deltas_keeps_the_five_largest_gaps(self):
+        store = ResultStore()
+        for index in range(7):
+            store.add(record(f"r{index}", "v1", duration=10.0))
+            store.add(record(f"r{index}", "v2", duration=10.0 + 10.0 * index))
+        deltas = largest_vantage_deltas(
+            store, [f"r{index}" for index in range(7)], near_vantage="v1", far_vantage="v2"
+        )
+        assert [d.resolver for d in deltas] == ["r6", "r5", "r4", "r3", "r2"]
+        assert [d.delta_ms for d in deltas] == [60.0, 50.0, 40.0, 30.0, 20.0]
 
     def test_local_winners(self):
         winners = local_winners(build_store(), "v1", ["r1"], ["r2"])
@@ -259,6 +275,19 @@ class TestFiguresAndTables:
         assert "r1*" in text  # mainstream marker
         assert "no successful queries" in text  # r3
         assert "|" in text  # median markers
+
+    def test_render_boxplot_bars_are_48_columns(self):
+        rows = figure_rows(build_store(), "v1", ["r1", "r2", "r3"], ["r1"])
+        lines = render_boxplot_rows(rows).splitlines()
+        # The header's axis runs "0ms", 38 dots, then the scale maximum.
+        assert lines[0].split()[-3:-1] == ["0ms", "·" * 38]
+        # Each bar follows the name column (longest name + 2), a space, an
+        # 8-wide median and two spaces.
+        bar_start = len("r1") + 2 + 1 + 8 + 2
+        bars = [line for line in lines[1:] if line.startswith(("r1", "r2"))]
+        assert len(bars) == 2
+        for line in bars:
+            assert len(line) - bar_start == 48, line
 
     def test_render_boxplot_empty(self):
         assert render_boxplot_rows([]) == "(no data)"

@@ -109,6 +109,22 @@ class TestLatencyCorrelation:
         assert outlier_names == {"slowware"}
         assert "slowware" in correlation.describe()
 
+    def test_outliers_lie_past_twice_or_half_the_median_multiple(self):
+        # DNS/ping multiples 1.0, 1.5, 3, 3, 3, 6, 7; the median is 3.
+        correlation = LatencyCorrelation(vantage="v", pairs=[
+            ("below-half", 10.0, 10.0),
+            ("half", 10.0, 15.0),
+            ("a", 10.0, 30.0),
+            ("b", 20.0, 60.0),
+            ("c", 30.0, 90.0),
+            ("twice", 10.0, 60.0),
+            ("past-twice", 10.0, 70.0),
+        ])
+        assert correlation.median_rtt_multiple == 3.0
+        assert [name for name, _p, _d in correlation.outliers()] == [
+            "below-half", "past-twice",
+        ]
+
     def test_icmp_silent_resolvers_skipped(self):
         store = _store_with([("a", 10.0, 30.0), ("b", 50.0, 150.0), ("c", 90.0, 280.0)])
         # d answers DNS but not ping.

@@ -3,9 +3,8 @@
 import csv
 import io
 
-from repro.analysis.export import deltas_to_csv, figure_rows_to_csv, write_csv
+from repro.analysis.export import figure_rows_to_csv, write_csv
 from repro.analysis.figures import FigureRow
-from repro.analysis.response_times import VantageDelta
 from repro.analysis.stats import summarize
 
 
@@ -44,16 +43,3 @@ class TestFigureCsv:
         path = write_csv("a,b\n1,2\n", tmp_path / "sub" / "out.csv")
         assert path.read_text() == "a,b\n1,2\n"
 
-
-class TestDeltaCsv:
-    def test_rows(self):
-        deltas = [
-            VantageDelta(
-                resolver="dns.twnic.tw", near_vantage="ec2-seoul",
-                far_vantage="ec2-frankfurt", near_median_ms=60.0, far_median_ms=300.0,
-            )
-        ]
-        rows = list(csv.DictReader(io.StringIO(deltas_to_csv(deltas))))
-        assert rows[0]["resolver"] == "dns.twnic.tw"
-        assert float(rows[0]["delta_ms"]) == 240.0
-        assert float(rows[0]["ratio"]) == 5.0

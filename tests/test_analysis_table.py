@@ -61,8 +61,8 @@ class Oracle:
     # -- availability ---------------------------------------------------------
 
     @staticmethod
-    def availability_report(store, vantage=None):
-        records = store.filter(kind="dns_query", vantage=vantage)
+    def availability_report(store):
+        records = store.filter(kind="dns_query")
         successes = sum(1 for r in records if r.success)
         failures = [r for r in records if not r.success]
         breakdown = Counter(r.error_class or "unknown" for r in failures)
@@ -102,8 +102,8 @@ class Oracle:
         return {error_class: count / total for error_class, count in counts.items()}
 
     @staticmethod
-    def retry_burden(store, vantage=None):
-        records = store.filter(kind="dns_query", vantage=vantage)
+    def retry_burden(store):
+        records = store.filter(kind="dns_query")
         if not records:
             return 0.0
         return sum(r.attempts for r in records) / len(records)
@@ -175,16 +175,7 @@ class Oracle:
         return out
 
     @staticmethod
-    def max_median_by_vantage(store, vantages):
-        out = {}
-        for vantage in vantages:
-            medians = Oracle.resolver_medians(store, vantage=vantage)
-            if medians:
-                out[vantage] = max(medians.items(), key=lambda item: item[1])
-        return out
-
-    @staticmethod
-    def largest_vantage_deltas(store, resolvers, near_vantage, far_vantage, top_n=5):
+    def largest_vantage_deltas(store, resolvers, near_vantage, far_vantage):
         near = Oracle.resolver_medians(store, vantage=near_vantage, resolvers=resolvers)
         far = Oracle.resolver_medians(store, vantage=far_vantage, resolvers=resolvers)
         deltas = [
@@ -199,7 +190,7 @@ class Oracle:
             if resolver in far
         ]
         deltas.sort(key=lambda d: d.delta_ms, reverse=True)
-        return deltas[:top_n]
+        return deltas[:5]
 
     @staticmethod
     def local_winners(store, vantage, candidates, mainstream):
@@ -235,7 +226,7 @@ class Oracle:
     # -- figures and tables ---------------------------------------------------
 
     @staticmethod
-    def figure_rows(store, vantage, hostnames, mainstream_hostnames=(), sort_by_median=True):
+    def figure_rows(store, vantage, hostnames, mainstream_hostnames=()):
         mainstream = set(mainstream_hostnames)
         rows = []
         for hostname in hostnames:
@@ -251,10 +242,9 @@ class Oracle:
                     ),
                 )
             )
-        if sort_by_median:
-            rows.sort(
-                key=lambda row: row.dns_stats.median if row.dns_stats is not None else float("inf")
-            )
+        rows.sort(
+            key=lambda row: row.dns_stats.median if row.dns_stats is not None else float("inf")
+        )
         return rows
 
     @staticmethod
@@ -295,15 +285,15 @@ class Oracle:
         return rows
 
     @staticmethod
-    def table2_rows(store, near_vantage="ec2-seoul", far_vantage="ec2-frankfurt", top_n=5):
+    def table2_rows(store):
         return Oracle.largest_vantage_deltas(
-            store, tables._region_non_mainstream("AS"), near_vantage, far_vantage, top_n
+            store, tables._region_non_mainstream("AS"), "ec2-seoul", "ec2-frankfurt"
         )
 
     @staticmethod
-    def table3_rows(store, near_vantage="ec2-frankfurt", far_vantage="ec2-seoul", top_n=5):
+    def table3_rows(store):
         return Oracle.largest_vantage_deltas(
-            store, tables._region_non_mainstream("EU"), near_vantage, far_vantage, top_n
+            store, tables._region_non_mainstream("EU"), "ec2-frankfurt", "ec2-seoul"
         )
 
     # -- phases ---------------------------------------------------------------
@@ -363,11 +353,9 @@ class Oracle:
         return deltas
 
     @staticmethod
-    def error_phases(store, vantage=None, resolver=None):
+    def error_phases(store):
         counts: Dict[str, int] = {}
-        for record in store.filter(
-            kind="dns_query", vantage=vantage, resolver=resolver, success=False
-        ):
+        for record in store.filter(kind="dns_query", success=False):
             phase = record.failed_phase or "(unknown)"
             counts[phase] = counts.get(phase, 0) + 1
         return dict(sorted(counts.items()))
@@ -456,17 +444,12 @@ class Oracle:
             successes, total = self.query_counts.get((campaign, resolver), (0, 0))
             return successes / total if total else 0.0
 
-        def reports(self, base, laters, latency_factor, availability_drop):
+        def reports(self, base, laters):
             base_medians = self._medians(base)
             reports = []
             for later in laters:
                 later_medians = self._medians(later)
-                report = DriftReport(
-                    base_campaign=base,
-                    later_campaign=later,
-                    latency_factor=latency_factor,
-                    availability_drop=availability_drop,
-                )
+                report = DriftReport(base_campaign=base, later_campaign=later)
                 for resolver in sorted(set(base_medians) & set(later_medians)):
                     report.per_resolver.append(
                         ResolverDrift(
@@ -485,25 +468,12 @@ class Oracle:
         return Oracle._CampaignTallies(store).ordered()
 
     @staticmethod
-    def drift_report(store, base_campaign, later_campaign, vantage=None,
-                     latency_factor=2.0, availability_drop=0.2):
-        tallies = Oracle._CampaignTallies(store, vantage)
-        if base_campaign not in tallies.first_seen:
-            raise AnalysisError(f"no records for baseline campaign {base_campaign!r}")
-        if later_campaign not in tallies.first_seen:
-            raise AnalysisError(f"no records for campaign {later_campaign!r}")
-        return tallies.reports(
-            base_campaign, [later_campaign], latency_factor, availability_drop
-        )[0]
-
-    @staticmethod
-    def drift_reports_from_records(records, vantage=None, latency_factor=2.0,
-                                   availability_drop=0.2):
+    def drift_reports_from_records(records, vantage=None):
         tallies = Oracle._CampaignTallies(records, vantage)
         ordered = tallies.ordered()
         if len(ordered) < 2:
             raise AnalysisError("need at least two campaigns for drift analysis")
-        return tallies.reports(ordered[0], ordered[1:], latency_factor, availability_drop)
+        return tallies.reports(ordered[0], ordered[1:])
 
     # -- sessions -------------------------------------------------------------
 
@@ -708,40 +678,36 @@ def _store(records) -> ResultStore:
 def _calls(store):
     """(name, new function, oracle function, args, kwargs) for every public function."""
     mainstream = ("dns.google",)
+    for name, module in (
+        ("availability_report", availability),
+        ("retry_burden", availability),
+        ("error_phases", phases),
+    ):
+        yield name, getattr(module, name), getattr(Oracle, name), (store,), {}
     for vantage in (None, "ec2-seoul", "home-chicago-1"):
         for name, module in (
-            ("availability_report", availability),
             ("per_resolver_error_breakdown", availability),
             ("error_class_shares", availability),
-            ("retry_burden", availability),
             ("per_resolver_availability", availability),
             ("unresponsive_resolvers", availability),
             ("resolver_medians", response_times),
         ):
             yield name, getattr(module, name), getattr(Oracle, name), (store,), {"vantage": vantage}
-        for resolver in (None, "dns.twnic.tw"):
-            yield "error_phases", phases.error_phases, Oracle.error_phases, (store,), {
-                "vantage": vantage, "resolver": resolver}
         for resolver in RESOLVERS[:3]:
             for name, module in (
                 ("resolver_median", response_times),
                 ("variability", response_times),
-                ("phase_breakdown", phases),
             ):
                 yield name, getattr(module, name), getattr(Oracle, name), (store, resolver), {
                     "vantage": vantage}
         yield "drift_reports_from_records", longitudinal.drift_reports_from_records, \
             Oracle.drift_reports_from_records, (store,), {"vantage": vantage}
-        yield "drift_report", longitudinal.drift_report, Oracle.drift_report, \
-            (store, "base", "later"), {"vantage": vantage}
     yield "resolver_medians", response_times.resolver_medians, Oracle.resolver_medians, (store,), {
         "vantage": "ec2-frankfurt", "resolvers": RESOLVERS[1:4]}
     yield "failure_pattern_consistency", availability.failure_pattern_consistency, \
         Oracle.failure_pattern_consistency, (store,), {}
-    yield "max_median_by_vantage", response_times.max_median_by_vantage, \
-        Oracle.max_median_by_vantage, (store, VANTAGES), {}
     yield "largest_vantage_deltas", response_times.largest_vantage_deltas, \
-        Oracle.largest_vantage_deltas, (store, RESOLVERS, "ec2-seoul", "ec2-frankfurt"), {"top_n": 3}
+        Oracle.largest_vantage_deltas, (store, RESOLVERS, "ec2-seoul", "ec2-frankfurt"), {}
     yield "local_winners", response_times.local_winners, Oracle.local_winners, \
         (store, "ec2-seoul", RESOLVERS[1:], mainstream), {}
     for vantage in VANTAGES:
@@ -786,13 +752,9 @@ def test_sample_lists_match_the_reference_as_multisets(records):
     store = _store(records)
     for vantage in (None, "ec2-seoul"):
         for resolver in (None, "dns.google"):
-            for new, old in (
-                (response_times.query_durations, Oracle.query_durations),
-                (response_times.ping_durations, Oracle.ping_durations),
-            ):
-                assert sorted(new(store, vantage=vantage, resolver=resolver)) == sorted(
-                    old(store, vantage=vantage, resolver=resolver)
-                )
+            assert sorted(
+                response_times.query_durations(store, vantage=vantage, resolver=resolver)
+            ) == sorted(Oracle.query_durations(store, vantage=vantage, resolver=resolver))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,8 @@
-"""Tests for DNS stamps and the DNSCrypt public-list scraper."""
+"""Tests for the DNS stamp codec."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.catalog.sources import (
-    doh_resolvers,
-    parse_public_resolvers,
-    sample_public_resolvers_md,
-)
 from repro.catalog.stamps import (
     PROP_DNSSEC,
     PROP_NO_FILTER,
@@ -149,46 +144,3 @@ class TestStampCodec:
             with pytest.raises(type(first)):
                 decode_stamp(uri)
 
-
-class TestScraper:
-    def test_sample_parses(self):
-        resolvers = parse_public_resolvers(sample_public_resolvers_md())
-        # 12 DoH rows + 1 plain row; the broken row is skipped.
-        assert len(resolvers) == 13
-        names = {resolver.list_name for resolver in resolvers}
-        assert "legacy-plain" in names
-        assert "broken-row" not in names
-
-    def test_doh_filter(self):
-        resolvers = doh_resolvers(sample_public_resolvers_md())
-        assert len(resolvers) == 12
-        assert all(resolver.is_doh for resolver in resolvers)
-        hostnames = {resolver.hostname for resolver in resolvers}
-        assert "dns.google" in hostnames
-
-    def test_descriptions_captured(self):
-        resolvers = parse_public_resolvers(sample_public_resolvers_md())
-        google = next(r for r in resolvers if r.hostname == "dns.google")
-        assert "Operated by Google" in google.description
-
-    def test_empty_document(self):
-        assert parse_public_resolvers("") == []
-        assert parse_public_resolvers("# Title only\n\nprose\n") == []
-
-    def test_section_without_stamp_skipped(self):
-        markdown = (
-            "## no-stamp\n\nJust words.\n\n## real\n\n"
-            + encode_stamp(doh_stamp("r.example"))
-        )
-        resolvers = parse_public_resolvers(markdown)
-        assert [r.list_name for r in resolvers] == ["real"]
-
-    def test_first_stamp_per_section_wins(self):
-        markdown = (
-            "## multi\n\n"
-            + encode_stamp(doh_stamp("first.example")) + "\n"
-            + encode_stamp(doh_stamp("second.example")) + "\n"
-        )
-        resolvers = parse_public_resolvers(markdown)
-        assert len(resolvers) == 1
-        assert resolvers[0].hostname == "first.example"

@@ -287,6 +287,14 @@ class TestErrorBoundary:
                 ["trace", "--resolver", "dns.google", "dns.gogle.typo"],
                 "unknown resolvers: dns.gogle.typo",
             ),
+            # trace refuses the same burst, and a negative span limit.
+            (
+                ["trace", "--interval-hours", "0", "--rounds", "2"],
+                "--interval-hours must be positive: every round would start at "
+                "one instant",
+            ),
+            (["trace", "--tree", "--max-spans", "-3"], "--max-spans must be >= 0 (got -3)"),
+            (["trace", "--interval-hours", "-1"], "negative schedule interval/stagger"),
         ],
     )
     def test_exit_2_and_the_message(self, argv, message, tmp_path, capsys, monkeypatch):
@@ -299,6 +307,12 @@ class TestErrorBoundary:
         assert message in err.splitlines()[-1]
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_trace_tree_with_no_spans_allowed_prints_only_the_count(self, tmp_path, capsys):
+        spans = tmp_path / "trace.jsonl"
+        assert main(["trace", *CAMPAIGN, "--tree", "--max-spans", "0", "--output", str(spans)]) == 0
+        count = len(spans.read_text().splitlines())
+        assert capsys.readouterr().out.splitlines()[-1] == f"... ({count} more spans)"
 
     def test_measure_spec_refuses_an_unknown_resolver(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

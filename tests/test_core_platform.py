@@ -150,6 +150,16 @@ class TestVantagePoints:
         assert home.host.access.delay_ms > ec2.host.access.delay_ms
         assert "Chicago" in home.region_label
 
+    def test_ec2_is_a_datacenter_and_home_is_broadband(self):
+        from repro.netsim.latency import DATACENTER, HOME_BROADBAND
+
+        net = make_quiet_network()
+        ec2 = make_ec2_vantage(net, "ohio", "198.18.0.1", CITIES["columbus"])
+        home = make_home_vantage(net, "home", "198.18.0.2", CITIES["chicago"])
+        assert ec2.host.access is DATACENTER
+        assert home.host.access is HOME_BROADBAND
+        assert (home.host.name, home.city) == ("vantage-home", CITIES["chicago"])
+
     def test_hosts_attached_to_network(self):
         net = make_quiet_network()
         vantage = make_ec2_vantage(net, "ohio", "198.18.0.1", CITIES["columbus"])

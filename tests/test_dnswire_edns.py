@@ -1,18 +1,15 @@
-"""Tests for EDNS(0) handling and query padding."""
+"""Tests for EDNS(0) handling."""
 
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.dnswire.builder import make_query
 from repro.dnswire.edns import (
-    OPTION_PADDING,
     EdnsOption,
     EdnsOptions,
     add_edns,
     get_edns,
-    pad_query,
 )
 from repro.dnswire.message import Message
 from repro.dnswire.types import TYPE_OPT
@@ -67,27 +64,3 @@ class TestEdnsRecord:
         options = EdnsOptions(extended_rcode=0xAB)
         assert EdnsOptions.from_record(options.to_record()).extended_rcode == 0xAB
 
-
-class TestPadding:
-    def test_padded_query_is_block_multiple(self):
-        query = pad_query(make_query("a.example", msg_id=0))
-        assert len(query.to_wire()) % 128 == 0
-
-    def test_padding_option_present(self):
-        query = pad_query(make_query("a.example", msg_id=0))
-        edns = get_edns(query)
-        assert any(option.code == OPTION_PADDING for option in edns.options)
-
-    def test_padding_is_idempotent_in_size(self):
-        once = pad_query(make_query("a.example", msg_id=0))
-        twice = pad_query(once)
-        assert len(twice.to_wire()) == len(once.to_wire())
-
-    def test_custom_block_size(self):
-        query = pad_query(make_query("a.example", msg_id=0), block_size=64)
-        assert len(query.to_wire()) % 64 == 0
-
-    @given(label=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=40))
-    def test_property_padded_sizes_hide_name_length(self, label):
-        query = pad_query(make_query(f"{label}.example", msg_id=0))
-        assert len(query.to_wire()) % 128 == 0

@@ -167,7 +167,7 @@ def dot_store():
 
 
 def test_dot_records_carry_phase_attribution(dot_store):
-    from repro.analysis.phases import phase_breakdown
+    from repro.analysis.phases import phase_breakdowns
 
     queries = [r for r in dot_store.records if r.kind == "dns_query"]
     assert queries and all(r.transport == "dot" for r in queries)
@@ -177,8 +177,9 @@ def test_dot_records_carry_phase_attribution(dot_store):
             assert record.tls_ms is not None and record.tls_ms > 0
             assert record.query_ms is not None
 
-    breakdown = phase_breakdown(dot_store, "dns.google", "ec2-ohio")
-    assert breakdown is not None
+    [breakdown] = phase_breakdowns(
+        dot_store, vantages=["ec2-ohio"], resolvers=["dns.google"]
+    )
     assert breakdown.establishment_ms > 0
     assert 0.0 < breakdown.establishment_share < 1.0
 

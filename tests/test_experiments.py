@@ -21,7 +21,7 @@ from repro.experiments.campaigns import (
     run_study,
 )
 from repro.experiments.paper import PAPER_VALUES, generate_report
-from repro.experiments.world import DEFAULT_VANTAGES, build_world
+from repro.experiments.world import DEFAULT_VANTAGES, STUDY_DOMAIN_NAMES, build_world
 from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
 
 
@@ -66,6 +66,49 @@ class TestWorldBuilder:
         site = world.deployment("dns.brahma.world").sites[0]
         key = (Name.from_text("google.com."), TYPE_A, CLASS_IN)
         assert key in site.cache
+
+    @staticmethod
+    def _cached_study_domains(site):
+        """The study domains whose answer (an A, or wikipedia.com's CNAME)
+        ``site`` holds."""
+        from repro.dnswire.name import Name
+        from repro.dnswire.types import CLASS_IN, TYPE_A, TYPE_CNAME
+
+        return [
+            domain
+            for domain in STUDY_DOMAIN_NAMES
+            if any((Name.from_text(domain), rdtype, CLASS_IN) in site.cache
+                   for rdtype in (TYPE_A, TYPE_CNAME))
+        ]
+
+    @staticmethod
+    def _live_sites(world):
+        return [
+            site
+            for deployment in world.deployments.values()
+            for site in deployment.sites
+            if not site.host.blackholed and site.engine is not None
+        ]
+
+    def test_warming_a_cold_world_caches_every_study_domain_on_every_live_site(self):
+        world = make_mini_world(seed=9, warm=False)
+        sites = self._live_sites(world)
+        assert sites
+        assert not any(self._cached_study_domains(site) for site in sites)
+        world.warm_resolver_caches()
+        for site in sites:
+            assert self._cached_study_domains(site) == list(STUDY_DOMAIN_NAMES), site.host.name
+
+    def test_cache_refresh_resolves_the_study_domains_at_its_instant(self):
+        world = make_mini_world(seed=9, warm=False)
+        at_ms = world.network.now + 60_000.0
+        world.schedule_cache_refresh(at_ms)
+        sites = self._live_sites(world)
+        world.network.run(until=at_ms - 1.0)
+        assert not any(self._cached_study_domains(site) for site in sites)
+        world.network.run()
+        for site in sites:
+            assert self._cached_study_domains(site) == list(STUDY_DOMAIN_NAMES), site.host.name
 
     def test_unknown_names_raise(self, mini_world):
         with pytest.raises(CampaignConfigError):
@@ -115,6 +158,14 @@ class TestCampaignConfigs:
     def test_ec2_config_shape(self):
         config = ec2_campaign_config(rounds=6)
         assert config.schedule.rounds == 6
+
+    def test_recheck_config_runs_six_rounds(self):
+        assert monthly_recheck_config("feb-2024", start_ms=1000.0).schedule.rounds == 6
+
+    def test_fault_config_seed_is_fixed_whatever_the_rounds(self):
+        from repro.experiments.campaigns import fault_campaign_config
+
+        assert {fault_campaign_config(rounds=rounds).seed for rounds in (2, 8)} == {404}
 
     def test_recheck_config_starts_later(self):
         config = monthly_recheck_config("feb-2024", start_ms=1000.0)

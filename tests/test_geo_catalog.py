@@ -6,34 +6,26 @@ from repro.catalog.browsers import (
     BROWSER_MATRIX,
     PROVIDER_HOSTNAMES,
     PROVIDERS,
-    browsers_offering,
     mainstream_hostnames,
-    resolvers_in_browser,
 )
 from repro.catalog.resolvers import (
     CATALOG,
     PERF_TIERS,
+    REFERENCE_HOSTNAMES,
     RELIABILITY_TIERS,
     entries_by_region,
     entry_for,
-    mainstream_entries,
-    non_mainstream_entries,
-    reference_set,
 )
 from repro.errors import AddressError, CatalogError, GeoError
 from repro.geo.db import GeoDatabase, GeoRecord
 from repro.geo.ipalloc import IpAllocator
-from repro.geo.regions import CITIES, continent_name
+from repro.geo.regions import CITIES
 
 
 class TestRegions:
     def test_all_cities_have_valid_continents(self):
         for city in CITIES.values():
             assert city.continent in ("NA", "SA", "EU", "AS", "AF", "OC")
-
-    def test_continent_names(self):
-        assert continent_name("NA") == "North America"
-        assert continent_name("??") == "??"
 
     def test_study_cities_present(self):
         for key in ("chicago", "columbus", "frankfurt", "seoul"):
@@ -123,11 +115,12 @@ class TestCatalog:
             assert entry.anycast == (len(entry.cities) > 1)
 
     def test_mainstream_all_anycast(self):
-        for entry in mainstream_entries():
-            assert entry.anycast, entry.hostname
+        for entry in CATALOG:
+            if entry.mainstream:
+                assert entry.anycast, entry.hostname
 
     def test_most_non_mainstream_unicast(self):
-        non_main = non_mainstream_entries()
+        non_main = [entry for entry in CATALOG if not entry.mainstream]
         unicast = [entry for entry in non_main if not entry.anycast]
         assert len(unicast) / len(non_main) > 0.75
 
@@ -144,7 +137,7 @@ class TestCatalog:
             entry_for("not.a.resolver")
 
     def test_reference_set_contains_he_and_big_three(self):
-        hostnames = {entry.hostname for entry in reference_set()}
+        hostnames = {entry_for(hostname).hostname for hostname in REFERENCE_HOSTNAMES}
         assert "ordns.he.net" in hostnames
         assert "dns.google" in hostnames
         assert "dns.quad9.net" in hostnames
@@ -202,7 +195,7 @@ class TestBrowserMatrix:
         assert set(BROWSER_MATRIX["Opera"]) == {"Cloudflare", "Google"}
 
     def test_cloudflare_in_every_browser(self):
-        assert set(browsers_offering("Cloudflare")) == set(BROWSER_MATRIX)
+        assert all("Cloudflare" in offered for offered in BROWSER_MATRIX.values())
 
     def test_provider_hostnames_resolve_in_catalog(self):
         for hostnames in PROVIDER_HOSTNAMES.values():
@@ -212,10 +205,8 @@ class TestBrowserMatrix:
 
     def test_mainstream_hostnames_match_catalog_flags(self):
         assert set(mainstream_hostnames()) == {
-            entry.hostname for entry in mainstream_entries()
+            entry.hostname for entry in CATALOG if entry.mainstream
         }
 
-    def test_resolvers_in_browser(self):
-        chrome = resolvers_in_browser("Chrome")
-        assert "dns.google" in chrome
-        assert "doh.opendns.com" not in chrome  # Chrome lacks OpenDNS per Table 1
+    def test_chrome_offers_all_but_opendns(self):
+        assert set(BROWSER_MATRIX["Chrome"]) == set(PROVIDERS) - {"OpenDNS"}

@@ -5,17 +5,13 @@ import random
 
 import pytest
 
-from repro.analysis.longitudinal import (
-    campaigns_in_order,
-    drift_report,
-    drift_reports_from_records,
-)
+from repro.analysis.longitudinal import campaigns_in_order, drift_reports_from_records
 from repro.analysis.response_times import resolver_medians
 from repro.core.probes import Do53Probe, ProbeConfig
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
-from repro.dnswire.edns import EDE_NOT_READY, get_ede, make_ede_option
+from repro.dnswire.edns import EDE_NOT_READY, OPTION_EDE, get_edns, make_ede_option
 from repro.dnswire.types import TYPE_TXT
 from repro.errors import AnalysisError, CampaignConfigError
 from repro.experiments.campaigns import run_study
@@ -45,14 +41,14 @@ class TestLongitudinal:
         assert campaigns_in_order(self._store()) == ["base", "later"]
 
     def test_drift_detection(self):
-        report = drift_report(self._store(), "base", "later")
+        [report] = drift_reports_from_records(self._store())
         drifted = {d.resolver for d in report.drifted}
         assert drifted == {"degraded.example"}
         assert report.stable_fraction == 0.5
         assert "DRIFT degraded.example" in report.describe()
 
     def test_latency_ratio(self):
-        report = drift_report(self._store(), "base", "later")
+        [report] = drift_reports_from_records(self._store())
         by_name = {d.resolver: d for d in report.per_resolver}
         assert by_name["degraded.example"].latency_ratio == pytest.approx(5.0)
         assert by_name["stable.example"].latency_ratio == pytest.approx(13.0 / 12.0)
@@ -63,20 +59,42 @@ class TestLongitudinal:
             store.add(record("base", "r.example", 10.0, started=0.0))
             success = index == 0  # 25% availability later
             store.add(record("later", "r.example", 10.0, success=success, started=1000.0))
-        report = drift_report(store, "base", "later")
+        [report] = drift_reports_from_records(store)
         assert report.drifted
+
+    def test_latency_drift_starts_past_twice_or_half_the_baseline(self):
+        store = ResultStore()
+        laters = {"double.example": 20.0, "over.example": 20.5,
+                  "half.example": 5.0, "under.example": 4.5}
+        for resolver, later in laters.items():
+            store.add(record("base", resolver, 10.0, started=0.0))
+            store.add(record("later", resolver, later, started=1000.0))
+        [report] = drift_reports_from_records(store)
+        assert (report.latency_factor, report.availability_drop) == (2.0, 0.2)
+        assert {d.resolver for d in report.drifted} == {"over.example", "under.example"}
+
+    def test_availability_drift_starts_past_a_twenty_point_drop(self):
+        store = ResultStore()
+        # 5 later queries, 4 answered: a drop of exactly 20 points.
+        for index in range(5):
+            store.add(record("base", "edge.example", 10.0, started=0.0))
+            store.add(record("later", "edge.example", 10.0, success=index > 0,
+                             started=1000.0))
+        # 4 later queries, 3 answered: a drop of 25 points.
+        for index in range(4):
+            store.add(record("base", "past.example", 10.0, started=0.0))
+            store.add(record("later", "past.example", 10.0, success=index > 0,
+                             started=1000.0))
+        [report] = drift_reports_from_records(store)
+        assert {d.resolver for d in report.drifted} == {"past.example"}
 
     def test_speedup_also_counts_as_drift(self):
         store = ResultStore()
         for _ in range(3):
             store.add(record("base", "r.example", 100.0, started=0.0))
             store.add(record("later", "r.example", 10.0, started=1000.0))
-        report = drift_report(store, "base", "later")
+        [report] = drift_reports_from_records(store)
         assert report.drifted  # "changed drastically" cuts both ways
-
-    def test_missing_campaign_rejected(self):
-        with pytest.raises(AnalysisError):
-            drift_report(self._store(), "base", "nonexistent")
 
     def test_zero_baseline_median_reports_no_baseline_not_drift(self):
         """Regression: an ``inf`` latency ratio used to flag every resolver
@@ -86,7 +104,7 @@ class TestLongitudinal:
         for value in (10.0, 12.0, 14.0):
             store.add(record("base", "fresh.example", 0.0, started=0.0))
             store.add(record("later", "fresh.example", value, started=1000.0))
-        report = drift_report(store, "base", "later")
+        [report] = drift_reports_from_records(store)
         by_name = {d.resolver: d for d in report.per_resolver}
         fresh = by_name["fresh.example"]
         assert not fresh.has_baseline
@@ -114,7 +132,7 @@ class TestLongitudinal:
             store.add(
                 record("later", "r.example", 10.0, success=success, started=1000.0)
             )
-        report = drift_report(store, "base", "later")
+        [report] = drift_reports_from_records(store)
         # No latency baseline, but the availability collapse is real: the
         # resolver reports as no-baseline, not silently dropped.
         assert [d.resolver for d in report.no_baseline] == ["r.example"]
@@ -239,6 +257,12 @@ class TestTruncationFallback:
         assert outcomes[0].error_detail is None  # no fallback happened
 
 
+def _ede_options(message):
+    """The Extended DNS Error options (RFC 8914) a message carries."""
+    edns = get_edns(message)
+    return [o for o in edns.options if o.code == OPTION_EDE] if edns else []
+
+
 class TestExtendedDnsErrors:
     def test_ede_option_round_trip(self):
         from repro.dnswire.builder import make_query
@@ -248,13 +272,12 @@ class TestExtendedDnsErrors:
         message = make_query("example.com", msg_id=0)
         attach_ede(message, EDE_NOT_READY, "overloaded")
         decoded = Message.from_wire(message.to_wire())
-        ede = get_ede(decoded)
-        assert ede == (EDE_NOT_READY, "overloaded")
+        assert _ede_options(decoded) == [make_ede_option(EDE_NOT_READY, "overloaded")]
 
     def test_ede_absent_returns_none(self):
         from repro.dnswire.builder import make_query
 
-        assert get_ede(make_query("example.com", msg_id=0)) is None
+        assert _ede_options(make_query("example.com", msg_id=0)) == []
 
     def test_make_ede_option_shape(self):
         option = make_ede_option(22, "hi")
@@ -285,5 +308,5 @@ class TestExtendedDnsErrors:
         wire = decode_doh_response(responses[0])
         message = Message.from_wire(wire)
         assert message.rcode == 2  # SERVFAIL
-        ede = get_ede(message)
-        assert ede is not None and ede[0] == EDE_NOT_READY
+        [ede] = _ede_options(message)
+        assert ede.value[:2] == EDE_NOT_READY.to_bytes(2, "big")

@@ -84,13 +84,16 @@ class TestRenderEdgeCases:
         text = render_boxplot_rows(rows, include_ping=True)
         assert "(ping)" in text
 
-    def test_explicit_scale(self):
-        rows = [
-            FigureRow(resolver="r", mainstream=True,
-                      dns_stats=summarize([100.0, 120.0]), ping_stats=None)
-        ]
-        text = render_boxplot_rows(rows, scale_max_ms=200.0)
-        assert "200ms" in text
+    def test_scale_is_highest_whisker_plus_tenth_capped_at_600(self):
+        def scale_of(samples):
+            rows = [
+                FigureRow(resolver="r", mainstream=True,
+                          dns_stats=summarize(samples), ping_stats=None)
+            ]
+            return render_boxplot_rows(rows).splitlines()[0].split()[-1]
+
+        assert scale_of([100.0, 120.0]) == "132ms"
+        assert scale_of([1000.0, 1200.0]) == "600ms"
 
 
 class TestH1KeepAliveDoH:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -96,6 +97,11 @@ class TestSloSpec:
         assert by_name["latency-p95-ceiling"].threshold == 750.0
         assert by_name["latency-p99-ceiling"].threshold == 1500.0
         assert by_name["establishment-error-budget"].threshold == 0.10
+
+    def test_default_policy_uses_the_default_window_and_cusum(self):
+        policy = default_policy()
+        assert policy.window == WindowConfig()
+        assert policy.cusum == CusumConfig()
 
     def test_establishment_classes_cover_the_paper_group(self):
         assert ESTABLISHMENT_CLASS_VALUES == (
@@ -544,7 +550,7 @@ class TestMonitorEngineUnits:
     def _policy(self, **window):
         window.setdefault("records", 10)
         window.setdefault("min_samples", 4)
-        return default_policy(window=WindowConfig(**window))
+        return replace(default_policy(), window=WindowConfig(**window))
 
     def test_fire_then_resolve_hysteresis(self):
         monitor = Monitor(self._policy())
@@ -613,7 +619,8 @@ class TestMonitorEngineUnits:
         assert {"latency-p95-ceiling", "latency-p99-ceiling"} <= slos
 
     def test_cusum_alert_on_latency_step(self):
-        policy = default_policy(
+        policy = replace(
+            default_policy(),
             window=WindowConfig(records=200, min_samples=200),
             cusum=CusumConfig(alpha=0.1, k=0.5, h=5.0, min_samples=10),
         )

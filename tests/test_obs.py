@@ -12,7 +12,6 @@ import pytest
 
 from repro.analysis.phases import (
     error_phases,
-    phase_breakdown,
     phase_breakdowns,
     phase_deltas,
     render_error_phases,
@@ -513,14 +512,15 @@ def phase_store():
 
 class TestPhaseAnalysis:
     def test_breakdown_totals_and_share(self, phase_store):
-        breakdown = phase_breakdown(phase_store, "dns.google", "ec2-frankfurt")
-        assert breakdown is not None
+        [breakdown] = phase_breakdowns(
+            phase_store, vantages=["ec2-frankfurt"], resolvers=["dns.google"]
+        )
         assert breakdown.count > 0
         assert breakdown.median_total_ms > 0
         assert 0.0 <= breakdown.establishment_share <= 1.0
 
     def test_breakdown_none_without_data(self, phase_store):
-        assert phase_breakdown(phase_store, "no.such.resolver") is None
+        assert phase_breakdowns(phase_store, resolvers=["no.such.resolver"]) == []
 
     def test_breakdowns_grid(self, phase_store):
         grid = phase_breakdowns(phase_store, vantages=["ec2-frankfurt", "ec2-seoul"])
@@ -541,12 +541,16 @@ class TestPhaseAnalysis:
         assert delta.establishment_share_of_added > 0.5
 
     def test_anycast_resolver_adds_little(self, phase_store):
-        near = phase_breakdown(phase_store, "dns.google", "ec2-frankfurt")
-        far_unicast = phase_breakdown(phase_store, "dns.brahma.world", "ec2-seoul")
+        [near] = phase_breakdowns(
+            phase_store, vantages=["ec2-frankfurt"], resolvers=["dns.google"]
+        )
+        [far_unicast] = phase_breakdowns(
+            phase_store, vantages=["ec2-seoul"], resolvers=["dns.brahma.world"]
+        )
         assert near.median_total_ms < far_unicast.median_total_ms
 
     def test_error_phases_counts_dead_resolver(self, phase_store):
-        counts = error_phases(phase_store, resolver="dns.pumplex.com")
+        counts = error_phases(phase_store.filter(resolver="dns.pumplex.com"))
         assert counts.get("tcp_connect", 0) > 0
 
     def test_error_phases_unknown_fallback(self):

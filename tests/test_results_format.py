@@ -17,7 +17,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.results import MeasurementRecord, RecordSource, ResultStore
+from repro.core.results import MeasurementRecord, ResultStore
 from repro.errors import ResultsFormatError
 
 # ---------------------------------------------------------------------------
@@ -449,17 +449,3 @@ def test_warehouse_segment_reader_truncated_final_line(tmp_path):
         list(warehouse.iter_records())
     assert "line 2" in str(excinfo.value)
 
-
-# ---------------------------------------------------------------------------
-# RecordSource protocol
-# ---------------------------------------------------------------------------
-
-
-def test_result_store_satisfies_record_source_protocol():
-    assert isinstance(ResultStore(), RecordSource)
-
-
-def test_warehouse_satisfies_record_source_protocol(tmp_path):
-    from repro.store import Warehouse
-
-    assert isinstance(Warehouse(tmp_path / "wh"), RecordSource)
