@@ -19,6 +19,7 @@ from repro.analysis.stats import median
 from repro.catalog.resolvers import CATALOG
 from repro.core.probes import DohProbe, DohProbeConfig
 from repro.experiments.world import build_world
+from repro.session import COLD_TERMS, SessionTerms
 from repro.tlssim.session import SessionCache
 from benchmarks.conftest import print_artifact
 
@@ -32,12 +33,12 @@ def reuse_world():
     return build_world(seed=21, catalog=catalog)
 
 
-def measure_policy(world, config, session_cache=None) -> float:
+def measure_policy(world, config, session=COLD_TERMS) -> float:
     vantage = world.vantage("ec2-ohio")
     deployment = world.deployment(RESOLVER)
     probe = DohProbe(
         vantage.host, deployment.service_ip, RESOLVER, config, rng=random.Random(9),
-        session_cache=session_cache,
+        session=session,
     )
     durations = []
     for _ in range(QUERIES):
@@ -63,8 +64,8 @@ def test_connection_reuse_ablation(benchmark, reuse_world):
             "fresh-1.2": measure_policy(world, DohProbeConfig(tls_versions=("1.2",))),
             "0rtt": measure_policy(
                 world,
-                DohProbeConfig(enable_early_data=True),
-                session_cache=SessionCache(),
+                DohProbeConfig(),
+                session=SessionTerms(session_cache=SessionCache(), enable_early_data=True),
             ),
             "reuse": measure_policy(world, DohProbeConfig(reuse_connections=True)),
         }

@@ -16,6 +16,7 @@ from repro.analysis.stats import median
 from repro.catalog.resolvers import CATALOG
 from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, ProbeConfig
 from repro.experiments.world import build_world
+from repro.session import SessionTerms
 from repro.tlssim.session import SessionCache
 from benchmarks.conftest import print_artifact
 
@@ -68,7 +69,7 @@ def test_doq_vs_doh(benchmark, doq_world):
                 world,
                 DoqProbe(host, deployment.service_ip, RESOLVER,
                          ProbeConfig(), rng=random.Random(1),
-                         session_cache=SessionCache()),
+                         session=SessionTerms(session_cache=SessionCache())),
             ),
             "DoQ reused connection": run_queries(
                 world,

@@ -21,6 +21,7 @@ from repro.analysis.render import render_table
 from repro.analysis.stats import summarize
 from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, ProbeConfig
 from repro.experiments.world import build_world
+from repro.session import COLD_TERMS, SessionTerms
 from repro.tlssim.session import SessionCache
 
 RESOLVER = "dns.brahma.world"  # unicast in Frankfurt: clean RTT structure
@@ -29,13 +30,13 @@ QUERIES = 30
 
 
 def measure(
-    world, policy_name, config, resolver=RESOLVER, probe_cls=DohProbe, session_cache=None
+    world, policy_name, config, resolver=RESOLVER, probe_cls=DohProbe, session=COLD_TERMS
 ) -> tuple:
     vantage = world.vantage(VANTAGE)
     deployment = world.deployment(resolver)
     probe = probe_cls(
         vantage.host, deployment.service_ip, resolver, config, rng=random.Random(5),
-        session_cache=session_cache,
+        session=session,
     )
     durations = []
     for index in range(QUERIES):
@@ -69,8 +70,8 @@ def main() -> None:
         measure(
             world,
             "fresh TCP + TLS 1.3 0-RTT resumption",
-            DohProbeConfig(enable_early_data=True),
-            session_cache=SessionCache(),
+            DohProbeConfig(),
+            session=SessionTerms(session_cache=SessionCache(), enable_early_data=True),
         ),
         measure(world, "persistent connection (h2 reuse)", DohProbeConfig(reuse_connections=True)),
         # DoQ is measured against dns.adguard.com (which serves it); the

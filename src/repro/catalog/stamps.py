@@ -199,24 +199,13 @@ def decode_stamp(uri: str) -> Stamp:
     )
 
 
-def doh_stamp(
-    hostname: str,
-    address: str = "",
-    path: str = "/dns-query",
-    dnssec: bool = True,
-    no_logs: bool = True,
-    no_filter: bool = True,
-) -> Stamp:
-    """Convenience constructor for a DoH stamp."""
-    props = (
-        (PROP_DNSSEC if dnssec else 0)
-        | (PROP_NO_LOGS if no_logs else 0)
-        | (PROP_NO_FILTER if no_filter else 0)
-    )
+def doh_stamp(hostname: str) -> Stamp:
+    """The DoH stamp of ``hostname``: DNSSEC, no logs, no filter, the
+    standard path, the address left to resolution."""
     return Stamp(
         protocol=PROTOCOL_DOH,
-        props=props,
-        address=address,
+        props=PROP_DNSSEC | PROP_NO_LOGS | PROP_NO_FILTER,
+        address="",
         hostname=hostname,
-        path=path,
+        path="/dns-query",
     )

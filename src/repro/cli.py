@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -444,7 +443,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 rounds=args.rounds,
                 seed=args.seed,
                 domains=args.domain or None,
-                transport=args.transport,
+                transports=(args.transport,),
             ),
             args.vantage or EC2_VANTAGE_NAMES,
             hostnames,
@@ -463,15 +462,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             # The re-query campaign: every disagreeing vantage x resolver x
             # domain, one round per attempt, as the identity plan, so the
             # verdicts never depend on --workers or --shard-by.
-            transports = sorted({r.transport for r in disagreements})
             requery = diff_campaign_config(
                 rounds=args.verify,
                 seed=args.verify_seed,
                 domains=sorted({r.domain for r in disagreements}),
-                transport=transports[0],
+                transports=sorted({r.transport for r in disagreements}),
             )
-            if len(transports) > 1:
-                requery = replace(requery, transports=tuple(transports))
             requeries = run_campaign_parallel(
                 requery,
                 sorted({r.vantage for r in disagreements}),
@@ -794,7 +790,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         schedule=PeriodicSchedule(
             rounds=args.rounds, interval_ms=args.interval_hours * MS_PER_HOUR
         ),
-        transport=args.transport,
+        transports=(args.transport,),
         seed=args.seed,
     )
     _require_interval(config.schedule, "--interval-hours")

@@ -14,7 +14,7 @@ Example campaign file::
       "resolvers": {"region": "EU"},
       "campaign": {
         "name": "nightly-eu",
-        "transport": "dot",
+        "transports": ["dot"],
         "schedule": {"rounds": 4, "interval_ms": 21600000.0, "stagger_ms": 300000.0}
       }
     }
@@ -30,6 +30,7 @@ from repro.catalog.resolvers import CATALOG
 from repro.core.runner import CampaignConfig
 from repro.errors import CampaignConfigError
 from repro.files import check_spec, read_document, spec_from_table
+from repro.parallel.shard import refuse_repeats
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,7 @@ def select_targets(selector: Any) -> List[str]:
         wanted = [(key, v) for key, v in vars(selector).items() if v is not None]
         entries = [e for e in CATALOG if all(getattr(e, k) == v for k, v in wanted)]
     elif isinstance(selector, (list, tuple)):
+        refuse_repeats(selector, "resolver")
         hostnames = [e.hostname for e in CATALOG]
         unknown = {str(name) for name in selector if name not in hostnames}
         if unknown:

@@ -50,8 +50,8 @@ from repro.netsim.icmp import PingResult, ping
 from repro.netsim.sockets import SimTcpConnection, SimUdpSocket
 from repro.obs import PhaseClock, SpanRecorder, get_recorder
 from repro.quicsim.connection import QuicClientConnection, QuicConfig
+from repro.session.state import COLD_TERMS, SessionTerms
 from repro.tlssim.handshake import TlsClientConfig, TlsClientConnection
-from repro.tlssim.session import SessionCache
 from repro.transports import TRANSPORTS, LengthPrefixedStream, Transport
 
 DEFAULT_TIMEOUT_MS = 5000.0
@@ -183,26 +183,21 @@ class ProbeConfig:
 
     A transport reads the fields its stack has: ``method``, ``doh_path``
     and ``http_versions`` matter where there is HTTP, ``tls_versions``
-    where there is TLS, the session fields where there is a connection to
-    keep or resume, and the retry fields on UDP.  A campaign file's
-    ``probe_config`` table holds these keys.  A ticket cache is run state,
-    not configuration: it is handed to :func:`make_probe` on its own.
+    where there is TLS, ``reuse_connections`` where there is a connection
+    to keep, and the retry fields on UDP.  A campaign file's
+    ``probe_config`` table holds these keys.  What a probe does with its
+    sessions -- tickets, early data, certificate cost -- is not here: a
+    campaign's session policy states it, and the broker hands it to
+    :func:`make_probe` as :class:`~repro.session.SessionTerms`.
     """
 
     method: str = "POST"
     http_versions: Tuple[str, ...] = ("h2", "http/1.1")
     tls_versions: Tuple[str, ...] = ("1.3", "1.2")
     timeout_ms: float = DEFAULT_TIMEOUT_MS
+    #: Keep the connection across queries; a keep-alive policy turns it on
+    #: whatever this says.
     reuse_connections: bool = False
-    #: Attempt 0-RTT when a cached ticket allows it.  ``None`` takes the
-    #: transport's habit (:attr:`Transport.early_data`): QUIC clients do,
-    #: TLS-over-TCP clients do not.
-    enable_early_data: Optional[bool] = None
-    #: Probability a 0-RTT attempt is rejected by the server's anti-replay
-    #: filter (drawn from the probe's own RNG; see TlsClientConfig).
-    early_data_reject_p: float = 0.0
-    #: Certificate-validation cost charged to full (non-resumed) handshakes.
-    cert_verify_ms: float = 0.0
     doh_path: str = "/dns-query"
     #: UDP retransmissions, ``retry_interval_ms`` apart.
     retries: int = 1
@@ -282,17 +277,17 @@ class Probe:
         config: Optional[ProbeConfig] = None,
         rng: Optional[random.Random] = None,
         recorder: Optional[SpanRecorder] = None,
-        session_cache: Optional[SessionCache] = None,
+        session: SessionTerms = COLD_TERMS,
     ) -> None:
         self.transport = transport
         self.host = host
         self.service_ip = service_ip
         self.server_name = server_name
-        self.config = config or ProbeConfig()
+        self.config = config = config or ProbeConfig()
         self.rng = rng if rng is not None else random.Random(0)
         self.recorder = recorder
-        #: The tickets this probe resumes from and stores into, if any.
-        self.session_cache = session_cache
+        self.session = session
+        self.reuse_connections = config.reuse_connections or session.reuse_connections
         self._live: Optional[_Live] = None
 
     @property
@@ -324,7 +319,7 @@ class Probe:
         shot.msg_id = self.rng.randint(0, 0xFFFF) if transport.random_msg_id else 0
         shot.wire = make_query_wire(domain, qtype, shot.msg_id)
 
-        live = self._live if self.config.reuse_connections else None
+        live = self._live if self.reuse_connections else None
         if live is not None and live.conn.closed:
             # The kept-alive connection died underneath us (server FIN,
             # idle teardown, failed handshake): writes to it would be
@@ -355,11 +350,12 @@ class Probe:
         """Open a fresh connection and hand the query to :meth:`_send`."""
         transport = self.transport
         config = self.config
+        session = self.session
         clock = shot.clock
         early_data = (
             transport.early_data
-            if config.enable_early_data is None
-            else config.enable_early_data
+            if session.enable_early_data is None
+            else session.enable_early_data
         )
 
         if transport.connection == "udp":
@@ -377,11 +373,11 @@ class Probe:
                 QuicClientConnection(
                     self.host, self.service_ip, transport.port, self.server_name,
                     config=QuicConfig(
-                        session_cache=self.session_cache,
+                        session_cache=session.session_cache,
                         enable_early_data=early_data,
-                        early_data_reject_p=config.early_data_reject_p,
+                        early_data_reject_p=session.early_data_reject_p,
                         early_data_rng=self.rng,
-                        cert_verify_ms=config.cert_verify_ms,
+                        cert_verify_ms=session.cert_verify_ms,
                         connect_timeout_ms=self._connect_budget_ms(shot),
                     ),
                     on_error=shot.fail,
@@ -389,7 +385,7 @@ class Probe:
                 ),
                 "quic",
             )
-            if config.reuse_connections:
+            if self.reuse_connections:
                 self._live = live
             shot.add_cleanup(partial(self._release, live))
             self._send(shot, live)
@@ -398,16 +394,16 @@ class Probe:
             tls_config = TlsClientConfig(
                 versions=tuple(config.tls_versions),
                 alpn=transport.alpn or tuple(config.http_versions),
-                session_cache=self.session_cache,
+                session_cache=session.session_cache,
                 enable_early_data=early_data,
-                early_data_reject_p=config.early_data_reject_p,
+                early_data_reject_p=session.early_data_reject_p,
                 early_data_rng=self.rng,
-                cert_verify_ms=config.cert_verify_ms,
+                cert_verify_ms=session.cert_verify_ms,
             )
 
             def on_tcp(conn: SimTcpConnection) -> None:
                 def on_tls(tls: TlsClientConnection) -> None:
-                    if config.reuse_connections:
+                    if self.reuse_connections:
                         self._live = live
                     if transport.framing == "http":
                         if tls.negotiated_alpn == "h2" or (
@@ -677,14 +673,14 @@ def make_probe(
     config: Optional[ProbeConfig] = None,
     rng: Optional[random.Random] = None,
     recorder: Optional[SpanRecorder] = None,
-    session_cache: Optional[SessionCache] = None,
+    session: SessionTerms = COLD_TERMS,
 ) -> Probe:
-    """The probe for ``transport`` (a name in the transport table), resuming
-    from and storing tickets in ``session_cache`` when one is given."""
+    """The probe for ``transport`` (a name in the transport table), on the
+    session terms ``session`` (cold when none are given)."""
     row = TRANSPORTS.get(transport)
     if row is None:
         raise CampaignConfigError(f"unknown transport {transport!r}")
-    return Probe(row, host, service_ip, server_name, config, rng, recorder, session_cache)
+    return Probe(row, host, service_ip, server_name, config, rng, recorder, session)
 
 
 # The per-transport names older call sites construct positionally.  They

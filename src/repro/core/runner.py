@@ -15,7 +15,6 @@ backoff; the final record's ``attempts`` field counts the tries.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -39,7 +38,7 @@ from repro.obs import (
     get_metrics,
     get_recorder,
 )
-from repro.session import SessionBroker, SessionPolicy
+from repro.session import COLD_TERMS, SessionBroker, SessionPolicy
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
 #: Transports a campaign can measure (ping rides alongside, not listed).
@@ -118,7 +117,6 @@ class ResolverTarget:
 
     hostname: str
     service_ip: str
-    doh_path: str = "/dns-query"
     region: Optional[str] = None  # continent code, None if not geolocatable
     mainstream: bool = False
 
@@ -154,10 +152,9 @@ class RoundProgress:
 class CampaignConfig:
     """Parameters of one measurement campaign.
 
-    ``transport`` selects the probe type — the paper's tool "enables
+    ``transports`` names the probe types -- the paper's tool "enables
     researchers to issue traditional DNS, DoT, and DoH queries"; the study
-    itself ran DoH, the default here.  ``transports`` (plural) turns the
-    campaign into a scenario matrix: each measurement set sweeps every
+    itself ran DoH, the default here.  Each measurement set sweeps every
     listed transport in order, and ``session_policy`` decides what happens
     to connections and session tickets between queries (see
     :mod:`repro.session`).  A campaign file's ``campaign`` table holds
@@ -169,17 +166,14 @@ class CampaignConfig:
     schedule: PeriodicSchedule = field(
         default_factory=lambda: PeriodicSchedule(rounds=3, interval_ms=8 * 3600 * 1000.0)
     )
-    transport: str = "doh"
-    #: When set, measure every listed transport per (vantage, target)
-    #: instead of the single ``transport``.  A one-element tuple keeps the
-    #: legacy RNG stream (byte-identical to ``transport=...``); with more
-    #: transports each gets its own derived stream so adding one never
-    #: perturbs another's records.
-    transports: Optional[Tuple[str, ...]] = None
+    #: One transport draws from the measurement set's own RNG stream; with
+    #: more, each gets its own derived stream so adding one never perturbs
+    #: another's records.
+    transports: Tuple[str, ...] = ("doh",)
     probe_config: ProbeConfig = field(default_factory=ProbeConfig)
-    #: Session management between queries; ``None`` and the ``cold``
-    #: policy are both the legacy per-query-teardown behaviour.
-    session_policy: Optional[SessionPolicy] = None
+    #: Session management between queries; the default is ``cold``, the
+    #: per-query teardown of the paper's tool.
+    session_policy: SessionPolicy = field(default_factory=SessionPolicy)
     ping: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: int = 0
@@ -192,21 +186,16 @@ class CampaignConfig:
         check_spec(self, CampaignConfigError, "campaign")
         if not self.name.strip():
             raise CampaignConfigError("campaign 'name' must not be blank")
-        if self.transport not in VALID_TRANSPORTS:
-            raise CampaignConfigError(f"unknown transport {self.transport!r}")
-        if self.transports is not None:
-            unknown = [t for t in self.transports if t not in VALID_TRANSPORTS]
-            if unknown:
-                raise CampaignConfigError(f"unknown transports {unknown!r}")
-            if len(set(self.transports)) != len(self.transports):
-                raise CampaignConfigError("transports must not repeat")
+        unknown = [t for t in self.transports if t not in VALID_TRANSPORTS]
+        if unknown:
+            raise CampaignConfigError(f"unknown transports {unknown!r}")
+        if len(set(self.transports)) != len(self.transports):
+            raise CampaignConfigError("transports must not repeat")
 
     @property
     def transport_list(self) -> Sequence[str]:
         """The transports this campaign measures, in sweep order."""
-        if self.transports is not None:
-            return self.transports
-        return (self.transport,)
+        return self.transports
 
 
 class Campaign:
@@ -242,7 +231,7 @@ class Campaign:
         # never leak across shard boundaries by construction.
         policy = config.session_policy
         self._sessions: Optional[SessionBroker] = None
-        if policy is not None and policy.enabled:
+        if policy.enabled:
             self._sessions = SessionBroker(policy, network.loop)
         self._campaign_span = 0
         self._round_spans: Dict[int, int] = {}
@@ -278,7 +267,7 @@ class Campaign:
                 "campaign",
                 loop.now,
                 campaign=self.config.name,
-                transport=",".join(self.config.transport_list),
+                transport=",".join(self.config.transports),
                 vantages=len(self.vantages),
                 targets=len(self.targets),
             )
@@ -357,10 +346,9 @@ class Campaign:
         """RNG stream for one transport of a matrix measurement set.
 
         A single-transport campaign draws from the base measurement stream
-        (so ``transports=("dot",)`` is byte-identical to the legacy
-        ``transport="dot"``) and never comes here.  In a matrix each
-        transport gets its own derived stream: adding or removing one
-        transport never perturbs another's draws (and hence its records).
+        and never comes here.  In a matrix each transport gets its own
+        derived stream: adding or removing one transport never perturbs
+        another's draws (and hence its records).
         """
         return derive_rng(
             self.config.seed,
@@ -383,28 +371,23 @@ class Campaign:
     ) -> Probe:
         """Instantiate the probe for one transport of the campaign matrix.
 
-        The campaign's probe config applies to every transport.  When a
-        session policy is active the broker's wiring overrides its four
-        session fields (reuse, early data, reject probability, certificate
-        cost) and hands the probe its ticket cache; otherwise they pass
-        through unchanged.
+        The campaign's probe config applies to every transport as it is;
+        the session terms are the broker's for this key, cold without one.
         """
-        wiring, session_cache = {}, None
-        if self._sessions is not None:
-            key = (vantage.name, target.hostname, transport)
-            wiring = dict(vars(self._sessions.wiring(key)))
-            session_cache = wiring.pop("session_cache")
+        broker = self._sessions
         return make_probe(
             transport,
             vantage.host,
             target.service_ip,
             target.hostname,
-            dataclasses.replace(
-                self.config.probe_config, doh_path=target.doh_path, **wiring
-            ),
+            self.config.probe_config,
             rng,
             self._active_recorder,
-            session_cache,
+            (
+                COLD_TERMS
+                if broker is None
+                else broker.terms((vantage.name, target.hostname, transport))
+            ),
         )
 
     def _measure_target(
@@ -603,7 +586,7 @@ class _TargetRun:
         self.rng = rng
         self.span = 0
         self.parts = 1 + (1 if config.ping else 0)
-        self.transports = config.transport_list
+        self.transports = config.transports
         self.domains = config.domains
         self.probe: Optional[Probe] = None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.analysis.stats import BoxplotStats, summarize
 from repro.core.probes import ProbeConfig, make_probe
@@ -110,7 +110,6 @@ def evaluate_strategy(
     domains: Sequence[str],
     queries: int = 60,
     seed: int = 0,
-    probe_config: Optional[ProbeConfig] = None,
 ) -> DistributionOutcome:
     """Run ``queries`` simulated lookups under ``strategy``.
 
@@ -124,7 +123,7 @@ def evaluate_strategy(
         raise CampaignConfigError("need at least one domain")
     rng = random.Random(seed)
     vantage = world.vantage(vantage_name)
-    config = probe_config or ProbeConfig()
+    config = ProbeConfig()
 
     durations: List[float] = []
     failures = 0

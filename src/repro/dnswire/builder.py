@@ -33,7 +33,6 @@ def _as_name(value: NameLike) -> Name:
 def make_query(
     qname: NameLike,
     qtype: int = TYPE_A,
-    qclass: int = CLASS_IN,
     msg_id: Optional[int] = None,
     recursion_desired: bool = True,
     edns: bool = True,
@@ -49,7 +48,7 @@ def make_query(
         msg_id = (rng or random).randint(0, 0xFFFF)
     message = Message(
         header=Header(msg_id=msg_id, qr=False, rd=recursion_desired),
-        questions=[Question(_as_name(qname), qtype, qclass)],
+        questions=[Question(_as_name(qname), qtype, CLASS_IN)],
     )
     if edns:
         add_edns(message)

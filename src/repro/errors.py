@@ -116,10 +116,9 @@ class HttpProtocolError(HttpError):
 class HttpStatusError(HttpError):
     """A non-2xx HTTP response where the caller required success."""
 
-    def __init__(self, status: int, reason: str = "") -> None:
-        super().__init__(f"HTTP status {status} {reason}".strip())
+    def __init__(self, status: int) -> None:
+        super().__init__(f"HTTP status {status}")
         self.status = status
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,14 @@ from repro.store import DEFAULT_SEGMENT_RECORDS
 from repro.transports import SESSION_TRANSPORTS
 
 
-def home_campaign_config(rounds: int = 30, seed: int = 101) -> CampaignConfig:
+def home_campaign_config(rounds: int = 30) -> CampaignConfig:
     """Chicago home devices: a round every 6 hours."""
     return CampaignConfig(
         name="home-chicago",
         schedule=PeriodicSchedule(
             rounds=rounds, interval_ms=6 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
-        seed=seed,
+        seed=101,
     )
 
 
@@ -98,7 +98,7 @@ def diff_campaign_config(
     rounds: int = 2,
     seed: int = 505,
     domains: Optional[Sequence[str]] = None,
-    transport: str = "doh",
+    transports: Sequence[str] = ("doh",),
 ) -> CampaignConfig:
     """The same-query fan-out campaign for answer differencing.
 
@@ -113,7 +113,7 @@ def diff_campaign_config(
         schedule=PeriodicSchedule(
             rounds=rounds, interval_ms=6 * MS_PER_HOUR, stagger_ms=10 * 60 * 1000.0
         ),
-        transport=transport,
+        transports=tuple(transports),
         ping=False,
         seed=seed,
         capture_responses=True,

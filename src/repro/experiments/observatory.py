@@ -31,7 +31,6 @@ from repro.core.seeding import derive_seed
 from repro.errors import CampaignConfigError
 from repro.experiments.campaigns import EC2_VANTAGE_NAMES, _catalog_hostnames
 from repro.faults import FaultPlan, FaultPlanConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.observers import ObserverFleet, ObserverReport, ObserverSpec
 from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
 from repro.store import DEFAULT_SEGMENT_RECORDS
@@ -87,7 +86,7 @@ def observer_campaign_configs(
                         start_ms=start_ms + offset_ms,
                         stagger_ms=10 * 60 * 1000.0,
                     ),
-                    transport=transport,
+                    transports=(transport,),
                     ping=False,
                     seed=derive_seed(seed, "observe", month, transport),
                     capture_responses=True,
@@ -161,7 +160,7 @@ def run_observer_study(
         seed=seed,
         domains=domains,
     ):
-        targets = doq_hostnames if config.transport == "doq" else hostnames
+        targets = doq_hostnames if config.transports == ("doq",) else hostnames
         if not targets:
             continue  # no DoQ-capable resolver selected: skip the DoQ leg
         plans.append(
@@ -187,15 +186,14 @@ def run_observer_study(
 def observe_run(
     run: ParallelRun,
     specs: Optional[Sequence[ObserverSpec]] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> ObserverReport:
     """Replay a parallel run's merged stream through an observer fleet.
 
     Reads the warehouse's sorted stream when the run went to disk and the
     in-RAM store otherwise; the fleet is order-independent, so both paths
-    yield identical reports.  Gauges land in ``metrics`` (defaulting to
-    the run's own registry) under ``observer.*``.
+    yield identical reports.  Gauges land in the run's own registry under
+    ``observer.*``.
     """
     fleet = ObserverFleet(specs)
     fleet.replay(run.records())
-    return fleet.finalize(metrics if metrics is not None else run.metrics)
+    return fleet.finalize(run.metrics)

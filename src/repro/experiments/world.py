@@ -177,7 +177,6 @@ class World:
 def build_world(
     seed: int = 0,
     catalog: Optional[Sequence[CatalogEntry]] = None,
-    vantage_spec: Sequence = DEFAULT_VANTAGES,
     trace: Optional[EventTrace] = None,
     warm_caches: bool = True,
 ) -> World:
@@ -191,7 +190,7 @@ def build_world(
     _build_infrastructure(network, zones, geo_db)
     root_hints = RootHints(list(ROOT_HINT_ADDRESSES))
     deployments = _build_deployments(network, geo_db, allocator, entries, root_hints, seed)
-    vantages = _build_vantages(network, geo_db, allocator, vantage_spec)
+    vantages = _build_vantages(network, geo_db, allocator)
 
     world = World(
         network=network,
@@ -333,10 +332,9 @@ def _build_vantages(
     network: Network,
     geo_db: GeoDatabase,
     allocator: IpAllocator,
-    vantage_spec: Sequence,
 ) -> Dict[str, VantagePoint]:
     vantages: Dict[str, VantagePoint] = {}
-    for name, kind, city_key in vantage_spec:
+    for name, kind, city_key in DEFAULT_VANTAGES:
         city = CITIES[city_key]
         ip = allocator.allocate("vantage", name)
         if kind == "ec2":

@@ -64,18 +64,16 @@ class FaultInjector:
 
     # -- arming ----------------------------------------------------------------
 
-    def arm(self, offset_ms: float = 0.0) -> int:
+    def arm(self) -> int:
         """Schedule every window; returns the number of events armed.
 
-        ``offset_ms`` shifts the whole plan (whose events are relative to
-        0) to start at ``now + offset_ms``, so a plan generated for a
-        campaign horizon can be armed just before the campaign runs.  Every
-        window, answer kinds included, is in force on ``[start, end)``.
+        The plan's events are relative to 0 and start at ``now``, so a plan
+        generated for a campaign horizon is armed just before the campaign
+        runs.  Every window, answer kinds included, is in force on
+        ``[start, end)``.
         """
         if self._armed:
             raise CampaignConfigError("fault injector is already armed")
-        if offset_ms < 0:
-            raise CampaignConfigError(f"negative fault plan offset {offset_ms!r}")
         unknown = sorted(
             {e.hostname for e in self.plan.events} - set(self._hosts_by_target)
         )
@@ -83,7 +81,7 @@ class FaultInjector:
             raise CampaignConfigError(
                 f"fault plan targets unknown hostnames: {', '.join(unknown)}"
             )
-        base = self.network.loop.now + offset_ms
+        base = self.network.loop.now
         for event in self.plan.events:
             self.network.loop.call_at(base + event.start_ms, self._apply, event)
             self.network.loop.call_at(base + event.end_ms, self._revert, event)
@@ -200,9 +198,8 @@ def inject_faults(
     network: Network,
     deployments: "DeploymentsLike",
     plan: FaultPlan,
-    offset_ms: float = 0.0,
 ) -> FaultInjector:
     """Convenience: build an injector over whole deployments and arm it."""
     injector = FaultInjector(network, deployment_hosts(deployments), plan)
-    injector.arm(offset_ms=offset_ms)
+    injector.arm()
     return injector

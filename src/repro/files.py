@@ -209,7 +209,8 @@ def _spec_field(item: "dataclasses.Field[Any]", hint: Any) -> _SpecField:
         required=item.default is dataclasses.MISSING
         and item.default_factory is dataclasses.MISSING,
         expected=" or ".join(expected for expected, _ in shapes),
-        # One check is called as it is: ProbeConfig is checked once per probe.
+        # One check is called as it is: a probe built without a config
+        # builds and checks a ProbeConfig.
         valid=checks[0] if len(checks) == 1 else lambda v: any(c(v) for c in checks),
         table_spec=tables[0] if tables else None,
         many=bool(lists),

@@ -59,16 +59,13 @@ def encode_doh_request(
     dns_wire: bytes,
     method: str = "POST",
     path: str = DEFAULT_DOH_PATH,
-    accept_header: bool = True,
 ) -> HttpRequest:
     """Build the HTTP request carrying a DNS query."""
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("doh.requests", method=method)
         metrics.observe("doh.query_bytes", len(dns_wire))
-    headers = {}
-    if accept_header:
-        headers["Accept"] = CONTENT_TYPE_DNS
+    headers = {"Accept": CONTENT_TYPE_DNS}
     if method == "POST":
         headers["Content-Type"] = CONTENT_TYPE_DNS
         return HttpRequest(method="POST", path=path, headers=headers, body=dns_wire)

@@ -328,8 +328,9 @@ class H2ServerSession:
         """Send a complete response on ``stream_id``."""
         self._send(response_frames(stream_id, response))
 
-    def reset_stream(self, stream_id: int, error_code: int = 0x1) -> None:
-        self._send(encode_frame(FRAME_RST_STREAM, 0, stream_id, struct.pack("!I", error_code)))
+    def reset_stream(self, stream_id: int) -> None:
+        """RST_STREAM with PROTOCOL_ERROR (0x1)."""
+        self._send(encode_frame(FRAME_RST_STREAM, 0, stream_id, struct.pack("!I", 0x1)))
 
     def goaway(self) -> None:
         self._send(encode_frame(FRAME_GOAWAY, 0, 0, struct.pack("!II", 0, 0)))

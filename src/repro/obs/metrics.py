@@ -267,19 +267,13 @@ class MetricsRegistry:
             gauge = self._gauges[key] = Gauge()
         gauge.set(value)
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        bounds: Sequence[float] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> None:
+    def observe(self, name: str, value: float, **labels: Any) -> None:
         if not self.enabled:
             return
         key = _key(name, labels)
         histogram = self._histograms.get(key)
         if histogram is None:
-            histogram = self._histograms[key] = Histogram(bounds)
+            histogram = self._histograms[key] = Histogram(DEFAULT_BUCKETS)
         histogram.observe(value)
 
     # -- reading ----------------------------------------------------------

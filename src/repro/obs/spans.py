@@ -306,7 +306,6 @@ class PhaseClock:
         self,
         loop,
         recorder: Optional[SpanRecorder] = None,
-        name: str = "probe",
         parent_id: Optional[int] = None,
         **attrs: Any,
     ) -> None:
@@ -319,7 +318,7 @@ class PhaseClock:
         self._current_start = 0.0
         self._finished = False
         self.span_id = (
-            self.recorder.begin(name, self.started_ms, parent_id, **attrs)
+            self.recorder.begin("probe", self.started_ms, parent_id, **attrs)
             if self.recorder.enabled
             else 0
         )

@@ -255,14 +255,12 @@ class ObserverFleet:
     def __init__(
         self,
         specs: Optional[Iterable[ObserverSpec]] = None,
-        ms_per_day: float = MS_PER_DAY,
     ) -> None:
         if specs is None:
             registry: ObserverRegistry = default_registry()
             self.specs: List[ObserverSpec] = registry.specs()
         else:
             self.specs = sorted(specs, key=lambda spec: spec.name)
-        self.ms_per_day = ms_per_day
         self.records_seen = 0
         self._regions = _region_map()
         # (observer name, group, day) -> accumulator
@@ -287,7 +285,7 @@ class ObserverFleet:
         if record.kind != "dns_query":
             return
         self.records_seen += 1
-        day = int(record.started_at_ms // self.ms_per_day)
+        day = int(record.started_at_ms // MS_PER_DAY)
         for spec in self.specs:
             key = (spec.name, self._group_of(spec, record), day)
             acc = self._cells.get(key)
@@ -357,7 +355,7 @@ class ObserverFleet:
                     debounce_day(
                         spec,
                         day,
-                        day * self.ms_per_day,
+                        day * MS_PER_DAY,
                         candidates,
                         readings,
                         samples,
@@ -369,7 +367,7 @@ class ObserverFleet:
                 baselines[(spec.name, group)] = model
 
         events.canonical_sort()
-        index = WorldHealthIndex.from_events(events, self.specs, self.ms_per_day)
+        index = WorldHealthIndex.from_events(events, self.specs, MS_PER_DAY)
         report = ObserverReport(
             specs=self.specs,
             events=events,

@@ -18,7 +18,7 @@ pooled executor agree on the plan without communicating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.seeding import derive_seed
 from repro.errors import CampaignConfigError
@@ -77,6 +77,16 @@ class Shard:
         )
 
 
+def refuse_repeats(names: Sequence[str], what: str) -> None:
+    """Refuse a list that names one vantage or resolver twice: it would be
+    measured twice, or its repeat dropped without a word."""
+    seen: Set[str] = set()
+    for name in names:
+        if name in seen:
+            raise CampaignConfigError(f"{what} {name!r} is named twice")
+        seen.add(name)
+
+
 def _chunk(items: Sequence[str], pieces: int) -> List[Sequence[str]]:
     """Split ``items`` into ``pieces`` contiguous near-equal chunks."""
     chunks: List[Sequence[str]] = []
@@ -122,6 +132,8 @@ def partition(
         raise CampaignConfigError("cannot shard a campaign with no rounds")
     if shards is not None and shards < 1:
         raise CampaignConfigError(f"shard count {shards!r} must be >= 1")
+    refuse_repeats(vantage_names, "vantage")
+    refuse_repeats(target_hostnames, "resolver")
 
     vantages = tuple(vantage_names)
     targets = tuple(target_hostnames)

@@ -117,8 +117,8 @@ class AuthoritativeServer:
 
     # -- network frontend -----------------------------------------------------
 
-    def serve_udp(self, host: Host, port: int = 53) -> None:
-        """Bind the server to UDP ``port`` on ``host``."""
+    def serve_udp(self, host: Host) -> None:
+        """Bind the server to UDP port 53 on ``host``."""
 
         def handle(dgram: Datagram, server_host: Host) -> None:
             try:
@@ -140,4 +140,4 @@ class AuthoritativeServer:
                 AUTH_PROCESSING_MS, server_host.network.transmit, server_host, reply
             )
 
-        host.bind_udp(port, handle)
+        host.bind_udp(53, handle)

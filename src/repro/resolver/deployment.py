@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.seeding import derive_rng
 from repro.errors import CampaignConfigError
@@ -184,16 +184,6 @@ class ResolverDeployment:
 
     def site_hosts(self) -> List[Host]:
         return [site.host for site in self.sites]
-
-    def warm_caches(self, qnames_and_types: List[Tuple["object", int]]) -> None:
-        """Pre-resolve names on every site (used to model popular domains
-        that are effectively always cached, per the paper's method)."""
-        for site in self.sites:
-            engine = site.engine
-            if engine is None:
-                raise CampaignConfigError(f"{self.hostname}: activate() before warming")
-            for qname, rdtype in qnames_and_types:
-                engine.resolve_question(qname, rdtype, lambda _result: None)  # type: ignore[arg-type]
 
     def describe(self) -> str:
         kind = "anycast" if self.anycast else "unicast"

@@ -13,7 +13,7 @@ proxy's processing time — which is exactly the latency penalty the study's
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import HttpError
@@ -39,13 +39,11 @@ class OdohProxy:
         self,
         host: Host,
         target_registry: Dict[str, str],
-        processing_delay_ms: float = 0.4,
-        tls_config: Optional[TlsServerConfig] = None,
     ) -> None:
         self.host = host
         self.target_registry = dict(target_registry)
-        self.processing_delay_ms = processing_delay_ms
-        self.tls_config = tls_config or TlsServerConfig()
+        self.processing_delay_ms = 0.4
+        self.tls_config = TlsServerConfig()
         self.requests_relayed = 0
         self.relay_errors = 0
         self._upstreams: Dict[str, Tuple[TlsClientConnection, H2ClientSession]] = {}

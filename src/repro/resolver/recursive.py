@@ -198,7 +198,6 @@ class RecursiveResolver:
         qname: Name,
         rdtype: int,
         on_response: Callable[[Optional[Message]], None],
-        timeout_ms: float = SERVER_TIMEOUT_MS,
     ) -> None:
         """Send one non-recursive query; ``on_response(None)`` on timeout."""
         self.total_upstream_queries += 1
@@ -214,7 +213,7 @@ class RecursiveResolver:
             socket.close()
             on_response(message)
 
-        timer = self._loop.call_later(timeout_ms, finish, None)
+        timer = self._loop.call_later(SERVER_TIMEOUT_MS, finish, None)
         socket.on_datagram = lambda dgram: self._validate_and_finish(dgram, query, finish)
         socket.sendto(query.to_wire(), server_ip, 53)
 

@@ -104,7 +104,7 @@ class ZoneSet:
         return len(self._zones)
 
 
-def _soa(origin: str, serial: int = 2024051200) -> ResourceRecord:
+def _soa(origin: str) -> ResourceRecord:
     name = Name.from_text(origin)
     return ResourceRecord(
         name=name,
@@ -114,7 +114,7 @@ def _soa(origin: str, serial: int = 2024051200) -> ResourceRecord:
         rdata=SoaRdata(
             mname=Name.from_text(f"ns1.{origin}" if origin != "." else "a.root-servers.net"),
             rname=Name.from_text(f"hostmaster.{origin}" if origin != "." else "nstld.verisign-grs.com"),
-            serial=serial,
+            serial=2024051200,
             refresh=7200,
             retry=900,
             expire=1209600,

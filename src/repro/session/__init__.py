@@ -3,7 +3,8 @@
 See DESIGN.md §14.  :class:`SessionPolicy` declares *what* clients do
 between queries (cold / keep-alive / resumption / 0-RTT);
 :class:`SessionBroker` owns the per-(vantage, resolver, transport) state
-that implements it on the virtual clock.
+that implements it on the virtual clock and hands each probe its
+:class:`SessionTerms`.
 """
 
 from repro.session.policy import (
@@ -15,14 +16,16 @@ from repro.session.policy import (
     policy_from_name,
 )
 from repro.session.state import (
+    COLD_TERMS,
     SESSION_TRANSPORTS,
     ClampedSessionCache,
     SessionBroker,
     SessionKey,
-    SessionWiring,
+    SessionTerms,
 )
 
 __all__ = [
+    "COLD_TERMS",
     "ClampedSessionCache",
     "POLICY_PRESETS",
     "SESSION_MODES",
@@ -31,7 +34,7 @@ __all__ = [
     "SessionBroker",
     "SessionKey",
     "SessionPolicy",
-    "SessionWiring",
+    "SessionTerms",
     "WARM_STATES",
     "policy_from_name",
 ]

@@ -54,16 +54,25 @@ class ClampedSessionCache(SessionCache):
         super().store(ticket)
 
 
-@dataclasses.dataclass
-class SessionWiring:
-    """Probe-construction knobs one policy mode implies for one key: the
-    probe-config fields it overrides, and the ticket cache the probe gets."""
+@dataclasses.dataclass(frozen=True)
+class SessionTerms:
+    """What one probe may do with its sessions, as the broker's policy sets
+    it for one key: keep its connection across queries, resume from (and
+    store into) a ticket cache, send early data on a resumed handshake
+    (``None``: the transport's habit -- QUIC clients do, TLS-over-TCP
+    clients do not), how likely the server rejects that early data, and
+    the certificate cost a full handshake pays."""
 
     reuse_connections: bool = False
     session_cache: Optional[SessionCache] = None
-    enable_early_data: bool = False
+    enable_early_data: Optional[bool] = None
     early_data_reject_p: float = 0.0
     cert_verify_ms: float = 0.0
+
+
+#: The terms of a probe no session policy governs: every query establishes
+#: afresh, with no ticket to resume from and no certificate cost.
+COLD_TERMS = SessionTerms()
 
 
 class _Entry:
@@ -97,33 +106,26 @@ class SessionBroker:
         self._loop = loop
         self._entries: Dict[SessionKey, _Entry] = {}
 
-    # -- wiring -----------------------------------------------------------
+    # -- terms ------------------------------------------------------------
 
     @property
     def keeps_probes(self) -> bool:
         return self.policy.keeps_connections
 
-    def wiring(self, key: SessionKey) -> SessionWiring:
-        """Probe-config knobs for this key under the broker's policy."""
-        transport = key[2]
-        if transport not in SESSION_TRANSPORTS:
-            return SessionWiring()
+    def terms(self, key: SessionKey) -> SessionTerms:
+        """The session terms of the probe for ``key`` under the policy."""
         policy = self.policy
-        if policy.keeps_connections:
-            return SessionWiring(
-                reuse_connections=True,
-                cert_verify_ms=policy.cert_verify_ms,
-            )
-        if policy.resumes_sessions:
-            return SessionWiring(
-                session_cache=self.cache_for(key),
-                enable_early_data=policy.uses_early_data,
-                early_data_reject_p=(
-                    policy.zero_rtt_reject_p if policy.uses_early_data else 0.0
-                ),
-                cert_verify_ms=policy.cert_verify_ms,
-            )
-        return SessionWiring()
+        if key[2] not in SESSION_TRANSPORTS or not policy.enabled:
+            return COLD_TERMS
+        return SessionTerms(
+            reuse_connections=policy.keeps_connections,
+            session_cache=self.cache_for(key) if policy.resumes_sessions else None,
+            enable_early_data=policy.uses_early_data,
+            early_data_reject_p=(
+                policy.zero_rtt_reject_p if policy.uses_early_data else 0.0
+            ),
+            cert_verify_ms=policy.cert_verify_ms,
+        )
 
     def cache_for(self, key: SessionKey) -> ClampedSessionCache:
         entry = self._entries.setdefault(key, _Entry())
@@ -214,9 +216,10 @@ class SessionBroker:
 
 
 __all__ = [
+    "COLD_TERMS",
     "ClampedSessionCache",
     "SESSION_TRANSPORTS",
     "SessionBroker",
     "SessionKey",
-    "SessionWiring",
+    "SessionTerms",
 ]

@@ -601,7 +601,6 @@ class TlsServerConnection(_TlsEndpoint):
         config: Optional[TlsServerConfig] = None,
         on_established: Optional[Callable[["TlsServerConnection"], None]] = None,
         on_error: Optional[Callable[[Exception], None]] = None,
-        now_provider: Optional[Callable[[], float]] = None,
     ) -> None:
         super().__init__(tcp)
         self.config = config or TlsServerConfig()

@@ -77,11 +77,10 @@ class PageLoader:
         self,
         host: Host,
         stub_resolver: StubResolver,
-        timeout_ms: float = 60_000.0,
     ) -> None:
         self.host = host
         self.stub = stub_resolver
-        self.timeout_ms = timeout_ms
+        self.timeout_ms = 60_000.0
         self._pool: Dict[str, object] = {}  # domain -> session | list of waiters
 
     @property

@@ -91,11 +91,9 @@ def simple_page(
     primary_domain: str,
     object_domains: Sequence[str],
     objects_per_domain: int = 2,
-    object_bytes: int = 20_000,
-    html_bytes: int = 40_000,
 ) -> PageSpec:
     """A flat page: HTML on the primary domain, objects fanned out."""
-    root = ObjectSpec(name="index.html", domain=primary_domain, size_bytes=html_bytes)
+    root = ObjectSpec(name="index.html", domain=primary_domain, size_bytes=40_000)
     objects = []
     for domain_index, domain in enumerate(object_domains):
         for object_index in range(objects_per_domain):
@@ -103,7 +101,7 @@ def simple_page(
                 ObjectSpec(
                     name=f"obj-{domain_index}-{object_index}",
                     domain=domain,
-                    size_bytes=object_bytes,
+                    size_bytes=20_000,
                 )
             )
     return PageSpec(root=root, objects=objects)

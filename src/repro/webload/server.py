@@ -8,7 +8,7 @@ their size matters for load timing.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.httpsim.h1 import H1RequestParser, HttpRequest, HttpResponse, encode_response
 from repro.httpsim.h2 import H2ServerSession
@@ -23,12 +23,10 @@ class StaticWebServer:
     def __init__(
         self,
         host: Host,
-        tls_config: Optional[TlsServerConfig] = None,
-        processing_delay_ms: float = 0.5,
     ) -> None:
         self.host = host
-        self.tls_config = tls_config or TlsServerConfig()
-        self.processing_delay_ms = processing_delay_ms
+        self.tls_config = TlsServerConfig()
+        self.processing_delay_ms = 0.5
         self._objects: Dict[str, int] = {}
         self.requests_served = 0
         host.listen_tcp(443, self._accept)

@@ -10,7 +10,7 @@ recursive resolver → connect to the answer's address → fetch.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import CampaignConfigError
 from repro.geo.regions import CITIES
@@ -37,7 +37,6 @@ _EXAMPLE_CITIES = ("new_york", "chicago", "frankfurt", "london", "tokyo",
 def attach_web_servers(
     world,
     example_hosts: int = 8,
-    extra_domains: Optional[Dict[str, Tuple[str, str]]] = None,
 ) -> Dict[str, StaticWebServer]:
     """Attach web servers for the study domains + N example hosts.
 
@@ -52,8 +51,6 @@ def attach_web_servers(
         address = f"100.64.1.{index + 1}"
         city = _EXAMPLE_CITIES[(index - 1) % len(_EXAMPLE_CITIES)]
         placements[domain] = (address, city)
-    if extra_domains:
-        placements.update(extra_domains)
 
     for domain, (address, city_key) in placements.items():
         city = CITIES[city_key]

@@ -295,6 +295,33 @@ class TestErrorBoundary:
             ),
             (["trace", "--tree", "--max-spans", "-3"], "--max-spans must be >= 0 (got -3)"),
             (["trace", "--interval-hours", "-1"], "negative schedule interval/stagger"),
+            # One vantage twice is measured twice; one resolver twice is
+            # one resolver.  Both are refused, by every campaign command.
+            (
+                ["measure", "--vantage", "ec2-ohio", "ec2-ohio", "--rounds", "1",
+                 "--resolver", "dns.google"],
+                "vantage 'ec2-ohio' is named twice",
+            ),
+            (
+                ["measure", "--resolver", "dns.google", "dns.quad9.net", "dns.google"],
+                "resolver 'dns.google' is named twice",
+            ),
+            (
+                ["trace", "--vantage", "ec2-seoul", "ec2-seoul"],
+                "vantage 'ec2-seoul' is named twice",
+            ),
+            (
+                ["diff", "--resolver", "dns.google", "dns.google"],
+                "resolver 'dns.google' is named twice",
+            ),
+            (
+                ["sessions", "--vantage", "ec2-ohio", "ec2-ohio"],
+                "vantage 'ec2-ohio' is named twice",
+            ),
+            (
+                ["observe", "--resolver", "dns.google", "dns.google"],
+                "resolver 'dns.google' is named twice",
+            ),
         ],
     )
     def test_exit_2_and_the_message(self, argv, message, tmp_path, capsys, monkeypatch):
@@ -324,6 +351,36 @@ class TestErrorBoundary:
         assert capsys.readouterr().err == (
             "repro-dns measure: unknown resolvers: dns.gogle.typo\n"
         )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"vantages": ["ec2-ohio", "ec2-seoul", "ec2-ohio"]},
+             "vantage 'ec2-ohio' is named twice"),
+            ({"resolvers": ["dns.google", "dns.google"]},
+             "resolver 'dns.google' is named twice"),
+            # Keys a campaign once carried and another knob overrode.
+            ({"campaign": {"name": "old", "transport": "dot"}},
+             "campaign file {spec} 'campaign' has unknown keys: transport"),
+            ({"campaign": {"name": "old", "probe_config": {"cert_verify_ms": 3.0}}},
+             "'probe_config' has unknown keys: cert_verify_ms"),
+            ({"campaign": {"name": "old", "probe_config": {"enable_early_data": True}}},
+             "'probe_config' has unknown keys: enable_early_data"),
+            ({"campaign": {"name": "old", "probe_config": {"early_data_reject_p": 1.0}}},
+             "'probe_config' has unknown keys: early_data_reject_p"),
+        ],
+    )
+    def test_measure_spec_refuses_by_name(self, spec, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"resolvers": ["dns.google"], "campaign": {"name": "twice"}, **spec}
+        ))
+        output = tmp_path / "o.jsonl"
+        assert main(["measure", "--spec", str(path), "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-dns measure: ") and err.count("\n") == 1
+        assert message.format(spec=path) in err
+        assert not output.exists()
 
     def test_diff_verify_refuses_a_resolver_the_world_lacks(self, tmp_path, capsys):
         from repro.core.results import ResultStore

@@ -13,6 +13,7 @@ from repro.core.probes import (
     PingProbe,
     ProbeConfig,
 )
+from repro.session import COLD_TERMS, SessionTerms
 from repro.tlssim.session import SessionCache
 from tests.conftest import make_mini_world
 
@@ -23,12 +24,12 @@ def world():
 
 
 def doh_outcome(
-    world, vantage, hostname, domain="google.com", config=None, seed=1, session_cache=None
+    world, vantage, hostname, domain="google.com", config=None, seed=1, session=COLD_TERMS
 ):
     deployment = world.deployment(hostname)
     probe = DohProbe(
         world.vantage(vantage).host, deployment.service_ip, hostname,
-        config or DohProbeConfig(), rng=random.Random(seed), session_cache=session_cache,
+        config or DohProbeConfig(), rng=random.Random(seed), session=session,
     )
     outcomes = []
     probe.query(domain, outcomes.append)
@@ -92,7 +93,7 @@ class TestDohProbe:
 
     def test_session_cache_resumption_speeds_up(self, world):
         cache = SessionCache()
-        config = dict(config=DohProbeConfig(enable_early_data=True), session_cache=cache)
+        config = dict(session=SessionTerms(session_cache=cache, enable_early_data=True))
         first = doh_outcome(world, "ec2-seoul", "dns.brahma.world", **config)
         second = doh_outcome(world, "ec2-seoul", "dns.brahma.world", **config)
         assert first.success and second.success

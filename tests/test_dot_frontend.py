@@ -152,7 +152,7 @@ def dot_store():
     config = CampaignConfig(
         name="dot-check",
         schedule=PeriodicSchedule(rounds=2, interval_ms=60_000.0),
-        transport="dot",
+        transports=("dot",),
         ping=False,
         seed=77,
     )

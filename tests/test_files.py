@@ -403,14 +403,14 @@ def _every_spec():
         "FleetSpec": FleetSpec(tuple(default_registry().specs())),
         "CampaignFile": CampaignFile(
             campaign=CampaignConfig(
-                name="full", domains=("google.com",), transport="dot",
+                name="full", domains=("google.com",),
                 transports=("dot", "doq"), session_policy=POLICY_PRESETS["zero-rtt"],
                 schedule=PeriodicSchedule(
                     rounds=2, interval_ms=6 * 3.6e6, stagger_ms=90_000.0
                 ),
                 probe_config=ProbeConfig(
                     method="GET", timeout_ms=2500.0, reuse_connections=True,
-                    enable_early_data=False,
+                    doh_path="/resolve",
                 ),
                 retry=RetryPolicy(attempts=3, retry_on=("timeout",)),
                 seed=7, ping=False, capture_responses=True,

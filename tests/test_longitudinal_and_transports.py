@@ -169,7 +169,7 @@ class TestTransportCampaigns:
     def _run(self, world, transport):
         config = CampaignConfig(
             name=f"{transport}-campaign",
-            transport=transport,
+            transports=(transport,),
             schedule=PeriodicSchedule(
                 rounds=2, interval_ms=MS_PER_HOUR, start_ms=world.network.loop.now
             ),
@@ -208,7 +208,7 @@ class TestTransportCampaigns:
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(CampaignConfigError):
-            CampaignConfig(name="x", transport="smoke-signals")
+            CampaignConfig(name="x", transports=("smoke-signals",))
 
 
 class TestTruncationFallback:

@@ -12,6 +12,7 @@ from repro.core.probes import DohProbe, DohProbeConfig, DotProbe, ProbeConfig
 from repro.errors import AddressError
 from repro.netsim.packet import Datagram
 from repro.netsim.trace import EventTrace
+from repro.session import SessionTerms
 from repro.tlssim.session import SessionCache
 from tests.conftest import (
     MINI_CATALOG_HOSTNAMES,
@@ -140,7 +141,8 @@ class TestDotResumption:
         def one(seed):
             probe = DotProbe(
                 host, deployment.service_ip, "dns.google",
-                ProbeConfig(), rng=random.Random(seed), session_cache=cache,
+                ProbeConfig(), rng=random.Random(seed),
+                session=SessionTerms(session_cache=cache),
             )
             out = []
             probe.query("google.com", out.append)

@@ -481,9 +481,11 @@ def _campaign(world, transport, policy_name, scenario, store, reference=None):
     policy = dataclasses.replace(
         policy_from_name(policy_name), **scenario.policy_overrides
     )
-    probe_config = ProbeConfig()
+    probe_config = ProbeConfig(doh_path=scenario.doh_path)
     if scenario.timeout_ms is not None:
-        probe_config = ProbeConfig(timeout_ms=scenario.timeout_ms(reference))
+        probe_config = ProbeConfig(
+            doh_path=scenario.doh_path, timeout_ms=scenario.timeout_ms(reference)
+        )
     config = CampaignConfig(
         name=f"lifetime-{transport}-{policy_name}-{scenario.name}",
         domains=("google.com", "amazon.com"),
@@ -496,9 +498,7 @@ def _campaign(world, transport, policy_name, scenario, store, reference=None):
         retry=scenario.retry,
         seed=3,
     )
-    target = ResolverTarget(
-        hostname=RESOLVER, service_ip=deployment.service_ip, doh_path=scenario.doh_path
-    )
+    target = ResolverTarget(hostname=RESOLVER, service_ip=deployment.service_ip)
     return Campaign(
         network=world.network,
         vantages=[world.vantage(VANTAGE)],

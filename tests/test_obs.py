@@ -73,7 +73,7 @@ def run_traced_campaign(
         extra["probe_config"] = DohProbeConfig(reuse_connections=True)
     config = CampaignConfig(
         name="obs-campaign",
-        transport=transport,
+        transports=(transport,),
         schedule=PeriodicSchedule(
             rounds=rounds, interval_ms=MS_PER_HOUR, start_ms=world.network.loop.now
         ),

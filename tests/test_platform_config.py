@@ -41,7 +41,8 @@ class TestCampaignFileParsing:
         assert parsed.campaign == CampaignConfig(name="t")
         assert parsed.vantages == ("ec2-ohio",)
         assert parsed.resolvers == "all"
-        assert parsed.campaign.transport == "doh"
+        assert parsed.campaign.transports == ("doh",)
+        assert parsed.campaign.session_policy.mode == "cold"
         assert parsed.campaign.ping is True
 
     def test_unknown_key_rejected(self):
@@ -102,10 +103,10 @@ class TestCampaignFileParsing:
              "'interval_ms' must be a finite number"),
             (campaign_table(probe_config={"timeout_ms": float("nan")}),
              "'timeout_ms' must be a finite number"),
-            # A campaign named "7", a transport named "['doh']".
+            # A campaign named "7", a transport list that is a name.
             (campaign_table(name=7), "'name' must be a string, got 7"),
-            (campaign_table(transport=["doh"]),
-             "'transport' must be a string, got \\['doh'\\]"),
+            (campaign_table(transports="doh"),
+             "'transports' must be a non-empty list of names, got 'doh'"),
             # Every resolver in the catalog for a misspelt key.
             ({**campaign_table(), "resolvers": {"regoin": "EU"}},
              "'resolvers' has unknown keys: regoin"),
@@ -127,7 +128,7 @@ class TestCampaignFileParsing:
                 "vantages": ["ec2-frankfurt"],
                 "resolvers": {"region": "EU"},
                 "campaign": {
-                    "name": "nightly-eu", "transport": "dot",
+                    "name": "nightly-eu", "transports": ["dot"],
                     "schedule": {"rounds": 4, "interval_ms": 21600000.0,
                                  "stagger_ms": 300000.0},
                     "retry": {"attempts": 2, "retry_on": ["timeout"]},
@@ -144,7 +145,7 @@ def _presets():
         "ec2": ec2_campaign_config(rounds=4),
         "recheck": monthly_recheck_config("2024-02", start_ms=1.0e9),
         "fault": fault_campaign_config(rounds=4),
-        "diff": diff_campaign_config(domains=("google.com",), transport="dot"),
+        "diff": diff_campaign_config(domains=("google.com",), transports=("dot",)),
     }
     configs.update(
         (f"sessions {name}", sessions_campaign_config(policy))
@@ -243,7 +244,7 @@ class TestMeasureSpec:
         store = run_file(
             tmp_path,
             {"resolvers": ["dns.google"],
-             "campaign": {"name": "dot-spec", "transport": "dot",
+             "campaign": {"name": "dot-spec", "transports": ["dot"],
                           "schedule": {"rounds": 1, "interval_ms": MS_PER_HOUR}}},
         )
         queries = store.filter(kind="dns_query")
@@ -354,7 +355,7 @@ PINNED_CAMPAIGNS = {
             "resolvers": ["dns.google", "dns.quad9.net", "dns.adguard.com",
                           "doh.opendns.com", "ordns.he.net"],
             "campaign": {
-                "name": "lifetime-do53", "transport": "do53",
+                "name": "lifetime-do53", "transports": ["do53"],
                 "schedule": {"rounds": 2, "interval_ms": 28800000.0,
                              "stagger_ms": 300000.0},
             },

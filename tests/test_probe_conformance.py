@@ -17,6 +17,7 @@ from repro.core.probes import Probe, ProbeConfig, make_probe
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import PeriodicSchedule
 from repro.errors import CampaignConfigError
+from repro.session import COLD_TERMS, SessionTerms
 from repro.tlssim.session import SessionCache
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES, TRANSPORTS
 
@@ -39,7 +40,7 @@ def world():
 
 
 def probe_for(
-    world, transport, hostname=RESOLVER, seed=1, session_cache=None, **config
+    world, transport, hostname=RESOLVER, seed=1, session=COLD_TERMS, **config
 ) -> Probe:
     return make_probe(
         transport,
@@ -48,7 +49,7 @@ def probe_for(
         hostname,
         ProbeConfig(**config),
         rng=random.Random(seed),
-        session_cache=session_cache,
+        session=session,
     )
 
 
@@ -169,7 +170,7 @@ class TestEveryTransport:
                 schedule=PeriodicSchedule(
                     rounds=1, interval_ms=1000.0, start_ms=world.network.loop.now
                 ),
-                transport=transport,
+                transports=(transport,),
                 ping=False,
             ),
         ).run()
@@ -182,7 +183,7 @@ class TestEveryTransport:
 class TestSessionTransports:
     def test_ticket_resumes_the_next_connection(self, world, transport):
         cache = SessionCache()
-        config = dict(session_cache=cache, enable_early_data=False)
+        config = dict(session=SessionTerms(session_cache=cache, enable_early_data=False))
         first = run_query(world, probe_for(world, transport, **config))
         second = run_query(world, probe_for(world, transport, seed=2, **config))
         assert first.success and second.success
@@ -193,7 +194,7 @@ class TestSessionTransports:
 
     def test_early_data_rides_the_ticket(self, world, transport):
         cache = SessionCache()
-        config = dict(session_cache=cache, enable_early_data=True)
+        config = dict(session=SessionTerms(session_cache=cache, enable_early_data=True))
         first = run_query(world, probe_for(world, transport, **config))
         second = run_query(world, probe_for(world, transport, seed=2, **config))
         assert first.success and second.success
@@ -204,8 +205,9 @@ class TestSessionTransports:
     def test_early_data_default_is_the_transports_habit(self, world, transport):
         """QUIC clients attempt 0-RTT unless told not to; TLS clients don't."""
         cache = SessionCache()
-        run_query(world, probe_for(world, transport, session_cache=cache))
-        second = run_query(world, probe_for(world, transport, seed=2, session_cache=cache))
+        session = SessionTerms(session_cache=cache)
+        run_query(world, probe_for(world, transport, session=session))
+        second = run_query(world, probe_for(world, transport, seed=2, session=session))
         expected = "zero_rtt" if TRANSPORTS[transport].early_data else "resumed"
         assert second.session_state == expected
 
@@ -287,7 +289,7 @@ def test_campaign_probe_config_reaches_every_session_transport(world, transport)
             schedule=PeriodicSchedule(
                 rounds=1, interval_ms=1000.0, start_ms=world.network.loop.now
             ),
-            transport=transport,
+            transports=(transport,),
             probe_config=ProbeConfig(reuse_connections=True),
             ping=False,
         ),

@@ -78,7 +78,7 @@ def _all_library_exceptions():
 
 def _instantiate(exc_type: type) -> BaseException:
     if exc_type is HttpStatusError:
-        return exc_type(503, "boom")
+        return exc_type(503)
     return exc_type("boom")
 
 

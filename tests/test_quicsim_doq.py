@@ -268,7 +268,7 @@ class TestDoqProbe:
         world = doq_world
         config = CampaignConfig(
             name="doq-campaign",
-            transport="doq",
+            transports=("doq",),
             schedule=PeriodicSchedule(
                 rounds=2, interval_ms=3600_000.0, start_ms=world.network.loop.now
             ),

@@ -136,7 +136,7 @@ def test_cold_policy_matches_legacy_output(transport):
         name=base.name,
         domains=base.domains,
         schedule=base.schedule,
-        transport=transport,
+        transports=(transport,),
         ping=False,
         seed=base.seed,
     )
