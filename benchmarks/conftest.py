@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.results import ResultStore
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
 from repro.experiments.world import World, build_world
+from repro.parallel import run_campaigns
 
 #: Rounds used for the shared study.  Enough for stable medians (each
 #: (vantage, resolver) pair gets rounds x 3 domain samples) while keeping
@@ -29,7 +30,9 @@ def study_world() -> World:
 @pytest.fixture(scope="session")
 def study_store() -> ResultStore:
     # The identity plan at world seed 0, as `repro-dns report` runs it.
-    return run_study(home_rounds=HOME_ROUNDS, ec2_rounds=EC2_ROUNDS, shards=1).store
+    return run_campaigns(
+        study_legs(home_rounds=HOME_ROUNDS, ec2_rounds=EC2_ROUNDS), shards=1
+    ).store
 
 
 def print_artifact(title: str, body: str) -> None:

@@ -10,15 +10,19 @@ baseline median).
 
 from repro.analysis.longitudinal import drift_reports_from_records
 from repro.core.results import ResultStore
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
+from repro.parallel import run_campaigns
 from benchmarks.conftest import print_artifact
 
 
 def test_monthly_recheck_stability(benchmark):
     def run():
-        store = run_study(
-            home_rounds=0, ec2_rounds=6,
-            recheck_months=["feb-2024", "mar-2024", "apr-2024"], shards=1,
+        store = run_campaigns(
+            study_legs(
+                home_rounds=0, ec2_rounds=6,
+                recheck_months=["feb-2024", "mar-2024", "apr-2024"],
+            ),
+            shards=1,
         ).store
         return drift_reports_from_records(store, vantage="ec2-ohio")
 

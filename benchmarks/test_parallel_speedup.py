@@ -24,12 +24,8 @@ from pathlib import Path
 
 from benchmarks.conftest import print_artifact
 from repro.catalog.resolvers import CATALOG
-from repro.experiments.campaigns import (
-    EC2_VANTAGE_NAMES,
-    ec2_campaign_config,
-    run_campaign_parallel,
-)
-from repro.parallel import default_worker_count
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES, ec2_campaign_config
+from repro.parallel import default_worker_count, run_campaigns
 
 BENCH_ROUNDS = 6
 MAX_WORKERS = 4
@@ -41,10 +37,12 @@ MIN_SPEEDUP_PER_WORKER = 0.6
 
 
 def _run(workers: int):
-    return run_campaign_parallel(
-        ec2_campaign_config(rounds=BENCH_ROUNDS),
-        EC2_VANTAGE_NAMES,
-        [entry.hostname for entry in CATALOG],
+    return run_campaigns(
+        [(
+            ec2_campaign_config(rounds=BENCH_ROUNDS),
+            EC2_VANTAGE_NAMES,
+            [entry.hostname for entry in CATALOG],
+        )],
         world_seed=0,
         workers=workers,
         shard_by="resolver",

@@ -20,23 +20,23 @@ from repro.analysis.availability import (
     retry_burden,
 )
 from repro.core.runner import RetryPolicy
-from repro.experiments.campaigns import run_fault_study
+from repro.experiments.campaigns import fault_study_legs
 from repro.faults import FaultPlanConfig
+from repro.parallel import run_campaigns
 
 PAPER_ERROR_RATE = 311_351 / 5_409_632  # ≈5.8%
 
 
 def main() -> None:
     print("running the fault-injected campaign from EC2 Ohio (91 resolvers)...")
-    run, plan = run_fault_study(
-        world_seed=7,
+    legs, plan = fault_study_legs(
         rounds=8,
         fault_seed=20230919,
         plan_config=FaultPlanConfig(),  # ~3% of each resolver's time impaired
         retry=RetryPolicy(attempts=2),  # one retry with exponential backoff
         vantage_names=("ec2-ohio",),
     )
-    store = run.store
+    store = run_campaigns(legs, world_seed=7, fault_plan=plan).store
     print(plan.describe())
     print()
 

@@ -21,7 +21,8 @@ from repro.analysis.response_times import resolver_medians
 from repro.analysis.stats import median
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import entries_by_region
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
+from repro.parallel import run_campaigns
 
 VANTAGES = ("ec2-ohio", "ec2-frankfurt", "ec2-seoul")
 REGIONS = ("NA", "EU", "AS", "OC")
@@ -29,7 +30,7 @@ REGIONS = ("NA", "EU", "AS", "OC")
 
 def main() -> None:
     print("running the EC2 campaign (this takes a few seconds)...")
-    store = run_study(world_seed=7, home_rounds=0, ec2_rounds=8).store
+    store = run_campaigns(study_legs(home_rounds=0, ec2_rounds=8), world_seed=7).store
 
     print("\n== Availability ==")
     print(availability_report(store).describe())

@@ -13,7 +13,8 @@ Run:  python examples/home_vs_datacenter.py
 from repro.analysis.render import render_table
 from repro.analysis.response_times import resolver_medians, variability
 from repro.analysis.stats import median
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
+from repro.parallel import run_campaigns
 
 SHOWN = [
     "ordns.he.net",
@@ -29,7 +30,7 @@ SHOWN = [
 
 def main() -> None:
     print("running home + EC2 campaigns (this takes a few seconds)...")
-    store = run_study(world_seed=11, home_rounds=10, ec2_rounds=10).store
+    store = run_campaigns(study_legs(home_rounds=10, ec2_rounds=10), world_seed=11).store
 
     home_medians = resolver_medians(store, vantage="home-chicago-1")
     ohio_medians = resolver_medians(store, vantage="ec2-ohio")

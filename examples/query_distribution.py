@@ -23,8 +23,9 @@ from repro.distribution import (
     WeightedStrategy,
     evaluate_strategy,
 )
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
 from repro.experiments.world import build_world
+from repro.parallel import run_campaigns
 
 #: A diversified candidate set: mainstream + the paper's local winners.
 CANDIDATES = [
@@ -47,8 +48,10 @@ DOMAINS = [
 def main() -> None:
     vantage = sys.argv[1] if len(sys.argv) > 1 else "ec2-ohio"
     print("calibrating with a short campaign...")
-    store = run_study(world_seed=15, home_rounds=0, ec2_rounds=4,
-                      target_hostnames=CANDIDATES).store
+    store = run_campaigns(
+        study_legs(home_rounds=0, ec2_rounds=4, target_hostnames=CANDIDATES),
+        world_seed=15,
+    ).store
     medians = resolver_medians(store, vantage=vantage, resolvers=CANDIDATES)
 
     strategies = [

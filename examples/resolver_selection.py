@@ -21,13 +21,14 @@ from repro.analysis.availability import per_resolver_availability
 from repro.analysis.render import render_table
 from repro.analysis.response_times import resolver_medians
 from repro.catalog.resolvers import entry_for
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
+from repro.parallel import run_campaigns
 
 
 def main() -> None:
     vantage = sys.argv[1] if len(sys.argv) > 1 else "ec2-frankfurt"
     print(f"measuring all resolvers from {vantage} (this takes a few seconds)...")
-    store = run_study(world_seed=23, home_rounds=0, ec2_rounds=8).store
+    store = run_campaigns(study_legs(home_rounds=0, ec2_rounds=8), world_seed=23).store
 
     availability = per_resolver_availability(store, vantage=vantage)
     medians = resolver_medians(store, vantage=vantage)

@@ -321,6 +321,9 @@ CATALOG: List[CatalogEntry] = [
 
 _BY_HOSTNAME: Dict[str, CatalogEntry] = {entry.hostname: entry for entry in CATALOG}
 
+#: Every catalog hostname, in catalog order: a study's targets by default.
+CATALOG_HOSTNAMES: Tuple[str, ...] = tuple(_BY_HOSTNAME)
+
 #: The paper's cross-region reference set: the four best-performing
 #: NA-based resolvers whose performance was also measured from Europe and
 #: Asia (Google, Cloudflare, Quad9, Hurricane Electric).

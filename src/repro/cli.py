@@ -19,12 +19,13 @@ Subcommands, in ``--help`` order:
 * ``trace`` — a small traced campaign's phase-level spans and span tree;
 * ``query`` — one DoH query from a vantage point, dig-style.
 
-Every command that runs a campaign runs it through the shard plan of
-:mod:`repro.parallel`; ``measure`` without ``--workers`` and ``--shards``,
-and ``trace``, ``report``, ``figure``, ``query`` and the re-query campaign
-of ``diff --verify`` always, run the identity plan — one shard per
-campaign, in this process, on a fresh world.  No command builds a world of
-its own.
+Every command that runs a campaign hands its legs -- one
+``(CampaignConfig, vantage names, target hostnames)`` triple per campaign
+-- to :func:`repro.parallel.run_campaigns`; ``measure`` without
+``--workers`` and ``--shards``, and ``trace``, ``report``, ``figure``,
+``query`` and the re-query campaign of ``diff --verify`` always, run the
+identity plan — one shard per campaign, in this process, on a fresh
+world.  No command builds a world of its own.
 
 Interactive chatter (progress lines, fault-plan notes, monitor status)
 goes to stderr; stdout carries only the primary output of each command,
@@ -43,7 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.analysis.render import render_boxplot_rows, render_table
 from repro.catalog.browsers import mainstream_hostnames
-from repro.catalog.resolvers import CATALOG
+from repro.catalog.resolvers import CATALOG, CATALOG_HOSTNAMES
 from repro.core.probes import ProbeConfig
 from repro.core.results import ResultStore
 from repro.core.runner import CampaignConfig, RetryPolicy
@@ -56,6 +57,7 @@ from repro.errors import (
     ResultsFormatError,
 )
 from repro.files import read_document, write_text
+from repro.parallel import run_campaigns
 from repro.store import DEFAULT_SEGMENT_RECORDS
 from repro.transports import SESSION_TRANSPORTS, TRANSPORT_NAMES
 
@@ -114,8 +116,8 @@ def _write_log(log, path: str, noun: str) -> None:
 
 
 def _execution(args: argparse.Namespace) -> Dict[str, Any]:
-    """``--workers/--shard-by/--shards/--store/--segment-records`` as the
-    keyword arguments every campaign entry point takes.
+    """``--workers/--shard-by/--shards/--store/--segment-records`` as
+    :func:`repro.parallel.run_campaigns`'s keyword arguments.
 
     ``measure`` alone defaults ``--workers`` to ``None``: with ``--shards``
     absent too that is the identity plan (one shard, in this process).
@@ -175,9 +177,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     With neither ``--workers`` nor ``--shards`` the plan is the identity
     plan; any other plan is byte-identical across worker counts for the
     same seed, because every count runs the same shards through
-    :func:`repro.parallel.run_parallel`.
+    :func:`repro.parallel.run_campaigns`.
     """
-    from repro.experiments.campaigns import _catalog_hostnames, run_campaign_parallel
 
     execution = _execution(args)
     if args.spec:
@@ -199,7 +200,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         vantages = args.vantage
-        hostnames = _catalog_hostnames(args.resolver or None)
+        hostnames = args.resolver or CATALOG_HOSTNAMES
         interval = "--interval-hours"
     _require_interval(config.schedule, interval)
 
@@ -217,10 +218,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
     # Loaded first: a bad --slo fails before the campaign writes anything.
     policy = _load_policy(args.slo) if (args.slo or args.alerts) else None
-    run = run_campaign_parallel(
-        config,
-        vantages,
-        hostnames,
+    run = run_campaigns(
+        [(config, vantages, hostnames)],
         world_seed=config.seed,
         fault_plan=fault_plan,
         collect_spans=bool(args.trace),
@@ -345,13 +344,14 @@ def _print_phase_tables(store: ResultStore) -> None:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.analysis.figures import paper_figure
-    from repro.experiments.campaigns import HOME_VANTAGE_NAMES, run_study
+    from repro.experiments.campaigns import HOME_VANTAGE_NAMES, study_legs
 
     if args.input:
         records = _record_stream(args.input)
     else:
-        records = run_study(
-            world_seed=args.seed, home_rounds=args.rounds, ec2_rounds=args.rounds,
+        records = run_campaigns(
+            study_legs(home_rounds=args.rounds, ec2_rounds=args.rounds),
+            world_seed=args.seed,
             shards=1,
         ).store
     panels = paper_figure(
@@ -406,18 +406,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     worker counts and record sources for a fixed seed.
     """
     from repro.diff import build_diff_report, verify_reproducibility
-    from repro.experiments.campaigns import (
-        EC2_VANTAGE_NAMES,
-        _catalog_hostnames,
-        diff_campaign_config,
-        run_campaign_parallel,
-    )
+    from repro.experiments.campaigns import EC2_VANTAGE_NAMES, diff_campaign_config
 
     execution = _execution(args)
     if args.verify < 0:
         raise CampaignConfigError(f"--verify must be >= 0 (got {args.verify})")
 
-    hostnames = _catalog_hostnames(args.resolver or None)
+    hostnames = args.resolver or CATALOG_HOSTNAMES
     fault_plan = None
     if args.faults:
         from repro.faults import FaultPlan
@@ -438,15 +433,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if args.input:
         records = _record_stream(args.input)
     else:
-        run = run_campaign_parallel(
-            diff_campaign_config(
-                rounds=args.rounds,
-                seed=args.seed,
-                domains=args.domain or None,
-                transports=(args.transport,),
-            ),
-            args.vantage or EC2_VANTAGE_NAMES,
-            hostnames,
+        config = diff_campaign_config(
+            rounds=args.rounds,
+            seed=args.seed,
+            domains=args.domain or None,
+            transports=(args.transport,),
+        )
+        run = run_campaigns(
+            [(config, args.vantage or EC2_VANTAGE_NAMES, hostnames)],
             world_seed=args.world_seed,
             fault_plan=fault_plan,
             **execution,
@@ -468,10 +462,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 domains=sorted({r.domain for r in disagreements}),
                 transports=sorted({r.transport for r in disagreements}),
             )
-            requeries = run_campaign_parallel(
-                requery,
-                sorted({r.vantage for r in disagreements}),
-                sorted({r.resolver for r in disagreements}),
+            requeries = run_campaigns(
+                [(
+                    requery,
+                    sorted({r.vantage for r in disagreements}),
+                    sorted({r.resolver for r in disagreements}),
+                )],
                 world_seed=args.world_seed,
                 shards=1,
                 fault_plan=fault_plan,
@@ -499,19 +495,34 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     """
     from repro.analysis.sessions import session_report, warm_cold_deltas
     from repro.analysis.table import RecordTable
-    from repro.experiments.campaigns import SESSION_STUDY_POLICIES, run_sessions_study
+    from repro.experiments.campaigns import (
+        EC2_VANTAGE_NAMES,
+        SESSION_STUDY_POLICIES,
+        SESSION_TARGET_HOSTNAMES,
+        session_study_legs,
+    )
 
-    runs = run_sessions_study(
+    legs = session_study_legs(
         policies=tuple(args.policy) if args.policy else SESSION_STUDY_POLICIES,
-        world_seed=args.world_seed,
         rounds=args.rounds,
         seed=args.seed,
         transports=tuple(args.transport),
         domains=args.domain or None,
-        vantage_names=args.vantage or None,
-        target_hostnames=args.resolver or None,
-        **_execution(args),
+        vantage_names=args.vantage or EC2_VANTAGE_NAMES,
+        target_hostnames=args.resolver or SESSION_TARGET_HOSTNAMES,
     )
+    execution = _execution(args)
+    store = execution.pop("store_dir")
+    # Each policy is a run of its own, into a warehouse of its own.
+    runs = {
+        name: run_campaigns(
+            [leg],
+            world_seed=args.world_seed,
+            store_dir=None if store is None else str(Path(store) / name.replace("-", "_")),
+            **execution,
+        )
+        for name, leg in legs.items()
+    }
     for name, run in runs.items():
         _status(f"{name}: {run.describe()}")
 
@@ -662,7 +673,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     JSONL are byte-identical for any ``--workers N`` and for any record
     source over the same records.
     """
-    from repro.experiments.observatory import run_observer_study
+    from repro.experiments.campaigns import EC2_VANTAGE_NAMES
+    from repro.experiments.observatory import observer_study_legs
     from repro.obs.metrics import MetricsRegistry
     from repro.observers import ObserverFleet, ObserverRegistry, scaled_registry
 
@@ -684,15 +696,19 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         records = _record_stream(args.input)
         metrics = MetricsRegistry()
     else:
-        run = run_observer_study(
-            world_seed=args.world_seed,
+        legs, fault_plan = observer_study_legs(
             months=args.months,
             rounds_per_month=args.rounds,
             seed=args.seed,
-            vantage_names=args.vantage or None,
-            target_hostnames=args.resolver or None,
+            vantage_names=args.vantage or EC2_VANTAGE_NAMES,
+            target_hostnames=args.resolver or CATALOG_HOSTNAMES,
             fault_seed=args.fault_seed if args.faults else None,
             fault_fraction=args.fault_fraction,
+        )
+        run = run_campaigns(
+            legs,
+            world_seed=args.world_seed,
+            fault_plan=fault_plan,
             collect_metrics=bool(args.metrics),
             **execution,
         )
@@ -781,7 +797,6 @@ def _cmd_stamp(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``trace`` — a small campaign under the identity plan, spans and
     metrics collected."""
-    from repro.experiments.campaigns import run_campaign_parallel
 
     if args.max_spans is not None and args.max_spans < 0:
         raise CampaignConfigError(f"--max-spans must be >= 0 (got {args.max_spans})")
@@ -794,10 +809,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     _require_interval(config.schedule, "--interval-hours")
-    run = run_campaign_parallel(
-        config,
-        args.vantage,
-        args.resolver or None,
+    run = run_campaigns(
+        [(config, args.vantage, args.resolver or CATALOG_HOSTNAMES)],
         world_seed=args.seed,
         shards=1,
         collect_spans=True,
@@ -823,7 +836,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     """``query`` — the identity plan of one cell: one DoH query, no stagger."""
     from repro.dnswire.message import Message
-    from repro.experiments.campaigns import run_campaign_parallel
 
     config = CampaignConfig(
         name="query",
@@ -834,8 +846,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         seed=args.seed,
         capture_responses=True,
     )
-    (record,) = run_campaign_parallel(
-        config, [args.vantage], [args.resolver], world_seed=args.seed, shards=1
+    (record,) = run_campaigns(
+        [(config, [args.vantage], [args.resolver])], world_seed=args.seed, shards=1
     ).records()
     if record.success:
         print(f";; {args.domain} via {args.resolver} from {args.vantage}")

@@ -41,6 +41,10 @@ class OdohProbeConfig(ProbeConfig):
     key_id: int = 7  # the target key generation the client believes in
 
 
+#: The config of a probe made without one, shared (it is frozen).
+_DEFAULT_CONFIG = OdohProbeConfig()
+
+
 class OdohProbe(Probe):
     """Measures one target through one oblivious proxy."""
 
@@ -54,7 +58,7 @@ class OdohProbe(Probe):
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(
-            _ODOH, host, proxy_ip, proxy_name, config or OdohProbeConfig(), rng
+            _ODOH, host, proxy_ip, proxy_name, config or _DEFAULT_CONFIG, rng
         )
         self.target_hostname = target_hostname
 

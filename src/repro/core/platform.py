@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Mapping, Optional, Tuple, Union
 
-from repro.catalog.resolvers import CATALOG
+from repro.catalog.resolvers import CATALOG, CATALOG_HOSTNAMES
 from repro.core.runner import CampaignConfig
 from repro.errors import CampaignConfigError
 from repro.files import check_spec, read_document, spec_from_table
@@ -90,8 +90,7 @@ def select_targets(selector: Any) -> List[str]:
         entries = [e for e in CATALOG if all(getattr(e, k) == v for k, v in wanted)]
     elif isinstance(selector, (list, tuple)):
         refuse_repeats(selector, "resolver")
-        hostnames = [e.hostname for e in CATALOG]
-        unknown = {str(name) for name in selector if name not in hostnames}
+        unknown = {str(name) for name in selector if name not in CATALOG_HOSTNAMES}
         if unknown:
             raise CampaignConfigError(f"unknown resolvers: {', '.join(sorted(unknown))}")
         entries = [e for e in CATALOG if e.hostname in selector]

@@ -189,6 +189,10 @@ class ProbeConfig:
     sessions -- tickets, early data, certificate cost -- is not here: a
     campaign's session policy states it, and the broker hands it to
     :func:`make_probe` as :class:`~repro.session.SessionTerms`.
+
+    The simulated network charges no time per byte, so ``method`` (GET or
+    POST) changes no record: it shows only in the
+    ``doh.requests{method=}`` counter.
     """
 
     method: str = "POST"
@@ -218,6 +222,11 @@ class ProbeConfig:
             raise CampaignConfigError(
                 f"retry_interval_ms must be positive, got {self.retry_interval_ms!r}"
             )
+
+
+#: The config of a probe made without one.  Frozen, so every such probe
+#: shares it instead of building and checking its own.
+_DEFAULT_CONFIG = ProbeConfig()
 
 
 class _Live:
@@ -283,7 +292,7 @@ class Probe:
         self.host = host
         self.service_ip = service_ip
         self.server_name = server_name
-        self.config = config = config or ProbeConfig()
+        self.config = config = config or _DEFAULT_CONFIG
         self.rng = rng if rng is not None else random.Random(0)
         self.recorder = recorder
         self.session = session

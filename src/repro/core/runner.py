@@ -199,7 +199,13 @@ class CampaignConfig:
 
 
 class Campaign:
-    """Runs one measurement campaign over the simulated world."""
+    """Runs one measurement campaign over the simulated world.
+
+    ``first_round_index`` is the campaign-wide index of the schedule's
+    first round: non-zero when the schedule is a shard's slice of a larger
+    campaign (:meth:`PeriodicSchedule.slice_rounds`), so that records and
+    derived RNG streams line up with the unsliced campaign.
+    """
 
     #: The ambient recorder and registry, read when run() starts (so
     #: ``with tracing():`` wraps run()): the protocol layers can only read
@@ -215,6 +221,7 @@ class Campaign:
         config: CampaignConfig,
         store: Optional[ResultStore] = None,
         on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
+        first_round_index: int = 0,
     ) -> None:
         if not vantages:
             raise CampaignConfigError("campaign needs at least one vantage point")
@@ -226,6 +233,7 @@ class Campaign:
         self.config = config
         self.store = store if store is not None else ResultStore()
         self.on_round_complete = on_round_complete
+        self.first_round_index = first_round_index
         # One broker per Campaign instance: sharded runs build a fresh
         # world and a fresh Campaign per shard, so session caches can
         # never leak across shard boundaries by construction.
@@ -274,7 +282,8 @@ class Campaign:
         schedule = self.config.schedule
         per_round = len(self.vantages) * len(self.targets)
         behind = 0
-        for round_index, round_start in schedule.round_items():
+        for local, round_start in enumerate(schedule.round_starts()):
+            round_index = self.first_round_index + local
             start = max(round_start, loop.now)
             self._round_outstanding[round_index] = per_round
             if recorder.enabled:
@@ -310,7 +319,7 @@ class Campaign:
         schedule = self.config.schedule
         local = self._opened
         self._opened = local + 1
-        round_index = schedule.first_round_index + local
+        round_index = self.first_round_index + local
         round_start = schedule.start_ms + local * schedule.interval_ms
         loop = self.network.loop
         now = loop.now

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.errors import CampaignConfigError
 from repro.files import check_spec
@@ -36,19 +36,16 @@ class PeriodicSchedule:
     stagger_ms:
         Width of the uniform window over which individual probes inside a
         round are spread (0 = all at the round start).
-    first_round_index:
-        Global index of this schedule's first round.  Non-zero when the
-        schedule is a shard's slice of a larger campaign: the slice keeps
-        the original absolute start times *and* the original round
-        indices, so records and derived RNG streams line up with the
-        unsliced campaign.
+
+    A schedule has no round index of its own: a shard's slice of a larger
+    campaign carries its first round's campaign-wide index beside it, to
+    :class:`~repro.core.runner.Campaign` (``first_round_index``).
     """
 
     rounds: int
     interval_ms: float
     start_ms: float = 0.0
     stagger_ms: float = 0.0
-    first_round_index: int = 0
 
     def __post_init__(self) -> None:
         check_spec(self, CampaignConfigError, "schedule")
@@ -58,29 +55,20 @@ class PeriodicSchedule:
             raise CampaignConfigError("negative schedule interval/stagger")
         if self.stagger_ms > self.interval_ms and self.rounds > 1:
             raise CampaignConfigError("stagger larger than the round interval")
-        if self.first_round_index < 0:
-            raise CampaignConfigError("negative first_round_index")
 
     def round_starts(self) -> List[float]:
         """Absolute start time of every round."""
         return [self.start_ms + i * self.interval_ms for i in range(self.rounds)]
 
-    def round_items(self) -> List[Tuple[int, float]]:
-        """(global round index, absolute start time) of every round."""
-        return [
-            (self.first_round_index + i, self.start_ms + i * self.interval_ms)
-            for i in range(self.rounds)
-        ]
-
     def slice_rounds(self, start: int, stop: int) -> "PeriodicSchedule":
-        """The sub-schedule covering local rounds ``[start, stop)``.
+        """The sub-schedule covering rounds ``[start, stop)``.
 
-        The slice preserves absolute round start times and global round
-        indices: round ``start`` of the slice fires at the same virtual
-        instant, with the same index and therefore the same derived RNG
-        streams, as it would inside the full schedule.  This is what makes
-        a round-range shard byte-equivalent to the same rounds of a
-        serial campaign.
+        The slice preserves absolute round start times: round ``start``
+        fires at the same virtual instant as it would inside the full
+        schedule.  Run with ``first_round_index=start``, its rounds also
+        keep their indices and therefore their derived RNG streams, which
+        is what makes a round-range shard byte-equivalent to the same
+        rounds of a serial campaign.
         """
         if not 0 <= start < stop <= self.rounds:
             raise CampaignConfigError(
@@ -90,7 +78,6 @@ class PeriodicSchedule:
             self,
             rounds=stop - start,
             start_ms=self.start_ms + start * self.interval_ms,
-            first_round_index=self.first_round_index + start,
         )
 
     def probe_offset(self, rng: random.Random) -> float:
@@ -109,7 +96,7 @@ class PeriodicSchedule:
 
     @property
     def horizon_ms(self) -> float:
-        """How long a fault plan for this schedule must last: the span plus
-        one interval, while the last round's probes and retries are in
-        flight."""
-        return self.total_span_ms + self.interval_ms
+        """How long a fault plan for this schedule must last, from virtual
+        time 0: to the start, over the span, plus one interval while the
+        last round's probes and retries are in flight."""
+        return self.start_ms + self.total_span_ms + self.interval_ms

@@ -11,7 +11,7 @@ pass labels each disagreement reproducible or transient.
 
 Pipeline (mirroring CZ-NIC respdiff's msgdiff / diffsum / diffrepro):
 
-1. :func:`repro.experiments.campaigns.run_campaign_parallel` of a
+1. :func:`repro.parallel.run_campaigns` of a
    :func:`~repro.experiments.campaigns.diff_campaign_config` — the
    same-query fan-out campaign, serial or sharded, RAM or warehouse
    backed;

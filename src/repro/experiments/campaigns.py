@@ -11,28 +11,27 @@ Three campaign shapes, mirroring §3.2:
   confirm resolver performance had not drifted (February/March/April
   2024).
 
-:func:`run_study` plans all of them through the shard plan, each campaign
-on a fresh world of its own, and returns the merged run — the input to
+A study is data: :func:`study_legs` (and :func:`fault_study_legs` and
+:func:`session_study_legs` beside it) returns its campaigns as legs, one
+``(CampaignConfig, vantage names, target hostnames)`` triple each, and
+:func:`repro.parallel.run_campaigns` runs them through one pool, each
+campaign on a fresh world of its own.  The merged run is the input to
 every analysis in the paper.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
-    from typing import OrderedDict as OrderedDictType
-
     from repro.session import SessionPolicy
 
-from repro.core.runner import CampaignConfig, RetryPolicy, RoundProgress
+from repro.catalog.resolvers import CATALOG_HOSTNAMES
+from repro.core.runner import CampaignConfig, RetryPolicy
 from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.errors import CampaignConfigError
 from repro.faults import FaultPlan, FaultPlanConfig
-from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
-from repro.store import DEFAULT_SEGMENT_RECORDS
+from repro.parallel.runner import Leg, ParallelRun, run_campaigns
 from repro.transports import SESSION_TRANSPORTS
 
 
@@ -138,7 +137,7 @@ SESSION_TARGET_HOSTNAMES = (
     "dns-unfiltered.adguard.com",
 )
 
-#: Policy presets swept by :func:`run_sessions_study`, in report order.
+#: Policy presets swept by :func:`session_study_legs`, in report order.
 SESSION_STUDY_POLICIES = ("cold", "keep-alive", "resumption", "zero-rtt")
 
 
@@ -171,112 +170,49 @@ def sessions_campaign_config(
     )
 
 
-def run_sessions_study(
+def session_study_legs(
     policies: Sequence[str] = SESSION_STUDY_POLICIES,
-    world_seed: int = 0,
     rounds: int = 3,
     seed: int = 606,
     transports: Sequence[str] = SESSION_TRANSPORTS,
     domains: Optional[Sequence[str]] = None,
-    vantage_names: Optional[Sequence[str]] = None,
-    target_hostnames: Optional[Iterable[str]] = None,
-    workers: int = 1,
-    shard_by: str = "vantage",
-    shards: Optional[int] = None,
-    store_dir: Optional[str] = None,
-    segment_records: int = DEFAULT_SEGMENT_RECORDS,
-) -> "OrderedDictType[str, ParallelRun]":
-    """Run the same campaign once per session policy, serial or sharded.
+    vantage_names: Sequence[str] = EC2_VANTAGE_NAMES,
+    target_hostnames: Sequence[str] = SESSION_TARGET_HOSTNAMES,
+) -> Dict[str, Leg]:
+    """The same campaign once per session policy: policy name -> leg, in
+    ``policies`` order.
 
-    Returns an ordered mapping of policy name → :class:`ParallelRun`
-    (insertion order = ``policies`` order).  Each policy runs on its own
-    fresh world built from ``world_seed``; with ``store_dir`` each run
-    streams into a per-policy warehouse subdirectory.
+    Each policy is a run of its own (:func:`repro.parallel.run_campaigns`
+    of its one leg), on its own fresh world, so the policies' per-measurement
+    RNG streams are identical and only the policy differs.
     """
     from repro.session import policy_from_name
 
-    names = list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
-    hostnames = (
-        list(target_hostnames)
-        if target_hostnames is not None
-        else list(SESSION_TARGET_HOSTNAMES)
-    )
-    runs: "OrderedDictType[str, ParallelRun]" = OrderedDict()
-    for name in policies:
-        policy = policy_from_name(name)
-        runs[name] = run_campaign_parallel(
+    return {
+        name: (
             sessions_campaign_config(
-                policy, rounds=rounds, seed=seed, transports=transports, domains=domains
+                policy_from_name(name),
+                rounds=rounds,
+                seed=seed,
+                transports=transports,
+                domains=domains,
             ),
-            names,
-            hostnames,
-            world_seed=world_seed,
-            workers=workers,
-            shard_by=shard_by,
-            shards=shards,
-            store_dir=(
-                str(Path(store_dir) / name.replace("-", "_"))
-                if store_dir is not None
-                else None
-            ),
-            segment_records=segment_records,
+            vantage_names,
+            target_hostnames,
         )
-    return runs
-
-
-def _catalog_hostnames(target_hostnames: Optional[Iterable[str]]) -> List[str]:
-    if target_hostnames is not None:
-        return list(target_hostnames)
-    from repro.catalog.resolvers import CATALOG
-
-    return [entry.hostname for entry in CATALOG]
+        for name in policies
+    }
 
 
 def run_campaign_parallel(
     config: CampaignConfig,
     vantage_names: Sequence[str],
-    target_hostnames: Optional[Iterable[str]] = None,
-    world_seed: int = 0,
-    workers: int = 1,
-    shard_by: str = "vantage",
-    shards: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    collect_spans: bool = False,
-    collect_metrics: bool = False,
-    store_dir: Optional[str] = None,
-    segment_records: int = DEFAULT_SEGMENT_RECORDS,
-    on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
+    target_hostnames: Sequence[str],
+    **execution,
 ) -> ParallelRun:
-    """Run one campaign sharded across workers and merge the artifacts.
-
-    ``workers=1`` is the serial reference execution of the same shard
-    plan; any higher worker count reproduces it byte for byte, and
-    ``shards=1`` is the identity plan, the classic ``Campaign.run()``.  Each
-    shard runs on a fresh world built from ``world_seed``, so results
-    depend only on the plan — see :mod:`repro.parallel`.  With
-    ``store_dir`` the run streams into a results warehouse instead of
-    RAM (see :mod:`repro.store`); the warehouse is byte-identical for
-    any worker count.  ``on_round_complete`` hears the rounds of a
-    one-shard plan — see :func:`repro.parallel.run_parallel`.
-    """
-    tasks = plan_campaign(
-        config,
-        vantage_names,
-        _catalog_hostnames(target_hostnames),
-        world_seed=world_seed,
-        shard_by=shard_by,
-        shards=shards,
-        fault_plan_json=fault_plan.to_json() if fault_plan is not None else None,
-        collect_spans=collect_spans,
-        collect_metrics=collect_metrics,
-    )
-    return run_parallel(
-        tasks,
-        workers=workers,
-        store_dir=store_dir,
-        segment_records=segment_records,
-        on_round_complete=on_round_complete,
-    )
+    """One campaign through :func:`repro.parallel.run_campaigns`; the
+    benchmark harness's entry point."""
+    return run_campaigns([(config, vantage_names, target_hostnames)], **execution)
 
 
 #: The gap between the end of the study and its first monthly re-check,
@@ -284,29 +220,20 @@ def run_campaign_parallel(
 RECHECK_GAP_MS = 30.0 * 24 * MS_PER_HOUR
 
 
-def run_study(
-    world_seed: int = 0,
+def study_legs(
     home_rounds: int = 20,
     ec2_rounds: int = 20,
     recheck_months: Sequence[str] = (),
-    target_hostnames: Optional[Iterable[str]] = None,
-    workers: int = 1,
-    shard_by: str = "vantage",
-    shards: Optional[int] = None,
-    collect_spans: bool = False,
-    collect_metrics: bool = False,
-    store_dir: Optional[str] = None,
-    segment_records: int = DEFAULT_SEGMENT_RECORDS,
-) -> ParallelRun:
-    """The full study (home + EC2 + optional monthly re-checks) as one run.
+    target_hostnames: Sequence[str] = CATALOG_HOSTNAMES,
+) -> List[Leg]:
+    """The full study: home, EC2 and optional monthly re-checks, as legs.
 
-    Every campaign is planned up front and their shards run through one
-    pool, so a long home campaign cannot serialize behind the EC2 one.
-    Each shard runs on a fresh world built from ``world_seed``, so every
-    campaign keeps its own cadence from virtual time 0, as the paper's home
-    and EC2 campaigns ran independently.  The re-checks measure from the
-    EC2 vantages, a month apart, starting a month after the longer campaign
-    ends.  The merged store holds every campaign in canonical order.
+    Run through :func:`repro.parallel.run_campaigns`, every campaign's
+    shards share one pool, so a long home campaign cannot serialize behind
+    the EC2 one, and each keeps its own cadence from virtual time 0, as the
+    paper's home and EC2 campaigns ran independently.  The re-checks
+    measure from the EC2 vantages, a month apart, starting a month after
+    the longer campaign ends.
 
     Round counts are scaled down from the paper's multi-month spans; the
     statistics of interest (per-resolver medians and spreads) stabilize
@@ -337,69 +264,30 @@ def run_study(
         raise CampaignConfigError(
             "study needs home_rounds > 0, ec2_rounds > 0 or a re-check month"
         )
-    hostnames = _catalog_hostnames(target_hostnames)
-    plans = [
-        plan_campaign(
-            config,
-            vantage_names,
-            hostnames,
-            world_seed=world_seed,
-            shard_by=shard_by,
-            shards=shards,
-            collect_spans=collect_spans,
-            collect_metrics=collect_metrics,
-        )
-        for config, vantage_names in campaigns
-    ]
-    return run_parallel(
-        chain_tasks(*plans),
-        workers=workers,
-        store_dir=store_dir,
-        segment_records=segment_records,
-    )
+    return [(config, names, target_hostnames) for config, names in campaigns]
 
 
-def run_fault_study(
-    world_seed: int = 0,
+def fault_study_legs(
     rounds: int = 8,
     fault_seed: int = 20230919,
     plan_config: Optional[FaultPlanConfig] = None,
     retry: Optional[RetryPolicy] = None,
-    vantage_names: Optional[Sequence[str]] = None,
-    target_hostnames: Optional[Iterable[str]] = None,
-    workers: int = 1,
-    shard_by: str = "vantage",
-    shards: Optional[int] = None,
-    collect_spans: bool = False,
-    collect_metrics: bool = False,
-) -> Tuple[ParallelRun, FaultPlan]:
-    """Run the fault-injected campaign: EC2 vantages under a seeded FaultPlan.
+    vantage_names: Sequence[str] = EC2_VANTAGE_NAMES,
+    target_hostnames: Sequence[str] = CATALOG_HOSTNAMES,
+) -> Tuple[List[Leg], FaultPlan]:
+    """The fault-injected campaign: EC2 vantages under a seeded FaultPlan.
 
-    Generates a :class:`~repro.faults.FaultPlan` covering the campaign's
-    whole span plus one interval of slack (windows can still be open while
-    the last round's probes and their retries are in flight) and ships it
-    to every shard, which arms only the windows of its own targets.  Plan
-    generation derives an independent RNG per hostname, so the windows a
-    resolver sees do not depend on the shard plan.  Returns the run and
-    the plan, so callers can correlate failures with the injected windows.
+    Returns the one leg and a :class:`~repro.faults.FaultPlan` covering the
+    campaign's whole span plus one interval of slack (windows can still be
+    open while the last round's probes and their retries are in flight);
+    :func:`repro.parallel.run_campaigns` ships it to every shard, which
+    arms only the windows of its own targets.  Plan generation derives an
+    independent RNG per hostname, so the windows a resolver sees do not
+    depend on the shard plan, and callers can correlate failures with them.
     """
-    hostnames = _catalog_hostnames(target_hostnames)
-    names = list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
     config = fault_campaign_config(rounds=rounds, retry=retry)
     plan = FaultPlan.generate(
-        hostnames, horizon_ms=config.schedule.horizon_ms, seed=fault_seed,
+        target_hostnames, horizon_ms=config.schedule.horizon_ms, seed=fault_seed,
         config=plan_config,
     )
-    run = run_campaign_parallel(
-        config,
-        names,
-        hostnames,
-        world_seed=world_seed,
-        workers=workers,
-        shard_by=shard_by,
-        shards=shards,
-        fault_plan=plan,
-        collect_spans=collect_spans,
-        collect_metrics=collect_metrics,
-    )
-    return run, plan
+    return [(config, vantage_names, target_hostnames)], plan

@@ -15,6 +15,9 @@ Two longitudinal signals are built in:
 * an optional **fault plan** spanning the whole horizon, so availability
   and error-share observers have real dips to find.
 
+:func:`observer_study_legs` returns the months as legs (one
+``(CampaignConfig, vantage names, target hostnames)`` triple per campaign)
+and the fault plan; :func:`repro.parallel.run_campaigns` runs them.
 Everything is derived from explicit seeds; ``workers=1`` and any sharded
 execution produce the same record multiset, and therefore (by the fleet's
 order-independence) byte-identical events and index.
@@ -22,18 +25,17 @@ order-independence) byte-identical events and index.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.catalog.resolvers import CATALOG
+from repro.catalog.resolvers import CATALOG, CATALOG_HOSTNAMES
 from repro.core.runner import CampaignConfig
 from repro.core.scheduler import MS_PER_DAY, MS_PER_HOUR, PeriodicSchedule
 from repro.core.seeding import derive_seed
 from repro.errors import CampaignConfigError
-from repro.experiments.campaigns import EC2_VANTAGE_NAMES, _catalog_hostnames
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES
 from repro.faults import FaultPlan, FaultPlanConfig
 from repro.observers import ObserverFleet, ObserverReport, ObserverSpec
-from repro.parallel.runner import ParallelRun, chain_tasks, plan_campaign, run_parallel
-from repro.store import DEFAULT_SEGMENT_RECORDS
+from repro.parallel.runner import Leg, ParallelRun
 
 #: Gap between successive measurement windows (the poster re-measured
 #: roughly monthly).
@@ -44,7 +46,6 @@ def observer_campaign_configs(
     months: int = 4,
     rounds_per_month: int = 6,
     seed: int = 606,
-    domains: Optional[Sequence[str]] = None,
 ) -> List[CampaignConfig]:
     """One or two campaigns per monthly window: a DoH leg and a DoQ leg.
 
@@ -77,9 +78,6 @@ def observer_campaign_configs(
             configs.append(
                 CampaignConfig(
                     name=f"observe-m{month:02d}-{transport}",
-                    domains=(
-                        tuple(domains) if domains is not None else CampaignConfig.domains
-                    ),
                     schedule=PeriodicSchedule(
                         rounds=rounds,
                         interval_ms=8 * MS_PER_HOUR,
@@ -109,78 +107,47 @@ def observer_study_horizon_ms(months: int) -> float:
     return months * MONTH_MS + MS_PER_DAY
 
 
-def run_observer_study(
-    world_seed: int = 0,
+def observer_study_legs(
     months: int = 4,
     rounds_per_month: int = 6,
     seed: int = 606,
-    domains: Optional[Sequence[str]] = None,
-    vantage_names: Optional[Sequence[str]] = None,
-    target_hostnames: Optional[Iterable[str]] = None,
-    workers: int = 1,
-    shard_by: str = "vantage",
-    shards: Optional[int] = None,
+    vantage_names: Sequence[str] = EC2_VANTAGE_NAMES,
+    target_hostnames: Sequence[str] = CATALOG_HOSTNAMES,
     fault_seed: Optional[int] = None,
     fault_fraction: float = 0.10,
-    collect_metrics: bool = False,
-    store_dir: Optional[str] = None,
-    segment_records: int = DEFAULT_SEGMENT_RECORDS,
-) -> ParallelRun:
-    """Run the whole multi-month observatory through one worker pool.
+) -> Tuple[List[Leg], Optional[FaultPlan]]:
+    """The whole multi-month observatory as legs, and its fault plan.
 
-    All monthly campaigns are planned up front and chained, so shards
-    from different months interleave freely; the merged store (or
-    warehouse) holds the full longitudinal stream in canonical order.
+    Run through :func:`repro.parallel.run_campaigns`, the monthly
+    campaigns' shards interleave freely in one pool, and the merged store
+    (or warehouse) holds the full longitudinal stream in canonical order.
     The DoQ legs target only the DoQ-capable subset of the selected
     resolvers (and are dropped entirely when that subset is empty), so
     the ramp measures adoption rather than guaranteed refusals.
-    With ``fault_seed`` set, a :class:`~repro.faults.FaultPlan` spanning
-    the entire horizon is shipped to every shard — fresh shard worlds
-    start at virtual time 0, which is exactly the plan's origin, so the
-    same windows are live for any worker count.
+    With ``fault_seed`` set, the returned :class:`~repro.faults.FaultPlan`
+    spans the entire horizon -- fresh shard worlds start at virtual time
+    0, which is exactly the plan's origin, so the same windows are live
+    for any worker count; without it the plan is ``None``.
     """
-    hostnames = _catalog_hostnames(target_hostnames)
-    doq_hostnames = [name for name in hostnames if name in _DOQ_CAPABLE]
-    names = (
-        list(vantage_names) if vantage_names is not None else list(EC2_VANTAGE_NAMES)
-    )
-    fault_plan_json: Optional[str] = None
+    doq_hostnames = [name for name in target_hostnames if name in _DOQ_CAPABLE]
+    plan = None
     if fault_seed is not None:
         plan = FaultPlan.generate(
-            hostnames,
+            target_hostnames,
             horizon_ms=observer_study_horizon_ms(months),
             seed=fault_seed,
             config=FaultPlanConfig(impaired_time_fraction=fault_fraction),
         )
-        fault_plan_json = plan.to_json()
-    plans = []
+    legs: List[Leg] = []
     for config in observer_campaign_configs(
         months=months,
         rounds_per_month=rounds_per_month,
         seed=seed,
-        domains=domains,
     ):
-        targets = doq_hostnames if config.transports == ("doq",) else hostnames
-        if not targets:
-            continue  # no DoQ-capable resolver selected: skip the DoQ leg
-        plans.append(
-            plan_campaign(
-                config,
-                names,
-                targets,
-                world_seed=world_seed,
-                shard_by=shard_by,
-                shards=shards,
-                fault_plan_json=fault_plan_json,
-                collect_metrics=collect_metrics,
-            )
-        )
-    return run_parallel(
-        chain_tasks(*plans),
-        workers=workers,
-        store_dir=store_dir,
-        segment_records=segment_records,
-    )
+        targets = doq_hostnames if config.transports == ("doq",) else target_hostnames
+        if targets:  # no DoQ-capable resolver selected: skip the DoQ leg
+            legs.append((config, vantage_names, targets))
+    return legs, plan
 
 
 def observe_run(

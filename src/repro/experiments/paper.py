@@ -25,8 +25,8 @@ from repro.analysis.tables import delta_table_as_text_rows, table1_rows, table2_
 from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import entries_by_region
 from repro.core.results import ResultStore
-from repro.experiments.campaigns import HOME_VANTAGE_NAMES, run_fault_study, run_study
-from repro.parallel import ParallelRun
+from repro.experiments.campaigns import HOME_VANTAGE_NAMES, fault_study_legs, study_legs
+from repro.parallel import ParallelRun, run_campaigns
 
 #: §4 reported numbers used for paper-vs-measured rows.
 PAPER_VALUES = {
@@ -131,14 +131,17 @@ def generate_report(
     fault_store: Optional[ResultStore] = None
     runs: List[ParallelRun] = []
     if store is None:
-        traced = dict(collect_spans=collect_spans, collect_metrics=collect_metrics)
-        study = run_study(
-            world_seed=seed, home_rounds=home_rounds, ec2_rounds=ec2_rounds,
-            shards=1, **traced,
+        execution = dict(
+            world_seed=seed, shards=1,
+            collect_spans=collect_spans, collect_metrics=collect_metrics,
+        )
+        study = run_campaigns(
+            study_legs(home_rounds=home_rounds, ec2_rounds=ec2_rounds), **execution
         )
         store = study.store
         runs.append(study)
-        faulted, _plan = run_fault_study(world_seed=seed, shards=1, **traced)
+        fault_legs, fault_plan = fault_study_legs()
+        faulted = run_campaigns(fault_legs, fault_plan=fault_plan, **execution)
         fault_store = faulted.store
         runs.append(faulted)
     report = PaperReport(store=store, fault_store=fault_store, runs=runs)

@@ -15,16 +15,19 @@ to a worker pool:
   :class:`~repro.core.results.ResultStore`, span collector and metrics
   registry, deterministically: the merged artifacts are byte-identical
   no matter how many workers ran or which shard finished first;
-* :mod:`repro.parallel.runner` orchestrates the whole thing: it warms
-  one world, then runs each shard in a child process forked from it, at
-  most ``workers`` at a time (with an in-process sequential path for
-  ``workers=1`` and for platforms that cannot start a child).
+* :mod:`repro.parallel.runner` orchestrates the whole thing:
+  :func:`~repro.parallel.runner.run_campaigns` plans a study's legs (one
+  ``(config, vantages, targets)`` triple per campaign) and chains them
+  into one plan; the runner warms one world, then runs each shard in a
+  child process forked from it, at most ``workers`` at a time (with an
+  in-process sequential path for ``workers=1`` and for platforms that
+  cannot start a child).
 
 The execution model is *shard-decomposed*: each shard runs on a world no
 other shard has touched, so shard results depend only on the shard spec —
 never on co-scheduled traffic from other shards or on which process ran
-them.  ``run_parallel(plan, workers=1)`` is the serial reference run;
-any ``workers=N`` of the same plan reproduces it byte for byte.
+them.  ``run_campaigns(legs, workers=1)`` is the serial reference run;
+any ``workers=N`` of the same legs reproduces it byte for byte.
 """
 
 from repro.core.seeding import derive_rng, derive_seed, stable_hash64
@@ -32,9 +35,9 @@ from repro.parallel.executor import ShardResult, ShardTask, execute_shard
 from repro.parallel.merge import merge_shard_results, merge_shard_warehouses
 from repro.parallel.runner import (
     ParallelRun,
-    chain_tasks,
     default_worker_count,
     plan_campaign,
+    run_campaigns,
     run_parallel,
 )
 from repro.parallel.shard import SHARD_STRATEGIES, Shard, partition
@@ -45,7 +48,6 @@ __all__ = [
     "Shard",
     "ShardResult",
     "ShardTask",
-    "chain_tasks",
     "default_worker_count",
     "derive_rng",
     "derive_seed",
@@ -54,6 +56,7 @@ __all__ = [
     "merge_shard_warehouses",
     "partition",
     "plan_campaign",
+    "run_campaigns",
     "run_parallel",
     "stable_hash64",
 ]

@@ -51,7 +51,8 @@ class ShardTask:
     """Everything a worker needs to run one shard, picklable.
 
     ``config`` is the *unsliced* campaign config; the executor slices its
-    schedule to ``[round_start, round_stop)``.  ``network_seed`` (when not
+    schedule to ``[round_start, round_stop)`` and hands the campaign
+    ``round_start`` as its first round's index.  ``network_seed`` (when not
     ``None``) reseeds the shard world's packet-jitter/loss stream;
     multi-shard plans use it to de-correlate shards, while the identity
     plan leaves the world untouched, reproducing the classic serial
@@ -242,6 +243,7 @@ def execute_shard(
             config=config,
             store=store,
             on_round_complete=on_round_complete,
+            first_round_index=task.round_start,
         ).run()
     record_count = len(store)
     if warehouse_path is not None:

@@ -1,12 +1,15 @@
-"""Orchestration: plan a sharded campaign and run it across workers.
+"""Orchestration: plan sharded campaigns and run them across workers.
 
-:func:`plan_campaign` turns a campaign description into a list of
-:class:`~repro.parallel.executor.ShardTask`; :func:`run_parallel`
-executes the tasks — sequentially in-process for ``workers=1``, one child
-process per shard with at most ``workers`` alive otherwise — and merges
-the results deterministically.  Both paths run the *same* tasks through
-the *same* :func:`~repro.parallel.executor.execute_shard`, which is why
-``workers=4`` reproduces ``workers=1`` byte for byte.
+:func:`run_campaigns` is how a study runs: it takes the study's legs --
+one ``(CampaignConfig, vantage names, target hostnames)`` triple per
+campaign -- plans each with :func:`plan_campaign` into
+:class:`~repro.parallel.executor.ShardTask` lists, chains them, and hands
+them to :func:`run_parallel`, which executes the tasks — sequentially
+in-process for ``workers=1``, one child process per shard with at most
+``workers`` alive otherwise — and merges the results deterministically.
+Both paths run the *same* tasks through the *same*
+:func:`~repro.parallel.executor.execute_shard`, which is why ``workers=4``
+reproduces ``workers=1`` byte for byte.
 
 Where the platform has ``fork``, the parent builds and warms one world
 per run (:func:`~repro.parallel.executor.pristine_worlds`) before the
@@ -30,7 +33,16 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.core.runner import CampaignConfig, RoundProgress
@@ -45,6 +57,14 @@ from repro.parallel.executor import (
 from repro.parallel.merge import merge_shard_results, merge_shard_warehouses
 from repro.parallel.shard import Shard, partition
 from repro.store import DEFAULT_SEGMENT_RECORDS
+
+if TYPE_CHECKING:
+    from repro.faults import FaultPlan
+
+#: One campaign of a study: its config, the vantages it measures from and
+#: the resolvers it measures, in the order the caller gives them (target
+#: order sets reserved sequence numbers and resolver cohorts).
+Leg = Tuple[CampaignConfig, Sequence[str], Sequence[str]]
 
 
 @dataclass
@@ -140,20 +160,6 @@ def plan_campaign(
         )
         for shard in shard_list
     ]
-
-
-def chain_tasks(*plans: Sequence[ShardTask]) -> List[ShardTask]:
-    """Concatenate shard plans, renumbering indices to stay unique.
-
-    Used to drive several campaigns (e.g. the home and EC2 studies)
-    through one worker pool while keeping the merge order well-defined:
-    plan order first, shard order within each plan second.
-    """
-    chained: List[ShardTask] = []
-    for plan in plans:
-        for task in plan:
-            chained.append(replace(task, shard_index=len(chained)))
-    return chained
 
 
 class _NoChildren(Exception):
@@ -367,6 +373,57 @@ def run_parallel(
         },
         warm_seconds=warm_seconds,
         warehouse=warehouse,
+    )
+
+
+def run_campaigns(
+    legs: Sequence[Leg],
+    world_seed: int = 0,
+    fault_plan: Optional["FaultPlan"] = None,
+    workers: int = 1,
+    shard_by: str = "vantage",
+    shards: Optional[int] = None,
+    collect_spans: bool = False,
+    collect_metrics: bool = False,
+    store_dir: Optional[str] = None,
+    segment_records: int = DEFAULT_SEGMENT_RECORDS,
+    on_round_complete: Optional[Callable[[RoundProgress], None]] = None,
+) -> ParallelRun:
+    """Plan every leg and run all of their shards through one pool.
+
+    The plans are chained in leg order, shard indices renumbered to stay
+    unique, so the merge order is well-defined (leg order first, shard
+    order within each leg second) and a long leg cannot serialize behind
+    another.  Every shard runs on a fresh world built from ``world_seed``,
+    so each campaign keeps its own cadence from virtual time 0, as the
+    paper's campaigns ran independently.  ``fault_plan`` ships to every
+    shard, which arms the windows of its own targets.  ``workers=1`` is
+    the serial reference execution of the plan and any higher count
+    reproduces it byte for byte; ``shards=1`` is the identity plan, one
+    ``Campaign.run()`` per leg.  ``store_dir``, ``segment_records`` and
+    ``on_round_complete`` are :func:`run_parallel`'s.
+    """
+    fault_plan_json = fault_plan.to_json() if fault_plan is not None else None
+    tasks: List[ShardTask] = []
+    for config, vantage_names, target_hostnames in legs:
+        for task in plan_campaign(
+            config,
+            vantage_names,
+            target_hostnames,
+            world_seed=world_seed,
+            shard_by=shard_by,
+            shards=shards,
+            fault_plan_json=fault_plan_json,
+            collect_spans=collect_spans,
+            collect_metrics=collect_metrics,
+        ):
+            tasks.append(replace(task, shard_index=len(tasks)))
+    return run_parallel(
+        tasks,
+        workers=workers,
+        store_dir=store_dir,
+        segment_records=segment_records,
+        on_round_complete=on_round_complete,
     )
 
 

@@ -21,10 +21,11 @@ import pytest
 
 from repro.core.runner import Campaign
 from repro.experiments.campaigns import EC2_VANTAGE_NAMES, ec2_campaign_config
-from repro.experiments.observatory import observe_run, run_observer_study
+from repro.experiments.observatory import observe_run, observer_study_legs
 from repro.experiments.world import build_world
 from repro.monitor import Monitor, default_policy
 from repro.observers import scaled_registry
+from repro.parallel import run_campaigns
 
 #: The health index's band names, before and after the shared vocabulary.
 BANDS = {
@@ -109,10 +110,11 @@ def monitor_rows(seed: int):
 
 
 def fleet_rows():
-    run = run_observer_study(
-        world_seed=11, months=3, rounds_per_month=4, seed=707,
+    legs, plan = observer_study_legs(
+        months=3, rounds_per_month=4, seed=707,
         target_hostnames=OBSERVATORY_HOSTNAMES, fault_seed=42, fault_fraction=0.3,
     )
+    run = run_campaigns(legs, world_seed=11, fault_plan=plan)
     report = observe_run(run, scaled_registry(0.25).specs())
     events = [fleet_event_tuple(event) for event in report.events]
     summary = [

@@ -38,28 +38,36 @@ from repro.catalog.browsers import mainstream_hostnames
 from repro.catalog.resolvers import CATALOG
 from repro.experiments.campaigns import (
     HOME_VANTAGE_NAMES,
-    run_fault_study,
-    run_sessions_study,
-    run_study,
+    fault_study_legs,
+    session_study_legs,
+    study_legs,
 )
 from repro.experiments.paper import generate_report
+from repro.parallel import run_campaigns
 from tests.conftest import MINI_CATALOG_HOSTNAMES
 
 PINNED_SHA256 = "37f5f35518d751ca9a58a429bf797fcd00dbba4f926a70c7097e98c20669a056"
 
 
 def pinned_text() -> str:
-    study = run_study(
-        world_seed=0, home_rounds=2, ec2_rounds=2, recheck_months=("feb",),
-        target_hostnames=MINI_CATALOG_HOSTNAMES, shards=1,
+    study = run_campaigns(
+        study_legs(
+            home_rounds=2, ec2_rounds=2, recheck_months=("feb",),
+            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        ),
+        world_seed=0, shards=1,
     ).store
-    faulted, _plan = run_fault_study(
-        world_seed=0, rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES, shards=1,
+    fault_legs, fault_plan = fault_study_legs(
+        rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES
     )
-    sessions = run_sessions_study(
-        rounds=1, target_hostnames=("dns.adguard.com", "dns.nextdns.io"),
-        vantage_names=("ec2-ohio", "ec2-seoul"), shards=1,
-    )
+    faulted = run_campaigns(fault_legs, world_seed=0, fault_plan=fault_plan, shards=1)
+    sessions = {
+        name: run_campaigns([leg], world_seed=0, shards=1)
+        for name, leg in session_study_legs(
+            rounds=1, target_hostnames=("dns.adguard.com", "dns.nextdns.io"),
+            vantage_names=("ec2-ohio", "ec2-seoul"),
+        ).items()
+    }
     out = []
 
     report = generate_report(store=study)

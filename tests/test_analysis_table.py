@@ -795,12 +795,16 @@ class CountingSource:
 
 @pytest.fixture(scope="module")
 def mini_study():
-    from repro.experiments.campaigns import run_study
+    from repro.experiments.campaigns import study_legs
+    from repro.parallel import run_campaigns
     from tests.conftest import MINI_CATALOG_HOSTNAMES
 
-    return run_study(
-        world_seed=0, home_rounds=2, ec2_rounds=2,
-        target_hostnames=MINI_CATALOG_HOSTNAMES, shards=1,
+    return run_campaigns(
+        study_legs(
+            home_rounds=2, ec2_rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES,
+        ),
+        world_seed=0,
+        shards=1,
     ).store
 
 

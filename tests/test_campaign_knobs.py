@@ -80,7 +80,6 @@ CASES: Dict[str, Case] = {
     "campaign.schedule.interval_ms": Case(2 * MS_PER_HOUR, context=TWO_ROUNDS),
     "campaign.schedule.start_ms": Case(1000.0),
     "campaign.schedule.stagger_ms": Case(60_000.0),
-    "campaign.schedule.first_round_index": Case(3),
     "campaign.transports": Case(["dot"]),
     "campaign.probe_config.method": Case("GET"),
     "campaign.probe_config.http_versions": Case(["http/1.1"]),
@@ -184,7 +183,7 @@ def run(keys: Mapping[str, Any], faults) -> str:
 
 def test_every_leaf_has_a_case_and_every_case_a_leaf():
     schema = list(leaves(CampaignFile))
-    assert len(schema) == len(set(schema)) == 34
+    assert len(schema) == len(set(schema)) == 33
     missing = sorted(set(schema) - set(CASES))
     assert not missing, f"campaign-file keys with no case proving a run reads them: {missing}"
     stale = sorted(set(CASES) - set(schema))

@@ -195,6 +195,22 @@ class TestPingProbe:
 class TestProbeConfigValidation:
     """Bad timeout/retry parameters must fail at construction, not mid-probe."""
 
+    def test_probes_made_without_a_config_share_one(self, world):
+        # Frozen, so built and checked once, not once per probe.
+        from repro.core.odoh import OdohProbe, OdohProbeConfig
+        from repro.core.probes import make_probe
+
+        host = world.vantage("ec2-ohio").host
+        first, second = (
+            make_probe(transport, host, "192.0.2.1", "a.example")
+            for transport in ("doh", "do53")
+        )
+        assert first.config is second.config
+        assert first.config == ProbeConfig()
+        odoh = [OdohProbe(host, "192.0.2.1", "proxy.example", "a.example") for _ in "ab"]
+        assert odoh[0].config is odoh[1].config
+        assert odoh[0].config == OdohProbeConfig()
+
     @pytest.mark.parametrize("timeout_ms", [0, -1, -0.5, "fast", None, True])
     def test_doh_config_rejects_bad_timeouts(self, timeout_ms):
         from repro.errors import CampaignConfigError

@@ -31,12 +31,9 @@ from repro.dnswire.canonical import (
     CLASS_UNANSWERED,
 )
 from repro.errors import CampaignConfigError, DiffInputError
-from repro.experiments.campaigns import (
-    EC2_VANTAGE_NAMES,
-    diff_campaign_config,
-    run_campaign_parallel,
-)
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES, diff_campaign_config
 from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
+from repro.parallel import run_campaigns
 
 from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
 
@@ -216,17 +213,17 @@ class TestRequeryCampaign:
     ARGV = ["diff", "--resolver", *STABLE, "--rounds", "2", "--seed", "5"]
 
     def _run(self, monkeypatch, tmp_path, *extra):
-        import repro.experiments.campaigns as campaigns
+        import repro.cli as cli
         from repro.cli import main
 
         rounds = []
-        run = campaigns.run_campaign_parallel
+        run = cli.run_campaigns
 
-        def counted(config, *args, **kwargs):
-            rounds.append(config.schedule.rounds)
-            return run(config, *args, **kwargs)
+        def counted(legs, *args, **kwargs):
+            rounds.extend(config.schedule.rounds for config, _vantages, _targets in legs)
+            return run(legs, *args, **kwargs)
 
-        monkeypatch.setattr(campaigns, "run_campaign_parallel", counted)
+        monkeypatch.setattr(cli, "run_campaigns", counted)
         cells = tmp_path / "cells.jsonl"
         assert main(self.ARGV + list(extra) + ["--output", str(cells)]) == 0
         records = [DiffRecord.parse_line(line) for line in cells.read_text().splitlines()]
@@ -312,10 +309,12 @@ class TestGoldenMasters:
     def test_report_byte_identical_serial_vs_pooled(self):
         plan = answer_plan()
         runs = [
-            run_campaign_parallel(
-                diff_campaign_config(rounds=2, seed=5),
-                EC2_VANTAGE_NAMES,
-                MINI,
+            run_campaigns(
+                [(
+                    diff_campaign_config(rounds=2, seed=5),
+                    EC2_VANTAGE_NAMES,
+                    MINI,
+                )],
                 world_seed=0,
                 workers=workers,
                 fault_plan=plan,
@@ -328,13 +327,15 @@ class TestGoldenMasters:
         assert reports[0].status_counts()[STATUS_DISAGREE] > 0
 
     def test_report_byte_identical_classic_vs_warehouse(self, tmp_path):
-        classic = run_campaign_parallel(
-            diff_campaign_config(rounds=2, seed=5), EC2_VANTAGE_NAMES, MINI
+        classic = run_campaigns(
+            [(diff_campaign_config(rounds=2, seed=5), EC2_VANTAGE_NAMES, MINI)]
         )
-        stored = run_campaign_parallel(
-            diff_campaign_config(rounds=2, seed=5),
-            EC2_VANTAGE_NAMES,
-            MINI,
+        stored = run_campaigns(
+            [(
+                diff_campaign_config(rounds=2, seed=5),
+                EC2_VANTAGE_NAMES,
+                MINI,
+            )],
             store_dir=str(tmp_path / "wh"),
             segment_records=64,
         )

@@ -20,7 +20,7 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
 SRC = str(EXAMPLES_DIR.parent / "src")
 
-#: The examples that call run_study or run_fault_study.
+#: The examples that run a study (study_legs or fault_study_legs).
 STUDY_EXAMPLES = (
     "fault_injection",
     "global_survey",

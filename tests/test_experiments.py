@@ -17,11 +17,16 @@ from repro.experiments.campaigns import (
     HOME_VANTAGE_NAMES,
     ec2_campaign_config,
     home_campaign_config,
+    fault_study_legs,
     monthly_recheck_config,
-    run_study,
+    session_study_legs,
+    study_legs,
 )
+from repro.experiments.observatory import observer_study_legs
 from repro.experiments.paper import PAPER_VALUES, generate_report
 from repro.experiments.world import DEFAULT_VANTAGES, STUDY_DOMAIN_NAMES, build_world
+from repro.parallel import run_campaigns
+from repro.store import merge_key
 from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
 
 
@@ -176,9 +181,11 @@ class TestCampaignConfigs:
 class TestRunStudy:
     @pytest.fixture(scope="class")
     def study(self):
-        return run_study(
-            world_seed=4, home_rounds=3, ec2_rounds=3,
-            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        return run_campaigns(
+            study_legs(
+                home_rounds=3, ec2_rounds=3, target_hostnames=MINI_CATALOG_HOSTNAMES
+            ),
+            world_seed=4,
         ).store
 
     def test_record_volume(self, study):
@@ -223,9 +230,12 @@ class TestRunStudy:
             assert abs((later - earlier) - interval) <= stagger
 
     def test_recheck_campaign(self):
-        store = run_study(
-            home_rounds=0, ec2_rounds=1, recheck_months=["feb", "mar"],
-            target_hostnames=["dns.google"], shards=1,
+        store = run_campaigns(
+            study_legs(
+                home_rounds=0, ec2_rounds=1, recheck_months=["feb", "mar"],
+                target_hostnames=["dns.google"],
+            ),
+            shards=1,
         ).store
         first = {}
         for record in store:
@@ -241,16 +251,47 @@ class TestRunStudy:
 
     def test_needs_a_campaign(self):
         with pytest.raises(CampaignConfigError, match="study needs"):
-            run_study(home_rounds=0, ec2_rounds=0)
+            study_legs(home_rounds=0, ec2_rounds=0)
+
+
+def _one_cell_study(study):
+    """A study's legs and fault plan at one vantage, resolver and round."""
+    one = dict(vantage_names=("ec2-ohio",), target_hostnames=("dns.adguard.com",))
+    if study == "faults":
+        return fault_study_legs(rounds=1, **one)
+    if study == "observatory":
+        return observer_study_legs(months=1, rounds_per_month=1, fault_seed=1, **one)
+    return list(session_study_legs(policies=("keep-alive",), rounds=1, **one).values()), None
+
+
+@pytest.mark.parametrize("study", ["faults", "observatory", "sessions"])
+def test_every_study_takes_every_execution_keyword(study, tmp_path):
+    """A study names its legs and ``run_campaigns`` runs them, so each study
+    streams into a warehouse and collects spans and metrics (the fault study
+    once could not stream, the observatory could not trace, the sessions
+    study could do neither)."""
+    legs, plan = _one_cell_study(study)
+    in_ram = run_campaigns(legs, fault_plan=plan)
+    traced = run_campaigns(
+        legs, fault_plan=plan, collect_spans=True, collect_metrics=True,
+        store_dir=str(tmp_path / "wh"),
+    )
+    assert traced.warehouse is not None and len(traced.spans) > 0
+    assert traced.metrics.enabled
+    assert [r.to_json() for r in traced.records()] == [
+        r.to_json() for r in sorted(in_ram.records(), key=merge_key)
+    ]
 
 
 class TestPaperReport:
     def test_report_from_prebuilt_store(self):
         # Tiny store: mainstream fast, non-mainstream slow — just verifies
         # the claim machinery runs end to end without a full simulation.
-        store = run_study(
-            world_seed=8, home_rounds=2, ec2_rounds=2,
-            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        store = run_campaigns(
+            study_legs(
+                home_rounds=2, ec2_rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES
+            ),
+            world_seed=8,
         ).store
         report = generate_report(store=store)
         assert report.claims
@@ -283,27 +324,39 @@ def _calls_to(tree: ast.AST, callee: str):
                 yield node.lineno
 
 
-def _callers_outside_the_executor(callee: str):
-    """``callee(...)`` call sites outside ``parallel/executor.py``, and the
-    number inside it (so a test can check the walker sees the seam's)."""
+def _callers_outside_the_seam(callee: str, seam: Path, function=None):
+    """``callee(...)`` call sites in the package outside the seam -- the
+    module ``seam``, or only its top-level ``function`` when one is named --
+    and the number inside it (so a test can check the walker sees the
+    seam's)."""
     root = Path(repro.__file__).parent
-    seam = Path("parallel", "executor.py")
-    offenders = []
+    offenders, seen = [], 0
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
-        if relative == seam:
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        offenders += [f"{relative}:{line}" for line in _calls_to(tree, callee)]
-    executor = ast.parse((root / seam).read_text(encoding="utf-8"))
-    return offenders, len(list(_calls_to(executor, callee)))
+        lines = list(_calls_to(tree, callee))
+        if relative == seam:
+            inside = lines if function is None else [
+                line
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function
+                for line in _calls_to(node, callee)
+            ]
+            seen = len(inside)
+            lines = [line for line in lines if line not in inside]
+        offenders += [f"{relative}:{line}" for line in lines]
+    return offenders, seen
+
+
+EXECUTOR = Path("parallel", "executor.py")
+RUNNER = Path("parallel", "runner.py")
 
 
 def test_only_the_shard_executor_builds_a_campaign():
     """Every campaign in the package runs through plan_campaign ->
     run_parallel -> execute_shard; a second path beside the shard plan is
     how the EC2 study once ran in a burst on the home campaign's world."""
-    offenders, seen = _callers_outside_the_executor("Campaign")
+    offenders, seen = _callers_outside_the_seam("Campaign", EXECUTOR)
     assert offenders == []
     # The walker does see what it is looking for.
     assert seen == 1
@@ -312,9 +365,28 @@ def test_only_the_shard_executor_builds_a_campaign():
 def test_only_the_shard_executor_builds_a_world():
     """A world is built for a shard (or for the shards a pool forks) and
     nowhere else: ``query`` and ``diff --verify`` run plans, not probes."""
-    offenders, seen = _callers_outside_the_executor("build_world")
+    offenders, seen = _callers_outside_the_seam("build_world", EXECUTOR)
     assert offenders == []
     assert seen == 2
+
+
+@pytest.mark.parametrize("callee", ["plan_campaign", "run_parallel"])
+def test_only_run_campaigns_plans_and_runs_shards(callee):
+    """A study names its legs and ``run_campaigns`` runs them: a second
+    caller of the planner or the pool is a second copy of the execution
+    keywords, and copies drift (the fault study once could not stream into
+    a warehouse, the observatory could not collect spans)."""
+    offenders, seen = _callers_outside_the_seam(callee, RUNNER, "run_campaigns")
+    assert offenders == []
+    # The walker does see what it is looking for.
+    assert seen == 1
+
+
+def test_the_package_does_not_call_the_one_leg_adapter():
+    """``run_campaign_parallel`` is the benchmark harness's entry point
+    only; the package runs legs through ``run_campaigns``."""
+    offenders, _seen = _callers_outside_the_seam("run_campaign_parallel", RUNNER)
+    assert offenders == []
 
 
 def _imports_of(tree: ast.AST, package: str):

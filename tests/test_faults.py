@@ -31,7 +31,7 @@ from repro.core.runner import Campaign, CampaignConfig, RetryPolicy
 from repro.core.scheduler import PeriodicSchedule
 from repro.dnswire.name import Name
 from repro.errors import CampaignConfigError
-from repro.experiments.campaigns import run_fault_study
+from repro.experiments.campaigns import fault_study_legs
 from repro.faults import (
     ANSWER_KINDS,
     FaultEvent,
@@ -41,6 +41,7 @@ from repro.faults import (
     FaultPlanConfig,
     inject_faults,
 )
+from repro.parallel import run_campaigns
 from tests.conftest import (
     MINI_CATALOG_HOSTNAMES,
     add_host,
@@ -512,10 +513,11 @@ class TestRetryBackoff:
 class TestDeterminism:
     def test_identical_seeds_reproduce_identical_exports(self, tmp_path):
         def run(path):
-            faulted, plan = run_fault_study(
-                world_seed=5, rounds=2, vantage_names=("ec2-ohio",), fault_seed=77,
+            legs, plan = fault_study_legs(
+                rounds=2, vantage_names=("ec2-ohio",), fault_seed=77,
                 target_hostnames=MINI_CATALOG_HOSTNAMES,
             )
+            faulted = run_campaigns(legs, world_seed=5, fault_plan=plan)
             faulted.store.save_jsonl(path)
             return plan
 
@@ -531,8 +533,8 @@ class TestDeterminism:
 class TestPaperErrorShape:
     @pytest.mark.slow
     def test_fault_campaign_reproduces_error_rate_band(self):
-        run, plan = run_fault_study(world_seed=7, rounds=8, vantage_names=("ec2-ohio",))
-        store = run.store
+        legs, plan = fault_study_legs(rounds=8, vantage_names=("ec2-ohio",))
+        store = run_campaigns(legs, world_seed=7, fault_plan=plan).store
         assert len(plan) > 0
 
         report = availability_report(store)

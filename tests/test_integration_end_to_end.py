@@ -13,7 +13,8 @@ import pytest
 from repro.core.probes import DohProbe, DohProbeConfig, PingProbe
 from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import PeriodicSchedule
-from repro.experiments.campaigns import EC2_VANTAGE_NAMES, HOME_VANTAGE_NAMES, run_study
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES, HOME_VANTAGE_NAMES, study_legs
+from repro.parallel import run_campaigns
 from repro.experiments.world import build_world
 from repro.netsim.trace import EventTrace
 from tests.conftest import MINI_CATALOG_HOSTNAMES
@@ -112,9 +113,11 @@ class TestWireLevelBehaviour:
 class TestDeterminism:
     def test_identical_studies_identical_records(self):
         def run_once():
-            store = run_study(
-                world_seed=99, home_rounds=2, ec2_rounds=2,
-                target_hostnames=MINI_CATALOG_HOSTNAMES,
+            store = run_campaigns(
+                study_legs(
+                    home_rounds=2, ec2_rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES,
+                ),
+                world_seed=99,
             ).store
             return [record.to_json() for record in store]
 
@@ -122,9 +125,11 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         def run_once(seed):
-            store = run_study(
-                world_seed=seed, home_rounds=1, ec2_rounds=1,
-                target_hostnames=MINI_CATALOG_HOSTNAMES,
+            store = run_campaigns(
+                study_legs(
+                    home_rounds=1, ec2_rounds=1, target_hostnames=MINI_CATALOG_HOSTNAMES,
+                ),
+                world_seed=seed,
             ).store
             return [record.to_json() for record in store]
 
@@ -134,9 +139,11 @@ class TestDeterminism:
 class TestStudyProperties:
     @pytest.fixture(scope="class")
     def store(self):
-        return run_study(
-            world_seed=13, home_rounds=4, ec2_rounds=4,
-            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        return run_campaigns(
+            study_legs(
+                home_rounds=4, ec2_rounds=4, target_hostnames=MINI_CATALOG_HOSTNAMES,
+            ),
+            world_seed=13,
         ).store
 
     def test_every_live_resolver_measured_from_every_vantage(self, store):

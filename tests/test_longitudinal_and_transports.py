@@ -14,7 +14,8 @@ from repro.core.scheduler import MS_PER_HOUR, PeriodicSchedule
 from repro.dnswire.edns import EDE_NOT_READY, OPTION_EDE, get_edns, make_ede_option
 from repro.dnswire.types import TYPE_TXT
 from repro.errors import AnalysisError, CampaignConfigError
-from repro.experiments.campaigns import run_study
+from repro.experiments.campaigns import study_legs
+from repro.parallel import run_campaigns
 from tests.conftest import make_mini_world
 
 
@@ -152,9 +153,12 @@ class TestLongitudinal:
             drift_reports_from_records(store)
 
     def test_monthly_recheck_shows_no_drift_in_stationary_world(self):
-        store = run_study(
-            world_seed=33, home_rounds=0, ec2_rounds=4, recheck_months=["feb", "mar"],
-            target_hostnames=["dns.google", "dns.brahma.world", "dns.twnic.tw"],
+        store = run_campaigns(
+            study_legs(
+                home_rounds=0, ec2_rounds=4, recheck_months=["feb", "mar"],
+                target_hostnames=["dns.google", "dns.brahma.world", "dns.twnic.tw"],
+            ),
+            world_seed=33,
         ).store
         reports = drift_reports_from_records(store, vantage="ec2-ohio")
         for report in reports:

@@ -160,12 +160,15 @@ class TestDotResumption:
 
 class TestPaperReportRendering:
     def test_rendered_figures_have_all_panels(self):
-        from repro.experiments.campaigns import run_study
+        from repro.experiments.campaigns import study_legs
+        from repro.parallel import run_campaigns
         from repro.experiments.paper import generate_report
 
-        store = run_study(
-            world_seed=63, home_rounds=2, ec2_rounds=2,
-            target_hostnames=MINI_CATALOG_HOSTNAMES,
+        store = run_campaigns(
+            study_legs(
+                home_rounds=2, ec2_rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES,
+            ),
+            world_seed=63,
         ).store
         report = generate_report(store=store)
         for figure in ("figure1", "figure2", "figure3", "figure4"):

@@ -19,13 +19,9 @@ import pytest
 # fixture runs the serial reference); the whole file rides the slow lane.
 pytestmark = pytest.mark.slow
 
-from repro.experiments.campaigns import (
-    EC2_VANTAGE_NAMES,
-    ec2_campaign_config,
-    run_campaign_parallel,
-)
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES, ec2_campaign_config
 from repro.monitor import Monitor, default_policy
-from repro.parallel import ParallelRun
+from repro.parallel import ParallelRun, run_campaigns
 
 #: Worker count used for the pooled runs (override: REPRO_TEST_WORKERS=4).
 POOLED_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -49,10 +45,12 @@ class Monitored(NamedTuple):
 def _run(seed: int, workers: int, store_dir=None, shard_by: str = "vantage"):
     """A run, and a monitor that replayed its merged stream (as ``measure``
     does) and finalized into its metrics."""
-    run = run_campaign_parallel(
-        ec2_campaign_config(rounds=ROUNDS, seed=seed),
-        EC2_VANTAGE_NAMES,
-        HOSTNAMES,
+    run = run_campaigns(
+        [(
+            ec2_campaign_config(rounds=ROUNDS, seed=seed),
+            EC2_VANTAGE_NAMES,
+            HOSTNAMES,
+        )],
         world_seed=seed,
         workers=workers,
         shard_by=shard_by,

@@ -846,11 +846,11 @@ def _plan_config():
 
 
 def test_the_identity_plan_leaves_nothing_for_the_collector(kept_worlds):
-    from repro.experiments.campaigns import run_campaign_parallel
+    from repro.parallel import run_campaigns
 
     with collector_off():
-        run = run_campaign_parallel(
-            _plan_config(), [VANTAGE, "ec2-seoul"], PLAN_RESOLVERS, workers=1, shards=1
+        run = run_campaigns(
+            [(_plan_config(), [VANTAGE, "ec2-seoul"], PLAN_RESOLVERS)], workers=1, shards=1
         )
         count = len(run.records())
         del run
@@ -878,14 +878,13 @@ def test_a_pooled_run_into_a_warehouse_leaves_nothing_for_the_collector(
     conversion leaves a few dozen unreachable stdlib objects behind the first
     time; so this test keeps what the collector finds and looks for ours.
     """
-    from repro.experiments.campaigns import run_campaign_parallel
-    from repro.parallel import execute_shard, plan_campaign
+    from repro.parallel import execute_shard, plan_campaign, run_campaigns
 
     with collector_off():
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            run = run_campaign_parallel(
-                _plan_config(), [VANTAGE, "ec2-seoul"], PLAN_RESOLVERS,
+            run = run_campaigns(
+                [(_plan_config(), [VANTAGE, "ec2-seoul"], PLAN_RESOLVERS)],
                 workers=2, shard_by="resolver", shards=2, store_dir=str(tmp_path / "wh"),
             )
             assert run.pool_used, run.fallback_reason

@@ -17,8 +17,9 @@ import pytest
 # Every test replays at least one multi-month observatory campaign.
 pytestmark = pytest.mark.slow
 
-from repro.experiments.observatory import observe_run, run_observer_study
+from repro.experiments.observatory import observe_run, observer_study_legs
 from repro.observers import scaled_registry
+from repro.parallel import run_campaigns
 
 #: Worker count used for the pooled runs (override: REPRO_TEST_WORKERS=4).
 POOLED_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -42,15 +43,19 @@ SPECS = scaled_registry(0.25).specs()
 
 
 def _run(workers: int, store_dir=None, fault_seed=None):
-    return run_observer_study(
-        world_seed=11,
+    legs, plan = observer_study_legs(
         months=MONTHS,
         rounds_per_month=ROUNDS,
         seed=707,
         target_hostnames=HOSTNAMES,
-        workers=workers,
         fault_seed=fault_seed,
         fault_fraction=0.25,
+    )
+    return run_campaigns(
+        legs,
+        world_seed=11,
+        fault_plan=plan,
+        workers=workers,
         store_dir=None if store_dir is None else str(store_dir),
     )
 
@@ -105,15 +110,10 @@ class TestRecordSourceInvariance:
 
 class TestObserverGauges:
     def test_observer_gauges_land_next_to_monitor_series(self):
-        run = run_observer_study(
-            world_seed=11,
-            months=MONTHS,
-            rounds_per_month=ROUNDS,
-            seed=707,
-            target_hostnames=HOSTNAMES,
-            workers=1,
-            collect_metrics=True,
+        legs, _plan = observer_study_legs(
+            months=MONTHS, rounds_per_month=ROUNDS, seed=707, target_hostnames=HOSTNAMES
         )
+        run = run_campaigns(legs, world_seed=11, workers=1, collect_metrics=True)
         observe_run(run, SPECS)  # defaults to the run's registry
         gauges = run.metrics.gauges_matching("observer.")
         assert gauges
@@ -124,12 +124,8 @@ class TestObserverGauges:
         assert score is not None and 0.0 <= score <= 100.0
 
     def test_different_seed_changes_the_stream(self, serial_artifacts):
-        other = run_observer_study(
-            world_seed=12,
-            months=MONTHS,
-            rounds_per_month=ROUNDS,
-            seed=708,
-            target_hostnames=HOSTNAMES,
-            workers=1,
+        legs, _plan = observer_study_legs(
+            months=MONTHS, rounds_per_month=ROUNDS, seed=708, target_hostnames=HOSTNAMES
         )
+        other = run_campaigns(legs, world_seed=12, workers=1)
         assert _artifacts(other) != serial_artifacts

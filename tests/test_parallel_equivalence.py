@@ -31,12 +31,11 @@ from repro.core.runner import Campaign
 from repro.experiments.campaigns import (
     EC2_VANTAGE_NAMES,
     ec2_campaign_config,
-    run_campaign_parallel,
-    run_fault_study,
-    run_study,
+    fault_study_legs,
+    study_legs,
 )
 from repro.experiments.world import build_world
-from repro.parallel import ParallelRun
+from repro.parallel import ParallelRun, run_campaigns
 
 from tests.conftest import MINI_CATALOG_HOSTNAMES
 
@@ -59,10 +58,12 @@ def _artifacts(run: ParallelRun):
 
 def _run(seed: int, workers: int, hostnames=MINI, shard_by: str = "vantage",
          shards=None, rounds: int = 2) -> ParallelRun:
-    return run_campaign_parallel(
-        ec2_campaign_config(rounds=rounds, seed=seed),
-        EC2_VANTAGE_NAMES,
-        hostnames,
+    return run_campaigns(
+        [(
+            ec2_campaign_config(rounds=rounds, seed=seed),
+            EC2_VANTAGE_NAMES,
+            hostnames,
+        )],
         world_seed=seed,
         workers=workers,
         shard_by=shard_by,
@@ -88,8 +89,8 @@ def test_identity_plan_reproduces_classic_run():
     ).run()
     classic.canonical_sort()
 
-    sharded = run_campaign_parallel(
-        config, EC2_VANTAGE_NAMES, MINI, world_seed=11, workers=1, shards=1
+    sharded = run_campaigns(
+        [(config, EC2_VANTAGE_NAMES, MINI)], world_seed=11, workers=1, shards=1
     )
     assert sharded.store.to_jsonl() == classic.to_jsonl()
 
@@ -142,12 +143,10 @@ def test_other_strategies_byte_identical(shard_by, shards):
 
 @pytest.mark.slow
 def test_study_parallel_byte_identical():
-    kwargs = dict(
-        world_seed=3, home_rounds=1, ec2_rounds=1, target_hostnames=MINI,
-        collect_spans=True, collect_metrics=True,
-    )
-    serial = run_study(workers=1, **kwargs)
-    pooled = run_study(workers=3, **kwargs)
+    legs = study_legs(home_rounds=1, ec2_rounds=1, target_hostnames=MINI)
+    kwargs = dict(world_seed=3, collect_spans=True, collect_metrics=True)
+    serial = run_campaigns(legs, workers=1, **kwargs)
+    pooled = run_campaigns(legs, workers=3, **kwargs)
     assert _artifacts(serial) == _artifacts(pooled)
     # Both campaigns landed in the one merged store.
     assert {r.campaign for r in serial.store} == {"home-chicago", "ec2-global"}
@@ -155,12 +154,10 @@ def test_study_parallel_byte_identical():
 
 @pytest.mark.slow
 def test_fault_study_parallel_byte_identical():
-    serial, serial_plan = run_fault_study(
-        world_seed=9, rounds=2, workers=1, target_hostnames=MINI
-    )
-    pooled, pooled_plan = run_fault_study(
-        world_seed=9, rounds=2, workers=2, target_hostnames=MINI
-    )
+    legs, serial_plan = fault_study_legs(rounds=2, target_hostnames=MINI)
+    serial = run_campaigns(legs, world_seed=9, fault_plan=serial_plan, workers=1)
+    legs, pooled_plan = fault_study_legs(rounds=2, target_hostnames=MINI)
+    pooled = run_campaigns(legs, world_seed=9, fault_plan=pooled_plan, workers=2)
     assert serial_plan.to_json() == pooled_plan.to_json()
     assert serial.store.to_jsonl() == pooled.store.to_jsonl()
     # The injected plan has to bite identically too: same error breakdown.

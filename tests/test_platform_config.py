@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.core.platform import CampaignFile, select_targets
 from repro.core.results import ResultStore
 from repro.core.runner import CampaignConfig
-from repro.core.scheduler import MS_PER_HOUR
+from repro.core.scheduler import MS_PER_DAY, MS_PER_HOUR
 from repro.errors import CampaignConfigError
 from repro.experiments.campaigns import (
     diff_campaign_config,
@@ -50,6 +50,15 @@ class TestCampaignFileParsing:
             parse_file({**campaign_table(), "resolverz": []})
         with pytest.raises(CampaignConfigError, match="'campaign' has unknown keys: rounds"):
             parse_file(campaign_table(rounds=3))
+
+    def test_the_round_index_is_not_a_key(self):
+        # A shard's first round index travels beside the config, not in it.
+        with pytest.raises(
+            CampaignConfigError, match="'schedule' has unknown keys: first_round_index"
+        ):
+            parse_file(campaign_table(
+                schedule={"rounds": 3, "interval_ms": MS_PER_HOUR, "first_round_index": 3}
+            ))
 
     def test_missing_or_blank_name_rejected(self):
         with pytest.raises(CampaignConfigError, match="missing keys: campaign"):
@@ -307,6 +316,22 @@ class TestMeasureSpec:
         assert "armed fault plan" in err and "shard 1 [" in err
         for artefact in ("al/alerts.jsonl", "al/verdicts.json", "t.jsonl", "m.json"):
             assert (tmp_path / artefact).exists(), artefact
+
+    def test_faults_reach_a_campaign_that_starts_late(self, tmp_path, capsys):
+        # The plan runs from virtual time 0 to past the last round, wherever
+        # the schedule starts; one that ended a span after 0 would arm
+        # nothing a month in, and every query would succeed.
+        store = run_file(
+            tmp_path,
+            {"resolvers": ["dns.google", "dns.quad9.net", "dns.adguard.com"],
+             "campaign": {"name": "late", "schedule": {
+                 "rounds": 6, "interval_ms": MS_PER_HOUR, "start_ms": 30 * MS_PER_DAY,
+             }}},
+            "--faults", "--fault-fraction", "0.5",
+        )
+        queries = store.filter(kind="dns_query")
+        assert len(queries) == 54
+        assert any(not record.success for record in queries)
 
     @pytest.mark.parametrize(
         "flag",

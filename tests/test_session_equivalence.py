@@ -23,11 +23,13 @@ import pytest
 
 from repro.core.runner import Campaign, CampaignConfig
 from repro.experiments.campaigns import (
-    run_campaign_parallel,
-    run_sessions_study,
+    EC2_VANTAGE_NAMES,
+    SESSION_TARGET_HOSTNAMES,
+    session_study_legs,
     sessions_campaign_config,
 )
 from repro.experiments.world import build_world
+from repro.parallel import run_campaigns
 from repro.session import SessionPolicy, policy_from_name
 
 #: Worker count for the pooled side (CI re-runs with REPRO_TEST_WORKERS=4).
@@ -45,18 +47,20 @@ ALL_TRANSPORTS = ("doh", "dot", "doq", "doh3")
 def _study(policy, workers=1, transports=ALL_TRANSPORTS, rounds=2,
            shard_by="vantage", shards=None, store_dir=None,
            vantages=FAST_VANTAGES, targets=FAST_TARGETS):
-    runs = run_sessions_study(
+    legs = session_study_legs(
         policies=(policy,),
         rounds=rounds,
         transports=transports,
         vantage_names=vantages,
         target_hostnames=targets,
+    )
+    return run_campaigns(
+        [legs[policy]],
         workers=workers,
         shard_by=shard_by,
         shards=shards,
         store_dir=store_dir,
     )
-    return runs[policy]
 
 
 def _jsonl(run):
@@ -93,8 +97,9 @@ def test_policy_cell_workers_byte_identical(policy, transports):
 @pytest.mark.slow
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_full_matrix_workers4_byte_identical(policy):
-    serial = _study(policy, workers=1, vantages=None, targets=None)
-    pooled = _study(policy, workers=4, vantages=None, targets=None)
+    full = dict(vantages=EC2_VANTAGE_NAMES, targets=SESSION_TARGET_HOSTNAMES)
+    serial = _study(policy, workers=1, **full)
+    pooled = _study(policy, workers=4, **full)
     assert serial.store.to_jsonl() == pooled.store.to_jsonl()
 
 
@@ -218,7 +223,7 @@ def test_parallel_with_policy_equals_serial_campaign():
     ).run()
     classic.canonical_sort()
 
-    sharded = run_campaign_parallel(
-        config, FAST_VANTAGES, FAST_TARGETS, world_seed=0, workers=1, shards=1
+    sharded = run_campaigns(
+        [(config, FAST_VANTAGES, FAST_TARGETS)], world_seed=0, workers=1, shards=1
     )
     assert sharded.store.to_jsonl() == classic.to_jsonl()

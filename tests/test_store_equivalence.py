@@ -16,11 +16,8 @@ import os
 import pytest
 
 from repro.core.runner import Campaign
-from repro.experiments.campaigns import (
-    EC2_VANTAGE_NAMES,
-    ec2_campaign_config,
-    run_campaign_parallel,
-)
+from repro.experiments.campaigns import EC2_VANTAGE_NAMES, ec2_campaign_config
+from repro.parallel import run_campaigns
 from repro.store import (
     AggregateBook,
     StoreSink,
@@ -85,10 +82,12 @@ def test_warehouse_scan_matches_classic_in_memory_run(tmp_path):
 
 
 def _parallel_store_run(seed: int, workers: int, store_dir, segment_records=256):
-    return run_campaign_parallel(
-        ec2_campaign_config(rounds=2, seed=seed),
-        EC2_VANTAGE_NAMES,
-        MINI,
+    return run_campaigns(
+        [(
+            ec2_campaign_config(rounds=2, seed=seed),
+            EC2_VANTAGE_NAMES,
+            MINI,
+        )],
         world_seed=seed,
         workers=workers,
         store_dir=str(store_dir),
@@ -115,10 +114,12 @@ def test_sharded_store_runs_byte_identical_across_worker_counts(tmp_path):
 @pytest.mark.slow
 def test_sharded_store_run_matches_nonstore_records(tmp_path):
     """The store path persists exactly the records the plain path merges."""
-    plain = run_campaign_parallel(
-        ec2_campaign_config(rounds=2, seed=29),
-        EC2_VANTAGE_NAMES,
-        MINI,
+    plain = run_campaigns(
+        [(
+            ec2_campaign_config(rounds=2, seed=29),
+            EC2_VANTAGE_NAMES,
+            MINI,
+        )],
         world_seed=29,
         workers=1,
     )

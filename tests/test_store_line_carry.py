@@ -28,8 +28,8 @@ import repro.parallel.runner
 from repro.cli import main
 from repro.core.results import MeasurementRecord, ResultStore
 from repro.errors import ResultsFormatError, StoreError
-from repro.experiments.campaigns import ec2_campaign_config, run_campaign_parallel
-from repro.parallel import ShardResult, merge_shard_warehouses
+from repro.experiments.campaigns import ec2_campaign_config
+from repro.parallel import ShardResult, merge_shard_warehouses, run_campaigns
 from repro.store import SegmentIndex, SegmentWriter, StoreSink, Warehouse, merge_key
 
 from tests.test_store_warehouse import _tree_bytes, make_fleet, make_record
@@ -256,8 +256,8 @@ def test_compact_and_shard_merge_encode_nothing(tmp_path, encodes):
 def test_a_campaign_record_is_encoded_once_on_its_way_to_the_warehouse(
     tmp_path, encodes, plan
 ):
-    run = run_campaign_parallel(
-        ec2_campaign_config(rounds=1, seed=5), VANTAGES, RESOLVERS, world_seed=5,
+    run = run_campaigns(
+        [(ec2_campaign_config(rounds=1, seed=5), VANTAGES, RESOLVERS)], world_seed=5,
         store_dir=str(tmp_path / "wh"), segment_records=6, **plan,
     )
     assert run.record_count == 16
@@ -379,15 +379,15 @@ def test_failed_pooled_merge_leaves_an_empty_store_dir(tmp_path, monkeypatch):
     _meddling_merge(monkeypatch, _tear)
     store_dir = tmp_path / "wh"
     with pytest.raises(ResultsFormatError):
-        run_campaign_parallel(
-            ec2_campaign_config(rounds=1, seed=5), VANTAGES, RESOLVERS, world_seed=5,
+        run_campaigns(
+            [(ec2_campaign_config(rounds=1, seed=5), VANTAGES, RESOLVERS)], world_seed=5,
             shard_by="vantage", store_dir=str(store_dir), segment_records=3,
         )
     assert [p.name for p in store_dir.rglob("*")] == []
     # ... so the next run into it is a run into a fresh directory.
     monkeypatch.undo()
-    run = run_campaign_parallel(
-        ec2_campaign_config(rounds=1, seed=5), VANTAGES, RESOLVERS, world_seed=5,
+    run = run_campaigns(
+        [(ec2_campaign_config(rounds=1, seed=5), VANTAGES, RESOLVERS)], world_seed=5,
         shard_by="vantage", store_dir=str(store_dir), segment_records=3,
     )
     assert sorted(p.name for p in store_dir.iterdir()) == [

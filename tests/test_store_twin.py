@@ -28,7 +28,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.results import MeasurementRecord
 from repro.errors import ResultsFormatError
-from repro.experiments.campaigns import ec2_campaign_config, run_campaign_parallel
+from repro.experiments.campaigns import ec2_campaign_config
+from repro.parallel import run_campaigns
 from repro.store import StoreSink, Warehouse, segment
 from repro.store.segment import TWIN_SUFFIX, TwinWriter, twin_path
 
@@ -255,10 +256,12 @@ def test_campaign_like_records_take_the_fast_path(tmp_path, parses):
 def test_campaign_staging_merges_to_the_same_tree_without_twins(
     tmp_path, segment_records
 ):
-    run = run_campaign_parallel(
-        ec2_campaign_config(rounds=1, seed=5), ("ec2-ohio", "ec2-seoul"),
-        ("dns.google", "dns.quad9.net", "dns.adguard.com"), world_seed=5,
-        shards=1, store_dir=str(tmp_path / "wh"), segment_records=segment_records,
+    run = run_campaigns(
+        [(
+            ec2_campaign_config(rounds=1, seed=5), ("ec2-ohio", "ec2-seoul"),
+            ("dns.google", "dns.quad9.net", "dns.adguard.com"),
+        )],
+        world_seed=5, shards=1, store_dir=str(tmp_path / "wh"), segment_records=segment_records,
     )
     records = list(run.warehouse.iter_records())
     assert not list(run.warehouse.root.rglob("*" + TWIN_SUFFIX))
@@ -439,10 +442,12 @@ def test_a_finished_run_keeps_no_twin(tmp_path, plan):
         return seen[-1]
 
     with mock.patch.object(TwinWriter, "close", close):
-        run_campaign_parallel(
-            ec2_campaign_config(rounds=1, seed=5), ("ec2-ohio", "ec2-seoul"),
-            ("dns.google", "dns.quad9.net"), world_seed=5, store_dir=str(store_dir),
-            segment_records=3, **plan,
+        run_campaigns(
+            [(
+                ec2_campaign_config(rounds=1, seed=5), ("ec2-ohio", "ec2-seoul"),
+                ("dns.google", "dns.quad9.net"),
+            )],
+            world_seed=5, store_dir=str(store_dir), segment_records=3, **plan,
         )
     assert seen and all(".staging" in twin.parts for twin in seen)
     assert not any(twin.exists() for twin in seen)
