@@ -134,10 +134,6 @@ class ZoneError(ResolverError):
     """Raised for malformed or inconsistent zone data."""
 
 
-class ResolutionFailed(ResolverError):
-    """The recursive engine could not resolve the name (SERVFAIL)."""
-
-
 # ---------------------------------------------------------------------------
 # Measurement platform errors
 # ---------------------------------------------------------------------------

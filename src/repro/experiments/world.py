@@ -96,10 +96,6 @@ class World:
     deployments: Dict[str, ResolverDeployment]
     vantages: Dict[str, VantagePoint]
     catalog: List[CatalogEntry] = field(default_factory=list)
-    #: The oblivious relay (present when the catalog has ODoH targets).
-    odoh_proxy: Optional[object] = None
-    odoh_proxy_name: str = "odoh-proxy.example.net"
-    odoh_proxy_ip: Optional[str] = None
 
     def deployment(self, hostname: str) -> ResolverDeployment:
         try:
@@ -201,43 +197,9 @@ def build_world(
         vantages=vantages,
         catalog=entries,
     )
-    _maybe_build_odoh_proxy(world, allocator)
     if warm_caches:
         world.warm_resolver_caches()
     return world
-
-
-def _maybe_build_odoh_proxy(world: World, allocator: IpAllocator) -> None:
-    """Attach an oblivious relay when the catalog contains ODoH targets.
-
-    The study's ``odoh-target-*`` rows are targets in the RFC 9230 sense;
-    clients reach them via an independent proxy operator.  We place the
-    proxy in Amsterdam (where the public alekberg-compatible relays ran).
-    """
-    targets = {
-        hostname: deployment.service_ip
-        for hostname, deployment in world.deployments.items()
-        if deployment.supports_odoh
-    }
-    if not targets:
-        return
-    from repro.resolver.odoh_proxy import OdohProxy
-
-    city = CITIES["amsterdam"]
-    # A fixed address outside the hand-assigned 199.7.0.x infra range.
-    ip = "199.7.1.1"
-    host = world.network.attach(
-        Host(
-            name="odoh-proxy",
-            ip=ip,
-            coords=city.coords,
-            continent=city.continent,
-            access=SERVER,
-        )
-    )
-    world.geo_db.register_city(ip, city)
-    world.odoh_proxy = OdohProxy(host, targets)
-    world.odoh_proxy_ip = ip
 
 
 def _build_infrastructure(network: Network, zones: ZoneSet, geo_db: GeoDatabase) -> None:
@@ -312,7 +274,6 @@ def _build_deployments(
                 server_failure_p=fail_p,
             ),
             odoh_relay_extra_ms=12.0 if entry.odoh else 0.0,
-            supports_odoh=entry.odoh,
             seed=seed,
         )
         deployment.activate(network, root_hints)

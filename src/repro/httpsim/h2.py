@@ -85,11 +85,11 @@ def _decode_headers_block(payload: bytes) -> Dict[str, str]:
     if headers is None:
         try:
             decoded = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            if not isinstance(decoded, dict):
+                raise HttpProtocolError("header block is not a map")
+            headers = {str(k): str(v) for k, v in decoded.items()}
+        except (ValueError, RecursionError) as exc:
             raise HttpProtocolError(f"bad header block: {exc}")
-        if not isinstance(decoded, dict):
-            raise HttpProtocolError("header block is not a map")
-        headers = {str(k): str(v) for k, v in decoded.items()}
         if len(_DECODED_BLOCKS) >= _DECODED_BLOCKS_MAX:
             _DECODED_BLOCKS.clear()
         _DECODED_BLOCKS[payload] = headers

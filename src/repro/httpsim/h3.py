@@ -103,7 +103,7 @@ def _split(data: bytes, what: str) -> Tuple[Dict[str, object], bytes]:
     if fields is None:
         try:
             fields = json.loads(block.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise H3CodecError(f"malformed HTTP/3 {what} headers: {exc}") from exc
         if not isinstance(fields, dict):
             raise H3CodecError(f"HTTP/3 {what} headers must be an object")

@@ -81,10 +81,12 @@ def decode_packet(wire: bytes) -> QuicPacket:
     body = wire[_HEADER.size:].rstrip(b" ")
     try:
         frames = json.loads(body.decode("utf-8")) if body else []
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise QuicPacketError(f"bad frame payload: {exc}")
     if not isinstance(frames, list):
         raise QuicPacketError("frame payload is not a list")
+    if not all(isinstance(frame, dict) for frame in frames):
+        raise QuicPacketError("a frame is not an object")
     return QuicPacket(
         kind=kind, conn_id=conn_id, packet_number=packet_number,
         frames=tuple(frames),
@@ -104,7 +106,7 @@ def stream_frame(stream_id: int, offset: int, data: bytes, fin: bool) -> Dict[st
 def stream_frame_data(frame: Dict[str, Any]) -> bytes:
     try:
         return bytes.fromhex(frame["data"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise QuicPacketError(f"bad stream frame: {exc}")
 
 

@@ -111,9 +111,6 @@ class ResolverDeployment:
     #: Extra fixed one-way relay delay (ms) applied at the frontend; models
     #: Oblivious DoH targets that sit behind a relay hop.
     odoh_relay_extra_ms: float = 0.0
-    #: Whether the DoH frontend accepts application/oblivious-dns-message
-    #: (true for the odoh-target-* deployments).
-    supports_odoh: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -44,12 +44,6 @@ from repro.httpsim.doh import (
 from repro.httpsim.h1 import H1RequestParser, HttpRequest, HttpResponse, encode_response
 from repro.httpsim.h2 import H2ServerSession, response_frames
 from repro.httpsim.h3 import H3CodecError, decode_h3_request, encode_h3_response
-from repro.httpsim.odoh_codec import (
-    CONTENT_TYPE_ODOH,
-    OdohCodecError,
-    open_query,
-    seal_response,
-)
 from repro.netsim.packet import Datagram
 from repro.netsim.sockets import SimTcpConnection
 from repro.quicsim.connection import QuicConfig, QuicServerListener
@@ -82,9 +76,6 @@ class Frontend:
         self.rng = rng
         self.queries_handled = 0
         self.failures_injected = 0
-        #: ODoH targets are reached over DoH/TCP only; the QUIC listener
-        #: treats a sealed body as any other unsupported media type.
-        self.serves_odoh = transport.connection == "tls"
         host = site.host
         if transport.connection == "udp":
             # Classic DNS: UDP, plus TCP with length framing for answers
@@ -269,13 +260,6 @@ class Frontend:
 
     def _serve_http(self, request: HttpRequest, send_http) -> None:
         """The DoH request handler of the HTTP/1.1, HTTP/2 and HTTP/3 listeners."""
-        if (
-            self.serves_odoh
-            and request.method == "POST"
-            and request.header("Content-Type") == CONTENT_TYPE_ODOH
-        ):
-            self._serve_oblivious(request, send_http)
-            return
         try:
             wire = decode_doh_request(request, expected_path=self.deployment.doh_path)
         except DohCodecError as exc:
@@ -289,30 +273,6 @@ class Frontend:
 
         if not self.handle_query_wire(wire, respond):
             send_http(encode_doh_error(400, "malformed DNS message"))
-
-    def _serve_oblivious(self, request: HttpRequest, send_http) -> None:
-        """Answer an ODoH target request (sealed query in, sealed answer out)."""
-        if not self.deployment.supports_odoh:
-            send_http(encode_doh_error(415, "oblivious DNS not supported"))
-            return
-        try:
-            wire, key_id = open_query(request.body)
-        except OdohCodecError as exc:
-            send_http(encode_doh_error(400, str(exc)))
-            return
-
-        def respond(_query: Message, response: Message) -> None:
-            sealed = seal_response(response.to_wire(), key_id)
-            send_http(
-                HttpResponse(
-                    status=200,
-                    headers={"Content-Type": CONTENT_TYPE_ODOH},
-                    body=sealed,
-                )
-            )
-
-        if not self.handle_query_wire(wire, respond):
-            send_http(encode_doh_error(400, "malformed sealed DNS message"))
 
 
 def _udp_payload_limit(query: Message) -> int:

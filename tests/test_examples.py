@@ -25,7 +25,6 @@ STUDY_EXAMPLES = (
     "fault_injection",
     "global_survey",
     "home_vs_datacenter",
-    "query_distribution",
     "resolver_selection",
 )
 

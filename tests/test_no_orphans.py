@@ -1,5 +1,12 @@
-"""No name in ``src/repro`` whose only users are its own tests, and no
-parameter no caller passes.
+"""No module in ``src/repro`` that the CLI does not reach, no name whose
+only users are its own tests, and no parameter no caller passes.
+
+The module scan: every module under ``src/repro`` must be reachable from
+``repro.cli`` by static import.  Every ``import`` and ``from ... import``
+counts, at any depth of the module (inside a function too), relative ones
+resolved against the importing module; importing ``a.b.c`` reaches the
+packages ``a`` and ``a.b`` as well, and ``from a import b`` reaches the
+module ``a.b`` when there is one.  No module is exempt.
 
 An AST scan over the program: every top-level ``def``, ``class`` or
 assignment in ``src/repro`` must be referenced, outside its own definition,
@@ -46,8 +53,6 @@ ALLOWED: Dict[str, str] = {
     "analysis.availability.unresponsive_resolvers": _BENCHED,
     "analysis.correlation.latency_correlation": _BENCHED,
     "analysis.response_times.resolver_median": _BENCHED,
-    "core.odoh.OdohProbe": _BENCHED,
-    "webload.page.simple_page": "ROADMAP item 14(b) decides whether webload/ stays",
     "dnswire.message.memo_stats": "ROADMAP item 12(a) turns it into always-on counters",
 }
 
@@ -122,6 +127,58 @@ def orphans(sources: Dict[Path, str], src: Path) -> Set[str]:
             module = ".".join(path.relative_to(src).with_suffix("").parts)
             found.add(f"{module}.{name}")
     return found
+
+
+def module_name(path: Path, src: Path) -> str:
+    """The dotted name a module under ``src`` is imported by (a package
+    ``__init__.py`` is its package)."""
+    parts = path.relative_to(src.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported_names(tree: ast.Module, module: str, is_package: bool) -> Iterator[str]:
+    """Every dotted name an import anywhere in ``module`` may load: the
+    imported module, and for ``from X import y`` also ``X.y``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                package = module if is_package else module.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    package = package.rpartition(".")[0]
+                base = f"{package}.{node.module}" if node.module else package
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+def unreached(sources: Dict[Path, str], src: Path) -> Set[str]:
+    """Dotted name of every module under ``src`` that no chain of static
+    imports from ``repro.cli`` loads, in ``sources`` (path -> module text)."""
+    modules = {
+        module_name(path, src): (path, text)
+        for path, text in sources.items()
+        if src in path.parents
+    }
+    reached: Set[str] = set()
+    pending = ["repro.cli"]
+    while pending:
+        module = pending.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        path, text = modules[module]
+        tree = ast.parse(text, filename=str(path))
+        for name in imported_names(tree, module, path.name == "__init__.py"):
+            parts = name.split(".")
+            for end in range(1, len(parts) + 1):
+                prefix = ".".join(parts[:end])
+                if prefix in modules and prefix not in reached:
+                    pending.append(prefix)
+    return set(modules) - reached
 
 
 def _program() -> Dict[Path, str]:
@@ -216,6 +273,44 @@ def unpassed(sources: Dict[Path, str], src: Path) -> Set[str]:
     return found
 
 
+def test_every_module_is_reached_from_the_cli():
+    found = unreached(_program(), SRC)
+    assert not found, (
+        "no static import chain from repro.cli loads these: give each a path "
+        f"from the CLI or delete it with its tests: {sorted(found)}"
+    )
+
+
+def test_an_unreached_module_added_to_the_program_is_flagged():
+    program = _program()
+    program[SRC / "analysis" / "never_imported.py"] = "from repro.analysis import stats\n"
+    assert unreached(program, SRC) == {"repro.analysis.never_imported"}
+
+
+def test_the_module_scan_follows_relative_nested_and_from_imports():
+    src = Path("/pkg/src/repro")
+    sources = {
+        src / "__init__.py": "",
+        src / "cli.py": (
+            "from . import a\n"
+            "def main():\n"
+            "    from repro.b import helper\n"
+            "    import repro.c.deep\n"
+        ),
+        src / "a.py": "from .d import thing\n",
+        src / "b" / "__init__.py": "from .e import helper\n",
+        src / "b" / "e.py": "from ..f import value\n",
+        src / "c" / "__init__.py": "",
+        src / "c" / "deep.py": "",
+        src / "d.py": "",
+        src / "f.py": "",
+        src / "g" / "__init__.py": "",
+        src / "g" / "lonely.py": "import repro.f\n",
+        Path("/pkg/examples/demo.py"): "import repro.g.lonely\n",
+    }
+    assert unreached(sources, src) == {"repro.g", "repro.g.lonely"}
+
+
 def test_every_defaulted_parameter_is_passed_by_some_call():
     found = unpassed(
         {path: path.read_text(encoding="utf-8") for root in CALLERS
@@ -240,7 +335,7 @@ def test_every_top_level_name_has_a_user_outside_the_tests():
 
 
 def test_allow_list_entries_name_definitions_and_reasons():
-    assert len(ALLOWED) == 9
+    assert len(ALLOWED) == 7
     for key, reason in ALLOWED.items():
         module, _, name = key.rpartition(".")
         path = SRC.joinpath(*module.split(".")).with_suffix(".py")

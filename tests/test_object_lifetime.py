@@ -634,41 +634,6 @@ def test_tc_fallback_frees_the_socket_and_the_tcp_connection(world, lifetimes):
     lifetimes.assert_each_hook_fired_at_most_once()
 
 
-def test_an_oblivious_query_through_the_proxy_leaves_nothing_for_the_collector():
-    """ODoH is ``Probe`` on DoH's row behind a relay whose client-facing side
-    is its own h2 server; the relay keeps its upstream connections by design."""
-    from repro.catalog.resolvers import CATALOG
-    from repro.core.odoh import OdohProbe, OdohProbeConfig
-    from repro.experiments.world import build_world
-
-    target = "odoh-target.alekberg.net"
-    catalog = [
-        dataclasses.replace(entry, reliability="rock")
-        for entry in CATALOG
-        if entry.hostname == target
-    ]
-    world = build_world(seed=17, catalog=catalog)
-    outcomes = []
-    with collector_off():
-        for seed, (name, config) in enumerate(
-            (
-                (target, OdohProbeConfig()),
-                (target, OdohProbeConfig(timeout_ms=30.0)),  # gives up mid-connect
-                ("not-a-target.example", OdohProbeConfig()),  # the relay's 502
-            )
-        ):
-            probe = OdohProbe(
-                world.vantage(VANTAGE).host, world.odoh_proxy_ip, world.odoh_proxy_name,
-                name, config, rng=random.Random(seed),
-            )
-            probe.query("google.com", outcomes.append)
-            world.network.run()
-            probe.close()
-        del probe
-        assert gc.collect() == 0
-    assert [o.success for o in outcomes] == [True, False, False]
-
-
 @pytest.fixture
 def fresh_world():
     from repro.catalog.resolvers import CATALOG
