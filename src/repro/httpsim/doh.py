@@ -81,7 +81,10 @@ def decode_doh_request(request: HttpRequest, expected_path: str = DEFAULT_DOH_PA
     Raises :class:`DohCodecError` with an HTTP-status hint attribute when
     the request is not a valid DoH query, so servers can answer 4xx.
     """
-    split = urlsplit(request.path)
+    try:
+        split = urlsplit(request.path)
+    except ValueError as exc:  # e.g. an unclosed ``[`` in a ``//`` authority
+        raise DohCodecError(f"bad request target {request.path!r}: {exc}", status_hint=400)
     if split.path != expected_path:
         raise DohCodecError(f"unknown path {split.path!r}", status_hint=404)
     if request.method == "POST":

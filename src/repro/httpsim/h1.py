@@ -89,6 +89,14 @@ def encode_response(response: HttpResponse) -> bytes:
     return CRLF.join(lines) + CRLF + CRLF + response.body
 
 
+def _ascii(raw: bytes) -> str:
+    """``raw`` as ASCII text; any other byte is a protocol error."""
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise HttpProtocolError(f"non-ASCII byte in {raw!r}")
+
+
 class _H1Parser:
     """Incremental head+body parser shared by both directions."""
 
@@ -116,13 +124,13 @@ class _H1Parser:
                     name, sep, value = line.partition(b":")
                     if not sep:
                         raise HttpProtocolError(f"malformed header line {line!r}")
-                    headers[name.decode("ascii").strip()] = value.decode("ascii").strip()
+                    headers[_ascii(name).strip()] = _ascii(value).strip()
                 self._head = (start_line, headers)
                 length = headers.get("Content-Length") or headers.get("content-length") or "0"
-                try:
-                    self._body_needed = int(length)
-                except ValueError:
+                # Digits only: ``int`` would also take a sign, ``_`` and spaces.
+                if not length.isdigit():
                     raise HttpProtocolError(f"bad Content-Length {length!r}")
+                self._body_needed = int(length)
             if len(self._buffer) < self._body_needed:
                 break
             body = bytes(self._buffer[: self._body_needed])
@@ -140,7 +148,7 @@ class H1RequestParser(_H1Parser):
     def feed(self, data: bytes) -> List[HttpRequest]:
         requests = []
         for start_line, headers, body in self._feed(data):
-            parts = start_line.decode("ascii").split(" ")
+            parts = _ascii(start_line).split(" ")
             if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
                 raise HttpProtocolError(f"malformed request line {start_line!r}")
             requests.append(HttpRequest(method=parts[0], path=parts[1], headers=headers, body=body))
@@ -153,7 +161,7 @@ class H1ResponseParser(_H1Parser):
     def feed(self, data: bytes) -> List[HttpResponse]:
         responses = []
         for start_line, headers, body in self._feed(data):
-            parts = start_line.decode("ascii").split(" ", 2)
+            parts = _ascii(start_line).split(" ", 2)
             if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
                 raise HttpProtocolError(f"malformed status line {start_line!r}")
             try:

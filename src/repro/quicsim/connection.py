@@ -39,7 +39,7 @@ from repro.quicsim.packets import (
     decode_packet,
     encode_packet,
     stream_frame,
-    stream_frame_data,
+    stream_frame_fields,
 )
 from repro.tlssim.session import SessionCache, SessionTicket, register_ticket
 
@@ -104,7 +104,7 @@ class _StreamAssembler:
         cursor = 0
         while cursor < self.fin_end:
             chunk = self.chunks.get(cursor)
-            if chunk is None:
+            if not chunk:  # a gap, or an empty chunk that would never advance
                 return None
             out += chunk
             cursor += len(chunk)
@@ -335,9 +335,12 @@ class QuicClientConnection(_QuicEndpoint):
         self._loop.call_later(delay, finish)
 
     def _handle_stream(self, frame: Dict[str, Any]) -> None:
-        stream_id = int(frame.get("id", -1))
+        try:
+            stream_id, offset, data, fin = stream_frame_fields(frame)
+        except QuicPacketError:
+            return
         assembler = self._assemblers.setdefault(stream_id, _StreamAssembler())
-        assembler.add(int(frame.get("off", 0)), stream_frame_data(frame), bool(frame.get("fin")))
+        assembler.add(offset, data, fin)
         complete = assembler.complete()
         if complete is None:
             return
@@ -348,11 +351,12 @@ class QuicClientConnection(_QuicEndpoint):
 
     def _handle_ticket(self, frame: Dict[str, Any]) -> None:
         cache = self.config.session_cache
-        if cache is None:
+        ticket_id = frame.get("ticket")
+        if cache is None or type(ticket_id) is not int:
             return
         cache.store(
             SessionTicket(
-                ticket_id=int(frame["ticket"]),
+                ticket_id=ticket_id,
                 server_name=self.server_name,
                 version="quic",
                 allows_early_data=bool(frame.get("early")),
@@ -424,7 +428,11 @@ class _QuicServerConnection(_QuicEndpoint):
         if frame.get("stage") == "client_hello" and not self._hello_seen:
             self._hello_seen = True
             config = self.listener.config
-            resumed = self.host.quic_tickets.get(frame.get("ticket"), 0.0) > self._loop.now
+            ticket = frame.get("ticket")
+            resumed = (
+                type(ticket) is int
+                and self.host.quic_tickets.get(ticket, 0.0) > self._loop.now
+            )
             wants_early = bool(frame.get("early")) and not bool(
                 frame.get("early_replay")
             )
@@ -473,9 +481,12 @@ class _QuicServerConnection(_QuicEndpoint):
             self.established = True
 
     def _handle_stream(self, frame: Dict[str, Any]) -> None:
-        stream_id = int(frame.get("id", -1))
+        try:
+            stream_id, offset, data, fin = stream_frame_fields(frame)
+        except QuicPacketError:
+            return
         assembler = self._assemblers.setdefault(stream_id, _StreamAssembler())
-        assembler.add(int(frame.get("off", 0)), stream_frame_data(frame), bool(frame.get("fin")))
+        assembler.add(offset, data, fin)
         complete = assembler.complete()
         if complete is None:
             return

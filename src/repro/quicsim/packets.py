@@ -110,6 +110,16 @@ def stream_frame_data(frame: Dict[str, Any]) -> bytes:
         raise QuicPacketError(f"bad stream frame: {exc}")
 
 
+def stream_frame_fields(frame: Dict[str, Any]) -> Tuple[int, int, bytes, bool]:
+    """A stream frame's ``(stream id, offset, data, fin)``, checked: the id
+    and offset are integers, the offset is not negative, the data is hex."""
+    stream_id = frame.get("id", -1)
+    offset = frame.get("off", 0)
+    if type(stream_id) is not int or type(offset) is not int or offset < 0:
+        raise QuicPacketError(f"bad stream frame id {stream_id!r} or offset {offset!r}")
+    return stream_id, offset, stream_frame_data(frame), bool(frame.get("fin"))
+
+
 def crypto_frame(stage: str, fields: Dict[str, Any], pad_chars: int = 0) -> Dict[str, Any]:
     frame = {"type": "crypto", "stage": stage}
     frame.update(fields)

@@ -1,12 +1,14 @@
 """Byte fuzzing of the decoders that read the simulated wire.
 
 The QUIC packet codec, the HTTP/3 stream codec and the HTTP/2 header block
-carry JSON; the length-prefixed DNS stream carries raw frames.  Whatever
-bytes arrive, each decoder must terminate, raise nothing but a
-``repro.errors`` type (``ReproError`` and its subclasses, the codecs' own
-``QuicPacketError`` and ``H3CodecError`` among them), and give the same
-verdict when handed the same bytes again: the memo tables a decoder keeps
-must not change what it says.
+carry JSON; the HTTP/1.1 parsers read text heads, the TLS record layer and
+the length-prefixed DNS stream carry raw frames.  Whatever bytes arrive,
+each decoder must terminate, raise nothing but a ``repro.errors`` type
+(``ReproError`` and its subclasses, the codecs' own ``QuicPacketError`` and
+``H3CodecError`` among them), and give the same verdict when handed the
+same bytes again: the memo tables a decoder keeps must not change what it
+says.  The DoH request decoder is fuzzed behind the HTTP/1.1 parser, the
+way a DoH frontend reaches it.
 
 Random bytes almost never nest deeply, so the payloads mix arbitrary bytes
 with JSON texts and with runs of ``[`` long enough to exhaust the
@@ -22,14 +24,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.errors import ReproError
+from repro.errors import HttpProtocolError
 from repro.httpsim import h2, h3
-from repro.httpsim.h1 import HttpRequest
+from repro.httpsim.doh import DohCodecError, decode_doh_request
+from repro.httpsim.h1 import H1RequestParser, H1ResponseParser, HttpRequest
 from repro.quicsim.packets import (
     KIND_ONE_RTT,
     QuicPacketError,
     decode_packet,
     stream_frame_data,
 )
+from repro.tlssim.record import RecordStream
 from repro.transports import LengthPrefixedStream
 
 #: Deep enough to overflow any recursion limit ``json.loads`` runs under.
@@ -71,6 +76,16 @@ def _length_prefixed(wire: bytes) -> None:
     stream.finish()
 
 
+def _h1_head(payload: bytes) -> bytes:
+    """``payload`` as the request target and a header value of a full head."""
+    return b"GET /dns-query?dns=" + payload + b" HTTP/1.1\r\nX: " + payload + b"\r\n\r\n"
+
+
+def _h1_doh(wire: bytes) -> None:
+    for request in H1RequestParser().feed(wire):
+        decode_doh_request(request)
+
+
 #: name -> (decoder of one input, the framing that puts a payload in front of it).
 DECODERS = {
     "quic.decode_packet": (_quic, lambda payload: payload),
@@ -78,6 +93,16 @@ DECODERS = {
     "h3.decode_h3_response": (h3.decode_h3_response, _h3_headers),
     "h2.H2ClientSession.feed": (_h2_client, _h2_headers),
     "h2.H2ServerSession.feed": (_h2_server, _h2_headers),
+    "h1.H1RequestParser.feed": (lambda wire: H1RequestParser().feed(wire), _h1_head),
+    "h1.H1ResponseParser.feed": (
+        lambda wire: H1ResponseParser().feed(wire),
+        lambda payload: b"HTTP/1.1 200 " + payload + b"\r\nContent-Length: 0\r\n\r\n",
+    ),
+    "doh.decode_doh_request": (_h1_doh, _h1_head),
+    "tlssim.RecordStream.feed": (
+        lambda wire: RecordStream().feed(wire),
+        lambda payload: struct.pack("!BHH", 23, 0x0303, len(payload) & 0xFFFF) + payload,
+    ),
     "LengthPrefixedStream.feed": (_length_prefixed, lambda payload: payload),
 }
 
@@ -137,3 +162,32 @@ def test_a_frame_that_is_not_an_object_is_a_packet_error(frames):
 def test_stream_frame_data_names_every_bad_frame(frame):
     with pytest.raises(QuicPacketError):
         stream_frame_data(frame)
+
+
+@pytest.mark.parametrize(
+    "parser, wire",
+    [
+        (H1RequestParser, b"GET / HTTP/1.1\r\n\xff: x\r\n\r\n"),
+        (H1RequestParser, b"GET / HTTP/1.1\r\nX: \xe9\r\n\r\n"),
+        (H1RequestParser, b"G\xe9T / HTTP/1.1\r\n\r\n"),
+        (H1RequestParser, b"POST / HTTP/1.1\r\nContent-Length: -3\r\n\r\nabcdef"),
+        (H1RequestParser, b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc"),
+        (H1RequestParser, b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\nabc"),
+        (H1RequestParser, b"POST / HTTP/1.1\r\nContent-Length: 0x3\r\n\r\nabc"),
+        (H1ResponseParser, b"HTTP/1.1 200 \xff\r\n\r\n"),
+        (H1ResponseParser, b"HTTP/1.1 200 OK\r\nContent-Type: \x80\r\n\r\n"),
+        (H1ResponseParser, b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nab"),
+        (H1ResponseParser, b"HTTP/1.1 200 OK\r\ncontent-length: 2.0\r\n\r\nab"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else repr(value),
+)
+def test_a_non_ascii_head_or_a_length_not_all_digits_is_an_http_protocol_error(parser, wire):
+    with pytest.raises(HttpProtocolError):
+        parser().feed(wire)
+
+
+@pytest.mark.parametrize("target", ["//[", "http://[::1/dns-query", "//[x]/dns-query"])
+def test_an_unparseable_request_target_is_a_400_codec_error(target):
+    with pytest.raises(DohCodecError) as raised:
+        decode_doh_request(HttpRequest(method="GET", path=target))
+    assert raised.value.status_hint == 400

@@ -11,17 +11,26 @@ from repro.core.runner import Campaign, CampaignConfig
 from repro.core.scheduler import PeriodicSchedule
 from repro.errors import ConnectTimeout
 from repro.experiments.world import build_world
+from repro.netsim.packet import Datagram
+from repro.netsim.sockets import SimUdpSocket
 from repro.quicsim.packets import (
     INITIAL_MIN_BYTES,
     KIND_INITIAL,
     KIND_ONE_RTT,
     QuicPacketError,
+    crypto_frame,
     decode_packet,
     encode_packet,
     stream_frame,
     stream_frame_data,
+    stream_frame_fields,
 )
-from repro.quicsim.connection import QuicClientConnection, QuicConfig, QuicServerListener
+from repro.quicsim.connection import (
+    QuicClientConnection,
+    QuicConfig,
+    QuicServerListener,
+    _StreamAssembler,
+)
 from repro.tlssim.session import SessionCache
 from tests.conftest import add_host, make_quiet_network
 
@@ -206,6 +215,110 @@ class TestQuicConnection:
             type(net.latency).sample_loss = original
         assert len(done) == 1
         assert done[0] >= 300.0  # paid one PTO
+
+
+#: Stream frames whose id, offset or data a peer could forge: each one is
+#: dropped where it arrives, never raised out of a datagram handler.
+BAD_STREAM_FIELDS = [
+    {"id": [1]},
+    {"id": "1"},
+    {"id": 1.5},
+    {"id": None},
+    {"id": True},
+    {"off": "x"},
+    {"off": -1},
+    {"off": [0]},
+    {"off": 0.0},
+    {"data": 5},
+]
+
+
+def _bad_stream_frame(fields, data=b"ping"):
+    frame = stream_frame(0, 0, data, True)
+    frame.update(fields)
+    return frame
+
+
+class TestHostileFrames:
+    @pytest.mark.parametrize("fields", BAD_STREAM_FIELDS, ids=repr)
+    def test_a_forged_stream_field_is_a_packet_error(self, fields):
+        with pytest.raises(QuicPacketError):
+            stream_frame_fields(_bad_stream_frame(fields))
+
+    @pytest.mark.parametrize("fields", BAD_STREAM_FIELDS, ids=repr)
+    def test_the_listener_drops_a_forged_stream_frame_and_serves_on(self, fields):
+        net, client, server, listener = quic_echo_pair()
+        hostile = SimUdpSocket(client)
+        hello = crypto_frame("client_hello", {"sni": "q.example"})
+        wire = encode_packet(KIND_INITIAL, 10**9, 0, [hello, _bad_stream_frame(fields)])
+        hostile.sendto(wire, server.ip, 853)
+        net.run()
+        assert listener.streams_served == 0
+        done = []
+        QuicClientConnection(client, server.ip, 853, "q.example").open_stream(
+            b"ping", done.append
+        )
+        net.run()
+        assert done == [b"PING"]
+
+    @pytest.mark.parametrize("fields", BAD_STREAM_FIELDS, ids=repr)
+    def test_the_client_drops_a_forged_stream_frame_and_reads_the_answer(self, fields):
+        net, client, server, _listener = quic_echo_pair()
+        conn = QuicClientConnection(client, server.ip, 853, "q.example")
+        done = []
+        conn.open_stream(b"ping", done.append)
+        forged = encode_packet(
+            KIND_ONE_RTT, conn.conn_id, 0, [_bad_stream_frame(fields, data=b"FORGED")]
+        )
+        conn._on_datagram(Datagram(server.ip, 853, client.ip, 0, forged))
+        assert done == []
+        net.run()
+        assert done == [b"PING"]
+
+    @pytest.mark.parametrize("ticket", ["7", [7], None, 7.5, {"id": 7}], ids=repr)
+    def test_the_client_stores_no_ticket_whose_id_is_not_an_integer(self, ticket):
+        net, client, server, _listener = quic_echo_pair()
+        cache = SessionCache()
+        conn = QuicClientConnection(
+            client, server.ip, 853, "q.example", config=QuicConfig(session_cache=cache)
+        )
+        forged = encode_packet(
+            KIND_ONE_RTT, conn.conn_id, 0, [{"type": "ticket", "ticket": ticket}]
+        )
+        conn._on_datagram(Datagram(server.ip, 853, client.ip, 0, forged))
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("ticket", [[1], {"id": 1}], ids=repr)
+    def test_an_unhashable_hello_ticket_is_a_full_handshake(self, ticket):
+        net, client, server, listener = quic_echo_pair()
+        answers = []
+        hostile = SimUdpSocket(client)
+        hostile.on_datagram = lambda dgram: answers.append(decode_packet(dgram.payload))
+        hello = crypto_frame(
+            "client_hello", {"sni": "q.example", "ticket": ticket, "early": True}
+        )
+        hostile.sendto(encode_packet(KIND_INITIAL, 10**9, 0, [hello]), server.ip, 853)
+        net.run()
+        (server_hello,) = [
+            frame for packet in answers for frame in packet.frames
+            if frame.get("stage") == "server_hello"
+        ]
+        assert server_hello["resumed"] is False
+        ping = encode_packet(KIND_ONE_RTT, 10**9, 1, [stream_frame(0, 0, b"ping", True)])
+        hostile.sendto(ping, server.ip, 853)
+        net.run()
+        assert listener.streams_served == 1
+
+    def test_an_empty_chunk_short_of_the_fin_leaves_the_stream_open(self):
+        assembler = _StreamAssembler()
+        assembler.add(0, b"", False)
+        assembler.add(5, b"x", True)
+        assert assembler.complete() is None
+
+    def test_an_empty_stream_completes_empty(self):
+        assembler = _StreamAssembler()
+        assembler.add(0, b"", True)
+        assert assembler.complete() == b""
 
 
 @pytest.fixture(scope="module")
