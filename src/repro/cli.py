@@ -236,7 +236,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         from repro.monitor import Monitor
 
         # The merged canonical stream, so the alerts are the same for any
-        # worker count and equal to a live monitor's over a serial run.
+        # worker count, shard plan and record source.
         monitor = Monitor(policy)
         monitor.replay(run.records())
         monitor.finalize(run.metrics)

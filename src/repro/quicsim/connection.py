@@ -58,6 +58,12 @@ STREAM_CHUNK = 550
 #: (spans two datagrams, like a real ~2.8 kB chain).
 CERT_PAD_CHARS = 2200
 
+#: 1-RTT packets a listener holds for connections whose Initial it has not
+#: met yet.  Jitter reorders a packet or two ahead of its Initial (the
+#: harness campaigns never hold more than one at a time); what comes past
+#: this many is forged or lost, and is dropped rather than held forever.
+MAX_EARLY_PACKETS = 64
+
 
 @dataclass
 class QuicConfig:
@@ -554,6 +560,7 @@ class QuicServerListener:
                 if (
                     packet.kind == KIND_ONE_RTT
                     and packet.conn_id > self._max_conn_id_seen
+                    and self.early_packets_held < MAX_EARLY_PACKETS
                 ):
                     self._early_packets.setdefault(packet.conn_id, []).append(packet)
                 return
@@ -579,3 +586,7 @@ class QuicServerListener:
     @property
     def connection_count(self) -> int:
         return len(self._connections)
+
+    @property
+    def early_packets_held(self) -> int:
+        return sum(map(len, self._early_packets.values()))

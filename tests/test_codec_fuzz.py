@@ -8,7 +8,9 @@ each decoder must terminate, raise nothing but a ``repro.errors`` type
 ``H3CodecError`` among them), and give the same verdict when handed the
 same bytes again: the memo tables a decoder keeps must not change what it
 says.  The DoH request decoder is fuzzed behind the HTTP/1.1 parser, the
-way a DoH frontend reaches it.
+way a DoH frontend reaches it, and the QUIC packet codec once more behind
+the listener that serves whole datagrams, which must also hold no more
+than ``MAX_EARLY_PACKETS`` of them for connections it has not met.
 
 Random bytes almost never nest deeply, so the payloads mix arbitrary bytes
 with JSON texts and with runs of ``[`` long enough to exhaust the
@@ -28,7 +30,14 @@ from repro.errors import HttpProtocolError
 from repro.httpsim import h2, h3
 from repro.httpsim.doh import DohCodecError, decode_doh_request
 from repro.httpsim.h1 import H1RequestParser, H1ResponseParser, HttpRequest
+from repro.netsim.packet import Datagram
+from repro.quicsim.connection import (
+    MAX_EARLY_PACKETS,
+    QuicClientConnection,
+    QuicServerListener,
+)
 from repro.quicsim.packets import (
+    KIND_INITIAL,
     KIND_ONE_RTT,
     QuicPacketError,
     decode_packet,
@@ -36,6 +45,8 @@ from repro.quicsim.packets import (
 )
 from repro.tlssim.record import RecordStream
 from repro.transports import LengthPrefixedStream
+
+from tests.conftest import add_host, make_quiet_network
 
 #: Deep enough to overflow any recursion limit ``json.loads`` runs under.
 DEEP = b"[" * 100_000
@@ -191,3 +202,55 @@ def test_an_unparseable_request_target_is_a_400_codec_error(target):
     with pytest.raises(DohCodecError) as raised:
         decode_doh_request(HttpRequest(method="GET", path=target))
     assert raised.value.status_hint == 400
+
+
+def _echo_server():
+    network = make_quiet_network()
+    client = add_host(network, "client", "10.0.0.1")
+    server = add_host(network, "server", "10.0.0.2")
+    listener = QuicServerListener(
+        server, 853, lambda conn, stream_id, data: conn.respond_stream(stream_id, data)
+    )
+    return network, client, listener
+
+
+def _deliver(listener: QuicServerListener, wire: bytes) -> None:
+    listener._on_datagram(Datagram("10.0.0.1", 4433, "10.0.0.2", 853, wire), listener.host)
+
+
+#: A QUIC header of any kind and a connection id the listener has not met,
+#: in front of any payload, or bytes with no header at all.
+datagrams = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda kind, conn_id, payload: _QUIC_HEADER.pack(kind, conn_id, 0) + payload,
+        st.sampled_from((KIND_INITIAL, 2, KIND_ONE_RTT, 0, 255)),
+        st.integers(min_value=1, max_value=2**40),
+        payloads,
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(datagrams, max_size=120))
+@example([_QUIC_HEADER.pack(KIND_ONE_RTT, 2**40 + n, 0) + b"[]" for n in range(200)])
+def test_the_quic_listener_takes_any_datagrams_and_holds_at_most_the_bound(wires):
+    network, _client, listener = _echo_server()
+    for wire in wires:
+        _deliver(listener, wire)
+    network.run()
+    assert listener.early_packets_held <= MAX_EARLY_PACKETS
+
+
+def test_forged_early_packets_stay_bounded_while_a_real_connection_is_served():
+    network, client, listener = _echo_server()
+    for n in range(2_000):
+        _deliver(listener, _QUIC_HEADER.pack(KIND_ONE_RTT, 2**40 + n, 0) + b"[]")
+    assert listener.early_packets_held == MAX_EARLY_PACKETS
+    echoed = []
+    QuicClientConnection(client, "10.0.0.2", 853, "q.example").open_stream(
+        b"ping", echoed.append
+    )
+    network.run()
+    assert echoed == [b"ping"]
+    assert listener.early_packets_held == MAX_EARLY_PACKETS

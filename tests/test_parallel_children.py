@@ -4,8 +4,8 @@
 runs every shard in a forked child that inherits it.  These tests pin the
 mechanism (who builds a world, and how often), what a failing or killed
 child turns into, and that no run leaves ``.staging`` behind.  The
-byte-equivalence of serial and pooled runs is the golden masters' job
-(``test_parallel_equivalence`` and friends), not repeated here.
+byte-equivalence of serial and pooled runs is the equivalence table's
+job (``test_plan_equivalence``), not repeated here.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Covers the segment format, sink rotation and bounded buffering, sidecar
 predicate pushdown, the RecordSource protocol parity against ResultStore,
 incremental aggregates, canonical builds (partition-independence), and
-compaction.  Campaign-scale golden-master equivalence lives in
-``test_store_equivalence.py``.
+compaction.  Campaign-scale equivalence lives in the warehouse cases of
+``test_plan_equivalence.py``.
 """
 
 from __future__ import annotations
