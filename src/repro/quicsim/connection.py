@@ -64,6 +64,12 @@ CERT_PAD_CHARS = 2200
 #: this many is forged or lost, and is dropped rather than held forever.
 MAX_EARLY_PACKETS = 64
 
+#: Request streams a server connection reassembles at once.  A request is
+#: a chunk or two and completes as its last frame lands (the harness
+#: campaigns never hold more than one open); frames that would open a
+#: stream past this many are forged or stale, and are dropped.
+MAX_OPEN_STREAMS = 64
+
 
 @dataclass
 class QuicConfig:
@@ -345,15 +351,15 @@ class QuicClientConnection(_QuicEndpoint):
             stream_id, offset, data, fin = stream_frame_fields(frame)
         except QuicPacketError:
             return
+        if stream_id not in self._responses:
+            return  # a stream this client never opened, or one already answered
         assembler = self._assemblers.setdefault(stream_id, _StreamAssembler())
         assembler.add(offset, data, fin)
         complete = assembler.complete()
         if complete is None:
             return
         del self._assemblers[stream_id]
-        callback = self._responses.pop(stream_id, None)
-        if callback is not None:
-            callback(complete)
+        self._responses.pop(stream_id)(complete)
 
     def _handle_ticket(self, frame: Dict[str, Any]) -> None:
         cache = self.config.session_cache
@@ -491,6 +497,8 @@ class _QuicServerConnection(_QuicEndpoint):
             stream_id, offset, data, fin = stream_frame_fields(frame)
         except QuicPacketError:
             return
+        if stream_id not in self._assemblers and len(self._assemblers) >= MAX_OPEN_STREAMS:
+            return
         assembler = self._assemblers.setdefault(stream_id, _StreamAssembler())
         assembler.add(offset, data, fin)
         complete = assembler.complete()
@@ -569,8 +577,12 @@ class QuicServerListener:
                 local_ip=dgram.dst_ip, peer_ip=dgram.src_ip, peer_port=dgram.src_port,
             )
             self._connections[packet.conn_id] = conn
-            self._max_conn_id_seen = max(self._max_conn_id_seen, packet.conn_id)
             conn.handle_packet(packet)
+            if not conn._hello_seen:
+                # Every client Initial carries its hello: this one is forged.
+                self._drop(packet.conn_id)
+                return
+            self._max_conn_id_seen = max(self._max_conn_id_seen, packet.conn_id)
             for early in self._early_packets.pop(packet.conn_id, ()):
                 conn.handle_packet(early)
             return

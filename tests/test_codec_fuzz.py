@@ -10,7 +10,10 @@ same bytes again: the memo tables a decoder keeps must not change what it
 says.  The DoH request decoder is fuzzed behind the HTTP/1.1 parser, the
 way a DoH frontend reaches it, and the QUIC packet codec once more behind
 the listener that serves whole datagrams, which must also hold no more
-than ``MAX_EARLY_PACKETS`` of them for connections it has not met.
+than ``MAX_EARLY_PACKETS`` of them for connections it has not met, and
+behind both ends of a connection fed forged stream frames: a server
+connection reassembles at most ``MAX_OPEN_STREAMS`` streams at once, a
+client only the streams it opened.
 
 Random bytes almost never nest deeply, so the payloads mix arbitrary bytes
 with JSON texts and with runs of ``[`` long enough to exhaust the
@@ -33,6 +36,7 @@ from repro.httpsim.h1 import H1RequestParser, H1ResponseParser, HttpRequest
 from repro.netsim.packet import Datagram
 from repro.quicsim.connection import (
     MAX_EARLY_PACKETS,
+    MAX_OPEN_STREAMS,
     QuicClientConnection,
     QuicServerListener,
 )
@@ -41,6 +45,8 @@ from repro.quicsim.packets import (
     KIND_ONE_RTT,
     QuicPacketError,
     decode_packet,
+    encode_packet,
+    stream_frame,
     stream_frame_data,
 )
 from repro.tlssim.record import RecordStream
@@ -254,3 +260,79 @@ def test_forged_early_packets_stay_bounded_while_a_real_connection_is_served():
     network.run()
     assert echoed == [b"ping"]
     assert listener.early_packets_held == MAX_EARLY_PACKETS
+
+
+def test_forged_initials_without_a_hello_open_no_connection():
+    network, client, listener = _echo_server()
+    for n in range(1_000):
+        frames = [] if n % 2 else [stream_frame(0, 0, b"x", True), {"type": "ack"}]
+        _deliver(listener, encode_packet(KIND_INITIAL, 2**40 + n, 0, frames))
+    assert listener.connection_count == 0
+    echoed = []
+    QuicClientConnection(client, "10.0.0.2", 853, "q.example").open_stream(
+        b"ping", echoed.append
+    )
+    network.run()
+    assert echoed == [b"ping"]
+    assert listener.connection_count == 1
+
+
+def _served_connection():
+    """An echo listener, a client, and the server's side of their one
+    connection once it has answered a request."""
+    network, client, listener = _echo_server()
+    conn = QuicClientConnection(client, "10.0.0.2", 853, "q.example")
+    echoed = []
+    conn.open_stream(b"ping", echoed.append)
+    network.run()
+    assert echoed == [b"ping"]
+    (server_conn,) = listener._connections.values()
+    return network, listener, conn, server_conn
+
+
+#: Stream frames with any id and offset, a little data, FIN or not.
+stream_frames = st.builds(
+    stream_frame,
+    st.integers(min_value=0, max_value=4 * MAX_OPEN_STREAMS),
+    st.integers(min_value=0, max_value=8),
+    st.binary(max_size=4),
+    st.booleans(),
+)
+_unfinished_streams = [[stream_frame(4 * n + 1, 1, b"x", False)] for n in range(1_000)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.lists(stream_frames, min_size=1, max_size=4), max_size=100))
+@example(_unfinished_streams)
+def test_a_quic_server_connection_reassembles_at_most_the_bound(packets):
+    network, listener, _conn, server_conn = _served_connection()
+    for frames in packets:
+        _deliver(listener, encode_packet(KIND_ONE_RTT, server_conn.conn_id, 1, frames))
+    network.run()
+    assert len(server_conn._assemblers) <= MAX_OPEN_STREAMS
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.lists(stream_frames, min_size=1, max_size=4), max_size=100))
+@example(_unfinished_streams)
+def test_a_quic_client_reassembles_only_the_streams_it_opened(packets):
+    network, _listener, conn, _server_conn = _served_connection()
+    for frames in packets:
+        conn._on_datagram(Datagram("10.0.0.2", 853, conn.host.ip, conn._socket.port,
+                                   encode_packet(KIND_ONE_RTT, conn.conn_id, 1, frames)))
+    network.run()
+    assert conn._assemblers == {}
+
+
+def test_a_forged_stream_frame_does_not_answer_a_request_in_flight():
+    network, _listener, conn, _server_conn = _served_connection()
+    echoed = []
+    conn.open_stream(b"pong", echoed.append)
+    (stream_id,) = conn._responses
+    for other in (stream_id - 4, stream_id + 4, stream_id + 1):
+        conn._on_datagram(Datagram("10.0.0.2", 853, conn.host.ip, conn._socket.port,
+                                   encode_packet(KIND_ONE_RTT, conn.conn_id, 1,
+                                                 [stream_frame(other, 0, b"forged", True)])))
+    assert echoed == [] and conn._assemblers == {}
+    network.run()
+    assert echoed == [b"pong"]

@@ -67,9 +67,8 @@ def _monitor(records, metrics) -> dict:
     monitor = Monitor(default_policy())
     monitor.replay(records)
     monitor.finalize(metrics)
-    verdicts = json.dumps([v.to_dict() for v in monitor.verdicts()])
-    return {"alerts": monitor.alerts.to_jsonl(), "verdicts": verdicts,
-            "scoreboard": monitor.scoreboard().render()}
+    return {"alerts": monitor.alerts.to_jsonl(), "scoreboard": monitor.scoreboard().render(),
+            "verdicts": json.dumps([v.to_dict() for v in monitor.verdicts()])}
 
 
 def _observers(records, metrics) -> dict:
@@ -214,19 +213,25 @@ ROWS = {
     "sessions": (_sessions, "round", _every_policy_warms),
     "diff": (_diff_fanout, "vantage", _answers_disagree),
 }
-#: The row the fast lane keeps: it has a pooled case and a warehouse case.
-FAST_ROW = "campaign-file"
+#: The fast lane keeps one row: it has a pooled case and a warehouse case.
+LANE = {name: [] if name == "campaign-file" else [pytest.mark.slow] for name in ROWS}
 
 
 def cases(name: str):
-    """(plan, workers of what the case is held to, sink) per case, each run
-    at :data:`POOLED`: the identity plan against the hand-built run
-    (``None``), the row's serial plan against ``workers=1``, and the other
-    two plans against their pooled in-RAM run."""
+    """(plan, workers of what the case is held to, sink) per case, each run at
+    :data:`POOLED`: identity against the hand-built run (``None``), the row's
+    serial plan against ``workers=1``, the others against a pooled RAM run."""
     serial = ROWS[name][1]
     warehouse, jsonl = (p for p in ("vantage", "resolver", "round") if p != serial)
     return [("identity", None, "warehouse"), (serial, 1, "ram"),
             (warehouse, POOLED, "warehouse"), (jsonl, POOLED, "jsonl")]
+
+
+@pytest.mark.parametrize("name", list(ROWS))
+def test_the_cases_cover_every_axis_value(name):
+    plans, held_to, sinks = map(set, zip(*cases(name)))
+    assert plans == set(PLANS) and sinks == {"ram", "warehouse", "jsonl"}
+    assert held_to | {POOLED} == {None, 1, POOLED}  # None: the hand-built run
 
 
 # -- running a row and reading what it wrote
@@ -301,12 +306,8 @@ def reference():
     return held_to
 
 
-def _lane(name):
-    return [] if name == FAST_ROW else [pytest.mark.slow]
-
-
 @pytest.mark.parametrize("name,plan,held_to,sink", [
-    pytest.param(name, plan, held_to, sink, marks=_lane(name),
+    pytest.param(name, plan, held_to, sink, marks=LANE[name],
                  id=f"{name}-{plan}-{f'w{held_to}' if held_to else 'hand-built'}"
                     f"-vs-w{POOLED}-{sink}")
     for name in ROWS for plan, held_to, sink in cases(name)
@@ -332,7 +333,7 @@ def test_a_plan_never_changes_the_bytes(reference, tmp_path, name, plan, held_to
     assert [got[key] for key in shared] == [expected[key] for key in shared]
 
 
-@pytest.mark.parametrize("name", [pytest.param(n, marks=_lane(n)) for n in ROWS])
+@pytest.mark.parametrize("name", [pytest.param(n, marks=LANE[n]) for n in ROWS])
 def test_the_row_measures_something(reference, name):
     row, _artifacts, records = reference(name, "identity", None)
     ROWS[name][2](row, records)
@@ -347,8 +348,7 @@ def test_the_row_measures_something(reference, name):
                 min_size=1, max_size=3, unique=True),
        st.integers(1, 3), st.integers(0, 2**16),
        st.sampled_from(("vantage", "resolver", "round")), st.sampled_from((1, 2)))
-def test_every_campaign_shape_writes_one_warehouse(resolvers, rounds, seed,
-                                                   shard_by, workers):
+def test_every_campaign_shape_writes_one_warehouse(resolvers, rounds, seed, shard_by, workers):
     legs = [(ec2_campaign_config(rounds=rounds, seed=seed), TWO_VANTAGES, resolvers)]
     plan = dict(world_seed=seed, shard_by=shard_by, shards=2)
     serial = run_campaigns(legs, **plan)
