@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 The expensive part — running the full home + EC2 study over the
-91-resolver world — happens once per session here; the per-table and
-per-figure benchmarks then time the analysis that produces each artifact
-and print paper-vs-measured rows.
+91-resolver world — happens once per session here, for the benches that
+read a study (the paper's claims themselves are rows of ``repro-dns
+report``, over the same fold CI runs).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.results import ResultStore
 from repro.experiments.campaigns import study_legs
-from repro.experiments.world import World, build_world
 from repro.parallel import run_campaigns
 
 #: Rounds used for the shared study.  Enough for stable medians (each
@@ -20,11 +19,6 @@ from repro.parallel import run_campaigns
 #: the one-off simulation around half a minute.
 HOME_ROUNDS = 10
 EC2_ROUNDS = 10
-
-
-@pytest.fixture(scope="session")
-def study_world() -> World:
-    return build_world(seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,34 +1,14 @@
-"""AV — §4 availability: success/error counts and the error breakdown.
+"""AV-3 — §4 availability: no consistent per-round failing subset.
 
-Paper: 5,098,281 successful responses vs 311,351 errors (≈5.8% error
-rate) across all vantage points, with connection-establishment failures
-the most common class and no consistent per-round failing subset.
+Paper: "we did not identify a consistent pattern of not receiving
+responses from a certain subset of resolvers each time".  The other
+availability assertions are claims AV-1, AV-2 and AV-4 of
+``repro-dns report``; this one stays a bench until AV-3's bound is
+decided over several world seeds (ROADMAP item 6).
 """
 
-from repro.analysis.availability import (
-    availability_report,
-    failure_pattern_consistency,
-    unresponsive_resolvers,
-)
+from repro.analysis.availability import failure_pattern_consistency
 from benchmarks.conftest import print_artifact
-
-PAPER_ERROR_RATE = 311_351 / (5_098_281 + 311_351)
-
-
-def test_availability_counts_and_breakdown(benchmark, study_store):
-    report = benchmark(availability_report, study_store)
-
-    # Shape: error rate in the paper's band (we scale volume, not rate).
-    assert 0.5 * PAPER_ERROR_RATE <= report.error_rate <= 2.0 * PAPER_ERROR_RATE
-    # Connection-establishment failures dominate, as in the paper.
-    assert report.connection_establishment_share > 0.5
-    establishment = {"connect_refused", "connect_timeout", "tls_handshake"}
-    assert report.dominant_error_class in establishment
-
-    print_artifact(
-        "Availability (paper: 5,098,281 ok / 311,351 err = 5.8% errors)",
-        report.describe(),
-    )
 
 
 def test_no_consistent_failure_pattern(benchmark, study_store):
@@ -40,10 +20,3 @@ def test_no_consistent_failure_pattern(benchmark, study_store):
         "Failure-pattern consistency (median round-to-round Jaccard)",
         f"{consistency:.3f}  (paper: no consistent pattern -> low score)",
     )
-
-
-def test_unresponsive_resolvers_are_the_dead_ones(benchmark, study_store):
-    unresponsive = benchmark(unresponsive_resolvers, study_store)
-    # Only the stale catalog entries never answer from any vantage point.
-    assert set(unresponsive) == {"doh.dnslify.com", "dns.pumplex.com"}
-    print_artifact("Unresponsive resolvers", "\n".join(unresponsive))

@@ -231,6 +231,47 @@ _all_values = itemgetter(*_FIELD_NAMES)
 _legacy_values = itemgetter(*_LEGACY_NAMES)
 
 
+class _LineTieBreak:
+    """The line a record is written as, looked at only if it is compared.
+
+    Second element of :func:`merge_key`: tuple comparison reaches it only
+    when two canonical keys are equal, which one campaign never produces
+    (legs that differ only in ``session_policy`` do), so sorting and
+    merging mostly serialize nothing.  When it is reached, a record
+    that carries its stored line compares by that line and encodes nothing
+    either; one that carries none compares by ``to_json()``.
+    """
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: MeasurementRecord) -> None:
+        self.record = record
+
+    def line(self) -> str:
+        return self.record.stored_line or self.record.to_json()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _LineTieBreak):
+            return NotImplemented
+        return self.line() == other.line()
+
+    def __lt__(self, other: "_LineTieBreak") -> bool:
+        return self.line() < other.line()
+
+
+def merge_key(record: MeasurementRecord) -> tuple:
+    """The one record order: of a merged run, inside warehouse segments and
+    across the k-way merge.
+
+    The canonical key plus the record's line as tie-breaker, so the order
+    is total even for duplicate records and never depends on which source,
+    leg or sink produced a record first.  The line is lazy (see
+    :class:`_LineTieBreak`): a record is serialized when it first goes to
+    disk, and to be sorted or merged only when its canonical key ties.
+    """
+    return (ResultStore.canonical_key(record), _LineTieBreak(record))
+
+
 class ResultStore:
     """In-memory record collection with JSONL persistence."""
 
@@ -286,13 +327,14 @@ class ResultStore:
 
     @staticmethod
     def canonical_key(record: MeasurementRecord) -> tuple:
-        """Total-order key for deterministic exports.
+        """The schedule-and-identity part of :func:`merge_key`.
 
         Orders by virtual schedule position first (round, start time),
-        then by the measurement's identity.  Sorting with this key is what
-        lets a sharded campaign and a serial one emit byte-identical
-        JSONL: the merge becomes independent of shard boundaries and
-        completion order.
+        then by the measurement's identity.  Sorting by it is what lets a
+        sharded campaign and a serial one emit byte-identical JSONL: the
+        merge becomes independent of shard boundaries and completion
+        order.  Legs that differ only in ``session_policy`` tie on it;
+        :func:`merge_key` breaks those ties.
         """
         return (
             record.campaign,
@@ -307,8 +349,8 @@ class ResultStore:
         )
 
     def canonical_sort(self) -> None:
-        """Stable-sort records into canonical order (in place)."""
-        self._records.sort(key=self.canonical_key)
+        """Sort records into the :func:`merge_key` order (in place)."""
+        self._records.sort(key=merge_key)
 
     # -- persistence --------------------------------------------------------------
 

@@ -4,10 +4,10 @@ The merge is independent of shard completion order and of how many
 workers produced the results:
 
 * **records** — shard record lists are concatenated in shard-plan order,
-  then stable-sorted into the canonical order of
-  :meth:`repro.core.results.ResultStore.canonical_key` (round, virtual
-  start time, vantage, resolver, ...).  Two runs of the same plan — one
-  serial, one pooled — export byte-identical JSONL;
+  then sorted by :func:`repro.core.results.merge_key` (round, virtual
+  start time, vantage, resolver, ..., then the record's line), the order
+  a warehouse keeps too.  Two runs of the same plan — one serial, one
+  pooled, in memory or in a warehouse — export byte-identical JSONL;
 * **spans** — per-shard span ids all start at 1, so each shard's spans
   are rebased past the previous shard's id space (in plan order) while
   keeping their virtual timestamps; parent links move by the same offset,

@@ -75,7 +75,7 @@ from typing import (
     Union,
 )
 
-from repro.core.results import MeasurementRecord, ResultStore
+from repro.core.results import MeasurementRecord, merge_key
 from repro.errors import ResultsFormatError, StoreError
 from repro.store.aggregates import AggregateBook
 from repro.store.segment import (
@@ -92,45 +92,6 @@ SEGMENTS_DIRNAME = "segments"
 
 #: Default segment rotation threshold (records per segment).
 DEFAULT_SEGMENT_RECORDS = 4096
-
-
-class _LineTieBreak:
-    """The line a record is written as, looked at only if it is compared.
-
-    Second element of :func:`merge_key`: tuple comparison reaches it only
-    when two canonical keys are equal, which a campaign never produces, so
-    sorting and merging serialize nothing.  When it is reached, a record
-    that carries its stored line compares by that line and encodes nothing
-    either; one that carries none compares by ``to_json()``.
-    """
-
-    __slots__ = ("record",)
-
-    def __init__(self, record: MeasurementRecord) -> None:
-        self.record = record
-
-    def line(self) -> str:
-        return self.record.stored_line or self.record.to_json()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _LineTieBreak):
-            return NotImplemented
-        return self.line() == other.line()
-
-    def __lt__(self, other: "_LineTieBreak") -> bool:
-        return self.line() < other.line()
-
-
-def merge_key(record: MeasurementRecord) -> tuple:
-    """Total order used inside segments and across the k-way merge.
-
-    The canonical key plus the record's line as tie-breaker, so the
-    merge is a total order even for duplicate records and never depends
-    on which source produced a record first.  The line is lazy (see
-    :class:`_LineTieBreak`): a record is serialized when it first goes to
-    disk and at no other time -- not to be sorted, not to be merged.
-    """
-    return (ResultStore.canonical_key(record), _LineTieBreak(record))
 
 
 class Warehouse:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.tables import table1_rows
 from repro.catalog.browsers import (
     BROWSER_MATRIX,
     PROVIDER_HOSTNAMES,
@@ -20,6 +21,9 @@ from repro.errors import AddressError, CatalogError, GeoError
 from repro.geo.db import GeoDatabase, GeoRecord
 from repro.geo.ipalloc import IpAllocator
 from repro.geo.regions import CITIES
+
+#: Paper Table 1's columns, in its order.
+TABLE1_PROVIDERS = ("Cloudflare", "Google", "Quad9", "NextDNS", "CleanBrowsing", "OpenDNS")
 
 
 class TestRegions:
@@ -181,8 +185,20 @@ class TestCatalog:
 
 
 class TestBrowserMatrix:
-    def test_paper_table1_rows(self):
+    @pytest.mark.parametrize("browser,offered", [
+        ("Chrome", {"Cloudflare", "Google", "Quad9", "NextDNS", "CleanBrowsing"}),
+        ("Firefox", {"Cloudflare", "NextDNS"}),
+        ("Edge", set(TABLE1_PROVIDERS)),
+        ("Opera", {"Cloudflare", "Google"}),
+        ("Brave", set(TABLE1_PROVIDERS)),
+    ])
+    def test_paper_table1_rows(self, browser, offered):
         assert set(BROWSER_MATRIX) == {"Chrome", "Firefox", "Edge", "Opera", "Brave"}
+        header, rows = table1_rows()
+        matrix = {row[0]: dict(zip(header[1:], row[1:])) for row in rows}
+        assert matrix[browser] == {
+            provider: "yes" if provider in offered else "" for provider in TABLE1_PROVIDERS
+        }
 
     def test_firefox_offers_two(self):
         assert set(BROWSER_MATRIX["Firefox"]) == {"Cloudflare", "NextDNS"}

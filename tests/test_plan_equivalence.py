@@ -43,7 +43,7 @@ from repro.monitor import Monitor, default_policy
 from repro.observers import OBSERVER_KINDS, ObserverFleet, scaled_registry
 from repro.parallel import run_campaigns
 from repro.session import SESSION_MODES
-from repro.store import Warehouse, merge_key
+from repro.store import Warehouse
 
 #: The pooled side of every case; CI's workers matrix also runs 4.
 POOLED = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
@@ -318,8 +318,6 @@ def test_a_plan_never_changes_the_bytes(reference, tmp_path, name, plan, held_to
     assert run.pool_used == (POOLED > 1 and len(run.shard_results) > 1)
     if sink == "warehouse":
         got = _read(row, run.warehouse.iter_sorted(), run)
-        # A warehouse breaks canonical ties by line (the sessions row has some).
-        expected = {**expected, "records": _lines(sorted(records, key=merge_key))}
         canonical = Warehouse.from_records(records, tmp_path / "ram", SEGMENT_RECORDS)
         assert _tree(run.warehouse.root) == _tree(canonical.root)  # no staging left
     elif sink == "jsonl":
@@ -331,6 +329,16 @@ def test_a_plan_never_changes_the_bytes(reference, tmp_path, name, plan, held_to
     shared = sorted(expected.keys() & got.keys())
     assert "records" in shared
     assert [got[key] for key in shared] == [expected[key] for key in shared]
+
+
+def test_both_sinks_break_canonical_ties_alike(tmp_path):
+    """The session legs differ only in ``session_policy``, so their records tie
+    on the canonical key; RAM and a warehouse order them the one same way."""
+    legs = _sessions().legs
+    in_ram = run_campaigns(legs).records()
+    stored = run_campaigns(legs, store_dir=str(tmp_path / "wh")).records()
+    assert len({ResultStore.canonical_key(r) for r in in_ram}) < len(in_ram)
+    assert _lines(stored) == _lines(in_ram)
 
 
 @pytest.mark.parametrize("name", [pytest.param(n, marks=LANE[n]) for n in ROWS])
