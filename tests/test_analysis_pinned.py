@@ -46,7 +46,7 @@ from repro.experiments.paper import generate_report
 from repro.parallel import run_campaigns
 from tests.conftest import MINI_CATALOG_HOSTNAMES
 
-PINNED_SHA256 = "37f5f35518d751ca9a58a429bf797fcd00dbba4f926a70c7097e98c20669a056"
+PINNED_SHA256 = "d422457bfd94754d1fbdc48d76e783bb1d48e78f76341ab217904746aadc9f0f"
 
 
 def pinned_text() -> str:
