@@ -282,8 +282,8 @@ def test_every_study_takes_every_execution_keyword(study, tmp_path):
     ]
 
 
-#: The claim rows that replaced the per-figure, per-table, latency and
-#: availability benches.
+#: Claim rows evaluated on any store, with or without the resolvers they
+#: name, so a row dropped from the report fails here.
 FOLDED_CLAIM_IDS = {
     "AV-4", "T2-rows", "T3-rows", "T3-doh.ffmuc.net", "T3-dns0.eu",
     "F1-order", "F1-groups", "F1-odoh", "F1-ping", "F2-anycast", "F2-unicast", "F2-home",
@@ -306,8 +306,6 @@ class TestPaperReport:
         assert report.claims
         ids = {claim.claim_id for claim in report.claims}
         assert "AV-1" in ids and "T2-shape" in ids
-        # The rows the per-artifact benches became: each is evaluated on any
-        # store, with or without the resolvers it names.
         assert FOLDED_CLAIM_IDS <= ids
         assert "table1" in report.rendered_tables
         assert "figure1" in report.rendered_figures
