@@ -19,7 +19,7 @@ import random
 
 from repro.analysis.render import render_table
 from repro.analysis.stats import summarize
-from repro.core.probes import DohProbe, DohProbeConfig, DoqProbe, ProbeConfig
+from repro.core.probes import ProbeConfig, make_probe
 from repro.experiments.world import build_world
 from repro.session import COLD_TERMS, SessionTerms
 from repro.tlssim.session import SessionCache
@@ -30,12 +30,12 @@ QUERIES = 30
 
 
 def measure(
-    world, policy_name, config, resolver=RESOLVER, probe_cls=DohProbe, session=COLD_TERMS
+    world, policy_name, config, resolver=RESOLVER, transport="doh", session=COLD_TERMS
 ) -> tuple:
     vantage = world.vantage(VANTAGE)
     deployment = world.deployment(resolver)
-    probe = probe_cls(
-        vantage.host, deployment.service_ip, resolver, config, rng=random.Random(5),
+    probe = make_probe(
+        transport, vantage.host, deployment.service_ip, resolver, config, rng=random.Random(5),
         session=session,
     )
     durations = []
@@ -65,19 +65,19 @@ def main() -> None:
     print(f"{RESOLVER} from {VANTAGE}: base RTT {rtt:.1f} ms\n")
 
     rows = [
-        measure(world, "fresh, TLS 1.3 (paper method)", DohProbeConfig()),
-        measure(world, "fresh, TLS 1.2", DohProbeConfig(tls_versions=("1.2",))),
+        measure(world, "fresh, TLS 1.3 (paper method)", ProbeConfig()),
+        measure(world, "fresh, TLS 1.2", ProbeConfig(tls_versions=("1.2",))),
         measure(
             world,
             "fresh TCP + TLS 1.3 0-RTT resumption",
-            DohProbeConfig(),
+            ProbeConfig(),
             session=SessionTerms(session_cache=SessionCache(), enable_early_data=True),
         ),
-        measure(world, "persistent connection (h2 reuse)", DohProbeConfig(reuse_connections=True)),
+        measure(world, "persistent connection (h2 reuse)", ProbeConfig(reuse_connections=True)),
         # DoQ is measured against dns.adguard.com (which serves it); the
         # RTT-multiple column keeps the comparison fair across resolvers.
         measure(world, "fresh DoQ (dns.adguard.com)", ProbeConfig(),
-                resolver="dns.adguard.com", probe_cls=DoqProbe),
+                resolver="dns.adguard.com", transport="doq"),
     ]
     print(render_table(("client policy", "median ms", "q1", "q3", "x RTT"), rows))
     print(

@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro.core.probes import DohProbe, DohProbeConfig, PingProbe
+from repro.core.probes import PingProbe, ProbeConfig, make_probe
 from repro.experiments.world import build_world
 
 RESOLVERS = [
@@ -35,11 +35,12 @@ def main() -> None:
     print(f"{'resolver':<30} {'median DoH (ms)':>16} {'ping (ms)':>10}")
     for hostname in RESOLVERS:
         deployment = world.deployment(hostname)
-        probe = DohProbe(
+        probe = make_probe(
+            "doh",
             vantage.host,
             deployment.service_ip,
             hostname,
-            DohProbeConfig(),
+            ProbeConfig(),
             rng=random.Random(1),
         )
         durations = []

@@ -20,6 +20,10 @@ from repro.analysis.stats import median
 from repro.analysis.table import RecordTable, Source
 from repro.errors import AnalysisError
 
+#: Pings a resolver needs from a vantage point to take part in its
+#: correlation (the paper shows no ping distribution for a silent one).
+MIN_PING_SAMPLES = 3
+
 
 def pearson(xs: List[float], ys: List[float]) -> float:
     """Pearson product-moment correlation coefficient."""
@@ -115,34 +119,16 @@ class LatencyCorrelation:
         return "\n".join(lines)
 
 
-def latency_correlation(
-    store: Source, vantage: str, min_samples: int = 3
-) -> LatencyCorrelation:
-    """Build the per-resolver (ping, DNS) correlation for one vantage point.
-
-    Resolvers without ICMP responses are skipped (the paper shows no ping
-    distribution for them).  One vantage of
-    :func:`latency_correlations_from_records`, its :class:`AnalysisError`
-    raised instead of returned.
-    """
-    outcome = latency_correlations_from_records(
-        store, vantages=[vantage], min_samples=min_samples
-    )[vantage]
-    if isinstance(outcome, AnalysisError):
-        raise outcome
-    return outcome
-
-
 def latency_correlations_from_records(
-    records: Source,
-    vantages: Optional[Iterable[str]] = None,
-    min_samples: int = 3,
+    records: Source, vantages: Optional[Iterable[str]] = None
 ) -> Dict[str, Union[LatencyCorrelation, AnalysisError]]:
-    """The correlation per vantage, from one fold of the records.
+    """The per-resolver (ping, DNS) correlation per vantage, from one fold
+    of the records.
 
     Returns one entry per vantage observed in the records (or per
     requested vantage): the correlation, or the :class:`AnalysisError`
-    explaining why that vantage has too little data.
+    explaining why that vantage has too little data.  Resolvers with fewer
+    than :data:`MIN_PING_SAMPLES` pings are skipped.
     """
     table = RecordTable.of(records)
     if vantages is None:
@@ -154,7 +140,7 @@ def latency_correlations_from_records(
         correlation = LatencyCorrelation(vantage=vantage)
         for resolver in sorted(r for r, cell in dns.items() if cell.durations):
             ping_samples = pings[resolver].durations if resolver in pings else ()
-            if len(ping_samples) < min_samples:
+            if len(ping_samples) < MIN_PING_SAMPLES:
                 continue
             correlation.pairs.append(
                 (resolver, median(ping_samples), median(dns[resolver].durations))

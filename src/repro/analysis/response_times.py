@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.stats import median, median_or_none, quantile
+from repro.analysis.stats import median, quantile
 from repro.analysis.table import Criterion, RecordTable, Source
 
 
@@ -28,11 +28,6 @@ def query_durations(
     """
     table = RecordTable.of(store)
     return list(table.cell("dns_query", vantage=vantage, resolver=resolver).durations)
-
-
-def resolver_median(store: Source, resolver: str, vantage: Optional[str] = None) -> Optional[float]:
-    """Median successful response time, or None with no successes."""
-    return median_or_none(query_durations(store, vantage=vantage, resolver=resolver))
 
 
 def resolver_medians(

@@ -16,7 +16,6 @@ from repro.analysis.render import render_boxplot_rows, render_delta_table, rende
 from repro.analysis.response_times import (
     largest_vantage_deltas,
     local_winners,
-    resolver_median,
     resolver_medians,
     variability,
 )
@@ -197,9 +196,9 @@ class TestAvailability:
 
 class TestResponseTimes:
     def test_resolver_median(self):
-        store = build_store()
-        assert resolver_median(store, "r1", vantage="v1") == 12.0
-        assert resolver_median(store, "r3", vantage="v1") is None
+        medians = resolver_medians(build_store(), vantage="v1")
+        assert medians["r1"] == 12.0
+        assert "r3" not in medians  # no successes, no median
 
     def test_resolver_medians_filtering(self):
         medians = resolver_medians(build_store(), vantage="v1", resolvers=["r1"])

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from repro.analysis.correlation import (
     LatencyCorrelation,
-    latency_correlation,
+    latency_correlations_from_records,
     pearson,
     spearman,
 )
@@ -92,7 +92,7 @@ class TestLatencyCorrelation:
             ("c", 100.0, 305.0),
             ("d", 150.0, 455.0),
         ])
-        correlation = latency_correlation(store, "v")
+        correlation = latency_correlations_from_records(store)["v"]
         assert correlation.pearson_r > 0.99
         assert correlation.median_rtt_multiple == pytest.approx(3.05, rel=0.05)
         assert correlation.outliers() == []
@@ -104,7 +104,7 @@ class TestLatencyCorrelation:
             ("c", 100.0, 300.0),
             ("slowware", 5.0, 200.0),  # latency does not explain this
         ])
-        correlation = latency_correlation(store, "v")
+        correlation = latency_correlations_from_records(store)["v"]
         outlier_names = {name for name, _p, _d in correlation.outliers()}
         assert outlier_names == {"slowware"}
         assert "slowware" in correlation.describe()
@@ -134,13 +134,13 @@ class TestLatencyCorrelation:
                 transport="doh", domain="google.com", round_index=0,
                 started_at_ms=0.0, duration_ms=100.0 + offset, success=True,
             ))
-        correlation = latency_correlation(store, "v")
+        correlation = latency_correlations_from_records(store)["v"]
         assert {r for r, _p, _d in correlation.pairs} == {"a", "b", "c"}
 
     def test_too_few_resolvers_rejected(self):
         store = _store_with([("a", 10.0, 30.0)])
-        with pytest.raises(AnalysisError):
-            latency_correlation(store, "v")
+        outcome = latency_correlations_from_records(store, ["v"])["v"]
+        assert isinstance(outcome, AnalysisError)
 
     def test_empty_pairs_ratio_rejected(self):
         correlation = LatencyCorrelation(vantage="v", pairs=[])

@@ -156,11 +156,6 @@ class Oracle:
         return _durations(store, kind="ping", vantage=vantage, resolver=resolver)
 
     @staticmethod
-    def resolver_median(store, resolver, vantage=None):
-        durations = Oracle.query_durations(store, vantage=vantage, resolver=resolver)
-        return median(durations) if durations else None
-
-    @staticmethod
     def resolver_medians(store, vantage=None, resolvers=None):
         wanted = set(resolvers) if resolvers is not None else None
         out = {}
@@ -363,16 +358,7 @@ class Oracle:
     # -- correlation ----------------------------------------------------------
 
     @staticmethod
-    def latency_correlation(store, vantage, min_samples=3):
-        outcome = Oracle.latency_correlations_from_records(
-            store, vantages=[vantage], min_samples=min_samples
-        )[vantage]
-        if isinstance(outcome, AnalysisError):
-            raise outcome
-        return outcome
-
-    @staticmethod
-    def latency_correlations_from_records(records, vantages=None, min_samples=3):
+    def latency_correlations_from_records(records, vantages=None):
         wanted = list(dict.fromkeys(vantages)) if vantages is not None else None
         seen: set = set()
         dns: Dict = {}
@@ -393,7 +379,7 @@ class Oracle:
             found = correlation.LatencyCorrelation(vantage=vantage)
             for resolver in sorted(r for v, r in dns if v == vantage):
                 ping_samples = pings.get((vantage, resolver), [])
-                if len(ping_samples) < min_samples:
+                if len(ping_samples) < 3:
                     continue
                 found.pairs.append(
                     (resolver, median(ping_samples), median(dns[(vantage, resolver)]))
@@ -694,12 +680,8 @@ def _calls(store):
         ):
             yield name, getattr(module, name), getattr(Oracle, name), (store,), {"vantage": vantage}
         for resolver in RESOLVERS[:3]:
-            for name, module in (
-                ("resolver_median", response_times),
-                ("variability", response_times),
-            ):
-                yield name, getattr(module, name), getattr(Oracle, name), (store, resolver), {
-                    "vantage": vantage}
+            yield "variability", response_times.variability, Oracle.variability, \
+                (store, resolver), {"vantage": vantage}
         yield "drift_reports_from_records", longitudinal.drift_reports_from_records, \
             Oracle.drift_reports_from_records, (store,), {"vantage": vantage}
     yield "resolver_medians", response_times.resolver_medians, Oracle.resolver_medians, (store,), {
@@ -723,14 +705,11 @@ def _calls(store):
         "vantages": VANTAGES[1:], "resolvers": RESOLVERS[:2]}
     yield "phase_deltas", phases.phase_deltas, Oracle.phase_deltas, \
         (store, RESOLVERS, "ec2-frankfurt", "ec2-seoul"), {}
-    for min_samples in (1, 3):
-        yield "latency_correlations_from_records", correlation.latency_correlations_from_records, \
-            Oracle.latency_correlations_from_records, (store,), {"min_samples": min_samples}
-        yield "latency_correlation", correlation.latency_correlation, \
-            Oracle.latency_correlation, (store, "ec2-seoul"), {"min_samples": min_samples}
+    yield "latency_correlations_from_records", correlation.latency_correlations_from_records, \
+        Oracle.latency_correlations_from_records, (store,), {}
     yield "latency_correlations_from_records", correlation.latency_correlations_from_records, \
         Oracle.latency_correlations_from_records, (store,), {
-            "vantages": ["ec2-seoul", "nowhere", "ec2-seoul"], "min_samples": 1}
+            "vantages": ["ec2-seoul", "nowhere", "ec2-seoul"]}
     yield "campaigns_in_order", longitudinal.campaigns_in_order, Oracle.campaigns_in_order, \
         (store,), {}
 

@@ -23,7 +23,13 @@ from repro.experiments.campaigns import (
     study_legs,
 )
 from repro.experiments.observatory import observer_study_legs
-from repro.experiments.paper import PAPER_VALUES, generate_report
+from repro.experiments.paper import (
+    PAPER_VALUES,
+    TRANSPORTS_SECTION,
+    PaperReport,
+    generate_report,
+    transport_claims,
+)
 from repro.experiments.world import DEFAULT_VANTAGES, STUDY_DOMAIN_NAMES, build_world
 from repro.parallel import run_campaigns
 from tests.conftest import MINI_CATALOG_HOSTNAMES, make_mini_world
@@ -291,6 +297,15 @@ FOLDED_CLAIM_IDS = {
     "C1-ec2-ohio", "C1-ec2-frankfurt", "C1-ec2-seoul", "C1-outlier",
 }
 
+#: The related work's rows, one or more per ablation world (A1-A4, A6).
+TRANSPORT_CLAIM_IDS = {
+    "A1-fresh-1.3", "A1-fresh-1.2", "A1-0rtt", "A1-reuse", "A1-order",
+    "A2-local", "A2-ec2-ohio", "A2-ec2-seoul",
+    "A3-1.3-h2", "A3-1.3-http/1.1", "A3-1.2-h2", "A3-1.2-http/1.1", "A3-http", "A3-negotiated",
+    "A4-walk", "A4-cname", "A4-hit",
+    "A6-doq-fresh", "A6-doh-fresh", "A6-saved", "A6-doq-reuse", "A6-0rtt",
+}
+
 
 class TestPaperReport:
     def test_report_from_prebuilt_store(self):
@@ -307,10 +322,22 @@ class TestPaperReport:
         ids = {claim.claim_id for claim in report.claims}
         assert "AV-1" in ids and "T2-shape" in ids
         assert FOLDED_CLAIM_IDS <= ids
+        # The related work's worlds are the report's own, not the caller's.
+        assert not ids & TRANSPORT_CLAIM_IDS
         assert "table1" in report.rendered_tables
         assert "figure1" in report.rendered_figures
         text = report.describe()
         assert "claims hold" in text
+
+    def test_every_transport_claim_holds(self):
+        # Tiny worlds of their own, about 0.2 s: the ablations, in Tier-1.
+        claims = transport_claims()
+        assert [claim.claim_id for claim in claims if not claim.holds] == []
+        assert {claim.claim_id for claim in claims} == TRANSPORT_CLAIM_IDS
+        assert all(claim.cites for claim in claims)
+        paper, related = PaperReport(claims=claims).describe().split(TRANSPORTS_SECTION)
+        assert "A1-" not in paper and "| related work " in related
+        assert related.endswith("22/22 claims hold")
 
     def test_paper_values_recorded(self):
         assert PAPER_VALUES["availability.successes"] == 5_098_281
@@ -360,6 +387,7 @@ def _callers_outside_the_seam(callee: str, seam: Path, function=None):
 
 EXECUTOR = Path("parallel", "executor.py")
 RUNNER = Path("parallel", "runner.py")
+PAPER = Path("experiments", "paper.py")
 
 
 def test_only_the_shard_executor_builds_a_campaign():
@@ -374,10 +402,14 @@ def test_only_the_shard_executor_builds_a_campaign():
 
 def test_only_the_shard_executor_builds_a_world():
     """A world is built for a shard (or for the shards a pool forks) and
-    nowhere else: ``query`` and ``diff --verify`` run plans, not probes."""
-    offenders, seen = _callers_outside_the_seam("build_world", EXECUTOR)
-    assert offenders == []
-    assert seen == 2
+    nowhere else: ``query`` and ``diff --verify`` run plans, not probes.
+    The one other call is the claim table's related-work section: its rows
+    measure probes on tiny worlds no campaign plan builds (a catalog of one
+    or two resolvers, caches left cold for A4)."""
+    outside_executor, seen = _callers_outside_the_seam("build_world", EXECUTOR)
+    outside_table, ablations = _callers_outside_the_seam("build_world", PAPER, "transport_claims")
+    assert sorted(set(outside_executor) & set(outside_table)) == []
+    assert (seen, ablations) == (2, 1)
 
 
 @pytest.mark.parametrize("callee", ["plan_campaign", "run_parallel"])

@@ -43,18 +43,12 @@ USERS = (SRC, ROOT / "benchmarks" / "perf", ROOT / "examples")
 CALLERS = (*USERS, ROOT / "tests")
 
 _PINNED = "a pinned golden test prints it; deleting it would move a digest"
-_UNBENCHED = (
-    "its last caller was a per-artifact bench, now a claim row that reads the "
-    "report's one table; ROADMAP item 19 deletes it with its tests"
-)
 
 #: ``module.name`` (module relative to ``repro``) -> why it stays unused.
 ALLOWED: Dict[str, str] = {
     "analysis.phases.phase_breakdowns": _PINNED,
     "analysis.phases.render_phase_table": _PINNED,
     "experiments.observatory.observe_run": _PINNED,
-    "analysis.correlation.latency_correlation": _UNBENCHED,
-    "analysis.response_times.resolver_median": _UNBENCHED,
     "dnswire.message.memo_stats": "ROADMAP item 12(a) turns it into always-on counters",
 }
 
@@ -337,7 +331,7 @@ def test_every_top_level_name_has_a_user_outside_the_tests():
 
 
 def test_allow_list_entries_name_definitions_and_reasons():
-    assert len(ALLOWED) == 6
+    assert len(ALLOWED) == 4
     for key, reason in ALLOWED.items():
         module, _, name = key.rpartition(".")
         path = SRC.joinpath(*module.split(".")).with_suffix(".py")
