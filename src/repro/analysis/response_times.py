@@ -1,18 +1,16 @@
-"""Response-time analysis: medians, vantage deltas, local winners.
+"""Response-time analysis: medians and vantage deltas.
 
 These functions back the paper's §4 comparisons:
 
 * per-resolver response-time distributions and medians per vantage point;
 * the resolvers with the largest median difference between a local and a
-  remote vantage point (Tables 2 and 3);
-* local non-mainstream winners — resolvers that beat specific mainstream
-  resolvers from specific vantage points.
+  remote vantage point (Tables 2 and 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.stats import median, quantile
 from repro.analysis.table import Criterion, RecordTable, Source
@@ -102,47 +100,6 @@ def largest_vantage_deltas(
     ]
     deltas.sort(key=lambda d: d.delta_ms, reverse=True)
     return deltas[:5]
-
-
-@dataclass(frozen=True)
-class LocalWinner:
-    """A non-mainstream resolver beating mainstream resolvers somewhere."""
-
-    resolver: str
-    vantage: str
-    median_ms: float
-    beats: Tuple[str, ...]  # mainstream resolvers it outperformed
-
-
-def local_winners(
-    store: Source,
-    vantage: str,
-    candidates: Iterable[str],
-    mainstream: Iterable[str],
-) -> List[LocalWinner]:
-    """Candidates whose median beats at least one mainstream resolver."""
-    mainstream = list(mainstream)
-    medians = resolver_medians(store, vantage=vantage)
-    winners = []
-    for candidate in candidates:
-        candidate_median = medians.get(candidate)
-        if candidate_median is None:
-            continue
-        beaten = tuple(
-            m for m in mainstream
-            if m in medians and candidate_median < medians[m]
-        )
-        if beaten:
-            winners.append(
-                LocalWinner(
-                    resolver=candidate,
-                    vantage=vantage,
-                    median_ms=candidate_median,
-                    beats=beaten,
-                )
-            )
-    winners.sort(key=lambda w: w.median_ms)
-    return winners
 
 
 def variability(store: Source, resolver: str, vantage: Optional[str] = None) -> Optional[float]:

@@ -15,7 +15,6 @@ from repro.analysis.figures import FigureRow, figure_rows, region_panel_hostname
 from repro.analysis.render import render_boxplot_rows, render_delta_table, render_table
 from repro.analysis.response_times import (
     largest_vantage_deltas,
-    local_winners,
     resolver_medians,
     variability,
 )
@@ -222,11 +221,6 @@ class TestResponseTimes:
         )
         assert [d.resolver for d in deltas] == ["r6", "r5", "r4", "r3", "r2"]
         assert [d.delta_ms for d in deltas] == [60.0, 50.0, 40.0, 30.0, 20.0]
-
-    def test_local_winners(self):
-        winners = local_winners(build_store(), "v1", ["r1"], ["r2"])
-        assert winners and winners[0].beats == ("r2",)
-        assert local_winners(build_store(), "v1", ["r2"], ["r1"]) == []
 
     def test_variability_needs_samples(self):
         store = build_store()

@@ -26,7 +26,7 @@ from repro.analysis import phases, response_times, sessions, tables
 from repro.analysis.figures import FigureRow, PAPER_FIGURES, region_panel_hostnames
 from repro.analysis.longitudinal import DriftReport, ResolverDrift
 from repro.analysis.phases import PhaseBreakdown, PhaseDelta
-from repro.analysis.response_times import LocalWinner, VantageDelta
+from repro.analysis.response_times import VantageDelta
 from repro.analysis.sessions import SessionCell, WarmColdDelta, ZeroRttAcceptance
 from repro.analysis.stats import median, quantile, summarize_or_none
 from repro.analysis.table import RecordTable
@@ -186,30 +186,6 @@ class Oracle:
         ]
         deltas.sort(key=lambda d: d.delta_ms, reverse=True)
         return deltas[:5]
-
-    @staticmethod
-    def local_winners(store, vantage, candidates, mainstream):
-        mainstream = list(mainstream)
-        medians = Oracle.resolver_medians(store, vantage=vantage)
-        winners = []
-        for candidate in candidates:
-            candidate_median = medians.get(candidate)
-            if candidate_median is None:
-                continue
-            beaten = tuple(
-                m for m in mainstream if m in medians and candidate_median < medians[m]
-            )
-            if beaten:
-                winners.append(
-                    LocalWinner(
-                        resolver=candidate,
-                        vantage=vantage,
-                        median_ms=candidate_median,
-                        beats=beaten,
-                    )
-                )
-        winners.sort(key=lambda w: w.median_ms)
-        return winners
 
     @staticmethod
     def variability(store, resolver, vantage=None):
@@ -690,8 +666,6 @@ def _calls(store):
         Oracle.failure_pattern_consistency, (store,), {}
     yield "largest_vantage_deltas", response_times.largest_vantage_deltas, \
         Oracle.largest_vantage_deltas, (store, RESOLVERS, "ec2-seoul", "ec2-frankfurt"), {}
-    yield "local_winners", response_times.local_winners, Oracle.local_winners, \
-        (store, "ec2-seoul", RESOLVERS[1:], mainstream), {}
     for vantage in VANTAGES:
         yield "figure_rows", figures.figure_rows, Oracle.figure_rows, \
             (store, vantage, RESOLVERS, mainstream), {}

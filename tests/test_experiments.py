@@ -1,13 +1,17 @@
 """Tests for the world builder, campaigns, and the paper report machinery."""
 
 import ast
+from dataclasses import replace
+from math import isnan
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro
 from repro.analysis.availability import availability_report
 from repro.analysis.response_times import resolver_medians
+from repro.analysis.table import RecordTable
 from repro.catalog.resolvers import CATALOG
 from repro.core.results import ResultStore
 from repro.core.scheduler import MS_PER_HOUR
@@ -25,8 +29,10 @@ from repro.experiments.campaigns import (
 from repro.experiments.observatory import observer_study_legs
 from repro.experiments.paper import (
     PAPER_VALUES,
+    SECTIONS,
     TRANSPORTS_SECTION,
     PaperReport,
+    _fault_claims,
     generate_report,
     transport_claims,
 )
@@ -331,13 +337,23 @@ class TestPaperReport:
 
     def test_every_transport_claim_holds(self):
         # Tiny worlds of their own, about 0.2 s: the ablations, in Tier-1.
-        claims = transport_claims()
+        # The family reads only whether the report ran its own study.
+        assert transport_claims(SimpleNamespace(own_study=False)) == []
+        claims = transport_claims(SimpleNamespace(own_study=True))
         assert [claim.claim_id for claim in claims if not claim.holds] == []
         assert {claim.claim_id for claim in claims} == TRANSPORT_CLAIM_IDS
-        assert all(claim.cites for claim in claims)
-        paper, related = PaperReport(claims=claims).describe().split(TRANSPORTS_SECTION)
+        assert all(claim.cites and claim.values for claim in claims)
+        # The report tags each row with its SECTIONS entry, and prints by it.
+        rows = [replace(claim, section=TRANSPORTS_SECTION) for claim in claims]
+        paper, related = PaperReport(claims=rows).describe().split(TRANSPORTS_SECTION)
         assert "A1-" not in paper and "| related work " in related
         assert related.endswith("22/22 claims hold")
+
+    def test_sections_list_each_family_once_in_print_order(self):
+        assert [title for title, _column, _families in SECTIONS] == ["", TRANSPORTS_SECTION]
+        families = [family for _t, _c, group in SECTIONS for family in group]
+        assert len(families) == len(set(families))
+        assert families[-1] is transport_claims
 
     def test_paper_values_recorded(self):
         assert PAPER_VALUES["availability.successes"] == 5_098_281
@@ -458,3 +474,111 @@ def test_the_parallel_runner_does_not_import_the_monitor():
     # The walker does see what it is looking for.
     cli = ast.parse((root / "cli.py").read_text(encoding="utf-8"))
     assert list(_imports_of(cli, "repro.monitor"))
+
+
+# ---------------------------------------------------------------------------
+# Claim rows are their numbers
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mini_study():
+    return run_campaigns(
+        study_legs(home_rounds=2, ec2_rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES),
+        world_seed=0, shards=1,
+    ).store
+
+
+@pytest.fixture(scope="module")
+def mini_report(mini_study):
+    return generate_report(store=mini_study)
+
+
+def _claims_by_id(report):
+    return {claim.claim_id: claim for claim in report.claims}
+
+
+def test_maxima_rows_carry_the_maxima_of_an_independent_median_call(mini_study, mini_report):
+    claims = _claims_by_id(mini_report)
+    na = {entry.hostname for entry in CATALOG if entry.region == "NA"}
+    for key, vantage, hostnames in (
+        ("ec2-ohio", "ec2-ohio", na), ("ec2-frankfurt", "ec2-frankfurt", None),
+        ("ec2-seoul", "ec2-seoul", None), ("home", HOME_VANTAGE_NAMES, na),
+    ):
+        medians = resolver_medians(mini_study, vantage=vantage)
+        expected = max(ms for name, ms in medians.items() if hostnames is None or name in hostnames)
+        row = claims[f"X2-{key}"]
+        assert row.values["max_ms"] == expected
+        assert row.paper == {"max_ms": PAPER_VALUES[f"max_median.{key}"]}
+        # The text prints the value and the verdict reads it.
+        assert row.measured_value.startswith(f"{expected:.0f} ms (")
+        paper_max = row.paper["max_ms"]
+        in_band = 0.33 * paper_max <= expected <= 3.0 * paper_max
+        assert row.holds == (in_band and expected > row.values.get("ohio_max_ms", float("-inf")))
+
+
+def test_availability_row_carries_the_error_rate(mini_study, mini_report):
+    row = _claims_by_id(mini_report)["AV-1"]
+    availability = availability_report(mini_study)
+    assert row.values["error_rate"] == availability.error_rate
+    assert row.values["attempts"] == availability.attempts
+    assert row.paper["error_rate"] == PAPER_VALUES["availability.error_rate"]
+
+
+def test_every_paper_number_names_a_measured_one(mini_report):
+    legs, plan = fault_study_legs(rounds=2, target_hostnames=MINI_CATALOG_HOSTNAMES)
+    faults = run_campaigns(legs, world_seed=0, fault_plan=plan).store
+    rows = mini_report.claims + _fault_claims(SimpleNamespace(faults=RecordTable.of(faults)))
+    with_paper = {claim.claim_id for claim in rows if claim.paper}
+    assert with_paper == {
+        "AV-1", "FAULT-1", "X2-ec2-ohio", "X2-ec2-frankfurt", "X2-ec2-seoul", "X2-home",
+        "T3-doh.ffmuc.net", "T3-dns0.eu",
+    }
+    for claim in rows:
+        assert set(claim.paper) <= set(claim.values), claim.claim_id
+
+
+def test_every_row_is_made_from_its_values():
+    """``_row`` is the one constructor of a claim row in the table, so each
+    row's verdict is ``holds(values)`` and its text a template over them."""
+    tree = ast.parse((Path(repro.__file__).parent / PAPER).read_text(encoding="utf-8"))
+    makers = [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(_calls_to(node, "ClaimResult"))
+    ]
+    assert makers == ["_row"]
+
+
+def test_a_row_that_compared_nothing_diverges():
+    """Four resolvers, none of them EU or Asian unicast: Figures 3 and 4
+    compare nothing, and say so."""
+    store = run_campaigns(
+        study_legs(home_rounds=1, ec2_rounds=1, target_hostnames=(
+            "dns.google", "dns.quad9.net", "security.cloudflare-dns.com", "ordns.he.net",
+        )),
+        world_seed=0,
+    ).store
+    claims = _claims_by_id(generate_report(store=store))
+    assert claims["F3-local"].values["compared"] == 0
+    assert claims["F4-local"].values["compared"] == 0
+    assert isnan(claims["F4-home"].values["fastest_ms"])
+    assert claims["F3-local"].measured_value == "0/0 comparisons"
+    assert claims["F4-home"].measured_value == "fastest nan ms"
+    for claim in claims.values():
+        counts = [claim.values[key] for key in ("compared", "pinged", "rows", "pairs")
+                  if key in claim.values]
+        if any(isnan(value) for value in claim.values.values()) or 0 in counts:
+            assert not claim.holds, claim.claim_id
+
+
+def test_experiments_md_lists_the_reports_claim_ids(mini_report):
+    """EXPERIMENTS.md's claim tables name exactly the rows ``report`` prints."""
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    tables = text.split("## Claim table", 1)[1].split("## Per-artifact detail", 1)[0]
+    ids = [
+        line.split("|")[1].strip() for line in tables.splitlines()
+        if line.startswith("| ") and not line.startswith("| id ")
+    ]
+    assert len(ids) == len(set(ids))
+    expected = {claim.claim_id for claim in mini_report.claims}
+    assert set(ids) == expected | {"FAULT-1", "FAULT-2", "FAULT-3"} | TRANSPORT_CLAIM_IDS
