@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import nan
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.stats import median
@@ -174,7 +175,9 @@ def failure_pattern_consistency(store: Source) -> float:
     consecutive rounds' failure sets.  The paper observed *no consistent
     pattern* — transient failures hit different resolvers each round —
     which corresponds to a low score (persistent outages in a fixed subset
-    would push it toward 1).  Rounds with no failures are skipped.
+    would push it toward 1).  Rounds with no failures are skipped.  With
+    no two rounds to compare the score is NaN, which no bound holds for: a
+    study without failures shows no pattern either way.
     """
     failures_by_round: Dict[int, Set[str]] = {}
     for resolver, cell in RecordTable.of(store).by_resolver("dns_query").items():
@@ -189,4 +192,4 @@ def failure_pattern_consistency(store: Source) -> float:
         if not union:
             continue
         similarities.append(len(previous & current) / len(union))
-    return median(similarities) if similarities else 0.0
+    return median(similarities) if similarities else nan

@@ -10,10 +10,14 @@ These functions back the paper's §4 comparisons:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.analysis.stats import median, quantile
 from repro.analysis.table import Criterion, RecordTable, Source
+
+#: vantage -> resolver -> median response time (ms): each vantage's
+#: :func:`resolver_medians`.
+Medians = Mapping[str, Mapping[str, float]]
 
 
 def query_durations(
@@ -73,7 +77,7 @@ class VantageDelta:
 
 
 def largest_vantage_deltas(
-    store: Source,
+    medians: Medians,
     resolvers: Iterable[str],
     near_vantage: str,
     far_vantage: str,
@@ -82,11 +86,11 @@ def largest_vantage_deltas(
 
     This is how the paper builds Tables 2 and 3: take the resolvers of a
     region, compare their medians from the local vantage point against a
-    remote one, and report the five biggest gaps.
+    remote one, and report the five biggest gaps.  The medians are the
+    caller's, so a report that already holds them computes none again.
     """
-    table = RecordTable.of(store)
-    near = resolver_medians(table, vantage=near_vantage, resolvers=resolvers)
-    far = resolver_medians(table, vantage=far_vantage, resolvers=resolvers)
+    wanted = set(resolvers)
+    near, far = medians[near_vantage], medians[far_vantage]
     deltas = [
         VantageDelta(
             resolver=resolver,
@@ -96,7 +100,7 @@ def largest_vantage_deltas(
             far_median_ms=far[resolver],
         )
         for resolver in near
-        if resolver in far
+        if resolver in wanted and resolver in far
     ]
     deltas.sort(key=lambda d: d.delta_ms, reverse=True)
     return deltas[:5]

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.analysis.response_times import VantageDelta, largest_vantage_deltas
-from repro.analysis.table import Source
+from repro.analysis.response_times import Medians, VantageDelta, largest_vantage_deltas
 from repro.catalog.browsers import BROWSER_MATRIX, PROVIDERS
 from repro.catalog.resolvers import entries_by_region
 
@@ -38,17 +37,17 @@ def _region_non_mainstream(region: str) -> List[str]:
     ]
 
 
-def table2_rows(store: Source) -> List[VantageDelta]:
+def table2_rows(medians: Medians) -> List[VantageDelta]:
     """Table 2: Asian non-mainstream resolvers, Seoul vs Frankfurt medians."""
     return largest_vantage_deltas(
-        store, _region_non_mainstream("AS"), "ec2-seoul", "ec2-frankfurt"
+        medians, _region_non_mainstream("AS"), "ec2-seoul", "ec2-frankfurt"
     )
 
 
-def table3_rows(store: Source) -> List[VantageDelta]:
+def table3_rows(medians: Medians) -> List[VantageDelta]:
     """Table 3: European non-mainstream resolvers, Frankfurt vs Seoul medians."""
     return largest_vantage_deltas(
-        store, _region_non_mainstream("EU"), "ec2-frankfurt", "ec2-seoul"
+        medians, _region_non_mainstream("EU"), "ec2-frankfurt", "ec2-seoul"
     )
 
 

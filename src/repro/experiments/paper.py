@@ -218,7 +218,7 @@ def generate_report(
         for figure in ("figure1", "figure2", "figure3", "figure4")
     }
     study = _Study(
-        table, medians, figures, {"T2": table2_rows(table), "T3": table3_rows(table)},
+        table, medians, figures, {"T2": table2_rows(medians), "T3": table3_rows(medians)},
         RecordTable.of(runs[1].store) if runs and len(runs[1].store) > 0 else None,
         own_study=bool(runs),
     )

@@ -12,13 +12,16 @@ One call — :func:`build_world` — assembles:
   Frankfurt / Seoul).
 
 Everything is seeded, so two worlds built with the same seed behave
-identically packet for packet.
+identically packet for packet.  That is what lets a process simulate the
+cache warm-up once per (seed, catalog) and hand every later world of that
+key the state it ended in (:data:`_WARM_STATES`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import random
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.resolvers import CATALOG, CatalogEntry
 from repro.core.runner import ResolverTarget
@@ -33,7 +36,9 @@ from repro.netsim.host import Host
 from repro.netsim.latency import SERVER
 from repro.netsim.network import Network
 from repro.netsim.trace import EventTrace
+from repro.obs import get_metrics, get_recorder
 from repro.resolver.authoritative import AuthoritativeServer
+from repro.resolver.cache import CacheStats
 from repro.resolver.deployment import (
     ProcessingModel,
     ReliabilityModel,
@@ -135,15 +140,19 @@ class World:
             for entry in entries
         ]
 
+    def _live_sites(self) -> Iterator[ResolverSite]:
+        """Every resolver site that runs an engine and is not blackholed."""
+        for deployment in self.deployments.values():
+            for site in deployment.sites:
+                if not site.host.blackholed and site.engine is not None:
+                    yield site
+
     def _resolve_study_domains(self) -> None:
         """Ask every live resolver site for each study domain, answers dropped."""
         names = [Name.from_text(domain) for domain in STUDY_DOMAIN_NAMES]
-        for deployment in self.deployments.values():
-            for site in deployment.sites:
-                if site.host.blackholed or site.engine is None:
-                    continue
-                for qname in names:
-                    site.engine.resolve_question(qname, TYPE_A, lambda _r: None)
+        for site in self._live_sites():
+            for qname in names:
+                site.engine.resolve_question(qname, TYPE_A, lambda _r: None)
 
     def warm_resolver_caches(self) -> None:
         """Pre-resolve the study domains on every live resolver site.
@@ -168,6 +177,114 @@ class World:
         no network traffic), so arming it is always safe.
         """
         self.network.loop.call_at(at_ms, self._resolve_study_domains)
+
+
+def _clone(rng: random.Random) -> random.Random:
+    """A generator at ``rng``'s state: 2.5 KB, where ``getstate()`` is 24 KB."""
+    copy = random.Random(0)
+    copy.setstate(rng.getstate())
+    return copy
+
+
+@dataclass
+class _SiteState:
+    """What the warm-up left on one live site: its cache and its engine."""
+
+    entries: Tuple[Tuple[object, object], ...]  # (key, entry), oldest first
+    stats: CacheStats
+    rng: random.Random
+    questions: int
+    upstream_queries: int
+
+
+@dataclass
+class _WarmState:
+    """Everything :meth:`World.warm_resolver_caches` moves, at its end.
+
+    The warm-up is the study-domain walk of every live site: it fills each
+    site's cache (entries, their ``stored_at`` / ``expires_at``, the cache
+    stats), draws query ids from each engine's RNG and counts its
+    questions, takes an ephemeral port per upstream query, draws loss and
+    delay from the network's RNG, and runs the loop's clock, sequence
+    counter and event count forward.  It ends with nothing queued and no
+    socket open, so those fields are the whole difference between a cold
+    world and a warmed one of the same key.  (The infrastructure servers'
+    ``queries_served`` counters move too; nothing reads them, and no
+    ``World`` field reaches them.)  Cache entries are shared, not copied:
+    :class:`~repro.resolver.cache.DnsCache` replaces an entry and never
+    changes one.
+    """
+
+    sites: List[_SiteState]
+    ports: List[int]
+    now: float
+    next_seq: int
+    events_processed: int
+    network_rng: random.Random
+
+    @classmethod
+    def capture(cls, world: World) -> "_WarmState":
+        network = world.network
+        loop = network.loop
+        return cls(
+            sites=[
+                _SiteState(
+                    tuple(site.cache._entries.items()), replace(site.cache.stats),
+                    _clone(site.engine.rng), site.engine.total_questions,
+                    site.engine.total_upstream_queries,
+                )
+                for site in world._live_sites()
+            ],
+            ports=[host._next_port for host in network.hosts],
+            now=loop.now,
+            next_seq=loop.reserve(0),  # reads the next number, takes none
+            events_processed=loop.events_processed,
+            network_rng=_clone(network.rng),
+        )
+
+    def apply(self, world: World) -> None:
+        """Put a cold world of this state's key where its warm-up would have."""
+        for site, state in zip(world._live_sites(), self.sites):
+            site.cache._entries.update(state.entries)
+            site.cache.stats = replace(state.stats)
+            site.engine.rng.setstate(state.rng.getstate())
+            site.engine.total_questions = state.questions
+            site.engine.total_upstream_queries = state.upstream_queries
+        network = world.network
+        for host, port in zip(network.hosts, self.ports):
+            host._next_port = port
+        loop = network.loop
+        loop._now = self.now
+        loop.reserve(self.next_seq - loop.reserve(0))  # counter to next_seq
+        loop._events_processed = self.events_processed
+        network.rng.setstate(self.network_rng.getstate())
+
+
+#: The warm-up's end state per (seed, catalog entries), so that a process
+#: simulates it once per key; emptied when full (DESIGN.md, "What is
+#: memoised").
+_WARM_STATES: Dict[Tuple[int, Tuple[CatalogEntry, ...]], _WarmState] = {}
+_WARM_STATES_MAX = 16
+
+
+def _warm(world: World, seed: int, traced: bool) -> None:
+    """Warm ``world``'s caches: simulated on a key's first build, applied after.
+
+    A traced or instrumented build always simulates, so that what it
+    reports is its own warm-up's and never depends on the memo.
+    """
+    if traced or get_recorder().enabled or get_metrics().enabled:
+        world.warm_resolver_caches()
+        return
+    key = (seed, tuple(world.catalog))
+    state = _WARM_STATES.get(key)
+    if state is not None:
+        state.apply(world)
+        return
+    world.warm_resolver_caches()
+    if len(_WARM_STATES) >= _WARM_STATES_MAX:
+        _WARM_STATES.clear()
+    _WARM_STATES[key] = _WarmState.capture(world)
 
 
 def build_world(
@@ -198,7 +315,7 @@ def build_world(
         catalog=entries,
     )
     if warm_caches:
-        world.warm_resolver_caches()
+        _warm(world, seed, traced=trace is not None)
     return world
 
 

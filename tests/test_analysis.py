@@ -1,6 +1,8 @@
 """Tests for the analysis package: stats, availability, response times,
 figures, tables, and renderers."""
 
+import math
+
 import numpy
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +138,10 @@ def build_store():
     return store
 
 
+def vantage_medians(store):
+    return {vantage: resolver_medians(store, vantage=vantage) for vantage in ("v1", "v2")}
+
+
 class TestAvailability:
     def test_report_counts(self):
         report = availability_report(build_store())
@@ -178,10 +184,11 @@ class TestAvailability:
         assert "errors" in text and "connect_timeout" in text
 
     def test_failure_consistency_excludes_dead(self):
-        # r3 is dead (always fails) and is excluded; remaining failures are
-        # one-off, so consistency must be low.
+        # r3 is dead (always fails) and is excluded; what is left is r2's
+        # one failure, one round, so no two rounds compare (with r3 the
+        # score would be 0.75).
         score = failure_pattern_consistency(build_store())
-        assert 0.0 <= score < 0.5
+        assert math.isnan(score)
 
     def test_failure_consistency_detects_persistent_subset(self):
         store = ResultStore()
@@ -191,6 +198,17 @@ class TestAvailability:
             store.add(record("flaky", "v1", success=True, round_index=round_index))
             store.add(record("ok", "v1", success=True, round_index=round_index))
         assert failure_pattern_consistency(store) == 1.0
+
+    def test_failure_consistency_without_two_failing_rounds_is_nan(self):
+        # Nothing to compare is no evidence either way: NaN, which fails
+        # AV-3's bound as every row on an empty sample fails its own.
+        store = ResultStore()
+        for round_index in range(3):
+            store.add(record("ok", "v1", success=True, round_index=round_index))
+        assert math.isnan(failure_pattern_consistency(store))
+        store.add(record("ok", "v1", success=False,
+                         error_class="connect_refused", round_index=1))
+        assert math.isnan(failure_pattern_consistency(store))
 
 
 class TestResponseTimes:
@@ -205,7 +223,7 @@ class TestResponseTimes:
 
     def test_largest_vantage_deltas(self):
         deltas = largest_vantage_deltas(
-            build_store(), ["r1", "r2"], near_vantage="v1", far_vantage="v2"
+            vantage_medians(build_store()), ["r1", "r2"], near_vantage="v1", far_vantage="v2"
         )
         assert deltas[0].resolver == "r1"  # 240 - 12 = 228 dominates
         assert deltas[0].delta_ms == pytest.approx(228.0)
@@ -217,7 +235,8 @@ class TestResponseTimes:
             store.add(record(f"r{index}", "v1", duration=10.0))
             store.add(record(f"r{index}", "v2", duration=10.0 + 10.0 * index))
         deltas = largest_vantage_deltas(
-            store, [f"r{index}" for index in range(7)], near_vantage="v1", far_vantage="v2"
+            vantage_medians(store), [f"r{index}" for index in range(7)],
+            near_vantage="v1", far_vantage="v2",
         )
         assert [d.resolver for d in deltas] == ["r6", "r5", "r4", "r3", "r2"]
         assert [d.delta_ms for d in deltas] == [60.0, 50.0, 40.0, 30.0, 20.0]

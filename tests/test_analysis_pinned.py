@@ -46,7 +46,7 @@ from repro.experiments.paper import generate_report
 from repro.parallel import run_campaigns
 from tests.conftest import MINI_CATALOG_HOSTNAMES
 
-PINNED_SHA256 = "d422457bfd94754d1fbdc48d76e783bb1d48e78f76341ab217904746aadc9f0f"
+PINNED_SHA256 = "ecf7cc7392c5012d9857ad4ffa1a16075e924b0a13db8d9ae4ad6a6d8ef60ece"
 
 
 def pinned_text() -> str:

@@ -1,11 +1,12 @@
 """Memo transparency, campaign level.
 
-The codecs above the packet remember what they decoded or encoded
-(``DESIGN.md``, "What is memoised").  A campaign's records must not depend
-on what those tables hold: the same digest with every table empty, with
-every table warm from a previous run in the process, with every bound at
-1, where each new entry evicts the one before it, and with a parse table
-that forgets every store, so that nothing the encoder leaves there for its
+The codecs above the packet remember what they decoded or encoded, and
+``build_world`` remembers where the cache warm-up ended (``DESIGN.md``,
+"What is memoised").  A campaign's records must not depend on what those
+tables hold: the same digest with every table empty, with every table
+warm from a previous run in the process, with every bound at 1, where
+each new entry evicts the one before it, and with a parse table that
+forgets every store, so that nothing the encoder leaves there for its
 peer is ever read.  Nor on the interpreter's hash seed.
 """
 
@@ -22,6 +23,7 @@ import pytest
 import repro.dnswire.builder as builder
 import repro.dnswire.message as message
 import repro.dnswire.name as name
+import repro.experiments.world as world_module
 import repro.httpsim.h2 as h2
 import repro.httpsim.h3 as h3
 from repro.catalog.resolvers import CATALOG
@@ -41,6 +43,7 @@ MEMOS = (
     (h2, "_DECODED_BLOCKS", "_DECODED_BLOCKS_MAX"),
     (h3, "_HEADERS_FRAMES", "_HEADERS_FRAMES_MAX"),
     (h3, "_FIELD_MAPS", "_FIELD_MAPS_MAX"),
+    (world_module, "_WARM_STATES", "_WARM_STATES_MAX"),
 )
 
 EC2_VANTAGES = ("ec2-ohio", "ec2-frankfurt", "ec2-seoul")

@@ -551,7 +551,8 @@ def test_every_row_is_made_from_its_values():
 
 def test_a_row_that_compared_nothing_diverges():
     """Four resolvers, none of them EU or Asian unicast: Figures 3 and 4
-    compare nothing, and say so."""
+    compare nothing, and say so.  No query fails either, so AV-3 has no
+    two rounds of failures to compare."""
     store = run_campaigns(
         study_legs(home_rounds=1, ec2_rounds=1, target_hostnames=(
             "dns.google", "dns.quad9.net", "security.cloudflare-dns.com", "ordns.he.net",
@@ -564,6 +565,8 @@ def test_a_row_that_compared_nothing_diverges():
     assert isnan(claims["F4-home"].values["fastest_ms"])
     assert claims["F3-local"].measured_value == "0/0 comparisons"
     assert claims["F4-home"].measured_value == "fastest nan ms"
+    assert claims["AV-1"].values["errors"] == 0
+    assert isnan(claims["AV-3"].values["jaccard"]) and not claims["AV-3"].holds
     for claim in claims.values():
         counts = [claim.values[key] for key in ("compared", "pinged", "rows", "pairs")
                   if key in claim.values]
